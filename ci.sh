@@ -4,7 +4,8 @@
 # from `cargo test`, so CI failures reproduce locally either way.
 #
 # Modes:
-#   ./ci.sh            tier-1: fmt, build, test, workspace lint, doc gate
+#   ./ci.sh            tier-1: fmt, build, test, process smokes, benchmark
+#                      smoke, workspace lint, doc gate
 #   ./ci.sh --bench    bench smoke: micro benches at 3 iters, medians
 #                      written to results/BENCH_pr<N>.json (N auto-numbers
 #                      from the existing snapshots, override with
@@ -233,13 +234,22 @@ dist_kill() {
 }
 
 step "cargo fmt --check" cargo fmt --check
-step "cargo build --release" cargo build --release
+# --workspace: the root package does not depend on the agl-cli binary the
+# smoke steps below drive, so a bare `cargo build` in a fresh checkout would
+# leave ./target/release/agl-cli unbuilt.
+step "cargo build --release" cargo build --release --workspace
 step "cargo test -q" cargo test -q
 step "dist smoke (2 shuffle + 2 ps processes, byte-identical)" dist_smoke
 step "dist kill-a-worker (SIGKILL mid-job, deterministic re-run)" dist_kill
 step "obs smoke (traced dist-run, deterministic merged trace + obs-report)" obs_smoke
 step "serve smoke (load generator + 2 serve-worker processes, verified)" serve_smoke
 step "infer-stream smoke (streamed == materialized, 2-worker dist, deterministic)" infer_stream_smoke
+# The benchmark package path-depends on crates/* but sits outside the
+# workspace, so nothing above compiles it: build it and run every workload
+# once at ~1/20 size, so a public-API break there fails here and not when
+# the benchmark is next run.
+step "pipeline-bench smoke" \
+  cargo run --quiet --release --manifest-path pipeline_bench/Cargo.toml -- --smoke
 step "agl-lint --workspace" cargo run -q --release -p agl-analysis --bin agl-lint -- --workspace
 # Rustdoc is part of the contract: broken intra-doc links or missing docs
 # on public items (crates with #![warn(missing_docs)]) fail the build.

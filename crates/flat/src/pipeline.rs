@@ -24,8 +24,8 @@ use agl_graph::{EdgeTable, NodeId, NodeTable, Subgraph};
 use agl_mapreduce::codec::{get_f32, get_f32s, get_u64, get_u8, put_f32, put_f32s, put_u64, put_u8, Codec};
 use agl_mapreduce::hash::fnv1a;
 use agl_mapreduce::{
-    Counters, DistJob, DistOptions, Endpoint, EngineConfig, FaultPlan, JobConfig, JobError, JobPlan, JobResult,
-    MapReduceJob, Mapper, Reducer, SpillMode, WireSig,
+    Counters, DistOptions, Endpoint, EngineConfig, FaultPlan, JobConfig, JobError, JobPlan, KeyValue, MapReduceJob,
+    Mapper, Placement, Reducer, RemoteWorkers, SpillMode, WireSig,
 };
 use agl_tensor::rng::derive_seed;
 use std::collections::{HashMap, HashSet};
@@ -362,9 +362,9 @@ impl Reducer for FlatReducer {
 
 /// Everything a shuffle-worker process needs to rebuild this job's
 /// [`Reducer`]: the `-h/-s` knobs plus the routing table (hub set and
-/// re-index fanout), serialised as the `DistJob` init spec. The hub list is
-/// sorted so the spec bytes — and therefore the whole distributed job — are
-/// deterministic for a given graph.
+/// re-index fanout), serialised as the remote placement's worker spec. The
+/// hub list is sorted so the spec bytes — and therefore the whole
+/// distributed job — are deterministic for a given graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlatWorkerSpec {
     /// K — neighborhood depth.
@@ -379,32 +379,10 @@ pub struct FlatWorkerSpec {
     pub hubs: Vec<u64>,
 }
 
-const SAMP_NONE: u8 = 0;
-const SAMP_UNIFORM: u8 = 1;
-const SAMP_WEIGHTED: u8 = 2;
-const SAMP_TOPK: u8 = 3;
-
 impl Codec for FlatWorkerSpec {
     fn encode(&self, buf: &mut Vec<u8>) {
         put_u64(buf, self.k_hops as u64);
-        match self.sampling {
-            SamplingStrategy::None => {
-                put_u8(buf, SAMP_NONE);
-                put_u64(buf, 0);
-            }
-            SamplingStrategy::Uniform { max_degree } => {
-                put_u8(buf, SAMP_UNIFORM);
-                put_u64(buf, max_degree as u64);
-            }
-            SamplingStrategy::Weighted { max_degree } => {
-                put_u8(buf, SAMP_WEIGHTED);
-                put_u64(buf, max_degree as u64);
-            }
-            SamplingStrategy::TopK { max_degree } => {
-                put_u8(buf, SAMP_TOPK);
-                put_u64(buf, max_degree as u64);
-            }
-        }
+        self.sampling.encode(buf);
         put_u64(buf, self.seed);
         put_u64(buf, u64::from(self.fanout));
         put_u64(buf, self.hubs.len() as u64);
@@ -415,15 +393,7 @@ impl Codec for FlatWorkerSpec {
 
     fn decode(input: &mut &[u8]) -> Result<Self, agl_mapreduce::codec::CodecError> {
         let k_hops = get_u64(input)? as usize;
-        let tag = get_u8(input)?;
-        let max_degree = get_u64(input)? as usize;
-        let sampling = match tag {
-            SAMP_NONE => SamplingStrategy::None,
-            SAMP_UNIFORM => SamplingStrategy::Uniform { max_degree },
-            SAMP_WEIGHTED => SamplingStrategy::Weighted { max_degree },
-            SAMP_TOPK => SamplingStrategy::TopK { max_degree },
-            t => return Err(agl_mapreduce::codec::CodecError(format!("unknown sampling tag {t}"))),
-        };
+        let sampling = SamplingStrategy::decode(input)?;
         let seed = get_u64(input)?;
         let fanout = get_u64(input)? as u32;
         let n_hubs = get_u64(input)? as usize;
@@ -462,16 +432,9 @@ impl GraphFlat {
         &self.cfg
     }
 
-    /// Hub detection + input encoding, shared by the in-process and
-    /// distributed drivers: returns the routing table, the serialised
-    /// warehouse records, and the counters handle the rest of the run
-    /// reports into.
-    fn prepare(
-        &self,
-        nodes: &NodeTable,
-        edges: &EdgeTable,
-        targets: &TargetSpec,
-    ) -> (Arc<Routing>, Vec<Vec<u8>>, Counters) {
+    /// Hub detection + input encoding: returns the routing table and the
+    /// serialised warehouse records.
+    fn prepare(&self, nodes: &NodeTable, edges: &EdgeTable, targets: &TargetSpec) -> (Arc<Routing>, Vec<Vec<u8>>) {
         let target_set: Option<HashSet<u64>> = match targets {
             TargetSpec::All => None,
             TargetSpec::Ids(ids) => Some(ids.iter().map(|n| n.0).collect()),
@@ -508,32 +471,23 @@ impl GraphFlat {
             inputs.push(encode_edge_record(row.src, row.dst, row.weight, ef));
         }
         drop(encode_span);
-
-        // With observability on, pipeline counters report into the run's
-        // shared registry — the same one the engine writes to.
-        let counters = match self.cfg.engine.obs.metrics() {
-            Some(m) => Counters::with_registry(m.clone()),
-            None => Counters::new(),
-        };
-        (routing, inputs, counters)
+        (routing, inputs)
     }
 
-    /// The engine configuration both drivers share.
+    /// The engine configuration of the K+1-round job.
     fn job_config(&self) -> JobConfig {
         JobConfig {
             map_tasks: self.cfg.engine.map_tasks,
             reduce_tasks: self.cfg.engine.reduce_tasks,
             reduce_rounds: self.cfg.k_hops + 1,
             parallelism: self.cfg.engine.parallelism,
-            max_attempts: 4,
             fault_plan: self.cfg.fault_plan.clone(),
             spill: self.cfg.spill.clone(),
             // Every boundary of the K+1 rounds carries FlatKey/FlatMsg
             // records; debug builds verify the chain at construction.
             plan: Some(JobPlan::homogeneous(WireSig("flat-key/flat-msg"), self.cfg.k_hops + 1)),
-            verify_determinism: cfg!(debug_assertions),
-            metrics_flush_every: 4,
             obs: self.cfg.engine.obs.clone(),
+            ..JobConfig::default()
         }
     }
 
@@ -554,28 +508,15 @@ impl GraphFlat {
     /// Run the pipeline over the tables, producing GraphFeatures for the
     /// targets.
     pub fn run(&self, nodes: &NodeTable, edges: &EdgeTable, targets: &TargetSpec) -> Result<FlatOutput, JobError> {
-        let mut flat_span = self.cfg.engine.obs.span("driver", "graphflat");
-        let (routing, inputs, counters) = self.prepare(nodes, edges, targets);
-        let mapper = FlatMapper { routing: routing.clone() };
-        let reducer = FlatReducer {
-            routing,
-            k_hops: self.cfg.k_hops,
-            sampling: self.cfg.sampling,
-            seed: self.cfg.engine.seed,
-            counters: counters.clone(),
-        };
-        let job = MapReduceJob::new(self.job_config());
-        let result = job.run(&inputs, &mapper, &reducer)?;
-        self.store(result, counters, &mut flat_span)
+        self.run_on(nodes, edges, targets, Placement::Threads)
     }
 
     /// Run the *same* pipeline with the reduce work farmed out to shuffle
     /// worker processes at `endpoints` (each running
     /// `agl_mapreduce::serve_shuffle` with [`flat_reducer_from_spec`]).
-    /// Output is byte-identical to [`GraphFlat::run`]: the map phase, the
-    /// FNV-1a shuffle, the reduce logic (rebuilt from the shipped
-    /// [`FlatWorkerSpec`]), and the final assembly order are all shared
-    /// code paths.
+    /// Output is byte-identical to [`GraphFlat::run`]: it is one job driver
+    /// either way, and the workers rebuild the same reducer from the
+    /// shipped [`FlatWorkerSpec`].
     pub fn run_distributed(
         &self,
         nodes: &NodeTable,
@@ -587,9 +528,9 @@ impl GraphFlat {
         self.run_distributed_with_hook(nodes, edges, targets, endpoints, opts, None)
     }
 
-    /// [`GraphFlat::run_distributed`] with the `DistJob` fault-injection
-    /// hook exposed (fires after each reduce-task dispatch; used by the
-    /// kill-a-worker CI suite).
+    /// [`GraphFlat::run_distributed`] with the remote placement's
+    /// fault-injection hook exposed (fires after each reduce-task dispatch;
+    /// used by the kill-a-worker CI suite).
     pub fn run_distributed_with_hook(
         &self,
         nodes: &NodeTable,
@@ -599,33 +540,46 @@ impl GraphFlat {
         opts: &DistOptions,
         on_dispatch: Option<&(dyn Fn(usize) + Sync)>,
     ) -> Result<FlatOutput, JobError> {
+        self.run_on(nodes, edges, targets, Placement::Remote(RemoteWorkers { endpoints, opts, on_dispatch }))
+    }
+
+    fn run_on(
+        &self,
+        nodes: &NodeTable,
+        edges: &EdgeTable,
+        targets: &TargetSpec,
+        placement: Placement<'_>,
+    ) -> Result<FlatOutput, JobError> {
         let mut flat_span = self.cfg.engine.obs.span("driver", "graphflat");
-        let (routing, inputs, counters) = self.prepare(nodes, edges, targets);
-        let spec = self.worker_spec(&routing).to_bytes();
-        let mapper = FlatMapper { routing };
-        let job = DistJob::new(self.job_config(), opts.clone());
-        let result = job.run_with_hook(endpoints, &spec, &inputs, &mapper, on_dispatch)?;
-        self.store(result, counters, &mut flat_span)
+        let (routing, inputs) = self.prepare(nodes, edges, targets);
+        // Pipeline and job driver report into one handle: the run's shared
+        // registry when observability is on.
+        let counters = Counters::for_obs(&self.cfg.engine.obs);
+        let mapper = FlatMapper { routing: routing.clone() };
+        let reducer = FlatReducer {
+            routing: routing.clone(),
+            k_hops: self.cfg.k_hops,
+            sampling: self.cfg.sampling,
+            seed: self.cfg.engine.seed,
+            counters: counters.clone(),
+        };
+        let worker_spec = || self.worker_spec(&routing).to_bytes();
+        let job = MapReduceJob::reporting_into(self.job_config(), counters.clone());
+        let result = job.run_on(placement, &inputs, &mapper, &reducer, None, &worker_spec)?;
+        self.store(&result.output, counters, &mut flat_span)
     }
 
     /// Storing step: group Final records by target id; union the partial
     /// GraphFeatures of re-indexed hub targets.
     fn store(
         &self,
-        result: JobResult,
+        output: &[KeyValue],
         counters: Counters,
         flat_span: &mut agl_obs::Span,
     ) -> Result<FlatOutput, JobError> {
-        if !self.cfg.engine.obs.is_enabled() {
-            // Shared-registry runs already see the engine counters; only
-            // detached runs need the merge.
-            for (name, v) in result.counters.snapshot() {
-                counters.add(&name, v);
-            }
-        }
         let store_span = self.cfg.engine.obs.span("driver", "graphflat.store");
         let mut by_target: HashMap<u64, (Vec<Subgraph>, Vec<f32>)> = HashMap::new();
-        for kv in &result.output {
+        for kv in output {
             let key = FlatKey::from_bytes(&kv.key).map_err(|e| JobError::Corrupt(format!("final key: {e}")))?;
             let msg = FlatMsg::from_bytes(&kv.value).map_err(|e| JobError::Corrupt(format!("final msg: {e}")))?;
             match msg {

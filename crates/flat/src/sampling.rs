@@ -7,6 +7,7 @@
 //! fault-injected runs byte-identical, and that GraphInfer relies on for
 //! *"unbiased inference with the model trained based on GraphFlat"* (§3.4).
 
+use agl_mapreduce::codec::{get_u64, get_u8, put_u64, put_u8, Codec, CodecError};
 use agl_tensor::rng::seeded_rng;
 use agl_tensor::rng::Rng;
 
@@ -22,6 +23,36 @@ pub enum SamplingStrategy {
     Weighted { max_degree: usize },
     /// Deterministically keep the `max_degree` heaviest edges.
     TopK { max_degree: usize },
+}
+
+/// Wire image inside the worker specs GraphFlat and GraphInfer ship to
+/// their shuffle workers: a tag byte, then the cap as a `u64` (0 for
+/// `None`).
+impl Codec for SamplingStrategy {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_u8(
+            buf,
+            match self {
+                SamplingStrategy::None => 0,
+                SamplingStrategy::Uniform { .. } => 1,
+                SamplingStrategy::Weighted { .. } => 2,
+                SamplingStrategy::TopK { .. } => 3,
+            },
+        );
+        put_u64(buf, self.max_degree().unwrap_or(0) as u64);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let tag = get_u8(input)?;
+        let max_degree = get_u64(input)? as usize;
+        match tag {
+            0 => Ok(SamplingStrategy::None),
+            1 => Ok(SamplingStrategy::Uniform { max_degree }),
+            2 => Ok(SamplingStrategy::Weighted { max_degree }),
+            3 => Ok(SamplingStrategy::TopK { max_degree }),
+            t => Err(CodecError(format!("unknown sampling tag {t}"))),
+        }
+    }
 }
 
 impl SamplingStrategy {

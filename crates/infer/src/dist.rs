@@ -2,7 +2,7 @@
 //! driver entry point that farm the GAS reduce rounds out to shuffle-worker
 //! processes (`agl-cli dist-worker --infer`).
 //!
-//! The driver ships one [`InferWorkerSpec`] as the `DistJob` init spec —
+//! The driver ships one [`InferWorkerSpec`] as the job's worker spec —
 //! the serialised model plus the handful of knobs the reducer derives its
 //! behaviour from — and, for combining jobs, the *same* bytes again as the
 //! `CombineSpec` payload. Workers rebuild the exact `InferReducer` /
@@ -40,33 +40,11 @@ pub struct InferWorkerSpec {
     pub degree_threshold: u32,
 }
 
-const SAMP_NONE: u8 = 0;
-const SAMP_UNIFORM: u8 = 1;
-const SAMP_WEIGHTED: u8 = 2;
-const SAMP_TOPK: u8 = 3;
-
 impl Codec for InferWorkerSpec {
     fn encode(&self, buf: &mut Vec<u8>) {
         put_u64(buf, self.model.len() as u64);
         buf.extend_from_slice(&self.model);
-        match self.sampling {
-            SamplingStrategy::None => {
-                put_u8(buf, SAMP_NONE);
-                put_u64(buf, 0);
-            }
-            SamplingStrategy::Uniform { max_degree } => {
-                put_u8(buf, SAMP_UNIFORM);
-                put_u64(buf, max_degree as u64);
-            }
-            SamplingStrategy::Weighted { max_degree } => {
-                put_u8(buf, SAMP_WEIGHTED);
-                put_u64(buf, max_degree as u64);
-            }
-            SamplingStrategy::TopK { max_degree } => {
-                put_u8(buf, SAMP_TOPK);
-                put_u64(buf, max_degree as u64);
-            }
-        }
+        self.sampling.encode(buf);
         put_u64(buf, self.seed);
         put_u8(buf, u8::from(self.gas));
         put_u64(buf, u64::from(self.r_parts));
@@ -80,15 +58,7 @@ impl Codec for InferWorkerSpec {
         }
         let model = input[..n_model].to_vec();
         *input = &input[n_model..];
-        let tag = get_u8(input)?;
-        let max_degree = get_u64(input)? as usize;
-        let sampling = match tag {
-            SAMP_NONE => SamplingStrategy::None,
-            SAMP_UNIFORM => SamplingStrategy::Uniform { max_degree },
-            SAMP_WEIGHTED => SamplingStrategy::Weighted { max_degree },
-            SAMP_TOPK => SamplingStrategy::TopK { max_degree },
-            t => return Err(CodecError(format!("unknown sampling tag {t}"))),
-        };
+        let sampling = SamplingStrategy::decode(input)?;
         let seed = get_u64(input)?;
         let gas = get_u8(input)? != 0;
         let r_parts = get_u64(input)? as u32;

@@ -8,14 +8,16 @@
 //! | 1..=K        | slice k: merge in-embeddings, per-node forward   |
 //! | K+1          | prediction slice: final score                    |
 
-use crate::combine::{finish, fold_in_embs, PartialAgg};
+use crate::combine::{finish, fold_in_embs, InferCombiner, PartialAgg};
+use crate::dist::InferWorkerSpec;
 use crate::messages::InferMsg;
 use agl_flat::SamplingStrategy;
 use agl_graph::{EdgeTable, NodeId, NodeTable};
 use agl_mapreduce::codec::{get_f32, get_f32s, get_u64, get_u8, put_f32, put_f32s, put_u64, put_u8, Codec};
 use agl_mapreduce::hash::fnv1a;
 use agl_mapreduce::{
-    Counters, EngineConfig, FaultPlan, JobConfig, JobError, JobPlan, MapReduceJob, Mapper, Reducer, SpillMode, WireSig,
+    Counters, EngineConfig, FaultPlan, JobConfig, JobError, JobPlan, KeyValue, MapReduceJob, Mapper, Placement,
+    Reducer, ShuffleCombiner, SpillMode, WireSig,
 };
 use agl_nn::layer::NeighborView;
 use agl_nn::{GnnModel, ModelSlice};
@@ -97,7 +99,7 @@ pub struct InferOutput {
 const REC_NODE: u8 = 0;
 const REC_EDGE: u8 = 1;
 
-pub(crate) fn encode_node_record(id: NodeId, features: &[f32]) -> Vec<u8> {
+fn encode_node_record(id: NodeId, features: &[f32]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(13 + 4 * features.len());
     put_u8(&mut buf, REC_NODE);
     put_u64(&mut buf, id.0);
@@ -105,7 +107,7 @@ pub(crate) fn encode_node_record(id: NodeId, features: &[f32]) -> Vec<u8> {
     buf
 }
 
-pub(crate) fn encode_edge_record(src: NodeId, dst: NodeId, weight: f32) -> Vec<u8> {
+fn encode_edge_record(src: NodeId, dst: NodeId, weight: f32) -> Vec<u8> {
     let mut buf = Vec::with_capacity(21);
     put_u8(&mut buf, REC_EDGE);
     put_u64(&mut buf, src.0);
@@ -137,7 +139,7 @@ pub(crate) fn key_id(key: &[u8]) -> u64 {
     u64::from_le_bytes(b)
 }
 
-pub(crate) struct InferMapper;
+struct InferMapper;
 
 impl Mapper for InferMapper {
     fn map(&self, input: &[u8], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>)) {
@@ -304,6 +306,95 @@ impl Reducer for InferReducer {
     }
 }
 
+/// One GraphInfer-shaped MapReduce job: the input encoding, the reducer, the
+/// engine configuration and the counters every inference entry point shares.
+/// [`GraphInfer`] and [`crate::stream::StreamInfer`] differ only in the
+/// values they fill in here and in the placement they run it on.
+pub(crate) struct InferJob<'a> {
+    pub(crate) cfg: &'a InferConfig,
+    pub(crate) model: &'a GnnModel,
+    pub(crate) nodes: &'a NodeTable,
+    pub(crate) edges: &'a EdgeTable,
+    /// Name of the driver-track span around the whole run.
+    pub(crate) span: &'a str,
+    /// Reduce rounds: join + K slices, plus the prediction slice for scores.
+    pub(crate) rounds: usize,
+    /// Run the GAS merge (see [`InferReducer::gas`]).
+    pub(crate) gas: bool,
+    /// GAS only: install the shuffle combiner at this degree threshold.
+    pub(crate) degree_threshold: Option<usize>,
+}
+
+impl InferJob<'_> {
+    /// Run the job on `placement`; returns the last round's records and the
+    /// counters both the pipeline and the job driver reported into.
+    pub(crate) fn run(&self, placement: Placement<'_>) -> Result<(Vec<KeyValue>, Counters), JobError> {
+        let engine = &self.cfg.engine;
+        let _span = engine.obs.span("driver", self.span);
+        let counters = Counters::for_obs(&engine.obs);
+        let slices = Arc::new(self.model.segment());
+        let r_parts = engine.reduce_tasks;
+        let threshold = self.degree_threshold.filter(|_| self.gas);
+        let combiner = threshold.and_then(|t| InferCombiner::for_slices(&slices, t, r_parts));
+
+        let mut inputs = Vec::with_capacity(self.nodes.len() + self.edges.len());
+        for (id, feat) in self.nodes.iter() {
+            inputs.push(encode_node_record(id, feat));
+        }
+        for (row, _) in self.edges.iter() {
+            inputs.push(encode_edge_record(row.src, row.dst, row.weight));
+        }
+
+        let reducer = InferReducer {
+            slices,
+            k: self.model.n_layers(),
+            sampling: self.cfg.sampling,
+            seed: engine.seed,
+            gas: self.gas,
+            r_parts,
+            counters: counters.clone(),
+        };
+        let job_cfg = JobConfig {
+            map_tasks: engine.map_tasks,
+            reduce_tasks: r_parts,
+            reduce_rounds: self.rounds,
+            parallelism: engine.parallelism,
+            fault_plan: self.cfg.fault_plan.clone(),
+            spill: self.cfg.spill.clone(),
+            // join + K slice rounds + prediction all speak InferMsg.
+            plan: Some(JobPlan::homogeneous(WireSig("infer-key/infer-msg"), self.rounds)),
+            obs: engine.obs.clone(),
+            ..JobConfig::default()
+        };
+        // Threshold `0` tells the workers' combiner factory "no combining".
+        let worker_threshold = if combiner.is_some() { threshold.unwrap_or(0) as u32 } else { 0 };
+        let worker_spec = || InferWorkerSpec::new(self.model, self.cfg, self.gas, worker_threshold).to_bytes();
+        let result = MapReduceJob::reporting_into(job_cfg, counters.clone()).run_on(
+            placement,
+            &inputs,
+            &InferMapper,
+            &reducer,
+            combiner.as_ref().map(|c| c as &dyn ShuffleCombiner),
+            &worker_spec,
+        )?;
+        Ok((result.output, counters))
+    }
+}
+
+/// Decode a job's final records as one score per node, sorted by node id.
+pub(crate) fn decode_scores(output: &[KeyValue]) -> Result<Vec<NodeScore>, JobError> {
+    let mut scores = Vec::with_capacity(output.len());
+    for kv in output {
+        let msg = InferMsg::from_bytes(&kv.value).map_err(|e| JobError::Corrupt(format!("score record: {e}")))?;
+        match msg {
+            InferMsg::Score { probs } => scores.push(NodeScore { node: NodeId(key_id(&kv.key)), probs }),
+            other => return Err(JobError::Corrupt(format!("unexpected output record {other:?}"))),
+        }
+    }
+    scores.sort_by_key(|s| s.node);
+    Ok(scores)
+}
+
 /// The GraphInfer driver.
 pub struct GraphInfer {
     cfg: InferConfig,
@@ -316,6 +407,27 @@ impl GraphInfer {
 
     pub fn config(&self) -> &InferConfig {
         &self.cfg
+    }
+
+    /// The classic per-neighbor fold on the thread pool, for `rounds` rounds.
+    fn run_rounds(
+        &self,
+        model: &GnnModel,
+        nodes: &NodeTable,
+        edges: &EdgeTable,
+        rounds: usize,
+    ) -> Result<(Vec<KeyValue>, Counters), JobError> {
+        let job = InferJob {
+            cfg: &self.cfg,
+            model,
+            nodes,
+            edges,
+            span: "graphinfer",
+            rounds,
+            gas: false,
+            degree_threshold: None,
+        };
+        job.run(Placement::Threads)
     }
 
     /// Run the pipeline but stop after the K-th slice, returning every
@@ -343,78 +455,10 @@ impl GraphInfer {
         Ok((embeddings, counters))
     }
 
-    fn run_rounds(
-        &self,
-        model: &GnnModel,
-        nodes: &NodeTable,
-        edges: &EdgeTable,
-        rounds: usize,
-    ) -> Result<(Vec<agl_mapreduce::KeyValue>, Counters), JobError> {
-        let slices = Arc::new(model.segment());
-        let k = model.n_layers();
-        let _infer_span = self.cfg.engine.obs.span("driver", "graphinfer");
-        // With observability on, pipeline counters report into the run's
-        // shared registry — the same one the engine writes to.
-        let counters = match self.cfg.engine.obs.metrics() {
-            Some(m) => Counters::with_registry(m.clone()),
-            None => Counters::new(),
-        };
-
-        let mut inputs = Vec::with_capacity(nodes.len() + edges.len());
-        for (id, feat) in nodes.iter() {
-            inputs.push(encode_node_record(id, feat));
-        }
-        for (row, _) in edges.iter() {
-            inputs.push(encode_edge_record(row.src, row.dst, row.weight));
-        }
-
-        let reducer = InferReducer {
-            slices,
-            k,
-            sampling: self.cfg.sampling,
-            seed: self.cfg.engine.seed,
-            gas: false,
-            r_parts: self.cfg.engine.reduce_tasks,
-            counters: counters.clone(),
-        };
-        let job = MapReduceJob::new(JobConfig {
-            map_tasks: self.cfg.engine.map_tasks,
-            reduce_tasks: self.cfg.engine.reduce_tasks,
-            reduce_rounds: rounds,
-            parallelism: self.cfg.engine.parallelism,
-            max_attempts: 4,
-            fault_plan: self.cfg.fault_plan.clone(),
-            spill: self.cfg.spill.clone(),
-            // join + K slice rounds + prediction all speak InferMsg.
-            plan: Some(JobPlan::homogeneous(WireSig("infer-key/infer-msg"), rounds)),
-            verify_determinism: cfg!(debug_assertions),
-            metrics_flush_every: 4,
-            obs: self.cfg.engine.obs.clone(),
-        });
-        let result = job.run(&inputs, &InferMapper, &reducer)?;
-        if !self.cfg.engine.obs.is_enabled() {
-            // Shared-registry runs already see the engine counters; only
-            // detached runs need the merge.
-            for (name, v) in result.counters.snapshot() {
-                counters.add(&name, v);
-            }
-        }
-        Ok((result.output, counters))
-    }
-
     /// Run inference for every node of the tables with a trained model.
     pub fn run(&self, model: &GnnModel, nodes: &NodeTable, edges: &EdgeTable) -> Result<InferOutput, JobError> {
         // join + K slices + prediction.
         let (output, counters) = self.run_rounds(model, nodes, edges, model.n_layers() + 2)?;
-        let mut scores = Vec::with_capacity(output.len());
-        for kv in &output {
-            let msg = InferMsg::from_bytes(&kv.value).map_err(|e| JobError::Corrupt(format!("score record: {e}")))?;
-            match msg {
-                InferMsg::Score { probs } => scores.push(NodeScore { node: NodeId(key_id(&kv.key)), probs }),
-                other => return Err(JobError::Corrupt(format!("unexpected output record {other:?}"))),
-            }
-        }
-        scores.sort_by_key(|s| s.node);
-        Ok(InferOutput { scores, counters })
+        Ok(InferOutput { scores: decode_scores(&output)?, counters })
     }
 }

@@ -10,42 +10,25 @@
 //!   messages of high-degree nodes *before they cross the wire* — one
 //!   [`crate::messages::InferMsg::Partial`] per producer segment instead of
 //!   one `InEmb` per in-edge.
-//! * **Bounded-memory execution.** [`StreamInfer::run`] drives the job on
-//!   [`agl_mapreduce::StreamJob`], which keeps one shuffle partition
-//!   resident at a time and parks the rest in the configured spill mode;
-//!   the `stream.peak_resident_bytes` counter gauges the bound.
-//!   [`StreamInfer::run_materialized`] drives the identical GAS job on the
-//!   thread-pool engine — the baseline the streamed output is pinned
-//!   bit-identical to.
+//! * **Bounded-memory execution.** [`StreamInfer::run`] places the job on
+//!   [`agl_mapreduce::Placement::ResidentOne`], which keeps one shuffle
+//!   partition resident at a time and parks the rest in the configured
+//!   spill mode; the `stream.peak_resident_bytes` counter gauges the bound.
+//!   [`StreamInfer::run_materialized`] places the identical GAS job on the
+//!   thread pool — the baseline the streamed output is pinned bit-identical
+//!   to.
 //!
 //! Both paths assert the paper's **exactly-once invariant** on the way out:
 //! every node of the input table is scored exactly once, and the
 //! `infer.embeddings_computed` counter equals `|V| · K`. Violations surface
 //! as [`JobError::Corrupt`], never as silently wrong output.
 
-use crate::combine::{combine_kinds, InferCombiner};
-use crate::dist::InferWorkerSpec;
-use crate::messages::InferMsg;
-use crate::pipeline::{
-    encode_edge_record, encode_node_record, key_id, InferConfig, InferMapper, InferOutput, InferReducer, NodeScore,
-};
+use crate::combine::combine_kinds;
+use crate::pipeline::{decode_scores, InferConfig, InferJob, InferOutput, NodeScore};
 use agl_flat::SamplingStrategy;
-use agl_graph::{EdgeTable, NodeId, NodeTable};
-use agl_mapreduce::{
-    Codec, Counters, DistJob, DistOptions, Endpoint, JobConfig, JobError, JobPlan, MapReduceJob, StreamJob, WireSig,
-};
+use agl_graph::{EdgeTable, NodeTable};
+use agl_mapreduce::{Counters, DistOptions, Endpoint, JobError, Placement, RemoteWorkers};
 use agl_nn::GnnModel;
-use std::sync::Arc;
-
-/// How [`StreamInfer::run_inner`] drives the job.
-enum Exec<'a> {
-    /// Sequential bounded-memory [`StreamJob`].
-    Streamed,
-    /// Thread-pool [`MapReduceJob`] — the materialized baseline.
-    Materialized,
-    /// [`DistJob`] over shuffle-worker processes.
-    Dist(&'a [Endpoint], &'a DistOptions),
-}
 
 /// Default bucket-local degree threshold: groups with at least this many
 /// messages in one producer bucket are pre-folded by the combiner. Low
@@ -85,21 +68,22 @@ impl StreamInfer {
         matches!(self.cfg.sampling, SamplingStrategy::None) && combine_kinds(&model.segment()).is_some()
     }
 
-    /// Streaming run: sequential bounded-memory execution over
-    /// [`StreamJob`]. Output is bit-identical to [`Self::run_materialized`].
+    /// Streaming run: sequential bounded-memory execution on
+    /// [`Placement::ResidentOne`]. Output is bit-identical to
+    /// [`Self::run_materialized`].
     pub fn run(&self, model: &GnnModel, nodes: &NodeTable, edges: &EdgeTable) -> Result<InferOutput, JobError> {
-        self.run_inner(model, nodes, edges, Exec::Streamed)
+        self.run_on(model, nodes, edges, "infer.stream", Placement::ResidentOne)
     }
 
-    /// Materialized baseline: the identical GAS job on the thread-pool
-    /// engine, every round's shuffle fully resident.
+    /// Materialized baseline: the identical GAS job on the thread pool,
+    /// every round's shuffle fully resident.
     pub fn run_materialized(
         &self,
         model: &GnnModel,
         nodes: &NodeTable,
         edges: &EdgeTable,
     ) -> Result<InferOutput, JobError> {
-        self.run_inner(model, nodes, edges, Exec::Materialized)
+        self.run_on(model, nodes, edges, "infer.materialized", Placement::Threads)
     }
 
     /// The *same* job with the reduce work farmed out to shuffle-worker
@@ -117,113 +101,46 @@ impl StreamInfer {
         endpoints: &[Endpoint],
         opts: &DistOptions,
     ) -> Result<InferOutput, JobError> {
-        self.run_inner(model, nodes, edges, Exec::Dist(endpoints, opts))
+        let workers = RemoteWorkers { endpoints, opts, on_dispatch: None };
+        self.run_on(model, nodes, edges, "infer.dist", Placement::Remote(workers))
     }
 
-    fn run_inner(
+    fn run_on(
         &self,
         model: &GnnModel,
         nodes: &NodeTable,
         edges: &EdgeTable,
-        exec: Exec<'_>,
+        span: &str,
+        placement: Placement<'_>,
     ) -> Result<InferOutput, JobError> {
-        let slices = Arc::new(model.segment());
         let k = model.n_layers();
-        let rounds = k + 2; // join + K slices + prediction
-        let gas = self.gas_eligible(model);
-        let r_parts = self.cfg.engine.reduce_tasks;
-        let combiner =
-            if gas { self.degree_threshold.and_then(|t| InferCombiner::for_slices(&slices, t, r_parts)) } else { None };
-
-        let span_name = match exec {
-            Exec::Streamed => "infer.stream",
-            Exec::Materialized => "infer.materialized",
-            Exec::Dist(..) => "infer.dist",
+        let job = InferJob {
+            cfg: &self.cfg,
+            model,
+            nodes,
+            edges,
+            span,
+            rounds: k + 2, // join + K slices + prediction
+            gas: self.gas_eligible(model),
+            degree_threshold: self.degree_threshold,
         };
-        let _span = self.cfg.engine.obs.span("driver", span_name);
-        let counters = match self.cfg.engine.obs.metrics() {
-            Some(m) => Counters::with_registry(m.clone()),
-            None => Counters::new(),
-        };
-
-        let mut inputs = Vec::with_capacity(nodes.len() + edges.len());
-        for (id, feat) in nodes.iter() {
-            inputs.push(encode_node_record(id, feat));
-        }
-        for (row, _) in edges.iter() {
-            inputs.push(encode_edge_record(row.src, row.dst, row.weight));
-        }
-
-        let reducer = InferReducer {
-            slices,
-            k,
-            sampling: self.cfg.sampling,
-            seed: self.cfg.engine.seed,
-            gas,
-            r_parts,
-            counters: counters.clone(),
-        };
-        let job_cfg = JobConfig {
-            map_tasks: self.cfg.engine.map_tasks,
-            reduce_tasks: r_parts,
-            reduce_rounds: rounds,
-            parallelism: self.cfg.engine.parallelism,
-            max_attempts: 4,
-            fault_plan: self.cfg.fault_plan.clone(),
-            spill: self.cfg.spill.clone(),
-            plan: Some(JobPlan::homogeneous(WireSig("infer-key/infer-msg"), rounds)),
-            verify_determinism: cfg!(debug_assertions),
-            metrics_flush_every: 4,
-            obs: self.cfg.engine.obs.clone(),
-        };
-        let result = match (&exec, &combiner) {
-            (Exec::Streamed, Some(c)) => {
-                StreamJob::new(job_cfg).run_with_shuffle_combiner(&inputs, &InferMapper, &reducer, c)
-            }
-            (Exec::Streamed, None) => StreamJob::new(job_cfg).run(&inputs, &InferMapper, &reducer),
-            (Exec::Materialized, Some(c)) => {
-                MapReduceJob::new(job_cfg).run_with_shuffle_combiner(&inputs, &InferMapper, &reducer, c)
-            }
-            (Exec::Materialized, None) => MapReduceJob::new(job_cfg).run(&inputs, &InferMapper, &reducer),
-            (Exec::Dist(endpoints, opts), _) => {
-                let threshold = if combiner.is_some() { self.degree_threshold.unwrap_or(0) as u32 } else { 0 };
-                let spec = InferWorkerSpec::new(model, &self.cfg, gas, threshold).to_bytes();
-                let job = DistJob::new(job_cfg, (*opts).clone());
-                match &combiner {
-                    Some(c) => job.run_with_combiner(endpoints, &spec, &spec, c, &inputs, &InferMapper),
-                    None => job.run(endpoints, &spec, &inputs, &InferMapper),
-                }
-            }
-        }?;
-        if matches!(exec, Exec::Dist(..)) {
+        let (output, counters) = job.run(placement)?;
+        if matches!(placement, Placement::Remote(_)) {
             // Worker-side pipeline counters ride back namespaced per worker
             // (`w3.infer.embeddings_computed`); fold them into the job-wide
             // names the invariant check and the CLI read.
-            for (name, v) in result.counters.snapshot() {
+            for (name, v) in counters.snapshot() {
                 let Some(rest) = name.strip_prefix('w') else { continue };
                 let Some((_, base)) = rest.split_once('.') else { continue };
                 if base.starts_with("infer.") || base.starts_with("combine.") {
-                    result.counters.add(base, v);
+                    counters.add(base, v);
                 }
             }
         }
-        if !self.cfg.engine.obs.is_enabled() {
-            for (name, v) in result.counters.snapshot() {
-                counters.add(&name, v);
-            }
-        }
-
-        let mut scores = Vec::with_capacity(result.output.len());
-        for kv in &result.output {
-            let msg = InferMsg::from_bytes(&kv.value).map_err(|e| JobError::Corrupt(format!("score record: {e}")))?;
-            match msg {
-                InferMsg::Score { probs } => scores.push(NodeScore { node: NodeId(key_id(&kv.key)), probs }),
-                other => return Err(JobError::Corrupt(format!("unexpected output record {other:?}"))),
-            }
-        }
-        scores.sort_by_key(|s| s.node);
-        // Distributed retries (a worker died and its partitions re-ran on a
-        // survivor) legally re-count side effects, like injected faults.
+        let scores = decode_scores(&output)?;
+        // Re-executed attempts — injected faults, or a worker that died and
+        // had its partitions re-run on a survivor — legally re-count side
+        // effects.
         let recounted = self.cfg.fault_plan.is_active() || counters.get("task_retries") > 0;
         check_exactly_once(&scores, nodes.len(), k, &counters, recounted)?;
         Ok(InferOutput { scores, counters })

@@ -107,11 +107,22 @@ pub fn put_f32s(buf: &mut Vec<u8>, v: &[f32]) {
     }
 }
 
-pub fn get_f32s(input: &mut &[u8]) -> Result<Vec<f32>, CodecError> {
+/// A `u32` element count, refused unless the remaining input could hold
+/// that many elements of at least `min_item_bytes` each — so a count read
+/// off a wire or a disk never sizes an allocation the input cannot back.
+pub fn get_count(input: &mut &[u8], min_item_bytes: usize) -> Result<usize, CodecError> {
     let n = get_u32(input)? as usize;
-    if input.len() < n * 4 {
-        return Err(CodecError(format!("f32 vec of {n} exceeds remaining {}", input.len())));
+    if input.len() / min_item_bytes < n {
+        return Err(CodecError(format!(
+            "count of {n} items (>= {min_item_bytes} bytes each) exceeds remaining {}",
+            input.len()
+        )));
     }
+    Ok(n)
+}
+
+pub fn get_f32s(input: &mut &[u8]) -> Result<Vec<f32>, CodecError> {
+    let n = get_count(input, 4)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(get_f32(input)?);
@@ -191,7 +202,8 @@ pub fn put_trace_event(buf: &mut Vec<u8>, e: &agl_obs::TraceEvent) {
     }
 }
 
-fn get_string(input: &mut &[u8]) -> Result<String, CodecError> {
+/// A length-prefixed UTF-8 string.
+pub fn get_string(input: &mut &[u8]) -> Result<String, CodecError> {
     String::from_utf8(get_bytes(input)?.to_vec()).map_err(|e| CodecError(format!("non-utf8 string: {e}")))
 }
 
@@ -205,7 +217,8 @@ pub fn get_trace_event(input: &mut &[u8]) -> Result<agl_obs::TraceEvent, CodecEr
     let depth = get_u64(input)? as usize;
     let span_id = get_u64(input)?;
     let parent_id = get_u64(input)?;
-    let n_args = get_u32(input)? as usize;
+    // Each arg is a length-prefixed key plus a u64.
+    let n_args = get_count(input, 12)?;
     let mut args = Vec::with_capacity(n_args);
     for _ in 0..n_args {
         let k = get_string(input)?;

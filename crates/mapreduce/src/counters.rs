@@ -50,11 +50,12 @@ impl Counters {
         SILENCED.with(std::cell::Cell::get)
     }
 
-    /// Counters reporting into `registry` — used by the engine to land job
-    /// counters in the run's shared observability registry, so a
-    /// `--metrics-out` export sees them next to every other metric.
-    pub fn with_registry(registry: MetricsRegistry) -> Self {
-        Self { registry }
+    /// The counters a stage running under `obs` reports into: the run's
+    /// shared metrics registry when observability is on (so the pipeline,
+    /// the job driver and `--metrics-out` all see one set), a detached set
+    /// otherwise.
+    pub fn for_obs(obs: &agl_obs::Obs) -> Self {
+        obs.metrics().map_or_else(Self::new, |m| Self { registry: m.clone() })
     }
 
     /// The backing metric store.
@@ -186,9 +187,10 @@ mod tests {
 
     #[test]
     fn shared_registry_sees_counter_writes_and_snapshot_filters_types() {
-        let reg = MetricsRegistry::new();
+        let obs = agl_obs::Obs::enabled_logical();
+        let reg = obs.metrics().unwrap();
         reg.gauge_set("g", 7); // non-counter metric in the shared registry
-        let c = Counters::with_registry(reg.clone());
+        let c = Counters::for_obs(&obs);
         c.add("records", 3);
         assert_eq!(reg.get("records"), 3, "write lands in the shared registry");
         let snap = c.snapshot();

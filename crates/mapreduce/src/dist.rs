@@ -1,20 +1,18 @@
-//! Multi-process MapReduce: a driver that streams shuffle partitions to
-//! worker *processes* over the [`crate::transport`] layer.
+//! The remote placement: reduce tasks as RPCs to shuffle-worker
+//! *processes* over the [`crate::transport`] layer.
 //!
-//! The in-process engine ([`crate::engine::MapReduceJob`]) and this driver
-//! share one reduce implementation (`engine::reduce_partition`), one hash
-//! shuffle, and one codec — so a distributed run produces **byte-identical
-//! output** to the in-process run of the same job. The split of labor:
+//! The job driver ([`crate::engine::MapReduceJob::run_on`]) owns the job
+//! shape on every placement; on [`crate::engine::Placement::Remote`] it
+//! runs the map phase locally, and this module carries each gathered
+//! reduce partition to a worker and its re-partitioned emissions back.
+//! Workers execute the same `ReduceStage::run` every local placement
+//! executes, so a distributed run produces **byte-identical output**.
 //!
-//! - The **driver** runs the map phase locally (map is cheap relative to
-//!   the K+1 reduce rounds GraphFlat spends its time in), partitions
-//!   emissions with the same FNV-1a shuffle hash, and hands each reduce
-//!   partition to a worker over a framed socket connection.
-//! - A **shuffle worker** ([`serve_shuffle`]) is a separate OS process: it
-//!   accepts one driver connection, reconstructs the job's reducer from an
-//!   opaque spec blob (the pipeline owns its meaning), then serves
-//!   reduce-partition RPCs until the driver says shutdown — at which point
-//!   it ships its counters and trace spans back for the merged report.
+//! A **shuffle worker** ([`serve_shuffle`]) is a separate OS process: it
+//! accepts one driver connection, reconstructs the job's reducer from an
+//! opaque spec blob (the pipeline owns its meaning), then serves
+//! reduce-partition RPCs until the driver says shutdown — at which point
+//! it ships its counters and trace spans back for the merged report.
 //!
 //! ## Failure model
 //!
@@ -31,10 +29,8 @@
 use crate::codec::{self, Codec, CodecError};
 use crate::counters::Counters;
 use crate::engine::{
-    combine_bucket, lock_ignoring_poison, reduce_partition, JobConfig, JobError, JobResult, KeyValue, Mapper, Reducer,
-    ShuffleCombiner,
+    lock_ignoring_poison, JobConfig, JobError, KeyValue, ReduceStage, Reducer, RemoteWorkers, ShuffleCombiner,
 };
-use crate::hash::partition;
 use crate::transport::{connect, Endpoint, FrameStats, Framed, Listener, TransportError};
 use agl_obs::{Clock, Obs, TraceEvent};
 use std::collections::VecDeque;
@@ -82,16 +78,13 @@ fn put_kvs(buf: &mut Vec<u8>, kvs: &[KeyValue]) {
 }
 
 fn get_kvs(input: &mut &[u8]) -> Result<Vec<KeyValue>, CodecError> {
-    let n = codec::get_u32(input)? as usize;
+    // Each record carries at least its two length prefixes.
+    let n = codec::get_count(input, 8)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(get_kv(input)?);
     }
     Ok(out)
-}
-
-fn get_string(input: &mut &[u8]) -> Result<String, CodecError> {
-    String::from_utf8(codec::get_bytes(input)?.to_vec()).map_err(|e| CodecError(format!("non-utf8 string: {e}")))
 }
 
 /// Driver → worker messages.
@@ -107,8 +100,8 @@ enum DriverMsg {
     /// the `Init` codec, and every golden trace built on it, is unchanged):
     /// the pipeline-defined combiner spec and the job's total reduce-round
     /// count, which the worker needs to skip combining the final round's
-    /// output (the job output's record order must match the engine's, and
-    /// combining sorts a bucket by key). Acknowledged with `InitOk`; only
+    /// output (the job output's record order must not depend on combining,
+    /// which sorts a bucket by key). Acknowledged with `InitOk`; only
     /// [`serve_shuffle_combining`] workers accept it.
     CombineSpec { rounds: u32, spec: Vec<u8> },
     /// Reduce one partition's records for `round`. `ctx` is the driver-side
@@ -268,7 +261,8 @@ impl Codec for WorkerMsg {
             WM_REDUCE_DONE => {
                 let part = codec::get_u32(input)?;
                 let emitted = codec::get_u64(input)?;
-                let n = codec::get_u32(input)? as usize;
+                // Each bucket carries at least its record count.
+                let n = codec::get_count(input, 4)?;
                 let mut out_buckets = Vec::with_capacity(n);
                 for _ in 0..n {
                     out_buckets.push(get_kvs(input)?);
@@ -277,7 +271,8 @@ impl Codec for WorkerMsg {
             }
             WM_BYE => {
                 let counters = codec::get_counters(input)?;
-                let n = codec::get_u32(input)? as usize;
+                // Two length prefixes, six u64 fields and an arg count.
+                let n = codec::get_count(input, 60)?;
                 let mut trace = Vec::with_capacity(n);
                 for _ in 0..n {
                     trace.push(codec::get_trace_event(input)?);
@@ -285,7 +280,7 @@ impl Codec for WorkerMsg {
                 Ok(WorkerMsg::Bye { counters, trace })
             }
             WM_METRICS => Ok(WorkerMsg::Metrics { counters: codec::get_counters(input)? }),
-            WM_ERR => Ok(WorkerMsg::Err { msg: get_string(input)? }),
+            WM_ERR => Ok(WorkerMsg::Err { msg: codec::get_string(input)? }),
             t => Err(CodecError(format!("unknown worker message tag {t}"))),
         }
     }
@@ -390,30 +385,24 @@ fn serve_inner(
                 }
                 framed.send(&WorkerMsg::InitOk.to_bytes())?;
             }
-            DriverMsg::Reduce { round, part, ctx, records } => {
+            DriverMsg::Reduce { round, part, ctx, mut records } => {
                 // Parent under the driver RPC span that issued this task —
                 // the causal edge the merged Chrome trace renders as a flow
                 // arrow from `dist.w{i}` into this worker's lane.
                 let span = obs.span_child_of(&format!("reduce.r{round}.p{part}"), "reduce", ctx);
                 counters.add(&format!("reduce.r{round}.input_records"), records.len() as u64);
-                // verify_determinism=false: the debug double-run never
-                // changes output (pinned by an engine test), and the
-                // driver-side thread-mode suite already covers it.
-                let reduced = reduce_partition(reducer.as_ref(), round as usize, records, r_parts, false);
-                counters.add(&format!("reduce.r{round}.output_records"), reduced.emitted);
-                counters.inc("worker.tasks");
-                // Pre-fold the next round's input while it is still on this
-                // side of the wire. The final round is exempt: its buckets
-                // are the job output, whose record order must match the
-                // engine's (and whose consumer decodes no partials).
-                let out_buckets = match &combiner {
-                    Some((rounds, c)) if (round as usize) + 1 < *rounds => reduced
-                        .out_buckets
-                        .into_iter()
-                        .map(|b| combine_bucket(c.as_ref(), round as usize + 1, b, &counters))
-                        .collect(),
-                    _ => reduced.out_buckets,
+                let stage = ReduceStage {
+                    reducer: reducer.as_ref(),
+                    combiner: combiner.as_ref().map(|(_, c)| c.as_ref()),
+                    rounds: combiner.as_ref().map_or(0, |(rounds, _)| *rounds),
+                    r_parts,
+                    // The debug double-run never changes output (pinned by
+                    // an engine test), and the local placements cover it.
+                    verify_determinism: false,
+                    counters: &counters,
                 };
+                let reduced = stage.run(round as usize, &mut records, true);
+                counters.inc("worker.tasks");
                 drop(span);
                 tasks_done += 1;
                 // Task-count pacing is the logical-clock analogue of a
@@ -422,7 +411,8 @@ fn serve_inner(
                 if flush_every > 0 && tasks_done % flush_every == 0 {
                     framed.send(&WorkerMsg::Metrics { counters: counters.snapshot() }.to_bytes())?;
                 }
-                framed.send(&WorkerMsg::ReduceDone { part, emitted: reduced.emitted, out_buckets }.to_bytes())?;
+                let done = WorkerMsg::ReduceDone { part, emitted: reduced.emitted, out_buckets: reduced.out_buckets };
+                framed.send(&done.to_bytes())?;
             }
             DriverMsg::Shutdown => {
                 let trace_events = obs.trace().map(|t| t.events()).unwrap_or_default();
@@ -437,11 +427,30 @@ fn serve_inner(
 // Driver side
 // ---------------------------------------------------------------------------
 
-/// Multi-process job driver. Map runs locally; reduce partitions are
-/// dispatched to worker processes listed in `endpoints`.
-pub struct DistJob {
-    cfg: JobConfig,
-    opts: DistOptions,
+/// Send one set-up frame (`what`) and require the worker's `InitOk`.
+fn handshake(framed: &mut Framed, msg: &DriverMsg, ep: &Endpoint, what: &str) -> Result<(), JobError> {
+    let refused = |why: String| JobError::Transport(TransportError::Protocol(why));
+    framed.send(&msg.to_bytes())?;
+    match framed.recv()? {
+        Some(bytes) => match WorkerMsg::from_bytes(&bytes).map_err(|e| JobError::Corrupt(e.0))? {
+            WorkerMsg::InitOk => Ok(()),
+            WorkerMsg::Err { msg } => Err(refused(format!("worker at {ep} rejected {what}: {msg}"))),
+            other => Err(refused(format!("unexpected {what} reply from {ep}: {other:?}"))),
+        },
+        None => Err(refused(format!("worker at {ep} closed during {what}"))),
+    }
+}
+
+/// The driver's end of [`crate::engine::Placement::Remote`]: one framed
+/// connection per shuffle worker, alive for the whole job.
+pub(crate) struct RemoteSite<'a> {
+    workers: RemoteWorkers<'a>,
+    cfg: &'a JobConfig,
+    counters: &'a Counters,
+    /// `None` once a worker is lost.
+    conns: Vec<Option<Framed>>,
+    /// Reduce tasks written to a worker so far, across rounds.
+    dispatched: AtomicUsize,
 }
 
 /// Per-round dispatch state shared by the driver's per-worker threads.
@@ -453,339 +462,151 @@ pub struct DistJob {
 /// holds tasks re-queued from a dead worker; survivors steal from it after
 /// draining their own queue, restoring the failure-recovery behaviour.
 struct RoundState<'a> {
-    partition_data: &'a [Vec<KeyValue>],
+    round: usize,
+    partitions: &'a [Vec<KeyValue>],
     queues: Vec<Mutex<VecDeque<(usize, usize)>>>,
     overflow: Mutex<VecDeque<(usize, usize)>>,
     slots: Vec<Mutex<Option<Vec<Vec<KeyValue>>>>>,
     filled: AtomicUsize,
     fatal: Mutex<Option<JobError>>,
-    dispatched: &'a AtomicUsize,
 }
 
-impl DistJob {
-    /// Driver over `cfg` (reduce fan-out, rounds, retry budget, obs) with
-    /// the given transport timeouts.
-    pub fn new(cfg: JobConfig, opts: DistOptions) -> Self {
-        Self { cfg, opts }
-    }
-
-    /// Run the job: map `inputs` locally, stream each round's reduce
-    /// partitions to the workers at `endpoints`, return the assembled
-    /// result. `spec` is forwarded verbatim to every worker's reducer
-    /// factory. Output is byte-identical to the in-process engine's.
-    pub fn run<M: Mapper>(
-        &self,
-        endpoints: &[Endpoint],
+impl<'a> RemoteSite<'a> {
+    /// Connect to every worker and initialise it with the job's `spec`
+    /// (and, for a `combining` job, the same bytes again as its combine
+    /// spec). Startup is all-or-nothing: a worker that cannot be reached
+    /// here is a deployment failure, not a mid-job fault.
+    pub(crate) fn connect(
+        workers: RemoteWorkers<'a>,
+        cfg: &'a JobConfig,
+        counters: &'a Counters,
         spec: &[u8],
-        inputs: &[Vec<u8>],
-        mapper: &M,
-    ) -> Result<JobResult, JobError> {
-        self.run_inner(endpoints, spec, inputs, mapper, None, None)
-    }
-
-    /// [`DistJob::run`] with shuffle combining: `combine_spec` is shipped to
-    /// every worker (which must be a [`serve_shuffle_combining`] process and
-    /// builds its own combiner from it), while the driver applies its local
-    /// `combiner` to the map phase's buckets — together they pre-fold every
-    /// wire hop except the final output. Output is byte-identical to
-    /// [`crate::engine::MapReduceJob::run_with_shuffle_combiner`] for a
-    /// combiner honouring the [`ShuffleCombiner`] exactness contract.
-    pub fn run_with_combiner<M: Mapper>(
-        &self,
-        endpoints: &[Endpoint],
-        spec: &[u8],
-        combine_spec: &[u8],
-        combiner: &dyn ShuffleCombiner,
-        inputs: &[Vec<u8>],
-        mapper: &M,
-    ) -> Result<JobResult, JobError> {
-        self.run_inner(endpoints, spec, inputs, mapper, Some((combine_spec, combiner)), None)
-    }
-
-    /// [`DistJob::run`] with a fault-injection hook: `on_dispatch(n)` fires
-    /// after the n-th reduce task (1-based, cumulative across rounds) has
-    /// been written to a worker — the seam the kill-a-process suite uses to
-    /// SIGKILL a worker at a deterministic point mid-job.
-    pub fn run_with_hook<M: Mapper>(
-        &self,
-        endpoints: &[Endpoint],
-        spec: &[u8],
-        inputs: &[Vec<u8>],
-        mapper: &M,
-        on_dispatch: Option<&(dyn Fn(usize) + Sync)>,
-    ) -> Result<JobResult, JobError> {
-        self.run_inner(endpoints, spec, inputs, mapper, None, on_dispatch)
-    }
-
-    fn run_inner<M: Mapper>(
-        &self,
-        endpoints: &[Endpoint],
-        spec: &[u8],
-        inputs: &[Vec<u8>],
-        mapper: &M,
-        combine: Option<(&[u8], &dyn ShuffleCombiner)>,
-        on_dispatch: Option<&(dyn Fn(usize) + Sync)>,
-    ) -> Result<JobResult, JobError> {
-        if endpoints.is_empty() {
+        combining: bool,
+    ) -> Result<Self, JobError> {
+        if workers.endpoints.is_empty() {
             return Err(JobError::Transport(TransportError::Protocol("no worker endpoints".to_string())));
         }
-        let obs = &self.cfg.obs;
-        let counters = match obs.metrics() {
-            Some(m) => Counters::with_registry(m.clone()),
-            None => Counters::new(),
-        };
+        counters.record_max("dist.workers", workers.endpoints.len() as u64);
         let clock = Clock::monotonic();
-        let mut job_span = obs.span("driver", "dist.job");
-        counters.add("map.input_records", inputs.len() as u64);
-        counters.record_max("reduce.rounds", self.cfg.reduce_rounds as u64);
-        counters.record_max("dist.workers", endpoints.len() as u64);
-        let r_parts = self.cfg.reduce_tasks;
-
-        // Connect to every worker and initialise it. Startup is all-or-
-        // nothing: a worker that cannot be reached here is a deployment
-        // failure, not a mid-job fault.
-        let trace_id = obs.trace().map(|t| t.trace_id()).unwrap_or(0);
-        let mut conns: Vec<Option<Framed>> = Vec::with_capacity(endpoints.len());
-        for (w, ep) in endpoints.iter().enumerate() {
-            let conn = connect(ep, &clock, self.opts.connect_timeout_ns)?;
-            conn.set_read_timeout(Some(Duration::from_nanos(self.opts.io_timeout_ns))).map_err(JobError::Transport)?;
-            let stats = FrameStats::from_obs(obs, &format!("shuffle.w{w}"), driver_msg_name, worker_msg_name);
+        let trace_id = cfg.obs.trace().map(|t| t.trace_id()).unwrap_or(0);
+        let mut conns = Vec::with_capacity(workers.endpoints.len());
+        for (w, ep) in workers.endpoints.iter().enumerate() {
+            let conn = connect(ep, &clock, workers.opts.connect_timeout_ns)?;
+            conn.set_read_timeout(Some(Duration::from_nanos(workers.opts.io_timeout_ns)))?;
+            let stats = FrameStats::from_obs(&cfg.obs, &format!("shuffle.w{w}"), driver_msg_name, worker_msg_name);
             let mut framed = Framed::new(conn).with_stats(stats);
-            framed
-                .send(
-                    &DriverMsg::Init {
-                        spec: spec.to_vec(),
-                        r_parts: r_parts as u32,
-                        trace: obs.is_enabled(),
-                        trace_id,
-                        // Salt 0 is the driver's; worker `w` gets `w + 1` so
-                        // merged span ids stay collision-free.
-                        salt: w as u64 + 1,
-                        flush_every: self.cfg.metrics_flush_every,
-                    }
-                    .to_bytes(),
-                )
-                .map_err(JobError::Transport)?;
-            match framed.recv().map_err(JobError::Transport)? {
-                Some(bytes) => match WorkerMsg::from_bytes(&bytes).map_err(|e| JobError::Corrupt(e.0))? {
-                    WorkerMsg::InitOk => {}
-                    WorkerMsg::Err { msg } => {
-                        return Err(JobError::Transport(TransportError::Protocol(format!(
-                            "worker at {ep} rejected init: {msg}"
-                        ))))
-                    }
-                    other => {
-                        return Err(JobError::Transport(TransportError::Protocol(format!(
-                            "unexpected init reply from {ep}: {other:?}"
-                        ))))
-                    }
-                },
-                None => {
-                    return Err(JobError::Transport(TransportError::Protocol(format!(
-                        "worker at {ep} closed during init"
-                    ))))
-                }
-            }
-            if let Some((combine_spec, _)) = combine {
-                framed
-                    .send(
-                        &DriverMsg::CombineSpec { rounds: self.cfg.reduce_rounds as u32, spec: combine_spec.to_vec() }
-                            .to_bytes(),
-                    )
-                    .map_err(JobError::Transport)?;
-                match framed.recv().map_err(JobError::Transport)? {
-                    Some(bytes) => match WorkerMsg::from_bytes(&bytes).map_err(|e| JobError::Corrupt(e.0))? {
-                        WorkerMsg::InitOk => {}
-                        WorkerMsg::Err { msg } => {
-                            return Err(JobError::Transport(TransportError::Protocol(format!(
-                                "worker at {ep} rejected combine spec: {msg}"
-                            ))))
-                        }
-                        other => {
-                            return Err(JobError::Transport(TransportError::Protocol(format!(
-                                "unexpected combine-spec reply from {ep}: {other:?}"
-                            ))))
-                        }
-                    },
-                    None => {
-                        return Err(JobError::Transport(TransportError::Protocol(format!(
-                            "worker at {ep} closed during combine-spec handshake"
-                        ))))
-                    }
-                }
+            let init = DriverMsg::Init {
+                spec: spec.to_vec(),
+                r_parts: cfg.reduce_tasks as u32,
+                trace: cfg.obs.is_enabled(),
+                trace_id,
+                // Salt 0 is the driver's; worker `w` gets `w + 1` so
+                // merged span ids stay collision-free.
+                salt: w as u64 + 1,
+                flush_every: cfg.metrics_flush_every,
+            };
+            handshake(&mut framed, &init, ep, "init")?;
+            if combining {
+                let combine = DriverMsg::CombineSpec { rounds: cfg.reduce_rounds as u32, spec: spec.to_vec() };
+                handshake(&mut framed, &combine, ep, "combine spec")?;
             }
             conns.push(Some(framed));
         }
+        Ok(Self { workers, cfg, counters, conns, dispatched: AtomicUsize::new(0) })
+    }
 
-        // ---- Map phase (local) ----
-        // Identical striping and collection order to the in-process engine,
-        // so the shuffle sees the same record sequence.
-        let map_span = obs.span("driver", "dist.map");
-        let mut buckets_by_task: Vec<Vec<Vec<KeyValue>>> = Vec::with_capacity(self.cfg.map_tasks);
-        for task in 0..self.cfg.map_tasks {
-            let mut buckets: Vec<Vec<KeyValue>> = (0..r_parts).map(|_| Vec::new()).collect();
-            let mut emitted = 0u64;
-            for input in inputs.iter().skip(task).step_by(self.cfg.map_tasks) {
-                mapper.map(input, &mut |k, v| {
-                    emitted += 1;
-                    let p = partition(&k, r_parts);
-                    buckets[p].push(KeyValue::new(k, v));
-                });
-            }
-            counters.add("map.output_records", emitted);
-            // Map-side combining, mirroring the engine: the driver owns the
-            // whole map output, so it pre-folds round 0's input locally.
-            let buckets = match combine {
-                Some((_, c)) => buckets.into_iter().map(|b| combine_bucket(c, 0, b, &counters)).collect(),
-                None => buckets,
-            };
-            buckets_by_task.push(buckets);
+    /// Reduce every partition of `round` on the workers; returns each
+    /// partition's out-buckets in partition order.
+    pub(crate) fn run_round(
+        &mut self,
+        round: usize,
+        partitions: &[Vec<KeyValue>],
+    ) -> Result<Vec<Vec<Vec<KeyValue>>>, JobError> {
+        let n_workers = self.conns.len();
+        let mut queues: Vec<VecDeque<(usize, usize)>> = (0..n_workers).map(|_| VecDeque::new()).collect();
+        for p in 0..partitions.len() {
+            queues[p % n_workers].push_back((p, 0usize));
         }
-        drop(map_span);
-
-        // ---- Reduce rounds, dispatched over the wire ----
-        let dispatched = AtomicUsize::new(0);
-        let mut final_output = Vec::new();
-        for round in 0..self.cfg.reduce_rounds {
-            let is_last = round + 1 == self.cfg.reduce_rounds;
-            let mut round_span = obs.span("driver", &format!("dist.round{round}"));
-            let mut partitions: Vec<Vec<KeyValue>> = (0..r_parts).map(|_| Vec::new()).collect();
-            for task_buckets in buckets_by_task {
-                for (p, bucket) in task_buckets.into_iter().enumerate() {
-                    partitions[p].extend(bucket);
-                }
-            }
-            let mut round_records = 0u64;
-            for records in &partitions {
-                let bytes: u64 = records.iter().map(|kv| (kv.key.len() + kv.value.len()) as u64).sum();
-                round_records += records.len() as u64;
-                counters.add("shuffle.bytes", bytes);
-                counters.add(&format!("reduce.r{round}.input_records"), records.len() as u64);
-            }
-            round_span.counter("input_records", round_records);
-
-            let mut queues: Vec<VecDeque<(usize, usize)>> = (0..endpoints.len()).map(|_| VecDeque::new()).collect();
-            for p in 0..r_parts {
-                queues[p % endpoints.len()].push_back((p, 0usize));
-            }
-            let state = RoundState {
-                partition_data: &partitions,
-                queues: queues.into_iter().map(Mutex::new).collect(),
-                overflow: Mutex::new(VecDeque::new()),
-                slots: (0..r_parts).map(|_| Mutex::new(None)).collect(),
-                filled: AtomicUsize::new(0),
-                fatal: Mutex::new(None),
-                dispatched: &dispatched,
-            };
-            std::thread::scope(|scope| {
-                let taken: Vec<Option<Framed>> = std::mem::take(&mut conns);
-                let handles: Vec<_> = taken
-                    .into_iter()
-                    .enumerate()
-                    .map(|(w, framed)| {
-                        let state = &state;
-                        let counters = &counters;
-                        scope.spawn(move || match framed {
-                            Some(f) => self.drive_worker(w, f, round, state, counters, obs, on_dispatch),
-                            None => {
-                                // A worker lost in an earlier round still
-                                // has a home queue this round: hand its
-                                // tasks to the survivors.
-                                let mut overflow = lock_ignoring_poison(&state.overflow);
-                                let mut own = lock_ignoring_poison(&state.queues[w]);
-                                overflow.extend(own.drain(..));
-                                None
-                            }
-                        })
+        let state = RoundState {
+            round,
+            partitions,
+            queues: queues.into_iter().map(Mutex::new).collect(),
+            overflow: Mutex::new(VecDeque::new()),
+            slots: (0..partitions.len()).map(|_| Mutex::new(None)).collect(),
+            filled: AtomicUsize::new(0),
+            fatal: Mutex::new(None),
+        };
+        let taken = std::mem::take(&mut self.conns);
+        let site = &*self;
+        let conns = std::thread::scope(|scope| {
+            let handles: Vec<_> = taken
+                .into_iter()
+                .enumerate()
+                .map(|(w, framed)| {
+                    let state = &state;
+                    scope.spawn(move || match framed {
+                        Some(f) => site.drive_worker(w, f, state),
+                        None => {
+                            // A worker lost in an earlier round still
+                            // has a home queue this round: hand its
+                            // tasks to the survivors.
+                            let mut overflow = lock_ignoring_poison(&state.overflow);
+                            let mut own = lock_ignoring_poison(&state.queues[w]);
+                            overflow.extend(own.drain(..));
+                            None
+                        }
                     })
-                    .collect();
-                conns = handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(conn) => conn,
-                        Err(_) => None,
-                    })
-                    .collect();
-            });
-            if let Some(e) = lock_ignoring_poison(&state.fatal).take() {
-                return Err(e);
-            }
-            let mut round_outputs = Vec::with_capacity(r_parts);
-            for (p, slot) in state.slots.into_iter().enumerate() {
-                match slot.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner) {
-                    Some(buckets) => round_outputs.push(buckets),
-                    None => {
-                        return Err(JobError::Transport(TransportError::Protocol(format!(
-                            "all workers lost before partition {p} of round {round} completed"
-                        ))))
-                    }
-                }
-            }
-            if is_last {
-                for task_buckets in round_outputs {
-                    for bucket in task_buckets {
-                        final_output.extend(bucket);
-                    }
-                }
-                buckets_by_task = Vec::new();
-            } else {
-                buckets_by_task = round_outputs;
-            }
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap_or(None)).collect()
+        });
+        self.conns = conns;
+        if let Some(e) = lock_ignoring_poison(&state.fatal).take() {
+            return Err(e);
         }
-        if self.cfg.reduce_rounds == 0 {
-            for task_buckets in buckets_by_task {
-                for bucket in task_buckets {
-                    final_output.extend(bucket);
-                }
-            }
-        }
+        state
+            .slots
+            .into_iter()
+            .enumerate()
+            .map(|(p, slot)| {
+                slot.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner).ok_or_else(|| {
+                    JobError::Transport(TransportError::Protocol(format!(
+                        "all workers lost before partition {p} of round {round} completed"
+                    )))
+                })
+            })
+            .collect()
+    }
 
-        // ---- Shutdown + report merge ----
-        // Each surviving worker ships back its counters (merged under a
-        // `w{i}.` prefix: they describe executed attempts, including
-        // re-runs, not the job's exact record flow) and its trace (merged
-        // under a `w{i}/` track prefix).
-        for (w, slot) in conns.iter_mut().enumerate() {
+    /// Shut every surviving worker down and merge what it ships back: its
+    /// counters (under a `w{i}.` prefix: they describe executed attempts,
+    /// including re-runs, not the job's exact record flow) and its trace
+    /// (under a `w{i}/` track prefix).
+    pub(crate) fn shutdown(mut self) {
+        for (w, slot) in self.conns.iter_mut().enumerate() {
             let Some(framed) = slot else { continue };
             let bye = framed.send(&DriverMsg::Shutdown.to_bytes()).and_then(|()| framed.recv());
-            match bye {
-                Ok(Some(bytes)) => {
-                    if let Ok(WorkerMsg::Bye { counters: wc, trace }) = WorkerMsg::from_bytes(&bytes) {
-                        // `record_max`, not `add`: mid-flight `Metrics`
-                        // snapshots already merged prefixes of these
-                        // cumulative values, and adding would double-count.
-                        for (name, v) in wc {
-                            counters.record_max(&format!("w{w}.{name}"), v);
-                        }
-                        obs.import_trace(&format!("w{w}/"), trace);
+            // A worker that died after its last task already has its
+            // partitions safely re-run; losing its counters is fine.
+            if let Ok(Some(bytes)) = bye {
+                if let Ok(WorkerMsg::Bye { counters: wc, trace }) = WorkerMsg::from_bytes(&bytes) {
+                    // `record_max`, not `add`: mid-flight `Metrics`
+                    // snapshots already merged prefixes of these
+                    // cumulative values, and adding would double-count.
+                    for (name, v) in wc {
+                        self.counters.record_max(&format!("w{w}.{name}"), v);
                     }
+                    self.cfg.obs.import_trace(&format!("w{w}/"), trace);
                 }
-                // A worker that died after its last task already has its
-                // partitions safely re-run; losing its counters is fine.
-                Ok(None) | Err(_) => {}
             }
         }
-
-        counters.add("output_records", final_output.len() as u64);
-        job_span.counter("output_records", final_output.len() as u64);
-        job_span.counter("retries", counters.get("task_retries"));
-        Ok(JobResult { output: final_output, counters })
     }
 
     /// One driver thread pumping one worker connection for one round.
     /// Returns the connection if the worker is still alive, `None` if it
     /// died (its in-flight partition is re-queued for the survivors).
-    #[allow(clippy::too_many_arguments)]
-    fn drive_worker(
-        &self,
-        w: usize,
-        mut framed: Framed,
-        round: usize,
-        state: &RoundState<'_>,
-        counters: &Counters,
-        obs: &Obs,
-        on_dispatch: Option<&(dyn Fn(usize) + Sync)>,
-    ) -> Option<Framed> {
+    fn drive_worker(&self, w: usize, mut framed: Framed, state: &RoundState<'_>) -> Option<Framed> {
+        let (round, counters) = (state.round, self.counters);
         loop {
             if lock_ignoring_poison(&state.fatal).is_some() {
                 return Some(framed);
@@ -805,22 +626,17 @@ impl DistJob {
                 std::thread::sleep(Duration::from_millis(1));
                 continue;
             };
-            let mut span = obs.span(&format!("dist.w{w}"), &format!("rpc.reduce.r{round}"));
+            let mut span = self.cfg.obs.span(&format!("dist.w{w}"), &format!("rpc.reduce.r{round}"));
             span.counter("partition", p as u64);
             let ctx = span.context();
             let sent = framed.send(
-                &DriverMsg::Reduce {
-                    round: round as u32,
-                    part: p as u32,
-                    ctx,
-                    records: state.partition_data[p].clone(),
-                }
-                .to_bytes(),
+                &DriverMsg::Reduce { round: round as u32, part: p as u32, ctx, records: state.partitions[p].clone() }
+                    .to_bytes(),
             );
             if sent.is_ok() {
                 counters.inc("reduce.attempted_tasks");
-                let n = state.dispatched.fetch_add(1, Ordering::SeqCst) + 1;
-                if let Some(hook) = on_dispatch {
+                let n = self.dispatched.fetch_add(1, Ordering::SeqCst) + 1;
+                if let Some(hook) = self.workers.on_dispatch {
                     hook(n);
                 }
             }
@@ -891,7 +707,7 @@ impl DistJob {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::MapReduceJob;
+    use crate::engine::{JobResult, MapReduceJob, Mapper, Placement};
     use std::path::PathBuf;
 
     struct WordMap;
@@ -958,6 +774,18 @@ mod tests {
         DistOptions { connect_timeout_ns: 5_000_000_000, io_timeout_ns: 10_000_000_000 }
     }
 
+    /// The word-count job on [`Placement::Remote`] against the workers at
+    /// `eps`.
+    fn run_remote(
+        cfg: JobConfig,
+        eps: &[Endpoint],
+        combiner: Option<&dyn ShuffleCombiner>,
+    ) -> Result<JobResult, JobError> {
+        let workers = RemoteWorkers { endpoints: eps, opts: &opts(), on_dispatch: None };
+        let spec = || b"spec".to_vec();
+        MapReduceJob::new(cfg).run_on(Placement::Remote(workers), &word_inputs(), &WordMap, &SumReduce, combiner, &spec)
+    }
+
     #[test]
     fn distributed_output_is_byte_identical_to_in_process() {
         let dir = temp_dir("smoke");
@@ -970,7 +798,7 @@ mod tests {
             for l in &listeners {
                 s.spawn(move || serve_shuffle(l, 5_000_000_000, &sum_factory).unwrap());
             }
-            DistJob::new(cfg, opts()).run(&eps, b"spec", &word_inputs(), &WordMap).unwrap()
+            run_remote(cfg, &eps, None).unwrap()
         });
         assert_eq!(result.output, expected.output, "byte-identical output, same order");
         for name in ["map.input_records", "map.output_records", "reduce.r1.input_records", "output_records"] {
@@ -986,7 +814,7 @@ mod tests {
         let dir = temp_dir("combine");
         let cfg = JobConfig { reduce_rounds: 2, ..JobConfig::default() };
         let expected = MapReduceJob::new(cfg.clone())
-            .run_with_shuffle_combiner(&word_inputs(), &WordMap, &SumReduce, &SumCombiner)
+            .run_on(Placement::Threads, &word_inputs(), &WordMap, &SumReduce, Some(&SumCombiner), &Vec::new)
             .unwrap();
         let plain = MapReduceJob::new(cfg.clone()).run(&word_inputs(), &WordMap, &SumReduce).unwrap();
 
@@ -998,9 +826,7 @@ mod tests {
                     serve_shuffle_combining(l, 5_000_000_000, &sum_factory, &sum_combiner_factory).unwrap()
                 });
             }
-            DistJob::new(cfg, opts())
-                .run_with_combiner(&eps, b"spec", b"cspec", &SumCombiner, &word_inputs(), &WordMap)
-                .unwrap()
+            run_remote(cfg, &eps, Some(&SumCombiner)).unwrap()
         });
         assert_eq!(result.output, expected.output, "byte-identical to the combining engine run");
         let mut sorted_plain = plain.output.clone();
@@ -1025,9 +851,7 @@ mod tests {
             s.spawn(|| {
                 let _ = serve_shuffle(&listener, 5_000_000_000, &sum_factory);
             });
-            DistJob::new(cfg, opts())
-                .run_with_combiner(std::slice::from_ref(&ep), b"spec", b"cspec", &SumCombiner, &word_inputs(), &WordMap)
-                .unwrap_err()
+            run_remote(cfg, std::slice::from_ref(&ep), Some(&SumCombiner)).unwrap_err()
         });
         assert!(matches!(err, JobError::Transport(_)), "{err}");
         drop(listener);
@@ -1057,7 +881,7 @@ mod tests {
         let result = std::thread::scope(|s| {
             s.spawn(|| serve_flaky(&listeners[0]));
             s.spawn(|| serve_shuffle(&listeners[1], 5_000_000_000, &sum_factory).unwrap());
-            DistJob::new(cfg, opts()).run(&eps, b"spec", &word_inputs(), &WordMap).unwrap()
+            run_remote(cfg, &eps, None).unwrap()
         });
         assert_eq!(result.output, expected.output, "lost partition re-ran with identical output");
         assert!(result.counters.get("task_retries") >= 1);
@@ -1073,7 +897,7 @@ mod tests {
         let listener = Listener::bind(&ep).unwrap();
         let err = std::thread::scope(|s| {
             s.spawn(|| serve_flaky(&listener));
-            DistJob::new(cfg, opts()).run(std::slice::from_ref(&ep), b"spec", &word_inputs(), &WordMap).unwrap_err()
+            run_remote(cfg, std::slice::from_ref(&ep), None).unwrap_err()
         });
         assert!(matches!(err, JobError::Transport(_)), "{err}");
         drop(listener);
@@ -1089,7 +913,7 @@ mod tests {
         let listener = Listener::bind(&ep).unwrap();
         let result = std::thread::scope(|s| {
             s.spawn(|| serve_shuffle(&listener, 5_000_000_000, &sum_factory).unwrap());
-            DistJob::new(cfg, opts()).run(std::slice::from_ref(&ep), b"spec", &word_inputs(), &WordMap).unwrap()
+            run_remote(cfg, std::slice::from_ref(&ep), None).unwrap()
         });
         assert!(result.counters.get("w0.worker.tasks") > 0, "{:?}", result.counters.snapshot());
         let tracks: Vec<String> =
@@ -1119,6 +943,13 @@ mod tests {
             let back = DriverMsg::from_bytes(&bytes).unwrap();
             assert_eq!(format!("{m:?}"), format!("{back:?}"));
         }
+        // Length inflation: a 14-byte Reduce frame claiming 4 G records is
+        // refused by the count check, not handed to the allocator.
+        let mut inflated = DriverMsg::Reduce { round: 0, part: 0, ctx: None, records: vec![] }.to_bytes();
+        assert_eq!(inflated.len(), 14);
+        inflated[10..].fill(0xFF);
+        let err = DriverMsg::from_bytes(&inflated).unwrap_err();
+        assert!(err.0.contains("exceeds remaining"), "{err}");
     }
 
     #[test]
@@ -1167,6 +998,33 @@ mod tests {
             let back = WorkerMsg::from_bytes(&bytes).unwrap();
             assert_eq!(format!("{m:?}"), format!("{back:?}"));
         }
+        // Length inflation at every count a worker message carries: the
+        // bucket count, a bucket's record count, the trace-event count and
+        // an event's arg count (the last four bytes of a one-event Bye).
+        let event = TraceEvent {
+            track: "t".into(),
+            seq: 0,
+            name: "s".into(),
+            ts: 1,
+            dur: 2,
+            depth: 0,
+            span_id: 3,
+            parent_id: 0,
+            args: vec![],
+        };
+        let one_event = WorkerMsg::Bye { counters: vec![], trace: vec![event] }.to_bytes();
+        let n_args_at = one_event.len() - 4;
+        for (msg, count_at) in [
+            (WorkerMsg::ReduceDone { part: 0, emitted: 0, out_buckets: vec![] }.to_bytes(), 13),
+            (WorkerMsg::ReduceDone { part: 0, emitted: 0, out_buckets: vec![vec![]] }.to_bytes(), 17),
+            (WorkerMsg::Bye { counters: vec![], trace: vec![] }.to_bytes(), 5),
+            (one_event, n_args_at),
+        ] {
+            let mut inflated = msg;
+            inflated[count_at..count_at + 4].fill(0xFF);
+            let err = WorkerMsg::from_bytes(&inflated).unwrap_err();
+            assert!(err.0.contains("exceeds remaining"), "count at {count_at}: {err}");
+        }
     }
 
     #[test]
@@ -1175,6 +1033,11 @@ mod tests {
         let bytes = msg.to_bytes();
         let err = WorkerMsg::from_bytes(&bytes[..bytes.len() - 5]).unwrap_err();
         assert!(err.0.contains("need"), "truncated decode is a typed error: {err}");
+        // An inflated counter count runs out of input, never out of memory.
+        let mut inflated = WorkerMsg::Metrics { counters: vec![] }.to_bytes();
+        inflated[1..5].fill(0xFF);
+        let err = WorkerMsg::from_bytes(&inflated).unwrap_err();
+        assert!(err.0.contains("need"), "{err}");
     }
 
     #[test]
@@ -1188,7 +1051,7 @@ mod tests {
             for l in &listeners {
                 s.spawn(move || serve_shuffle(l, 5_000_000_000, &sum_factory).unwrap());
             }
-            DistJob::new(cfg, opts()).run(&eps, b"spec", &word_inputs(), &WordMap).unwrap()
+            run_remote(cfg, &eps, None).unwrap()
         });
         let events = obs.trace().unwrap().events();
         let driver_ids: std::collections::BTreeSet<u64> =
@@ -1230,7 +1093,7 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| serve_flaky(&listeners[0]));
             s.spawn(|| serve_shuffle(&listeners[1], 5_000_000_000, &sum_factory).unwrap());
-            DistJob::new(cfg, opts()).run(&eps, b"spec", &word_inputs(), &WordMap).unwrap()
+            run_remote(cfg, &eps, None).unwrap()
         });
         let m = obs.metrics().unwrap();
         let committed = m.get("reduce.committed_tasks");

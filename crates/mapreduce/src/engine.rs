@@ -1,4 +1,4 @@
-//! The multi-round MapReduce driver.
+//! The multi-round MapReduce job driver.
 //!
 //! Execution model (matching §3.2.1 / §3.4 of the paper):
 //!
@@ -9,15 +9,26 @@
 //!    [`Reducer`], and re-partitions whatever it emits for round `r+1`.
 //!    The last round's emissions form the job output.
 //!
-//! Tasks are deterministic functions of their input; the engine exploits
-//! this for fault tolerance — an attempt named by the [`FaultPlan`] has its
-//! output discarded and is re-executed, reproducing the recovery behaviour
-//! of a real cluster without changing the job's result.
+//! There is one driver ([`MapReduceJob::run_on`]). It owns the job shape —
+//! map striping, bucket combining, the per-round gather and its accounting,
+//! the final flatten — and therefore the record order, so the output is
+//! byte-identical wherever the tasks run. A [`Placement`] chooses only
+//! *where a task runs and where pending partitions wait*: a thread pool
+//! with the round resident, one task at a time with one partition
+//! resident, or shuffle-worker processes behind sockets.
+//!
+//! Tasks are deterministic functions of their input; the driver exploits
+//! this for fault tolerance — a local attempt named by the [`FaultPlan`]
+//! has its output discarded and is re-executed, and a partition lost with
+//! its remote worker re-runs on a survivor, reproducing the recovery
+//! behaviour of a real cluster without changing the job's result.
 
 use crate::counters::Counters;
+use crate::dist::{DistOptions, RemoteSite};
 use crate::fault::{FaultPlan, TaskId};
 use crate::hash::partition;
-use crate::spill::SpillMode;
+use crate::spill::{bucket_bytes, PartitionStore, SpillMode};
+use crate::transport::Endpoint;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -79,17 +90,15 @@ where
 }
 
 /// A shuffle-stage combiner: partially aggregates one shuffle bucket's
-/// records *before* they cross a task (or, in [`crate::dist`], a process)
-/// boundary — the InferTurbo-style hub optimisation, distinct from the
-/// map-side [`MapReduceJob::run_with_combiner`] path in that it sees the
-/// emissions of *reduce* rounds too.
+/// records *before* they cross a task (or, on [`Placement::Remote`], a
+/// process) boundary — the InferTurbo-style hub optimisation. It sees the
+/// emissions of the map phase and of every reduce round but the last.
 ///
 /// Contract:
 ///
-/// * `round` is the round that will **consume** the bucket. The combiner is
-///   offered every bucket, including the final round's job output — it must
-///   opt in (return `true` from [`ShuffleCombiner::combines`]) only for
-///   rounds whose consumer can decode its partial records.
+/// * `round` is the round that will **consume** the bucket. The combiner
+///   must opt in (return `true` from [`ShuffleCombiner::combines`]) only
+///   for rounds whose consumer can decode its partial records.
 /// * [`ShuffleCombiner::combine`] must be deterministic in the value
 ///   *multiset* (the engine's reorder determinism harness applies to the
 ///   downstream reducer, which must absorb partials order-insensitively).
@@ -110,7 +119,7 @@ pub trait ShuffleCombiner: Sync {
 /// Apply `combiner` to one shuffle bucket whose records will be consumed by
 /// `round`: group by key (stable, so within-key producer order reaches the
 /// combiner intact), rewrite opted-in groups, account the saving.
-pub(crate) fn combine_bucket(
+fn combine_bucket(
     combiner: &dyn ShuffleCombiner,
     round: usize,
     mut bucket: Vec<KeyValue>,
@@ -153,31 +162,31 @@ pub struct JobConfig {
     pub reduce_tasks: usize,
     /// Number of reduce rounds (K for GraphFlat, K+1 for GraphInfer).
     pub reduce_rounds: usize,
-    /// Worker threads executing tasks.
+    /// Worker threads executing tasks on [`Placement::Threads`].
     pub parallelism: usize,
     /// Attempts per task before the job fails.
     pub max_attempts: usize,
-    /// Injected failures (tests/chaos runs).
+    /// Injected failures of local tasks (tests/chaos runs).
     pub fault_plan: FaultPlan,
-    /// Whether shuffle partitions round-trip through disk.
+    /// Where pending shuffle partitions wait.
     pub spill: SpillMode,
     /// Declared pipeline shape, validated at construction in debug builds
     /// (see [`crate::plan::JobPlanValidator`]).
     pub plan: Option<crate::plan::JobPlan>,
-    /// Double-run a sampled subset of each reduce task's **real** groups
-    /// with reordered values and require an identical emission multiset
-    /// (see [`crate::plan::check_group_reorder_determinism`]). Defaults to
-    /// on in debug builds — i.e. every `cargo test` job — and off in
-    /// release; it is a no-op in release builds either way.
+    /// Double-run a sampled subset of each local reduce task's **real**
+    /// groups with reordered values and require an identical emission
+    /// multiset (see [`crate::plan::check_group_reorder_determinism`]).
+    /// Defaults to on in debug builds — i.e. every `cargo test` job — and
+    /// off in release; it is a no-op in release builds either way.
     pub verify_determinism: bool,
     /// Observability handle: when enabled, the driver emits per-phase and
     /// per-task spans and lands the job counters in the shared metrics
     /// registry. Disabled (`Obs::default()`) costs nothing on hot paths.
     pub obs: agl_obs::Obs,
-    /// Multi-process jobs only: every `metrics_flush_every` completed tasks
-    /// a worker ships a cumulative counter snapshot to the driver, so the
-    /// merged registry reflects mid-flight progress. Task-count pacing is
-    /// deterministic under the logical clock; `0` disables flushing.
+    /// [`Placement::Remote`] only: every `metrics_flush_every` completed
+    /// tasks a worker ships a cumulative counter snapshot to the driver, so
+    /// the merged registry reflects mid-flight progress. Task-count pacing
+    /// is deterministic under the logical clock; `0` disables flushing.
     pub metrics_flush_every: u64,
 }
 
@@ -263,9 +272,51 @@ impl JobResult {
     }
 }
 
-/// Output of reducing one shuffle partition — shared by the in-process
-/// engine and the multi-process shuffle worker (see [`crate::dist`]), so
-/// both modes run byte-identical reduce logic.
+/// Where a job's tasks run and where its pending partitions wait. The job
+/// shape, the record order and therefore the output bytes are the same on
+/// every placement.
+#[derive(Clone, Copy)]
+pub enum Placement<'a> {
+    /// Tasks on a pool of [`JobConfig::parallelism`] threads, every
+    /// partition of the running round resident. Spans: `mapreduce.*` on the
+    /// driver track plus one track per task.
+    Threads,
+    /// Tasks one after another: one map task's buckets, then one reduce
+    /// partition and its emissions, are resident; everything pending waits
+    /// in the [`SpillMode`], so under [`SpillMode::Disk`] peak memory is
+    /// `O(largest partition + its output)`, not `O(input)`, gauged on the
+    /// `stream.peak_resident_bytes` counter. Spans: `stream.*`.
+    ResidentOne,
+    /// Map tasks run here; each reduce task is an RPC to one of the
+    /// [`crate::dist::serve_shuffle`] workers, which rebuild the reducer
+    /// (and combiner) from the job's worker spec; a partition lost with its
+    /// worker re-queues on a survivor. Spans: `dist.*`, `dist.w{i}`, and
+    /// the workers' own under `w{i}/`.
+    Remote(RemoteWorkers<'a>),
+}
+
+/// The shuffle workers of a [`Placement::Remote`] job.
+#[derive(Clone, Copy)]
+pub struct RemoteWorkers<'a> {
+    /// One listening worker per endpoint; partition `p` is homed on worker
+    /// `p % endpoints.len()`.
+    pub endpoints: &'a [Endpoint],
+    /// Connect and per-RPC deadlines.
+    pub opts: &'a DistOptions,
+    /// Fault-injection seam: `on_dispatch(n)` fires after the n-th reduce
+    /// task (1-based, cumulative across rounds) has been written to a
+    /// worker — where the kill-a-process suite SIGKILLs one mid-job.
+    pub on_dispatch: Option<&'a (dyn Fn(usize) + Sync)>,
+}
+
+/// The placement as the driver holds it while a job runs.
+enum Site<'a> {
+    Threads,
+    ResidentOne,
+    Remote(RemoteSite<'a>),
+}
+
+/// Output of reducing one shuffle partition.
 pub(crate) struct ReducedPartition {
     /// Emissions re-partitioned for the next round (or job output).
     pub out_buckets: Vec<Vec<KeyValue>>,
@@ -277,69 +328,194 @@ pub(crate) struct ReducedPartition {
     pub violation: Option<String>,
 }
 
-/// Reduce one partition for `round`: group records by key (stable sort, so
-/// within a key the producer-order value sequence is deterministic), invoke
-/// the reducer per group, re-partition emissions into `r_parts` buckets.
-/// `verify_determinism` samples multi-value groups for the reorder
-/// double-run; it never changes the output (pinned by an engine test).
-pub(crate) fn reduce_partition(
-    reducer: &dyn Reducer,
-    round: usize,
-    mut records: Vec<KeyValue>,
-    r_parts: usize,
-    verify_determinism: bool,
-) -> ReducedPartition {
-    records.sort_by(|a, b| a.key.cmp(&b.key));
-    let mut out_buckets: Vec<Vec<KeyValue>> = (0..r_parts).map(|_| Vec::new()).collect();
-    let mut emitted = 0u64;
-    let mut verified_groups = 0usize;
-    let mut violation = None;
-    let mut i = 0;
-    while i < records.len() {
-        let mut j = i + 1;
-        while j < records.len() && records[j].key == records[i].key {
-            j += 1;
+/// What one reduce task runs. Every placement and the shuffle worker (see
+/// [`crate::dist`]) go through [`ReduceStage::run`], so all of them execute
+/// byte-identical reduce-then-combine logic.
+pub(crate) struct ReduceStage<'a> {
+    pub reducer: &'a dyn Reducer,
+    pub combiner: Option<&'a dyn ShuffleCombiner>,
+    /// Total reduce rounds of the job (only read when combining).
+    pub rounds: usize,
+    pub r_parts: usize,
+    /// Sample multi-value groups for the reorder double-run; it never
+    /// changes the output (pinned by an engine test).
+    pub verify_determinism: bool,
+    pub counters: &'a Counters,
+}
+
+impl ReduceStage<'_> {
+    /// Reduce one partition for `round`, then pre-fold the buckets it
+    /// emitted for round `round + 1`. The last round is exempt: its buckets
+    /// are the job output, whose record order must not depend on whether a
+    /// combiner is installed (and whose consumer decodes no partials).
+    ///
+    /// `release` frees the partition as soon as it is reduced — before the
+    /// combiner builds its buckets — for callers that will not reduce it
+    /// again and whose thread is the right one to free it.
+    pub(crate) fn run(&self, round: usize, records: &mut Vec<KeyValue>, release: bool) -> ReducedPartition {
+        let mut reduced = self.reduce_partition(round, records);
+        if release {
+            *records = Vec::new();
         }
-        let key = records[i].key.clone();
-        // Sample multi-value groups for the reorder determinism check:
-        // deterministic by key hash, capped per task to bound the
-        // double-run cost.
-        let sampled = verify_determinism
-            && j - i > 1
-            && verified_groups < MAX_VERIFIED_GROUPS_PER_TASK
-            && partition(&key, DETERMINISM_SAMPLE_MOD) == 0;
-        if sampled {
-            verified_groups += 1;
-            let values: Vec<Vec<u8>> = records[i..j].iter().map(|kv| kv.value.clone()).collect();
-            let mut baseline: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-            {
-                let mut iter = values.iter().map(Vec::as_slice);
-                reducer.reduce(round, &key, &mut iter, &mut |k, v| baseline.push((k, v)));
-            }
-            if let Err(e) = crate::plan::check_group_reorder_determinism(reducer, round, &key, &values, &baseline) {
-                violation.get_or_insert_with(|| e.to_string());
-            }
-            for (k, v) in baseline {
-                emitted += 1;
-                let bucket = partition(&k, r_parts);
-                out_buckets[bucket].push(KeyValue::new(k, v));
-            }
-        } else {
-            let mut values = records[i..j].iter().map(|kv| kv.value.as_slice());
-            reducer.reduce(round, &key, &mut values, &mut |k, v| {
-                emitted += 1;
-                let bucket = partition(&k, r_parts);
-                out_buckets[bucket].push(KeyValue::new(k, v));
-            });
+        self.counters.add(&format!("reduce.r{round}.output_records"), reduced.emitted);
+        if let (Some(c), true) = (self.combiner, round + 1 < self.rounds) {
+            reduced.out_buckets = std::mem::take(&mut reduced.out_buckets)
+                .into_iter()
+                .map(|b| combine_bucket(c, round + 1, b, self.counters))
+                .collect();
         }
-        i = j;
+        reduced
     }
-    ReducedPartition { out_buckets, emitted, verified_groups: verified_groups as u64, violation }
+
+    /// Group `records` by key (stable sort, so within a key the
+    /// producer-order value sequence is deterministic — and sorting in
+    /// place lets a retried attempt borrow the same partition again),
+    /// invoke the reducer per group, re-partition emissions into `r_parts`
+    /// buckets.
+    fn reduce_partition(&self, round: usize, records: &mut [KeyValue]) -> ReducedPartition {
+        let (reducer, r_parts) = (self.reducer, self.r_parts);
+        records.sort_by(|a, b| a.key.cmp(&b.key));
+        let mut out_buckets: Vec<Vec<KeyValue>> = (0..r_parts).map(|_| Vec::new()).collect();
+        let mut emitted = 0u64;
+        let mut verified_groups = 0usize;
+        let mut violation = None;
+        let mut i = 0;
+        while i < records.len() {
+            let mut j = i + 1;
+            while j < records.len() && records[j].key == records[i].key {
+                j += 1;
+            }
+            let key = records[i].key.clone();
+            // Sample multi-value groups for the reorder determinism check:
+            // deterministic by key hash, capped per task to bound the
+            // double-run cost.
+            let sampled = self.verify_determinism
+                && j - i > 1
+                && verified_groups < MAX_VERIFIED_GROUPS_PER_TASK
+                && partition(&key, DETERMINISM_SAMPLE_MOD) == 0;
+            let mut emit = |k: Vec<u8>, v: Vec<u8>| {
+                emitted += 1;
+                let bucket = partition(&k, r_parts);
+                out_buckets[bucket].push(KeyValue::new(k, v));
+            };
+            if sampled {
+                verified_groups += 1;
+                let values: Vec<Vec<u8>> = records[i..j].iter().map(|kv| kv.value.clone()).collect();
+                let mut baseline: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+                {
+                    let mut iter = values.iter().map(Vec::as_slice);
+                    reducer.reduce(round, &key, &mut iter, &mut |k, v| baseline.push((k, v)));
+                }
+                if let Err(e) = crate::plan::check_group_reorder_determinism(reducer, round, &key, &values, &baseline) {
+                    violation.get_or_insert_with(|| e.to_string());
+                }
+                baseline.into_iter().for_each(|(k, v)| emit(k, v));
+            } else {
+                let mut values = records[i..j].iter().map(|kv| kv.value.as_slice());
+                reducer.reduce(round, &key, &mut values, &mut emit);
+            }
+            i = j;
+        }
+        ReducedPartition { out_buckets, emitted, verified_groups: verified_groups as u64, violation }
+    }
+}
+
+/// A job's records between tasks: the partitions waiting for the running
+/// round, those collecting for the next one, and the job output.
+struct Shuffle<'a> {
+    cfg: &'a JobConfig,
+    counters: &'a Counters,
+    /// Feeds round `feeds - 1`, the running one.
+    pending: PartitionStore,
+    /// Collects for round `feeds`; past the last round, `output` does.
+    next: PartitionStore,
+    feeds: usize,
+    output: Vec<KeyValue>,
+    /// Records and payload bytes gathered for the running round so far.
+    round_records: u64,
+    round_bytes: u64,
+    /// [`Placement::ResidentOne`]: gauge what is resident at every commit.
+    gauge: bool,
+    /// Payload bytes of the job output and of the partition last gathered —
+    /// what the gauge counts beside the stores and the committed buckets.
+    output_bytes: u64,
+    part_bytes: u64,
+}
+
+impl<'a> Shuffle<'a> {
+    /// Before the map phase: nothing pending, round 0's store collecting.
+    fn new(cfg: &'a JobConfig, counters: &'a Counters, gauge: bool) -> Self {
+        Self {
+            cfg,
+            counters,
+            pending: PartitionStore::new(&SpillMode::InMemory, 0, 0),
+            next: PartitionStore::new(&cfg.spill, 0, cfg.reduce_tasks),
+            feeds: 0,
+            output: Vec::new(),
+            round_records: 0,
+            round_bytes: 0,
+            gauge,
+            output_bytes: 0,
+            part_bytes: 0,
+        }
+    }
+
+    /// What was collecting now feeds the next round to run; a fresh store
+    /// collects for the round after it.
+    fn begin_round(&mut self) {
+        self.feeds += 1;
+        let fresh = PartitionStore::new(&self.cfg.spill, self.feeds, self.cfg.reduce_tasks);
+        self.pending = std::mem::replace(&mut self.next, fresh);
+        (self.round_records, self.round_bytes) = (0, 0);
+    }
+
+    /// Take partition `p` of the running round — every producer's bucket
+    /// in producer order — and account it as shuffled.
+    fn gather(&mut self, p: usize) -> Result<Vec<KeyValue>, JobError> {
+        let (records, bytes) = self.pending.take(p, self.counters)?;
+        self.round_records += records.len() as u64;
+        self.round_bytes += bytes;
+        self.part_bytes = bytes;
+        self.counters.add("shuffle.bytes", bytes);
+        self.counters.add(&format!("reduce.r{}.input_records", self.feeds - 1), records.len() as u64);
+        Ok(records)
+    }
+
+    /// Gather every partition of the running round.
+    fn gather_all(&mut self) -> Result<Vec<Vec<KeyValue>>, JobError> {
+        (0..self.cfg.reduce_tasks).map(|p| self.gather(p)).collect()
+    }
+
+    /// Accept one committed task's buckets: parked for the next round, or —
+    /// past the last round — flattened onto the job output. Tasks commit in
+    /// task order, which fixes the record order.
+    fn commit(&mut self, buckets: Vec<Vec<KeyValue>>) -> Result<(), JobError> {
+        let to_output = self.feeds == self.cfg.reduce_rounds;
+        if self.gauge {
+            let out_bytes: u64 = buckets.iter().map(|b| bucket_bytes(b)).sum();
+            let mut resident = self.pending.mem_bytes() + self.next.mem_bytes() + self.part_bytes + out_bytes;
+            if to_output {
+                resident += self.output_bytes;
+                self.output_bytes += out_bytes;
+            }
+            self.counters.record_max("stream.peak_resident_bytes", resident);
+        }
+        for (p, bucket) in buckets.into_iter().enumerate() {
+            if to_output {
+                self.output.extend(bucket);
+            } else {
+                self.next.append(p, bucket, self.counters)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The driver. See module docs for the execution model.
 pub struct MapReduceJob {
     cfg: JobConfig,
+    /// `Some`: every run reports into this handle instead of a fresh set.
+    counters: Option<Counters>,
 }
 
 impl MapReduceJob {
@@ -350,178 +526,159 @@ impl MapReduceJob {
             let checked = crate::plan::JobPlanValidator::new(plan).validate(&cfg);
             assert!(checked.is_ok(), "invalid job plan: {}", checked.err().map(|e| e.to_string()).unwrap_or_default());
         }
-        Self { cfg }
+        Self { cfg, counters: None }
     }
 
-    /// Run the job with a **combiner**: after each map task, records are
-    /// locally grouped and pre-reduced with `combiner` before the shuffle —
-    /// the classic Hadoop optimisation, valid whenever the reduce function
-    /// is associative and emits records the next round can re-consume.
-    /// Counters report the shuffle-byte saving.
-    pub fn run_with_combiner<M: Mapper, R: Reducer, C: Reducer>(
-        &self,
-        inputs: &[Vec<u8>],
-        mapper: &M,
-        reducer: &R,
-        combiner: &C,
-    ) -> Result<JobResult, JobError> {
-        // Wrap the mapper so each map task's emissions are combined locally.
-        struct CombiningMapper<'a, M, C> {
-            inner: &'a M,
-            combiner: &'a C,
-        }
-        impl<M: Mapper, C: Reducer> Mapper for CombiningMapper<'_, M, C> {
-            fn map(&self, input: &[u8], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>)) {
-                // Buffer this record's emissions, combine per key, re-emit.
-                let mut buffered: Vec<KeyValue> = Vec::new();
-                self.inner.map(input, &mut |k, v| buffered.push(KeyValue::new(k, v)));
-                buffered.sort_by(|a, b| a.key.cmp(&b.key));
-                let mut i = 0;
-                while i < buffered.len() {
-                    let mut j = i + 1;
-                    while j < buffered.len() && buffered[j].key == buffered[i].key {
-                        j += 1;
-                    }
-                    let key = buffered[i].key.clone();
-                    let mut values = buffered[i..j].iter().map(|kv| kv.value.as_slice());
-                    self.combiner.reduce(0, &key, &mut values, emit);
-                    i = j;
-                }
-            }
-        }
-        self.run(inputs, &CombiningMapper { inner: mapper, combiner }, reducer)
+    /// [`MapReduceJob::new`], with the job counters landing in `counters` —
+    /// the handle a pipeline's own mapper and reducer already report into —
+    /// rather than in a set of the job's own ([`Counters::for_obs`]).
+    pub fn reporting_into(cfg: JobConfig, counters: Counters) -> Self {
+        Self { counters: Some(counters), ..Self::new(cfg) }
     }
 
-    /// Run the job with a **shuffle combiner** (see [`ShuffleCombiner`]):
-    /// every shuffle bucket — map output and each intermediate round's
-    /// emissions — is offered to `combiner` before it crosses the task
-    /// boundary. Savings land on the `combine.*` counters.
-    pub fn run_with_shuffle_combiner<M: Mapper, R: Reducer>(
-        &self,
-        inputs: &[Vec<u8>],
-        mapper: &M,
-        reducer: &R,
-        combiner: &dyn ShuffleCombiner,
-    ) -> Result<JobResult, JobError> {
-        self.run_inner(inputs, mapper, reducer, Some(combiner))
-    }
-
-    /// Run the job over `inputs` (each element is one opaque input record).
+    /// Run the job over `inputs` (each element is one opaque input record)
+    /// on [`Placement::Threads`], without a combiner.
     pub fn run<M: Mapper, R: Reducer>(
         &self,
         inputs: &[Vec<u8>],
         mapper: &M,
         reducer: &R,
     ) -> Result<JobResult, JobError> {
-        self.run_inner(inputs, mapper, reducer, None)
+        self.run_on(Placement::Threads, inputs, mapper, reducer, None, &Vec::new)
     }
 
-    fn run_inner<M: Mapper, R: Reducer>(
+    /// Run the job on `placement`. `reducer` executes the reduce tasks of
+    /// the local placements; on [`Placement::Remote`] the workers rebuild
+    /// it — and `combiner`, when one is given — from the bytes
+    /// `worker_spec()` returns, which no other placement asks for.
+    ///
+    /// A `combiner` is offered every shuffle bucket but the job output's
+    /// before the bucket crosses the task boundary (see
+    /// [`ShuffleCombiner`]); savings land on the `combine.*` counters.
+    pub fn run_on<M: Mapper>(
         &self,
+        placement: Placement<'_>,
         inputs: &[Vec<u8>],
         mapper: &M,
-        reducer: &R,
+        reducer: &dyn Reducer,
         combiner: Option<&dyn ShuffleCombiner>,
+        worker_spec: &dyn Fn() -> Vec<u8>,
     ) -> Result<JobResult, JobError> {
-        // When observability is on, the job counters report straight into
-        // the run's shared metrics registry.
-        let counters = match self.cfg.obs.metrics() {
-            Some(m) => Counters::with_registry(m.clone()),
-            None => Counters::new(),
+        let cfg = &self.cfg;
+        let obs = &cfg.obs;
+        let counters = self.counters.clone().unwrap_or_else(|| Counters::for_obs(obs));
+        let (r_parts, rounds) = (cfg.reduce_tasks, cfg.reduce_rounds);
+        let prefix = match placement {
+            Placement::Threads => "mapreduce",
+            Placement::ResidentOne => "stream",
+            Placement::Remote(_) => "dist",
         };
-        let mut job_span = self.cfg.obs.span("driver", "mapreduce.job");
+        let mut job_span = obs.span("driver", &format!("{prefix}.job"));
         counters.add("map.input_records", inputs.len() as u64);
-        counters.record_max("reduce.rounds", self.cfg.reduce_rounds as u64);
-        // The sampled double-run only ever fires in debug builds (the same
-        // builds that run plan validation); `cfg!` keeps release binaries
-        // free of the clone-the-group cost even with the flag left on.
-        let verify_determinism = cfg!(debug_assertions) && self.cfg.verify_determinism;
+        counters.record_max("reduce.rounds", rounds as u64);
+        let mut site = match placement {
+            Placement::Threads => Site::Threads,
+            Placement::ResidentOne => Site::ResidentOne,
+            Placement::Remote(workers) => {
+                Site::Remote(RemoteSite::connect(workers, cfg, &counters, &worker_spec(), combiner.is_some())?)
+            }
+        };
+        let stage = ReduceStage {
+            reducer,
+            combiner,
+            rounds,
+            r_parts,
+            // The sampled double-run only ever fires in debug builds (the
+            // same builds that run plan validation); `cfg!` keeps release
+            // binaries free of the clone-the-group cost even with the flag
+            // left on.
+            verify_determinism: cfg!(debug_assertions) && cfg.verify_determinism,
+            counters: &counters,
+        };
         // First violation seen by any reduce task; re-raised from the driver
         // thread so the report survives `thread::scope`'s generic re-panic.
         let determinism_violation: Mutex<Option<String>> = Mutex::new(None);
+        let mut shuffle = Shuffle::new(cfg, &counters, matches!(site, Site::ResidentOne));
+        // Only the thread pool gives each task a span (and a track) of its own.
+        let mut untraced = agl_obs::Span::disabled();
 
         // ---- Map phase ----
         // Inputs are striped across map tasks; each task emits into
-        // `reduce_tasks` buckets.
-        let r_parts = self.cfg.reduce_tasks;
-        let map_phase_span = self.cfg.obs.span("driver", "mapreduce.map");
-        let map_outputs: Vec<Vec<Vec<KeyValue>>> =
-            self.run_tasks(self.cfg.map_tasks, TaskId::map, "map", &counters, |task| {
-                let mut buckets: Vec<Vec<KeyValue>> = (0..r_parts).map(|_| Vec::new()).collect();
-                let mut emitted = 0u64;
-                for input in inputs.iter().skip(task).step_by(self.cfg.map_tasks) {
-                    mapper.map(input, &mut |k, v| {
-                        emitted += 1;
-                        let p = partition(&k, r_parts);
-                        buckets[p].push(KeyValue::new(k, v));
-                    });
-                }
-                counters.add("map.output_records", emitted);
-                match combiner {
-                    // Map emissions are consumed by round 0.
-                    Some(c) => buckets.into_iter().map(|b| combine_bucket(c, 0, b, &counters)).collect(),
-                    None => buckets,
-                }
-            })?;
-        drop(map_phase_span);
+        // `reduce_tasks` buckets, consumed by round 0.
+        let map_task = |task: usize| {
+            let mut buckets: Vec<Vec<KeyValue>> = (0..r_parts).map(|_| Vec::new()).collect();
+            let mut emitted = 0u64;
+            for input in inputs.iter().skip(task).step_by(cfg.map_tasks) {
+                mapper.map(input, &mut |k, v| {
+                    emitted += 1;
+                    let p = partition(&k, r_parts);
+                    buckets[p].push(KeyValue::new(k, v));
+                });
+            }
+            counters.add("map.output_records", emitted);
+            match combiner {
+                Some(c) => buckets.into_iter().map(|b| combine_bucket(c, 0, b, &counters)).collect(),
+                None => buckets,
+            }
+        };
+        let map_span = obs.span("driver", &format!("{prefix}.map"));
+        if let Site::Threads = site {
+            let idle = vec![(); cfg.map_tasks];
+            for buckets in self.run_pooled("map", TaskId::map, &counters, idle, |task, _| map_task(task))? {
+                shuffle.commit(buckets)?;
+            }
+        } else {
+            for task in 0..cfg.map_tasks {
+                let buckets = self.run_task(TaskId::map(task), &mut untraced, &counters, |_| map_task(task))?;
+                shuffle.commit(buckets)?;
+            }
+        }
+        drop(map_span);
 
         // ---- Reduce rounds ----
-        let mut buckets_by_task = map_outputs;
-        let mut final_output = Vec::new();
-        for round in 0..self.cfg.reduce_rounds {
-            let is_last = round + 1 == self.cfg.reduce_rounds;
-            let mut round_span = self.cfg.obs.span("driver", &format!("mapreduce.round{round}"));
-            let mut shuffle_span = self.cfg.obs.span("driver", &format!("mapreduce.shuffle.r{round}"));
-            // Gather each partition's records from all producer tasks.
-            let mut partitions: Vec<Vec<KeyValue>> = (0..r_parts).map(|_| Vec::new()).collect();
-            for task_buckets in buckets_by_task {
-                for (p, bucket) in task_buckets.into_iter().enumerate() {
-                    partitions[p].extend(bucket);
+        let reduce_task = |round: usize, records: &mut Vec<KeyValue>, release: bool| {
+            let reduced = stage.run(round, records, release);
+            if let Some(v) = reduced.violation {
+                lock_ignoring_poison(&determinism_violation).get_or_insert(v);
+            }
+            counters.add(&format!("reduce.r{round}.verified_groups"), reduced.verified_groups);
+            reduced.out_buckets
+        };
+        for round in 0..rounds {
+            let mut round_span = obs.span("driver", &format!("{prefix}.round{round}"));
+            shuffle.begin_round();
+            match &mut site {
+                Site::Threads => {
+                    let mut shuffle_span = obs.span("driver", &format!("mapreduce.shuffle.r{round}"));
+                    let partitions = shuffle.gather_all()?;
+                    shuffle_span.counter("bytes", shuffle.round_bytes);
+                    shuffle_span.counter("records", shuffle.round_records);
+                    drop(shuffle_span);
+                    let id_of = |p| TaskId::reduce(round, p);
+                    // The pool's caller frees the partitions (see `run_pooled`).
+                    let run = |_, records: &mut Vec<KeyValue>| reduce_task(round, records, false);
+                    for buckets in self.run_pooled(&format!("reduce.r{round}"), id_of, &counters, partitions, run)? {
+                        shuffle.commit(buckets)?;
+                    }
+                }
+                Site::ResidentOne => {
+                    for p in 0..r_parts {
+                        let mut records = shuffle.gather(p)?;
+                        // Sorted once, borrowed by every attempt, freed by
+                        // the one whose output is kept: no copy for a retry.
+                        let run = |kept| reduce_task(round, &mut records, kept);
+                        let buckets = self.run_task(TaskId::reduce(round, p), &mut untraced, &counters, run)?;
+                        shuffle.commit(buckets)?;
+                    }
+                }
+                Site::Remote(remote) => {
+                    let partitions = shuffle.gather_all()?;
+                    for buckets in remote.run_round(round, &partitions)? {
+                        shuffle.commit(buckets)?;
+                    }
                 }
             }
-            // Spill round-trip (models the distributed-FS hop) + byte accounting.
-            let mut round_bytes = 0u64;
-            let mut round_records = 0u64;
-            let mut spilled = Vec::with_capacity(r_parts);
-            for (p, records) in partitions.into_iter().enumerate() {
-                let bytes: u64 = records.iter().map(|kv| (kv.key.len() + kv.value.len()) as u64).sum();
-                round_bytes += bytes;
-                round_records += records.len() as u64;
-                counters.add("shuffle.bytes", bytes);
-                counters.add(&format!("reduce.r{round}.input_records"), records.len() as u64);
-                spilled.push(self.cfg.spill.roundtrip(&format!("r{round}-p{p}"), records, &counters)?);
-            }
-            shuffle_span.counter("bytes", round_bytes);
-            shuffle_span.counter("records", round_records);
-            drop(shuffle_span);
-            round_span.counter("input_records", round_records);
-
-            let round_outputs: Vec<Vec<Vec<KeyValue>>> = self.run_tasks(
-                r_parts,
-                |i| TaskId::reduce(round, i),
-                &format!("reduce.r{round}"),
-                &counters,
-                |p| {
-                    let records = spilled[p].clone();
-                    let reduced = reduce_partition(reducer, round, records, r_parts, verify_determinism);
-                    if let Some(v) = reduced.violation {
-                        lock_ignoring_poison(&determinism_violation).get_or_insert(v);
-                    }
-                    counters.add(&format!("reduce.r{round}.verified_groups"), reduced.verified_groups);
-                    counters.add(&format!("reduce.r{round}.output_records"), reduced.emitted);
-                    match (combiner, is_last) {
-                        // Emissions of round r are consumed by round r+1;
-                        // the last round's buckets are the job output and
-                        // must pass through untouched.
-                        (Some(c), false) => reduced
-                            .out_buckets
-                            .into_iter()
-                            .map(|b| combine_bucket(c, round + 1, b, &counters))
-                            .collect(),
-                        _ => reduced.out_buckets,
-                    }
-                },
-            )?;
+            round_span.counter("input_records", shuffle.round_records);
             if let Some(report) = lock_ignoring_poison(&determinism_violation).take() {
                 // Debug-only determinism gate: an order-sensitive reducer
                 // invalidates the engine's retry story, so fail the test
@@ -529,50 +686,66 @@ impl MapReduceJob {
                 // agl-lint: allow(no-panic) — see above.
                 panic!("{report}");
             }
-            if is_last {
-                for task_buckets in round_outputs {
-                    for bucket in task_buckets {
-                        final_output.extend(bucket);
-                    }
-                }
-                buckets_by_task = Vec::new();
-            } else {
-                buckets_by_task = round_outputs;
-            }
         }
-        if self.cfg.reduce_rounds == 0 {
-            for task_buckets in buckets_by_task {
-                for bucket in task_buckets {
-                    final_output.extend(bucket);
-                }
-            }
+        if let Site::Remote(remote) = site {
+            remote.shutdown();
         }
-        counters.add("output_records", final_output.len() as u64);
-        job_span.counter("output_records", final_output.len() as u64);
-        job_span.counter("retries", counters.get("task_retries"));
-        Ok(JobResult { output: final_output, counters })
+        let output = shuffle.output;
+        counters.add("output_records", output.len() as u64);
+        job_span.counter("output_records", output.len() as u64);
+        match placement {
+            Placement::ResidentOne => {
+                job_span.counter("peak_resident_bytes", counters.get("stream.peak_resident_bytes"));
+            }
+            _ => job_span.counter("retries", counters.get("task_retries")),
+        }
+        Ok(JobResult { output, counters })
     }
 
-    /// Execute `n` tasks with bounded parallelism and retry-on-injected-fault.
-    /// Returns task outputs in task order. Retries are reported on the job's
-    /// `task_retries` counter.
-    fn run_tasks<T, F>(
+    /// Run one local task to a committed output. An attempt the fault plan
+    /// names has its output discarded — the effect a mid-task machine crash
+    /// has on a real cluster — and the task is re-executed; retries are
+    /// reported on the job's `task_retries` counter (and on `span`).
+    /// `attempt` is told whether its output is the one that will be kept.
+    fn run_task<T>(
         &self,
-        n: usize,
-        id_of: impl Fn(usize) -> TaskId,
-        phase: &str,
+        id: TaskId,
+        span: &mut agl_obs::Span,
         counters: &Counters,
-        run: F,
-    ) -> Result<Vec<T>, JobError>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-        // id_of used from one thread only
-    {
-        let retries = counters;
+        mut attempt: impl FnMut(bool) -> T,
+    ) -> Result<T, JobError> {
+        for n in 0..self.cfg.max_attempts {
+            let kept = !self.cfg.fault_plan.should_fail(id, n);
+            let out = attempt(kept);
+            if kept {
+                return Ok(out);
+            }
+            counters.inc("task_retries");
+            span.counter("retries", 1);
+        }
+        Err(JobError::TaskFailed(id))
+    }
+
+    /// [`MapReduceJob::run_task`] for every task of a phase, on a pool of
+    /// `parallelism` threads; task `i` works on `inputs[i]`. Returns the
+    /// committed outputs in task order.
+    ///
+    /// The inputs are freed here, by the calling thread, once the pool is
+    /// done: a worker freeing them would hand records back to the allocator
+    /// arena of the worker that produced them, contending with its
+    /// allocations (measured: +20 % wall time on `flat.uug-2hop`).
+    fn run_pooled<I: Send, T: Send>(
+        &self,
+        phase: &str,
+        id_of: impl Fn(usize) -> TaskId + Sync,
+        counters: &Counters,
+        inputs: Vec<I>,
+        attempt: impl Fn(usize, &mut I) -> T + Sync,
+    ) -> Result<Vec<T>, JobError> {
+        let n = inputs.len();
         let next = AtomicUsize::new(0);
+        let inputs: Vec<Mutex<I>> = inputs.into_iter().map(Mutex::new).collect();
         let results: Vec<Mutex<Option<Result<T, JobError>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let ids: Vec<TaskId> = (0..n).map(&id_of).collect();
         std::thread::scope(|scope| {
             for _ in 0..self.cfg.parallelism.min(n) {
                 scope.spawn(|| loop {
@@ -583,6 +756,7 @@ impl MapReduceJob {
                     if task >= n {
                         break;
                     }
+                    let mut input = lock_ignoring_poison(&inputs[task]);
                     // Track names key on the task index (never the OS
                     // thread), so per-track span order — and therefore a
                     // logical-clock trace — is deterministic under any
@@ -592,35 +766,20 @@ impl MapReduceJob {
                     } else {
                         agl_obs::Span::disabled()
                     };
-                    let id = ids[task];
-                    let mut outcome = Err(JobError::TaskFailed(id));
-                    for attempt in 0..self.cfg.max_attempts {
-                        // Run the task, then honour the fault plan by
-                        // discarding the attempt's output — the same effect a
-                        // mid-task machine crash has on a real cluster.
-                        let out = run(task);
-                        if self.cfg.fault_plan.should_fail(id, attempt) {
-                            retries.inc("task_retries");
-                            span.counter("retries", 1);
-                            drop(out);
-                            continue;
-                        }
-                        outcome = Ok(out);
-                        break;
-                    }
+                    let outcome = self.run_task(id_of(task), &mut span, counters, |_| attempt(task, &mut input));
                     *lock_ignoring_poison(&results[task]) = Some(outcome);
                 });
             }
         });
-        let mut out = Vec::with_capacity(n);
-        for cell in results {
-            match cell.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner) {
-                Some(Ok(t)) => out.push(t),
-                Some(Err(e)) => return Err(e),
-                None => return Err(JobError::TaskFailed(ids[out.len()])),
-            }
-        }
-        Ok(out)
+        results
+            .into_iter()
+            .enumerate()
+            .map(|(task, cell)| {
+                cell.into_inner()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .unwrap_or(Err(JobError::TaskFailed(id_of(task))))
+            })
+            .collect()
     }
 }
 
@@ -744,20 +903,6 @@ mod tests {
         };
         assert_eq!(run(1), run(8));
         assert_eq!(run(2), run(2));
-    }
-
-    #[test]
-    fn combiner_preserves_output_and_cuts_map_emissions() {
-        let inputs = vec![b"the the the the fox fox".to_vec(), b"the fox".to_vec()];
-        let plain = MapReduceJob::new(JobConfig::default()).run(&inputs, &WordMap, &SumReduce).unwrap();
-        let combined = MapReduceJob::new(JobConfig::default())
-            .run_with_combiner(&inputs, &WordMap, &SumReduce, &SumReduce)
-            .unwrap();
-        assert_eq!(sorted_counts(&plain), sorted_counts(&combined));
-        // Per-record combining collapses the 4 "the"s of record one.
-        assert_eq!(plain.counters.get("map.output_records"), 8);
-        assert_eq!(combined.counters.get("map.output_records"), 4);
-        assert!(combined.counters.get("shuffle.bytes") < plain.counters.get("shuffle.bytes"));
     }
 
     /// Emits the first value seen per group — order-sensitive on purpose.
@@ -897,5 +1042,165 @@ mod tests {
         let res = MapReduceJob::new(JobConfig::default()).run(&word_inputs(), &WordMap, &CountInvocations).unwrap();
         let the = res.output.iter().find(|kv| kv.key == b"the").map(|kv| u64::from_bytes(&kv.value).unwrap());
         assert_eq!(the, Some(3));
+    }
+
+    /// The same job on every placement: what was three executors' worth of
+    /// equivalence tests, now guarding one driver.
+    mod placements {
+        use super::*;
+        use crate::dist::serve_shuffle_combining;
+        use crate::transport::Listener;
+
+        fn word_inputs() -> Vec<Vec<u8>> {
+            vec![
+                b"the quick brown fox jumps over".to_vec(),
+                b"the lazy dog naps".to_vec(),
+                b"the fox naps too".to_vec(),
+                b"quick quick fox".to_vec(),
+            ]
+        }
+
+        /// A u64-sum shuffle combiner: collapses every group of counts into one
+        /// partial sum whenever the group has at least `threshold` records.
+        struct SumCombiner {
+            threshold: usize,
+        }
+        impl ShuffleCombiner for SumCombiner {
+            fn combines(&self, _round: usize, _key: &[u8], n_values: usize) -> bool {
+                n_values >= self.threshold
+            }
+            fn combine(&self, _round: usize, _key: &[u8], values: &mut Vec<Vec<u8>>) {
+                let total: u64 = values.iter().map(|v| u64::from_bytes(v).unwrap()).sum();
+                values.clear();
+                values.push(total.to_bytes());
+            }
+        }
+
+        fn run_on(cfg: JobConfig, placement: Placement<'_>, combiner: Option<&SumCombiner>) -> JobResult {
+            let combiner = combiner.map(|c| c as &dyn ShuffleCombiner);
+            MapReduceJob::new(cfg).run_on(placement, &word_inputs(), &WordMap, &SumReduce, combiner, &Vec::new).unwrap()
+        }
+
+        /// `run_on` [`Placement::Remote`] against two in-thread shuffle
+        /// workers (which rebuild `SumReduce` and a threshold-2 combiner).
+        fn run_remote(cfg: JobConfig, combiner: Option<&SumCombiner>) -> JobResult {
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let dir = std::env::temp_dir().join(format!(
+                "agl-placement-{}-{}",
+                std::process::id(),
+                NEXT.fetch_add(1, Ordering::SeqCst)
+            ));
+            std::fs::create_dir_all(&dir).unwrap();
+            let eps: Vec<Endpoint> = (0..2).map(|i| Endpoint::Unix(dir.join(format!("w{i}.sock")))).collect();
+            let listeners: Vec<Listener> = eps.iter().map(|e| Listener::bind(e).unwrap()).collect();
+            let opts = DistOptions { connect_timeout_ns: 5_000_000_000, io_timeout_ns: 10_000_000_000 };
+            let result = std::thread::scope(|s| {
+                for l in &listeners {
+                    s.spawn(move || {
+                        serve_shuffle_combining(
+                            l,
+                            5_000_000_000,
+                            &|_, _| Ok(Box::new(SumReduce) as Box<dyn Reducer>),
+                            &|_, _| Ok(Box::new(SumCombiner { threshold: 2 }) as Box<dyn ShuffleCombiner>),
+                        )
+                        .unwrap()
+                    });
+                }
+                let workers = RemoteWorkers { endpoints: &eps, opts: &opts, on_dispatch: None };
+                run_on(cfg, Placement::Remote(workers), combiner)
+            });
+            drop(listeners);
+            std::fs::remove_dir_all(&dir).ok();
+            result
+        }
+
+        #[test]
+        fn every_placement_is_byte_identical() {
+            let dir = std::env::temp_dir().join(format!("agl-placement-spill-{}", std::process::id()));
+            let combiner = SumCombiner { threshold: 2 };
+            for rounds in [0usize, 1, 3] {
+                for combiner in [None, Some(&combiner)] {
+                    let cfg =
+                        JobConfig { reduce_rounds: rounds, map_tasks: 3, reduce_tasks: 5, ..JobConfig::default() };
+                    let reference = run_on(cfg.clone(), Placement::Threads, combiner);
+                    for spill in [SpillMode::InMemory, SpillMode::Disk(dir.clone())] {
+                        let cfg = JobConfig { spill: spill.clone(), ..cfg.clone() };
+                        let placed = [
+                            ("threads", run_on(cfg.clone(), Placement::Threads, combiner)),
+                            ("resident-one", run_on(cfg.clone(), Placement::ResidentOne, combiner)),
+                            ("remote", run_remote(cfg, combiner)),
+                        ];
+                        for (name, result) in placed {
+                            let cell = format!("{name} rounds={rounds} {spill:?} combiner={}", combiner.is_some());
+                            assert_eq!(result.output, reference.output, "{cell}: emission order, not just multiset");
+                            let mut names = vec!["map.input_records".to_string(), "map.output_records".to_string()];
+                            names.extend(["shuffle.bytes".to_string(), "output_records".to_string()]);
+                            for r in 0..rounds {
+                                names.push(format!("reduce.r{r}.input_records"));
+                                names.push(format!("reduce.r{r}.output_records"));
+                            }
+                            for n in names {
+                                assert_eq!(result.counters.get(&n), reference.counters.get(&n), "{cell}: {n}");
+                            }
+                            let spilled = rounds > 0 && matches!(spill, SpillMode::Disk(_));
+                            assert_eq!(result.counters.get("spill.records") > 0, spilled, "{cell}: spill.records");
+                        }
+                        assert!(std::fs::read_dir(&dir).map(|d| d.count() == 0).unwrap_or(true), "leaked spill files");
+                    }
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+
+        #[test]
+        fn disk_spill_matches_in_memory_and_bounds_memory() {
+            let dir = std::env::temp_dir().join(format!("agl-stream-test-{}", std::process::id()));
+            let mem_cfg = JobConfig { reduce_rounds: 2, ..JobConfig::default() };
+            let disk_cfg = JobConfig { spill: SpillMode::Disk(dir.clone()), ..mem_cfg.clone() };
+            let mem = run_on(mem_cfg, Placement::ResidentOne, None);
+            let disk = run_on(disk_cfg, Placement::ResidentOne, None);
+            assert_eq!(mem.output, disk.output);
+            assert!(disk.counters.get("spill.bytes") > 0, "pending partitions went through disk");
+            assert!(
+                disk.counters.get("stream.peak_resident_bytes") <= mem.counters.get("stream.peak_resident_bytes"),
+                "disk-parked pending never exceeds the in-memory high-water mark"
+            );
+            assert!(mem.counters.get("stream.peak_resident_bytes") > 0);
+            // All pending files consumed and removed.
+            assert!(std::fs::read_dir(&dir).map(|d| d.count() == 0).unwrap_or(true), "no leaked pending files");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+
+        #[test]
+        fn zero_rounds_passes_map_output_through_in_engine_order() {
+            let cfg = JobConfig { reduce_rounds: 0, ..JobConfig::default() };
+            let engine = run_on(cfg.clone(), Placement::Threads, None);
+            let stream = run_on(cfg, Placement::ResidentOne, None);
+            assert_eq!(stream.output, engine.output);
+        }
+
+        #[test]
+        fn shuffle_combiner_cuts_records_without_changing_u64_sums() {
+            let cfg = JobConfig { reduce_rounds: 2, ..JobConfig::default() };
+            let plain = run_on(cfg.clone(), Placement::ResidentOne, None);
+            let combined = run_on(cfg.clone(), Placement::ResidentOne, Some(&SumCombiner { threshold: 2 }));
+            // Integer sums are exactly associative, so the output matches even
+            // without a partial-aware reducer.
+            assert_eq!(plain.output, combined.output);
+            assert!(combined.counters.get("combine.records_in") > combined.counters.get("combine.records_out"));
+            assert!(combined.counters.get("combine.bytes_saved") > 0);
+            // Engine path agrees with the streaming path under the combiner too.
+            let engine = run_on(cfg, Placement::Threads, Some(&SumCombiner { threshold: 2 }));
+            assert_eq!(engine.output, combined.output);
+        }
+
+        #[test]
+        fn threshold_gates_combining() {
+            let cfg = JobConfig::default();
+            let never = run_on(cfg.clone(), Placement::ResidentOne, Some(&SumCombiner { threshold: usize::MAX }));
+            assert_eq!(never.counters.get("combine.records_in"), 0, "threshold too high: combiner never fires");
+            let plain = run_on(cfg, Placement::ResidentOne, None);
+            assert_eq!(never.output, plain.output);
+        }
     }
 }

@@ -6,7 +6,8 @@
 //! are both expressed as a single Map phase followed by K (or K+1) Reduce
 //! rounds, where each round re-shuffles its output by key.
 //!
-//! This crate reproduces that execution model in-process:
+//! This crate reproduces that execution model, in one process or across
+//! several:
 //!
 //! * **Byte-oriented records.** Everything crossing the shuffle boundary is
 //!   a serialised `(key, value)` pair of byte strings, exactly as on a real
@@ -16,20 +17,21 @@
 //! * **Deterministic hash shuffle** ([`hash`]): records are routed to
 //!   `reduce_tasks` partitions by FNV-1a over the key, so a re-executed
 //!   task reproduces its routing bit-for-bit.
-//! * **Multi-round driver** ([`engine`]): `Map → (shuffle → Reduce)^K`,
-//!   each phase running its tasks on a thread pool.
+//! * **One multi-round driver** ([`engine`]): `Map → (shuffle → Reduce)^K`.
+//!   The driver owns the job shape and the record order; a [`Placement`]
+//!   argument says only where tasks run and where pending partitions wait
+//!   — a thread pool with the round resident, one task at a time with one
+//!   partition resident (the substrate of `agl-cli infer-stream`), or
+//!   shuffle-worker processes ([`dist`]) over the socket [`transport`].
+//!   Output is byte-identical on all three.
 //! * **Fault tolerance** ([`fault`]): an injectable failure plan kills
-//!   chosen task attempts; the engine re-executes them, and determinism
-//!   guarantees the job output is unchanged (tested).
-//! * **Spill-to-disk** ([`spill`]): optionally round-trips every shuffle
-//!   partition through files, modelling the distributed-FS hop between
-//!   rounds.
+//!   chosen local task attempts, and a remote worker's death loses its
+//!   partition; the driver re-executes either, and determinism guarantees
+//!   the job output is unchanged (tested).
+//! * **Spill-to-disk** ([`spill`]): pending partitions wait in memory or in
+//!   per-partition files, modelling the distributed-FS hop between rounds.
 //! * **Counters** ([`counters`]): named atomic counters à la Hadoop, used by
 //!   the benches to report records/bytes shuffled per round.
-//! * **Streaming executor** ([`stream`]): the same job shape run
-//!   sequentially in bounded memory — one partition resident at a time,
-//!   pending partitions parked in the spill mode — with byte-identical
-//!   output to the engine (the substrate of `agl-cli infer-stream`).
 
 pub mod codec;
 pub mod config;
@@ -42,18 +44,18 @@ pub mod obsreport;
 pub mod plan;
 pub mod report;
 pub mod spill;
-pub mod stream;
 pub mod transport;
 
 pub use codec::{Codec, CodecError};
 pub use config::EngineConfig;
 pub use counters::Counters;
-pub use dist::{serve_shuffle, serve_shuffle_combining, DistJob, DistOptions};
-pub use engine::{JobConfig, JobError, JobResult, KeyValue, MapReduceJob, Mapper, Reducer, ShuffleCombiner};
+pub use dist::{serve_shuffle, serve_shuffle_combining, DistOptions};
+pub use engine::{
+    JobConfig, JobError, JobResult, KeyValue, MapReduceJob, Mapper, Placement, Reducer, RemoteWorkers, ShuffleCombiner,
+};
 pub use fault::{FaultPlan, TaskId, TaskKind};
 pub use obsreport::ObsReport;
 pub use plan::{JobPlan, JobPlanValidator, PlanError, RoundPlan, WireSig};
 pub use report::{JobReport, RoundReport};
 pub use spill::SpillMode;
-pub use stream::StreamJob;
 pub use transport::{Conn, Endpoint, FrameStats, Framed, Listener, TransportError};

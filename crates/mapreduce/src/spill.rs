@@ -1,16 +1,18 @@
-//! Shuffle spill: optionally round-trip every shuffle partition through the
-//! filesystem, modelling the distributed-FS hop between MapReduce rounds.
+//! Where shuffle partitions wait between phases.
 //!
 //! GraphFlat stores its output *"into the distributed filesystem"* (§3.2.1)
-//! and each Reduce round reads what the previous one wrote. `SpillMode::Disk`
-//! serialises each partition to a file and reads it back before reduction,
-//! so codec bugs or non-byte-clean messages fail loudly in tests; the
-//! default `InMemory` mode skips the I/O for speed.
+//! and each Reduce round reads what the previous one wrote. Every placement
+//! of the job driver parks a round's pending partitions in one
+//! `PartitionStore`: plain vectors under [`SpillMode::InMemory`], one
+//! append-only file per partition under [`SpillMode::Disk`] — so codec bugs
+//! or non-byte-clean messages fail loudly in tests, and a bounded-memory
+//! run keeps nothing pending in memory.
 
 use crate::counters::Counters;
 use crate::engine::KeyValue;
-use std::fs::{self, File};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::cell::Cell;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
 
 /// Where shuffle partitions live between phases.
@@ -23,62 +25,138 @@ pub enum SpillMode {
     Disk(PathBuf),
 }
 
-impl SpillMode {
-    /// Round-trip a partition according to the mode. `tag` names the
-    /// (round, partition) for the file name. Disk round-trips report what
-    /// they wrote on the job's `spill.bytes` / `spill.records` counters
-    /// (zero in `InMemory` mode — nothing was spilled).
-    pub fn roundtrip(&self, tag: &str, records: Vec<KeyValue>, counters: &Counters) -> std::io::Result<Vec<KeyValue>> {
+/// Payload bytes of one bucket as accounted by the shuffle counters.
+pub(crate) fn bucket_bytes(records: &[KeyValue]) -> u64 {
+    records.iter().map(|kv| (kv.key.len() + kv.value.len()) as u64).sum()
+}
+
+/// One round's pending partitions, appended to in producer order and
+/// consumed once each.
+///
+/// On-disk format (`part-r{round}-p{p}.bin`): a sequence of chunks, one per
+/// appended bucket — `u64` record count, then per record `u32` key length,
+/// key, `u32` value length, value. The file describes itself, so a torn or
+/// inflated file is an [`io::Error`], never a short read taken for data.
+pub(crate) enum PartitionStore {
+    /// One vector per partition, each with the payload bytes it holds.
+    Mem { parts: Vec<(Vec<KeyValue>, u64)> },
+    /// `written[p]` once partition `p` has a file.
+    Disk { dir: PathBuf, round: usize, written: Vec<bool> },
+}
+
+impl PartitionStore {
+    pub(crate) fn new(spill: &SpillMode, round: usize, r_parts: usize) -> Self {
+        match spill {
+            SpillMode::InMemory => Self::Mem { parts: (0..r_parts).map(|_| (Vec::new(), 0)).collect() },
+            SpillMode::Disk(dir) => Self::Disk { dir: dir.clone(), round, written: vec![false; r_parts] },
+        }
+    }
+
+    /// Payload bytes this store currently holds in memory (0 for `Disk`).
+    pub(crate) fn mem_bytes(&self) -> u64 {
         match self {
-            SpillMode::InMemory => Ok(records),
-            SpillMode::Disk(dir) => {
-                fs::create_dir_all(dir)?;
-                let path = dir.join(format!("part-{tag}.bin"));
-                let bytes = write_partition(&path, &records)?;
-                counters.add("spill.bytes", bytes);
-                counters.add("spill.records", records.len() as u64);
-                counters.inc("spill.partitions");
-                let back = read_partition(&path)?;
+            Self::Mem { parts } => parts.iter().map(|(_, bytes)| bytes).sum(),
+            Self::Disk { .. } => 0,
+        }
+    }
+
+    fn path(dir: &std::path::Path, round: usize, p: usize) -> PathBuf {
+        dir.join(format!("part-r{round}-p{p}.bin"))
+    }
+
+    /// Append one producer bucket to partition `p`. Disk appends report
+    /// what they wrote on the job's `spill.bytes` / `spill.records`
+    /// counters (zero in `InMemory` mode — nothing was spilled).
+    pub(crate) fn append(&mut self, p: usize, bucket: Vec<KeyValue>, counters: &Counters) -> io::Result<()> {
+        match self {
+            Self::Mem { parts } => {
+                parts[p].1 += bucket_bytes(&bucket);
+                parts[p].0.extend(bucket);
+            }
+            Self::Disk { dir, round, written } => {
+                let path = Self::path(dir, *round, p);
+                // The first append truncates: a file left behind by a failed
+                // job in the same directory must not be read as this one's.
+                let file = if written[p] {
+                    OpenOptions::new().append(true).open(path)?
+                } else {
+                    fs::create_dir_all(&*dir)?;
+                    File::create(path)?
+                };
+                written[p] = true;
+                let mut w = BufWriter::new(file);
+                w.write_all(&(bucket.len() as u64).to_le_bytes())?;
+                for kv in &bucket {
+                    w.write_all(&(kv.key.len() as u32).to_le_bytes())?;
+                    w.write_all(&kv.key)?;
+                    w.write_all(&(kv.value.len() as u32).to_le_bytes())?;
+                    w.write_all(&kv.value)?;
+                }
+                w.flush()?;
+                counters.add("spill.bytes", 8 + 8 * bucket.len() as u64 + bucket_bytes(&bucket));
+                counters.add("spill.records", bucket.len() as u64);
+            }
+        }
+        Ok(())
+    }
+
+    /// Consume partition `p`: its records in producer order and their
+    /// payload bytes. A disk partition's file is removed.
+    pub(crate) fn take(&mut self, p: usize, counters: &Counters) -> io::Result<(Vec<KeyValue>, u64)> {
+        match self {
+            Self::Mem { parts } => Ok(std::mem::take(&mut parts[p])),
+            Self::Disk { dir, round, written } => {
+                if !std::mem::take(&mut written[p]) {
+                    return Ok((Vec::new(), 0));
+                }
+                let path = Self::path(dir, *round, p);
+                let records = read_chunks(&path)?;
                 fs::remove_file(&path).ok();
-                Ok(back)
+                counters.inc("spill.partitions");
+                let taken = bucket_bytes(&records);
+                Ok((records, taken))
             }
         }
     }
 }
 
-/// Returns the number of bytes written (payload plus framing).
-fn write_partition(path: &std::path::Path, records: &[KeyValue]) -> std::io::Result<u64> {
-    let mut w = BufWriter::new(File::create(path)?);
-    let mut bytes = 8u64;
-    w.write_all(&(records.len() as u64).to_le_bytes())?;
-    for kv in records {
-        w.write_all(&(kv.key.len() as u32).to_le_bytes())?;
-        w.write_all(&kv.key)?;
-        w.write_all(&(kv.value.len() as u32).to_le_bytes())?;
-        w.write_all(&kv.value)?;
-        bytes += 8 + kv.key.len() as u64 + kv.value.len() as u64;
-    }
-    w.flush()?;
-    Ok(bytes)
-}
-
-fn read_partition(path: &std::path::Path) -> std::io::Result<Vec<KeyValue>> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut n8 = [0u8; 8];
-    r.read_exact(&mut n8)?;
-    let n = u64::from_le_bytes(n8) as usize;
-    let mut out = Vec::with_capacity(n);
-    let mut len4 = [0u8; 4];
-    for _ in 0..n {
-        r.read_exact(&mut len4)?;
-        let klen = u32::from_le_bytes(len4) as usize;
-        let mut key = vec![0u8; klen];
-        r.read_exact(&mut key)?;
-        r.read_exact(&mut len4)?;
-        let vlen = u32::from_le_bytes(len4) as usize;
-        let mut value = vec![0u8; vlen];
-        r.read_exact(&mut value)?;
-        out.push(KeyValue { key, value });
+/// Read every chunk of a partition file. Each length taken from the file is
+/// claimed against the bytes the file still holds before anything is
+/// allocated for it, so a torn or inflated file is an error, not an abort.
+fn read_chunks(path: &std::path::Path) -> io::Result<Vec<KeyValue>> {
+    let file = File::open(path)?;
+    let left = Cell::new(file.metadata()?.len());
+    let claim = |n: u64, what: &str| -> io::Result<()> {
+        let rest = left.get().checked_sub(n).ok_or_else(|| {
+            let why = format!("{}: {what} of {n} bytes exceeds the {} left in the file", path.display(), left.get());
+            io::Error::new(io::ErrorKind::InvalidData, why)
+        })?;
+        left.set(rest);
+        Ok(())
+    };
+    let mut r = BufReader::new(file);
+    let mut out = Vec::new();
+    let (mut len8, mut len4) = ([0u8; 8], [0u8; 4]);
+    while left.get() > 0 {
+        claim(8, "chunk header")?;
+        r.read_exact(&mut len8)?;
+        let n = u64::from_le_bytes(len8);
+        // Every record carries at least its two length prefixes.
+        claim(n.saturating_mul(8), "chunk record framing")?;
+        out.reserve(n as usize);
+        for _ in 0..n {
+            let mut field = |what: &str| -> io::Result<Vec<u8>> {
+                r.read_exact(&mut len4)?;
+                let len = u32::from_le_bytes(len4);
+                claim(u64::from(len), what)?;
+                let mut bytes = vec![0u8; len as usize];
+                r.read_exact(&mut bytes)?;
+                Ok(bytes)
+            };
+            let key = field("key")?;
+            let value = field("value")?;
+            out.push(KeyValue { key, value });
+        }
     }
     Ok(out)
 }
@@ -95,11 +173,18 @@ mod tests {
         ]
     }
 
+    /// Park `records` as partition 0 of round 0, then consume it.
+    fn roundtrip(mode: &SpillMode, records: Vec<KeyValue>, counters: &Counters) -> io::Result<Vec<KeyValue>> {
+        let mut store = PartitionStore::new(mode, 0, 1);
+        store.append(0, records, counters)?;
+        store.take(0, counters).map(|(records, _)| records)
+    }
+
     #[test]
     fn in_memory_is_identity_and_counts_nothing() {
         let records = kvs();
         let c = Counters::new();
-        let out = SpillMode::InMemory.roundtrip("t", records.clone(), &c).unwrap();
+        let out = roundtrip(&SpillMode::InMemory, records.clone(), &c).unwrap();
         assert_eq!(out, records);
         assert_eq!(c.get("spill.bytes"), 0);
         assert_eq!(c.get("spill.records"), 0);
@@ -111,7 +196,7 @@ mod tests {
         let records = kvs();
         let payload: u64 = records.iter().map(|kv| (kv.key.len() + kv.value.len()) as u64).sum();
         let c = Counters::new();
-        let out = SpillMode::Disk(dir.clone()).roundtrip("r0-p1", records.clone(), &c).unwrap();
+        let out = roundtrip(&SpillMode::Disk(dir.clone()), records.clone(), &c).unwrap();
         assert_eq!(out, records);
         assert_eq!(c.get("spill.records"), records.len() as u64);
         assert_eq!(c.get("spill.partitions"), 1);
@@ -123,9 +208,62 @@ mod tests {
     fn disk_roundtrip_empty_partition() {
         let dir = std::env::temp_dir().join(format!("agl-spill-test-e-{}", std::process::id()));
         let c = Counters::new();
-        let out = SpillMode::Disk(dir.clone()).roundtrip("r0-p0", vec![], &c).unwrap();
+        let out = roundtrip(&SpillMode::Disk(dir.clone()), vec![], &c).unwrap();
         assert!(out.is_empty());
         assert_eq!(c.get("spill.bytes"), 8, "just the record-count header");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn appends_concatenate_in_producer_order() {
+        let dir = std::env::temp_dir().join(format!("agl-spill-test-a-{}", std::process::id()));
+        for mode in [SpillMode::InMemory, SpillMode::Disk(dir.clone())] {
+            let c = Counters::new();
+            let mut store = PartitionStore::new(&mode, 3, 2);
+            let records = kvs();
+            store.append(1, records[..1].to_vec(), &c).unwrap();
+            store.append(1, vec![], &c).unwrap();
+            store.append(1, records[1..].to_vec(), &c).unwrap();
+            let (out, bytes) = store.take(1, &c).unwrap();
+            assert_eq!(out, records);
+            assert_eq!(bytes, bucket_bytes(&records));
+            assert_eq!(store.mem_bytes(), 0);
+            assert!(store.take(0, &c).unwrap().0.is_empty(), "a partition nothing was appended to is empty");
+        }
+        assert!(fs::read_dir(&dir).map(|d| d.count() == 0).unwrap_or(true), "consumed files are removed");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn truncated_or_inflated_spill_file_is_an_io_error() {
+        let dir = std::env::temp_dir().join(format!("agl-spill-test-t-{}", std::process::id()));
+        let c = Counters::new();
+        let path = PartitionStore::path(&dir, 0, 0);
+        let park = || {
+            let mut store = PartitionStore::new(&SpillMode::Disk(dir.clone()), 0, 1);
+            store.append(0, kvs(), &c).unwrap();
+            store
+        };
+        // Torn mid-record, and torn inside the next chunk's header.
+        let whole = {
+            let _store = park();
+            fs::read(&path).unwrap()
+        };
+        for cut in [whole.len() - 5, 8 + 3] {
+            let mut store = park();
+            fs::write(&path, &whole[..cut]).unwrap();
+            assert!(store.take(0, &c).is_err(), "cut at {cut}");
+        }
+        // A record count, or a key length, far beyond what the file holds
+        // must be refused before anything is allocated for it.
+        for (at, width) in [(0usize, 8usize), (8, 4)] {
+            let mut store = park();
+            let mut bytes = whole.clone();
+            bytes[at..at + width].fill(0xFF);
+            fs::write(&path, &bytes).unwrap();
+            let err = store.take(0, &c).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
         fs::remove_dir_all(&dir).ok();
     }
 }

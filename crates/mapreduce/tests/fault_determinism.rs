@@ -5,9 +5,10 @@
 //! output bit-for-bit. These tests inject mid-shuffle failures — map tasks
 //! and reduce tasks of both rounds — and require the job output to be
 //! **bit-identical** (same bytes, same order) to the failure-free run,
-//! across three input seeds and both spill modes.
+//! across three input seeds, both spill modes, and both local placements
+//! (the thread pool, and one partition resident at a time).
 
-use agl_mapreduce::{Codec, FaultPlan, JobConfig, MapReduceJob, Mapper, Reducer, SpillMode, TaskId};
+use agl_mapreduce::{Codec, FaultPlan, JobConfig, MapReduceJob, Mapper, Placement, Reducer, SpillMode, TaskId};
 
 /// xorshift64* — deterministic input generator, no external RNG deps.
 fn xorshift(state: &mut u64) -> u64 {
@@ -64,6 +65,12 @@ fn run(inputs: &[Vec<u8>], fault_plan: FaultPlan, spill: SpillMode) -> agl_mapre
     MapReduceJob::new(cfg).run(inputs, &ModMap, &WrapSumReduce).unwrap()
 }
 
+/// [`run`] with one partition resident at a time instead of a thread pool.
+fn run_resident_one(inputs: &[Vec<u8>], fault_plan: FaultPlan, spill: SpillMode) -> agl_mapreduce::JobResult {
+    let cfg = JobConfig { reduce_rounds: 2, fault_plan, spill, ..JobConfig::default() };
+    MapReduceJob::new(cfg).run_on(Placement::ResidentOne, inputs, &ModMap, &WrapSumReduce, None, &Vec::new).unwrap()
+}
+
 #[test]
 fn injected_mid_shuffle_failures_replay_bit_identically_across_seeds() {
     for seed in [0x11u64, 0x22, 0x33] {
@@ -76,6 +83,11 @@ fn injected_mid_shuffle_failures_replay_bit_identically_across_seeds() {
         assert_eq!(clean.counters.get("output_records"), faulty.counters.get("output_records"), "seed {seed:#x}");
         assert_eq!(faulty.counters.get("task_retries"), 5, "seed {seed:#x}: 1+2+1+1 injected failures");
         assert_eq!(clean.counters.get("task_retries"), 0, "seed {seed:#x}");
+        // The plan is honoured — not silently skipped — with one partition
+        // resident, and the replay is just as exact.
+        let streamed = run_resident_one(&inputs, mid_shuffle_faults(), SpillMode::InMemory);
+        assert_eq!(clean.output, streamed.output, "seed {seed:#x}: resident-one");
+        assert_eq!(streamed.counters.get("task_retries"), 5, "seed {seed:#x}: resident-one injects every fault");
     }
 }
 
@@ -89,6 +101,10 @@ fn fault_replay_is_bit_identical_through_disk_spill() {
     // And the spilled runs agree with the in-memory ones byte-for-byte.
     let mem = run(&inputs, FaultPlan::none(), SpillMode::InMemory);
     assert_eq!(clean.output, mem.output);
+    let streamed = run_resident_one(&inputs, mid_shuffle_faults(), SpillMode::Disk(dir.clone()));
+    assert_eq!(clean.output, streamed.output, "resident-one through disk spill");
+    assert_eq!(streamed.counters.get("task_retries"), 5);
+    assert!(std::fs::read_dir(&dir).map(|d| d.count() == 0).unwrap_or(true), "discarded attempts leak no files");
     std::fs::remove_dir_all(&dir).ok();
 }
 
