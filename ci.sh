@@ -238,7 +238,12 @@ step "cargo fmt --check" cargo fmt --check
 # smoke steps below drive, so a bare `cargo build` in a fresh checkout would
 # leave ./target/release/agl-cli unbuilt.
 step "cargo build --release" cargo build --release --workspace
-step "cargo test -q" cargo test -q
+# --workspace: a bare `cargo test` at the root runs only the root package,
+# not the per-crate suites (placement byte-identity, fault determinism,
+# codec and spill round-trips, golden traces). The benchmark package sits
+# outside the workspace and has tests of its own.
+step "cargo test -q --workspace" cargo test -q --workspace
+step "cargo test -q (pipeline_bench)" cargo test -q --manifest-path pipeline_bench/Cargo.toml
 step "dist smoke (2 shuffle + 2 ps processes, byte-identical)" dist_smoke
 step "dist kill-a-worker (SIGKILL mid-job, deterministic re-run)" dist_kill
 step "obs smoke (traced dist-run, deterministic merged trace + obs-report)" obs_smoke

@@ -60,7 +60,15 @@ fn assert_no_leaks(dir: &Path) {
         })
         .unwrap_or_default();
     assert!(socks.is_empty(), "leaked socket files: {socks:?}");
-    let pgrep = Command::new("pgrep").args(["-f", "dist-worker -[-]role"]).output();
+    // Only this test's workers: they listen on sockets inside `dir`, so
+    // workers of tests running in parallel threads never match.
+    let dir_pattern: String = dir
+        .to_string_lossy()
+        .chars()
+        .flat_map(|c| if c.is_ascii_alphanumeric() || "/-_".contains(c) { vec![c] } else { vec!['\\', c] })
+        .collect();
+    let pattern = format!("dist-worker -[-]role .*{dir_pattern}/");
+    let pgrep = Command::new("pgrep").args(["-f", &pattern]).output();
     if let Ok(p) = pgrep {
         let pids = String::from_utf8_lossy(&p.stdout);
         assert!(pids.trim().is_empty(), "leaked dist-worker processes: {pids}");

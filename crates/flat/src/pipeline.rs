@@ -396,8 +396,16 @@ impl Codec for FlatWorkerSpec {
         let sampling = SamplingStrategy::decode(input)?;
         let seed = get_u64(input)?;
         let fanout = get_u64(input)? as u32;
-        let n_hubs = get_u64(input)? as usize;
-        let mut hubs = Vec::with_capacity(n_hubs);
+        // Each hub is a u64: a count the remaining input cannot back is
+        // refused before it sizes an allocation.
+        let n_hubs = get_u64(input)?;
+        if n_hubs > (input.len() / 8) as u64 {
+            return Err(agl_mapreduce::codec::CodecError(format!(
+                "hub count {n_hubs} exceeds the {} bytes left",
+                input.len()
+            )));
+        }
+        let mut hubs = Vec::with_capacity(n_hubs as usize);
         for _ in 0..n_hubs {
             hubs.push(get_u64(input)?);
         }

@@ -102,4 +102,11 @@ fn worker_spec_round_trips_and_is_deterministic() {
     let bytes = spec.to_bytes();
     assert_eq!(FlatWorkerSpec::from_bytes(&bytes).unwrap(), spec);
     assert_eq!(bytes, spec.to_bytes(), "encoding is stable");
+    // Length inflation: a hub count far beyond the three hubs the input
+    // holds is a codec error, not an allocation sized from the wire.
+    let count_at = bytes.len() - 8 * (spec.hubs.len() + 1);
+    let mut inflated = bytes.clone();
+    inflated[count_at..count_at + 8].fill(0xFF);
+    let err = FlatWorkerSpec::from_bytes(&inflated).unwrap_err();
+    assert!(err.0.contains("hub count"), "{err}");
 }

@@ -28,9 +28,8 @@
 
 use crate::codec::{self, Codec, CodecError};
 use crate::counters::Counters;
-use crate::engine::{
-    lock_ignoring_poison, JobConfig, JobError, KeyValue, ReduceStage, Reducer, RemoteWorkers, ShuffleCombiner,
-};
+use crate::engine::{lock_ignoring_poison, JobConfig, JobError, ReduceStage, Reducer, RemoteWorkers, ShuffleCombiner};
+use crate::records::Records;
 use crate::transport::{connect, Endpoint, FrameStats, Framed, Listener, TransportError};
 use agl_obs::{Clock, Obs, TraceEvent};
 use std::collections::VecDeque;
@@ -58,34 +57,10 @@ impl Default for DistOptions {
 // ---------------------------------------------------------------------------
 // Wire protocol
 // ---------------------------------------------------------------------------
-
-fn put_kv(buf: &mut Vec<u8>, kv: &KeyValue) {
-    codec::put_bytes(buf, &kv.key);
-    codec::put_bytes(buf, &kv.value);
-}
-
-fn get_kv(input: &mut &[u8]) -> Result<KeyValue, CodecError> {
-    let key = codec::get_bytes(input)?.to_vec();
-    let value = codec::get_bytes(input)?.to_vec();
-    Ok(KeyValue { key, value })
-}
-
-fn put_kvs(buf: &mut Vec<u8>, kvs: &[KeyValue]) {
-    codec::put_u32(buf, kvs.len() as u32);
-    for kv in kvs {
-        put_kv(buf, kv);
-    }
-}
-
-fn get_kvs(input: &mut &[u8]) -> Result<Vec<KeyValue>, CodecError> {
-    // Each record carries at least its two length prefixes.
-    let n = codec::get_count(input, 8)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_kv(input)?);
-    }
-    Ok(out)
-}
+//
+// Records travel as `Records::encode` writes them — a `u32` count, then a
+// `u32`-length-prefixed key and value per record — encoded straight from
+// the buffer the driver holds and decoded straight into a fresh one.
 
 /// Driver → worker messages.
 #[derive(Debug)]
@@ -106,7 +81,7 @@ enum DriverMsg {
     CombineSpec { rounds: u32, spec: Vec<u8> },
     /// Reduce one partition's records for `round`. `ctx` is the driver-side
     /// RPC span issuing this task; the worker's reduce span parents under it.
-    Reduce { round: u32, part: u32, ctx: Option<agl_obs::SpanContext>, records: Vec<KeyValue> },
+    Reduce { round: u32, part: u32, ctx: Option<agl_obs::SpanContext>, records: Records },
     /// Finish up: reply with `Bye` and exit.
     Shutdown,
 }
@@ -128,6 +103,17 @@ pub fn driver_msg_name(tag: u8) -> &'static str {
     }
 }
 
+/// A `DriverMsg::Reduce` frame for a partition the driver keeps: encoded
+/// from the borrowed buffer, so dispatch (and a re-dispatch after a lost
+/// worker) copies no record.
+fn put_reduce(buf: &mut Vec<u8>, round: u32, part: u32, ctx: Option<agl_obs::SpanContext>, records: &Records) {
+    codec::put_u8(buf, DM_REDUCE);
+    codec::put_u32(buf, round);
+    codec::put_u32(buf, part);
+    codec::put_span_ctx(buf, ctx);
+    records.encode(buf);
+}
+
 impl Codec for DriverMsg {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
@@ -140,13 +126,7 @@ impl Codec for DriverMsg {
                 codec::put_u64(buf, *salt);
                 codec::put_u64(buf, *flush_every);
             }
-            DriverMsg::Reduce { round, part, ctx, records } => {
-                codec::put_u8(buf, DM_REDUCE);
-                codec::put_u32(buf, *round);
-                codec::put_u32(buf, *part);
-                codec::put_span_ctx(buf, *ctx);
-                put_kvs(buf, records);
-            }
+            DriverMsg::Reduce { round, part, ctx, records } => put_reduce(buf, *round, *part, *ctx, records),
             DriverMsg::CombineSpec { rounds, spec } => {
                 codec::put_u8(buf, DM_COMBINE);
                 codec::put_u32(buf, *rounds);
@@ -171,7 +151,7 @@ impl Codec for DriverMsg {
                 let round = codec::get_u32(input)?;
                 let part = codec::get_u32(input)?;
                 let ctx = codec::get_span_ctx(input)?;
-                let records = get_kvs(input)?;
+                let records = Records::decode(input)?;
                 Ok(DriverMsg::Reduce { round, part, ctx, records })
             }
             DM_COMBINE => {
@@ -191,7 +171,7 @@ enum WorkerMsg {
     /// Reducer built; ready for tasks.
     InitOk,
     /// One partition reduced: emissions re-partitioned for the next round.
-    ReduceDone { part: u32, emitted: u64, out_buckets: Vec<Vec<KeyValue>> },
+    ReduceDone { part: u32, emitted: u64, out_buckets: Vec<Records> },
     /// Shutdown acknowledgement: worker-local counters and trace events
     /// for the driver's merged report.
     Bye { counters: Vec<(String, u64)>, trace: Vec<TraceEvent> },
@@ -233,7 +213,7 @@ impl Codec for WorkerMsg {
                 codec::put_u64(buf, *emitted);
                 codec::put_u32(buf, out_buckets.len() as u32);
                 for b in out_buckets {
-                    put_kvs(buf, b);
+                    b.encode(buf);
                 }
             }
             WorkerMsg::Bye { counters, trace } => {
@@ -265,7 +245,7 @@ impl Codec for WorkerMsg {
                 let n = codec::get_count(input, 4)?;
                 let mut out_buckets = Vec::with_capacity(n);
                 for _ in 0..n {
-                    out_buckets.push(get_kvs(input)?);
+                    out_buckets.push(Records::decode(input)?);
                 }
                 Ok(WorkerMsg::ReduceDone { part, emitted, out_buckets })
             }
@@ -463,10 +443,10 @@ pub(crate) struct RemoteSite<'a> {
 /// draining their own queue, restoring the failure-recovery behaviour.
 struct RoundState<'a> {
     round: usize,
-    partitions: &'a [Vec<KeyValue>],
+    partitions: &'a [Records],
     queues: Vec<Mutex<VecDeque<(usize, usize)>>>,
     overflow: Mutex<VecDeque<(usize, usize)>>,
-    slots: Vec<Mutex<Option<Vec<Vec<KeyValue>>>>>,
+    slots: Vec<Mutex<Option<Vec<Records>>>>,
     filled: AtomicUsize,
     fatal: Mutex<Option<JobError>>,
 }
@@ -517,11 +497,7 @@ impl<'a> RemoteSite<'a> {
 
     /// Reduce every partition of `round` on the workers; returns each
     /// partition's out-buckets in partition order.
-    pub(crate) fn run_round(
-        &mut self,
-        round: usize,
-        partitions: &[Vec<KeyValue>],
-    ) -> Result<Vec<Vec<Vec<KeyValue>>>, JobError> {
+    pub(crate) fn run_round(&mut self, round: usize, partitions: &[Records]) -> Result<Vec<Vec<Records>>, JobError> {
         let n_workers = self.conns.len();
         let mut queues: Vec<VecDeque<(usize, usize)>> = (0..n_workers).map(|_| VecDeque::new()).collect();
         for p in 0..partitions.len() {
@@ -628,11 +604,12 @@ impl<'a> RemoteSite<'a> {
             };
             let mut span = self.cfg.obs.span(&format!("dist.w{w}"), &format!("rpc.reduce.r{round}"));
             span.counter("partition", p as u64);
-            let ctx = span.context();
-            let sent = framed.send(
-                &DriverMsg::Reduce { round: round as u32, part: p as u32, ctx, records: state.partitions[p].clone() }
-                    .to_bytes(),
-            );
+            // The frame is freed before the reply is awaited.
+            let sent = {
+                let mut frame = Vec::new();
+                put_reduce(&mut frame, round as u32, p as u32, span.context(), &state.partitions[p]);
+                framed.send(&frame)
+            };
             if sent.is_ok() {
                 counters.inc("reduce.attempted_tasks");
                 let n = self.dispatched.fetch_add(1, Ordering::SeqCst) + 1;
@@ -707,7 +684,7 @@ impl<'a> RemoteSite<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{JobResult, MapReduceJob, Mapper, Placement};
+    use crate::engine::{JobResult, KeyValue, MapReduceJob, Mapper, Placement};
     use std::path::PathBuf;
 
     struct WordMap;
@@ -932,9 +909,9 @@ mod tests {
                 round: 1,
                 part: 2,
                 ctx: Some(agl_obs::SpanContext { trace_id: 77, span_id: 0xFEED }),
-                records: vec![KeyValue::new(b"k".to_vec(), b"v".to_vec())],
+                records: Records::from_key_values(&[KeyValue::new(b"k".to_vec(), b"v".to_vec())]),
             },
-            DriverMsg::Reduce { round: 0, part: 0, ctx: None, records: vec![] },
+            DriverMsg::Reduce { round: 0, part: 0, ctx: None, records: Records::new() },
             DriverMsg::CombineSpec { rounds: 3, spec: vec![9, 8] },
             DriverMsg::Shutdown,
         ];
@@ -945,12 +922,38 @@ mod tests {
         }
         // Length inflation: a 14-byte Reduce frame claiming 4 G records is
         // refused by the count check, not handed to the allocator.
-        let mut inflated = DriverMsg::Reduce { round: 0, part: 0, ctx: None, records: vec![] }.to_bytes();
+        let mut inflated = DriverMsg::Reduce { round: 0, part: 0, ctx: None, records: Records::new() }.to_bytes();
         assert_eq!(inflated.len(), 14);
         inflated[10..].fill(0xFF);
         let err = DriverMsg::from_bytes(&inflated).unwrap_err();
         assert!(err.0.contains("exceeds remaining"), "{err}");
+        // Golden bytes: the record layout on the wire is a `u32` count, then
+        // a `u32`-length-prefixed key and value per record.
+        let msg = DriverMsg::Reduce { round: 1, part: 2, ctx: None, records: golden_records() };
+        let mut golden = vec![DM_REDUCE, 1, 0, 0, 0, 2, 0, 0, 0, 0];
+        golden.extend(GOLDEN_RECORDS);
+        assert_eq!(msg.to_bytes(), golden);
+        assert_eq!(format!("{:?}", DriverMsg::from_bytes(&golden).unwrap()), format!("{msg:?}"));
     }
+
+    /// Three records: one plain, one with an empty key, one with an empty
+    /// value.
+    fn golden_records() -> Records {
+        Records::from_key_values(&[
+            KeyValue::new(b"k".to_vec(), b"v".to_vec()),
+            KeyValue::new(vec![], b"e".to_vec()),
+            KeyValue::new(b"x".to_vec(), vec![]),
+        ])
+    }
+
+    /// [`golden_records`] on the wire.
+    #[rustfmt::skip]
+    const GOLDEN_RECORDS: [u8; 32] = [
+        3, 0, 0, 0,
+        1, 0, 0, 0, b'k', 1, 0, 0, 0, b'v',
+        0, 0, 0, 0, 1, 0, 0, 0, b'e',
+        1, 0, 0, 0, b'x', 0, 0, 0, 0,
+    ];
 
     #[test]
     fn reduce_with_unknown_ctx_version_is_rejected() {
@@ -958,7 +961,7 @@ mod tests {
             round: 0,
             part: 0,
             ctx: Some(agl_obs::SpanContext { trace_id: 1, span_id: 2 }),
-            records: vec![],
+            records: Records::new(),
         };
         let mut bytes = msg.to_bytes();
         // The ctx header version byte sits right after tag + round + part.
@@ -974,7 +977,10 @@ mod tests {
             WorkerMsg::ReduceDone {
                 part: 3,
                 emitted: 7,
-                out_buckets: vec![vec![], vec![KeyValue::new(b"a".to_vec(), b"b".to_vec())]],
+                out_buckets: vec![
+                    Records::new(),
+                    Records::from_key_values(&[KeyValue::new(b"a".to_vec(), b"b".to_vec())]),
+                ],
             },
             WorkerMsg::Bye {
                 counters: vec![("n".to_string(), 9)],
@@ -1016,7 +1022,7 @@ mod tests {
         let n_args_at = one_event.len() - 4;
         for (msg, count_at) in [
             (WorkerMsg::ReduceDone { part: 0, emitted: 0, out_buckets: vec![] }.to_bytes(), 13),
-            (WorkerMsg::ReduceDone { part: 0, emitted: 0, out_buckets: vec![vec![]] }.to_bytes(), 17),
+            (WorkerMsg::ReduceDone { part: 0, emitted: 0, out_buckets: vec![Records::new()] }.to_bytes(), 17),
             (WorkerMsg::Bye { counters: vec![], trace: vec![] }.to_bytes(), 5),
             (one_event, n_args_at),
         ] {
@@ -1025,6 +1031,13 @@ mod tests {
             let err = WorkerMsg::from_bytes(&inflated).unwrap_err();
             assert!(err.0.contains("exceeds remaining"), "count at {count_at}: {err}");
         }
+        // Golden bytes: part, emitted, the bucket count, then each bucket in
+        // the record layout — here an empty one and the three golden records.
+        let msg = WorkerMsg::ReduceDone { part: 3, emitted: 3, out_buckets: vec![Records::new(), golden_records()] };
+        let mut golden = vec![WM_REDUCE_DONE, 3, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0];
+        golden.extend(GOLDEN_RECORDS);
+        assert_eq!(msg.to_bytes(), golden);
+        assert_eq!(format!("{:?}", WorkerMsg::from_bytes(&golden).unwrap()), format!("{msg:?}"));
     }
 
     #[test]

@@ -27,7 +27,8 @@ use crate::counters::Counters;
 use crate::dist::{DistOptions, RemoteSite};
 use crate::fault::{FaultPlan, TaskId};
 use crate::hash::partition;
-use crate::spill::{bucket_bytes, PartitionStore, SpillMode};
+use crate::records::Records;
+use crate::spill::{PartitionStore, SpillMode};
 use crate::transport::Endpoint;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -47,7 +48,9 @@ pub(crate) fn lock_ignoring_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// A serialised record crossing a shuffle boundary.
+/// One record of a job's output. Inside the job, records travel in paged
+/// buffers (see `records.rs`); this owned form is built once, when the
+/// last round's buckets are flattened into [`JobResult::output`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyValue {
     pub key: Vec<u8>,
@@ -119,38 +122,48 @@ pub trait ShuffleCombiner: Sync {
 /// Apply `combiner` to one shuffle bucket whose records will be consumed by
 /// `round`: group by key (stable, so within-key producer order reaches the
 /// combiner intact), rewrite opted-in groups, account the saving.
-fn combine_bucket(
-    combiner: &dyn ShuffleCombiner,
-    round: usize,
-    mut bucket: Vec<KeyValue>,
-    counters: &Counters,
-) -> Vec<KeyValue> {
-    bucket.sort_by(|a, b| a.key.cmp(&b.key));
-    let mut out = Vec::with_capacity(bucket.len());
-    let mut i = 0;
-    while i < bucket.len() {
-        let mut j = i + 1;
-        while j < bucket.len() && bucket[j].key == bucket[i].key {
-            j += 1;
-        }
-        if combiner.combines(round, &bucket[i].key, j - i) {
-            let key = bucket[i].key.clone();
-            let mut values: Vec<Vec<u8>> = bucket[i..j].iter().map(|kv| kv.value.clone()).collect();
+///
+/// Only the index is sorted. Until a group opts in nothing is copied — a
+/// bucket no group of which combines comes back as it went in, sorted —
+/// and from then on every record is copied once into the output buffer;
+/// only an opted-in group becomes the owned values the combiner rewrites.
+fn combine_bucket(combiner: &dyn ShuffleCombiner, round: usize, mut bucket: Records, counters: &Counters) -> Records {
+    bucket.sort_by_key();
+    // `Some` from the first opted-in group on.
+    let mut out: Option<Records> = None;
+    let (mut records_in, mut records_out, mut bytes_saved) = (0u64, 0u64, 0u64);
+    let mut values: Vec<Vec<u8>> = Vec::new();
+    for group in bucket.groups() {
+        let key = bucket.key(group.start);
+        if combiner.combines(round, key, group.len()) {
+            let out = out.get_or_insert_with(|| {
+                let mut head = Records::new();
+                head.reserve(bucket.len());
+                head.extend_from(&bucket, 0..group.start);
+                head
+            });
+            values.clear();
+            values.extend(bucket.values(group).map(<[u8]>::to_vec));
             let bytes_in: u64 = values.iter().map(|v| (key.len() + v.len()) as u64).sum();
-            counters.add("combine.records_in", values.len() as u64);
-            combiner.combine(round, &key, &mut values);
+            records_in += values.len() as u64;
+            combiner.combine(round, key, &mut values);
             let bytes_out: u64 = values.iter().map(|v| (key.len() + v.len()) as u64).sum();
-            counters.add("combine.records_out", values.len() as u64);
-            counters.add("combine.bytes_saved", bytes_in.saturating_sub(bytes_out));
-            for v in values {
-                out.push(KeyValue::new(key.clone(), v));
-            }
-        } else {
-            out.extend(bucket[i..j].iter().cloned());
+            records_out += values.len() as u64;
+            bytes_saved += bytes_in.saturating_sub(bytes_out);
+            values.iter().for_each(|v| out.push(key, v));
+        } else if let Some(out) = &mut out {
+            out.extend_from(&bucket, group);
         }
-        i = j;
     }
-    out
+    match out {
+        Some(out) => {
+            counters.add("combine.records_in", records_in);
+            counters.add("combine.records_out", records_out);
+            counters.add("combine.bytes_saved", bytes_saved);
+            out
+        }
+        None => bucket,
+    }
 }
 
 /// Job configuration.
@@ -319,7 +332,7 @@ enum Site<'a> {
 /// Output of reducing one shuffle partition.
 pub(crate) struct ReducedPartition {
     /// Emissions re-partitioned for the next round (or job output).
-    pub out_buckets: Vec<Vec<KeyValue>>,
+    pub out_buckets: Vec<Records>,
     /// Total records emitted.
     pub emitted: u64,
     /// Groups double-run by the debug determinism check.
@@ -352,10 +365,10 @@ impl ReduceStage<'_> {
     /// `release` frees the partition as soon as it is reduced — before the
     /// combiner builds its buckets — for callers that will not reduce it
     /// again and whose thread is the right one to free it.
-    pub(crate) fn run(&self, round: usize, records: &mut Vec<KeyValue>, release: bool) -> ReducedPartition {
+    pub(crate) fn run(&self, round: usize, records: &mut Records, release: bool) -> ReducedPartition {
         let mut reduced = self.reduce_partition(round, records);
         if release {
-            *records = Vec::new();
+            *records = Records::new();
         }
         self.counters.add(&format!("reduce.r{round}.output_records"), reduced.emitted);
         if let (Some(c), true) = (self.combiner, round + 1 < self.rounds) {
@@ -367,54 +380,47 @@ impl ReduceStage<'_> {
         reduced
     }
 
-    /// Group `records` by key (stable sort, so within a key the
+    /// Group `records` by key (stable index sort, so within a key the
     /// producer-order value sequence is deterministic — and sorting in
     /// place lets a retried attempt borrow the same partition again),
-    /// invoke the reducer per group, re-partition emissions into `r_parts`
-    /// buckets.
-    fn reduce_partition(&self, round: usize, records: &mut [KeyValue]) -> ReducedPartition {
+    /// invoke the reducer per group with its values lent as slices,
+    /// re-partition emissions into `r_parts` buckets.
+    fn reduce_partition(&self, round: usize, records: &mut Records) -> ReducedPartition {
         let (reducer, r_parts) = (self.reducer, self.r_parts);
-        records.sort_by(|a, b| a.key.cmp(&b.key));
-        let mut out_buckets: Vec<Vec<KeyValue>> = (0..r_parts).map(|_| Vec::new()).collect();
+        records.sort_by_key();
+        let records = &*records;
+        let mut out_buckets: Vec<Records> = (0..r_parts).map(|_| Records::new()).collect();
         let mut emitted = 0u64;
         let mut verified_groups = 0usize;
         let mut violation = None;
-        let mut i = 0;
-        while i < records.len() {
-            let mut j = i + 1;
-            while j < records.len() && records[j].key == records[i].key {
-                j += 1;
-            }
-            let key = records[i].key.clone();
+        for group in records.groups() {
+            let key = records.key(group.start);
             // Sample multi-value groups for the reorder determinism check:
             // deterministic by key hash, capped per task to bound the
             // double-run cost.
             let sampled = self.verify_determinism
-                && j - i > 1
+                && group.len() > 1
                 && verified_groups < MAX_VERIFIED_GROUPS_PER_TASK
-                && partition(&key, DETERMINISM_SAMPLE_MOD) == 0;
+                && partition(key, DETERMINISM_SAMPLE_MOD) == 0;
             let mut emit = |k: Vec<u8>, v: Vec<u8>| {
                 emitted += 1;
-                let bucket = partition(&k, r_parts);
-                out_buckets[bucket].push(KeyValue::new(k, v));
+                out_buckets[partition(&k, r_parts)].push(&k, &v);
             };
             if sampled {
                 verified_groups += 1;
-                let values: Vec<Vec<u8>> = records[i..j].iter().map(|kv| kv.value.clone()).collect();
+                let values: Vec<Vec<u8>> = records.values(group).map(<[u8]>::to_vec).collect();
                 let mut baseline: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
                 {
                     let mut iter = values.iter().map(Vec::as_slice);
-                    reducer.reduce(round, &key, &mut iter, &mut |k, v| baseline.push((k, v)));
+                    reducer.reduce(round, key, &mut iter, &mut |k, v| baseline.push((k, v)));
                 }
-                if let Err(e) = crate::plan::check_group_reorder_determinism(reducer, round, &key, &values, &baseline) {
+                if let Err(e) = crate::plan::check_group_reorder_determinism(reducer, round, key, &values, &baseline) {
                     violation.get_or_insert_with(|| e.to_string());
                 }
                 baseline.into_iter().for_each(|(k, v)| emit(k, v));
             } else {
-                let mut values = records[i..j].iter().map(|kv| kv.value.as_slice());
-                reducer.reduce(round, &key, &mut values, &mut emit);
+                reducer.reduce(round, key, &mut records.values(group), &mut emit);
             }
-            i = j;
         }
         ReducedPartition { out_buckets, emitted, verified_groups: verified_groups as u64, violation }
     }
@@ -471,8 +477,9 @@ impl<'a> Shuffle<'a> {
 
     /// Take partition `p` of the running round — every producer's bucket
     /// in producer order — and account it as shuffled.
-    fn gather(&mut self, p: usize) -> Result<Vec<KeyValue>, JobError> {
-        let (records, bytes) = self.pending.take(p, self.counters)?;
+    fn gather(&mut self, p: usize) -> Result<Records, JobError> {
+        let records = self.pending.take(p, self.counters)?;
+        let bytes = records.payload_bytes();
         self.round_records += records.len() as u64;
         self.round_bytes += bytes;
         self.part_bytes = bytes;
@@ -482,17 +489,17 @@ impl<'a> Shuffle<'a> {
     }
 
     /// Gather every partition of the running round.
-    fn gather_all(&mut self) -> Result<Vec<Vec<KeyValue>>, JobError> {
+    fn gather_all(&mut self) -> Result<Vec<Records>, JobError> {
         (0..self.cfg.reduce_tasks).map(|p| self.gather(p)).collect()
     }
 
     /// Accept one committed task's buckets: parked for the next round, or —
     /// past the last round — flattened onto the job output. Tasks commit in
     /// task order, which fixes the record order.
-    fn commit(&mut self, buckets: Vec<Vec<KeyValue>>) -> Result<(), JobError> {
+    fn commit(&mut self, buckets: Vec<Records>) -> Result<(), JobError> {
         let to_output = self.feeds == self.cfg.reduce_rounds;
         if self.gauge {
-            let out_bytes: u64 = buckets.iter().map(|b| bucket_bytes(b)).sum();
+            let out_bytes: u64 = buckets.iter().map(Records::payload_bytes).sum();
             let mut resident = self.pending.mem_bytes() + self.next.mem_bytes() + self.part_bytes + out_bytes;
             if to_output {
                 resident += self.output_bytes;
@@ -502,7 +509,7 @@ impl<'a> Shuffle<'a> {
         }
         for (p, bucket) in buckets.into_iter().enumerate() {
             if to_output {
-                self.output.extend(bucket);
+                self.output.extend(bucket.key_values());
             } else {
                 self.next.append(p, bucket, self.counters)?;
             }
@@ -606,13 +613,12 @@ impl MapReduceJob {
         // Inputs are striped across map tasks; each task emits into
         // `reduce_tasks` buckets, consumed by round 0.
         let map_task = |task: usize| {
-            let mut buckets: Vec<Vec<KeyValue>> = (0..r_parts).map(|_| Vec::new()).collect();
+            let mut buckets: Vec<Records> = (0..r_parts).map(|_| Records::new()).collect();
             let mut emitted = 0u64;
             for input in inputs.iter().skip(task).step_by(cfg.map_tasks) {
                 mapper.map(input, &mut |k, v| {
                     emitted += 1;
-                    let p = partition(&k, r_parts);
-                    buckets[p].push(KeyValue::new(k, v));
+                    buckets[partition(&k, r_parts)].push(&k, &v);
                 });
             }
             counters.add("map.output_records", emitted);
@@ -636,7 +642,7 @@ impl MapReduceJob {
         drop(map_span);
 
         // ---- Reduce rounds ----
-        let reduce_task = |round: usize, records: &mut Vec<KeyValue>, release: bool| {
+        let reduce_task = |round: usize, records: &mut Records, release: bool| {
             let reduced = stage.run(round, records, release);
             if let Some(v) = reduced.violation {
                 lock_ignoring_poison(&determinism_violation).get_or_insert(v);
@@ -656,7 +662,7 @@ impl MapReduceJob {
                     drop(shuffle_span);
                     let id_of = |p| TaskId::reduce(round, p);
                     // The pool's caller frees the partitions (see `run_pooled`).
-                    let run = |_, records: &mut Vec<KeyValue>| reduce_task(round, records, false);
+                    let run = |_, records: &mut Records| reduce_task(round, records, false);
                     for buckets in self.run_pooled(&format!("reduce.r{round}"), id_of, &counters, partitions, run)? {
                         shuffle.commit(buckets)?;
                     }
@@ -1130,7 +1136,7 @@ mod tests {
                             ("resident-one", run_on(cfg.clone(), Placement::ResidentOne, combiner)),
                             ("remote", run_remote(cfg, combiner)),
                         ];
-                        for (name, result) in placed {
+                        for (name, result) in &placed {
                             let cell = format!("{name} rounds={rounds} {spill:?} combiner={}", combiner.is_some());
                             assert_eq!(result.output, reference.output, "{cell}: emission order, not just multiset");
                             let mut names = vec!["map.input_records".to_string(), "map.output_records".to_string()];
@@ -1144,6 +1150,19 @@ mod tests {
                             }
                             let spilled = rounds > 0 && matches!(spill, SpillMode::Disk(_));
                             assert_eq!(result.counters.get("spill.records") > 0, spilled, "{cell}: spill.records");
+                            // Combining runs where the reduce task runs: a
+                            // remote worker reports it under its `w{i}.` prefix.
+                            let combined = |r: &JobResult, n: &str| {
+                                r.counters.get(n) + (0..2).map(|w| r.counters.get(&format!("w{w}.{n}"))).sum::<u64>()
+                            };
+                            for n in ["combine.records_in", "combine.records_out", "combine.bytes_saved"] {
+                                assert_eq!(combined(result, n), combined(&reference, n), "{cell}: {n}");
+                            }
+                            // Spill counters depend on the spill mode: this
+                            // cell's threads run is their reference.
+                            for n in ["spill.bytes", "spill.records"] {
+                                assert_eq!(result.counters.get(n), placed[0].1.counters.get(n), "{cell}: {n}");
+                            }
                         }
                         assert!(std::fs::read_dir(&dir).map(|d| d.count() == 0).unwrap_or(true), "leaked spill files");
                     }

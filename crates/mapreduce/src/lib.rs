@@ -13,7 +13,9 @@
 //!   a serialised `(key, value)` pair of byte strings, exactly as on a real
 //!   cluster; the [`codec`] module provides the primitives pipelines use to
 //!   encode their messages (the paper used protobuf — see DESIGN.md for the
-//!   substitution).
+//!   substitution). Inside a job the records of a bucket or partition share
+//!   one paged byte buffer with a per-record index; they become owned
+//!   [`KeyValue`]s only in the job output.
 //! * **Deterministic hash shuffle** ([`hash`]): records are routed to
 //!   `reduce_tasks` partitions by FNV-1a over the key, so a re-executed
 //!   task reproduces its routing bit-for-bit.
@@ -42,6 +44,7 @@ pub mod fault;
 pub mod hash;
 pub mod obsreport;
 pub mod plan;
+mod records;
 pub mod report;
 pub mod spill;
 pub mod transport;
