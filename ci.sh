@@ -236,8 +236,9 @@ dist_kill() {
 step "cargo fmt --check" cargo fmt --check
 # --workspace: the root package does not depend on the agl-cli binary the
 # smoke steps below drive, so a bare `cargo build` in a fresh checkout would
-# leave ./target/release/agl-cli unbuilt.
-step "cargo build --release" cargo build --release --workspace
+# leave ./target/release/agl-cli unbuilt. --all-targets: the benches (which
+# import the socket PS client) compile here, not only under `--bench`.
+step "cargo build --release" cargo build --release --workspace --all-targets
 # --workspace: a bare `cargo test` at the root runs only the root package,
 # not the per-crate suites (placement byte-identity, fault determinism,
 # codec and spill round-trips, golden traces). The benchmark package sits

@@ -163,9 +163,6 @@ fn bench_transport(h: &mut Harness) {
     // unless switched on. The `_vs_plain` entry is the paired ratio
     // (instrumented / plain, unitless), measured in adjacent batches so
     // machine noise cancels; `bench_compare` gates it at <= 1.02 absolutely.
-    fn echo_msg_name(_tag: u8) -> &'static str {
-        "echo"
-    }
     let (c, d) = std::os::unix::net::UnixStream::pair().expect("socketpair");
     let echo2 = std::thread::spawn(move || {
         let mut framed = Framed::new(Conn::from(d));
@@ -178,8 +175,8 @@ fn bench_transport(h: &mut Harness) {
     let mut instrumented = Framed::new(Conn::from(c)).with_stats(agl_mapreduce::FrameStats::from_obs(
         &Obs::default(),
         "bench",
-        echo_msg_name,
-        echo_msg_name,
+        &["echo"],
+        &["echo"],
     ));
     h.bench("transport/framed_instrumented_inert_1kib", || {
         instrumented.send(&payload).unwrap();

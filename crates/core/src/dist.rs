@@ -26,10 +26,10 @@ use agl_datasets::{uug_like, UugConfig};
 use agl_flat::{FlatConfig, GraphFlat, TargetSpec, TrainingExample};
 use agl_graph::{EdgeTable, NodeTable};
 use agl_mapreduce::transport::Endpoint;
-use agl_mapreduce::{DistOptions, JobReport};
+use agl_mapreduce::{DistOptions, JobReport, TransportError};
 use agl_nn::{GnnModel, Loss, ModelConfig, ModelKind};
 use agl_obs::{Clock, Obs};
-use agl_ps::{Consistency, OptSpec, PsClient, PsNetError, PsStats, RemotePs};
+use agl_ps::{Consistency, OptSpec, PsClient, PsStats, RemotePs};
 use agl_trainer::{DistTrainer, TrainOptions};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -200,23 +200,23 @@ struct KillAfterPulls<'a, C: PsClient> {
 }
 
 impl<C: PsClient> PsClient for KillAfterPulls<'_, C> {
-    fn pull_with_version(&self, worker: usize) -> Result<(Vec<f32>, u64), PsNetError> {
+    fn pull_with_version(&self, worker: usize) -> Result<(Vec<f32>, u64), TransportError> {
         let n = self.pulls.fetch_add(1, Ordering::SeqCst) + 1;
         if n >= self.after && !self.fired.swap(true, Ordering::SeqCst) {
             self.reaper.kill(self.child_idx);
         }
         self.inner.pull_with_version(worker)
     }
-    fn push(&self, worker: usize, grads: &[f32]) -> Result<(), PsNetError> {
+    fn push(&self, worker: usize, grads: &[f32]) -> Result<(), TransportError> {
         self.inner.push(worker, grads)
     }
-    fn retire(&self, worker: usize) -> Result<(), PsNetError> {
+    fn retire(&self, worker: usize) -> Result<(), TransportError> {
         self.inner.retire(worker)
     }
-    fn snapshot(&self) -> Result<Vec<f32>, PsNetError> {
+    fn snapshot(&self) -> Result<Vec<f32>, TransportError> {
         self.inner.snapshot()
     }
-    fn stats(&self) -> Result<PsStats, PsNetError> {
+    fn stats(&self) -> Result<PsStats, TransportError> {
         self.inner.stats()
     }
     fn consistency(&self) -> Consistency {
@@ -324,6 +324,7 @@ pub fn run_distributed_job(cfg: &DistRunConfig) -> Result<DistRunSummary, Box<dy
     }
 
     // ---- distributed training across PS-shard processes ----
+    let ps_error = |e: TransportError| format!("ps transport error: {e}");
     let mut opts = train_options(cfg);
     opts.engine.obs = cfg.obs.clone();
     let mut model = build_model(&out.examples, cfg.seed)?;
@@ -336,7 +337,8 @@ pub fn run_distributed_job(cfg: &DistRunConfig) -> Result<DistRunSummary, Box<dy
         cfg.opts.connect_timeout_ns,
         cfg.opts.io_timeout_ns,
         cfg.obs.clone(),
-    )?;
+    )
+    .map_err(ps_error)?;
     let mut trainer = DistTrainer::new(cfg.train_workers, opts);
     trainer.n_shards = cfg.ps_shards;
     let train_start = clock.now();
@@ -356,7 +358,7 @@ pub fn run_distributed_job(cfg: &DistRunConfig) -> Result<DistRunSummary, Box<dy
     };
     let train_wall_ns = clock.since(train_start);
     remote.shutdown();
-    let result = result?;
+    let result = result.map_err(ps_error)?;
 
     // ---- verification against the in-process engines ----
     let mut verified = false;

@@ -111,14 +111,24 @@ pub fn put_f32s(buf: &mut Vec<u8>, v: &[f32]) {
 /// that many elements of at least `min_item_bytes` each — so a count read
 /// off a wire or a disk never sizes an allocation the input cannot back.
 pub fn get_count(input: &mut &[u8], min_item_bytes: usize) -> Result<usize, CodecError> {
-    let n = get_u32(input)? as usize;
-    if input.len() / min_item_bytes < n {
+    let n = get_u32(input)?;
+    bound_count(u64::from(n), input, min_item_bytes)
+}
+
+/// [`get_count`] for a `u64` count field.
+pub fn get_count_u64(input: &mut &[u8], min_item_bytes: usize) -> Result<usize, CodecError> {
+    let n = get_u64(input)?;
+    bound_count(n, input, min_item_bytes)
+}
+
+fn bound_count(n: u64, input: &[u8], min_item_bytes: usize) -> Result<usize, CodecError> {
+    if ((input.len() / min_item_bytes) as u64) < n {
         return Err(CodecError(format!(
             "count of {n} items (>= {min_item_bytes} bytes each) exceeds remaining {}",
             input.len()
         )));
     }
-    Ok(n)
+    Ok(n as usize)
 }
 
 pub fn get_f32s(input: &mut &[u8]) -> Result<Vec<f32>, CodecError> {
@@ -163,8 +173,8 @@ pub fn get_span_ctx(input: &mut &[u8]) -> Result<Option<agl_obs::SpanContext>, C
 }
 
 /// Append a counter snapshot: `u32` count, then `(name, value)` pairs.
-/// Used by the `MetricsSnapshot` / `Bye` messages that ship worker-side
-/// metrics to the driver.
+/// Used by the [`crate::rpc`] control frames that ship peer-side metrics
+/// to the driver.
 pub fn put_counters(buf: &mut Vec<u8>, counters: &[(String, u64)]) {
     put_u32(buf, counters.len() as u32);
     for (name, value) in counters {
@@ -175,17 +185,13 @@ pub fn put_counters(buf: &mut Vec<u8>, counters: &[(String, u64)]) {
 
 /// Decode a counter snapshot written by [`put_counters`].
 pub fn get_counters(input: &mut &[u8]) -> Result<Vec<(String, u64)>, CodecError> {
-    let n = get_u32(input)? as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let name = String::from_utf8(get_bytes(input)?.to_vec()).map_err(|e| CodecError(e.to_string()))?;
-        out.push((name, get_u64(input)?));
-    }
-    Ok(out)
+    // Each entry is a length-prefixed name plus a u64.
+    let n = get_count(input, 12)?;
+    (0..n).map(|_| Ok((get_string(input)?, get_u64(input)?))).collect()
 }
 
-/// Append one [`agl_obs::TraceEvent`] — the unit every `Bye`/shutdown
-/// message uses to ship a worker's spans back to its driver.
+/// Append one [`agl_obs::TraceEvent`] — the unit a [`crate::rpc::Bye`]
+/// uses to ship a peer's spans back to its driver.
 pub fn put_trace_event(buf: &mut Vec<u8>, e: &agl_obs::TraceEvent) {
     put_bytes(buf, e.track.as_bytes());
     put_u64(buf, e.seq);

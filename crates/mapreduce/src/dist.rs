@@ -12,7 +12,9 @@
 //! accepts one driver connection, reconstructs the job's reducer from an
 //! opaque spec blob (the pipeline owns its meaning), then serves
 //! reduce-partition RPCs until the driver says shutdown — at which point
-//! it ships its counters and trace spans back for the merged report.
+//! it ships its counters and trace spans back for the merged report. The
+//! handshake, control frames and request loop are the shared
+//! [`crate::rpc`] skeleton; this module owns the messages and the handler.
 //!
 //! ## Failure model
 //!
@@ -30,8 +32,9 @@ use crate::codec::{self, Codec, CodecError};
 use crate::counters::Counters;
 use crate::engine::{lock_ignoring_poison, JobConfig, JobError, ReduceStage, Reducer, RemoteWorkers, ShuffleCombiner};
 use crate::records::Records;
-use crate::transport::{connect, Endpoint, FrameStats, Framed, Listener, TransportError};
-use agl_obs::{Clock, Obs, TraceEvent};
+use crate::rpc::{self, Client, PeerKind, Reply, Service, Step, TraceIdentity};
+use crate::transport::{FrameStats, Listener, TagNames, TransportError};
+use agl_obs::{Clock, Obs};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -66,11 +69,10 @@ impl Default for DistOptions {
 #[derive(Debug)]
 enum DriverMsg {
     /// First message on the connection: the pipeline-defined reducer spec
-    /// (opaque to this crate), the shuffle fan-out, whether the worker
-    /// should record a trace to ship back, the job's shared trace identity
-    /// (`trace_id` + this worker's span-id `salt`), and the metrics flush
-    /// cadence (`flush_every` tasks; 0 disables mid-flight snapshots).
-    Init { spec: Vec<u8>, r_parts: u32, trace: bool, trace_id: u64, salt: u64, flush_every: u64 },
+    /// (opaque to this crate), the shuffle fan-out, the worker's trace
+    /// identity, and the metrics flush cadence (`flush_every` tasks; 0
+    /// disables mid-flight snapshots).
+    Init { spec: Vec<u8>, r_parts: u32, identity: TraceIdentity, flush_every: u64 },
     /// Optional second message (combining jobs only — a separate frame so
     /// the `Init` codec, and every golden trace built on it, is unchanged):
     /// the pipeline-defined combiner spec and the job's total reduce-round
@@ -91,17 +93,8 @@ const DM_REDUCE: u8 = 1;
 const DM_SHUTDOWN: u8 = 2;
 const DM_COMBINE: u8 = 3;
 
-/// Metric name for a driver→worker shuffle message tag (see
-/// [`crate::transport::FrameStats`]).
-pub fn driver_msg_name(tag: u8) -> &'static str {
-    match tag {
-        DM_INIT => "init",
-        DM_REDUCE => "reduce",
-        DM_SHUTDOWN => "shutdown",
-        DM_COMBINE => "combine_spec",
-        _ => "unknown",
-    }
-}
+/// Metric names of the driver→worker tags (see [`FrameStats`]).
+const DRIVER_MSG_NAMES: TagNames = &["init", "reduce", "shutdown", "combine_spec"];
 
 /// A `DriverMsg::Reduce` frame for a partition the driver keeps: encoded
 /// from the borrowed buffer, so dispatch (and a re-dispatch after a lost
@@ -117,13 +110,11 @@ fn put_reduce(buf: &mut Vec<u8>, round: u32, part: u32, ctx: Option<agl_obs::Spa
 impl Codec for DriverMsg {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            DriverMsg::Init { spec, r_parts, trace, trace_id, salt, flush_every } => {
+            DriverMsg::Init { spec, r_parts, identity, flush_every } => {
                 codec::put_u8(buf, DM_INIT);
                 codec::put_bytes(buf, spec);
                 codec::put_u32(buf, *r_parts);
-                codec::put_u8(buf, u8::from(*trace));
-                codec::put_u64(buf, *trace_id);
-                codec::put_u64(buf, *salt);
+                identity.encode(buf);
                 codec::put_u64(buf, *flush_every);
             }
             DriverMsg::Reduce { round, part, ctx, records } => put_reduce(buf, *round, *part, *ctx, records),
@@ -141,11 +132,9 @@ impl Codec for DriverMsg {
             DM_INIT => {
                 let spec = codec::get_bytes(input)?.to_vec();
                 let r_parts = codec::get_u32(input)?;
-                let trace = codec::get_u8(input)? != 0;
-                let trace_id = codec::get_u64(input)?;
-                let salt = codec::get_u64(input)?;
+                let identity = TraceIdentity::decode(input)?;
                 let flush_every = codec::get_u64(input)?;
-                Ok(DriverMsg::Init { spec, r_parts, trace, trace_id, salt, flush_every })
+                Ok(DriverMsg::Init { spec, r_parts, identity, flush_every })
             }
             DM_REDUCE => {
                 let round = codec::get_u32(input)?;
@@ -165,21 +154,15 @@ impl Codec for DriverMsg {
     }
 }
 
-/// Worker → driver messages.
+/// Worker → driver messages, besides the [`rpc`] control frames: the
+/// shutdown `Bye` and the counter snapshots flushed every `flush_every`
+/// completed tasks.
 #[derive(Debug)]
 enum WorkerMsg {
     /// Reducer built; ready for tasks.
     InitOk,
     /// One partition reduced: emissions re-partitioned for the next round.
     ReduceDone { part: u32, emitted: u64, out_buckets: Vec<Records> },
-    /// Shutdown acknowledgement: worker-local counters and trace events
-    /// for the driver's merged report.
-    Bye { counters: Vec<(String, u64)>, trace: Vec<TraceEvent> },
-    /// Mid-flight metrics snapshot: a *cumulative* view of the worker's
-    /// counters, flushed every `flush_every` completed tasks so the driver
-    /// sees progress before shutdown. Cumulative + merged with `record_max`
-    /// means a lost or duplicated snapshot never skews totals.
-    Metrics { counters: Vec<(String, u64)> },
     /// Worker-side setup failure (bad spec).
     Err { msg: String },
 }
@@ -190,18 +173,8 @@ const WM_BYE: u8 = 2;
 const WM_ERR: u8 = 3;
 const WM_METRICS: u8 = 4;
 
-/// Metric name for a worker→driver shuffle message tag (see
-/// [`crate::transport::FrameStats`]).
-pub fn worker_msg_name(tag: u8) -> &'static str {
-    match tag {
-        WM_INIT_OK => "init_ok",
-        WM_REDUCE_DONE => "reduce_done",
-        WM_BYE => "bye",
-        WM_ERR => "err",
-        WM_METRICS => "metrics",
-        _ => "unknown",
-    }
-}
+/// Metric names of the worker→driver tags.
+const WORKER_MSG_NAMES: TagNames = &["init_ok", "reduce_done", "bye", "err", "metrics"];
 
 impl Codec for WorkerMsg {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -215,18 +188,6 @@ impl Codec for WorkerMsg {
                 for b in out_buckets {
                     b.encode(buf);
                 }
-            }
-            WorkerMsg::Bye { counters, trace } => {
-                codec::put_u8(buf, WM_BYE);
-                codec::put_counters(buf, counters);
-                codec::put_u32(buf, trace.len() as u32);
-                for e in trace {
-                    codec::put_trace_event(buf, e);
-                }
-            }
-            WorkerMsg::Metrics { counters } => {
-                codec::put_u8(buf, WM_METRICS);
-                codec::put_counters(buf, counters);
             }
             WorkerMsg::Err { msg } => {
                 codec::put_u8(buf, WM_ERR);
@@ -243,36 +204,35 @@ impl Codec for WorkerMsg {
                 let emitted = codec::get_u64(input)?;
                 // Each bucket carries at least its record count.
                 let n = codec::get_count(input, 4)?;
-                let mut out_buckets = Vec::with_capacity(n);
-                for _ in 0..n {
-                    out_buckets.push(Records::decode(input)?);
-                }
+                let out_buckets = (0..n).map(|_| Records::decode(input)).collect::<Result<_, _>>()?;
                 Ok(WorkerMsg::ReduceDone { part, emitted, out_buckets })
             }
-            WM_BYE => {
-                let counters = codec::get_counters(input)?;
-                // Two length prefixes, six u64 fields and an arg count.
-                let n = codec::get_count(input, 60)?;
-                let mut trace = Vec::with_capacity(n);
-                for _ in 0..n {
-                    trace.push(codec::get_trace_event(input)?);
-                }
-                Ok(WorkerMsg::Bye { counters, trace })
-            }
-            WM_METRICS => Ok(WorkerMsg::Metrics { counters: codec::get_counters(input)? }),
             WM_ERR => Ok(WorkerMsg::Err { msg: codec::get_string(input)? }),
             t => Err(CodecError(format!("unknown worker message tag {t}"))),
         }
     }
 }
 
-fn proto(e: CodecError) -> TransportError {
-    TransportError::Protocol(e.0)
+impl Reply for WorkerMsg {
+    const BYE: u8 = WM_BYE;
+    const METRICS: Option<u8> = Some(WM_METRICS);
+    fn refusal(&self) -> Option<&str> {
+        match self {
+            WorkerMsg::Err { msg } => Some(msg),
+            _ => None,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Worker side
 // ---------------------------------------------------------------------------
+
+/// Builds the job's reducer from the driver's opaque spec, handed the
+/// worker's counters so pipeline counters ride back in `Bye`.
+type ReducerFactory = dyn Fn(&[u8], &Counters) -> Result<Box<dyn Reducer>, String>;
+/// Builds the job's combiner from the driver's opaque combine spec.
+type CombinerFactory = dyn Fn(&[u8], &Counters) -> Result<Box<dyn ShuffleCombiner>, String>;
 
 /// Serve one driver as a shuffle worker: accept a connection, build the
 /// reducer from the driver's opaque spec via `factory` (handing it the
@@ -284,9 +244,9 @@ fn proto(e: CodecError) -> TransportError {
 pub fn serve_shuffle(
     listener: &Listener,
     accept_timeout_ns: u64,
-    factory: &dyn Fn(&[u8], &Counters) -> Result<Box<dyn Reducer>, String>,
+    factory: &ReducerFactory,
 ) -> Result<(), TransportError> {
-    serve_inner(listener, accept_timeout_ns, factory, None)
+    rpc::serve(&mut rpc::accept(listener, accept_timeout_ns)?, &mut ShuffleWorker::new(factory, None))
 }
 
 /// [`serve_shuffle`] plus combiner support: when the driver follows `Init`
@@ -299,107 +259,120 @@ pub fn serve_shuffle(
 pub fn serve_shuffle_combining(
     listener: &Listener,
     accept_timeout_ns: u64,
-    factory: &dyn Fn(&[u8], &Counters) -> Result<Box<dyn Reducer>, String>,
-    combiner_factory: &dyn Fn(&[u8], &Counters) -> Result<Box<dyn ShuffleCombiner>, String>,
+    factory: &ReducerFactory,
+    combiner_factory: &CombinerFactory,
 ) -> Result<(), TransportError> {
-    serve_inner(listener, accept_timeout_ns, factory, Some(combiner_factory))
+    let mut worker = ShuffleWorker::new(factory, Some(combiner_factory));
+    rpc::serve(&mut rpc::accept(listener, accept_timeout_ns)?, &mut worker)
 }
 
-fn serve_inner(
-    listener: &Listener,
-    accept_timeout_ns: u64,
-    factory: &dyn Fn(&[u8], &Counters) -> Result<Box<dyn Reducer>, String>,
-    combiner_factory: Option<&dyn Fn(&[u8], &Counters) -> Result<Box<dyn ShuffleCombiner>, String>>,
-) -> Result<(), TransportError> {
-    let clock = Clock::monotonic();
-    let conn = listener.accept_deadline(&clock, accept_timeout_ns)?;
-    let mut framed = Framed::new(conn);
-    let Some(first) = framed.recv()? else {
-        return Ok(());
-    };
-    let (spec, r_parts, trace, trace_id, salt, flush_every) = match DriverMsg::from_bytes(&first).map_err(proto)? {
-        DriverMsg::Init { spec, r_parts, trace, trace_id, salt, flush_every } => {
-            (spec, r_parts as usize, trace, trace_id, salt, flush_every)
+/// One shuffle worker's session with its driver.
+struct ShuffleWorker<'a> {
+    factory: &'a ReducerFactory,
+    combiner_factory: Option<&'a CombinerFactory>,
+    counters: Counters,
+    obs: Obs,
+    /// Built by `Init`.
+    reducer: Option<Box<dyn Reducer>>,
+    r_parts: usize,
+    flush_every: u64,
+    /// `(total_rounds, combiner)` once a CombineSpec arrives.
+    combiner: Option<(usize, Box<dyn ShuffleCombiner>)>,
+}
+
+impl<'a> ShuffleWorker<'a> {
+    fn new(factory: &'a ReducerFactory, combiner_factory: Option<&'a CombinerFactory>) -> Self {
+        Self {
+            factory,
+            combiner_factory,
+            counters: Counters::new(),
+            obs: Obs::default(),
+            reducer: None,
+            r_parts: 0,
+            flush_every: 0,
+            combiner: None,
         }
-        other => return Err(TransportError::Protocol(format!("expected Init, got {other:?}"))),
-    };
-    // A logical clock makes the shipped trace deterministic for a seeded
-    // job; monotonic worker timestamps would not merge meaningfully with
-    // the driver's clock anyway. The driver-assigned identity keeps span
-    // ids collision-free when this trace merges into the driver's.
-    let obs = if trace { Obs::enabled_with_identity(Clock::logical(), trace_id, salt) } else { Obs::default() };
-    let counters = Counters::new();
-    let reducer = match factory(&spec, &counters) {
-        Ok(r) => r,
-        Err(msg) => {
-            framed.send(&WorkerMsg::Err { msg }.to_bytes())?;
-            return Ok(());
-        }
-    };
-    framed.send(&WorkerMsg::InitOk.to_bytes())?;
-    let mut tasks_done = 0u64;
-    // `(total_rounds, combiner)` once a CombineSpec arrives.
-    let mut combiner: Option<(usize, Box<dyn ShuffleCombiner>)> = None;
-    loop {
-        let Some(bytes) = framed.recv()? else {
-            // Driver vanished between frames: exit cleanly so no process
-            // leaks even when the driver is SIGKILLed.
-            return Ok(());
+    }
+}
+
+impl Service for ShuffleWorker<'_> {
+    type Request = DriverMsg;
+    type Reply = WorkerMsg;
+
+    fn handle(&mut self, req: DriverMsg) -> Result<Step<WorkerMsg>, TransportError> {
+        let Some(reducer) = self.reducer.as_deref() else {
+            let DriverMsg::Init { spec, r_parts, identity, flush_every } = req else {
+                return Err(TransportError::Protocol(format!("expected Init, got {req:?}")));
+            };
+            self.obs = identity.obs();
+            self.r_parts = r_parts as usize;
+            self.flush_every = flush_every;
+            return Ok(match (self.factory)(&spec, &self.counters) {
+                Ok(r) => {
+                    self.reducer = Some(r);
+                    Step::Reply(WorkerMsg::InitOk)
+                }
+                Err(msg) => Step::Last(WorkerMsg::Err { msg }),
+            });
         };
-        match DriverMsg::from_bytes(&bytes).map_err(proto)? {
-            DriverMsg::Init { .. } => {
-                return Err(TransportError::Protocol("duplicate Init".to_string()));
-            }
-            DriverMsg::CombineSpec { rounds, spec: cspec } => {
-                let Some(build) = combiner_factory else {
+        match req {
+            DriverMsg::Init { .. } => Err(TransportError::Protocol("duplicate Init".to_string())),
+            DriverMsg::CombineSpec { rounds, spec } => {
+                let Some(build) = self.combiner_factory else {
                     return Err(TransportError::Protocol(
                         "driver sent CombineSpec to a worker without combiner support".to_string(),
                     ));
                 };
-                match build(&cspec, &counters) {
-                    Ok(c) => combiner = Some((rounds as usize, c)),
-                    Err(msg) => {
-                        framed.send(&WorkerMsg::Err { msg }.to_bytes())?;
-                        return Ok(());
+                Ok(match build(&spec, &self.counters) {
+                    Ok(c) => {
+                        self.combiner = Some((rounds as usize, c));
+                        Step::Reply(WorkerMsg::InitOk)
                     }
-                }
-                framed.send(&WorkerMsg::InitOk.to_bytes())?;
+                    Err(msg) => Step::Last(WorkerMsg::Err { msg }),
+                })
             }
             DriverMsg::Reduce { round, part, ctx, mut records } => {
                 // Parent under the driver RPC span that issued this task —
                 // the causal edge the merged Chrome trace renders as a flow
                 // arrow from `dist.w{i}` into this worker's lane.
-                let span = obs.span_child_of(&format!("reduce.r{round}.p{part}"), "reduce", ctx);
-                counters.add(&format!("reduce.r{round}.input_records"), records.len() as u64);
+                let span = self.obs.span_child_of(&format!("reduce.r{round}.p{part}"), "reduce", ctx);
+                self.counters.add(&format!("reduce.r{round}.input_records"), records.len() as u64);
                 let stage = ReduceStage {
-                    reducer: reducer.as_ref(),
-                    combiner: combiner.as_ref().map(|(_, c)| c.as_ref()),
-                    rounds: combiner.as_ref().map_or(0, |(rounds, _)| *rounds),
-                    r_parts,
+                    reducer,
+                    combiner: self.combiner.as_ref().map(|(_, c)| c.as_ref()),
+                    rounds: self.combiner.as_ref().map_or(0, |(rounds, _)| *rounds),
+                    r_parts: self.r_parts,
                     // The debug double-run never changes output (pinned by
                     // an engine test), and the local placements cover it.
                     verify_determinism: false,
-                    counters: &counters,
+                    counters: &self.counters,
                 };
                 let reduced = stage.run(round as usize, &mut records, true);
-                counters.inc("worker.tasks");
+                self.counters.inc("worker.tasks");
                 drop(span);
-                tasks_done += 1;
                 // Task-count pacing is the logical-clock analogue of a
                 // periodic timer: deterministic for a seeded job, and it
                 // fires exactly when there is something new to report.
-                if flush_every > 0 && tasks_done % flush_every == 0 {
-                    framed.send(&WorkerMsg::Metrics { counters: counters.snapshot() }.to_bytes())?;
-                }
-                let done = WorkerMsg::ReduceDone { part, emitted: reduced.emitted, out_buckets: reduced.out_buckets };
-                framed.send(&done.to_bytes())?;
+                Ok(Step::Paced(WorkerMsg::ReduceDone {
+                    part,
+                    emitted: reduced.emitted,
+                    out_buckets: reduced.out_buckets,
+                }))
             }
-            DriverMsg::Shutdown => {
-                let trace_events = obs.trace().map(|t| t.events()).unwrap_or_default();
-                framed.send(&WorkerMsg::Bye { counters: counters.snapshot(), trace: trace_events }.to_bytes())?;
-                return Ok(());
-            }
+            DriverMsg::Shutdown => Ok(Step::Bye),
         }
+    }
+
+    fn obs(&self) -> &Obs {
+        &self.obs
+    }
+
+    fn counters(&self) -> Vec<(String, u64)> {
+        self.counters.snapshot()
+    }
+
+    fn flush_every(&self) -> u64 {
+        self.flush_every
     }
 }
 
@@ -407,28 +380,22 @@ fn serve_inner(
 // Driver side
 // ---------------------------------------------------------------------------
 
-/// Send one set-up frame (`what`) and require the worker's `InitOk`.
-fn handshake(framed: &mut Framed, msg: &DriverMsg, ep: &Endpoint, what: &str) -> Result<(), JobError> {
-    let refused = |why: String| JobError::Transport(TransportError::Protocol(why));
-    framed.send(&msg.to_bytes())?;
-    match framed.recv()? {
-        Some(bytes) => match WorkerMsg::from_bytes(&bytes).map_err(|e| JobError::Corrupt(e.0))? {
-            WorkerMsg::InitOk => Ok(()),
-            WorkerMsg::Err { msg } => Err(refused(format!("worker at {ep} rejected {what}: {msg}"))),
-            other => Err(refused(format!("unexpected {what} reply from {ep}: {other:?}"))),
-        },
-        None => Err(refused(format!("worker at {ep} closed during {what}"))),
+/// Require a set-up reply to be `InitOk`.
+fn init_ok(reply: WorkerMsg, w: usize) -> Result<(), JobError> {
+    match reply {
+        WorkerMsg::InitOk => Ok(()),
+        other => Err(rpc::unexpected(&format!("w{w} set-up"), other).into()),
     }
 }
 
-/// The driver's end of [`crate::engine::Placement::Remote`]: one framed
+/// The driver's end of [`crate::engine::Placement::Remote`]: one
 /// connection per shuffle worker, alive for the whole job.
 pub(crate) struct RemoteSite<'a> {
     workers: RemoteWorkers<'a>,
     cfg: &'a JobConfig,
     counters: &'a Counters,
     /// `None` once a worker is lost.
-    conns: Vec<Option<Framed>>,
+    conns: Vec<Option<Client>>,
     /// Reduce tasks written to a worker so far, across rounds.
     dispatched: AtomicUsize,
 }
@@ -468,29 +435,22 @@ impl<'a> RemoteSite<'a> {
         }
         counters.record_max("dist.workers", workers.endpoints.len() as u64);
         let clock = Clock::monotonic();
-        let trace_id = cfg.obs.trace().map(|t| t.trace_id()).unwrap_or(0);
         let mut conns = Vec::with_capacity(workers.endpoints.len());
         for (w, ep) in workers.endpoints.iter().enumerate() {
-            let conn = connect(ep, &clock, workers.opts.connect_timeout_ns)?;
-            conn.set_read_timeout(Some(Duration::from_nanos(workers.opts.io_timeout_ns)))?;
-            let stats = FrameStats::from_obs(&cfg.obs, &format!("shuffle.w{w}"), driver_msg_name, worker_msg_name);
-            let mut framed = Framed::new(conn).with_stats(stats);
+            let stats = FrameStats::from_obs(&cfg.obs, &format!("shuffle.w{w}"), DRIVER_MSG_NAMES, WORKER_MSG_NAMES);
+            let mut client = Client::connect(ep, &clock, workers.opts, stats, format!("w{w}"), counters.clone())?;
             let init = DriverMsg::Init {
                 spec: spec.to_vec(),
                 r_parts: cfg.reduce_tasks as u32,
-                trace: cfg.obs.is_enabled(),
-                trace_id,
-                // Salt 0 is the driver's; worker `w` gets `w + 1` so
-                // merged span ids stay collision-free.
-                salt: w as u64 + 1,
+                identity: TraceIdentity::for_peer(&cfg.obs, PeerKind::Shuffle, w),
                 flush_every: cfg.metrics_flush_every,
             };
-            handshake(&mut framed, &init, ep, "init")?;
+            init_ok(client.call(&init)?, w)?;
             if combining {
                 let combine = DriverMsg::CombineSpec { rounds: cfg.reduce_rounds as u32, spec: spec.to_vec() };
-                handshake(&mut framed, &combine, ep, "combine spec")?;
+                init_ok(client.call(&combine)?, w)?;
             }
-            conns.push(Some(framed));
+            conns.push(Some(client));
         }
         Ok(Self { workers, cfg, counters, conns, dispatched: AtomicUsize::new(0) })
     }
@@ -518,10 +478,10 @@ impl<'a> RemoteSite<'a> {
             let handles: Vec<_> = taken
                 .into_iter()
                 .enumerate()
-                .map(|(w, framed)| {
+                .map(|(w, client)| {
                     let state = &state;
-                    scope.spawn(move || match framed {
-                        Some(f) => site.drive_worker(w, f, state),
+                    scope.spawn(move || match client {
+                        Some(client) => site.drive_worker(w, client, state),
                         None => {
                             // A worker lost in an earlier round still
                             // has a home queue this round: hand its
@@ -557,39 +517,27 @@ impl<'a> RemoteSite<'a> {
     /// Shut every surviving worker down and merge what it ships back: its
     /// counters (under a `w{i}.` prefix: they describe executed attempts,
     /// including re-runs, not the job's exact record flow) and its trace
-    /// (under a `w{i}/` track prefix).
+    /// (under a `w{i}/` track prefix). A worker that died after its last
+    /// task already has its partitions safely re-run; losing its counters
+    /// is fine.
     pub(crate) fn shutdown(mut self) {
-        for (w, slot) in self.conns.iter_mut().enumerate() {
-            let Some(framed) = slot else { continue };
-            let bye = framed.send(&DriverMsg::Shutdown.to_bytes()).and_then(|()| framed.recv());
-            // A worker that died after its last task already has its
-            // partitions safely re-run; losing its counters is fine.
-            if let Ok(Some(bytes)) = bye {
-                if let Ok(WorkerMsg::Bye { counters: wc, trace }) = WorkerMsg::from_bytes(&bytes) {
-                    // `record_max`, not `add`: mid-flight `Metrics`
-                    // snapshots already merged prefixes of these
-                    // cumulative values, and adding would double-count.
-                    for (name, v) in wc {
-                        self.counters.record_max(&format!("w{w}.{name}"), v);
-                    }
-                    self.cfg.obs.import_trace(&format!("w{w}/"), trace);
-                }
-            }
+        for client in self.conns.iter_mut().flatten() {
+            client.shutdown::<WorkerMsg>(&DriverMsg::Shutdown, &self.cfg.obs);
         }
     }
 
     /// One driver thread pumping one worker connection for one round.
     /// Returns the connection if the worker is still alive, `None` if it
     /// died (its in-flight partition is re-queued for the survivors).
-    fn drive_worker(&self, w: usize, mut framed: Framed, state: &RoundState<'_>) -> Option<Framed> {
+    fn drive_worker(&self, w: usize, mut client: Client, state: &RoundState<'_>) -> Option<Client> {
         let (round, counters) = (state.round, self.counters);
         loop {
             if lock_ignoring_poison(&state.fatal).is_some() {
-                return Some(framed);
+                return Some(client);
             }
             // Round barrier: all partitions of round r feed round r+1.
             if state.filled.load(Ordering::SeqCst) == state.slots.len() {
-                return Some(framed);
+                return Some(client);
             }
             // Home queue first (static assignment), then stolen work from
             // dead workers.
@@ -608,7 +556,7 @@ impl<'a> RemoteSite<'a> {
             let sent = {
                 let mut frame = Vec::new();
                 put_reduce(&mut frame, round as u32, p as u32, span.context(), &state.partitions[p]);
-                framed.send(&frame)
+                client.send(&frame)
             };
             if sent.is_ok() {
                 counters.inc("reduce.attempted_tasks");
@@ -617,47 +565,10 @@ impl<'a> RemoteSite<'a> {
                     hook(n);
                 }
             }
-            // Absorb any mid-flight metrics snapshots the worker flushed
-            // ahead of its reply. Snapshots are cumulative, so merging with
-            // `record_max` is idempotent and a final `Bye` supersedes them.
-            let mut outcome = sent.and_then(|()| framed.recv());
-            let reply = loop {
-                let bytes = match outcome {
-                    Ok(Some(bytes)) => bytes,
-                    Ok(None) | Err(_) => {
-                        // Worker died (EOF / timeout / reset): re-queue the
-                        // partition for a surviving worker, retire this
-                        // connection (and push its remaining home queue to
-                        // the survivors too).
-                        counters.inc("task_retries");
-                        span.counter("retries", 1);
-                        if attempt + 1 >= self.cfg.max_attempts {
-                            lock_ignoring_poison(&state.fatal).get_or_insert_with(|| {
-                                JobError::Transport(TransportError::Protocol(format!(
-                                    "partition {p} of round {round} exhausted {} attempts across workers",
-                                    self.cfg.max_attempts
-                                )))
-                            });
-                        } else {
-                            let mut overflow = lock_ignoring_poison(&state.overflow);
-                            overflow.push_back((p, attempt + 1));
-                            let mut own = lock_ignoring_poison(&state.queues[w]);
-                            overflow.extend(own.drain(..));
-                        }
-                        return None;
-                    }
-                };
-                match WorkerMsg::from_bytes(&bytes) {
-                    Ok(WorkerMsg::Metrics { counters: snapshot }) => {
-                        for (name, v) in snapshot {
-                            counters.record_max(&format!("w{w}.{name}"), v);
-                        }
-                        outcome = framed.recv();
-                    }
-                    other => break other,
-                }
+            let fatal = |e: JobError| {
+                lock_ignoring_poison(&state.fatal).get_or_insert(e);
             };
-            match reply {
+            match sent.and_then(|()| client.reply::<WorkerMsg>()) {
                 Ok(WorkerMsg::ReduceDone { part, emitted, out_buckets }) if part as usize == p => {
                     counters.add(&format!("reduce.r{round}.output_records"), emitted);
                     counters.inc("reduce.committed_tasks");
@@ -665,16 +576,36 @@ impl<'a> RemoteSite<'a> {
                     state.filled.fetch_add(1, Ordering::SeqCst);
                 }
                 Ok(other) => {
-                    lock_ignoring_poison(&state.fatal).get_or_insert_with(|| {
-                        JobError::Transport(TransportError::Protocol(format!(
-                            "unexpected reply to reduce.r{round}.p{p} from worker {w}: {other:?}"
-                        )))
-                    });
-                    return Some(framed);
+                    fatal(JobError::Transport(TransportError::Protocol(format!(
+                        "unexpected reply to reduce.r{round}.p{p} from worker {w}: {other:?}"
+                    ))));
+                    return Some(client);
                 }
-                Err(e) => {
-                    lock_ignoring_poison(&state.fatal).get_or_insert_with(|| JobError::Corrupt(e.0));
-                    return Some(framed);
+                // A reply that does not decode, or a refusal: a bug, not
+                // a death — re-running it elsewhere would not help.
+                Err(e @ TransportError::Protocol(_)) => {
+                    fatal(JobError::Transport(e));
+                    return Some(client);
+                }
+                Err(_) => {
+                    // Worker died (EOF / timeout / reset): re-queue the
+                    // partition for a surviving worker, retire this
+                    // connection (and push its remaining home queue to the
+                    // survivors too).
+                    counters.inc("task_retries");
+                    span.counter("retries", 1);
+                    if attempt + 1 >= self.cfg.max_attempts {
+                        fatal(JobError::Transport(TransportError::Protocol(format!(
+                            "partition {p} of round {round} exhausted {} attempts across workers",
+                            self.cfg.max_attempts
+                        ))));
+                    } else {
+                        let mut overflow = lock_ignoring_poison(&state.overflow);
+                        overflow.push_back((p, attempt + 1));
+                        let mut own = lock_ignoring_poison(&state.queues[w]);
+                        overflow.extend(own.drain(..));
+                    }
+                    return None;
                 }
             }
         }
@@ -685,6 +616,9 @@ impl<'a> RemoteSite<'a> {
 mod tests {
     use super::*;
     use crate::engine::{JobResult, KeyValue, MapReduceJob, Mapper, Placement};
+    use crate::rpc::Bye;
+    use crate::transport::{Endpoint, Framed};
+    use agl_obs::TraceEvent;
     use std::path::PathBuf;
 
     struct WordMap;
@@ -904,7 +838,12 @@ mod tests {
     #[test]
     fn driver_msg_codec_round_trips() {
         let msgs = [
-            DriverMsg::Init { spec: vec![1, 2, 3], r_parts: 4, trace: true, trace_id: 77, salt: 2, flush_every: 4 },
+            DriverMsg::Init {
+                spec: vec![1, 2, 3],
+                r_parts: 4,
+                identity: TraceIdentity { trace: true, trace_id: 77, salt: 2 },
+                flush_every: 4,
+            },
             DriverMsg::Reduce {
                 round: 1,
                 part: 2,
@@ -934,6 +873,29 @@ mod tests {
         golden.extend(GOLDEN_RECORDS);
         assert_eq!(msg.to_bytes(), golden);
         assert_eq!(format!("{:?}", DriverMsg::from_bytes(&golden).unwrap()), format!("{msg:?}"));
+        // Golden bytes of the set-up frames: `Init` is the spec, the fan-out,
+        // the trace identity (flag, trace id, salt) and the flush cadence.
+        let init = DriverMsg::Init {
+            spec: vec![1, 2, 3],
+            r_parts: 4,
+            identity: TraceIdentity { trace: true, trace_id: 77, salt: 2 },
+            flush_every: 4,
+        };
+        let golden: Vec<u8> = [
+            &[DM_INIT, 3, 0, 0, 0, 1, 2, 3, 4, 0, 0, 0, 1][..],
+            &77u64.to_le_bytes(),
+            &2u64.to_le_bytes(),
+            &4u64.to_le_bytes(),
+        ]
+        .concat();
+        assert_eq!(init.to_bytes(), golden);
+        let combine = DriverMsg::CombineSpec { rounds: 3, spec: vec![9, 8] };
+        assert_eq!(combine.to_bytes(), [DM_COMBINE, 3, 0, 0, 0, 2, 0, 0, 0, 9, 8]);
+        // The metric-name tables list every tag, in tag order.
+        assert_eq!(
+            [DRIVER_MSG_NAMES[DM_COMBINE as usize], WORKER_MSG_NAMES[WM_METRICS as usize]],
+            ["combine_spec", "metrics"]
+        );
     }
 
     /// Three records: one plain, one with an empty key, one with an empty
@@ -982,21 +944,6 @@ mod tests {
                     Records::from_key_values(&[KeyValue::new(b"a".to_vec(), b"b".to_vec())]),
                 ],
             },
-            WorkerMsg::Bye {
-                counters: vec![("n".to_string(), 9)],
-                trace: vec![TraceEvent {
-                    track: "t".to_string(),
-                    seq: 0,
-                    name: "s".to_string(),
-                    ts: 1,
-                    dur: 2,
-                    depth: 0,
-                    span_id: 11,
-                    parent_id: 12,
-                    args: vec![("records".to_string(), 5)],
-                }],
-            },
-            WorkerMsg::Metrics { counters: vec![("worker.tasks".to_string(), 3)] },
             WorkerMsg::Err { msg: "bad spec".to_string() },
         ];
         for m in msgs {
@@ -1005,26 +952,10 @@ mod tests {
             assert_eq!(format!("{m:?}"), format!("{back:?}"));
         }
         // Length inflation at every count a worker message carries: the
-        // bucket count, a bucket's record count, the trace-event count and
-        // an event's arg count (the last four bytes of a one-event Bye).
-        let event = TraceEvent {
-            track: "t".into(),
-            seq: 0,
-            name: "s".into(),
-            ts: 1,
-            dur: 2,
-            depth: 0,
-            span_id: 3,
-            parent_id: 0,
-            args: vec![],
-        };
-        let one_event = WorkerMsg::Bye { counters: vec![], trace: vec![event] }.to_bytes();
-        let n_args_at = one_event.len() - 4;
+        // bucket count and a bucket's record count.
         for (msg, count_at) in [
             (WorkerMsg::ReduceDone { part: 0, emitted: 0, out_buckets: vec![] }.to_bytes(), 13),
             (WorkerMsg::ReduceDone { part: 0, emitted: 0, out_buckets: vec![Records::new()] }.to_bytes(), 17),
-            (WorkerMsg::Bye { counters: vec![], trace: vec![] }.to_bytes(), 5),
-            (one_event, n_args_at),
         ] {
             let mut inflated = msg;
             inflated[count_at..count_at + 4].fill(0xFF);
@@ -1038,19 +969,22 @@ mod tests {
         golden.extend(GOLDEN_RECORDS);
         assert_eq!(msg.to_bytes(), golden);
         assert_eq!(format!("{:?}", WorkerMsg::from_bytes(&golden).unwrap()), format!("{msg:?}"));
-    }
-
-    #[test]
-    fn truncated_metrics_snapshot_is_rejected() {
-        let msg = WorkerMsg::Metrics { counters: vec![("a".to_string(), 1), ("b".to_string(), 2)] };
-        let bytes = msg.to_bytes();
-        let err = WorkerMsg::from_bytes(&bytes[..bytes.len() - 5]).unwrap_err();
-        assert!(err.0.contains("need"), "truncated decode is a typed error: {err}");
-        // An inflated counter count runs out of input, never out of memory.
-        let mut inflated = WorkerMsg::Metrics { counters: vec![] }.to_bytes();
-        inflated[1..5].fill(0xFF);
-        let err = WorkerMsg::from_bytes(&inflated).unwrap_err();
-        assert!(err.0.contains("need"), "{err}");
+        // Golden bytes of the control frames, tag then payload: a counter
+        // list is a `u32` count of (name, `u64`) pairs; `Bye` follows it with
+        // the trace.
+        let mut bye = vec![WorkerMsg::BYE];
+        Bye { counters: vec![("n".to_string(), 9)], trace: vec![] }.encode(&mut bye);
+        let golden: Vec<u8> =
+            [&[WM_BYE, 1, 0, 0, 0, 1, 0, 0, 0, b'n'][..], &9u64.to_le_bytes(), &[0, 0, 0, 0]].concat();
+        assert_eq!(bye, golden);
+        let mut metrics = vec![WorkerMsg::METRICS.unwrap()];
+        codec::put_counters(&mut metrics, &[("worker.tasks".to_string(), 3)]);
+        let golden: Vec<u8> =
+            [&[WM_METRICS, 1, 0, 0, 0, 12, 0, 0, 0][..], b"worker.tasks", &3u64.to_le_bytes()].concat();
+        assert_eq!(metrics, golden);
+        // Neither is a `WorkerMsg`: a control frame where a reply belongs
+        // is a decode error.
+        assert!(WorkerMsg::from_bytes(&bye).is_err());
     }
 
     #[test]

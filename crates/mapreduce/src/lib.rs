@@ -24,7 +24,9 @@
 //!   argument says only where tasks run and where pending partitions wait
 //!   — a thread pool with the round resident, one task at a time with one
 //!   partition resident (the substrate of `agl-cli infer-stream`), or
-//!   shuffle-worker processes ([`dist`]) over the socket [`transport`].
+//!   shuffle-worker processes ([`dist`]) over the socket [`transport`],
+//!   speaking the request / reply skeleton every socket protocol in the
+//!   workspace shares ([`rpc`]).
 //!   Output is byte-identical on all three.
 //! * **Fault tolerance** ([`fault`]): an injectable failure plan kills
 //!   chosen local task attempts, and a remote worker's death loses its
@@ -46,6 +48,7 @@ pub mod obsreport;
 pub mod plan;
 mod records;
 pub mod report;
+pub mod rpc;
 pub mod spill;
 pub mod transport;
 

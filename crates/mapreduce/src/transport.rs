@@ -36,7 +36,10 @@ use std::time::Duration;
 /// partition the smoke jobs move, far below an OOM.
 pub const DEFAULT_MAX_FRAME: u32 = 64 * 1024 * 1024;
 
-/// Polling granularity for accept/connect retry loops.
+/// First pause of an accept poll; doubles per empty poll up to
+/// [`POLL_INTERVAL`]. A driver usually connects within microseconds of a
+/// worker binding, so a flat interval would delay every worker start.
+const POLL_START: Duration = Duration::from_micros(50);
 const POLL_INTERVAL: Duration = Duration::from_millis(2);
 
 /// Initial connect backoff; doubles per attempt up to [`BACKOFF_CAP`].
@@ -116,8 +119,10 @@ pub enum TransportError {
         max: u32,
     },
     /// The peer spoke the framing correctly but violated the RPC protocol
-    /// layered on top (unexpected message, bad payload).
+    /// layered on top (unexpected message, bad payload, refused request).
     Protocol(String),
+    /// The named peer closed the connection while a reply was awaited.
+    Closed(String),
     /// Any other socket-level I/O failure.
     Io(String),
 }
@@ -139,12 +144,19 @@ impl std::fmt::Display for TransportError {
                 write!(f, "frame of {len} bytes exceeds cap of {max}")
             }
             TransportError::Protocol(what) => write!(f, "protocol violation: {what}"),
+            TransportError::Closed(peer) => write!(f, "{peer} closed the connection before replying"),
             TransportError::Io(e) => write!(f, "transport I/O error: {e}"),
         }
     }
 }
 
 impl std::error::Error for TransportError {}
+
+impl From<crate::codec::CodecError> for TransportError {
+    fn from(e: crate::codec::CodecError) -> Self {
+        TransportError::Protocol(e.0)
+    }
+}
 
 impl TransportError {
     fn from_io(e: std::io::Error) -> Self {
@@ -273,26 +285,13 @@ impl Listener {
         }
     }
 
-    /// Accept one connection, blocking indefinitely.
-    pub fn accept(&self) -> Result<Conn, TransportError> {
-        match self {
-            Listener::Unix { listener, .. } => {
-                let (s, _) = listener.accept().map_err(TransportError::from_io)?;
-                Ok(Conn::Unix(s))
-            }
-            Listener::Tcp(l) => {
-                let (s, _) = l.accept().map_err(TransportError::from_io)?;
-                Ok(Conn::Tcp(s))
-            }
-        }
-    }
-
     /// Accept one connection within `timeout_ns` of `clock` time, polling a
     /// non-blocking accept. Returns [`TransportError::Timeout`] past the
     /// deadline — a worker whose driver never arrives must exit, not hang.
     pub fn accept_deadline(&self, clock: &Clock, timeout_ns: u64) -> Result<Conn, TransportError> {
         self.set_nonblocking(true)?;
         let start = clock.now();
+        let mut pause = POLL_START;
         let res = loop {
             match self.try_accept() {
                 Ok(Some(conn)) => break Ok(conn),
@@ -300,7 +299,8 @@ impl Listener {
                     if clock.since(start) >= timeout_ns {
                         break Err(TransportError::Timeout { what: "accept".to_string() });
                     }
-                    std::thread::sleep(POLL_INTERVAL);
+                    std::thread::sleep(pause);
+                    pause = (pause * 2).min(POLL_INTERVAL);
                 }
                 Err(e) => break Err(e),
             }
@@ -380,10 +380,11 @@ pub fn connect(ep: &Endpoint, clock: &Clock, timeout_ns: u64) -> Result<Conn, Tr
     }
 }
 
-/// Maps a protocol tag byte (the first payload byte of a frame) to a stable
-/// message-type name for metric naming. Each RPC protocol in the workspace
-/// exports one namer per direction (e.g. [`crate::dist::driver_msg_name`]).
-pub type TagNamer = fn(u8) -> &'static str;
+/// Stable message-type names for metric naming, indexed by a protocol's tag
+/// byte (the first payload byte of a frame); a tag past the end is
+/// `unknown`. Each RPC protocol in the workspace declares one table per
+/// direction, listing its tags in order.
+pub type TagNames = &'static [&'static str];
 
 /// Per-message-type telemetry for a [`Framed`] connection, feeding the
 /// shared [`MetricsRegistry`](agl_obs::MetricsRegistry) behind an [`Obs`].
@@ -409,16 +410,16 @@ pub struct FrameStats {
     timing: Option<Clock>,
     send_prefix: String,
     recv_prefix: String,
-    send_namer: TagNamer,
-    recv_namer: TagNamer,
+    send_names: TagNames,
+    recv_names: TagNames,
 }
 
 impl FrameStats {
     /// Build stats for a connection labelled `label` (e.g. `shuffle.w0`,
-    /// `ps.s1`). `send_namer`/`recv_namer` translate the leading tag byte of
+    /// `ps.s1`). `send_names`/`recv_names` name the leading tag byte of
     /// outgoing/incoming frames — the two directions usually speak different
     /// message enums. Returns `None` when `obs` is disabled.
-    pub fn from_obs(obs: &Obs, label: &str, send_namer: TagNamer, recv_namer: TagNamer) -> Option<Arc<FrameStats>> {
+    pub fn from_obs(obs: &Obs, label: &str, send_names: TagNames, recv_names: TagNames) -> Option<Arc<FrameStats>> {
         if !obs.is_enabled() {
             return None;
         }
@@ -428,13 +429,13 @@ impl FrameStats {
             timing,
             send_prefix: format!("rpc.{label}.send"),
             recv_prefix: format!("rpc.{label}.recv"),
-            send_namer,
-            recv_namer,
+            send_names,
+            recv_names,
         }))
     }
 
-    fn record(&self, prefix: &str, namer: TagNamer, payload: &[u8], started: Option<u64>) {
-        let msg = payload.first().map(|&t| namer(t)).unwrap_or("empty");
+    fn record(&self, prefix: &str, names: TagNames, payload: &[u8], started: Option<u64>) {
+        let msg = payload.first().map_or("empty", |&t| names.get(usize::from(t)).copied().unwrap_or("unknown"));
         self.obs.metric_add(&format!("{prefix}.{msg}.frames"), 1);
         self.obs.metric_add(&format!("{prefix}.{msg}.bytes"), payload.len() as u64);
         self.obs.observe(&format!("{prefix}.{msg}.frame_bytes"), payload.len() as u64);
@@ -493,7 +494,7 @@ impl Framed {
         self.conn.write_all(payload).map_err(TransportError::from_io)?;
         self.conn.flush().map_err(TransportError::from_io)?;
         if let Some(stats) = &self.stats {
-            stats.record(&stats.send_prefix, stats.send_namer, payload, started);
+            stats.record(&stats.send_prefix, stats.send_names, payload, started);
         }
         Ok(())
     }
@@ -534,7 +535,7 @@ impl Framed {
             }
         }
         if let Some(stats) = &self.stats {
-            stats.record(&stats.recv_prefix, stats.recv_namer, &payload, started);
+            stats.record(&stats.recv_prefix, stats.recv_names, &payload, started);
         }
         Ok(Some(payload))
     }
@@ -625,29 +626,23 @@ mod tests {
             // Bind late: connect must retry until the listener exists.
             std::thread::sleep(Duration::from_millis(20));
             let listener = Listener::bind(&ep).unwrap();
-            let _conn = listener.accept().unwrap();
+            let _conn = listener.accept_deadline(&clock, 2_000_000_000).unwrap();
             assert!(h.join().unwrap().is_ok());
         });
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    fn test_namer(tag: u8) -> &'static str {
-        match tag {
-            1 => "ping",
-            2 => "pong",
-            _ => "unknown",
-        }
-    }
+    const TEST_NAMES: TagNames = &["zero", "ping", "pong"];
 
     #[test]
     fn frame_stats_none_when_obs_inert() {
-        assert!(FrameStats::from_obs(&Obs::default(), "t", test_namer, test_namer).is_none());
+        assert!(FrameStats::from_obs(&Obs::default(), "t", TEST_NAMES, TEST_NAMES).is_none());
     }
 
     #[test]
     fn frame_stats_count_frames_bytes_and_latency() {
         let obs = Obs::enabled();
-        let stats = FrameStats::from_obs(&obs, "t", test_namer, test_namer).unwrap();
+        let stats = FrameStats::from_obs(&obs, "t", TEST_NAMES, TEST_NAMES).unwrap();
         let (a, b) = pair();
         let mut a = a.with_stats(Some(stats.clone()));
         let mut b = b.with_stats(Some(stats));
@@ -657,7 +652,11 @@ mod tests {
         b.recv().unwrap().unwrap();
         b.send(&[2, 0]).unwrap();
         a.recv().unwrap().unwrap();
+        // A tag past the end of the table.
+        b.send(&[3]).unwrap();
+        a.recv().unwrap().unwrap();
         let m = obs.metrics().unwrap();
+        assert_eq!(m.get("rpc.t.recv.unknown.frames"), 1);
         assert_eq!(m.get("rpc.t.send.ping.frames"), 2);
         assert_eq!(m.get("rpc.t.send.ping.bytes"), 4);
         assert_eq!(m.get("rpc.t.recv.ping.frames"), 2);
@@ -671,7 +670,7 @@ mod tests {
     #[test]
     fn frame_stats_skip_latency_under_logical_clock() {
         let obs = Obs::enabled_logical();
-        let stats = FrameStats::from_obs(&obs, "t", test_namer, test_namer).unwrap();
+        let stats = FrameStats::from_obs(&obs, "t", TEST_NAMES, TEST_NAMES).unwrap();
         let (a, b) = pair();
         let mut a = a.with_stats(Some(stats.clone()));
         let mut b = b.with_stats(Some(stats));
@@ -693,7 +692,7 @@ mod tests {
                 f.send(b"over tcp").unwrap();
                 assert_eq!(f.recv().unwrap().unwrap(), b"echo");
             });
-            let mut f = Framed::new(listener.accept().unwrap());
+            let mut f = Framed::new(listener.accept_deadline(&Clock::monotonic(), 1_000_000_000).unwrap());
             assert_eq!(f.recv().unwrap().unwrap(), b"over tcp");
             f.send(b"echo").unwrap();
             h.join().unwrap();

@@ -42,6 +42,6 @@ pub mod worker;
 
 pub use hb::{Handoff, HbTracker, JoinPool, TrackedAtomic};
 pub use locks::{LockClass, LockOrderTracker, TrackedGuard, TrackedMutex};
-pub use net::{run_client_workers, serve_ps_shard, OptSpec, PsClient, PsNetError, RemotePs};
+pub use net::{run_client_workers, serve_ps_shard, OptSpec, PsClient, RemotePs};
 pub use server::{Consistency, ParameterServer, PsStats, WorkerPsStats};
 pub use worker::run_workers;

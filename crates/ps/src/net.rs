@@ -15,6 +15,10 @@
 //!   optimizer spec, builds a **1-shard** `ParameterServer` from it, and
 //!   then serves pull/push from per-trainer-worker connections.
 //!
+//! The handshake, the `Bye` control frame, the client call and the server
+//! loop are the shared [`agl_mapreduce::rpc`] skeleton; this module owns
+//! the messages and the request handler.
+//!
 //! Sharding composes exactly: the in-process server splits the model
 //! elementwise into contiguous shard slices, each with its own optimizer
 //! state, and sync-mode pushes sum in worker-id order per shard — so S
@@ -28,50 +32,19 @@
 //! Sync/SSP pushes block server-side until the round completes — that is
 //! the consistency contract, not a hang. Client reads are bounded by the
 //! connection's read timeout: if a shard process dies mid-epoch, every
-//! worker's next pull/push surfaces a typed [`PsNetError`] within the
+//! worker's next pull/push surfaces a typed [`TransportError`] within the
 //! timeout instead of blocking forever.
 
 use crate::hb::{Handoff, JoinPool};
-use crate::server::{Consistency, ParameterServer, PsStats, WorkerPsStats};
+use crate::server::{shard_layout, Consistency, ParameterServer, PsStats, WorkerPsStats};
 use agl_mapreduce::codec::{self, Codec, CodecError};
-use agl_mapreduce::transport::{connect, Endpoint, FrameStats, Framed, Listener, TransportError};
+use agl_mapreduce::rpc::{self, unexpected, Client, PeerKind, Reply, Service, Step, TraceIdentity};
+use agl_mapreduce::transport::{Endpoint, FrameStats, Listener, TagNames, TransportError};
+use agl_mapreduce::{Counters, DistOptions};
 use agl_nn::{Adam, Optimizer, Sgd};
-use agl_obs::{Clock, Obs, SpanContext, TraceEvent};
+use agl_obs::{Clock, Obs, SpanContext};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
-
-/// Failure talking to a remote parameter-server shard.
-#[derive(Debug)]
-pub enum PsNetError {
-    /// Socket-level failure (connect, timeout, EOF, framing).
-    Transport(TransportError),
-    /// The peer answered with the wrong message or a malformed payload.
-    Protocol(String),
-}
-
-impl std::fmt::Display for PsNetError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PsNetError::Transport(e) => write!(f, "ps transport error: {e}"),
-            PsNetError::Protocol(what) => write!(f, "ps protocol violation: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for PsNetError {}
-
-impl From<TransportError> for PsNetError {
-    fn from(e: TransportError) -> Self {
-        PsNetError::Transport(e)
-    }
-}
-
-impl From<CodecError> for PsNetError {
-    fn from(e: CodecError) -> Self {
-        PsNetError::Protocol(e.0)
-    }
-}
+use std::sync::{Mutex, MutexGuard};
 
 /// Mutex acquisition for connection and error-slot mutexes. These are not
 /// parameter-server state locks: they have no rank in the barrier →
@@ -160,12 +133,8 @@ fn put_u64s(buf: &mut Vec<u8>, vs: &[u64]) {
 }
 
 fn get_u64s(input: &mut &[u8]) -> Result<Vec<u64>, CodecError> {
-    let n = codec::get_u32(input)? as usize;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(codec::get_u64(input)?);
-    }
-    Ok(out)
+    let n = codec::get_count(input, 8)?;
+    (0..n).map(|_| codec::get_u64(input)).collect()
 }
 
 fn put_stats(buf: &mut Vec<u8>, st: &PsStats) {
@@ -193,36 +162,28 @@ fn put_stats(buf: &mut Vec<u8>, st: &PsStats) {
 }
 
 fn get_stats(input: &mut &[u8]) -> Result<PsStats, CodecError> {
-    let pulls = codec::get_u64(input)?;
-    let pushes = codec::get_u64(input)?;
-    let steps = codec::get_u64(input)?;
-    let bytes_transferred = codec::get_u64(input)?;
-    let model_version = codec::get_u64(input)?;
-    let max_staleness = codec::get_u64(input)?;
-    let ssp_waits = codec::get_u64(input)?;
-    let ssp_wait_nanos = codec::get_u64(input)?;
-    let n = codec::get_u32(input)? as usize;
-    let mut workers = Vec::with_capacity(n);
-    for _ in 0..n {
-        workers.push(WorkerPsStats {
+    // Struct-literal fields evaluate in the order written: the wire order.
+    let get_worker = |input: &mut &[u8]| {
+        Ok(WorkerPsStats {
             pulls: codec::get_u64(input)?,
             pushes: codec::get_u64(input)?,
             max_staleness: codec::get_u64(input)?,
             staleness_hist: get_u64s(input)?,
             waits: codec::get_u64(input)?,
             wait_nanos: codec::get_u64(input)?,
-        });
-    }
+        })
+    };
     Ok(PsStats {
-        pulls,
-        pushes,
-        steps,
-        bytes_transferred,
-        model_version,
-        max_staleness,
-        ssp_waits,
-        ssp_wait_nanos,
-        workers,
+        pulls: codec::get_u64(input)?,
+        pushes: codec::get_u64(input)?,
+        steps: codec::get_u64(input)?,
+        bytes_transferred: codec::get_u64(input)?,
+        model_version: codec::get_u64(input)?,
+        max_staleness: codec::get_u64(input)?,
+        ssp_waits: codec::get_u64(input)?,
+        ssp_wait_nanos: codec::get_u64(input)?,
+        // Five u64 fields and a histogram count per worker.
+        workers: (0..codec::get_count(input, 44)?).map(|_| get_worker(input)).collect::<Result<_, CodecError>>()?,
     })
 }
 
@@ -231,10 +192,8 @@ fn get_stats(input: &mut &[u8]) -> Result<PsStats, CodecError> {
 enum PsRequest {
     /// First message on the control connection: this shard's parameter
     /// slice, the worker count, the consistency mode, the optimizer, and
-    /// the trace identity (`trace` turns shard-side tracing on; `trace_id`
-    /// is shared by the job, `salt` is unique per shard so span ids stay
-    /// collision-free when shard traces merge into the driver's).
-    Init { params: Vec<f32>, n_workers: u32, mode: Consistency, opt: OptSpec, trace: bool, trace_id: u64, salt: u64 },
+    /// the shard's trace identity.
+    Init { params: Vec<f32>, n_workers: u32, mode: Consistency, opt: OptSpec, identity: TraceIdentity },
     /// Pull the shard slice (consistent with its version). `ctx` is the
     /// trainer-side RPC span; the shard's pull span parents under it.
     Pull { worker: u32, ctx: Option<SpanContext> },
@@ -258,32 +217,19 @@ const PQ_SNAPSHOT: u8 = 4;
 const PQ_STATS: u8 = 5;
 const PQ_SHUTDOWN: u8 = 6;
 
-/// Metric-name for a request frame's leading tag byte (RPC telemetry).
-fn ps_request_name(tag: u8) -> &'static str {
-    match tag {
-        PQ_INIT => "init",
-        PQ_PULL => "pull",
-        PQ_PUSH => "push",
-        PQ_RETIRE => "retire",
-        PQ_SNAPSHOT => "snapshot",
-        PQ_STATS => "stats",
-        PQ_SHUTDOWN => "shutdown",
-        _ => "unknown",
-    }
-}
+/// Metric names of the request tags (RPC telemetry).
+const PS_REQUEST_NAMES: TagNames = &["init", "pull", "push", "retire", "snapshot", "stats", "shutdown"];
 
 impl Codec for PsRequest {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            PsRequest::Init { params, n_workers, mode, opt, trace, trace_id, salt } => {
+            PsRequest::Init { params, n_workers, mode, opt, identity } => {
                 codec::put_u8(buf, PQ_INIT);
                 codec::put_f32s(buf, params);
                 codec::put_u32(buf, *n_workers);
                 put_consistency(buf, *mode);
                 opt.encode(buf);
-                codec::put_u8(buf, u8::from(*trace));
-                codec::put_u64(buf, *trace_id);
-                codec::put_u64(buf, *salt);
+                identity.encode(buf);
             }
             PsRequest::Pull { worker, ctx } => {
                 codec::put_u8(buf, PQ_PULL);
@@ -308,27 +254,19 @@ impl Codec for PsRequest {
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
         match codec::get_u8(input)? {
-            PQ_INIT => {
-                let params = codec::get_f32s(input)?;
-                let n_workers = codec::get_u32(input)?;
-                let mode = get_consistency(input)?;
-                let opt = OptSpec::decode(input)?;
-                let trace = codec::get_u8(input)? != 0;
-                let trace_id = codec::get_u64(input)?;
-                let salt = codec::get_u64(input)?;
-                Ok(PsRequest::Init { params, n_workers, mode, opt, trace, trace_id, salt })
-            }
-            PQ_PULL => {
-                let worker = codec::get_u32(input)?;
-                let ctx = codec::get_span_ctx(input)?;
-                Ok(PsRequest::Pull { worker, ctx })
-            }
-            PQ_PUSH => {
-                let worker = codec::get_u32(input)?;
-                let ctx = codec::get_span_ctx(input)?;
-                let grads = codec::get_f32s(input)?;
-                Ok(PsRequest::Push { worker, ctx, grads })
-            }
+            PQ_INIT => Ok(PsRequest::Init {
+                params: codec::get_f32s(input)?,
+                n_workers: codec::get_u32(input)?,
+                mode: get_consistency(input)?,
+                opt: OptSpec::decode(input)?,
+                identity: TraceIdentity::decode(input)?,
+            }),
+            PQ_PULL => Ok(PsRequest::Pull { worker: codec::get_u32(input)?, ctx: codec::get_span_ctx(input)? }),
+            PQ_PUSH => Ok(PsRequest::Push {
+                worker: codec::get_u32(input)?,
+                ctx: codec::get_span_ctx(input)?,
+                grads: codec::get_f32s(input)?,
+            }),
             PQ_RETIRE => Ok(PsRequest::Retire { worker: codec::get_u32(input)? }),
             PQ_SNAPSHOT => Ok(PsRequest::Snapshot),
             PQ_STATS => Ok(PsRequest::Stats),
@@ -338,7 +276,8 @@ impl Codec for PsRequest {
     }
 }
 
-/// Shard → trainer responses.
+/// Shard → trainer responses, besides the [`rpc`] `Bye` that acknowledges
+/// shutdown under tag [`PR_BYE`].
 #[derive(Debug)]
 enum PsResponse {
     /// Shard initialised.
@@ -353,9 +292,6 @@ enum PsResponse {
     Snapshot { params: Vec<f32> },
     /// Shard stats.
     Stats { stats: PsStats },
-    /// Shutdown acknowledged; the shard process is exiting. Carries the
-    /// shard's counters and trace events for the driver's merged view.
-    Bye { counters: Vec<(String, u64)>, trace: Vec<TraceEvent> },
     /// Request-level failure (bad worker id, wrong gradient length).
     Err { msg: String },
 }
@@ -369,20 +305,8 @@ const PR_STATS: u8 = 5;
 const PR_BYE: u8 = 6;
 const PR_ERR: u8 = 7;
 
-/// Metric-name for a response frame's leading tag byte (RPC telemetry).
-fn ps_response_name(tag: u8) -> &'static str {
-    match tag {
-        PR_INIT_OK => "init_ok",
-        PR_PULLED => "pulled",
-        PR_PUSHED => "pushed",
-        PR_RETIRED => "retired",
-        PR_SNAPSHOT => "snapshot",
-        PR_STATS => "stats",
-        PR_BYE => "bye",
-        PR_ERR => "err",
-        _ => "unknown",
-    }
-}
+/// Metric names of the response tags.
+const PS_RESPONSE_NAMES: TagNames = &["init_ok", "pulled", "pushed", "retired", "snapshot", "stats", "bye", "err"];
 
 impl Codec for PsResponse {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -403,14 +327,6 @@ impl Codec for PsResponse {
                 codec::put_u8(buf, PR_STATS);
                 put_stats(buf, stats);
             }
-            PsResponse::Bye { counters, trace } => {
-                codec::put_u8(buf, PR_BYE);
-                codec::put_counters(buf, counters);
-                codec::put_u32(buf, trace.len() as u32);
-                for e in trace {
-                    codec::put_trace_event(buf, e);
-                }
-            }
             PsResponse::Err { msg } => {
                 codec::put_u8(buf, PR_ERR);
                 codec::put_bytes(buf, msg.as_bytes());
@@ -421,30 +337,23 @@ impl Codec for PsResponse {
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
         match codec::get_u8(input)? {
             PR_INIT_OK => Ok(PsResponse::InitOk),
-            PR_PULLED => {
-                let params = codec::get_f32s(input)?;
-                let version = codec::get_u64(input)?;
-                Ok(PsResponse::Pulled { params, version })
-            }
+            PR_PULLED => Ok(PsResponse::Pulled { params: codec::get_f32s(input)?, version: codec::get_u64(input)? }),
             PR_PUSHED => Ok(PsResponse::Pushed),
             PR_RETIRED => Ok(PsResponse::Retired),
             PR_SNAPSHOT => Ok(PsResponse::Snapshot { params: codec::get_f32s(input)? }),
             PR_STATS => Ok(PsResponse::Stats { stats: get_stats(input)? }),
-            PR_BYE => {
-                let counters = codec::get_counters(input)?;
-                let n = codec::get_u32(input)? as usize;
-                let mut trace = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    trace.push(codec::get_trace_event(input)?);
-                }
-                Ok(PsResponse::Bye { counters, trace })
-            }
-            PR_ERR => {
-                let msg = String::from_utf8(codec::get_bytes(input)?.to_vec())
-                    .map_err(|e| CodecError(format!("non-utf8 error message: {e}")))?;
-                Ok(PsResponse::Err { msg })
-            }
+            PR_ERR => Ok(PsResponse::Err { msg: codec::get_string(input)? }),
             t => Err(CodecError(format!("unknown ps response tag {t}"))),
+        }
+    }
+}
+
+impl Reply for PsResponse {
+    const BYE: u8 = PR_BYE;
+    fn refusal(&self) -> Option<&str> {
+        match self {
+            PsResponse::Err { msg } => Some(msg),
+            _ => None,
         }
     }
 }
@@ -459,15 +368,15 @@ impl Codec for PsResponse {
 /// over this trait, so both modes run the identical training loop.
 pub trait PsClient: Sync {
     /// Pull the full parameter vector plus the model version of the cut.
-    fn pull_with_version(&self, worker: usize) -> Result<(Vec<f32>, u64), PsNetError>;
+    fn pull_with_version(&self, worker: usize) -> Result<(Vec<f32>, u64), TransportError>;
     /// Push this worker's full gradient vector.
-    fn push(&self, worker: usize, grads: &[f32]) -> Result<(), PsNetError>;
+    fn push(&self, worker: usize, grads: &[f32]) -> Result<(), TransportError>;
     /// Retire the worker from the consistency gate (idempotent).
-    fn retire(&self, worker: usize) -> Result<(), PsNetError>;
+    fn retire(&self, worker: usize) -> Result<(), TransportError>;
     /// Read the full parameter vector without counting as a worker pull.
-    fn snapshot(&self) -> Result<Vec<f32>, PsNetError>;
+    fn snapshot(&self) -> Result<Vec<f32>, TransportError>;
     /// Aggregated traffic/staleness statistics.
-    fn stats(&self) -> Result<PsStats, PsNetError>;
+    fn stats(&self) -> Result<PsStats, TransportError>;
     /// The (normalized) consistency mode in effect.
     fn consistency(&self) -> Consistency;
     /// Model dimension.
@@ -479,21 +388,21 @@ pub trait PsClient: Sync {
 }
 
 impl PsClient for ParameterServer {
-    fn pull_with_version(&self, worker: usize) -> Result<(Vec<f32>, u64), PsNetError> {
+    fn pull_with_version(&self, worker: usize) -> Result<(Vec<f32>, u64), TransportError> {
         Ok(ParameterServer::pull_with_version(self, worker))
     }
-    fn push(&self, worker: usize, grads: &[f32]) -> Result<(), PsNetError> {
+    fn push(&self, worker: usize, grads: &[f32]) -> Result<(), TransportError> {
         ParameterServer::push(self, worker, grads);
         Ok(())
     }
-    fn retire(&self, worker: usize) -> Result<(), PsNetError> {
+    fn retire(&self, worker: usize) -> Result<(), TransportError> {
         ParameterServer::retire_worker(self, worker);
         Ok(())
     }
-    fn snapshot(&self) -> Result<Vec<f32>, PsNetError> {
+    fn snapshot(&self) -> Result<Vec<f32>, TransportError> {
         Ok(ParameterServer::snapshot(self))
     }
-    fn stats(&self) -> Result<PsStats, PsNetError> {
+    fn stats(&self) -> Result<PsStats, TransportError> {
         Ok(ParameterServer::stats(self))
     }
     fn consistency(&self) -> Consistency {
@@ -518,28 +427,14 @@ pub struct RemotePs {
     dim: usize,
     mode: Consistency,
     /// Control connection per shard (init/snapshot/stats/shutdown).
-    controls: Vec<Mutex<Framed>>,
+    controls: Vec<Mutex<Client>>,
     /// Data connections: `conns[worker][shard]`. Each trainer worker gets
     /// its own connection per shard because sync/SSP pushes block
     /// server-side — workers must not serialize on a shared socket.
-    conns: Vec<Vec<Mutex<Framed>>>,
+    conns: Vec<Vec<Mutex<Client>>>,
     /// Trainer-side observability: RPC spans, frame telemetry, and the
     /// merge target for shard traces/counters shipped back in `Bye`.
     obs: Obs,
-}
-
-fn rpc(framed: &mut Framed, req: &PsRequest) -> Result<PsResponse, PsNetError> {
-    framed.send(&req.to_bytes())?;
-    match framed.recv()? {
-        Some(bytes) => {
-            let resp = PsResponse::from_bytes(&bytes)?;
-            if let PsResponse::Err { msg } = resp {
-                return Err(PsNetError::Protocol(format!("shard rejected request: {msg}")));
-            }
-            Ok(resp)
-        }
-        None => Err(PsNetError::Protocol("shard closed mid-request".to_string())),
-    }
 }
 
 impl RemotePs {
@@ -555,7 +450,7 @@ impl RemotePs {
         opt: OptSpec,
         connect_timeout_ns: u64,
         io_timeout_ns: u64,
-    ) -> Result<Self, PsNetError> {
+    ) -> Result<Self, TransportError> {
         Self::connect_with_obs(
             endpoints,
             initial,
@@ -583,68 +478,42 @@ impl RemotePs {
         connect_timeout_ns: u64,
         io_timeout_ns: u64,
         obs: Obs,
-    ) -> Result<Self, PsNetError> {
+    ) -> Result<Self, TransportError> {
         if endpoints.is_empty() {
-            return Err(PsNetError::Protocol("no shard endpoints".to_string()));
+            return Err(TransportError::Protocol("no shard endpoints".to_string()));
         }
-        // Same normalization as ParameterServer::new, so `consistency()`
-        // agrees between the two implementations.
-        let mode = match mode {
-            Consistency::Ssp { slack: 0 } => Consistency::Sync,
-            other => other,
-        };
+        let (bounds, mode) = shard_layout(initial.len(), endpoints.len(), mode);
+        let n_shards = bounds.len() - 1;
         let clock = Clock::monotonic();
-        let dim = initial.len();
-        let n_shards = endpoints.len().clamp(1, dim.max(1));
-        let per = dim.div_ceil(n_shards);
-        let mut bounds = Vec::with_capacity(n_shards + 1);
-        bounds.push(0);
-        let mut off = 0;
-        for _ in 0..n_shards {
-            off = (off + per).min(dim);
-            bounds.push(off);
-        }
-        let timeout = Duration::from_nanos(io_timeout_ns);
-        let trace_id = obs.trace().map(|t| t.trace_id()).unwrap_or(0);
+        let opts = DistOptions { connect_timeout_ns, io_timeout_ns };
+        let counters = Counters::for_obs(&obs);
         // One FrameStats per shard label, shared by the control and every
         // worker's data connection to that shard (counters are additive).
         let stats: Vec<_> = (0..n_shards)
-            .map(|i| FrameStats::from_obs(&obs, &format!("ps.s{i}"), ps_request_name, ps_response_name))
+            .map(|i| FrameStats::from_obs(&obs, &format!("ps.s{i}"), PS_REQUEST_NAMES, PS_RESPONSE_NAMES))
             .collect();
+        let open = |i: usize| {
+            Client::connect(&endpoints[i], &clock, &opts, stats[i].clone(), format!("ps{i}"), counters.clone())
+        };
         let mut controls = Vec::with_capacity(n_shards);
-        for (i, ep) in endpoints.iter().take(n_shards).enumerate() {
-            let conn = connect(ep, &clock, connect_timeout_ns)?;
-            conn.set_read_timeout(Some(timeout))?;
-            let mut framed = Framed::new(conn).with_stats(stats[i].clone());
-            let req = PsRequest::Init {
+        for i in 0..n_shards {
+            let mut control = open(i)?;
+            let init = PsRequest::Init {
                 params: initial[bounds[i]..bounds[i + 1]].to_vec(),
                 n_workers: n_workers as u32,
                 mode,
                 opt,
-                trace: obs.is_enabled(),
-                trace_id,
-                // Shard salts live above the shuffle workers' range
-                // (driver 0, shuffle worker w → w+1) so merged span ids
-                // never collide across subsystems.
-                salt: 1001 + i as u64,
+                identity: TraceIdentity::for_peer(&obs, PeerKind::Ps, i),
             };
-            match rpc(&mut framed, &req)? {
-                PsResponse::InitOk => {}
-                other => return Err(PsNetError::Protocol(format!("unexpected init reply from {ep}: {other:?}"))),
+            match control.call(&init)? {
+                PsResponse::InitOk => controls.push(Mutex::new(control)),
+                other => return Err(unexpected("init", other)),
             }
-            controls.push(Mutex::new(framed));
         }
-        let mut conns = Vec::with_capacity(n_workers);
-        for _ in 0..n_workers {
-            let mut per_shard = Vec::with_capacity(n_shards);
-            for (i, ep) in endpoints.iter().take(n_shards).enumerate() {
-                let conn = connect(ep, &clock, connect_timeout_ns)?;
-                conn.set_read_timeout(Some(timeout))?;
-                per_shard.push(Mutex::new(Framed::new(conn).with_stats(stats[i].clone())));
-            }
-            conns.push(per_shard);
-        }
-        Ok(Self { bounds, dim, mode, controls, conns, obs })
+        let conns = (0..n_workers)
+            .map(|_| (0..n_shards).map(|i| open(i).map(Mutex::new)).collect())
+            .collect::<Result<_, _>>()?;
+        Ok(Self { bounds, dim: initial.len(), mode, controls, conns, obs })
     }
 
     /// Number of shard processes.
@@ -656,62 +525,63 @@ impl RemotePs {
     /// connections. Errors are swallowed: a shard that already died has
     /// already "shut down". When observability is on, each shard's `Bye`
     /// trace merges into this client's sink under a `ps{shard}/` track
-    /// prefix and its counters land as `ps{shard}.{name}` (via
-    /// `counter_max`, so a re-delivered snapshot cannot double-count).
+    /// prefix and its counters land as `ps{shard}.{name}` (by max, so a
+    /// re-delivered snapshot cannot double-count).
     pub fn shutdown(self) {
         // Close data connections first so shard-side handlers drain.
         drop(self.conns);
-        for (shard, control) in self.controls.iter().enumerate() {
-            let mut framed = lock_plain(control);
-            let _ = framed.send(&PsRequest::Shutdown.to_bytes());
-            if let Ok(Some(bytes)) = framed.recv() {
-                if let Ok(PsResponse::Bye { counters, trace }) = PsResponse::from_bytes(&bytes) {
-                    self.obs.import_trace(&format!("ps{shard}/"), trace);
-                    for (name, v) in counters {
-                        self.obs.counter_max(&format!("ps{shard}.{name}"), v);
-                    }
-                }
-            }
+        for control in &self.controls {
+            lock_plain(control).shutdown::<PsResponse>(&PsRequest::Shutdown, &self.obs);
         }
     }
 
-    fn conn(&self, worker: usize, shard: usize) -> Result<&Mutex<Framed>, PsNetError> {
-        self.conns
+    /// One request on `worker`'s data connection to `shard`.
+    fn call(&self, worker: usize, shard: usize, req: &PsRequest) -> Result<PsResponse, TransportError> {
+        let conn = self
+            .conns
             .get(worker)
             .and_then(|per| per.get(shard))
-            .ok_or_else(|| PsNetError::Protocol(format!("no connection for worker {worker} shard {shard}")))
+            .ok_or_else(|| TransportError::Protocol(format!("no connection for worker {worker} shard {shard}")))?;
+        lock_plain(conn).call(req)
     }
 }
 
 impl PsClient for RemotePs {
-    fn pull_with_version(&self, worker: usize) -> Result<(Vec<f32>, u64), PsNetError> {
+    fn pull_with_version(&self, worker: usize) -> Result<(Vec<f32>, u64), TransportError> {
         // One RPC span per pull on this worker's own track; its context
         // rides every shard request so shard-side spans parent under it.
         let span = self.obs.span(&format!("ps.w{worker}"), "rpc.ps.pull");
         let ctx = span.context();
-        let mut params = Vec::with_capacity(self.dim);
+        let mut params = Vec::with_capacity(self.len());
         let mut version = 0u64;
         for shard in 0..self.n_shards() {
-            let mut framed = lock_plain(self.conn(worker, shard)?);
-            match rpc(&mut framed, &PsRequest::Pull { worker: worker as u32, ctx })? {
+            match self.call(worker, shard, &PsRequest::Pull { worker: worker as u32, ctx })? {
                 PsResponse::Pulled { params: slice, version: v } => {
                     if shard == 0 {
                         version = v;
                     }
                     params.extend_from_slice(&slice);
                 }
-                other => return Err(PsNetError::Protocol(format!("unexpected pull reply: {other:?}"))),
+                other => return Err(unexpected("pull", other)),
             }
         }
-        if params.len() != self.dim {
-            return Err(PsNetError::Protocol(format!("pulled {} parameters, model has {}", params.len(), self.dim)));
+        if params.len() != self.len() {
+            return Err(TransportError::Protocol(format!(
+                "pulled {} parameters, model has {}",
+                params.len(),
+                self.len()
+            )));
         }
         Ok((params, version))
     }
 
-    fn push(&self, worker: usize, grads: &[f32]) -> Result<(), PsNetError> {
-        if grads.len() != self.dim {
-            return Err(PsNetError::Protocol(format!("pushed {} gradients, model has {}", grads.len(), self.dim)));
+    fn push(&self, worker: usize, grads: &[f32]) -> Result<(), TransportError> {
+        if grads.len() != self.len() {
+            return Err(TransportError::Protocol(format!(
+                "pushed {} gradients, model has {}",
+                grads.len(),
+                self.len()
+            )));
         }
         let span = self.obs.span(&format!("ps.w{worker}"), "rpc.ps.push");
         let ctx = span.context();
@@ -721,57 +591,43 @@ impl PsClient for RemotePs {
         // waits on shard j < k).
         for shard in 0..self.n_shards() {
             let slice = &grads[self.bounds[shard]..self.bounds[shard + 1]];
-            let mut framed = lock_plain(self.conn(worker, shard)?);
-            match rpc(&mut framed, &PsRequest::Push { worker: worker as u32, ctx, grads: slice.to_vec() })? {
+            match self.call(worker, shard, &PsRequest::Push { worker: worker as u32, ctx, grads: slice.to_vec() })? {
                 PsResponse::Pushed => {}
-                other => return Err(PsNetError::Protocol(format!("unexpected push reply: {other:?}"))),
+                other => return Err(unexpected("push", other)),
             }
         }
         Ok(())
     }
 
-    fn retire(&self, worker: usize) -> Result<(), PsNetError> {
+    fn retire(&self, worker: usize) -> Result<(), TransportError> {
         for shard in 0..self.n_shards() {
-            let mut framed = lock_plain(self.conn(worker, shard)?);
-            match rpc(&mut framed, &PsRequest::Retire { worker: worker as u32 })? {
+            match self.call(worker, shard, &PsRequest::Retire { worker: worker as u32 })? {
                 PsResponse::Retired => {}
-                other => return Err(PsNetError::Protocol(format!("unexpected retire reply: {other:?}"))),
+                other => return Err(unexpected("retire", other)),
             }
         }
         Ok(())
     }
 
-    fn snapshot(&self) -> Result<Vec<f32>, PsNetError> {
-        let mut params = Vec::with_capacity(self.dim);
+    fn snapshot(&self) -> Result<Vec<f32>, TransportError> {
+        let mut params = Vec::with_capacity(self.len());
         for control in &self.controls {
-            let mut framed = lock_plain(control);
-            match rpc(&mut framed, &PsRequest::Snapshot)? {
+            match lock_plain(control).call(&PsRequest::Snapshot)? {
                 PsResponse::Snapshot { params: slice } => params.extend_from_slice(&slice),
-                other => return Err(PsNetError::Protocol(format!("unexpected snapshot reply: {other:?}"))),
+                other => return Err(unexpected("snapshot", other)),
             }
         }
         Ok(params)
     }
 
-    fn stats(&self) -> Result<PsStats, PsNetError> {
+    fn stats(&self) -> Result<PsStats, TransportError> {
         // Aggregate across shards: traffic sums, version/staleness maxes,
         // per-worker breakdowns folded elementwise.
-        let mut agg = PsStats {
-            pulls: 0,
-            pushes: 0,
-            steps: 0,
-            bytes_transferred: 0,
-            model_version: 0,
-            max_staleness: 0,
-            ssp_waits: 0,
-            ssp_wait_nanos: 0,
-            workers: Vec::new(),
-        };
+        let mut agg = PsStats::default();
         for control in &self.controls {
-            let mut framed = lock_plain(control);
-            let st = match rpc(&mut framed, &PsRequest::Stats)? {
+            let st = match lock_plain(control).call(&PsRequest::Stats)? {
                 PsResponse::Stats { stats } => stats,
-                other => return Err(PsNetError::Protocol(format!("unexpected stats reply: {other:?}"))),
+                other => return Err(unexpected("stats", other)),
             };
             agg.pulls += st.pulls;
             agg.pushes += st.pushes;
@@ -782,14 +638,7 @@ impl PsClient for RemotePs {
             agg.ssp_waits += st.ssp_waits;
             agg.ssp_wait_nanos += st.ssp_wait_nanos;
             if agg.workers.len() < st.workers.len() {
-                agg.workers.resize_with(st.workers.len(), || WorkerPsStats {
-                    pulls: 0,
-                    pushes: 0,
-                    max_staleness: 0,
-                    staleness_hist: Vec::new(),
-                    waits: 0,
-                    wait_nanos: 0,
-                });
+                agg.workers.resize_with(st.workers.len(), WorkerPsStats::default);
             }
             for (a, w) in agg.workers.iter_mut().zip(st.workers) {
                 a.pulls += w.pulls;
@@ -827,50 +676,28 @@ impl PsClient for RemotePs {
 /// number of subsequent connections until `Shutdown` arrives — or every
 /// connection closes (a dead driver's sockets close, and the shard must
 /// exit rather than leak).
-pub fn serve_ps_shard(listener: &Listener, accept_timeout_ns: u64) -> Result<(), PsNetError> {
-    let clock = Clock::monotonic();
-    let conn = listener.accept_deadline(&clock, accept_timeout_ns)?;
-    let mut control = Framed::new(conn);
-    let Some(first) = control.recv()? else {
+pub fn serve_ps_shard(listener: &Listener, accept_timeout_ns: u64) -> Result<(), TransportError> {
+    let mut control = rpc::accept(listener, accept_timeout_ns)?;
+    let mut init = ShardInit::default();
+    rpc::serve(&mut control, &mut init)?;
+    let Some(server) = init.server else {
+        // The driver left before `Init`.
         return Ok(());
     };
-    let (params, n_workers, mode, opt, trace, trace_id, salt) = match PsRequest::from_bytes(&first)? {
-        PsRequest::Init { params, n_workers, mode, opt, trace, trace_id, salt } => {
-            (params, n_workers as usize, mode, opt, trace, trace_id, salt)
-        }
-        other => return Err(PsNetError::Protocol(format!("expected Init, got {other:?}"))),
-    };
-    // Shard-side observability under the *logical* clock: per-request spans
-    // land on per-worker tracks (`ps.w{n}`), so timestamps depend only on
-    // each worker's own request order and the merged trace is byte-stable.
-    // The inner ParameterServer stays uninstrumented — its apply spans
-    // would be emitted by whichever worker's push closes the round, a
-    // nondeterministic track assignment.
-    let obs = if trace { Obs::enabled_with_identity(Clock::logical(), trace_id, salt) } else { Obs::default() };
-    let server = Arc::new(ParameterServer::new(params, 1, n_workers.max(1), mode, move || opt.build()));
-    control.send(&PsResponse::InitOk.to_bytes())?;
-
     let shutdown = AtomicBool::new(false);
     std::thread::scope(|scope| {
-        let server = &server;
-        let shutdown = &shutdown;
-        let obs = &obs;
+        let conn = ShardConn { server: &server, obs: &init.obs, shutdown: &shutdown };
         // The control connection is just another request stream; when it
         // ends (Shutdown, or the driver process dying and the kernel
         // closing its sockets) the accept loop stops.
         scope.spawn(move || {
-            let _ = serve_conn(control, server, shutdown, obs);
-            shutdown.store(true, Ordering::SeqCst);
+            let _ = rpc::serve(&mut control, &mut { conn });
+            conn.shutdown.store(true, Ordering::SeqCst);
         });
-        loop {
-            if shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match listener.accept_deadline(&clock, 50_000_000) {
-                Ok(conn) => {
-                    scope.spawn(move || {
-                        let _ = serve_conn(Framed::new(conn), server, shutdown, obs);
-                    });
+        while !conn.shutdown.load(Ordering::SeqCst) {
+            match rpc::accept(listener, 50_000_000) {
+                Ok(mut framed) => {
+                    scope.spawn(move || rpc::serve(&mut framed, &mut { conn }));
                 }
                 Err(TransportError::Timeout { .. }) => continue,
                 Err(_) => break,
@@ -880,27 +707,62 @@ pub fn serve_ps_shard(listener: &Listener, accept_timeout_ns: u64) -> Result<(),
     Ok(())
 }
 
-/// Serve one connection's request stream against the shard server. Pull
-/// and push requests open spans on the requesting worker's track
-/// (`ps.w{n}`), parented under the trainer-side RPC span whose context
-/// rode the request — a deterministic assignment, unlike instrumenting the
-/// inner [`ParameterServer`] (whose applies run on the last pusher).
-fn serve_conn(
-    mut framed: Framed,
-    server: &ParameterServer,
-    shutdown: &AtomicBool,
-    obs: &Obs,
-) -> Result<(), PsNetError> {
-    loop {
-        let Some(bytes) = framed.recv()? else {
-            return Ok(());
+/// The control connection before its `Init`: answers exactly that one
+/// request by building the shard.
+#[derive(Default)]
+struct ShardInit {
+    server: Option<ParameterServer>,
+    /// Shard-side observability, used by [`ShardConn`].
+    obs: Obs,
+}
+
+impl Service for ShardInit {
+    type Request = PsRequest;
+    type Reply = PsResponse;
+
+    fn handle(&mut self, req: PsRequest) -> Result<Step<PsResponse>, TransportError> {
+        let PsRequest::Init { params, n_workers, mode, opt, identity } = req else {
+            return Err(TransportError::Protocol(format!("expected Init, got {req:?}")));
         };
-        let resp = match PsRequest::from_bytes(&bytes)? {
+        self.obs = identity.obs();
+        let n_workers = (n_workers as usize).max(1);
+        self.server = Some(ParameterServer::new(params, 1, n_workers, mode, move || opt.build()));
+        Ok(Step::Last(PsResponse::InitOk))
+    }
+
+    fn obs(&self) -> &Obs {
+        &self.obs
+    }
+}
+
+/// One connection's request stream against the shard server. Pull and
+/// push requests open spans on the requesting worker's track (`ps.w{n}`),
+/// parented under the trainer-side RPC span whose context rode the request
+/// — a deterministic assignment, so under the logical clock the merged
+/// trace is byte-stable. The inner [`ParameterServer`] stays
+/// uninstrumented: its applies run on whichever worker's push closes the
+/// round.
+#[derive(Clone, Copy)]
+struct ShardConn<'a> {
+    server: &'a ParameterServer,
+    obs: &'a Obs,
+    /// Set by a `Shutdown` on any connection; stops the accept loop.
+    shutdown: &'a AtomicBool,
+}
+
+impl Service for ShardConn<'_> {
+    type Request = PsRequest;
+    type Reply = PsResponse;
+
+    fn handle(&mut self, req: PsRequest) -> Result<Step<PsResponse>, TransportError> {
+        let (server, obs) = (self.server, self.obs);
+        let in_range = |worker: u32| (worker as usize) < server.n_workers();
+        Ok(Step::Reply(match req {
             PsRequest::Init { .. } => PsResponse::Err { msg: "duplicate Init".to_string() },
             PsRequest::Pull { worker, ctx } => {
                 let _span = obs.span_child_of(&format!("ps.w{worker}"), "ps.pull", ctx);
                 obs.metric_add("ps.pulls", 1);
-                if (worker as usize) < server.n_workers() {
+                if in_range(worker) {
                     let (params, version) = ParameterServer::pull_with_version(server, worker as usize);
                     PsResponse::Pulled { params, version }
                 } else {
@@ -910,7 +772,7 @@ fn serve_conn(
             PsRequest::Push { worker, ctx, grads } => {
                 let _span = obs.span_child_of(&format!("ps.w{worker}"), "ps.push", ctx);
                 obs.metric_add("ps.pushes", 1);
-                if (worker as usize) >= server.n_workers() {
+                if !in_range(worker) {
                     PsResponse::Err { msg: format!("worker {worker} out of range") }
                 } else if grads.len() != ParameterServer::len(server) {
                     PsResponse::Err {
@@ -922,7 +784,7 @@ fn serve_conn(
                 }
             }
             PsRequest::Retire { worker } => {
-                if (worker as usize) < server.n_workers() {
+                if in_range(worker) {
                     ParameterServer::retire_worker(server, worker as usize);
                 }
                 PsResponse::Retired
@@ -930,14 +792,14 @@ fn serve_conn(
             PsRequest::Snapshot => PsResponse::Snapshot { params: ParameterServer::snapshot(server) },
             PsRequest::Stats => PsResponse::Stats { stats: ParameterServer::stats(server) },
             PsRequest::Shutdown => {
-                let trace = obs.trace().map(|t| t.events()).unwrap_or_default();
-                let bye = PsResponse::Bye { counters: obs.counter_snapshot(), trace };
-                framed.send(&bye.to_bytes())?;
-                shutdown.store(true, Ordering::SeqCst);
-                return Ok(());
+                self.shutdown.store(true, Ordering::SeqCst);
+                return Ok(Step::Bye);
             }
-        };
-        framed.send(&resp.to_bytes())?;
+        }))
+    }
+
+    fn obs(&self) -> &Obs {
+        self.obs
     }
 }
 
@@ -946,9 +808,9 @@ fn serve_conn(
 // ---------------------------------------------------------------------------
 
 /// Retires the worker from the consistency gate when its closure returns —
-/// including by unwinding — mirroring [`crate::worker::run_workers`]'s
-/// guard but over the client trait (a remote retire that fails is ignored:
-/// the shard is gone, nothing is gated).
+/// including by unwinding, so a panicking worker can never leave a stale
+/// `last_pull` entry that blocks everyone else forever. A remote retire
+/// that fails is ignored: the shard is gone, nothing is gated.
 struct RetireClient<'a, C: PsClient> {
     client: &'a C,
     worker: usize,
@@ -961,18 +823,23 @@ impl<C: PsClient> Drop for RetireClient<'_, C> {
 }
 
 /// Run `n_workers` copies of `work(worker_id, client)` on threads and wait
-/// for all of them — the [`crate::worker::run_workers`] pool generalized
-/// over [`PsClient`], with fallible workers: the first error is returned
-/// after every worker has stopped (each worker's own connections surface
-/// their own timeouts, so one dead shard stops them all, bounded).
-pub fn run_client_workers<C, F>(client: &C, n_workers: usize, work: F) -> Result<(), PsNetError>
+/// for all of them; each worker is retired when its closure returns. The
+/// first error is returned after every worker has stopped (each worker's
+/// own connections surface their own timeouts, so one dead shard stops
+/// them all, bounded). [`crate::worker::run_workers`] is this pool over
+/// the in-process server.
+pub fn run_client_workers<C, F>(client: &C, n_workers: usize, work: F) -> Result<(), TransportError>
 where
     C: PsClient,
-    F: Fn(usize, &C) -> Result<(), PsNetError> + Sync,
+    F: Fn(usize, &C) -> Result<(), TransportError> + Sync,
 {
     assert!(n_workers > 0);
-    let first_err: Mutex<Option<PsNetError>> = Mutex::new(None);
-    // Vector-clock plumbing (debug builds), exactly as in `run_workers`.
+    let first_err: Mutex<Option<TransportError>> = Mutex::new(None);
+    // Vector-clock plumbing (debug builds): each worker adopts the
+    // spawner's clock and publishes its own back through the pool, so
+    // everything before the spawn happens-before the workers, and
+    // everything the workers did happens-before the caller's code after
+    // this function returns.
     let pool = JoinPool::new();
     std::thread::scope(|scope| {
         for w in 0..n_workers {
@@ -992,16 +859,17 @@ where
     });
     pool.absorb();
     let err = lock_plain(&first_err).take();
-    match err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    err.map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agl_mapreduce::rpc::Bye;
+    use agl_mapreduce::Framed;
+    use agl_obs::TraceEvent;
     use std::path::PathBuf;
+    use std::sync::Arc;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("agl-psnet-{tag}-{}", std::process::id()));
@@ -1125,7 +993,7 @@ mod tests {
             .unwrap();
             // The shard is gone; the next pull must fail typed, not hang.
             let err = remote.pull_with_version(0).unwrap_err();
-            assert!(matches!(err, PsNetError::Transport(_) | PsNetError::Protocol(_)), "{err}");
+            assert!(matches!(err, TransportError::Closed(_) | TransportError::Io(_)), "{err}");
         });
         drop(listener);
         std::fs::remove_dir_all(&dir).ok();
@@ -1194,9 +1062,7 @@ mod tests {
                 n_workers: 3,
                 mode: Consistency::Ssp { slack: 4 },
                 opt: OptSpec::Adam { lr: 0.001 },
-                trace: true,
-                trace_id: 42,
-                salt: 1001,
+                identity: TraceIdentity { trace: true, trace_id: 42, salt: 1001 },
             },
             PsRequest::Pull { worker: 7, ctx: Some(SpanContext { trace_id: 42, span_id: 99 }) },
             PsRequest::Push { worker: 1, ctx: None, grads: vec![0.5; 3] },
@@ -1235,25 +1101,102 @@ mod tests {
                     }],
                 },
             },
-            PsResponse::Bye {
-                counters: vec![("ps.pulls".to_string(), 4)],
-                trace: vec![TraceEvent {
-                    track: "ps.w0".to_string(),
-                    seq: 0,
-                    name: "ps.pull".to_string(),
-                    ts: 1,
-                    dur: 2,
-                    depth: 0,
-                    args: vec![("bytes".to_string(), 8)],
-                    span_id: 11,
-                    parent_id: 12,
-                }],
-            },
             PsResponse::Err { msg: "nope".to_string() },
         ];
         for r in resps {
             let b = r.to_bytes();
             assert_eq!(format!("{r:?}"), format!("{:?}", PsResponse::from_bytes(&b).unwrap()));
+        }
+        // The metric-name tables list every tag, in tag order.
+        assert_eq!([PS_REQUEST_NAMES[PQ_SHUTDOWN as usize], PS_RESPONSE_NAMES[PR_ERR as usize]], ["shutdown", "err"]);
+        // Golden bytes. `Init`: the f32 slice, worker count, consistency
+        // (tag + slack), optimizer (tag + lr), then the trace identity.
+        let init = PsRequest::Init {
+            params: vec![1.0],
+            n_workers: 2,
+            mode: Consistency::Ssp { slack: 4 },
+            opt: OptSpec::Sgd { lr: 0.5 },
+            identity: TraceIdentity { trace: true, trace_id: 42, salt: 1001 },
+        };
+        let golden: Vec<u8> = [
+            &[PQ_INIT, 1, 0, 0, 0][..],
+            &1.0f32.to_le_bytes(),
+            &[2, 0, 0, 0, 2],
+            &4u64.to_le_bytes(),
+            &[0],
+            &0.5f32.to_le_bytes(),
+            &[1],
+            &42u64.to_le_bytes(),
+            &1001u64.to_le_bytes(),
+        ]
+        .concat();
+        assert_eq!(init.to_bytes(), golden);
+        // `Pull` / `Push`: worker id, span-context header, gradients.
+        let pull = PsRequest::Pull { worker: 7, ctx: Some(SpanContext { trace_id: 42, span_id: 99 }) };
+        let golden: Vec<u8> = [&[PQ_PULL, 7, 0, 0, 0, 1][..], &42u64.to_le_bytes(), &99u64.to_le_bytes()].concat();
+        assert_eq!(pull.to_bytes(), golden);
+        let push = PsRequest::Push { worker: 1, ctx: None, grads: vec![0.5] };
+        let golden: Vec<u8> = [&[PQ_PUSH, 1, 0, 0, 0, 0, 1, 0, 0, 0][..], &0.5f32.to_le_bytes()].concat();
+        assert_eq!(push.to_bytes(), golden);
+        // `Bye`: its tag, the counter list, then the trace events.
+        let event = TraceEvent {
+            track: "t".to_string(),
+            seq: 0,
+            name: "s".to_string(),
+            ts: 1,
+            dur: 2,
+            depth: 0,
+            args: vec![("k".to_string(), 5)],
+            span_id: 3,
+            parent_id: 0,
+        };
+        let mut bye = vec![PsResponse::BYE];
+        Bye { counters: vec![("n".to_string(), 9)], trace: vec![event] }.encode(&mut bye);
+        let golden: Vec<u8> = [
+            &[PR_BYE, 1, 0, 0, 0, 1, 0, 0, 0, b'n'][..],
+            &9u64.to_le_bytes(),
+            &[1, 0, 0, 0, 1, 0, 0, 0, b't'],
+            &0u64.to_le_bytes(),
+            &[1, 0, 0, 0, b's'],
+            &1u64.to_le_bytes(),
+            &2u64.to_le_bytes(),
+            &0u64.to_le_bytes(),
+            &3u64.to_le_bytes(),
+            &0u64.to_le_bytes(),
+            &[1, 0, 0, 0, 1, 0, 0, 0, b'k'],
+            &5u64.to_le_bytes(),
+        ]
+        .concat();
+        assert_eq!(bye, golden);
+        // Inflated counts are refused against the remaining input, never
+        // handed to the allocator: the `Init` slice length, the `Stats`
+        // worker count and a worker's histogram length (the `Bye` payload's
+        // counts are the `rpc` module's).
+        let mut inflated = init.to_bytes();
+        inflated[1..5].fill(0xFF);
+        let err = PsRequest::from_bytes(&inflated).unwrap_err();
+        assert!(err.0.contains("exceeds remaining"), "{err}");
+        let worker =
+            WorkerPsStats { pulls: 0, pushes: 0, max_staleness: 0, staleness_hist: vec![], waits: 0, wait_nanos: 0 };
+        let stats = PsResponse::Stats {
+            stats: PsStats {
+                pulls: 0,
+                pushes: 0,
+                steps: 0,
+                bytes_transferred: 0,
+                model_version: 0,
+                max_staleness: 0,
+                ssp_waits: 0,
+                ssp_wait_nanos: 0,
+                workers: vec![worker],
+            },
+        };
+        // Tag + eight u64 totals; then the count and three u64 fields.
+        for (msg, count_at) in [(stats.to_bytes(), 65), (stats.to_bytes(), 93)] {
+            let mut inflated = msg;
+            inflated[count_at..count_at + 4].fill(0xFF);
+            let err = PsResponse::from_bytes(&inflated).unwrap_err();
+            assert!(err.0.contains("exceeds remaining"), "count at {count_at}: {err}");
         }
     }
 }

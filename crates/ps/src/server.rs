@@ -273,6 +273,23 @@ fn hist_len(mode: Consistency) -> usize {
     }
 }
 
+/// How a `dim`-element model splits over (at most) `n_shards` shards —
+/// shard `i` owns the contiguous `bounds[i]..bounds[i + 1]` — and the mode
+/// it runs under; the in-process server and the remote client share it.
+/// `Ssp { slack: 0 }` admits no stale gradient, and the barrier is the one
+/// staleness-0 schedule that cannot deadlock, so it normalizes to `Sync`
+/// (which also makes the two bit-identical).
+pub(crate) fn shard_layout(dim: usize, n_shards: usize, consistency: Consistency) -> (Vec<usize>, Consistency) {
+    let n_shards = n_shards.clamp(1, dim.max(1));
+    let per = dim.div_ceil(n_shards);
+    let bounds = (0..=n_shards).map(|i| (i * per).min(dim)).collect();
+    let mode = match consistency {
+        Consistency::Ssp { slack: 0 } => Consistency::Sync,
+        other => other,
+    };
+    (bounds, mode)
+}
+
 impl ParameterServer {
     /// Create from an initial flat parameter vector. This is the only
     /// constructor: the consistency mode and the worker count are picked
@@ -287,31 +304,17 @@ impl ParameterServer {
         make_opt: impl Fn() -> Box<dyn Optimizer>,
     ) -> Self {
         assert!(n_workers > 0, "the server needs at least one worker");
-        // `Ssp { slack: 0 }` admits no stale gradient at all; the barrier is
-        // the one staleness-0 schedule that cannot deadlock, so normalize —
-        // this is also what makes Ssp{0} bit-identical to Sync.
-        let mode = match consistency {
-            Consistency::Ssp { slack: 0 } => Consistency::Sync,
-            other => other,
-        };
-        let n = initial.len();
-        let n_shards = n_shards.clamp(1, n.max(1));
-        let per = n.div_ceil(n_shards);
+        let (bounds, mode) = shard_layout(initial.len(), n_shards, consistency);
+        let (n, n_shards) = (initial.len(), bounds.len() - 1);
         let tracker = LockOrderTracker::new();
-        let mut bounds = Vec::with_capacity(n_shards + 1);
-        let mut shards = Vec::with_capacity(n_shards);
-        let mut off = 0;
-        bounds.push(0);
-        for i in 0..n_shards {
-            let end = (off + per).min(n);
-            shards.push(TrackedMutex::new(
-                &tracker,
-                LockClass::Shard(i as u32),
-                Shard { params: initial[off..end].to_vec(), opt: make_opt() },
-            ));
-            off = end;
-            bounds.push(end);
-        }
+        let shards = bounds
+            .windows(2)
+            .enumerate()
+            .map(|(i, b)| {
+                let shard = Shard { params: initial[b[0]..b[1]].to_vec(), opt: make_opt() };
+                TrackedMutex::new(&tracker, LockClass::Shard(i as u32), shard)
+            })
+            .collect();
         Self {
             sync: TrackedMutex::new(
                 &tracker,

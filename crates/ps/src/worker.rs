@@ -2,23 +2,9 @@
 //! server, each on its own thread — the "workers that perform the bulk of
 //! computation" half of the GraphTrainer architecture (§3.3).
 
-use crate::hb::{Handoff, JoinPool};
+use crate::net::run_client_workers;
 use crate::server::ParameterServer;
 use std::sync::Arc;
-
-/// Retires the worker from the server's SSP gate when its closure returns
-/// — including by unwinding, so a panicking worker can never leave a stale
-/// `last_pull` entry that blocks everyone else forever.
-struct Retire<'a> {
-    server: &'a ParameterServer,
-    worker: usize,
-}
-
-impl Drop for Retire<'_> {
-    fn drop(&mut self) {
-        self.server.retire_worker(self.worker);
-    }
-}
 
 /// Run `n_workers` copies of `work(worker_id, server)` on threads and wait
 /// for all of them. Panics in a worker propagate. Each worker is retired
@@ -33,28 +19,12 @@ pub fn run_workers<F>(server: &Arc<ParameterServer>, n_workers: usize, work: F)
 where
     F: Fn(usize, &ParameterServer) + Sync,
 {
-    assert!(n_workers > 0);
-    // Vector-clock plumbing (debug builds): each worker adopts the
-    // spawner's clock and publishes its own back through the pool, so
-    // everything before the spawn happens-before the workers, and
-    // everything the workers did happens-before the caller's code after
-    // this function returns.
-    let pool = JoinPool::new();
-    std::thread::scope(|scope| {
-        for w in 0..n_workers {
-            let server = Arc::clone(server);
-            let work = &work;
-            let pool = &pool;
-            let handoff = Handoff::fork();
-            scope.spawn(move || {
-                handoff.adopt();
-                let _depart = pool.depart_guard();
-                let _retire = Retire { server: &server, worker: w };
-                work(w, &server)
-            });
-        }
+    // The in-process server's client calls are infallible, so the pool
+    // has no error to report.
+    let _ = run_client_workers(&**server, n_workers, |w, server| {
+        work(w, server);
+        Ok(())
     });
-    pool.absorb();
 }
 
 #[cfg(test)]

@@ -8,26 +8,32 @@
 //! shard, top-k fans out to every worker and merges the per-shard
 //! candidates by the same total order the in-process store uses — so the
 //! distributed answer is bit-identical to the single-process one.
+//!
+//! The control frames, the client call and the worker loop are the shared
+//! [`agl_mapreduce::rpc`] skeleton; this module owns the messages and the
+//! request handler.
 
 use crate::store::{shard_of, Neighbor, ShardSlab};
 use agl_graph::NodeId;
 use agl_mapreduce::codec::{
-    get_counters, get_f32, get_f32s, get_span_ctx, get_trace_event, get_u32, get_u64, get_u8, put_counters, put_f32,
-    put_f32s, put_span_ctx, put_trace_event, put_u32, put_u64, put_u8, CodecError,
+    get_count_u64, get_f32, get_f32s, get_span_ctx, get_u32, get_u64, get_u8, put_f32, put_f32s, put_span_ctx, put_u32,
+    put_u64, put_u8, Codec, CodecError,
 };
-use agl_mapreduce::transport::{connect, FrameStats};
-use agl_mapreduce::{Endpoint, Framed, Listener, TransportError};
-use agl_obs::{Clock, Obs, SpanContext, TraceEvent};
+use agl_mapreduce::rpc::{self, unexpected, Client, PeerKind, Reply, Service, Step, TraceIdentity};
+use agl_mapreduce::transport::{FrameStats, TagNames};
+use agl_mapreduce::{Counters, DistOptions, Endpoint, Listener, TransportError};
+use agl_obs::{Clock, Obs, SpanContext};
 
-/// Serving wire protocol (u32-le length-prefixed frames via [`Framed`]).
+/// Serving wire protocol (u32-le length-prefixed frames via
+/// [`agl_mapreduce::Framed`]), besides the [`rpc`] control frames a worker
+/// sends back: a counter snapshot (tag 7) ahead of every `flush_every`-th
+/// answer, and the `Bye` (tag 8) that acknowledges `Shutdown`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeWireMsg {
-    /// Driver → worker: replace the shard contents. Also carries the trace
-    /// identity (`trace` enables worker-side tracing under the shared
-    /// `trace_id`; `salt` keeps this shard's span ids collision-free in
-    /// the merged trace) and the metrics flush cadence (`flush_every`
+    /// Driver → worker: replace the shard contents. Also carries the
+    /// shard's trace identity and the metrics flush cadence (`flush_every`
     /// answered requests; 0 disables mid-flight snapshots).
-    Load { dim: u32, entries: Vec<(u64, Vec<f32>)>, trace: bool, trace_id: u64, salt: u64, flush_every: u64 },
+    Load { dim: u32, entries: Vec<(u64, Vec<f32>)>, identity: TraceIdentity, flush_every: u64 },
     /// Worker → driver: load acknowledged, with the entry count.
     Loaded { n: u64 },
     /// Driver → worker: point lookups (only ids this shard owns). `ctx` is
@@ -39,15 +45,8 @@ pub enum ServeWireMsg {
     TopK { query: Vec<f32>, k: u32, exclude: Option<u64>, ctx: Option<SpanContext> },
     /// Worker → driver: this shard's candidates, (score, id) best-first.
     TopKResp { candidates: Vec<(f32, u64)> },
-    /// Driver → worker: exit cleanly (the worker answers [`Self::Bye`]).
+    /// Driver → worker: exit cleanly (the worker answers `Bye`).
     Shutdown,
-    /// Worker → driver, ahead of a reply: *cumulative* counter snapshot,
-    /// flushed every `flush_every` answered requests. Merged with
-    /// `counter_max`, so a repeated snapshot never double-counts.
-    Metrics { counters: Vec<(String, u64)> },
-    /// Worker → driver: shutdown acknowledged; final counters and trace
-    /// events for the driver's merged view.
-    Bye { counters: Vec<(String, u64)>, trace: Vec<TraceEvent> },
 }
 
 const TAG_LOAD: u8 = 0;
@@ -60,165 +59,113 @@ const TAG_SHUTDOWN: u8 = 6;
 const TAG_METRICS: u8 = 7;
 const TAG_BYE: u8 = 8;
 
-/// Metric-name for a frame's leading tag byte (RPC telemetry); the serve
-/// protocol is symmetric, so one namer covers both directions.
-fn serve_msg_name(tag: u8) -> &'static str {
-    match tag {
-        TAG_LOAD => "load",
-        TAG_LOADED => "loaded",
-        TAG_LOOKUP => "lookup",
-        TAG_LOOKUP_RESP => "lookup_resp",
-        TAG_TOPK => "topk",
-        TAG_TOPK_RESP => "topk_resp",
-        TAG_SHUTDOWN => "shutdown",
-        TAG_METRICS => "metrics",
-        TAG_BYE => "bye",
-        _ => "unknown",
-    }
-}
+/// Metric names of the tags (RPC telemetry); the serve protocol is
+/// symmetric, so one table covers both directions.
+const SERVE_MSG_NAMES: TagNames =
+    &["load", "loaded", "lookup", "lookup_resp", "topk", "topk_resp", "shutdown", "metrics", "bye"];
 
-impl ServeWireMsg {
-    /// Serialise to a frame payload.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+impl Codec for ServeWireMsg {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            Self::Load { dim, entries, trace, trace_id, salt, flush_every } => {
-                put_u8(&mut buf, TAG_LOAD);
-                put_u32(&mut buf, *dim);
-                put_u64(&mut buf, entries.len() as u64);
+            Self::Load { dim, entries, identity, flush_every } => {
+                put_u8(buf, TAG_LOAD);
+                put_u32(buf, *dim);
+                put_u64(buf, entries.len() as u64);
                 for (id, v) in entries {
-                    put_u64(&mut buf, *id);
-                    put_f32s(&mut buf, v);
+                    put_u64(buf, *id);
+                    put_f32s(buf, v);
                 }
-                put_u8(&mut buf, u8::from(*trace));
-                put_u64(&mut buf, *trace_id);
-                put_u64(&mut buf, *salt);
-                put_u64(&mut buf, *flush_every);
+                identity.encode(buf);
+                put_u64(buf, *flush_every);
             }
             Self::Loaded { n } => {
-                put_u8(&mut buf, TAG_LOADED);
-                put_u64(&mut buf, *n);
+                put_u8(buf, TAG_LOADED);
+                put_u64(buf, *n);
             }
             Self::Lookup { ids, ctx } => {
-                put_u8(&mut buf, TAG_LOOKUP);
-                put_u64(&mut buf, ids.len() as u64);
+                put_u8(buf, TAG_LOOKUP);
+                put_u64(buf, ids.len() as u64);
                 for id in ids {
-                    put_u64(&mut buf, *id);
+                    put_u64(buf, *id);
                 }
-                put_span_ctx(&mut buf, *ctx);
+                put_span_ctx(buf, *ctx);
             }
             Self::LookupResp { answers } => {
-                put_u8(&mut buf, TAG_LOOKUP_RESP);
-                put_u64(&mut buf, answers.len() as u64);
+                put_u8(buf, TAG_LOOKUP_RESP);
+                put_u64(buf, answers.len() as u64);
                 for v in answers {
-                    put_f32s(&mut buf, v);
+                    put_f32s(buf, v);
                 }
             }
             Self::TopK { query, k, exclude, ctx } => {
-                put_u8(&mut buf, TAG_TOPK);
-                put_f32s(&mut buf, query);
-                put_u32(&mut buf, *k);
+                put_u8(buf, TAG_TOPK);
+                put_f32s(buf, query);
+                put_u32(buf, *k);
                 match exclude {
                     Some(id) => {
-                        put_u8(&mut buf, 1);
-                        put_u64(&mut buf, *id);
+                        put_u8(buf, 1);
+                        put_u64(buf, *id);
                     }
-                    None => put_u8(&mut buf, 0),
+                    None => put_u8(buf, 0),
                 }
-                put_span_ctx(&mut buf, *ctx);
+                put_span_ctx(buf, *ctx);
             }
             Self::TopKResp { candidates } => {
-                put_u8(&mut buf, TAG_TOPK_RESP);
-                put_u64(&mut buf, candidates.len() as u64);
+                put_u8(buf, TAG_TOPK_RESP);
+                put_u64(buf, candidates.len() as u64);
                 for (score, id) in candidates {
-                    put_f32(&mut buf, *score);
-                    put_u64(&mut buf, *id);
+                    put_f32(buf, *score);
+                    put_u64(buf, *id);
                 }
             }
-            Self::Shutdown => put_u8(&mut buf, TAG_SHUTDOWN),
-            Self::Metrics { counters } => {
-                put_u8(&mut buf, TAG_METRICS);
-                put_counters(&mut buf, counters);
-            }
-            Self::Bye { counters, trace } => {
-                put_u8(&mut buf, TAG_BYE);
-                put_counters(&mut buf, counters);
-                put_u32(&mut buf, trace.len() as u32);
-                for e in trace {
-                    put_trace_event(&mut buf, e);
-                }
-            }
+            Self::Shutdown => put_u8(buf, TAG_SHUTDOWN),
         }
-        buf
     }
 
-    /// Parse a frame payload.
-    pub fn from_bytes(mut input: &[u8]) -> Result<Self, CodecError> {
-        let input = &mut input;
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
         let msg = match get_u8(input)? {
             TAG_LOAD => {
                 let dim = get_u32(input)?;
-                let n = get_u64(input)? as usize;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let id = get_u64(input)?;
-                    entries.push((id, get_f32s(input)?));
-                }
-                let trace = get_u8(input)? != 0;
-                let trace_id = get_u64(input)?;
-                let salt = get_u64(input)?;
+                // An id and a vector length per entry.
+                let n = get_count_u64(input, 12)?;
+                let entries = (0..n).map(|_| Ok((get_u64(input)?, get_f32s(input)?))).collect::<Result<_, _>>()?;
+                let identity = TraceIdentity::decode(input)?;
                 let flush_every = get_u64(input)?;
-                Self::Load { dim, entries, trace, trace_id, salt, flush_every }
+                Self::Load { dim, entries, identity, flush_every }
             }
             TAG_LOADED => Self::Loaded { n: get_u64(input)? },
             TAG_LOOKUP => {
-                let n = get_u64(input)? as usize;
-                let mut ids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ids.push(get_u64(input)?);
+                let n = get_count_u64(input, 8)?;
+                Self::Lookup {
+                    ids: (0..n).map(|_| get_u64(input)).collect::<Result<_, _>>()?,
+                    ctx: get_span_ctx(input)?,
                 }
-                let ctx = get_span_ctx(input)?;
-                Self::Lookup { ids, ctx }
             }
             TAG_LOOKUP_RESP => {
-                let n = get_u64(input)? as usize;
-                let mut answers = Vec::with_capacity(n);
-                for _ in 0..n {
-                    answers.push(get_f32s(input)?);
-                }
-                Self::LookupResp { answers }
+                let n = get_count_u64(input, 4)?;
+                Self::LookupResp { answers: (0..n).map(|_| get_f32s(input)).collect::<Result<_, _>>()? }
             }
-            TAG_TOPK => {
-                let query = get_f32s(input)?;
-                let k = get_u32(input)?;
-                let exclude = if get_u8(input)? == 1 { Some(get_u64(input)?) } else { None };
-                let ctx = get_span_ctx(input)?;
-                Self::TopK { query, k, exclude, ctx }
-            }
+            TAG_TOPK => Self::TopK {
+                query: get_f32s(input)?,
+                k: get_u32(input)?,
+                exclude: if get_u8(input)? == 1 { Some(get_u64(input)?) } else { None },
+                ctx: get_span_ctx(input)?,
+            },
             TAG_TOPK_RESP => {
-                let n = get_u64(input)? as usize;
-                let mut candidates = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let score = get_f32(input)?;
-                    candidates.push((score, get_u64(input)?));
-                }
+                let n = get_count_u64(input, 12)?;
+                let candidates = (0..n).map(|_| Ok((get_f32(input)?, get_u64(input)?))).collect::<Result<_, _>>()?;
                 Self::TopKResp { candidates }
             }
             TAG_SHUTDOWN => Self::Shutdown,
-            TAG_METRICS => Self::Metrics { counters: get_counters(input)? },
-            TAG_BYE => {
-                let counters = get_counters(input)?;
-                let n = get_u32(input)? as usize;
-                let mut trace = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    trace.push(get_trace_event(input)?);
-                }
-                Self::Bye { counters, trace }
-            }
             t => return Err(CodecError(format!("serve wire msg: bad tag {t}"))),
         };
         Ok(msg)
     }
+}
+
+impl Reply for ServeWireMsg {
+    const BYE: u8 = TAG_BYE;
+    const METRICS: Option<u8> = Some(TAG_METRICS);
 }
 
 fn sort_candidates(c: &mut Vec<(f32, u64)>, k: usize) {
@@ -226,9 +173,11 @@ fn sort_candidates(c: &mut Vec<(f32, u64)>, k: usize) {
     c.truncate(k);
 }
 
-/// Host one shard: accept a single driver connection and answer requests
-/// until `Shutdown` or EOF. Blocks the calling thread; `agl-cli
-/// serve-worker` calls this as the child process's whole life.
+/// Host one shard: accept a single driver connection — within
+/// [`DistOptions::default`]'s connect timeout, so a worker whose driver
+/// never arrives exits — and answer requests until `Shutdown` or EOF.
+/// Blocks the calling thread; `agl-cli serve-worker` calls this as the
+/// child process's whole life.
 ///
 /// When the `Load` message enables tracing, every lookup/top-k opens a
 /// span on the `serve` track parented under the driver RPC span whose
@@ -237,91 +186,73 @@ fn sort_candidates(c: &mut Vec<(f32, u64)>, k: usize) {
 /// with a `Bye` carrying the final counters and trace.
 pub fn serve_shard_worker(ep: &Endpoint) -> Result<(), TransportError> {
     let listener = Listener::bind(ep)?;
-    let mut framed = Framed::new(listener.accept()?);
-    let mut slab = ShardSlab::default();
-    let mut obs = Obs::default();
-    let mut flush_every = 0u64;
-    let mut answered = 0u64;
-    while let Some(frame) = framed.recv()? {
-        let msg = ServeWireMsg::from_bytes(&frame)
-            .map_err(|e| TransportError::Protocol(format!("serve worker: bad frame: {e}")))?;
-        let reply = match msg {
-            ServeWireMsg::Load { dim, entries, trace, trace_id, salt, flush_every: fe } => {
-                // Logical clock: span timestamps depend only on this
-                // worker's own request order, so merged traces from a
-                // seeded run are byte-stable.
-                obs = if trace { Obs::enabled_with_identity(Clock::logical(), trace_id, salt) } else { Obs::default() };
-                flush_every = fe;
-                slab = ShardSlab::build(entries, dim as usize);
-                obs.metric_add("serve.loaded_entries", slab.len() as u64);
-                ServeWireMsg::Loaded { n: slab.len() as u64 }
+    let mut framed = rpc::accept(&listener, DistOptions::default().connect_timeout_ns)?;
+    rpc::serve(&mut framed, &mut ShardWorker::default())
+}
+
+/// One shard worker's state: its slab and, from `Load` on, its
+/// observability and flush cadence.
+#[derive(Default)]
+struct ShardWorker {
+    slab: ShardSlab,
+    obs: Obs,
+    flush_every: u64,
+}
+
+impl Service for ShardWorker {
+    type Request = ServeWireMsg;
+    type Reply = ServeWireMsg;
+
+    fn handle(&mut self, req: ServeWireMsg) -> Result<Step<ServeWireMsg>, TransportError> {
+        let (slab, obs) = (&self.slab, &self.obs);
+        Ok(match req {
+            ServeWireMsg::Load { dim, entries, identity, flush_every } => {
+                self.obs = identity.obs();
+                self.flush_every = flush_every;
+                self.slab = ShardSlab::build(entries, dim as usize);
+                self.obs.metric_add("serve.loaded_entries", self.slab.len() as u64);
+                Step::Reply(ServeWireMsg::Loaded { n: self.slab.len() as u64 })
             }
             ServeWireMsg::Lookup { ids, ctx } => {
                 let mut span = obs.span_child_of("serve", "serve.lookup", ctx);
                 span.counter("ids", ids.len() as u64);
                 obs.metric_add("serve.lookups", 1);
-                answered += 1;
-                ServeWireMsg::LookupResp {
-                    answers: ids
-                        .iter()
-                        .map(|&id| slab.get(NodeId(id)).map(<[f32]>::to_vec).unwrap_or_default())
-                        .collect(),
-                }
+                let answers =
+                    ids.iter().map(|&id| slab.get(NodeId(id)).map(<[f32]>::to_vec).unwrap_or_default()).collect();
+                Step::Paced(ServeWireMsg::LookupResp { answers })
             }
             ServeWireMsg::TopK { query, k, exclude, ctx } => {
                 let mut span = obs.span_child_of("serve", "serve.topk", ctx);
                 span.counter("k", u64::from(k));
                 obs.metric_add("serve.topks", 1);
-                answered += 1;
                 let mut candidates: Vec<(f32, u64)> = slab
                     .iter()
                     .filter(|(node, _)| Some(node.0) != exclude)
                     .map(|(node, v)| (v.iter().zip(&query).map(|(a, b)| a * b).sum::<f32>(), node.0))
                     .collect();
                 sort_candidates(&mut candidates, k as usize);
-                ServeWireMsg::TopKResp { candidates }
+                Step::Paced(ServeWireMsg::TopKResp { candidates })
             }
-            ServeWireMsg::Shutdown => {
-                let trace = obs.trace().map(|t| t.events()).unwrap_or_default();
-                framed.send(&ServeWireMsg::Bye { counters: obs.counter_snapshot(), trace }.to_bytes())?;
-                break;
-            }
+            ServeWireMsg::Shutdown => Step::Bye,
             other => {
                 return Err(TransportError::Protocol(format!("serve worker: unexpected request {other:?}")));
             }
-        };
-        // Flush ahead of the reply so the driver always reads the snapshot
-        // before the answer it is waiting on.
-        if flush_every > 0 && answered > 0 && answered % flush_every == 0 {
-            framed.send(&ServeWireMsg::Metrics { counters: obs.counter_snapshot() }.to_bytes())?;
-        }
-        framed.send(&reply.to_bytes())?;
+        })
     }
-    Ok(())
-}
 
-/// Read the next *reply* from a shard connection, absorbing any
-/// mid-flight `Metrics` snapshots the worker flushed ahead of it
-/// (cumulative, merged with `counter_max` under a `shard{i}.` prefix —
-/// idempotent, so a re-read snapshot never double-counts).
-fn expect(framed: &mut Framed, obs: &Obs, shard: usize) -> Result<ServeWireMsg, TransportError> {
-    loop {
-        let frame = framed.recv()?.ok_or_else(|| TransportError::Protocol("worker closed connection".into()))?;
-        let msg = ServeWireMsg::from_bytes(&frame).map_err(|e| TransportError::Protocol(format!("bad reply: {e}")))?;
-        if let ServeWireMsg::Metrics { counters } = msg {
-            for (name, v) in counters {
-                obs.counter_max(&format!("shard{shard}.{name}"), v);
-            }
-            continue;
-        }
-        return Ok(msg);
+    fn obs(&self) -> &Obs {
+        &self.obs
+    }
+
+    fn flush_every(&self) -> u64 {
+        self.flush_every
     }
 }
 
 /// Driver-side handle over `N` shard workers — the same query surface as
 /// the in-process store, answered over sockets.
 pub struct RemoteStore {
-    conns: Vec<Framed>,
+    conns: Vec<Client>,
     dim: usize,
     /// Driver-side observability: RPC spans and frame telemetry, plus the
     /// merge target for worker snapshots and `Bye` traces.
@@ -330,7 +261,9 @@ pub struct RemoteStore {
 
 impl RemoteStore {
     /// Connect to every worker (in shard order) and load each with its
-    /// hash-partition of `vectors`.
+    /// hash-partition of `vectors`. `timeout_ns` bounds the connect and
+    /// every later reply wait, so a worker that hangs surfaces as
+    /// [`TransportError::Timeout`].
     pub fn connect(
         endpoints: &[Endpoint],
         vectors: impl IntoIterator<Item = (NodeId, Vec<f32>)>,
@@ -362,28 +295,23 @@ impl RemoteStore {
             dim = v.len();
             buckets[shard_of(node, n)].push((node.0, v));
         }
-        let trace_id = obs.trace().map(|t| t.trace_id()).unwrap_or(0);
+        let opts = DistOptions { connect_timeout_ns: timeout_ns, io_timeout_ns: timeout_ns };
+        let counters = Counters::for_obs(&obs);
         let mut conns = Vec::with_capacity(n);
         for (i, (ep, bucket)) in endpoints.iter().zip(buckets).enumerate() {
-            let stats = FrameStats::from_obs(&obs, &format!("serve.s{i}"), serve_msg_name, serve_msg_name);
-            let mut framed = Framed::new(connect(ep, clock, timeout_ns)?).with_stats(stats);
+            let stats = FrameStats::from_obs(&obs, &format!("serve.s{i}"), SERVE_MSG_NAMES, SERVE_MSG_NAMES);
+            let mut client = Client::connect(ep, clock, &opts, stats, format!("shard{i}"), counters.clone())?;
             let loaded = bucket.len() as u64;
             let load = ServeWireMsg::Load {
                 dim: dim as u32,
                 entries: bucket,
-                trace: obs.is_enabled(),
-                trace_id,
-                // Serve shards salt above the PS shards (2001+i vs 1001+s)
-                // so merged span ids never collide across subsystems.
-                salt: 2001 + i as u64,
+                identity: TraceIdentity::for_peer(&obs, PeerKind::Serve, i),
                 flush_every,
             };
-            framed.send(&load.to_bytes())?;
-            match expect(&mut framed, &obs, i)? {
-                ServeWireMsg::Loaded { n } if n == loaded => {}
-                other => return Err(TransportError::Protocol(format!("bad load ack: {other:?}"))),
+            match client.call(&load)? {
+                ServeWireMsg::Loaded { n } if n == loaded => conns.push(client),
+                other => return Err(unexpected("load", other)),
             }
-            conns.push(framed);
         }
         Ok(Self { conns, dim, obs })
     }
@@ -404,19 +332,18 @@ impl RemoteStore {
             groups[shard_of(*id, n)].push(pos);
         }
         let mut out: Vec<Option<Vec<f32>>> = vec![None; ids.len()];
-        for (shard, group) in groups.iter().enumerate() {
+        for (conn, group) in self.conns.iter_mut().zip(&groups) {
             if group.is_empty() {
                 continue;
             }
             let req = ServeWireMsg::Lookup { ids: group.iter().map(|&p| ids[p].0).collect(), ctx };
-            self.conns[shard].send(&req.to_bytes())?;
-            match expect(&mut self.conns[shard], &self.obs, shard)? {
+            match conn.call(&req)? {
                 ServeWireMsg::LookupResp { answers } if answers.len() == group.len() => {
                     for (&pos, v) in group.iter().zip(answers) {
                         out[pos] = if v.is_empty() { None } else { Some(v) };
                     }
                 }
-                other => return Err(TransportError::Protocol(format!("bad lookup reply: {other:?}"))),
+                other => return Err(unexpected("lookup", other)),
             }
         }
         Ok(out)
@@ -433,10 +360,10 @@ impl RemoteStore {
         for conn in &mut self.conns {
             conn.send(&bytes)?;
         }
-        for (shard, conn) in self.conns.iter_mut().enumerate() {
-            match expect(conn, &self.obs, shard)? {
+        for conn in &mut self.conns {
+            match conn.reply()? {
                 ServeWireMsg::TopKResp { candidates } => merged.extend(candidates),
-                other => return Err(TransportError::Protocol(format!("bad topk reply: {other:?}"))),
+                other => return Err(unexpected("topk", other)),
             }
         }
         sort_candidates(&mut merged, k);
@@ -445,21 +372,12 @@ impl RemoteStore {
 
     /// Ask every worker to exit. Each worker acknowledges with a `Bye`;
     /// its trace merges into this driver's sink under a `shard{i}/` track
-    /// prefix and its final counters land as `shard{i}.{name}` (via
-    /// `counter_max`, superseding any mid-flight snapshots). Errors are
-    /// swallowed: a worker that already died has already shut down.
+    /// prefix and its final counters land as `shard{i}.{name}` (by max,
+    /// superseding any mid-flight snapshots). Errors are swallowed: a
+    /// worker that already died has already shut down.
     pub fn shutdown(&mut self) {
-        let bytes = ServeWireMsg::Shutdown.to_bytes();
-        for (shard, conn) in self.conns.iter_mut().enumerate() {
-            if conn.send(&bytes).is_err() {
-                continue;
-            }
-            if let Ok(ServeWireMsg::Bye { counters, trace }) = expect(conn, &self.obs, shard) {
-                self.obs.import_trace(&format!("shard{shard}/"), trace);
-                for (name, v) in counters {
-                    self.obs.counter_max(&format!("shard{shard}.{name}"), v);
-                }
-            }
+        for conn in &mut self.conns {
+            conn.shutdown::<ServeWireMsg>(&ServeWireMsg::Shutdown, &self.obs);
         }
     }
 }
@@ -469,6 +387,8 @@ mod tests {
     use super::*;
     use crate::store::EmbeddingStore;
     use crate::ServeConfig;
+    use agl_mapreduce::codec::put_counters;
+    use agl_mapreduce::rpc::Bye;
 
     #[test]
     fn wire_roundtrip() {
@@ -476,9 +396,7 @@ mod tests {
             ServeWireMsg::Load {
                 dim: 3,
                 entries: vec![(7, vec![1.0, 2.0, 3.0]), (9, vec![0.0, -1.0, 0.5])],
-                trace: true,
-                trace_id: 42,
-                salt: 2001,
+                identity: TraceIdentity { trace: true, trace_id: 42, salt: 2001 },
                 flush_every: 8,
             },
             ServeWireMsg::Loaded { n: 2 },
@@ -487,31 +405,80 @@ mod tests {
             ServeWireMsg::TopK { query: vec![0.5, 0.5, 0.5], k: 4, exclude: Some(7), ctx: None },
             ServeWireMsg::TopKResp { candidates: vec![(2.5, 9), (1.0, 7)] },
             ServeWireMsg::Shutdown,
-            ServeWireMsg::Metrics { counters: vec![("serve.lookups".to_string(), 3)] },
-            ServeWireMsg::Bye {
-                counters: vec![("serve.topks".to_string(), 2)],
-                trace: vec![TraceEvent {
-                    track: "serve".to_string(),
-                    seq: 0,
-                    name: "serve.topk".to_string(),
-                    ts: 1,
-                    dur: 2,
-                    depth: 0,
-                    args: vec![("k".to_string(), 4)],
-                    span_id: 11,
-                    parent_id: 12,
-                }],
-            },
         ];
         for m in msgs {
             assert_eq!(ServeWireMsg::from_bytes(&m.to_bytes()).unwrap(), m);
+        }
+        assert_eq!([SERVE_MSG_NAMES[TAG_LOAD as usize], SERVE_MSG_NAMES[TAG_BYE as usize]], ["load", "bye"]);
+        // Golden bytes. `Load`: dim, a `u64` entry count, (id, f32s) per
+        // entry, then the trace identity and the flush cadence.
+        let load = ServeWireMsg::Load {
+            dim: 1,
+            entries: vec![(7, vec![0.5])],
+            identity: TraceIdentity { trace: true, trace_id: 42, salt: 2001 },
+            flush_every: 8,
+        };
+        let golden: Vec<u8> = [
+            &[TAG_LOAD, 1, 0, 0, 0][..],
+            &1u64.to_le_bytes(),
+            &7u64.to_le_bytes(),
+            &[1, 0, 0, 0],
+            &0.5f32.to_le_bytes(),
+            &[1],
+            &42u64.to_le_bytes(),
+            &2001u64.to_le_bytes(),
+            &8u64.to_le_bytes(),
+        ]
+        .concat();
+        assert_eq!(load.to_bytes(), golden);
+        // `Lookup`: a `u64` id count, the ids, the span-context header.
+        let lookup = ServeWireMsg::Lookup { ids: vec![7], ctx: None };
+        let golden: Vec<u8> = [&[TAG_LOOKUP][..], &1u64.to_le_bytes(), &7u64.to_le_bytes(), &[0]].concat();
+        assert_eq!(lookup.to_bytes(), golden);
+        // Control frames, tag then payload: a counter list; `Bye` follows it
+        // with the trace.
+        let mut metrics = vec![ServeWireMsg::METRICS.unwrap()];
+        put_counters(&mut metrics, &[("n".to_string(), 9)]);
+        let golden: Vec<u8> = [&[TAG_METRICS, 1, 0, 0, 0, 1, 0, 0, 0, b'n'][..], &9u64.to_le_bytes()].concat();
+        assert_eq!(metrics, golden);
+        let mut bye = vec![ServeWireMsg::BYE];
+        Bye { counters: vec![("n".to_string(), 9)], trace: vec![] }.encode(&mut bye);
+        let golden: Vec<u8> =
+            [&[TAG_BYE, 1, 0, 0, 0, 1, 0, 0, 0, b'n'][..], &9u64.to_le_bytes(), &[0, 0, 0, 0]].concat();
+        assert_eq!(bye, golden);
+        // Inflated counts — every count a serve message carries, set to its
+        // maximum — are refused against the remaining input, never handed
+        // to the allocator. The 9-byte `Lookup` claiming `u64::MAX` ids is
+        // the smallest such frame.
+        let lookup_max: Vec<u8> = [&[TAG_LOOKUP][..], &u64::MAX.to_le_bytes()].concat();
+        let lookup_resp = ServeWireMsg::LookupResp { answers: vec![] }.to_bytes();
+        let topk_resp = ServeWireMsg::TopKResp { candidates: vec![] }.to_bytes();
+        for (msg, count_at, width) in
+            [(load.to_bytes(), 5, 8), (lookup_max, 1, 8), (lookup_resp, 1, 8), (topk_resp, 1, 8)]
+        {
+            let mut inflated = msg;
+            inflated[count_at..count_at + width].fill(0xFF);
+            let err = ServeWireMsg::from_bytes(&inflated).unwrap_err();
+            assert!(err.0.contains("exceeds remaining"), "count at {count_at}: {err}");
         }
     }
 
     #[test]
     fn truncated_bye_and_bad_ctx_version_are_rejected() {
-        let bye = ServeWireMsg::Bye { counters: vec![("c".to_string(), 1)], trace: vec![] }.to_bytes();
-        assert!(ServeWireMsg::from_bytes(&bye[..bye.len() - 2]).is_err());
+        let bye = Bye { counters: vec![("c".to_string(), 1)], trace: vec![] }.to_bytes();
+        assert!(Bye::from_bytes(&bye[..bye.len() - 2]).is_err());
+        // A `Bye` whose counter count, or trace-event count, outruns its
+        // input.
+        for at in [0, bye.len() - 4] {
+            let mut inflated = bye.clone();
+            inflated[at..at + 4].fill(0xFF);
+            let err = Bye::from_bytes(&inflated).unwrap_err();
+            assert!(err.0.contains("exceeds remaining"), "{}", err.0);
+        }
+        // Neither control frame is a `ServeWireMsg`.
+        for tag in [TAG_METRICS, TAG_BYE] {
+            assert!(ServeWireMsg::from_bytes(&[tag, 0, 0, 0, 0]).is_err());
+        }
         let mut lookup = ServeWireMsg::Lookup { ids: vec![], ctx: None }.to_bytes();
         *lookup.last_mut().unwrap() = 250; // span-ctx version byte
         let err = ServeWireMsg::from_bytes(&lookup).unwrap_err();
@@ -555,6 +522,40 @@ mod tests {
         assert_eq!(m.get("shard0.serve.topks") + m.get("shard1.serve.topks"), 2, "{}", m.render());
         assert!(m.get("rpc.serve.s0.send.topk.frames") > 0, "{}", m.render());
         assert!(m.get("rpc.serve.s0.recv.metrics.frames") > 0, "flush_every=1 must snapshot: {}", m.render());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A worker that answers `Load` and then stalls makes the next lookup
+    /// fail with a timeout within the read deadline — not hang.
+    #[test]
+    fn stalled_worker_is_a_timeout_not_a_hang() {
+        let dir = std::env::temp_dir().join(format!("agl-serve-stall-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ep = Endpoint::Unix(dir.join("shard0.sock"));
+        let listener = Listener::bind(&ep).unwrap();
+        let (done, stalled) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let listener = &listener;
+            s.spawn(move || {
+                let mut framed = rpc::accept(listener, 5_000_000_000).unwrap();
+                let load = ServeWireMsg::from_bytes(&framed.recv().unwrap().unwrap()).unwrap();
+                assert!(matches!(load, ServeWireMsg::Load { .. }));
+                framed.send(&ServeWireMsg::Loaded { n: 1 }.to_bytes()).unwrap();
+                // Read the lookup, never answer it, hold the socket open.
+                framed.recv().unwrap();
+                stalled.recv().ok();
+            });
+            let clock = Clock::monotonic();
+            let deadline_ns = 300_000_000;
+            let mut remote =
+                RemoteStore::connect(std::slice::from_ref(&ep), [(NodeId(1), vec![1.0])], &clock, deadline_ns).unwrap();
+            let start = std::time::Instant::now();
+            let err = remote.lookup(&[NodeId(1)]).unwrap_err();
+            assert!(matches!(err, TransportError::Timeout { .. }), "{err}");
+            assert!(start.elapsed() < std::time::Duration::from_secs(5), "waited {:?}", start.elapsed());
+            done.send(()).unwrap();
+        });
+        drop(listener);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -19,8 +19,9 @@ use crate::metrics::Metrics;
 use crate::pipeline::prepare_batch;
 use crate::trainer::{EpochStats, LocalTrainer, TrainOptions};
 use agl_flat::TrainingExample;
+use agl_mapreduce::TransportError;
 use agl_nn::{Adam, GnnModel};
-use agl_ps::{run_client_workers, Consistency, ParameterServer, PsClient, PsNetError, PsStats};
+use agl_ps::{run_client_workers, Consistency, ParameterServer, PsClient, PsStats};
 use agl_tensor::rng::derive_seed;
 use agl_tensor::rng::SliceRandom;
 use agl_tensor::seeded_rng;
@@ -96,7 +97,7 @@ impl DistTrainer {
     /// [`agl_ps::RemotePs`] talking to shard processes over sockets. Both
     /// modes share this single code path; only the client differs.
     ///
-    /// On a remote client, a dead shard surfaces here as `Err(PsNetError)`
+    /// On a remote client, a dead shard surfaces here as `Err(TransportError)`
     /// within the connection's read deadline — the epoch loop stops, every
     /// worker thread is joined, and the model keeps its last good epoch.
     pub fn train_with_client<C: PsClient>(
@@ -105,7 +106,7 @@ impl DistTrainer {
         train: &[TrainingExample],
         val: Option<&[TrainingExample]>,
         server: &C,
-    ) -> Result<DistTrainResult, PsNetError> {
+    ) -> Result<DistTrainResult, TransportError> {
         assert!(!train.is_empty());
 
         // Static data partition: worker w owns examples w, w+W, w+2W, ...
