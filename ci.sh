@@ -1,16 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification entry point. Everything here must pass before a PR
-# lands; the workspace lint test in crates/analysis re-runs the linter
-# from `cargo test`, so CI failures reproduce locally either way.
+# lands. agl-lint has no step of its own: crates/analysis's workspace lint
+# test runs it over the whole repo under `cargo test --workspace`.
 #
 # Modes:
-#   ./ci.sh            tier-1: fmt, build, test, process smokes, benchmark
-#                      smoke, workspace lint, doc gate
-#   ./ci.sh --bench    bench smoke: micro benches at 3 iters, medians
-#                      written to results/BENCH_pr<N>.json (N auto-numbers
-#                      from the existing snapshots, override with
-#                      AGL_BENCH_PR=<n>), then gated against the previous
-#                      snapshot: any median >20% slower fails.
+#   ./ci.sh            tier-1: fmt, build, test (workspace lint included),
+#                      process smokes, benchmark smoke, doc gate
 #   ./ci.sh --sanitize opt-in (not tier-1): run the ps + trainer
 #                      concurrency tests under ThreadSanitizer. Needs a
 #                      nightly toolchain with the rust-src component;
@@ -38,37 +33,6 @@ step() {
     exit "$rc"
   fi
 }
-
-if [[ "${1:-}" == "--bench" ]]; then
-  mkdir -p results
-  # Bench history: snapshots are numbered BENCH_pr<N>.json; the new run
-  # lands at prev+1 (or AGL_BENCH_PR) and is gated against the previous.
-  prev=$(ls results/BENCH_pr*.json 2>/dev/null \
-    | sed -E 's/.*BENCH_pr([0-9]+)\.json/\1/' | sort -n | tail -1)
-  n="${AGL_BENCH_PR:-$(( ${prev:-0} + 1 ))}"
-  # Absolute path: cargo runs bench binaries from the package directory.
-  # The same run also writes TRACE_pr<N>.json: per-stage medians from an
-  # instrumented end-to-end pipeline, diffed informationally below.
-  step "bench smoke (micro, 3 iters)" \
-    cargo bench -q -p agl-bench --bench micro -- --smoke \
-      --json "$PWD/results/BENCH_pr${n}.json" \
-      --trace-json "$PWD/results/TRACE_pr${n}.json"
-  if [[ -n "${prev:-}" && "results/BENCH_pr${prev}.json" != "results/BENCH_pr${n}.json" ]]; then
-    trace_args=()
-    if [[ -f "results/TRACE_pr${prev}.json" ]]; then
-      trace_args=(--trace-baseline "results/TRACE_pr${prev}.json" \
-                  --trace-current "results/TRACE_pr${n}.json")
-    fi
-    step "bench regression gate (vs BENCH_pr${prev}.json)" \
-      cargo run -q --release -p agl-bench --bin bench_compare -- \
-        --baseline "results/BENCH_pr${prev}.json" --current "results/BENCH_pr${n}.json" \
-        ${trace_args[@]+"${trace_args[@]}"}
-  else
-    echo "==> bench regression gate: no previous snapshot, nothing to compare"
-  fi
-  echo "ci.sh: bench smoke green -> results/BENCH_pr${n}.json + TRACE_pr${n}.json"
-  exit 0
-fi
 
 if [[ "${1:-}" == "--sanitize" ]]; then
   # ThreadSanitizer needs -Zsanitizer=thread and a rebuilt std, both
@@ -236,9 +200,8 @@ dist_kill() {
 step "cargo fmt --check" cargo fmt --check
 # --workspace: the root package does not depend on the agl-cli binary the
 # smoke steps below drive, so a bare `cargo build` in a fresh checkout would
-# leave ./target/release/agl-cli unbuilt. --all-targets: the benches (which
-# import the socket PS client) compile here, not only under `--bench`.
-step "cargo build --release" cargo build --release --workspace --all-targets
+# leave ./target/release/agl-cli unbuilt.
+step "cargo build --release" cargo build --release --workspace
 # --workspace: a bare `cargo test` at the root runs only the root package,
 # not the per-crate suites (placement byte-identity, fault determinism,
 # codec and spill round-trips, golden traces). The benchmark package sits
@@ -256,7 +219,6 @@ step "infer-stream smoke (streamed == materialized, 2-worker dist, deterministic
 # the benchmark is next run.
 step "pipeline-bench smoke" \
   cargo run --quiet --release --manifest-path pipeline_bench/Cargo.toml -- --smoke
-step "agl-lint --workspace" cargo run -q --release -p agl-analysis --bin agl-lint -- --workspace
 # Rustdoc is part of the contract: broken intra-doc links or missing docs
 # on public items (crates with #![warn(missing_docs)]) fail the build.
 step "cargo doc (rustdoc gate)" env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -1,26 +1,28 @@
 //! `agl-bench` — shared machinery for the experiment harnesses.
 //!
-//! One binary per table/figure of the paper's evaluation (§4):
+//! One binary per table/figure of the paper's evaluation (§4), plus two
+//! design experiments beyond it:
 //!
-//! | binary     | reproduces                                     |
-//! |------------|------------------------------------------------|
-//! | `table2`   | dataset summary                                |
-//! | `table3`   | effectiveness (accuracy / micro-F1 / AUC)      |
-//! | `table4`   | time-per-epoch ablation on PPI                 |
-//! | `table5`   | inference efficiency on UUG                    |
-//! | `fig7`     | convergence vs worker count                    |
-//! | `fig8`     | speedup vs worker count                        |
-//! | `headline` | the 14 h train / 1.2 h inference extrapolation |
+//! | binary      | reproduces                                     |
+//! |-------------|------------------------------------------------|
+//! | `table2`    | dataset summary                                |
+//! | `table3`    | effectiveness (accuracy / micro-F1 / AUC)      |
+//! | `table4`    | time-per-epoch ablation on PPI                 |
+//! | `table5`    | inference efficiency on UUG                    |
+//! | `fig7`      | convergence vs worker count                    |
+//! | `fig8`      | speedup vs worker count                        |
+//! | `headline`  | the 14 h train / 1.2 h inference extrapolation |
+//! | `ssp`       | PS consistency: convergence vs staleness       |
+//! | `ablations` | consistency, re-indexing, sampling, prefetch   |
+//!
+//! Performance of the pipeline itself is measured by `pipeline_bench`, not
+//! here.
 //!
 //! Scale knobs (environment variables, all optional):
 //!
 //! * `AGL_PPI_SCALE` — PPI-like size factor (default 0.08; 1.0 = paper).
 //! * `AGL_UUG_NODES` — UUG-like node count (default 10000).
 //! * `AGL_EPOCHS` — training epochs for effectiveness runs (default 30).
-
-pub mod compare;
-
-pub use compare::{compare_snapshots, validate_json, BenchComparison, BenchDelta, BenchEntry, BenchSnapshot};
 
 use agl_datasets::{Dataset, Split};
 use agl_flat::{FlatConfig, GraphFlat, SamplingStrategy, TargetSpec, TrainingExample};

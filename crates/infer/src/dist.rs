@@ -61,10 +61,20 @@ impl Codec for InferWorkerSpec {
         let sampling = SamplingStrategy::decode(input)?;
         let seed = get_u64(input)?;
         let gas = get_u8(input)? != 0;
-        let r_parts = get_u64(input)? as u32;
-        let degree_threshold = get_u64(input)? as u32;
+        let r_parts = get_u32_field(input, "r_parts")?;
+        if r_parts == 0 {
+            return Err(CodecError("worker spec has r_parts = 0".into()));
+        }
+        let degree_threshold = get_u32_field(input, "degree_threshold")?;
         Ok(Self { model, sampling, seed, gas, r_parts, degree_threshold })
     }
+}
+
+/// A `u32` knob carried in a `u64` wire field, refused (not truncated) when
+/// it does not fit.
+fn get_u32_field(input: &mut &[u8], what: &str) -> Result<u32, CodecError> {
+    let v = get_u64(input)?;
+    u32::try_from(v).map_err(|_| CodecError(format!("worker spec {what} = {v} exceeds u32")))
 }
 
 impl InferWorkerSpec {
@@ -90,9 +100,6 @@ impl InferWorkerSpec {
 pub fn infer_reducer_from_spec(spec: &[u8], counters: &Counters) -> Result<Box<dyn Reducer>, String> {
     let spec = InferWorkerSpec::from_bytes(spec).map_err(|e| format!("bad GraphInfer worker spec: {e}"))?;
     let model = model_from_bytes(&spec.model).map_err(|e| format!("bad model in worker spec: {e}"))?;
-    if spec.r_parts == 0 {
-        return Err("worker spec has r_parts = 0".into());
-    }
     let k = model.n_layers();
     Ok(Box::new(InferReducer {
         slices: Arc::new(model.segment()),
@@ -151,6 +158,18 @@ mod tests {
         assert!(infer_combiner_from_spec(&good, &c).is_ok());
         assert!(infer_reducer_from_spec(&good[..good.len() / 2], &c).is_err());
         assert!(infer_combiner_from_spec(b"junk", &c).is_err());
+        // `r_parts` and `degree_threshold` are the spec's last two u64 fields.
+        let with_tail = |r_parts: u64, degree_threshold: u64| {
+            let mut b = good[..good.len() - 16].to_vec();
+            put_u64(&mut b, r_parts);
+            put_u64(&mut b, degree_threshold);
+            b
+        };
+        assert_eq!(with_tail(4, 4), good);
+        for bad in [with_tail(0, 4), with_tail((1 << 32) + 8, 4), with_tail(8, (1 << 32) + 4)] {
+            assert!(infer_reducer_from_spec(&bad, &c).is_err());
+            assert!(infer_combiner_from_spec(&bad, &c).is_err());
+        }
     }
 
     #[test]

@@ -3,16 +3,16 @@
 //! Two claims, checked against `tests/golden/chrome_trace.json`:
 //!
 //! 1. The export is well-formed JSON — proven by running it through the
-//!    bench crate's strict recursive-descent parser (the same one that
-//!    gates `BENCH_pr<N>.json` snapshots), not by substring checks.
+//!    strict reader `obs-report` loads traces with (`agl_obs::json`), not
+//!    by substring checks.
 //! 2. Under the logical clock the export is byte-stable: the golden file
 //!    is the exact output, so any formatting or ordering drift in
 //!    `TraceSink::to_chrome_json` shows up as a diff here.
 //!
 //! Regenerate after a deliberate format change with
-//! `AGL_UPDATE_GOLDEN=1 cargo test -p agl-bench --test chrome_trace`.
+//! `AGL_UPDATE_GOLDEN=1 cargo test -p agl-obs --test chrome_trace`.
 
-use agl_bench::validate_json;
+use agl_obs::json::Value;
 use agl_obs::Obs;
 use std::fs;
 use std::path::Path;
@@ -40,7 +40,7 @@ fn sample_trace() -> String {
 #[test]
 fn chrome_export_is_wellformed_and_byte_stable() {
     let json = sample_trace();
-    validate_json(&json).expect("chrome export must be well-formed JSON");
+    Value::parse(&json).expect("chrome export must be well-formed JSON");
     assert!(json.contains("\"traceEvents\""), "{json}");
     assert!(json.contains("\"ph\":\"M\""), "thread_name metadata events: {json}");
     assert!(json.contains("\"ph\":\"X\""), "complete events: {json}");
@@ -49,23 +49,11 @@ fn chrome_export_is_wellformed_and_byte_stable() {
     if std::env::var_os("AGL_UPDATE_GOLDEN").is_some() {
         fs::write(&golden_path, &json).expect("write golden");
     }
-    let golden = fs::read_to_string(&golden_path).expect(
-        "golden file missing — regenerate with AGL_UPDATE_GOLDEN=1 cargo test -p agl-bench --test chrome_trace",
-    );
+    let golden = fs::read_to_string(&golden_path)
+        .expect("golden file missing — regenerate with AGL_UPDATE_GOLDEN=1 cargo test -p agl-obs --test chrome_trace");
     assert_eq!(
         json, golden,
         "logical-clock chrome export must be byte-stable; if the format change \
          is deliberate, regenerate tests/golden/chrome_trace.json with AGL_UPDATE_GOLDEN=1"
     );
-}
-
-#[test]
-fn stage_snapshots_parse_like_bench_snapshots() {
-    // The `--trace-json` stage snapshot reuses the bench snapshot schema;
-    // keep the two formats from drifting apart.
-    let json = "{\n  \"suite\": \"stage-trace\",\n  \"mode\": \"smoke\",\n  \"iters\": 3,\n  \"benches\": [\n    \
-                {\"name\": \"stage/flat.total\", \"median_ms\": 12.5}\n  ]\n}\n";
-    let snap = agl_bench::BenchSnapshot::parse(json).expect("stage snapshot parses");
-    assert_eq!(snap.suite, "stage-trace");
-    assert_eq!(snap.benches[0].name, "stage/flat.total");
 }
