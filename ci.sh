@@ -216,9 +216,26 @@ step "infer-stream smoke (streamed == materialized, 2-worker dist, deterministic
 # The benchmark package path-depends on crates/* but sits outside the
 # workspace, so nothing above compiles it: build it and run every workload
 # once at ~1/20 size, so a public-API break there fails here and not when
-# the benchmark is next run.
-step "pipeline-bench smoke" \
-  cargo run --quiet --release --manifest-path pipeline_bench/Cargo.toml -- --smoke
+# the benchmark is next run. Each workload's output digest is a pure
+# function of the seed, so drift from the pinned values means the
+# arithmetic changed; a change that alters it on purpose updates them here.
+bench_smoke() {
+  local out got want
+  out=$(cargo run --quiet --release --manifest-path pipeline_bench/Cargo.toml -- --smoke) || return 1
+  got=$(echo "$out" | awk '/^pipeline_bench /{w=$2} /^  output_digest /{print w, $2}')
+  want="flat.uug-2hop 0x1838ec17e2517f96
+train.ppi-2layer 0x72918210077ff891
+infer.uug-hub 0x53f50a6336a4817f
+serve.mixed-rw 0x445a3a1016846ce1
+dist.uug-uds 0x3b9bba1118137b1f"
+  if [ "$got" != "$want" ]; then
+    echo "pipeline-bench smoke: output digests drifted (want, then got):" >&2
+    echo "$want" >&2
+    echo "$got" >&2
+    return 1
+  fi
+}
+step "pipeline-bench smoke (pinned output digests)" bench_smoke
 # Rustdoc is part of the contract: broken intra-doc links or missing docs
 # on public items (crates with #![warn(missing_docs)]) fail the build.
 step "cargo doc (rustdoc gate)" env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

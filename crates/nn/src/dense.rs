@@ -44,19 +44,31 @@ impl DenseLayer {
     }
 
     pub fn forward(&self, h: &Matrix) -> (Matrix, DenseCache) {
-        let mut pre = h.matmul(&self.w.value);
-        pre.add_row_broadcast(self.b.value.row(0));
+        self.forward_rows(h.clone(), &all_rows(h.rows()))
+    }
+
+    /// [`DenseLayer::forward`] on the listed rows of `h` only; the other
+    /// output rows stay zero. Takes `h` by value: the cache keeps it.
+    pub fn forward_rows(&self, h: Matrix, rows: &[usize]) -> (Matrix, DenseCache) {
+        let mut pre = h.matmul_rows(rows, &self.w.value);
+        pre.add_row_broadcast_rows(rows, self.b.value.row(0));
         let mut post = pre.clone();
-        self.act.forward_inplace(&mut post);
-        (post.clone(), DenseCache { h_in: h.clone(), pre, post })
+        self.act.forward_rows(&mut post, rows);
+        (post.clone(), DenseCache { h_in: h, pre, post })
     }
 
     pub fn backward(&mut self, cache: &DenseCache, grad_out: &Matrix) -> Matrix {
+        self.backward_rows(cache, grad_out, &all_rows(grad_out.rows()))
+    }
+
+    /// [`DenseLayer::backward`] for a [`DenseLayer::forward_rows`] over the
+    /// same `rows`.
+    pub fn backward_rows(&mut self, cache: &DenseCache, grad_out: &Matrix, rows: &[usize]) -> Matrix {
         let mut d_pre = grad_out.clone();
-        self.act.backward_inplace(&mut d_pre, &cache.pre, &cache.post);
-        self.b.accumulate(&Matrix::from_vec(1, d_pre.cols(), d_pre.col_sums()));
-        self.w.accumulate(&cache.h_in.t_matmul(&d_pre));
-        d_pre.matmul_t(&self.w.value)
+        self.act.backward_rows(&mut d_pre, &cache.pre, &cache.post, rows);
+        self.b.accumulate(&Matrix::from_vec(1, d_pre.cols(), d_pre.col_sums_rows(rows)));
+        self.w.accumulate(&cache.h_in.t_matmul_rows(rows, &d_pre));
+        d_pre.matmul_t_rows(rows, &self.w.value)
     }
 
     /// Single-row forward for the final GraphInfer Reduce round.
@@ -82,6 +94,10 @@ impl DenseLayer {
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.w, &mut self.b]
     }
+}
+
+fn all_rows(n: usize) -> Vec<usize> {
+    (0..n).collect()
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 //! exactly once, mirroring `AdjPrep::StructWithSelfLoops` whose duplicate
 //! merging guarantees a single diagonal entry.
 
-use crate::layer::NeighborView;
+use crate::layer::{LiveRows, NeighborView};
 use crate::param::Param;
 use agl_tensor::ops::{leaky_relu, leaky_relu_grad, softmax_slice_inplace, Activation};
 use agl_tensor::rng::Rng;
@@ -131,18 +131,30 @@ impl GatLayer {
         self.act
     }
 
-    /// Batch forward. `adj` must be prepared with
+    /// Batch forward over every row. `adj` must be prepared with
     /// [`crate::layer::AdjPrep::StructWithSelfLoops`].
     pub fn forward(&self, adj: &Csr, h: &Matrix, ctx: &ExecCtx) -> (Matrix, GatCache) {
+        self.forward_live(adj, h.clone(), &LiveRows::all(h.rows()), ctx)
+    }
+
+    /// Batch forward over the `live` rows: projections and source scores on
+    /// the rows the aggregation reads, destination scores, bias and
+    /// activation on the rows it produces.
+    pub fn forward_live(&self, adj: &Csr, h: Matrix, live: &LiveRows, ctx: &ExecCtx) -> (Matrix, GatCache) {
         debug_assert_eq!(h.cols(), self.in_dim);
         let n = adj.n_rows();
         let mut head_caches = Vec::with_capacity(self.heads.len());
-        let mut head_outputs: Vec<Matrix> = Vec::with_capacity(self.heads.len());
         for head in &self.heads {
-            let p = h.matmul(&head.w.value);
+            let p = h.matmul_rows(&live.input, &head.w.value);
             // Per-node attention logits.
-            let s_l: Vec<f32> = (0..n).map(|v| dot(p.row(v), head.a_l.value.row(0))).collect();
-            let s_r: Vec<f32> = (0..n).map(|v| dot(p.row(v), head.a_r.value.row(0))).collect();
+            let mut s_l = vec![0.0f32; n];
+            for &v in &live.out {
+                s_l[v] = dot(p.row(v), head.a_l.value.row(0));
+            }
+            let mut s_r = vec![0.0f32; n];
+            for &u in &live.input {
+                s_r[u] = dot(p.row(u), head.a_r.value.row(0));
+            }
             // Raw scores + row-softmax over each destination's entries.
             let mut raw = vec![0.0f32; adj.nnz()];
             let mut alpha = vec![0.0f32; adj.nnz()];
@@ -160,49 +172,63 @@ impl GatLayer {
             // sparse multiply the edge-partitioning strategy parallelises.
             let alpha_csr = Csr::from_raw(n, adj.n_cols(), indptr.to_vec(), adj.indices().to_vec(), alpha.clone());
             let mut pre = ctx.spmm(&alpha_csr, &p);
-            pre.add_row_broadcast(head.b.value.row(0));
-            let (out_h, post) = match self.combine {
+            pre.add_row_broadcast_rows(&live.out, head.b.value.row(0));
+            let post = match self.combine {
                 HeadCombine::Concat => {
                     let mut post = pre.clone();
-                    self.act.forward_inplace(&mut post);
-                    (post.clone(), post)
+                    self.act.forward_rows(&mut post, &live.out);
+                    post
                 }
-                HeadCombine::Average => (pre.clone(), Matrix::zeros(0, 0)),
+                HeadCombine::Average => Matrix::zeros(0, 0),
             };
-            head_outputs.push(out_h);
             head_caches.push(HeadCache { p, raw, alpha, pre, post });
         }
         let (out, pre_combined) = match self.combine {
             HeadCombine::Concat => {
                 let mut out = Matrix::zeros(n, self.out_dim());
-                for (hi, ho) in head_outputs.iter().enumerate() {
+                for (hi, hc) in head_caches.iter().enumerate() {
                     let off = hi * self.head_dim;
-                    for r in 0..n {
-                        out.row_mut(r)[off..off + self.head_dim].copy_from_slice(ho.row(r));
+                    for &r in &live.out {
+                        out.row_mut(r)[off..off + self.head_dim].copy_from_slice(hc.post.row(r));
                     }
                 }
                 (out, None)
             }
             HeadCombine::Average => {
                 let mut avg = Matrix::zeros(n, self.head_dim);
-                for ho in &head_outputs {
-                    avg.add_assign(ho);
+                for hc in &head_caches {
+                    avg.add_assign_rows(&live.out, &hc.pre);
                 }
                 avg.scale(1.0 / self.heads.len() as f32);
                 let mut out = avg.clone();
-                self.act.forward_inplace(&mut out);
+                self.act.forward_rows(&mut out, &live.out);
                 (out, Some(avg))
             }
         };
-        let cache = GatCache { h_in: h.clone(), heads: head_caches, pre_combined, post_combined: out.clone() };
+        let cache = GatCache { h_in: h, heads: head_caches, pre_combined, post_combined: out.clone() };
         (out, cache)
     }
 
-    /// Batch backward.
-    pub fn backward(&mut self, adj: &Csr, cache: &GatCache, grad_out: &Matrix, _ctx: &ExecCtx) -> Matrix {
+    /// Batch backward over every row.
+    pub fn backward(&mut self, adj: &Csr, cache: &GatCache, grad_out: &Matrix, ctx: &ExecCtx) -> Matrix {
+        let live = LiveRows::all(grad_out.rows());
+        self.backward_live(adj, cache, grad_out, &live, true, ctx).expect("input gradient requested")
+    }
+
+    /// Batch backward over the `live` rows; returns `dH` only when
+    /// `input_grad`.
+    pub fn backward_live(
+        &mut self,
+        adj: &Csr,
+        cache: &GatCache,
+        grad_out: &Matrix,
+        live: &LiveRows,
+        input_grad: bool,
+        _ctx: &ExecCtx,
+    ) -> Option<Matrix> {
         let n = adj.n_rows();
         let n_heads = self.heads.len();
-        let mut dh = Matrix::zeros(n, self.in_dim);
+        let mut dh = input_grad.then(|| Matrix::zeros(n, self.in_dim));
 
         // Per-head gradient of the head pre-activation `Z + b`.
         let head_dpre: Vec<Matrix> = match self.combine {
@@ -210,18 +236,18 @@ impl GatLayer {
                 .map(|hi| {
                     let off = hi * self.head_dim;
                     let mut d = Matrix::zeros(n, self.head_dim);
-                    for r in 0..n {
+                    for &r in &live.out {
                         d.row_mut(r).copy_from_slice(&grad_out.row(r)[off..off + self.head_dim]);
                     }
                     let hc = &cache.heads[hi];
-                    self.act.backward_inplace(&mut d, &hc.pre, &hc.post);
+                    self.act.backward_rows(&mut d, &hc.pre, &hc.post, &live.out);
                     d
                 })
                 .collect(),
             HeadCombine::Average => {
                 let mut d_avg = grad_out.clone();
                 let pre = cache.pre_combined.as_ref().expect("average cache");
-                self.act.backward_inplace(&mut d_avg, pre, &cache.post_combined);
+                self.act.backward_rows(&mut d_avg, pre, &cache.post_combined, &live.out);
                 d_avg.scale(1.0 / n_heads as f32);
                 (0..n_heads).map(|_| d_avg.clone()).collect()
             }
@@ -231,7 +257,7 @@ impl GatLayer {
         for (hi, head) in self.heads.iter_mut().enumerate() {
             let hc = &cache.heads[hi];
             let dz = &head_dpre[hi];
-            head.b.accumulate(&Matrix::from_vec(1, self.head_dim, dz.col_sums()));
+            head.b.accumulate(&Matrix::from_vec(1, self.head_dim, dz.col_sums_rows(&live.out)));
             // dP from Z = Σ α P: dP_u += α_vu dZ_v  (αᵀ dZ).
             let alpha_csr = Csr::from_raw(n, adj.n_cols(), indptr.to_vec(), adj.indices().to_vec(), hc.alpha.clone());
             let mut dp = alpha_csr.t_spmm(dz);
@@ -283,8 +309,10 @@ impl GatLayer {
             }
             head.a_l.accumulate(&Matrix::from_vec(1, self.head_dim, da_l));
             head.a_r.accumulate(&Matrix::from_vec(1, self.head_dim, da_r));
-            head.w.accumulate(&cache.h_in.t_matmul(&dp));
-            dh.add_assign(&dp.matmul_t(&head.w.value));
+            head.w.accumulate(&cache.h_in.t_matmul_rows(&live.input, &dp));
+            if let Some(dh) = &mut dh {
+                dh.add_assign_rows(&live.input, &dp.matmul_t_rows(&live.input, &head.w.value));
+            }
         }
         dh
     }

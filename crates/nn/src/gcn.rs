@@ -10,7 +10,7 @@
 //! dP   = Âᵀ dPre                dW = Hᵀ dP        dH = dP Wᵀ
 //! ```
 
-use crate::layer::{NeighborAggregate, NeighborView};
+use crate::layer::{LiveRows, NeighborAggregate, NeighborView};
 use crate::param::Param;
 use agl_tensor::ops::Activation;
 use agl_tensor::rng::Rng;
@@ -54,27 +54,49 @@ impl GcnLayer {
         self.act
     }
 
-    /// Batch forward. `adj` must be prepared with
+    /// Batch forward over every row. `adj` must be prepared with
     /// [`crate::layer::AdjPrep::MeanWithSelfLoops`].
     pub fn forward(&self, adj: &Csr, h: &Matrix, ctx: &ExecCtx) -> (Matrix, GcnCache) {
-        debug_assert_eq!(h.cols(), self.in_dim());
-        let p = h.matmul(&self.w.value);
-        let mut pre = ctx.spmm(adj, &p);
-        pre.add_row_broadcast(self.b.value.row(0));
-        let mut post = pre.clone();
-        self.act.forward_inplace(&mut post);
-        (post.clone(), GcnCache { h_in: h.clone(), pre, post })
+        self.forward_live(adj, h.clone(), &LiveRows::all(h.rows()), ctx)
     }
 
-    /// Batch backward; accumulates into `w.grad` / `b.grad`, returns `dH`.
-    pub fn backward(&mut self, adj: &Csr, cache: &GcnCache, grad_out: &Matrix, _ctx: &ExecCtx) -> Matrix {
+    /// Batch forward over the `live` rows: `H W` on the rows the
+    /// aggregation reads, bias and activation on the rows it produces.
+    pub fn forward_live(&self, adj: &Csr, h: Matrix, live: &LiveRows, ctx: &ExecCtx) -> (Matrix, GcnCache) {
+        debug_assert_eq!(h.cols(), self.in_dim());
+        let p = h.matmul_rows(&live.input, &self.w.value);
+        let mut pre = ctx.spmm(adj, &p);
+        pre.add_row_broadcast_rows(&live.out, self.b.value.row(0));
+        let mut post = pre.clone();
+        self.act.forward_rows(&mut post, &live.out);
+        (post.clone(), GcnCache { h_in: h, pre, post })
+    }
+
+    /// Batch backward over every row; accumulates into `w.grad` / `b.grad`,
+    /// returns `dH`.
+    pub fn backward(&mut self, adj: &Csr, cache: &GcnCache, grad_out: &Matrix, ctx: &ExecCtx) -> Matrix {
+        let live = LiveRows::all(grad_out.rows());
+        self.backward_live(adj, cache, grad_out, &live, true, ctx).expect("input gradient requested")
+    }
+
+    /// Batch backward over the `live` rows of the matching forward; returns
+    /// `dH` only when `input_grad`.
+    pub fn backward_live(
+        &mut self,
+        adj: &Csr,
+        cache: &GcnCache,
+        grad_out: &Matrix,
+        live: &LiveRows,
+        input_grad: bool,
+        _ctx: &ExecCtx,
+    ) -> Option<Matrix> {
         let mut d_pre = grad_out.clone();
-        self.act.backward_inplace(&mut d_pre, &cache.pre, &cache.post);
-        let db = Matrix::from_vec(1, d_pre.cols(), d_pre.col_sums());
+        self.act.backward_rows(&mut d_pre, &cache.pre, &cache.post, &live.out);
+        let db = Matrix::from_vec(1, d_pre.cols(), d_pre.col_sums_rows(&live.out));
         self.b.accumulate(&db);
         let d_p = adj.t_spmm(&d_pre);
-        self.w.accumulate(&cache.h_in.t_matmul(&d_p));
-        d_p.matmul_t(&self.w.value)
+        self.w.accumulate(&cache.h_in.t_matmul_rows(&live.input, &d_p));
+        input_grad.then(|| d_p.matmul_t_rows(&live.input, &self.w.value))
     }
 
     /// Per-node forward from a *raw* neighborhood (GraphInfer merge step):

@@ -22,7 +22,7 @@
 //! The first layer (whose input is the raw `f_n`-wide features) applies its
 //! own input projection `W_x` and starts from `C = 0`.
 
-use crate::layer::NeighborView;
+use crate::layer::{LiveRows, NeighborView};
 use crate::param::Param;
 use agl_tensor::ops::{sigmoid, sigmoid_grad_from_output, softmax_slice_inplace};
 use agl_tensor::rng::Rng;
@@ -123,15 +123,16 @@ impl GeniePathLayer {
         self.dim
     }
 
-    /// Split the packed input into `(h, C)` (projecting for the entry layer).
-    fn unpack(&self, input: &Matrix) -> (Matrix, Matrix) {
+    /// Split the packed input into `(h, C)` on the listed rows (projecting
+    /// for the entry layer).
+    fn unpack(&self, input: &Matrix, rows: &[usize]) -> (Matrix, Matrix) {
         let n = input.rows();
         match &self.w_x {
-            Some(w_x) => (input.matmul(&w_x.value), Matrix::zeros(n, self.dim)),
+            Some(w_x) => (input.matmul_rows(rows, &w_x.value), Matrix::zeros(n, self.dim)),
             None => {
                 let mut h = Matrix::zeros(n, self.dim);
                 let mut c = Matrix::zeros(n, self.dim);
-                for r in 0..n {
+                for &r in rows {
                     h.row_mut(r).copy_from_slice(&input.row(r)[..self.dim]);
                     c.row_mut(r).copy_from_slice(&input.row(r)[self.dim..]);
                 }
@@ -140,17 +141,25 @@ impl GeniePathLayer {
         }
     }
 
-    /// Batch forward. `adj` must be prepared with
+    /// Batch forward over every row. `adj` must be prepared with
     /// [`crate::layer::AdjPrep::StructWithSelfLoops`].
     pub fn forward(&self, adj: &Csr, input: &Matrix, ctx: &ExecCtx) -> (Matrix, GeniePathCache) {
+        self.forward_live(adj, input.clone(), &LiveRows::all(input.rows()), ctx)
+    }
+
+    /// Batch forward over the `live` rows: the source-side projection on the
+    /// rows the attention reads, everything else on the rows it produces.
+    pub fn forward_live(&self, adj: &Csr, input: Matrix, live: &LiveRows, ctx: &ExecCtx) -> (Matrix, GeniePathCache) {
         debug_assert_eq!(input.cols(), self.in_dim);
         let n = adj.n_rows();
-        let (h, c) = self.unpack(input);
+        let d = self.dim;
+        let rows = &live.out;
+        let (h, c) = self.unpack(&input, &live.input);
         // Breadth: per-edge additive attention.
-        let hs = h.matmul(&self.w_s.value); // n×d — destination side
-        let hd = h.matmul(&self.w_d.value); // n×d — source side
+        let hs = h.matmul_rows(rows, &self.w_s.value); // n×d — destination side
+        let hd = h.matmul_rows(&live.input, &self.w_d.value); // n×d — source side
         let nnz = adj.nnz();
-        let mut t_edges = Matrix::zeros(nnz, self.dim);
+        let mut t_edges = Matrix::zeros(nnz, d);
         let mut scores = vec![0.0f32; nnz];
         let indptr = adj.indptr();
         for v in 0..n {
@@ -168,73 +177,76 @@ impl GeniePathLayer {
         let alpha = scores;
         let alpha_csr = Csr::from_raw(n, adj.n_cols(), indptr.to_vec(), adj.indices().to_vec(), alpha.clone());
         let agg = ctx.spmm(&alpha_csr, &h);
-        let tmp = agg.matmul(&self.w_agg.value).map(f32::tanh);
+        let mut tmp = agg.matmul_rows(rows, &self.w_agg.value);
+        tmp.map_rows_inplace(rows, f32::tanh);
         // Depth: LSTM gates from tmp only.
         let gate = |w: &Param, b: &Param, squash: fn(f32) -> f32| {
-            let mut g = tmp.matmul(&w.value);
-            g.add_row_broadcast(b.value.row(0));
-            g.map_inplace(squash);
+            let mut g = tmp.matmul_rows(rows, &w.value);
+            g.add_row_broadcast_rows(rows, b.value.row(0));
+            g.map_rows_inplace(rows, squash);
             g
         };
         let gate_i = gate(&self.w_i, &self.b_i, sigmoid);
         let gate_f = gate(&self.w_f, &self.b_f, sigmoid);
         let gate_o = gate(&self.w_o, &self.b_o, sigmoid);
         let c_tilde = gate(&self.w_c, &self.b_c, f32::tanh);
-        let mut c_new = gate_f.hadamard(&c);
-        c_new.add_assign(&gate_i.hadamard(&c_tilde));
-        let h_new = gate_o.hadamard(&c_new.map(f32::tanh));
-        // Pack (h', C').
-        let mut out = Matrix::zeros(n, 2 * self.dim);
-        for r in 0..n {
-            out.row_mut(r)[..self.dim].copy_from_slice(h_new.row(r));
-            out.row_mut(r)[self.dim..].copy_from_slice(c_new.row(r));
+        // C' = f ⊙ C + i ⊙ c̃, h' = o ⊙ tanh(C'), packed as (h', C').
+        let mut c_new = Matrix::zeros(n, d);
+        let mut out = Matrix::zeros(n, 2 * d);
+        for &r in rows {
+            for k in 0..d {
+                let cn = gate_f[(r, k)] * c[(r, k)] + gate_i[(r, k)] * c_tilde[(r, k)];
+                c_new[(r, k)] = cn;
+                out[(r, k)] = gate_o[(r, k)] * cn.tanh();
+                out[(r, d + k)] = cn;
+            }
         }
-        let cache = GeniePathCache {
-            input: input.clone(),
-            h,
-            c,
-            t_edges,
-            alpha,
-            agg,
-            tmp,
-            gate_i,
-            gate_f,
-            gate_o,
-            c_tilde,
-            c_new,
-        };
+        let cache = GeniePathCache { input, h, c, t_edges, alpha, agg, tmp, gate_i, gate_f, gate_o, c_tilde, c_new };
         (out, cache)
     }
 
-    /// Batch backward.
-    pub fn backward(&mut self, adj: &Csr, cache: &GeniePathCache, grad_out: &Matrix, _ctx: &ExecCtx) -> Matrix {
+    /// Batch backward over every row.
+    pub fn backward(&mut self, adj: &Csr, cache: &GeniePathCache, grad_out: &Matrix, ctx: &ExecCtx) -> Matrix {
+        let live = LiveRows::all(grad_out.rows());
+        self.backward_live(adj, cache, grad_out, &live, true, ctx).expect("input gradient requested")
+    }
+
+    /// Batch backward over the `live` rows; returns the input gradient only
+    /// when `input_grad`.
+    pub fn backward_live(
+        &mut self,
+        adj: &Csr,
+        cache: &GeniePathCache,
+        grad_out: &Matrix,
+        live: &LiveRows,
+        input_grad: bool,
+        _ctx: &ExecCtx,
+    ) -> Option<Matrix> {
         let n = adj.n_rows();
         let d = self.dim;
-        // Unpack gradient of the packed output.
-        let mut dh_new = Matrix::zeros(n, d);
-        let mut dc_new = Matrix::zeros(n, d);
-        for r in 0..n {
-            dh_new.row_mut(r).copy_from_slice(&grad_out.row(r)[..d]);
-            dc_new.row_mut(r).copy_from_slice(&grad_out.row(r)[d..]);
+        let rows = &live.out;
+        // Back through the LSTM cell to the gate pre-activations:
+        // h' = o ⊙ tanh(C'), C' = f ⊙ C + i ⊙ c̃.
+        let mut pre_i = Matrix::zeros(n, d);
+        let mut pre_f = Matrix::zeros(n, d);
+        let mut pre_o = Matrix::zeros(n, d);
+        let mut pre_c = Matrix::zeros(n, d);
+        let mut d_c_in = Matrix::zeros(n, d);
+        for &r in rows {
+            for k in 0..d {
+                let (dh_new, dc_new) = (grad_out[(r, k)], grad_out[(r, d + k)]);
+                let (gi, gf, go, ct) =
+                    (cache.gate_i[(r, k)], cache.gate_f[(r, k)], cache.gate_o[(r, k)], cache.c_tilde[(r, k)]);
+                let tanh_c = cache.c_new[(r, k)].tanh();
+                let d_o = dh_new * tanh_c;
+                let d_cn = dc_new + dh_new * go * (1.0 - tanh_c * tanh_c);
+                d_c_in[(r, k)] = d_cn * gf;
+                pre_i[(r, k)] = d_cn * ct * sigmoid_grad_from_output(gi);
+                pre_f[(r, k)] = d_cn * cache.c[(r, k)] * sigmoid_grad_from_output(gf);
+                pre_o[(r, k)] = d_o * sigmoid_grad_from_output(go);
+                pre_c[(r, k)] = d_cn * gi * (1.0 - ct * ct);
+            }
         }
-        // h' = o ⊙ tanh(C')
-        let tanh_c = cache.c_new.map(f32::tanh);
-        let d_o = dh_new.hadamard(&tanh_c);
-        let mut d_cn = dc_new;
-        {
-            let extra = dh_new.hadamard(&cache.gate_o).hadamard(&tanh_c.map(|t| 1.0 - t * t));
-            d_cn.add_assign(&extra);
-        }
-        // C' = f ⊙ C + i ⊙ c̃
-        let d_f = d_cn.hadamard(&cache.c);
-        let d_c_in = d_cn.hadamard(&cache.gate_f);
-        let d_i = d_cn.hadamard(&cache.c_tilde);
-        let d_ctilde = d_cn.hadamard(&cache.gate_i);
-        // Gate pre-activations.
-        let pre_i = d_i.hadamard(&cache.gate_i.map(sigmoid_grad_from_output));
-        let pre_f = d_f.hadamard(&cache.gate_f.map(sigmoid_grad_from_output));
-        let pre_o = d_o.hadamard(&cache.gate_o.map(sigmoid_grad_from_output));
-        let pre_c = d_ctilde.hadamard(&cache.c_tilde.map(|t| 1.0 - t * t));
         // Accumulate gate params + gradient into tmp.
         let mut d_tmp = Matrix::zeros(n, d);
         for (pre, w, b) in [
@@ -243,18 +255,21 @@ impl GeniePathLayer {
             (&pre_o, &mut self.w_o, &mut self.b_o),
             (&pre_c, &mut self.w_c, &mut self.b_c),
         ] {
-            b.accumulate(&Matrix::from_vec(1, d, pre.col_sums()));
-            w.accumulate(&cache.tmp.t_matmul(pre));
-            d_tmp.add_assign(&pre.matmul_t(&w.value));
+            b.accumulate(&Matrix::from_vec(1, d, pre.col_sums_rows(rows)));
+            w.accumulate(&cache.tmp.t_matmul_rows(rows, pre));
+            d_tmp.add_assign_rows(rows, &pre.matmul_t_rows(rows, &w.value));
         }
         // tmp = tanh(agg W_agg)
-        let d_tmp_pre = d_tmp.hadamard(&cache.tmp.map(|t| 1.0 - t * t));
-        self.w_agg.accumulate(&cache.agg.t_matmul(&d_tmp_pre));
-        let d_agg = d_tmp_pre.matmul_t(&self.w_agg.value);
+        let mut d_tmp_pre = d_tmp;
+        for &r in rows {
+            for (g, &t) in d_tmp_pre.row_mut(r).iter_mut().zip(cache.tmp.row(r)) {
+                *g *= 1.0 - t * t;
+            }
+        }
+        self.w_agg.accumulate(&cache.agg.t_matmul_rows(rows, &d_tmp_pre));
+        let d_agg = d_tmp_pre.matmul_t_rows(rows, &self.w_agg.value);
         // Attention backward (α over per-edge additive scores).
         let indptr = adj.indptr();
-        let alpha_csr = Csr::from_raw(n, adj.n_cols(), indptr.to_vec(), adj.indices().to_vec(), cache.alpha.clone());
-        let mut d_h = alpha_csr.t_spmm(&d_agg); // from agg = Σ α h_u
         let mut d_hs = Matrix::zeros(n, d); // grad into h W_s rows (dest side)
         let mut d_hd = Matrix::zeros(n, d); // grad into h W_d rows (src side)
         let mut d_va = vec![0.0f32; d];
@@ -287,23 +302,30 @@ impl GeniePathLayer {
         }
         self.v_a.accumulate(&Matrix::from_vec(1, d, d_va));
         // hs = h W_s, hd = h W_d.
-        self.w_s.accumulate(&cache.h.t_matmul(&d_hs));
-        self.w_d.accumulate(&cache.h.t_matmul(&d_hd));
-        d_h.add_assign(&d_hs.matmul_t(&self.w_s.value));
-        d_h.add_assign(&d_hd.matmul_t(&self.w_d.value));
+        self.w_s.accumulate(&cache.h.t_matmul_rows(rows, &d_hs));
+        self.w_d.accumulate(&cache.h.t_matmul_rows(&live.input, &d_hd));
+        // The gradient into h feeds only W_x and the layer input.
+        if !input_grad && self.w_x.is_none() {
+            return None;
+        }
+        let alpha_csr = Csr::from_raw(n, adj.n_cols(), indptr.to_vec(), adj.indices().to_vec(), cache.alpha.clone());
+        let mut d_h = alpha_csr.t_spmm(&d_agg); // from agg = Σ α h_u
+        d_h.add_assign_rows(rows, &d_hs.matmul_t_rows(rows, &self.w_s.value));
+        d_h.add_assign_rows(&live.input, &d_hd.matmul_t_rows(&live.input, &self.w_d.value));
         // Back through the unpack.
         match &mut self.w_x {
             Some(w_x) => {
-                w_x.accumulate(&cache.input.t_matmul(&d_h));
-                d_h.matmul_t(&w_x.value) // dC_in dies at the constant C=0
+                w_x.accumulate(&cache.input.t_matmul_rows(&live.input, &d_h));
+                // dC_in dies at the constant C=0
+                input_grad.then(|| d_h.matmul_t_rows(&live.input, &w_x.value))
             }
             None => {
                 let mut d_in = Matrix::zeros(n, 2 * d);
-                for r in 0..n {
+                for &r in &live.input {
                     d_in.row_mut(r)[..d].copy_from_slice(d_h.row(r));
                     d_in.row_mut(r)[d..].copy_from_slice(d_c_in.row(r));
                 }
-                d_in
+                Some(d_in)
             }
         }
     }

@@ -12,7 +12,7 @@
 //! message-passing contract covers models the paper never shipped.
 
 use crate::dense::{DenseCache, DenseLayer};
-use crate::layer::{NeighborAggregate, NeighborView};
+use crate::layer::{LiveRows, NeighborAggregate, NeighborView};
 use crate::param::Param;
 use agl_tensor::ops::Activation;
 use agl_tensor::rng::Rng;
@@ -56,28 +56,60 @@ impl GinLayer {
         self.eps.value[(0, 0)]
     }
 
-    /// Batch forward. `adj` must be the *raw* weighted adjacency
-    /// ([`crate::layer::AdjPrep::SumNoSelf`]): GIN sums, it does not average.
+    /// Batch forward over every row. `adj` must be the *raw* weighted
+    /// adjacency ([`crate::layer::AdjPrep::SumNoSelf`]): GIN sums, it does
+    /// not average.
     pub fn forward(&self, adj: &Csr, h: &Matrix, ctx: &ExecCtx) -> (Matrix, GinCache) {
-        debug_assert_eq!(h.cols(), self.in_dim());
-        let mut agg = ctx.spmm(adj, h);
-        agg.axpy(1.0 + self.eps_value(), h);
-        let (a1, c1) = self.mlp1.forward(&agg);
-        let (out, c2) = self.mlp2.forward(&a1);
-        (out, GinCache { h_in: h.clone(), c1, c2 })
+        self.forward_live(adj, h.clone(), &LiveRows::all(h.rows()), ctx)
     }
 
-    /// Batch backward.
-    pub fn backward(&mut self, adj: &Csr, cache: &GinCache, grad_out: &Matrix, _ctx: &ExecCtx) -> Matrix {
-        let d_a1 = self.mlp2.backward(&cache.c2, grad_out);
-        let d_agg = self.mlp1.backward(&cache.c1, &d_a1);
+    /// Batch forward over the `live` rows: the self term and the MLP run on
+    /// the rows the layer produces.
+    pub fn forward_live(&self, adj: &Csr, h: Matrix, live: &LiveRows, ctx: &ExecCtx) -> (Matrix, GinCache) {
+        debug_assert_eq!(h.cols(), self.in_dim());
+        let mut agg = ctx.spmm(adj, &h);
+        let scale = 1.0 + self.eps_value();
+        for &r in &live.out {
+            for (a, &x) in agg.row_mut(r).iter_mut().zip(h.row(r)) {
+                *a += scale * x;
+            }
+        }
+        let (a1, c1) = self.mlp1.forward_rows(agg, &live.out);
+        let (out, c2) = self.mlp2.forward_rows(a1, &live.out);
+        (out, GinCache { h_in: h, c1, c2 })
+    }
+
+    /// Batch backward over every row.
+    pub fn backward(&mut self, adj: &Csr, cache: &GinCache, grad_out: &Matrix, ctx: &ExecCtx) -> Matrix {
+        let live = LiveRows::all(grad_out.rows());
+        self.backward_live(adj, cache, grad_out, &live, true, ctx).expect("input gradient requested")
+    }
+
+    /// Batch backward over the `live` rows; returns `dH` only when
+    /// `input_grad`.
+    pub fn backward_live(
+        &mut self,
+        adj: &Csr,
+        cache: &GinCache,
+        grad_out: &Matrix,
+        live: &LiveRows,
+        input_grad: bool,
+        _ctx: &ExecCtx,
+    ) -> Option<Matrix> {
+        let rows = &live.out;
+        let d_a1 = self.mlp2.backward_rows(&cache.c2, grad_out, rows);
+        let d_agg = self.mlp1.backward_rows(&cache.c1, &d_a1, rows);
         // dε = Σ_v d_agg_v · h_v
-        let d_eps: f32 = d_agg.as_slice().iter().zip(cache.h_in.as_slice()).map(|(&g, &x)| g * x).sum();
+        let d_eps: f32 =
+            rows.iter().flat_map(|&r| d_agg.row(r).iter().zip(cache.h_in.row(r))).map(|(&g, &x)| g * x).sum();
         self.eps.accumulate(&Matrix::from_vec(1, 1, vec![d_eps]));
+        if !input_grad {
+            return None;
+        }
         // dH = (1+ε)·d_agg + Aᵀ·d_agg
         let mut dh = adj.t_spmm(&d_agg);
         dh.axpy(1.0 + self.eps_value(), &d_agg);
-        dh
+        Some(dh)
     }
 
     /// Per-node forward (GraphInfer merge step) over the raw neighborhood.

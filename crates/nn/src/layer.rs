@@ -93,6 +93,57 @@ impl NeighborAggregate {
     }
 }
 
+/// The rows one GNN layer works on in a batch: graph pruning (§3.3.2)
+/// carried from the adjacency into the dense kernels. Both lists ascend.
+///
+/// A layer computes every row its adjacency keeps plus every row the layer
+/// above reads, so an unpruned adjacency keeps all the work of a row that
+/// has in-edges (every row, for the self-looped GCN/GAT/GeniePath
+/// adjacencies). Rows outside these lists are left zero: no target can see
+/// them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LiveRows {
+    /// Rows whose output the layer computes.
+    pub out: Vec<usize>,
+    /// Rows of the layer input it reads: `out` (its self rows) plus every
+    /// adjacency column.
+    pub input: Vec<usize>,
+}
+
+impl LiveRows {
+    /// Every one of `n` rows live — a layer run over a whole graph.
+    pub fn all(n: usize) -> Self {
+        Self { out: (0..n).collect(), input: (0..n).collect() }
+    }
+
+    /// Per-layer live rows of an `n`-node batch, derived top-down: the last
+    /// layer must produce the `targets`, and layer `k` must produce every
+    /// row layer `k+1` reads.
+    pub fn derive(adjs: &[Csr], targets: &[usize], n: usize) -> Vec<LiveRows> {
+        let marked = |m: &[bool]| m.iter().enumerate().filter(|(_, &b)| b).map(|(r, _)| r).collect::<Vec<_>>();
+        let mut needed = vec![false; n];
+        for &t in targets {
+            needed[t] = true;
+        }
+        let mut live: Vec<LiveRows> = adjs
+            .iter()
+            .rev()
+            .map(|adj| {
+                for (r, need) in needed.iter_mut().enumerate() {
+                    *need |= adj.row_nnz(r) > 0;
+                }
+                let out = marked(&needed);
+                for &c in adj.indices() {
+                    needed[c as usize] = true;
+                }
+                LiveRows { out, input: marked(&needed) }
+            })
+            .collect();
+        live.reverse();
+        live
+    }
+}
+
 /// A GNN layer. Closed enum rather than a trait object so caches stay
 /// concrete, `Send`, and serialisable.
 #[derive(Debug, Clone)]
@@ -149,41 +200,55 @@ impl GnnLayer {
         }
     }
 
-    /// Batch forward over a *prepared* adjacency (see [`prepare_adj`]).
-    pub fn forward(&self, adj: &Csr, h: &Matrix, ctx: &ExecCtx) -> (Matrix, LayerCache) {
+    /// Batch forward over a *prepared* adjacency (see [`prepare_adj`]),
+    /// computing only the `live` rows. Takes the input by value: the cache
+    /// keeps it for backward.
+    pub fn forward(&self, adj: &Csr, h: Matrix, live: &LiveRows, ctx: &ExecCtx) -> (Matrix, LayerCache) {
         match self {
             GnnLayer::Gcn(l) => {
-                let (out, c) = l.forward(adj, h, ctx);
+                let (out, c) = l.forward_live(adj, h, live, ctx);
                 (out, LayerCache::Gcn(c))
             }
             GnnLayer::Sage(l) => {
-                let (out, c) = l.forward(adj, h, ctx);
+                let (out, c) = l.forward_live(adj, h, live, ctx);
                 (out, LayerCache::Sage(c))
             }
             GnnLayer::Gat(l) => {
-                let (out, c) = l.forward(adj, h, ctx);
+                let (out, c) = l.forward_live(adj, h, live, ctx);
                 (out, LayerCache::Gat(c))
             }
             GnnLayer::Gin(l) => {
-                let (out, c) = l.forward(adj, h, ctx);
+                let (out, c) = l.forward_live(adj, h, live, ctx);
                 (out, LayerCache::Gin(c))
             }
             GnnLayer::GeniePath(l) => {
-                let (out, c) = l.forward(adj, h, ctx);
+                let (out, c) = l.forward_live(adj, h, live, ctx);
                 (out, LayerCache::GeniePath(c))
             }
         }
     }
 
-    /// Batch backward: accumulate parameter gradients and return the
-    /// gradient w.r.t. the layer input.
-    pub fn backward(&mut self, adj: &Csr, cache: &LayerCache, grad_out: &Matrix, ctx: &ExecCtx) -> Matrix {
+    /// Batch backward over the `live` rows of the forward that built
+    /// `cache`: accumulate parameter gradients and, when `input_grad`,
+    /// return the gradient w.r.t. the layer input (nonzero on
+    /// `live.input` only).
+    pub fn backward(
+        &mut self,
+        adj: &Csr,
+        cache: &LayerCache,
+        grad_out: &Matrix,
+        live: &LiveRows,
+        input_grad: bool,
+        ctx: &ExecCtx,
+    ) -> Option<Matrix> {
         match (self, cache) {
-            (GnnLayer::Gcn(l), LayerCache::Gcn(c)) => l.backward(adj, c, grad_out, ctx),
-            (GnnLayer::Sage(l), LayerCache::Sage(c)) => l.backward(adj, c, grad_out, ctx),
-            (GnnLayer::Gat(l), LayerCache::Gat(c)) => l.backward(adj, c, grad_out, ctx),
-            (GnnLayer::Gin(l), LayerCache::Gin(c)) => l.backward(adj, c, grad_out, ctx),
-            (GnnLayer::GeniePath(l), LayerCache::GeniePath(c)) => l.backward(adj, c, grad_out, ctx),
+            (GnnLayer::Gcn(l), LayerCache::Gcn(c)) => l.backward_live(adj, c, grad_out, live, input_grad, ctx),
+            (GnnLayer::Sage(l), LayerCache::Sage(c)) => l.backward_live(adj, c, grad_out, live, input_grad, ctx),
+            (GnnLayer::Gat(l), LayerCache::Gat(c)) => l.backward_live(adj, c, grad_out, live, input_grad, ctx),
+            (GnnLayer::Gin(l), LayerCache::Gin(c)) => l.backward_live(adj, c, grad_out, live, input_grad, ctx),
+            (GnnLayer::GeniePath(l), LayerCache::GeniePath(c)) => {
+                l.backward_live(adj, c, grad_out, live, input_grad, ctx)
+            }
             _ => panic!("layer/cache kind mismatch"),
         }
     }

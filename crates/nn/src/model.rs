@@ -7,7 +7,7 @@ use crate::gat::{GatLayer, HeadCombine};
 use crate::gcn::GcnLayer;
 use crate::geniepath::GeniePathLayer;
 use crate::gin::GinLayer;
-use crate::layer::{prepare_adj, GnnLayer, LayerCache};
+use crate::layer::{prepare_adj, GnnLayer, LayerCache, LiveRows};
 use crate::loss::Loss;
 use crate::param::{self, Param};
 use crate::sage::SageLayer;
@@ -89,12 +89,20 @@ pub struct ForwardPass {
     caches: Vec<LayerCache>,
     head_cache: DenseCache,
     dropout_masks: Vec<Option<Matrix>>,
+    live: Vec<LiveRows>,
     targets: Vec<usize>,
     n_nodes: usize,
     /// Final-layer embeddings of the target nodes.
     pub target_embeddings: Matrix,
     /// Prediction logits for the target nodes.
     pub logits: Matrix,
+}
+
+impl ForwardPass {
+    /// The rows each layer computed, bottom-up (see [`LiveRows::derive`]).
+    pub fn live_rows(&self) -> &[LiveRows] {
+        &self.live
+    }
 }
 
 /// One slice of a hierarchically-segmented model (§3.4): the k-th GNN layer
@@ -181,6 +189,10 @@ impl GnnModel {
     /// * `features` — `n × in_dim` node features of the merged subgraph.
     /// * `targets` — local indices whose logits are wanted.
     /// * `train` — enables dropout (driven by `rng`).
+    ///
+    /// Each layer computes only the rows a target can reach through the
+    /// layers above it ([`LiveRows::derive`]); the rest of its output stays
+    /// zero and is never read.
     pub fn forward(
         &self,
         adjs: &[Csr],
@@ -192,19 +204,21 @@ impl GnnModel {
     ) -> ForwardPass {
         assert_eq!(adjs.len(), self.layers.len(), "one adjacency per layer");
         assert_eq!(features.cols(), self.cfg.in_dim, "feature width mismatch");
+        let live = LiveRows::derive(adjs, targets, features.rows());
         let mut h = features.clone();
         let mut caches = Vec::with_capacity(self.layers.len());
         let mut dropout_masks = Vec::with_capacity(self.layers.len());
         for (k, layer) in self.layers.iter().enumerate() {
             let mask = if train && self.cfg.dropout > 0.0 {
+                // Drawn at full shape so RNG use does not depend on pruning.
                 let m = dropout_mask(h.rows(), h.cols(), self.cfg.dropout, rng);
-                h = h.hadamard(&m);
+                h.hadamard_assign_rows(&live[k].input, &m);
                 Some(m)
             } else {
                 None
             };
             dropout_masks.push(mask);
-            let (out, cache) = layer.forward(&adjs[k], &h, ctx);
+            let (out, cache) = layer.forward(&adjs[k], h, &live[k], ctx);
             caches.push(cache);
             h = out;
         }
@@ -214,6 +228,7 @@ impl GnnModel {
             caches,
             head_cache,
             dropout_masks,
+            live,
             targets: targets.to_vec(),
             n_nodes: features.rows(),
             target_embeddings,
@@ -222,17 +237,22 @@ impl GnnModel {
     }
 
     /// Backward from the loss gradient w.r.t. the logits; accumulates into
-    /// every parameter's `.grad`.
+    /// every parameter's `.grad`. Layer 0's gradient w.r.t. the raw features
+    /// is never computed: nothing reads it.
     pub fn backward(&mut self, adjs: &[Csr], pass: &ForwardPass, grad_logits: &Matrix, ctx: &ExecCtx) {
         let d_emb = self.head.backward(&pass.head_cache, grad_logits);
         let emb_dim = d_emb.cols();
         let mut d_h = Matrix::zeros(pass.n_nodes, emb_dim);
         d_h.scatter_add_rows(&pass.targets, &d_emb);
         for k in (0..self.layers.len()).rev() {
-            d_h = self.layers[k].backward(&adjs[k], &pass.caches[k], &d_h, ctx);
+            let live = &pass.live[k];
+            let Some(mut d_in) = self.layers[k].backward(&adjs[k], &pass.caches[k], &d_h, live, k > 0, ctx) else {
+                break;
+            };
             if let Some(mask) = &pass.dropout_masks[k] {
-                d_h = d_h.hadamard(mask);
+                d_in.hadamard_assign_rows(&live.input, mask);
             }
+            d_h = d_in;
         }
     }
 
@@ -414,6 +434,50 @@ mod tests {
         let t1 = model.forward(&adjs, &x, &[0], true, &ctx, &mut seeded_rng(1)).logits;
         let t2 = model.forward(&adjs, &x, &[0], true, &ctx, &mut seeded_rng(99)).logits;
         assert!(t1.max_abs_diff(&t2) > 0.0, "dropout differs across rng seeds");
+    }
+
+    /// Ring keep-masks for target 0 at K=2: `keep[k][v] ⟺ d(v) ≤ K-1-k`.
+    fn ring_keep() -> Vec<Vec<bool>> {
+        (0..2).map(|k| (0..8).map(|v| v <= (1 - k)).collect()).collect()
+    }
+
+    #[test]
+    fn live_rows_follow_the_adjacency() {
+        let raw = ring_adj(8);
+        let ctx = ExecCtx::sequential();
+        for kind in [ModelKind::Gcn, ModelKind::Gat { heads: 2 }] {
+            let model = GnnModel::new(cfg(kind));
+            // Self-looped and unpruned: every row keeps its work (AGL_base).
+            let full = model.prepare_adjs(&raw, None);
+            let pass = model.forward(&full, &features(8), &[0], false, &ctx, &mut seeded_rng(1));
+            assert!(pass.live_rows().iter().all(|l| l.out.len() == 8 && l.input.len() == 8), "{kind:?}");
+            // Pruned: the last layer computes the target, layer 0 what it reads.
+            let pruned = model.prepare_adjs(&raw, Some(&ring_keep()));
+            let pass = model.forward(&pruned, &features(8), &[0], false, &ctx, &mut seeded_rng(1));
+            let live = pass.live_rows();
+            assert_eq!((live[1].out.as_slice(), live[1].input.as_slice()), (&[0][..], &[0, 1][..]), "{kind:?}");
+            assert_eq!((live[0].out.as_slice(), live[0].input.as_slice()), (&[0, 1][..], &[0, 1, 2][..]), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn pruning_leaves_gradients_bit_identical() {
+        let raw = ring_adj(8);
+        let ctx = ExecCtx::sequential();
+        let x = features(8);
+        let labels = Matrix::from_rows(&[&[0.0, 1.0, 0.0]]);
+        for kind in [ModelKind::Gcn, ModelKind::Sage, ModelKind::Gat { heads: 2 }, ModelKind::Gin, ModelKind::GeniePath]
+        {
+            let grads = |keep: Option<&[Vec<bool>]>| {
+                let mut model = GnnModel::new(cfg(kind).with_dropout(0.3));
+                let adjs = model.prepare_adjs(&raw, keep);
+                let pass = model.forward(&adjs, &x, &[0], true, &ctx, &mut seeded_rng(3));
+                let (_, grad) = model.loss(&pass.logits, &labels);
+                model.backward(&adjs, &pass, &grad, &ctx);
+                model.grad_vector().into_iter().map(f32::to_bits).collect::<Vec<_>>()
+            };
+            assert_eq!(grads(None), grads(Some(&ring_keep())), "{kind:?}");
+        }
     }
 
     #[test]

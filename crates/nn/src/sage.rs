@@ -16,7 +16,7 @@
 //! dH       = dPre W_selfᵀ + Āᵀ (dPre W_neighᵀ)
 //! ```
 
-use crate::layer::{NeighborAggregate, NeighborView};
+use crate::layer::{LiveRows, NeighborAggregate, NeighborView};
 use crate::param::Param;
 use agl_tensor::ops::Activation;
 use agl_tensor::rng::Rng;
@@ -63,30 +63,55 @@ impl SageLayer {
         self.act
     }
 
-    /// Batch forward. `adj` must be prepared with
+    /// Batch forward over every row. `adj` must be prepared with
     /// [`crate::layer::AdjPrep::MeanNoSelf`].
     pub fn forward(&self, adj: &Csr, h: &Matrix, ctx: &ExecCtx) -> (Matrix, SageCache) {
-        debug_assert_eq!(h.cols(), self.in_dim());
-        let m = ctx.spmm(adj, h);
-        let mut pre = h.matmul(&self.w_self.value);
-        pre.add_assign(&m.matmul(&self.w_neigh.value));
-        pre.add_row_broadcast(self.b.value.row(0));
-        let mut post = pre.clone();
-        self.act.forward_inplace(&mut post);
-        (post.clone(), SageCache { h_in: h.clone(), m, pre, post })
+        self.forward_live(adj, h.clone(), &LiveRows::all(h.rows()), ctx)
     }
 
-    /// Batch backward.
-    pub fn backward(&mut self, adj: &Csr, cache: &SageCache, grad_out: &Matrix, _ctx: &ExecCtx) -> Matrix {
+    /// Batch forward over the `live` rows: both projections, the bias and
+    /// the activation run on the rows the layer produces.
+    pub fn forward_live(&self, adj: &Csr, h: Matrix, live: &LiveRows, ctx: &ExecCtx) -> (Matrix, SageCache) {
+        debug_assert_eq!(h.cols(), self.in_dim());
+        let m = ctx.spmm(adj, &h);
+        let mut pre = h.matmul_rows(&live.out, &self.w_self.value);
+        pre.add_assign_rows(&live.out, &m.matmul_rows(&live.out, &self.w_neigh.value));
+        pre.add_row_broadcast_rows(&live.out, self.b.value.row(0));
+        let mut post = pre.clone();
+        self.act.forward_rows(&mut post, &live.out);
+        (post.clone(), SageCache { h_in: h, m, pre, post })
+    }
+
+    /// Batch backward over every row.
+    pub fn backward(&mut self, adj: &Csr, cache: &SageCache, grad_out: &Matrix, ctx: &ExecCtx) -> Matrix {
+        let live = LiveRows::all(grad_out.rows());
+        self.backward_live(adj, cache, grad_out, &live, true, ctx).expect("input gradient requested")
+    }
+
+    /// Batch backward over the `live` rows; returns `dH` only when
+    /// `input_grad`.
+    pub fn backward_live(
+        &mut self,
+        adj: &Csr,
+        cache: &SageCache,
+        grad_out: &Matrix,
+        live: &LiveRows,
+        input_grad: bool,
+        _ctx: &ExecCtx,
+    ) -> Option<Matrix> {
+        let rows = &live.out;
         let mut d_pre = grad_out.clone();
-        self.act.backward_inplace(&mut d_pre, &cache.pre, &cache.post);
-        self.b.accumulate(&Matrix::from_vec(1, d_pre.cols(), d_pre.col_sums()));
-        self.w_self.accumulate(&cache.h_in.t_matmul(&d_pre));
-        self.w_neigh.accumulate(&cache.m.t_matmul(&d_pre));
-        let mut dh = d_pre.matmul_t(&self.w_self.value);
-        let dm = d_pre.matmul_t(&self.w_neigh.value);
-        dh.add_assign(&adj.t_spmm(&dm));
-        dh
+        self.act.backward_rows(&mut d_pre, &cache.pre, &cache.post, rows);
+        self.b.accumulate(&Matrix::from_vec(1, d_pre.cols(), d_pre.col_sums_rows(rows)));
+        self.w_self.accumulate(&cache.h_in.t_matmul_rows(rows, &d_pre));
+        self.w_neigh.accumulate(&cache.m.t_matmul_rows(rows, &d_pre));
+        if !input_grad {
+            return None;
+        }
+        let mut dh = d_pre.matmul_t_rows(rows, &self.w_self.value);
+        let dm = d_pre.matmul_t_rows(rows, &self.w_neigh.value);
+        dh.add_assign_rows(&live.input, &adj.t_spmm(&dm));
+        Some(dh)
     }
 
     /// Per-node forward (GraphInfer merge step): weighted mean over raw

@@ -3,10 +3,12 @@
 //! For each architecture we build a small model, define the scalar objective
 //! `L = Σ_ij W_ij · logits_ij` (a fixed weighting so grad_logits is a
 //! constant matrix), run the analytic backward, and compare every parameter
-//! gradient — and the input-feature gradient — against central finite
-//! differences. This is the ground-truth check the layer-level unit tests
-//! rely on.
+//! gradient against central finite differences — on the full adjacency and
+//! on its §3.3.2-pruned per-layer variants, where each layer computes only
+//! the rows a target can reach. This is the ground-truth check the
+//! layer-level unit tests rely on.
 
+use agl_graph::bfs::{multi_source_distances, UNREACHED};
 use agl_nn::{GnnModel, Loss, ModelConfig, ModelKind};
 use agl_tensor::{seeded_rng, Coo, Csr, ExecCtx, Matrix};
 
@@ -43,7 +45,26 @@ fn objective(model: &GnnModel, adjs: &[Csr], x: &Matrix, targets: &[usize]) -> f
     pass.logits.as_slice().iter().zip(w.as_slice()).map(|(&l, &c)| (l as f64) * (c as f64)).sum()
 }
 
+/// Keep-masks of graph pruning: layer `k` keeps row `v` iff
+/// `d(targets, v) ≤ K-1-k`.
+fn keep_masks(raw: &Csr, targets: &[usize], n_layers: usize) -> Vec<Vec<bool>> {
+    let sources: Vec<u32> = targets.iter().map(|&t| t as u32).collect();
+    let dist = multi_source_distances(raw, &sources, Some(n_layers as u32));
+    (0..n_layers).map(|k| dist.iter().map(|&d| d != UNREACHED && d <= (n_layers - 1 - k) as u32).collect()).collect()
+}
+
 fn gradcheck(kind: ModelKind, n_layers: usize) {
+    check(kind, n_layers, &[0, 3], false);
+}
+
+/// Target 0 alone: node 3 is two hops upstream, so a 2-layer model drops it
+/// from layer 0 and a 3-layer model drops rows 1–4 from the last layer
+/// and row 3 from the middle one.
+fn gradcheck_pruned(kind: ModelKind, n_layers: usize) {
+    check(kind, n_layers, &[0], true);
+}
+
+fn check(kind: ModelKind, n_layers: usize, targets: &[usize], pruned: bool) {
     let mut cfg = ModelConfig::new(kind, IN_DIM, 4, 2, n_layers, Loss::SoftmaxCrossEntropy).with_seed(17);
     // Finite differences need a smooth activation: a ReLU kink crossed
     // within ±eps makes the FD slope an average of the two sides. Sigmoid
@@ -54,14 +75,14 @@ fn gradcheck(kind: ModelKind, n_layers: usize) {
     }
     let mut model = GnnModel::new(cfg);
     let raw = adjacency();
-    let adjs = model.prepare_adjs(&raw, None);
+    let keep = pruned.then(|| keep_masks(&raw, targets, n_layers));
+    let adjs = model.prepare_adjs(&raw, keep.as_deref());
     let x = features();
-    let targets = [0usize, 3];
     let ctx = ExecCtx::sequential();
 
     // Analytic gradients.
     model.zero_grads();
-    let pass = model.forward(&adjs, &x, &targets, false, &ctx, &mut seeded_rng(0));
+    let pass = model.forward(&adjs, &x, targets, false, &ctx, &mut seeded_rng(0));
     let w = logit_weights(pass.logits.rows(), pass.logits.cols());
     model.backward(&adjs, &pass, &w, &ctx);
     let analytic = model.grad_vector();
@@ -75,11 +96,11 @@ fn gradcheck(kind: ModelKind, n_layers: usize) {
         let mut hi = base.clone();
         hi[i] += eps;
         model.load_param_vector(&hi);
-        let f_hi = objective(&model, &adjs, &x, &targets);
+        let f_hi = objective(&model, &adjs, &x, targets);
         let mut lo = base.clone();
         lo[i] -= eps;
         model.load_param_vector(&lo);
-        let f_lo = objective(&model, &adjs, &x, &targets);
+        let f_lo = objective(&model, &adjs, &x, targets);
         let fd = (f_hi - f_lo) / (2.0 * eps as f64);
         let a = analytic[i] as f64;
         let err = (a - fd).abs() / (1.0 + a.abs().max(fd.abs()));
@@ -89,7 +110,10 @@ fn gradcheck(kind: ModelKind, n_layers: usize) {
         }
     }
     model.load_param_vector(&base);
-    assert!(max_err < 5e-3, "{kind:?} {n_layers}-layer: worst relative grad error {max_err:.2e} at param {worst}");
+    assert!(
+        max_err < 5e-3,
+        "{kind:?} {n_layers}-layer (pruned={pruned}): worst relative grad error {max_err:.2e} at param {worst}"
+    );
 }
 
 #[test]
@@ -135,6 +159,66 @@ fn gradcheck_gat_2layer() {
 #[test]
 fn gradcheck_gat_3layer_single_head() {
     gradcheck(ModelKind::Gat { heads: 1 }, 3);
+}
+
+#[test]
+fn gradcheck_pruned_gcn_2layer() {
+    gradcheck_pruned(ModelKind::Gcn, 2);
+}
+
+#[test]
+fn gradcheck_pruned_gcn_3layer() {
+    gradcheck_pruned(ModelKind::Gcn, 3);
+}
+
+#[test]
+fn gradcheck_pruned_sage_2layer() {
+    gradcheck_pruned(ModelKind::Sage, 2);
+}
+
+#[test]
+fn gradcheck_pruned_sage_3layer() {
+    gradcheck_pruned(ModelKind::Sage, 3);
+}
+
+#[test]
+fn gradcheck_pruned_gin_2layer() {
+    gradcheck_pruned(ModelKind::Gin, 2);
+}
+
+#[test]
+fn gradcheck_pruned_gin_3layer() {
+    gradcheck_pruned(ModelKind::Gin, 3);
+}
+
+#[test]
+fn gradcheck_pruned_geniepath_2layer() {
+    gradcheck_pruned(ModelKind::GeniePath, 2);
+}
+
+#[test]
+fn gradcheck_pruned_geniepath_3layer() {
+    gradcheck_pruned(ModelKind::GeniePath, 3);
+}
+
+#[test]
+fn gradcheck_pruned_gat_2layer() {
+    gradcheck_pruned(ModelKind::Gat { heads: 2 }, 2);
+}
+
+#[test]
+fn gradcheck_pruned_gat_3layer() {
+    gradcheck_pruned(ModelKind::Gat { heads: 2 }, 3);
+}
+
+#[test]
+fn pruned_fixture_drops_rows_at_every_pruned_layer() {
+    let raw = adjacency();
+    let kept = |n_layers| -> Vec<usize> {
+        keep_masks(&raw, &[0], n_layers).iter().map(|m| m.iter().filter(|&&k| k).count()).collect()
+    };
+    assert_eq!(kept(2), vec![4, 1]);
+    assert_eq!(kept(3), vec![N, 4, 1]);
 }
 
 /// Loss-through-model check: gradient of the *actual* training losses.

@@ -132,10 +132,21 @@ impl Matrix {
 
     /// `self @ other` — the plain dense product.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        self.matmul_over(0..self.rows, other)
+    }
+
+    /// [`Matrix::matmul`] on the listed rows of `self` only; every other
+    /// output row stays zero. A computed row is accumulated exactly as
+    /// `matmul` accumulates it, so it is bit-identical.
+    pub fn matmul_rows(&self, rows: &[usize], other: &Matrix) -> Matrix {
+        self.matmul_over(rows.iter().copied(), other)
+    }
+
+    fn matmul_over(&self, rows: impl Iterator<Item = usize>, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch {:?} x {:?}", self.shape(), other.shape());
         let mut out = Matrix::zeros(self.rows, other.cols);
         let n = other.cols;
-        for i in 0..self.rows {
+        for i in rows {
             let a_row = self.row(i);
             let out_row = &mut out.data[i * n..(i + 1) * n];
             for (k, &a) in a_row.iter().enumerate() {
@@ -153,10 +164,22 @@ impl Matrix {
 
     /// `self^T @ other` without materialising the transpose.
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
+        self.t_matmul_over(0..self.rows, other)
+    }
+
+    /// `Σ_{k ∈ rows} self[k]ᵀ other[k]` — [`Matrix::t_matmul`] summing only
+    /// the listed rows, in the given order. When every skipped row of
+    /// `other` is zero and `rows` is ascending, the result is bit-identical
+    /// to `t_matmul`: the skipped terms are exact zeros.
+    pub fn t_matmul_rows(&self, rows: &[usize], other: &Matrix) -> Matrix {
+        self.t_matmul_over(rows.iter().copied(), other)
+    }
+
+    fn t_matmul_over(&self, rows: impl Iterator<Item = usize>, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch {:?} x {:?}", self.shape(), other.shape());
         let mut out = Matrix::zeros(self.cols, other.cols);
         let n = other.cols;
-        for k in 0..self.rows {
+        for k in rows {
             let a_row = self.row(k);
             let b_row = other.row(k);
             for (i, &a) in a_row.iter().enumerate() {
@@ -174,9 +197,19 @@ impl Matrix {
 
     /// `self @ other^T` without materialising the transpose.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
+        self.matmul_t_over(0..self.rows, other)
+    }
+
+    /// [`Matrix::matmul_t`] on the listed rows of `self` only; every other
+    /// output row stays zero.
+    pub fn matmul_t_rows(&self, rows: &[usize], other: &Matrix) -> Matrix {
+        self.matmul_t_over(rows.iter().copied(), other)
+    }
+
+    fn matmul_t_over(&self, rows: impl Iterator<Item = usize>, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch {:?} x {:?}", self.shape(), other.shape());
         let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
+        for i in rows {
             let a_row = self.row(i);
             let out_row = out.row_mut(i);
             for (j, o) in out_row.iter_mut().enumerate() {
@@ -210,6 +243,16 @@ impl Matrix {
         }
     }
 
+    /// [`Matrix::add_assign`] on the listed rows only.
+    pub fn add_assign_rows(&mut self, rows: &[usize], other: &Matrix) {
+        assert_eq!(self.shape(), other.shape(), "add_assign shape mismatch");
+        for &r in rows {
+            for (a, &b) in self.row_mut(r).iter_mut().zip(other.row(r)) {
+                *a += b;
+            }
+        }
+    }
+
     /// Elementwise `self += alpha * other` (axpy).
     pub fn axpy(&mut self, alpha: f32, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "axpy shape mismatch");
@@ -233,6 +276,16 @@ impl Matrix {
         Matrix::from_vec(self.rows, self.cols, data)
     }
 
+    /// In-place Hadamard product `self ∘= other` on the listed rows only.
+    pub fn hadamard_assign_rows(&mut self, rows: &[usize], other: &Matrix) {
+        assert_eq!(self.shape(), other.shape(), "hadamard shape mismatch");
+        for &r in rows {
+            for (a, &b) in self.row_mut(r).iter_mut().zip(other.row(r)) {
+                *a *= b;
+            }
+        }
+    }
+
     /// Scale all elements in place.
     pub fn scale(&mut self, alpha: f32) {
         for a in &mut self.data {
@@ -252,6 +305,15 @@ impl Matrix {
         }
     }
 
+    /// [`Matrix::map_inplace`] on the listed rows only.
+    pub fn map_rows_inplace(&mut self, rows: &[usize], f: impl Fn(f32) -> f32) {
+        for &r in rows {
+            for a in self.row_mut(r) {
+                *a = f(*a);
+            }
+        }
+    }
+
     /// Add a row-vector `bias` (length = cols) to every row.
     pub fn add_row_broadcast(&mut self, bias: &[f32]) {
         assert_eq!(bias.len(), self.cols, "bias length mismatch");
@@ -262,10 +324,30 @@ impl Matrix {
         }
     }
 
+    /// [`Matrix::add_row_broadcast`] on the listed rows only.
+    pub fn add_row_broadcast_rows(&mut self, rows: &[usize], bias: &[f32]) {
+        assert_eq!(bias.len(), self.cols, "bias length mismatch");
+        for &r in rows {
+            for (a, &b) in self.row_mut(r).iter_mut().zip(bias) {
+                *a += b;
+            }
+        }
+    }
+
     /// Column sums — gradient of a broadcast bias.
     pub fn col_sums(&self) -> Vec<f32> {
+        self.col_sums_over(self.rows_iter())
+    }
+
+    /// [`Matrix::col_sums`] over the listed rows only, in the given order
+    /// (bit-identical when the skipped rows are zero and `rows` ascends).
+    pub fn col_sums_rows(&self, rows: &[usize]) -> Vec<f32> {
+        self.col_sums_over(rows.iter().map(|&r| self.row(r)))
+    }
+
+    fn col_sums_over<'a>(&self, rows: impl Iterator<Item = &'a [f32]>) -> Vec<f32> {
         let mut out = vec![0.0; self.cols];
-        for row in self.data.chunks_exact(self.cols) {
+        for row in rows {
             for (o, &v) in out.iter_mut().zip(row) {
                 *o += v;
             }
@@ -405,6 +487,40 @@ mod tests {
     fn argmax_rows_picks_first_max() {
         let m = Matrix::from_rows(&[&[0.0, 3.0, 1.0], &[9.0, 2.0, 9.0]]);
         assert_eq!(m.argmax_rows(), vec![1, 0]);
+    }
+
+    #[test]
+    fn row_kernels_match_full_kernels_bit_for_bit_on_listed_rows() {
+        let a = Matrix::from_vec(5, 3, (0..15).map(|i| ((i * 7 % 11) as f32) * 0.37 - 1.3).collect());
+        let w = Matrix::from_vec(3, 4, (0..12).map(|i| ((i * 5 % 7) as f32) * 0.21 - 0.6).collect());
+        let rows = [1usize, 3, 4];
+        let full = a.matmul(&w);
+        let part = a.matmul_rows(&rows, &w);
+        for r in 0..5 {
+            let want: &[f32] = if rows.contains(&r) { full.row(r) } else { &[0.0; 4] };
+            assert_eq!(part.row(r), want, "row {r}");
+        }
+        let g = Matrix::from_vec(5, 3, (0..15).map(|i| ((i * 3 % 13) as f32) * 0.11 - 0.7).collect());
+        assert_eq!(g.matmul_t_rows(&rows, &a.t_matmul(&a)).row(3), g.matmul_t(&a.t_matmul(&a)).row(3));
+        // With the skipped rows of `other` zero, the restricted sums are the
+        // full sums exactly.
+        let mut masked = g.clone();
+        for r in [0usize, 2] {
+            masked.row_mut(r).fill(0.0);
+        }
+        assert_eq!(a.t_matmul_rows(&rows, &masked), a.t_matmul(&masked));
+        assert_eq!(masked.col_sums_rows(&rows), masked.col_sums());
+    }
+
+    #[test]
+    fn row_elementwise_kernels_leave_other_rows_alone() {
+        let mut m = Matrix::full(3, 2, 2.0);
+        let other = Matrix::full(3, 2, 3.0);
+        m.add_assign_rows(&[0], &other);
+        m.hadamard_assign_rows(&[1], &other);
+        m.add_row_broadcast_rows(&[2], &[1.0, -1.0]);
+        m.map_rows_inplace(&[0, 2], |x| x * 10.0);
+        assert_eq!(m.as_slice(), &[50.0, 50.0, 6.0, 6.0, 30.0, 10.0]);
     }
 
     #[test]

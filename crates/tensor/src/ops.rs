@@ -101,15 +101,29 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Apply in place, returning a copy of the *pre-activation* input when
-    /// the backward pass needs it (`Relu`/`LeakyRelu` differentiate w.r.t.
-    /// the input; `Elu`/`Sigmoid` w.r.t. the output; `Linear` needs nothing).
+    /// Apply in place.
     pub fn forward_inplace(self, m: &mut Matrix) {
+        self.forward_slice(m.as_mut_slice());
+    }
+
+    /// [`Activation::forward_inplace`] on the listed rows only.
+    pub fn forward_rows(self, m: &mut Matrix, rows: &[usize]) {
+        for &r in rows {
+            self.forward_slice(m.row_mut(r));
+        }
+    }
+
+    fn forward_slice(self, xs: &mut [f32]) {
+        fn apply(xs: &mut [f32], f: impl Fn(f32) -> f32) {
+            for x in xs {
+                *x = f(*x);
+            }
+        }
         match self {
-            Activation::Relu => m.map_inplace(relu),
-            Activation::LeakyRelu => m.map_inplace(leaky_relu),
-            Activation::Elu => m.map_inplace(elu),
-            Activation::Sigmoid => m.map_inplace(sigmoid),
+            Activation::Relu => apply(xs, relu),
+            Activation::LeakyRelu => apply(xs, leaky_relu),
+            Activation::Elu => apply(xs, elu),
+            Activation::Sigmoid => apply(xs, sigmoid),
             Activation::Linear => {}
         }
     }
@@ -121,27 +135,27 @@ impl Activation {
     ///
     /// Both are supplied so each variant can pick the cheaper form.
     pub fn backward_inplace(self, grad: &mut Matrix, pre: &Matrix, post: &Matrix) {
+        self.backward_slice(grad.as_mut_slice(), pre.as_slice(), post.as_slice());
+    }
+
+    /// [`Activation::backward_inplace`] on the listed rows only.
+    pub fn backward_rows(self, grad: &mut Matrix, pre: &Matrix, post: &Matrix, rows: &[usize]) {
+        for &r in rows {
+            self.backward_slice(grad.row_mut(r), pre.row(r), post.row(r));
+        }
+    }
+
+    fn backward_slice(self, grad: &mut [f32], pre: &[f32], post: &[f32]) {
+        fn apply(grad: &mut [f32], at: &[f32], d: impl Fn(f32) -> f32) {
+            for (g, &x) in grad.iter_mut().zip(at) {
+                *g *= d(x);
+            }
+        }
         match self {
-            Activation::Relu => {
-                for (g, &x) in grad.as_mut_slice().iter_mut().zip(pre.as_slice()) {
-                    *g *= relu_grad(x);
-                }
-            }
-            Activation::LeakyRelu => {
-                for (g, &x) in grad.as_mut_slice().iter_mut().zip(pre.as_slice()) {
-                    *g *= leaky_relu_grad(x);
-                }
-            }
-            Activation::Elu => {
-                for (g, &y) in grad.as_mut_slice().iter_mut().zip(post.as_slice()) {
-                    *g *= elu_grad_from_output(y);
-                }
-            }
-            Activation::Sigmoid => {
-                for (g, &s) in grad.as_mut_slice().iter_mut().zip(post.as_slice()) {
-                    *g *= sigmoid_grad_from_output(s);
-                }
-            }
+            Activation::Relu => apply(grad, pre, relu_grad),
+            Activation::LeakyRelu => apply(grad, pre, leaky_relu_grad),
+            Activation::Elu => apply(grad, post, elu_grad_from_output),
+            Activation::Sigmoid => apply(grad, post, sigmoid_grad_from_output),
             Activation::Linear => {}
         }
     }
@@ -246,6 +260,23 @@ mod tests {
                 assert!((g[(0, 0)] - fd).abs() < 1e-2, "{act:?} at {x}: analytic {} vs fd {fd}", g[(0, 0)]);
                 pre.scale(1.0); // silence unused-mut lint paths
             }
+        }
+    }
+
+    #[test]
+    fn row_activation_matches_full_activation_on_listed_rows() {
+        let pre = Matrix::from_rows(&[&[-1.0, 0.5], &[2.0, -0.25], &[0.75, -3.0]]);
+        for act in [Activation::Relu, Activation::LeakyRelu, Activation::Elu, Activation::Sigmoid] {
+            let mut full = pre.clone();
+            act.forward_inplace(&mut full);
+            let mut part = pre.clone();
+            act.forward_rows(&mut part, &[0, 2]);
+            assert_eq!((part.row(0), part.row(1), part.row(2)), (full.row(0), pre.row(1), full.row(2)), "{act:?}");
+            let mut g_full = Matrix::full(3, 2, 1.5);
+            act.backward_inplace(&mut g_full, &pre, &full);
+            let mut g_part = Matrix::full(3, 2, 1.5);
+            act.backward_rows(&mut g_part, &pre, &full, &[1]);
+            assert_eq!((g_part.row(0), g_part.row(1)), (&[1.5f32, 1.5][..], g_full.row(1)), "{act:?}");
         }
     }
 

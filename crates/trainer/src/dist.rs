@@ -110,8 +110,17 @@ impl DistTrainer {
         assert!(!train.is_empty());
 
         // Static data partition: worker w owns examples w, w+W, w+2W, ...
-        let partitions: Vec<Vec<usize>> =
-            (0..self.n_workers).map(|w| (w..train.len()).step_by(self.n_workers).collect()).collect();
+        // A worker past the end of a dataset smaller than W borrows example
+        // w mod len instead of owning nothing.
+        let partitions: Vec<Vec<usize>> = (0..self.n_workers)
+            .map(|w| {
+                if w < train.len() {
+                    (w..train.len()).step_by(self.n_workers).collect()
+                } else {
+                    vec![w % train.len()]
+                }
+            })
+            .collect();
         // Synchronous mode needs every worker to push the same number of
         // batches per epoch; short partitions cycle their data.
         let batches_per_worker =
@@ -394,6 +403,25 @@ mod tests {
         let r = trainer.train(&mut m, &data, None);
         assert_eq!(r.epochs.len(), 2);
         assert_eq!(r.max_staleness, 0);
+    }
+
+    #[test]
+    fn more_workers_than_examples_still_trains() {
+        // Worker 3 of 4 owns none of the 3 examples; it must still push a
+        // batch per step, or the sync barrier waits for it forever. The run
+        // goes on a helper thread so a hang fails the test instead of
+        // stalling the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut m = model();
+            let mut trainer = DistTrainer::new(4, opts(Consistency::Sync));
+            trainer.opts.epochs = 2;
+            let _ = tx.send(trainer.train(&mut m, &dataset(3), None));
+        });
+        let r = rx.recv_timeout(Duration::from_secs(60)).expect("training with an empty partition hung");
+        let batches: usize = r.epochs.iter().map(|e| e.batches).sum();
+        assert!(batches > 0);
+        assert_eq!(r.ps_stats.pushes, 4 * batches as u64, "every worker pushed every batch");
     }
 
     #[test]
