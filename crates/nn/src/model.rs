@@ -190,9 +190,9 @@ impl GnnModel {
     /// * `targets` — local indices whose logits are wanted.
     /// * `train` — enables dropout (driven by `rng`).
     ///
-    /// Each layer computes only the rows a target can reach through the
-    /// layers above it ([`LiveRows::derive`]); the rest of its output stays
-    /// zero and is never read.
+    /// Each layer computes only its live rows ([`LiveRows::derive`]): the
+    /// rows its adjacency keeps and the rows the layer above reads. The rest
+    /// of its output stays zero and is never read.
     pub fn forward(
         &self,
         adjs: &[Csr],
