@@ -167,24 +167,59 @@ mod tests {
         GnnModel::new(ModelConfig::new(ModelKind::Gcn, 4, 8, 3, 2, Loss::SoftmaxCrossEntropy))
     }
 
-    fn infer_cfg() -> InferConfig {
-        // Weighted sampling exercises the seeded sampling framework — the
-        // part byte-identity most depends on.
-        InferConfig { sampling: SamplingStrategy::Weighted { max_degree: 2 }, ..InferConfig::default() }.with_seed(5)
+    /// A sparse weighted graph with parallel edges: `n` nodes, two random
+    /// out-edges each, plus a duplicate of every 7th row (same weight) and
+    /// of every 11th row (different weight).
+    fn sparse(n: u64, seed: u64) -> (NodeTable, EdgeTable) {
+        let mut rng = seeded_rng(seed);
+        let ids: Vec<NodeId> = (0..n).map(NodeId).collect();
+        let mut feats = Matrix::zeros(n as usize, 4);
+        for i in 0..n as usize {
+            for d in 0..4 {
+                feats[(i, d)] = rng.gen_range(-1.0..1.0f32);
+            }
+        }
+        let mut rows = Vec::new();
+        for i in 0..n {
+            for _ in 0..2 {
+                let j = rng.gen_range(0..n);
+                if i != j {
+                    rows.push(EdgeRow { src: NodeId(i), dst: NodeId(j), weight: rng.gen_range(0.5..2.0f32) });
+                }
+            }
+        }
+        let base = rows.len();
+        for i in (0..base).step_by(7) {
+            rows.push(rows[i]);
+        }
+        for i in (0..base).step_by(11) {
+            rows.push(EdgeRow { weight: rows[i].weight + 0.25, ..rows[i] });
+        }
+        (NodeTable::new(ids, feats, None), EdgeTable::new(rows, None))
     }
 
-    /// The pinned contract: dirty re-infer ≡ full recompute, byte-identical.
+    /// Assert every stored row is bit-equal to a full re-infer's row.
+    fn assert_store_matches(store: &EmbeddingStore, full: &agl_infer::InferOutput, case: &str) {
+        for s in &full.scores {
+            let got = store.get(s.node).unwrap();
+            let got_bytes: Vec<[u8; 4]> = got.iter().map(|f| f.to_le_bytes()).collect();
+            let want_bytes: Vec<[u8; 4]> = s.probs.iter().map(|f| f.to_le_bytes()).collect();
+            assert_eq!(got_bytes, want_bytes, "{case}: node {} diverged", s.node.0);
+        }
+    }
+
+    /// The pinned contract: dirty re-infer ≡ full recompute, byte-identical,
+    /// for every layer kind and sampling strategy, over a graph with
+    /// parallel edges and a delta that changes features, adds an edge and
+    /// removes one copy of a parallel edge.
     #[test]
     fn incremental_update_matches_full_recompute_byte_identically() {
-        let (nodes, edges) = toy(60, 9);
-        let m = model();
-        let cfg = infer_cfg();
+        let (nodes, edges) = sparse(400, 9);
         let scfg = ServeConfig { shards: 4, ..ServeConfig::default() };
 
-        let store = EmbeddingStore::build(&GraphInfer::new(cfg.clone()).run(&m, &nodes, &edges).unwrap(), &scfg);
-
-        // Perturb three nodes' features (post-update tables).
-        let touched = [NodeId(3), NodeId(17), NodeId(42)];
+        // Post-update tables: three nodes' features move, one edge is
+        // added, and the first duplicated row loses one of its two copies.
+        let touched = [NodeId(3), NodeId(170), NodeId(342)];
         let mut feats = nodes.features().clone();
         for t in &touched {
             for d in 0..4 {
@@ -192,18 +227,33 @@ mod tests {
             }
         }
         let new_nodes = NodeTable::new(nodes.ids().to_vec(), feats, None);
+        let added = EdgeRow { src: NodeId(55), dst: NodeId(281), weight: 1.5 };
+        let removed = edges.rows()[0];
+        let mut new_rows = edges.rows()[1..].to_vec();
+        new_rows.push(added);
+        let new_edges = EdgeTable::new(new_rows, None);
+        let delta = GraphDelta::features(touched).with_edge(added.src, added.dst).with_edge(removed.src, removed.dst);
 
-        let report = update_incremental(&store, &m, &new_nodes, &edges, &GraphDelta::features(touched), &cfg).unwrap();
-        assert!(report.dirty >= touched.len(), "dirty {} < touched", report.dirty);
-        assert!(report.closure_nodes >= report.dirty);
-
-        // Reference: full recompute over the new tables.
-        let full = GraphInfer::new(cfg).run(&m, &new_nodes, &edges).unwrap();
-        for s in &full.scores {
-            let got = store.get(s.node).unwrap();
-            let got_bytes: Vec<[u8; 4]> = got.iter().map(|f| f.to_le_bytes()).collect();
-            let want_bytes: Vec<[u8; 4]> = s.probs.iter().map(|f| f.to_le_bytes()).collect();
-            assert_eq!(got_bytes, want_bytes, "node {} diverged", s.node.0);
+        let kinds =
+            [ModelKind::Gcn, ModelKind::Sage, ModelKind::Gat { heads: 2 }, ModelKind::Gin, ModelKind::GeniePath];
+        let samplings = [
+            SamplingStrategy::None,
+            SamplingStrategy::Uniform { max_degree: 2 },
+            SamplingStrategy::Weighted { max_degree: 2 },
+        ];
+        for kind in kinds {
+            let m = GnnModel::new(ModelConfig::new(kind, 4, 8, 3, 2, Loss::SoftmaxCrossEntropy));
+            for sampling in samplings {
+                let case = format!("{} / {sampling:?}", kind.name());
+                let cfg = InferConfig { sampling, ..InferConfig::default() }.with_seed(5);
+                let store =
+                    EmbeddingStore::build(&GraphInfer::new(cfg.clone()).run(&m, &nodes, &edges).unwrap(), &scfg);
+                let report = update_incremental(&store, &m, &new_nodes, &new_edges, &delta, &cfg).unwrap();
+                let got = (report.touched, report.dirty, report.closure_nodes, report.closure_edges);
+                assert_eq!(got, (5, 35, 202, 299), "{case}: update report");
+                let full = GraphInfer::new(cfg).run(&m, &new_nodes, &new_edges).unwrap();
+                assert_store_matches(&store, &full, &case);
+            }
         }
     }
 
