@@ -22,14 +22,17 @@
 //!   strategy.
 //! * [`stats`] — degree statistics and hub detection used by the
 //!   re-indexing threshold.
+//! * [`idhash`] — a folded-multiply hasher for node-id maps and sets.
 
 pub mod bfs;
 pub mod graph;
+pub mod idhash;
 pub mod khop;
 pub mod stats;
 pub mod subgraph;
 pub mod tables;
 
 pub use graph::Graph;
+pub use idhash::{IdBuildHasher, IdHasher, IdMap, IdSet};
 pub use subgraph::{SubEdge, Subgraph};
 pub use tables::{EdgeTable, NodeId, NodeTable};

@@ -6,8 +6,8 @@
 //! industrial user would dump out of a data warehouse; everything downstream
 //! (GraphFlat, the baseline engine) is built from them.
 
+use crate::idhash::IdMap;
 use agl_tensor::Matrix;
-use std::collections::HashMap;
 use std::fmt;
 
 /// A global node identifier. Industrial ids are arbitrary 64-bit keys, not
@@ -155,9 +155,11 @@ impl EdgeTable {
 
 /// A dense mapping from arbitrary [`NodeId`]s to local `0..n` indices.
 /// Shared by the in-memory [`crate::Graph`] builder and subgraph merging.
+/// The hashed map is only probed, never iterated, so its order reaches no
+/// output.
 #[derive(Debug, Clone, Default)]
 pub struct IdIndex {
-    to_local: HashMap<NodeId, u32>,
+    to_local: IdMap<u32>,
     to_global: Vec<NodeId>,
 }
 

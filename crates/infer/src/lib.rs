@@ -40,5 +40,5 @@ pub mod stream;
 pub use combine::{combine_kinds, InferCombiner, PartialAgg};
 pub use dist::{infer_combiner_from_spec, infer_reducer_from_spec, InferWorkerSpec};
 pub use original::{OriginalInference, OriginalInferenceReport};
-pub use pipeline::{GraphInfer, InferConfig, InferOutput, NodeEmbedding, NodeScore};
+pub use pipeline::{merge_step, predict_row, GraphInfer, InferConfig, InferOutput, NodeEmbedding, NodeScore};
 pub use stream::{StreamInfer, DEFAULT_DEGREE_THRESHOLD};

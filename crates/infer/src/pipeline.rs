@@ -19,8 +19,7 @@ use agl_mapreduce::{
     Counters, EngineConfig, FaultPlan, JobConfig, JobError, JobPlan, KeyValue, MapReduceJob, Mapper, Placement,
     Reducer, ShuffleCombiner, SpillMode, WireSig,
 };
-use agl_nn::layer::NeighborView;
-use agl_nn::{GnnModel, ModelSlice};
+use agl_nn::{DenseLayer, GnnLayer, GnnModel, Loss, ModelSlice, NeighborView};
 use agl_tensor::rng::derive_seed;
 use std::sync::Arc;
 
@@ -254,26 +253,7 @@ impl Reducer for InferReducer {
                 let agg = finish(kind, all, h_self.len());
                 layer.forward_node_combined(&h_self, &agg)
             } else {
-                // Consistent sampling with GraphFlat: canonical candidate
-                // order (sorted by source id, with weight/payload tie-breaks
-                // so parallel edges order identically regardless of shuffle
-                // delivery) + a seed derived from the node id only, so with
-                // the same seed/strategy this reducer keeps exactly the
-                // neighbor subset GraphFlat kept when building the training
-                // data (§3.4's unbiasedness requirement).
-                in_embs.sort_by(|a, b| {
-                    a.0.cmp(&b.0)
-                        .then_with(|| a.1.total_cmp(&b.1))
-                        .then_with(|| a.2.iter().map(|f| f.to_bits()).cmp(b.2.iter().map(|f| f.to_bits())))
-                });
-                let weights: Vec<f32> = in_embs.iter().map(|(_, w, _)| *w).collect();
-                let node_id = key_id(key);
-                let sample_seed = derive_seed(self.seed, fnv1a(&node_id.to_le_bytes()));
-                let kept = self.sampling.select(&weights, sample_seed);
-                let neighbor_h: Vec<Vec<f32>> = kept.iter().map(|&i| in_embs[i].2.clone()).collect();
-                let kept_w: Vec<f32> = kept.iter().map(|&i| in_embs[i].1).collect();
-                let view = NeighborView { self_h: &h_self, neighbor_h: &neighbor_h, weights: &kept_w };
-                layer.forward_node(&view)
+                merge_step(layer, self.sampling, self.seed, key_id(key), &h_self, &mut in_embs)
             };
             self.counters.inc("infer.embeddings_computed");
             if round < self.k {
@@ -299,11 +279,50 @@ impl Reducer for InferReducer {
             // agl-lint: allow(no-panic) — GnnModel::segment() always ends with the Prediction slice.
             panic!("last slice is not the prediction model");
         };
-        let logits = head.forward_row(&h);
-        let probs = loss.probabilities(&agl_tensor::Matrix::from_vec(1, logits.len(), logits)).into_vec();
+        let probs = predict_row(head, *loss, &h);
         self.counters.inc("infer.scores");
         emit(key.to_vec(), InferMsg::Score { probs }.to_bytes());
     }
+}
+
+/// One node's layer step of the (non-GAS) GraphInfer merge: sample the
+/// in-edge candidates `(src, weight, h)` and run the layer's per-node
+/// forward over the kept ones and `self_h`. Sorts `in_embs` in place.
+///
+/// Consistent sampling with GraphFlat: canonical candidate order (sorted by
+/// source id, with weight/payload tie-breaks so parallel edges order
+/// identically regardless of delivery order) + a seed derived from the node
+/// id only, so with the same seed/strategy this step keeps exactly the
+/// neighbor subset GraphFlat kept when building the training data (§3.4's
+/// unbiasedness requirement). Any caller that hands it a node's complete
+/// in-edge candidate set gets the bits the GraphInfer reducer produces.
+pub fn merge_step<H: AsRef<[f32]>>(
+    layer: &GnnLayer,
+    sampling: SamplingStrategy,
+    seed: u64,
+    node: u64,
+    self_h: &[f32],
+    in_embs: &mut [(u64, f32, H)],
+) -> Vec<f32> {
+    in_embs.sort_by(|a, b| {
+        a.0.cmp(&b.0)
+            .then_with(|| a.1.total_cmp(&b.1))
+            .then_with(|| a.2.as_ref().iter().map(|f| f.to_bits()).cmp(b.2.as_ref().iter().map(|f| f.to_bits())))
+    });
+    let weights: Vec<f32> = in_embs.iter().map(|(_, w, _)| *w).collect();
+    let sample_seed = derive_seed(seed, fnv1a(&node.to_le_bytes()));
+    let kept = sampling.select(&weights, sample_seed);
+    let neighbor_h: Vec<Vec<f32>> = kept.iter().map(|&i| in_embs[i].2.as_ref().to_vec()).collect();
+    let kept_w: Vec<f32> = kept.iter().map(|&i| in_embs[i].1).collect();
+    let view = NeighborView { self_h, neighbor_h: &neighbor_h, weights: &kept_w };
+    layer.forward_node(&view)
+}
+
+/// The prediction slice on one node: the head's logits turned into
+/// probabilities under `loss` — the score GraphInfer emits for the node.
+pub fn predict_row(head: &DenseLayer, loss: Loss, h: &[f32]) -> Vec<f32> {
+    let logits = head.forward_row(h);
+    loss.probabilities(&agl_tensor::Matrix::from_vec(1, logits.len(), logits)).into_vec()
 }
 
 /// One GraphInfer-shaped MapReduce job: the input encoding, the reducer, the

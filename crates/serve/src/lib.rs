@@ -9,10 +9,10 @@
 //!   with a compact offset index and zero-copy `&[f32]` reads; exact
 //!   top-k queries merged across shards.
 //! * [`update`]: incremental maintenance — when a node's features change,
-//!   only its k-hop *forward* neighborhood is stale; re-inferring the
-//!   backward closure of that dirty set through the existing GraphInfer
-//!   pipeline reproduces the full recompute byte-for-byte, and the
-//!   affected shard slabs are swapped atomically.
+//!   only its k-hop *forward* neighborhood is stale; recomputing it over
+//!   its backward closure with GraphInfer's own per-node step reproduces
+//!   the full recompute byte-for-byte, and the affected shard slabs are
+//!   swapped atomically.
 //! * [`batch`]: a per-shard request batcher that coalesces concurrent
 //!   lookups without ever reordering responses relative to request ids.
 //! * [`loadgen`]: a closed-loop, seeded load generator replaying the

@@ -69,6 +69,39 @@ impl ShardSlab {
         Some(&self.data[off..off + self.dim])
     }
 
+    /// A copy of this slab with `patches` overlaid: one merge of the sorted
+    /// index with the patches (sorted here by id; for a repeated id the
+    /// last patch wins), copying straight into the new slab's index and
+    /// data — no per-row allocation.
+    fn overlay(&self, mut patches: Vec<(u64, Vec<f32>)>) -> Self {
+        patches.sort_by_key(|(id, _)| *id);
+        let mut index = Vec::with_capacity(self.index.len() + patches.len());
+        let mut data = Vec::with_capacity(self.data.len() + patches.len() * self.dim);
+        let mut push = |index: &mut Vec<(u64, u32)>, id: u64, v: &[f32]| {
+            assert_eq!(v.len(), self.dim, "node {id}: vector dim {} != store dim {}", v.len(), self.dim);
+            // agl-lint: allow(no-panic) — >4G floats in one shard is out of scope for the in-memory store.
+            let off = u32::try_from(data.len()).expect("shard slab exceeds u32 float offsets");
+            index.push((id, off));
+            data.extend_from_slice(v);
+        };
+        let mut old = self.iter().peekable();
+        let mut new = patches.iter().peekable();
+        while let Some((id, v)) = new.next() {
+            if new.peek().is_some_and(|(next, _)| next == id) {
+                continue;
+            }
+            while let Some((node, row)) = old.next_if(|(node, _)| node.0 < *id) {
+                push(&mut index, node.0, row);
+            }
+            old.next_if(|(node, _)| node.0 == *id);
+            push(&mut index, *id, v);
+        }
+        for (node, row) in old {
+            push(&mut index, node.0, row);
+        }
+        Self { index, data, dim: self.dim }
+    }
+
     /// Iterate `(node, vector)` in id order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &[f32])> {
         self.index.iter().map(move |&(id, off)| (NodeId(id), &self.data[off as usize..off as usize + self.dim]))
@@ -234,15 +267,7 @@ impl EmbeddingStore {
             // snapshot, overlay the patches, then swap under the write
             // lock. `patch` callers are serialised by the updater, so the
             // read-then-swap window cannot lose concurrent patches.
-            let old = self.shard(i);
-            let mut entries: Vec<(u64, Vec<f32>)> = old.iter().map(|(id, v)| (id.0, v.to_vec())).collect();
-            for (id, v) in bucket {
-                match entries.binary_search_by_key(&id, |(e, _)| *e) {
-                    Ok(pos) => entries[pos].1 = v,
-                    Err(pos) => entries.insert(pos, (id, v)),
-                }
-            }
-            let fresh = Arc::new(ShardSlab::build(entries, self.dim));
+            let fresh = Arc::new(self.shard(i).overlay(bucket));
             // agl-lint: allow(no-panic) — poisoned only if a prior writer panicked; store is dead then.
             *self.shards[i].write().expect("shard lock poisoned") = fresh;
         }
@@ -330,6 +355,26 @@ mod tests {
         store.patch([(NodeId(77), vec![1.0, 2.0, 3.0])]);
         assert_eq!(store.len(), 11);
         assert_eq!(&*store.get(NodeId(77)).unwrap(), &[1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn patch_merges_replacements_and_inserts_in_id_order() {
+        let store = EmbeddingStore::from_vectors((1..20).step_by(2).map(|i| (NodeId(i), vec![i as f32])), &cfg(1));
+        // Inserts before, between and after the stored ids; a replacement;
+        // a repeated id whose last patch must win.
+        store.patch([
+            (NodeId(30), vec![-30.0]),
+            (NodeId(0), vec![-0.5]),
+            (NodeId(7), vec![-7.0]),
+            (NodeId(8), vec![-8.0]),
+            (NodeId(7), vec![-70.0]),
+        ]);
+        let got: Vec<(u64, f32)> = store.shard(0).iter().map(|(id, v)| (id.0, v[0])).collect();
+        let mut want: Vec<(u64, f32)> = (1..20).step_by(2).map(|i| (i, i as f32)).collect();
+        want.retain(|(id, _)| *id != 7);
+        want.extend([(0, -0.5), (7, -70.0), (8, -8.0), (30, -30.0)]);
+        want.sort_by_key(|(id, _)| *id);
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Incremental store maintenance: re-infer only the dirty k-hop
-//! neighborhood, byte-identically to a full recompute.
+//! Incremental store maintenance: recompute only the dirty k-hop
+//! neighborhood, byte-identically to a full re-infer.
 //!
 //! When a node's features (or its in-edges) change, the only stale store
 //! entries are the nodes whose k-hop *in*-neighborhood contains the change
@@ -8,24 +8,29 @@
 //! direction. Recomputing those dirty nodes needs their own k-hop
 //! in-neighborhoods, the **backward** closure of the dirty set.
 //!
-//! Byte-identity with a full re-infer holds because the GraphInfer
-//! sampling framework seeds per *node id* (not per task or slice) over a
-//! canonically sorted candidate set: any node at backward distance `< k`
-//! of the dirty set keeps its complete in-edge set inside the closure, so
-//! it samples the same neighbors and aggregates the same partials, in the
-//! same order, as in the full graph. Nodes at distance exactly `k`
-//! contribute only their raw features. The dirty nodes' recomputed vectors
-//! are therefore bit-for-bit those of a full recompute, and they are the
-//! only entries [`EmbeddingStore::patch`] swaps in.
+//! No job runs. Both searches are level-by-level scans of the edge table
+//! against small id sets; the backward one also collects the in-edges of
+//! every closure node at backward distance `< k`. Layer `l` is then
+//! computed only for the closure nodes at distance `≤ k − l`, with
+//! [`agl_infer::merge_step`] — the per-node function GraphInfer's reducer
+//! calls — and the dirty nodes are scored with [`agl_infer::predict_row`].
+//!
+//! Byte-identity with a full re-infer holds because that function samples
+//! with a seed derived from the *node id* alone over a canonically sorted
+//! candidate set: a node at distance `< k` gets its complete in-edge set
+//! (parallel edges kept apart, edges from sources missing from the node
+//! table skipped — as GraphInfer's join round skips them), whose inputs are
+//! the same vectors the full run merges. Nodes at distance exactly `k`
+//! contribute only their raw features. The dirty nodes' vectors are
+//! therefore bit-for-bit those of a full recompute, and they are the only
+//! entries [`EmbeddingStore::patch`] swaps in.
 
 use crate::store::EmbeddingStore;
-use agl_graph::bfs::{multi_source_distances, UNREACHED};
 use agl_graph::tables::EdgeRow;
-use agl_graph::{EdgeTable, Graph, NodeId, NodeTable};
-use agl_infer::{GraphInfer, InferConfig};
+use agl_graph::{EdgeTable, IdMap, IdSet, NodeId, NodeTable};
+use agl_infer::{merge_step, predict_row, InferConfig};
 use agl_mapreduce::JobError;
 use agl_nn::GnnModel;
-use agl_tensor::Matrix;
 
 /// A graph change: the set of nodes whose inputs changed — nodes with new
 /// features, plus the `dst` endpoint of every added/removed edge (the
@@ -56,18 +61,21 @@ pub struct UpdateReport {
     pub touched: usize,
     /// Stale store entries recomputed and patched.
     pub dirty: usize,
-    /// Nodes of the backward closure the re-infer ran over.
+    /// Nodes of the backward closure the recompute read.
     pub closure_nodes: usize,
-    /// Edges of the closure sub-graph.
+    /// In-edges merged by the recompute: those of closure nodes at
+    /// backward distance `< k`.
     pub closure_edges: usize,
 }
 
-/// Re-infer the dirty neighborhood of `delta` over the *post-update*
+/// Recompute the dirty neighborhood of `delta` over the *post-update*
 /// tables and patch the affected store shards (atomic per-shard swap).
+/// Runs on the caller's thread.
 ///
 /// `cfg` must be the configuration the store's vectors were produced with
 /// (same sampling strategy and `engine.seed`), or byte-identity with a
-/// full recompute is forfeit. `k` is the model's layer count.
+/// full recompute is forfeit. `k` is the model's layer count. Edges with an
+/// endpoint missing from `nodes` are skipped, as GraphInfer skips them.
 pub fn update_incremental(
     store: &EmbeddingStore,
     model: &GnnModel,
@@ -76,59 +84,184 @@ pub fn update_incremental(
     delta: &GraphDelta,
     cfg: &InferConfig,
 ) -> Result<UpdateReport, JobError> {
-    let obs = cfg.engine.obs.clone();
+    let obs = &cfg.engine.obs;
     let _span = obs.span("serve", "serve.update");
-    let k = model.n_layers() as u32;
-    let graph = Graph::from_tables(nodes, edges);
-
-    let touched_locals: Vec<u32> = delta.touched.iter().filter_map(|id| graph.local(*id)).collect();
-    if touched_locals.is_empty() {
+    let closure = {
+        let _s = obs.span("serve", "serve.update.closure");
+        Closure::find(nodes, edges, &delta.touched, model.n_layers())
+    };
+    let Some(closure) = closure else {
         return Ok(UpdateReport { touched: delta.touched.len(), dirty: 0, closure_nodes: 0, closure_edges: 0 });
-    }
-
-    // Dirty = forward BFS ≤ k along out-edges: every node whose k-hop
-    // in-neighborhood contains a touched node.
-    let fwd = multi_source_distances(graph.out_adj(), &touched_locals, Some(k));
-    let dirty_locals: Vec<u32> = (0..graph.n_nodes() as u32).filter(|&v| fwd[v as usize] != UNREACHED).collect();
-
-    // Closure = backward BFS ≤ k along in-edges from the dirty set: the
-    // support needed to recompute every dirty node.
-    let back = multi_source_distances(graph.in_adj(), &dirty_locals, Some(k));
-    let closure_locals: Vec<u32> = (0..graph.n_nodes() as u32).filter(|&v| back[v as usize] != UNREACHED).collect();
-
-    // Sub-tables. Edge rule: keep every in-edge of a node at backward
-    // distance < k — that node's sampling candidate set must stay complete
-    // — and nothing else (distance-k nodes only contribute features).
-    let ids: Vec<NodeId> = closure_locals.iter().map(|&v| graph.node_id(v)).collect();
-    let rows: Vec<&[f32]> = closure_locals.iter().map(|&v| graph.features().row(v as usize)).collect();
-    let sub_nodes = NodeTable::new(ids, Matrix::from_rows(&rows), None);
-    let mut sub_rows = Vec::new();
-    for (row, _) in edges.iter() {
-        let (Some(s), Some(d)) = (graph.local(row.src), graph.local(row.dst)) else { continue };
-        if back[d as usize] < k && back[s as usize] != UNREACHED {
-            sub_rows.push(EdgeRow { src: row.src, dst: row.dst, weight: row.weight });
-        }
-    }
-    let closure_edges = sub_rows.len();
-    let sub_edges = EdgeTable::new(sub_rows, None);
-
-    // Re-infer the closure through the normal pipeline and keep only the
-    // dirty nodes' vectors.
-    let output = GraphInfer::new(cfg.clone()).run(model, &sub_nodes, &sub_edges)?;
-    let dirty: std::collections::HashSet<u64> = dirty_locals.iter().map(|&v| graph.node_id(v).0).collect();
-    let patched: Vec<(NodeId, Vec<f32>)> =
-        output.scores.into_iter().filter(|s| dirty.contains(&s.node.0)).map(|s| (s.node, s.probs)).collect();
+    };
+    let patched = {
+        let _s = obs.span("serve", "serve.update.forward");
+        closure.recompute(model, nodes, cfg)
+    };
     let report = UpdateReport {
         touched: delta.touched.len(),
         dirty: patched.len(),
-        closure_nodes: closure_locals.len(),
-        closure_edges,
+        closure_nodes: closure.ids.len(),
+        closure_edges: closure.in_src.len(),
     };
-    store.patch(patched);
-    store.publish_occupancy(&obs);
+    {
+        let _s = obs.span("serve", "serve.update.patch");
+        store.patch(patched);
+        store.publish_occupancy(obs);
+    }
     obs.metric_add("serve.update.dirty", report.dirty as u64);
     obs.metric_add("serve.update.closure_nodes", report.closure_nodes as u64);
     Ok(report)
+}
+
+/// The backward k-hop closure of the dirty set, sorted by node id, with
+/// the in-edges its recompute merges.
+struct Closure {
+    /// Closure node ids, ascending.
+    ids: Vec<NodeId>,
+    /// Node-table row of each closure node.
+    rows: Vec<usize>,
+    /// Backward distance from the dirty set (0 = dirty).
+    dist: Vec<usize>,
+    /// CSR over closure nodes: `in_src[in_ptr[v]..in_ptr[v + 1]]` holds
+    /// `(source, weight)` of each in-edge of `v` (empty at distance `k`).
+    in_ptr: Vec<usize>,
+    in_src: Vec<(u32, f32)>,
+}
+
+impl Closure {
+    /// Search the dirty set and its closure; `None` when no touched node
+    /// exists in the node table.
+    fn find(nodes: &NodeTable, edges: &EdgeTable, touched: &[NodeId], k: usize) -> Option<Self> {
+        // Dirty = forward BFS ≤ k along out-edges: every node whose k-hop
+        // in-neighborhood contains a touched node.
+        let mut dirty: IdMap<usize> =
+            existing_rows(nodes, &ScanSet::new(touched.iter().copied())).into_iter().collect();
+        if dirty.is_empty() {
+            return None;
+        }
+        let mut frontier = ScanSet::new(dirty.keys().copied());
+        for _ in 0..k {
+            if frontier.is_empty() {
+                break;
+            }
+            let next = edges.rows().iter().filter(|e| frontier.contains(e.src) && !dirty.contains_key(&e.dst));
+            let found = existing_rows(nodes, &ScanSet::new(next.map(|e| e.dst)));
+            frontier = ScanSet::new(found.iter().map(|&(id, _)| id));
+            dirty.extend(found);
+        }
+
+        // Closure = backward BFS ≤ k along in-edges from the dirty set. A
+        // node at distance d < k has its in-edges scanned at level d, so
+        // they are collected exactly once.
+        let mut closure: IdMap<(usize, usize)> = dirty.iter().map(|(&id, &row)| (id, (0, row))).collect();
+        let mut frontier = ScanSet::new(dirty.into_keys());
+        let mut in_edges: Vec<EdgeRow> = Vec::new();
+        for d in 1..=k {
+            if frontier.is_empty() {
+                break;
+            }
+            let scanned = in_edges.len();
+            in_edges.extend(edges.rows().iter().filter(|e| frontier.contains(e.dst)));
+            let next = in_edges[scanned..].iter().filter(|e| !closure.contains_key(&e.src));
+            let found = existing_rows(nodes, &ScanSet::new(next.map(|e| e.src)));
+            frontier = ScanSet::new(found.iter().map(|&(id, _)| id));
+            closure.extend(found.into_iter().map(|(id, row)| (id, (d, row))));
+        }
+        // Every existing source joined the closure; the rest dangle.
+        in_edges.retain(|e| closure.contains_key(&e.src));
+
+        let mut ids: Vec<NodeId> = closure.keys().copied().collect();
+        ids.sort_unstable();
+        let local: IdMap<u32> = ids.iter().enumerate().map(|(v, &id)| (id, v as u32)).collect();
+        let (dist, rows): (Vec<usize>, Vec<usize>) = ids.iter().map(|id| closure[id]).unzip();
+        let mut in_ptr = vec![0usize; ids.len() + 1];
+        for e in &in_edges {
+            in_ptr[local[&e.dst] as usize + 1] += 1;
+        }
+        for v in 0..ids.len() {
+            in_ptr[v + 1] += in_ptr[v];
+        }
+        let mut fill = in_ptr.clone();
+        let mut in_src = vec![(0u32, 0.0f32); in_edges.len()];
+        for e in &in_edges {
+            let slot = &mut fill[local[&e.dst] as usize];
+            in_src[*slot] = (local[&e.src], e.weight);
+            *slot += 1;
+        }
+        Some(Self { ids, rows, dist, in_ptr, in_src })
+    }
+
+    /// Layer by layer, compute `h^l` for the nodes at distance `≤ k − l`;
+    /// return the dirty nodes' scores in id order.
+    fn recompute(&self, model: &GnnModel, nodes: &NodeTable, cfg: &InferConfig) -> Vec<(NodeId, Vec<f32>)> {
+        let k = model.n_layers();
+        let mut h: Vec<Vec<f32>> = self.rows.iter().map(|&row| nodes.features().row(row).to_vec()).collect();
+        for (l, layer) in model.layers().iter().enumerate() {
+            let reach = k - 1 - l;
+            h = (0..self.ids.len())
+                .map(|v| {
+                    if self.dist[v] > reach {
+                        return Vec::new();
+                    }
+                    let mut in_embs: Vec<(u64, f32, &[f32])> = self.in_src[self.in_ptr[v]..self.in_ptr[v + 1]]
+                        .iter()
+                        .map(|&(s, w)| (self.ids[s as usize].0, w, h[s as usize].as_slice()))
+                        .collect();
+                    merge_step(layer, cfg.sampling, cfg.engine.seed, self.ids[v].0, &h[v], &mut in_embs)
+                })
+                .collect();
+        }
+        let loss = model.config().loss;
+        (0..self.ids.len())
+            .filter(|&v| self.dist[v] == 0)
+            .map(|v| (self.ids[v], predict_row(model.head(), loss, &h[v])))
+            .collect()
+    }
+}
+
+/// The node-table rows of those `candidates` that exist — one scan of the
+/// table's ids against the (small) candidate set.
+fn existing_rows(nodes: &NodeTable, candidates: &ScanSet) -> Vec<(NodeId, usize)> {
+    if candidates.is_empty() {
+        return Vec::new();
+    }
+    nodes.ids().iter().enumerate().filter(|(_, &id)| candidates.contains(id)).map(|(row, &id)| (id, row)).collect()
+}
+
+/// Bits of the [`ScanSet`] filter, as a power of two.
+const FILTER_LOG2: u32 = 16;
+
+/// A small id set tested against every row of a table scan. A 2¹⁶-bit
+/// filter, one bit per hashed slot, answers nearly every miss before the
+/// hash probe runs.
+struct ScanSet {
+    set: IdSet,
+    filter: Vec<u64>,
+}
+
+impl ScanSet {
+    fn new(ids: impl IntoIterator<Item = NodeId>) -> Self {
+        let mut s = Self { set: IdSet::default(), filter: vec![0; 1 << (FILTER_LOG2 - 6)] };
+        for id in ids {
+            let bit = Self::slot(id);
+            s.filter[bit >> 6] |= 1 << (bit & 63);
+            s.set.insert(id);
+        }
+        s
+    }
+
+    fn slot(id: NodeId) -> usize {
+        (id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - FILTER_LOG2)) as usize
+    }
+
+    fn contains(&self, id: NodeId) -> bool {
+        let bit = Self::slot(id);
+        self.filter[bit >> 6] & (1 << (bit & 63)) != 0 && self.set.contains(&id)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.set.is_empty()
+    }
 }
 
 #[cfg(test)]
@@ -136,9 +269,10 @@ mod tests {
     use super::*;
     use crate::ServeConfig;
     use agl_flat::SamplingStrategy;
+    use agl_infer::GraphInfer;
     use agl_nn::{Loss, ModelConfig, ModelKind};
     use agl_tensor::rng::Rng;
-    use agl_tensor::seeded_rng;
+    use agl_tensor::{seeded_rng, Matrix};
 
     fn toy(n: u64, seed: u64) -> (NodeTable, EdgeTable) {
         let mut rng = seeded_rng(seed);
@@ -255,6 +389,42 @@ mod tests {
                 assert_store_matches(&store, &full, &case);
             }
         }
+    }
+
+    /// Edges with an endpoint missing from the node table are skipped, as
+    /// GraphInfer skips them: the update stays bit-equal to a full re-infer.
+    #[test]
+    fn dangling_edges_are_skipped_like_graphinfer() {
+        let (nodes, edges) = sparse(200, 4);
+        let mut rows = edges.rows().to_vec();
+        let (ghost_src, ghost_dst) = (NodeId(9_000), NodeId(9_001));
+        rows.extend([
+            // Into a touched node: a dangling entry in a dirty node's in-edges.
+            EdgeRow { src: ghost_src, dst: NodeId(3), weight: 1.0 },
+            // Out of a touched node: a dangling step of the forward search.
+            EdgeRow { src: NodeId(3), dst: ghost_dst, weight: 1.0 },
+            EdgeRow { src: ghost_src, dst: ghost_dst, weight: 1.0 },
+        ]);
+        let edges = EdgeTable::new(rows, None);
+        let m = model();
+        let cfg = InferConfig { sampling: SamplingStrategy::Weighted { max_degree: 2 }, ..InferConfig::default() };
+        let scfg = ServeConfig::default();
+        let store = EmbeddingStore::build(&GraphInfer::new(cfg.clone()).run(&m, &nodes, &edges).unwrap(), &scfg);
+
+        let mut feats = nodes.features().clone();
+        for t in [3usize, 50] {
+            feats[(t, 0)] -= 1.0;
+        }
+        let new_nodes = NodeTable::new(nodes.ids().to_vec(), feats, None);
+        // A touched id missing from the node table is ignored too.
+        let delta = GraphDelta::features([NodeId(3), NodeId(50), ghost_dst]);
+        let report = update_incremental(&store, &m, &new_nodes, &edges, &delta, &cfg).unwrap();
+        assert!(report.dirty >= 2 && report.closure_nodes < nodes.len(), "{report:?}");
+
+        let full = GraphInfer::new(cfg).run(&m, &new_nodes, &edges).unwrap();
+        assert!(full.counters.get("infer.dangling_edge_sources") > 0);
+        assert!(full.counters.get("infer.dangling_edge_destinations") > 0);
+        assert_store_matches(&store, &full, "dangling");
     }
 
     #[test]
