@@ -8,7 +8,10 @@
 //! of the hash depend on every input bit.
 //!
 //! Use it only for maps that are probed, or whose iteration order never
-//! reaches an output: the order of a hashed container is no contract.
+//! reaches an output: the order of a hashed container is no contract. Its
+//! keys are ids from the pipeline's own node and edge tables, never from a
+//! network client: a table whose ids are crafted to collide can only slow
+//! the job that reads it.
 
 use crate::tables::NodeId;
 use std::collections::{HashMap, HashSet};
@@ -37,14 +40,6 @@ impl Hasher for IdHasher {
         self.hash = (p as u64) ^ ((p >> 64) as u64);
     }
 
-    fn write_u32(&mut self, x: u32) {
-        self.write_u64(u64::from(x));
-    }
-
-    fn write_usize(&mut self, x: usize) {
-        self.write_u64(x as u64);
-    }
-
     fn finish(&self) -> u64 {
         self.hash
     }
@@ -62,12 +57,10 @@ pub type IdSet = HashSet<NodeId, IdBuildHasher>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::hash::{BuildHasher, Hash};
+    use std::hash::BuildHasher;
 
     fn hash_of(id: u64) -> u64 {
-        let mut h = IdBuildHasher::default().build_hasher();
-        NodeId(id).hash(&mut h);
-        h.finish()
+        IdBuildHasher::default().hash_one(NodeId(id))
     }
 
     #[test]

@@ -33,6 +33,6 @@ pub mod subgraph;
 pub mod tables;
 
 pub use graph::Graph;
-pub use idhash::{IdBuildHasher, IdHasher, IdMap, IdSet};
+pub use idhash::{IdMap, IdSet};
 pub use subgraph::{SubEdge, Subgraph};
 pub use tables::{EdgeTable, NodeId, NodeTable};
