@@ -35,19 +35,10 @@ pub struct ShardSlab {
 }
 
 impl ShardSlab {
-    /// Build from `(node, vector)` pairs (any order; sorted internally).
-    pub fn build(mut entries: Vec<(u64, Vec<f32>)>, dim: usize) -> Self {
-        entries.sort_unstable_by_key(|(id, _)| *id);
-        let mut index = Vec::with_capacity(entries.len());
-        let mut data = Vec::with_capacity(entries.len() * dim);
-        for (id, v) in &entries {
-            assert_eq!(v.len(), dim, "node {id}: vector dim {} != store dim {dim}", v.len());
-            // agl-lint: allow(no-panic) — >4G floats in one shard is out of scope for the in-memory store.
-            let off = u32::try_from(data.len()).expect("shard slab exceeds u32 float offsets");
-            index.push((*id, off));
-            data.extend_from_slice(v);
-        }
-        Self { index, data, dim }
+    /// Build from `(node, vector)` pairs (any order; sorted internally; for
+    /// a repeated id the last pair wins).
+    pub fn build(entries: Vec<(u64, Vec<f32>)>, dim: usize) -> Self {
+        Self { index: Vec::new(), data: Vec::new(), dim }.overlay(entries)
     }
 
     pub fn len(&self) -> usize {
