@@ -299,7 +299,18 @@ fn parse_consistency(s: &str) -> Result<Consistency, String> {
     }
 }
 
+/// A count flag that must be at least 1.
+fn positive_flag(flags: &Flags, name: &str, default: &str) -> Result<usize, Box<dyn std::error::Error>> {
+    match flag_or(flags, name, default).parse()? {
+        0 => Err(format!("--{name} must be > 0").into()),
+        n => Ok(n),
+    }
+}
+
 fn cmd_train(flags: &Flags) -> CliResult {
+    let epochs = positive_flag(flags, "epochs", "10")?;
+    let batch_size = positive_flag(flags, "batch-size", "32")?;
+    let workers = positive_flag(flags, "workers", "1")?;
     let store = agl::flat::FeatureStore::open(flag(flags, "store")?)?;
     let examples = store.read_all()?;
     if examples.is_empty() {
@@ -323,16 +334,15 @@ fn cmd_train(flags: &Flags) -> CliResult {
     let mut model = GnnModel::new(cfg);
     let obs = parse_obs(flags)?;
     let opts = TrainOptions {
-        epochs: flag_or(flags, "epochs", "10").parse()?,
+        epochs,
         lr: flag_or(flags, "lr", "0.01").parse()?,
-        batch_size: flag_or(flags, "batch-size", "32").parse()?,
+        batch_size,
         pruning: flag_or(flags, "pruning", "true").parse()?,
         partitions: flag_or(flags, "partitions", "1").parse()?,
         consistency: parse_consistency(flag_or(flags, "consistency", "sync"))?,
         ..TrainOptions::default()
     }
     .with_obs(obs.clone());
-    let workers: usize = flag_or(flags, "workers", "1").parse()?;
     println!(
         "training {} ({} params) on {} triples, {} workers ({})",
         kind.name(),
@@ -341,24 +351,17 @@ fn cmd_train(flags: &Flags) -> CliResult {
         workers,
         opts.consistency
     );
-    if workers > 1 {
-        let result = train_distributed(&mut model, &examples, None, workers, &opts);
-        for e in &result.epochs {
-            println!("epoch {:>3}: loss {:.4} ({:.2}s)", e.epoch + 1, e.loss, e.duration.as_secs_f64());
-        }
-        println!(
-            "ps: {} steps, max staleness {}, {} gate waits ({:.1} ms waited)",
-            result.ps_stats.steps,
-            result.max_staleness,
-            result.ps_stats.ssp_waits,
-            result.ps_stats.ssp_wait_nanos as f64 / 1e6
-        );
-    } else {
-        let result = LocalTrainer::new(opts.clone()).train(&mut model, &examples);
-        for e in &result.epochs {
-            println!("epoch {:>3}: loss {:.4} ({:.2}s)", e.epoch + 1, e.loss, e.duration.as_secs_f64());
-        }
+    let result = train_distributed(&mut model, &examples, None, workers, &opts);
+    for e in &result.epochs {
+        println!("epoch {:>3}: loss {:.4} ({:.2}s)", e.epoch + 1, e.loss, e.duration.as_secs_f64());
     }
+    println!(
+        "ps: {} steps, max staleness {}, {} gate waits ({:.1} ms waited)",
+        result.ps_stats.steps,
+        result.max_staleness,
+        result.ps_stats.ssp_waits,
+        result.ps_stats.ssp_wait_nanos as f64 / 1e6
+    );
     let metrics = LocalTrainer::evaluate(&model, &examples, &opts);
     println!("train metrics: loss {:.4} headline {:.4}", metrics.loss, metrics.headline());
     let out = flag(flags, "out")?;

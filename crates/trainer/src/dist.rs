@@ -1,9 +1,11 @@
 //! Distributed training on the parameter server (§3.3 / Figures 7–8).
 //!
 //! Each worker owns a partition of the training triples (self-contained by
-//! Theorem 1), runs the same batch loop as the standalone trainer, and
-//! exchanges state with the [`agl_ps::ParameterServer`] only: pull the
-//! model, compute gradients on its own batch, push.
+//! Theorem 1) and exchanges state with the [`agl_ps::ParameterServer`]
+//! only: pull the model, compute gradients on its own batch, push. This is
+//! the trainer's one batch loop; the standalone [`LocalTrainer`] is one
+//! worker of it. With `TrainOptions::pipeline` each worker prepares its
+//! batches on its own prefetch thread (§3.3.2).
 //!
 //! The coordination mode is [`Consistency`] (from `TrainOptions`): the
 //! paper's synchronous configuration (used for the Fig. 7 convergence
@@ -16,7 +18,7 @@
 //! in the distributed mode"* while the final AUC matches.
 
 use crate::metrics::Metrics;
-use crate::pipeline::prepare_batch;
+use crate::pipeline::{prefetch, read_and_prepare, PreparedBatch};
 use crate::trainer::{EpochStats, LocalTrainer, TrainOptions};
 use agl_flat::TrainingExample;
 use agl_mapreduce::TransportError;
@@ -53,19 +55,14 @@ pub struct DistTrainResult {
     /// `<= slack` in `Ssp` mode (enforced), unbounded in `Async`.
     ///
     /// Recorded by the server under its version lock at apply time and read
-    /// here from `ParameterServer::stats()` *after* `run_workers` has
-    /// joined every worker thread. The join is the synchronization point —
-    /// all worker writes happen-before it — so no relaxed-atomic final load
-    /// can race a straggler's last push (the pre-SSP implementation
-    /// aggregated a relaxed `fetch_max` on the worker side and read it
-    /// while conceptually unordered with the final pushes; keeping the
-    /// record under the lock removes that class of bug entirely).
+    /// from its stats after every worker thread has joined, so no final
+    /// read can race a straggler's last push.
     pub max_staleness: u64,
 }
 
 impl DistTrainer {
     pub fn new(n_workers: usize, opts: TrainOptions) -> Self {
-        assert!(n_workers > 0);
+        assert!(n_workers > 0 && opts.batch_size > 0);
         Self { n_workers, n_shards: 4, opts, straggler: None }
     }
 
@@ -80,13 +77,24 @@ impl DistTrainer {
         train: &[TrainingExample],
         val: Option<&[TrainingExample]>,
     ) -> DistTrainResult {
+        self.train_in_process(model, train, val, &mut |_, _| {})
+    }
+
+    /// [`Self::train`], calling `after_epoch(epoch, model)` after each epoch.
+    pub(crate) fn train_in_process(
+        &self,
+        model: &mut GnnModel,
+        train: &[TrainingExample],
+        val: Option<&[TrainingExample]>,
+        after_epoch: &mut dyn FnMut(usize, &GnnModel),
+    ) -> DistTrainResult {
         let lr = self.opts.lr;
         let server =
             ParameterServer::new(model.param_vector(), self.n_shards, self.n_workers, self.opts.consistency, || {
                 Box::new(Adam::new(lr))
             })
             .with_obs(self.opts.engine.obs.clone());
-        match self.train_with_client(model, train, val, &server) {
+        match self.run(model, train, val, &server, after_epoch) {
             Ok(r) => r,
             // agl-lint: allow(no-panic) — the in-process PsClient impl is infallible; Err is unreachable.
             Err(e) => panic!("in-process parameter server failed: {e}"),
@@ -106,6 +114,17 @@ impl DistTrainer {
         train: &[TrainingExample],
         val: Option<&[TrainingExample]>,
         server: &C,
+    ) -> Result<DistTrainResult, TransportError> {
+        self.run(model, train, val, server, &mut |_, _| {})
+    }
+
+    fn run<C: PsClient>(
+        &self,
+        model: &mut GnnModel,
+        train: &[TrainingExample],
+        val: Option<&[TrainingExample]>,
+        server: &C,
+        after_epoch: &mut dyn FnMut(usize, &GnnModel),
     ) -> Result<DistTrainResult, TransportError> {
         assert!(!train.is_empty());
 
@@ -134,11 +153,7 @@ impl DistTrainer {
         let mut val_curve = Vec::new();
         for epoch in 0..self.opts.epochs {
             let start = clock.now();
-            let mut epoch_span = if self.opts.engine.obs.is_enabled() {
-                self.opts.engine.obs.span("trainer", "train.epoch")
-            } else {
-                agl_obs::Span::disabled()
-            };
+            let mut epoch_span = self.opts.engine.obs.span("trainer", "train.epoch");
             run_client_workers(server, self.n_workers, |w, ps| {
                 // Per-worker kernel track: each worker's spans land on its
                 // own `tensor.w{w}` lane, keeping logical-clock timestamps
@@ -148,12 +163,11 @@ impl DistTrainer {
                 let mut rng = seeded_rng(derive_seed(self.opts.engine.seed, (epoch * 1000 + w) as u64));
                 let mut order = partitions[w].clone();
                 order.shuffle(&mut rng);
-                for b in 0..batches_per_worker {
-                    let lo = (b * self.opts.batch_size) % order.len().max(1);
-                    let batch: Vec<TrainingExample> = (0..self.opts.batch_size.min(order.len()))
-                        .map(|i| train[order[(lo + i) % order.len()]].clone())
-                        .collect();
-                    let prepared = prepare_batch(&batch, &spec);
+                let (bs, len) = (self.opts.batch_size, order.len());
+                let plan: Vec<Vec<usize>> = (0..batches_per_worker)
+                    .map(|b| (0..bs.min(len)).map(|i| order[(b * bs + i) % len]).collect())
+                    .collect();
+                let mut step = |prepared: PreparedBatch| {
                     let (params, _pulled_version) = ps.pull_with_version(w)?;
                     replica.load_param_vector(&params);
                     replica.zero_grads();
@@ -175,27 +189,29 @@ impl DistTrainer {
                     // Staleness of this gradient — steps that land between
                     // our pull and the apply (§3.3's bounded-delay lens) —
                     // is recorded by the server under its version lock.
-                    ps.push(w, &replica.grad_vector())?;
+                    ps.push(w, &replica.grad_vector())
+                };
+                if self.opts.pipeline {
+                    let track = format!("pipeline.prefetch.w{w}");
+                    prefetch(train, &plan, &spec, &self.opts.engine.obs, &track, step)
+                } else {
+                    plan.iter().try_for_each(|idx| step(read_and_prepare(train, idx, &spec)))
                 }
-                Ok(())
             })?;
             model.load_param_vector(&server.snapshot()?);
             epoch_span.counter("batches", batches_per_worker as u64);
             drop(epoch_span);
             self.opts.engine.obs.metric_add("trainer.epochs", 1);
+            let duration = Duration::from_nanos(clock.since(start));
             // Mean train loss after the epoch's updates (cheap re-pass over
             // a sample keeps the run fast at large scale).
             let probe = &train[..train.len().min(512)];
             let m = LocalTrainer::evaluate(model, probe, &self.opts);
-            epochs.push(EpochStats {
-                epoch,
-                loss: m.loss,
-                duration: Duration::from_nanos(clock.since(start)),
-                batches: batches_per_worker,
-            });
+            epochs.push(EpochStats { epoch, loss: m.loss, duration, batches: batches_per_worker });
             if let Some(v) = val {
                 val_curve.push(LocalTrainer::evaluate(model, v, &self.opts));
             }
+            after_epoch(epoch, model);
         }
         // `run_client_workers` joined every worker thread above, so this
         // snapshot is ordered after all pushes (see
@@ -212,28 +228,6 @@ impl DistTrainer {
             );
         }
         Ok(DistTrainResult { epochs, val_curve, ps_stats, max_staleness })
-    }
-}
-
-impl TrainOptions {
-    /// Public shims so `DistTrainer` (different module) reuses the exact
-    /// preprocessing the standalone trainer applies.
-    pub fn spec_public(&self, model: &GnnModel) -> crate::pipeline::PrepSpec {
-        crate::pipeline::PrepSpec {
-            n_layers: model.n_layers(),
-            prep: model.layers()[0].adj_prep(),
-            label_dim: model.config().out_dim,
-            prune: self.pruning,
-        }
-    }
-
-    pub fn ctx_public(&self) -> agl_tensor::ExecCtx {
-        let base = if self.partitions > 1 {
-            agl_tensor::ExecCtx::parallel(self.partitions)
-        } else {
-            agl_tensor::ExecCtx::sequential()
-        };
-        base.with_obs(self.engine.obs.clone())
     }
 }
 
@@ -462,6 +456,94 @@ mod tests {
         assert_eq!(metrics.get("trainer.epochs"), 2);
         assert!(metrics.get("ps.pushes") > 0);
         assert!(metrics.get("ps.bytes_transferred") > 0);
+    }
+
+    #[test]
+    fn prefetch_is_bit_identical_and_traced_per_worker() {
+        // Prefetch moves only when a batch is prepared: same batches, same
+        // RNG draws, so the whole trajectory agrees bit for bit with inline
+        // preparation. Each worker prepares on its own track.
+        let data = dataset(40);
+        let run = |pipeline: bool| {
+            let obs = agl_obs::Obs::enabled();
+            let mut m = model();
+            let trainer =
+                DistTrainer::new(2, TrainOptions { pipeline, ..opts(Consistency::Sync) }.with_obs(obs.clone()));
+            let r = trainer.train(&mut m, &data, None);
+            (m.param_vector(), r, obs)
+        };
+        let (piped, piped_r, obs) = run(true);
+        let (inline, inline_r, inline_obs) = run(false);
+        let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&piped), bits(&inline), "parameters must be bit-identical");
+        let losses = |r: &DistTrainResult| r.epochs.iter().map(|e| e.loss.to_bits()).collect::<Vec<_>>();
+        assert_eq!(losses(&piped_r), losses(&inline_r), "per-epoch loss must be bit-identical");
+
+        let events = obs.trace().unwrap().events();
+        let batches = piped_r.epochs[0].batches * piped_r.epochs.len();
+        for w in 0..2 {
+            let track = format!("pipeline.prefetch.w{w}");
+            let n = events.iter().filter(|e| e.name == "pipeline.prepare" && e.track == track).count();
+            assert_eq!(n, batches, "worker {w} prepare spans");
+        }
+        assert_eq!(events.iter().filter(|e| e.name == "pipeline.prepare").count(), 2 * batches);
+        assert!(inline_obs.trace().unwrap().events().iter().all(|e| e.name != "pipeline.prepare"));
+    }
+
+    /// A client whose pushes fail once `ok_pushes` have gone through.
+    struct FailingPushes {
+        inner: ParameterServer,
+        ok_pushes: u64,
+        pushes: std::sync::atomic::AtomicU64,
+    }
+
+    impl PsClient for FailingPushes {
+        fn pull_with_version(&self, worker: usize) -> Result<(Vec<f32>, u64), TransportError> {
+            PsClient::pull_with_version(&self.inner, worker)
+        }
+        fn push(&self, worker: usize, grads: &[f32]) -> Result<(), TransportError> {
+            if self.pushes.fetch_add(1, std::sync::atomic::Ordering::SeqCst) >= self.ok_pushes {
+                return Err(TransportError::Timeout { what: "injected push failure".into() });
+            }
+            PsClient::push(&self.inner, worker, grads)
+        }
+        fn retire(&self, worker: usize) -> Result<(), TransportError> {
+            self.inner.retire(worker)
+        }
+        fn snapshot(&self) -> Result<Vec<f32>, TransportError> {
+            PsClient::snapshot(&self.inner)
+        }
+        fn stats(&self) -> Result<PsStats, TransportError> {
+            PsClient::stats(&self.inner)
+        }
+        fn consistency(&self) -> Consistency {
+            PsClient::consistency(&self.inner)
+        }
+        fn len(&self) -> usize {
+            PsClient::len(&self.inner)
+        }
+    }
+
+    #[test]
+    fn failed_push_stops_the_prefetch_thread() {
+        // The compute side fails mid-epoch while each worker's prefetch
+        // thread is still producing: the error must come back, not
+        // deadlock the scope that owns the prefetch thread. Async, because
+        // the sync barrier would wait for the failed worker's push. The
+        // run goes on a helper thread so a hang fails the test.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut m = model();
+            let trainer = DistTrainer::new(2, TrainOptions { batch_size: 2, ..opts(Consistency::Async) });
+            let client = FailingPushes {
+                inner: ParameterServer::new(m.param_vector(), 2, 2, Consistency::Async, || Box::new(Adam::new(0.05))),
+                ok_pushes: 5,
+                pushes: std::sync::atomic::AtomicU64::new(0),
+            };
+            let _ = tx.send(trainer.train_with_client(&mut m, &dataset(64), None, &client).map(|r| r.epochs.len()));
+        });
+        let r = rx.recv_timeout(Duration::from_secs(60)).expect("a failed push deadlocked the prefetch scope");
+        assert!(matches!(r, Err(TransportError::Timeout { .. })), "{r:?}");
     }
 
     #[test]

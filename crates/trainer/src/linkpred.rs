@@ -11,7 +11,7 @@
 //! embeddings' dot product.
 
 use crate::metrics::auc;
-use crate::pipeline::PrepSpec;
+use crate::pipeline::{layer_adjs, PrepSpec};
 use agl_flat::builder::SubgraphBuilder;
 use agl_flat::{decode_graph_feature, encode_graph_feature, TrainingExample};
 use agl_graph::{Graph, NodeId};
@@ -137,14 +137,7 @@ impl LinkPredictor {
         let local_of: HashMap<NodeId, usize> =
             merged.target_ids().into_iter().enumerate().map(|(i, id)| (id, i)).collect();
         let batch_vec = crate::vectorize::from_subgraph(&merged, Matrix::zeros(local_of.len(), 0));
-        let spec = self.spec();
-        let prepared_adj = agl_nn::layer::prepare_adj(&batch_vec.adj, spec.prep);
-        let adjs: Vec<agl_tensor::Csr> = if spec.prune {
-            let masks = crate::pruning::batch_keep_masks(&batch_vec, spec.n_layers);
-            (0..spec.n_layers).map(|k| prepared_adj.filter_entries(|d, _| masks[k][d as usize])).collect()
-        } else {
-            vec![prepared_adj; spec.n_layers]
-        };
+        let adjs = layer_adjs(&batch_vec, &self.spec());
         let ctx = ExecCtx::sequential();
         let pass = self.model.forward(&adjs, &batch_vec.features, &batch_vec.targets, train, &ctx, rng);
         // Embeddings live in `logits` (linear head = projection).

@@ -1,11 +1,12 @@
 //! The training pipeline (§3.3.2, batch level): a prefetch stage overlaps
 //! *"data reading and subgraph vectorization"* with model computation.
 //!
-//! A background thread pulls batch index lists, reads + decodes their
-//! GraphFeatures, vectorizes, preprocesses the per-layer adjacencies
-//! (including pruning, which the paper notes costs "nearly no extra time"
-//! precisely because it rides in this stage), and pushes [`PreparedBatch`]es
-//! into a small bounded channel the compute loop drains.
+//! Per trainer worker, a scoped thread walks the epoch's batch index lists,
+//! reads + decodes their GraphFeatures, vectorizes, preprocesses the
+//! per-layer adjacencies (including pruning, which the paper notes costs
+//! "nearly no extra time" precisely because it rides in this stage), and
+//! pushes [`PreparedBatch`]es into a small bounded channel the worker's
+//! compute loop drains.
 
 use crate::pruning::batch_keep_masks;
 use crate::vectorize::{canonicalize_adj_rows, vectorize, VectorizedBatch};
@@ -13,9 +14,7 @@ use agl_flat::TrainingExample;
 use agl_nn::layer::{prepare_adj, AdjPrep};
 use agl_obs::{Clock, Obs};
 use agl_tensor::Csr;
-use std::sync::mpsc::{sync_channel, Receiver};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::mpsc::sync_channel;
 
 /// What the preprocessing stage hands the compute stage.
 #[derive(Debug)]
@@ -39,14 +38,19 @@ pub struct PrepSpec {
 /// Read + vectorize + preprocess one batch (the preprocessing stage body).
 pub fn prepare_batch(examples: &[TrainingExample], spec: &PrepSpec) -> PreparedBatch {
     let batch = vectorize(examples, spec.label_dim);
+    PreparedBatch { adjs: layer_adjs(&batch, spec), batch }
+}
+
+/// A vectorized batch's per-layer prepared (and, under `spec.prune`,
+/// pruned) adjacencies.
+pub(crate) fn layer_adjs(batch: &VectorizedBatch, spec: &PrepSpec) -> Vec<Csr> {
     let prepared = prepare_adj(&batch.adj, spec.prep);
-    let adjs: Vec<Csr> = if spec.prune {
-        let masks = batch_keep_masks(&batch, spec.n_layers);
+    if spec.prune {
+        let masks = batch_keep_masks(batch, spec.n_layers);
         (0..spec.n_layers).map(|k| prepared.filter_entries(|dst, _| masks[k][dst as usize])).collect()
     } else {
         vec![prepared; spec.n_layers]
-    };
-    PreparedBatch { batch, adjs }
+    }
 }
 
 /// [`prepare_batch`] with every adjacency row re-sorted into ascending
@@ -61,123 +65,82 @@ pub fn prepare_batch_canonical(examples: &[TrainingExample], spec: &PrepSpec) ->
     p
 }
 
-/// A two-stage pipeline: preprocessing on a background thread, compute on
-/// the caller's thread. Dropping the pipeline (or exhausting it) joins the
-/// worker.
-pub struct BatchPipeline {
-    rx: Receiver<PreparedBatch>,
-    handle: Option<JoinHandle<()>>,
-    obs: Obs,
-    /// Clock for compute-stage wait accounting (present iff obs enabled).
-    clock: Option<Clock>,
-    /// Accumulated time the compute stage spent blocked on `recv`.
-    recv_wait: u64,
+/// Read one batch's examples by index and prepare it. The clone stands in
+/// for the disk read the paper's workers do: GraphFeatures live on DFS,
+/// not in RAM.
+pub(crate) fn read_and_prepare(examples: &[TrainingExample], idx: &[usize], spec: &PrepSpec) -> PreparedBatch {
+    let batch: Vec<TrainingExample> = idx.iter().map(|&i| examples[i].clone()).collect();
+    prepare_batch(&batch, spec)
 }
 
-impl BatchPipeline {
-    /// Spawn the preprocessing stage over `order` (each entry is the example
-    /// indices of one batch). `depth` bounds how far preprocessing may run
-    /// ahead of compute.
-    pub fn spawn(examples: Arc<Vec<TrainingExample>>, order: Vec<Vec<usize>>, spec: PrepSpec, depth: usize) -> Self {
-        Self::spawn_with_obs(examples, order, spec, depth, Obs::default())
-    }
-
-    /// [`spawn`](Self::spawn) with an observability handle: the prefetch
-    /// stage emits a `pipeline.prepare` span per batch on the
-    /// `pipeline.prefetch` track and accounts its busy/blocked split into
-    /// the metrics registry (`pipeline.prefetch.busy_nanos`,
-    /// `pipeline.prefetch.wait_nanos`, `pipeline.prefetch.occupancy_pct`);
-    /// the compute side's recv waits land in
-    /// `pipeline.compute.wait_nanos`. Units follow the obs clock (logical
-    /// runs account ticks, not nanoseconds).
-    pub fn spawn_with_obs(
-        examples: Arc<Vec<TrainingExample>>,
-        order: Vec<Vec<usize>>,
-        spec: PrepSpec,
-        depth: usize,
-        obs: Obs,
-    ) -> Self {
-        let (tx, rx) = sync_channel(depth.max(1));
-        let producer_obs = obs.clone();
-        let handle = std::thread::spawn(move || {
-            let clock = producer_obs.trace().map(|t| t.clock().clone());
+/// Hand `step` the prepared batches of `plan` in order, preparing them on a
+/// scoped prefetch thread up to two batches ahead. Each `plan` entry lists
+/// one batch's example indices. The first `Err` from `step` drops the
+/// channel, which stops the prefetch thread, and is returned.
+///
+/// The prefetch thread emits one `pipeline.prepare` span per batch on
+/// `track`. Under a monotonic clock the stage split is also accounted:
+/// `pipeline.prefetch.busy_nanos`, `pipeline.prefetch.wait_nanos` and
+/// `pipeline.prefetch.occupancy_pct` for the prefetch side,
+/// `pipeline.compute.wait_nanos` for `step`'s side. A logical clock's
+/// ticks are global, so those numbers would depend on thread interleaving;
+/// they stay out of its metrics.
+pub(crate) fn prefetch<E>(
+    examples: &[TrainingExample],
+    plan: &[Vec<usize>],
+    spec: &PrepSpec,
+    obs: &Obs,
+    track: &str,
+    mut step: impl FnMut(PreparedBatch) -> Result<(), E>,
+) -> Result<(), E> {
+    let clock = obs.clock().filter(|c| !c.is_logical());
+    std::thread::scope(|s| {
+        let (tx, rx) = sync_channel(2);
+        s.spawn(move || {
             let (mut busy, mut blocked) = (0u64, 0u64);
-            for batch_idx in order {
-                let t0 = clock.as_ref().map(Clock::now);
+            for idx in plan {
+                let t0 = clock.map(Clock::now);
                 let prepared = {
-                    let mut span = if producer_obs.is_enabled() {
-                        producer_obs.span("pipeline.prefetch", "pipeline.prepare")
-                    } else {
-                        agl_obs::Span::disabled()
-                    };
-                    span.counter("examples", batch_idx.len() as u64);
-                    // "Read" the batch from the store (clone = the disk read
-                    // the paper's workers do — GraphFeatures live on DFS,
-                    // not RAM).
-                    let batch: Vec<TrainingExample> = batch_idx.iter().map(|&i| examples[i].clone()).collect();
-                    prepare_batch(&batch, &spec)
+                    let mut span = obs.span(track, "pipeline.prepare");
+                    span.counter("examples", idx.len() as u64);
+                    read_and_prepare(examples, idx, spec)
                 };
-                let sent = clock.as_ref().map(Clock::now);
+                let sent = clock.map(Clock::now);
                 if tx.send(prepared).is_err() {
-                    break; // compute side hung up
+                    break; // the compute side hung up
                 }
-                if let (Some(c), Some(t0), Some(sent)) = (&clock, t0, sent) {
+                if let (Some(c), Some(t0), Some(sent)) = (clock, t0, sent) {
                     busy += sent.saturating_sub(t0);
                     blocked += c.since(sent);
                 }
             }
-            if let Some(m) = producer_obs.metrics() {
-                m.add("pipeline.prefetch.busy_nanos", busy);
-                m.add("pipeline.prefetch.wait_nanos", blocked);
-                if busy + blocked > 0 {
-                    m.gauge_set("pipeline.prefetch.occupancy_pct", busy * 100 / (busy + blocked));
+            if clock.is_some() {
+                obs.metric_add("pipeline.prefetch.busy_nanos", busy);
+                obs.metric_add("pipeline.prefetch.wait_nanos", blocked);
+                if let Some(pct) = (busy * 100).checked_div(busy + blocked) {
+                    obs.gauge_set("pipeline.prefetch.occupancy_pct", pct);
                 }
             }
         });
-        let clock = obs.trace().map(|t| t.clock().clone());
-        Self { rx, handle: Some(handle), obs, clock, recv_wait: 0 }
-    }
-
-    /// Flush the compute-side wait accounting (idempotent) and join the
-    /// producer if it is still running.
-    fn finish(&mut self) {
-        if self.recv_wait > 0 {
-            self.obs.metric_add("pipeline.compute.wait_nanos", self.recv_wait);
-            self.recv_wait = 0;
-        }
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Iterator for BatchPipeline {
-    type Item = PreparedBatch;
-
-    fn next(&mut self) -> Option<PreparedBatch> {
-        let t0 = self.clock.as_ref().map(Clock::now);
-        match self.rx.recv() {
-            Ok(b) => {
-                if let (Some(c), Some(t0)) = (&self.clock, t0) {
-                    self.recv_wait += c.since(t0);
-                }
-                Some(b)
+        let mut waited = 0u64;
+        let result = loop {
+            let t0 = clock.map(Clock::now);
+            let Ok(prepared) = rx.recv() else { break Ok(()) };
+            if let (Some(c), Some(t0)) = (clock, t0) {
+                waited += c.since(t0);
             }
-            Err(_) => {
-                self.finish();
-                None
+            if let Err(e) = step(prepared) {
+                break Err(e);
             }
+        };
+        // Hang up before the scope joins, so a producer blocked on a full
+        // channel wakes to a send error instead of deadlocking the scope.
+        drop(rx);
+        if waited > 0 {
+            obs.metric_add("pipeline.compute.wait_nanos", waited);
         }
-    }
-}
-
-impl Drop for BatchPipeline {
-    fn drop(&mut self) {
-        // Disconnect so the producer stops, then join it.
-        let (_tx, rx) = sync_channel(0);
-        self.rx = rx;
-        self.finish();
-    }
+        result
+    })
 }
 
 #[cfg(test)]
@@ -202,11 +165,22 @@ mod tests {
         PrepSpec { n_layers: 2, prep: AdjPrep::MeanWithSelfLoops, label_dim: 1, prune }
     }
 
+    /// Collect what [`prefetch`] hands its step, in order.
+    fn prefetched(examples: &[TrainingExample], plan: &[Vec<usize>], prune: bool) -> Vec<PreparedBatch> {
+        let mut got = Vec::new();
+        prefetch(examples, plan, &spec(prune), &Obs::default(), "pipeline.prefetch.w0", |p| {
+            got.push(p);
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        got
+    }
+
     #[test]
     fn pipeline_yields_all_batches_in_order() {
-        let examples = Arc::new((0..10u64).map(example).collect::<Vec<_>>());
+        let examples: Vec<_> = (0..10u64).map(example).collect();
         let order: Vec<Vec<usize>> = (0..5).map(|b| vec![2 * b, 2 * b + 1]).collect();
-        let got: Vec<PreparedBatch> = BatchPipeline::spawn(examples, order, spec(false), 2).collect();
+        let got = prefetched(&examples, &order, false);
         assert_eq!(got.len(), 5);
         for (b, p) in got.iter().enumerate() {
             assert_eq!(p.batch.target_ids[0], NodeId(2 * b as u64));
@@ -216,18 +190,13 @@ mod tests {
 
     #[test]
     fn pipelined_output_matches_inline_preparation() {
-        let examples = Arc::new((0..6u64).map(example).collect::<Vec<_>>());
+        let examples: Vec<_> = (0..6u64).map(example).collect();
         let order: Vec<Vec<usize>> = vec![vec![0, 1, 2], vec![3, 4, 5]];
         for prune in [false, true] {
-            let inline: Vec<PreparedBatch> = order
-                .iter()
-                .map(|idx| {
-                    let b: Vec<_> = idx.iter().map(|&i| examples[i].clone()).collect();
-                    prepare_batch(&b, &spec(prune))
-                })
-                .collect();
-            let piped: Vec<PreparedBatch> =
-                BatchPipeline::spawn(examples.clone(), order.clone(), spec(prune), 1).collect();
+            let inline: Vec<PreparedBatch> =
+                order.iter().map(|idx| read_and_prepare(&examples, idx, &spec(prune))).collect();
+            let piped = prefetched(&examples, &order, prune);
+            assert_eq!(inline.len(), piped.len());
             for (a, b) in inline.iter().zip(&piped) {
                 assert_eq!(a.batch.features, b.batch.features);
                 assert_eq!(a.adjs, b.adjs, "prune={prune}");
@@ -247,10 +216,16 @@ mod tests {
 
     #[test]
     fn dropping_pipeline_early_does_not_hang() {
-        let examples = Arc::new((0..100u64).map(example).collect::<Vec<_>>());
+        // The step fails on the first batch while the producer is
+        // mid-stream: the error comes back and the scope joins cleanly.
+        let examples: Vec<_> = (0..100u64).map(example).collect();
         let order: Vec<Vec<usize>> = (0..100).map(|i| vec![i]).collect();
-        let mut p = BatchPipeline::spawn(examples, order, spec(false), 1);
-        let _first = p.next().unwrap();
-        drop(p); // must join cleanly while producer is mid-stream
+        let mut steps = 0;
+        let r = prefetch(&examples, &order, &spec(false), &Obs::default(), "pipeline.prefetch.w0", |_| {
+            steps += 1;
+            Err("stop")
+        });
+        assert_eq!(r, Err("stop"));
+        assert_eq!(steps, 1);
     }
 }

@@ -1,17 +1,17 @@
-//! Standalone-mode trainer (the configuration Table 4 measures): one
-//! process, batches streamed from the GraphFeature store, all three
-//! optimisation strategies individually switchable.
+//! Training options and the standalone-mode trainer (the configuration
+//! Table 4 measures). Workers are independent (§3.3), so standalone mode
+//! is one [`DistTrainer`] worker against an in-process parameter server:
+//! there is one batch loop, with all three optimisation strategies
+//! individually switchable.
 
+use crate::dist::DistTrainer;
 use crate::metrics::Metrics;
-use crate::pipeline::{prepare_batch, BatchPipeline, PrepSpec, PreparedBatch};
+use crate::pipeline::{prepare_batch, PrepSpec};
 use agl_flat::TrainingExample;
 use agl_mapreduce::EngineConfig;
-use agl_nn::{Adam, GnnModel, Optimizer};
+use agl_nn::GnnModel;
 use agl_obs::{Clock, Obs};
-use agl_tensor::rng::derive_seed;
-use agl_tensor::rng::SliceRandom;
 use agl_tensor::{seeded_rng, ExecCtx, Matrix};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Training knobs — the Table 4 ablation axes plus the usual hyper-params.
@@ -24,11 +24,12 @@ pub struct TrainOptions {
     pub pruning: bool,
     /// Edge partitions / aggregation threads; 1 disables (`+partition` ⇒ >1).
     pub partitions: usize,
-    /// Prefetch pipeline (`AGL_base` keeps this on — the paper's baseline
-    /// "trains only with the pipeline strategy").
+    /// Prefetch pipeline: each worker prepares its batches on a prefetch
+    /// thread (`AGL_base` keeps this on — the paper's baseline "trains only
+    /// with the pipeline strategy").
     pub pipeline: bool,
-    /// Worker-coordination mode for distributed training (`DistTrainer`);
-    /// the standalone `LocalTrainer` has a single worker and ignores it.
+    /// Worker-coordination mode on the parameter server
+    /// ([`LocalTrainer`]'s single worker never waits on another).
     pub consistency: agl_ps::Consistency,
     /// Shared engine knobs. The trainer consumes `engine.seed` (batch
     /// shuffle), `engine.obs` (epoch/pipeline spans, PS metrics) and the
@@ -88,12 +89,15 @@ impl TrainOptions {
         self.engine.effective_clock()
     }
 
-    fn ctx(&self) -> ExecCtx {
+    /// The kernel context these options ask for: `partitions` aggregation
+    /// threads, kernel spans on the obs handle.
+    pub fn ctx_public(&self) -> ExecCtx {
         let base = if self.partitions > 1 { ExecCtx::parallel(self.partitions) } else { ExecCtx::sequential() };
         base.with_obs(self.engine.obs.clone())
     }
 
-    fn spec(&self, model: &GnnModel) -> PrepSpec {
+    /// The batch preprocessing `model` needs under these options.
+    pub fn spec_public(&self, model: &GnnModel) -> PrepSpec {
         PrepSpec {
             n_layers: model.n_layers(),
             prep: model.layers()[0].adj_prep(),
@@ -107,9 +111,12 @@ impl TrainOptions {
 #[derive(Debug, Clone)]
 pub struct EpochStats {
     pub epoch: usize,
-    /// Mean batch loss.
+    /// Training loss of the model after the epoch's updates, over the first
+    /// 512 training examples.
     pub loss: f64,
+    /// Time of the epoch's batch loop; the loss probe is not in it.
     pub duration: Duration,
+    /// Batches each worker ran.
     pub batches: usize,
 }
 
@@ -136,7 +143,8 @@ impl TrainResult {
     }
 }
 
-/// Standalone trainer.
+/// Standalone trainer: one [`DistTrainer`] worker over an in-process
+/// parameter server that applies Adam.
 #[derive(Debug, Clone)]
 pub struct LocalTrainer {
     pub opts: TrainOptions,
@@ -146,14 +154,6 @@ impl LocalTrainer {
     pub fn new(opts: TrainOptions) -> Self {
         assert!(opts.batch_size > 0 && opts.epochs > 0);
         Self { opts }
-    }
-
-    /// Batch index plan for one epoch (shuffled).
-    fn plan(&self, n: usize, epoch: usize) -> Vec<Vec<usize>> {
-        let mut idx: Vec<usize> = (0..n).collect();
-        let mut rng = seeded_rng(derive_seed(self.opts.engine.seed, epoch as u64));
-        idx.shuffle(&mut rng);
-        idx.chunks(self.opts.batch_size).map(<[usize]>::to_vec).collect()
     }
 
     /// Train in place; returns per-epoch stats.
@@ -170,64 +170,8 @@ impl LocalTrainer {
         mut after_epoch: impl FnMut(usize, &GnnModel),
     ) -> TrainResult {
         assert!(!examples.is_empty(), "no training examples");
-        let mut opt = Adam::new(self.opts.lr);
-        let ctx = self.opts.ctx();
-        let spec = self.opts.spec(model);
-        let shared: Arc<Vec<TrainingExample>> = Arc::new(examples.to_vec());
-        let clock = self.opts.clock();
-        let mut epochs = Vec::with_capacity(self.opts.epochs);
-        for epoch in 0..self.opts.epochs {
-            let start = clock.now();
-            let mut epoch_span = if self.opts.engine.obs.is_enabled() {
-                self.opts.engine.obs.span("trainer", "train.epoch")
-            } else {
-                agl_obs::Span::disabled()
-            };
-            let order = self.plan(examples.len(), epoch);
-            let n_batches = order.len();
-            let mut rng = seeded_rng(derive_seed(self.opts.engine.seed ^ 0xD07, epoch as u64));
-            let mut loss_sum = 0.0f64;
-            let mut step = |prepared: PreparedBatch, model: &mut GnnModel, opt: &mut Adam| {
-                model.zero_grads();
-                let pass = model.forward(
-                    &prepared.adjs,
-                    &prepared.batch.features,
-                    &prepared.batch.targets,
-                    true,
-                    &ctx,
-                    &mut rng,
-                );
-                let (loss, grad) = model.loss(&pass.logits, &prepared.batch.labels);
-                model.backward(&prepared.adjs, &pass, &grad, &ctx);
-                let mut params = model.param_vector();
-                opt.step(&mut params, &model.grad_vector());
-                model.load_param_vector(&params);
-                loss_sum += loss as f64;
-            };
-            if self.opts.pipeline {
-                for prepared in
-                    BatchPipeline::spawn_with_obs(shared.clone(), order, spec, 2, self.opts.engine.obs.clone())
-                {
-                    step(prepared, model, &mut opt);
-                }
-            } else {
-                for batch_idx in order {
-                    let batch: Vec<TrainingExample> = batch_idx.iter().map(|&i| shared[i].clone()).collect();
-                    step(prepare_batch(&batch, &spec), model, &mut opt);
-                }
-            }
-            epoch_span.counter("batches", n_batches as u64);
-            drop(epoch_span);
-            self.opts.engine.obs.metric_add("trainer.epochs", 1);
-            epochs.push(EpochStats {
-                epoch,
-                loss: loss_sum / n_batches as f64,
-                duration: Duration::from_nanos(clock.since(start)),
-                batches: n_batches,
-            });
-            after_epoch(epoch, model);
-        }
-        TrainResult { epochs }
+        let trainer = DistTrainer::new(1, self.opts.clone());
+        TrainResult { epochs: trainer.train_in_process(model, examples, None, &mut after_epoch).epochs }
     }
 
     /// Train with validation-based early stopping — the paper's protocol of
@@ -278,8 +222,8 @@ impl LocalTrainer {
     /// task-appropriate metrics.
     pub fn evaluate(model: &GnnModel, examples: &[TrainingExample], opts: &TrainOptions) -> Metrics {
         assert!(!examples.is_empty(), "no evaluation examples");
-        let ctx = opts.ctx();
-        let spec = opts.spec(model);
+        let ctx = opts.ctx_public();
+        let spec = opts.spec_public(model);
         let out_dim = model.config().out_dim;
         let mut logits = Matrix::zeros(examples.len(), out_dim);
         let mut labels = Matrix::zeros(examples.len(), out_dim);
@@ -419,7 +363,7 @@ mod tests {
         // 16 examples / batch 4 = 4 prepare spans per epoch, on the
         // prefetch track; one epoch span per epoch on the trainer track.
         assert_eq!(events.iter().filter(|e| e.name == "pipeline.prepare").count(), 8);
-        assert!(events.iter().filter(|e| e.name == "pipeline.prepare").all(|e| e.track == "pipeline.prefetch"));
+        assert!(events.iter().filter(|e| e.name == "pipeline.prepare").all(|e| e.track == "pipeline.prefetch.w0"));
         assert_eq!(events.iter().filter(|e| e.name == "train.epoch" && e.track == "trainer").count(), 2);
     }
 
