@@ -36,17 +36,15 @@
 //!   Storing step.
 
 pub mod builder;
-pub mod compact;
 pub mod graphfeature;
 pub mod messages;
 pub mod pipeline;
 pub mod sampling;
 pub mod store;
 
-pub use compact::{decode_graph_feature_compact, encode_graph_feature_compact};
 pub use graphfeature::{decode_graph_feature, encode_graph_feature};
 pub use pipeline::{
     flat_reducer_from_spec, FlatConfig, FlatOutput, FlatWorkerSpec, GraphFlat, TargetSpec, TrainingExample,
 };
 pub use sampling::SamplingStrategy;
-pub use store::{FeatureStore, ShardIter, StoreFormat};
+pub use store::{FeatureStore, ShardIter};

@@ -20,6 +20,9 @@ use std::path::{Path, PathBuf};
 pub enum StoreError {
     Io(std::io::Error),
     Corrupt(String),
+    /// The store was written as `AGLSTOR2`, the varint + delta layout this
+    /// crate no longer reads; rewrite it with [`FeatureStore::create`].
+    RetiredFormat(PathBuf),
 }
 
 impl std::fmt::Display for StoreError {
@@ -27,6 +30,9 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::Io(e) => write!(f, "store I/O error: {e}"),
             StoreError::Corrupt(m) => write!(f, "corrupt store: {m}"),
+            StoreError::RetiredFormat(d) => {
+                write!(f, "{}: written in the retired AGLSTOR2 compact format; rewrite the store", d.display())
+            }
         }
     }
 }
@@ -39,85 +45,53 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-const MAGIC_RAW: &[u8; 8] = b"AGLSTOR1";
-const MAGIC_COMPACT: &[u8; 8] = b"AGLSTOR2";
-
-/// On-disk GraphFeature encoding. `Compact` transcodes through the varint +
-/// delta codec of [`crate::compact`] (≈25–60 % smaller), transparently
-/// restoring the plain format on read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StoreFormat {
-    #[default]
-    Raw,
-    Compact,
-}
+const MAGIC: &[u8; 8] = b"AGLSTOR1";
+/// The header of the removed compact layout, recognised only to name it.
+const MAGIC_RETIRED: &[u8; 8] = b"AGLSTOR2";
 
 /// A sharded on-disk GraphFeature store.
 #[derive(Debug, Clone)]
 pub struct FeatureStore {
     dir: PathBuf,
     shards: usize,
-    format: StoreFormat,
 }
 
 impl FeatureStore {
     /// Write `examples` into `dir` across `shards` files, replacing any
     /// existing store there.
     pub fn create(dir: impl AsRef<Path>, shards: usize, examples: &[TrainingExample]) -> Result<Self, StoreError> {
-        Self::create_with_format(dir, shards, examples, StoreFormat::Raw)
-    }
-
-    /// [`FeatureStore::create`] with an explicit on-disk format.
-    pub fn create_with_format(
-        dir: impl AsRef<Path>,
-        shards: usize,
-        examples: &[TrainingExample],
-        format: StoreFormat,
-    ) -> Result<Self, StoreError> {
         let dir = dir.as_ref().to_path_buf();
         let shards = shards.max(1);
         if dir.exists() {
             fs::remove_dir_all(&dir)?;
         }
         fs::create_dir_all(&dir)?;
-        let magic = match format {
-            StoreFormat::Raw => MAGIC_RAW,
-            StoreFormat::Compact => MAGIC_COMPACT,
-        };
         let mut writers: Vec<BufWriter<File>> = (0..shards)
             .map(|s| {
                 let f = File::create(dir.join(format!("part-{s:05}.agl")))?;
                 let mut w = BufWriter::new(f);
-                w.write_all(magic)?;
+                w.write_all(MAGIC)?;
                 Ok::<_, StoreError>(w)
             })
             .collect::<Result<_, _>>()?;
         for ex in examples {
             let s = partition(&ex.target.0.to_le_bytes(), shards);
             let w = &mut writers[s];
-            let payload: Vec<u8> = match format {
-                StoreFormat::Raw => ex.graph_feature.clone(),
-                StoreFormat::Compact => {
-                    let sub = crate::graphfeature::decode_graph_feature(&ex.graph_feature)
-                        .map_err(|e| StoreError::Corrupt(e.to_string()))?;
-                    crate::compact::encode_graph_feature_compact(&sub)
-                }
-            };
             w.write_all(&ex.target.0.to_le_bytes())?;
             w.write_all(&(ex.label.len() as u32).to_le_bytes())?;
             for &l in &ex.label {
                 w.write_all(&l.to_le_bytes())?;
             }
-            w.write_all(&(payload.len() as u32).to_le_bytes())?;
-            w.write_all(&payload)?;
+            w.write_all(&(ex.graph_feature.len() as u32).to_le_bytes())?;
+            w.write_all(&ex.graph_feature)?;
         }
         for mut w in writers {
             w.flush()?;
         }
-        Ok(Self { dir, shards, format })
+        Ok(Self { dir, shards })
     }
 
-    /// Open an existing store (format auto-detected from the file header).
+    /// Open an existing store.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let dir = dir.as_ref().to_path_buf();
         let mut shards = 0;
@@ -130,17 +104,11 @@ impl FeatureStore {
         let mut header = [0u8; 8];
         let mut f = File::open(dir.join("part-00000.agl"))?;
         f.read_exact(&mut header)?;
-        let format = match &header {
-            m if m == MAGIC_RAW => StoreFormat::Raw,
-            m if m == MAGIC_COMPACT => StoreFormat::Compact,
-            _ => return Err(StoreError::Corrupt("unknown store format".into())),
-        };
-        Ok(Self { dir, shards, format })
-    }
-
-    /// The on-disk format of this store.
-    pub fn format(&self) -> StoreFormat {
-        self.format
+        match &header {
+            m if m == MAGIC => Ok(Self { dir, shards }),
+            m if m == MAGIC_RETIRED => Err(StoreError::RetiredFormat(dir)),
+            _ => Err(StoreError::Corrupt("unknown store format".into())),
+        }
     }
 
     pub fn n_shards(&self) -> usize {
@@ -158,17 +126,15 @@ impl FeatureStore {
     pub fn stream_shard(&self, shard: usize) -> Result<ShardIter, StoreError> {
         assert!(shard < self.shards, "shard {shard} of {}", self.shards);
         let path = self.dir.join(format!("part-{shard:05}.agl"));
-        let mut r = BufReader::new(File::open(&path)?);
+        let file = File::open(&path)?;
+        let remaining = file.metadata()?.len().saturating_sub(8);
+        let mut r = BufReader::new(file);
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
-        let expected = match self.format {
-            StoreFormat::Raw => MAGIC_RAW,
-            StoreFormat::Compact => MAGIC_COMPACT,
-        };
-        if &magic != expected {
+        if &magic != MAGIC {
             return Err(StoreError::Corrupt(format!("{}: bad magic", path.display())));
         }
-        Ok(ShardIter { reader: r, format: self.format, done: false })
+        Ok(ShardIter { reader: r, remaining, done: false })
     }
 
     /// Stream every shard in shard order (record order matches
@@ -215,39 +181,52 @@ impl FeatureStore {
 
 /// Streaming reader over one shard file — see
 /// [`FeatureStore::stream_shard`]. Ends the stream after the first error
-/// (a truncated or corrupt shard yields one `Err` and then `None`).
+/// (a truncated or corrupt shard yields one `Err` and then `None`). The
+/// stream ends cleanly only at a record boundary, and no length read from
+/// the shard may claim more bytes than the shard has left.
 pub struct ShardIter {
     reader: BufReader<File>,
-    format: StoreFormat,
+    /// Shard bytes not yet claimed by a record.
+    remaining: u64,
     done: bool,
 }
 
 impl ShardIter {
-    fn read_record(&mut self) -> Result<Option<TrainingExample>, StoreError> {
-        let mut id8 = [0u8; 8];
-        match self.reader.read_exact(&mut id8) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(e) => return Err(e.into()),
+    /// Claim the next `n` bytes of the shard for the current record.
+    fn claim(&mut self, n: u64) -> Result<(), StoreError> {
+        if n > self.remaining {
+            return Err(StoreError::Corrupt(format!("record needs {n} more bytes, shard has {}", self.remaining)));
         }
-        let mut len4 = [0u8; 4];
-        self.reader.read_exact(&mut len4)?;
-        let label_len = u32::from_le_bytes(len4) as usize;
-        let mut label = Vec::with_capacity(label_len);
+        self.remaining -= n;
+        Ok(())
+    }
+
+    fn read_u32(&mut self) -> Result<u32, StoreError> {
+        self.claim(4)?;
+        let mut b = [0u8; 4];
+        self.reader.read_exact(&mut b)?;
+        Ok(u32::from_le_bytes(b))
+    }
+
+    fn read_record(&mut self) -> Result<Option<TrainingExample>, StoreError> {
+        if self.remaining == 0 {
+            return Ok(None);
+        }
+        self.claim(8)?;
+        let mut id8 = [0u8; 8];
+        self.reader.read_exact(&mut id8)?;
+        let label_len = self.read_u32()?;
+        self.claim(4 * u64::from(label_len))?;
+        let mut label = Vec::with_capacity(label_len as usize);
         for _ in 0..label_len {
             let mut f4 = [0u8; 4];
             self.reader.read_exact(&mut f4)?;
             label.push(f32::from_le_bytes(f4));
         }
-        self.reader.read_exact(&mut len4)?;
-        let gf_len = u32::from_le_bytes(len4) as usize;
-        let mut graph_feature = vec![0u8; gf_len];
+        let gf_len = self.read_u32()?;
+        self.claim(u64::from(gf_len))?;
+        let mut graph_feature = vec![0u8; gf_len as usize];
         self.reader.read_exact(&mut graph_feature)?;
-        if self.format == StoreFormat::Compact {
-            let sub = crate::compact::decode_graph_feature_compact(&graph_feature)
-                .map_err(|e| StoreError::Corrupt(e.to_string()))?;
-            graph_feature = crate::graphfeature::encode_graph_feature(&sub);
-        }
         Ok(Some(TrainingExample { target: NodeId(u64::from_le_bytes(id8)), label, graph_feature }))
     }
 }
@@ -401,33 +380,79 @@ mod tests {
     }
 
     #[test]
-    fn compact_store_roundtrips_and_shrinks() {
-        let dir_raw = tmp("fmt-raw");
-        let dir_c = tmp("fmt-compact");
-        let exs = examples(60);
-        let raw = FeatureStore::create_with_format(&dir_raw, 2, &exs, StoreFormat::Raw).unwrap();
-        let compact = FeatureStore::create_with_format(&dir_c, 2, &exs, StoreFormat::Compact).unwrap();
-        assert_eq!(compact.format(), StoreFormat::Compact);
-        // Reads restore the plain byte format exactly.
-        let mut a = raw.read_all().unwrap();
-        let mut b = compact.read_all().unwrap();
-        a.sort_by_key(|e| e.target);
-        b.sort_by_key(|e| e.target);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.graph_feature, y.graph_feature);
+    fn retired_compact_header_is_a_typed_error() {
+        let dir = tmp("retired");
+        FeatureStore::create(&dir, 1, &examples(3)).unwrap();
+        let path = dir.join("part-00000.agl");
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[..8].copy_from_slice(b"AGLSTOR2");
+        fs::write(&path, bytes).unwrap();
+        let err = FeatureStore::open(&dir).unwrap_err();
+        assert!(matches!(&err, StoreError::RetiredFormat(d) if *d == dir), "{err}");
+        assert!(err.to_string().contains("AGLSTOR2"), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Stream shard 0 after replacing its bytes with `bytes`.
+    fn stream_bytes(store: &FeatureStore, bytes: &[u8]) -> Vec<Result<TrainingExample, StoreError>> {
+        fs::write(store.dir().join("part-00000.agl"), bytes).unwrap();
+        store.stream_shard(0).unwrap().collect()
+    }
+
+    fn assert_prefix(got: &[Result<TrainingExample, StoreError>], clean: &[TrainingExample]) {
+        assert!(got.len() >= clean.len(), "{} records before the damage, got {}", clean.len(), got.len());
+        for (g, c) in got.iter().zip(clean) {
+            let g = g.as_ref().unwrap();
+            assert_eq!((g.target, &g.label, &g.graph_feature), (c.target, &c.label, &c.graph_feature));
         }
-        assert!(
-            compact.disk_bytes().unwrap() < raw.disk_bytes().unwrap(),
-            "compact {} vs raw {}",
-            compact.disk_bytes().unwrap(),
-            raw.disk_bytes().unwrap()
-        );
-        // open() re-detects the format.
-        let reopened = FeatureStore::open(&dir_c).unwrap();
-        assert_eq!(reopened.format(), StoreFormat::Compact);
-        assert_eq!(reopened.read_all().unwrap().len(), 60);
-        raw.remove().unwrap();
-        reopened.remove().unwrap();
+    }
+
+    #[test]
+    fn cut_or_bent_shards_fail_loudly_after_the_intact_records() {
+        let dir = tmp("hostile");
+        let store = FeatureStore::create(&dir, 1, &examples(4)).unwrap();
+        let bytes = fs::read(dir.join("part-00000.agl")).unwrap();
+        let clean = store.read_shard(0).unwrap();
+        // Byte offset where each record starts, then the end of the shard.
+        let mut starts = vec![8usize];
+        for ex in &clean {
+            starts.push(starts.last().unwrap() + 16 + 4 * ex.label.len() + ex.graph_feature.len());
+        }
+        assert_eq!(*starts.last().unwrap(), bytes.len());
+
+        // A cut at a record boundary is a shorter shard; anywhere else —
+        // inside an id included — is one error after the intact records.
+        for cut in 8..bytes.len() {
+            let got = stream_bytes(&store, &bytes[..cut]);
+            let intact = starts.iter().filter(|&&s| s <= cut).count() - 1;
+            assert_prefix(&got, &clean[..intact]);
+            if starts.contains(&cut) {
+                assert_eq!(got.len(), intact, "cut {cut} at a boundary");
+            } else {
+                assert_eq!(got.len(), intact + 1, "cut {cut}");
+                assert!(matches!(got[intact], Err(StoreError::Corrupt(_))), "cut {cut}: {:?}", got[intact]);
+            }
+        }
+
+        // A length field bent past the shard's end is an error at that
+        // record, before anything is sized from it; any bent length leaves
+        // the records before it intact and the stream finite.
+        for (k, ex) in clean.iter().enumerate() {
+            let label_at = starts[k] + 8;
+            for field in [label_at, label_at + 4 + 4 * ex.label.len()] {
+                for byte in field..field + 4 {
+                    let mut bent = bytes.clone();
+                    bent[byte] ^= 0xFF;
+                    let got = stream_bytes(&store, &bent);
+                    assert_prefix(&got, &clean[..k]);
+                    if byte >= field + 2 {
+                        assert_eq!(got.len(), k + 1, "byte {byte}");
+                        assert!(matches!(got[k], Err(StoreError::Corrupt(_))), "byte {byte}: {:?}", got[k]);
+                    }
+                }
+            }
+        }
+        store.remove().unwrap();
     }
 
     #[test]
