@@ -111,7 +111,39 @@ pub fn model_to_bytes(model: &GnnModel) -> Vec<u8> {
     buf
 }
 
-/// Rebuild a model from [`model_to_bytes`] output.
+/// The parameter count `GnnModel::new(cfg)` allocates, computed from the
+/// config alone (saturating, so a hostile header cannot overflow it). Valid
+/// only for `n_layers >= 1`.
+fn expected_param_count(cfg: &ModelConfig) -> u128 {
+    let (mul, add) = (u128::saturating_mul, u128::saturating_add);
+    let h = cfg.hidden_dim as u128;
+    let heads = match cfg.kind {
+        ModelKind::Gat { heads } => heads as u128,
+        _ => 1,
+    };
+    // One GNN layer reading `d` features (see each layer's `params()`).
+    let layer = |d: u128| match cfg.kind {
+        ModelKind::Gcn => add(mul(d, h), h),
+        ModelKind::Sage => add(mul(2 * d, h), h),
+        ModelKind::Gin => add(add(mul(d, h), mul(h, h)), 2 * h + 1),
+        ModelKind::GeniePath => add(add(mul(7 * h, h), 5 * h), if d == 2 * h { 0 } else { mul(d, h) }),
+        ModelKind::Gat { .. } => mul(heads, add(mul(d, h), 3 * h)),
+    };
+    // Widths a hidden layer hands the next layer, and the last one the head.
+    let (mid, last) = match cfg.kind {
+        ModelKind::Gat { .. } => (mul(h, heads), h),
+        ModelKind::GeniePath => (2 * h, 2 * h),
+        _ => (h, h),
+    };
+    let out = cfg.out_dim as u128;
+    let layers = add(layer(cfg.in_dim as u128), mul(cfg.n_layers as u128 - 1, layer(mid)));
+    add(layers, add(mul(last, out), out))
+}
+
+/// Rebuild a model from [`model_to_bytes`] output. Every header field is
+/// checked against the input's length before the model is allocated, so
+/// hostile or truncated bytes are an error, never a panic or a huge
+/// allocation.
 pub fn model_from_bytes(mut input: &[u8]) -> Result<GnnModel, SerializeError> {
     let magic = need(&mut input, 4)?;
     if magic != MAGIC {
@@ -139,19 +171,29 @@ pub fn model_from_bytes(mut input: &[u8]) -> Result<GnnModel, SerializeError> {
         t => return Err(SerializeError(format!("bad loss tag {t}"))),
     };
     let seed = get_u64(&mut input)?;
-    let cfg = ModelConfig { kind, in_dim, hidden_dim, out_dim, n_layers, hidden_act, dropout, loss, seed };
-    let mut model = GnnModel::new(cfg);
     let n = get_u32(&mut input)? as usize;
-    if n != model.param_count() {
-        return Err(SerializeError(format!("param count {n} != expected {}", model.param_count())));
+    // With at least one layer, a nonzero hidden width and (for GAT) a head,
+    // every layer owns a parameter, so the count check below also bounds
+    // the number of layers by the input's length.
+    if n_layers == 0 || hidden_dim == 0 {
+        return Err(SerializeError(format!("{n_layers} GNN layers of width {hidden_dim}")));
     }
-    let mut flat = Vec::with_capacity(n);
-    for _ in 0..n {
-        flat.push(get_f32(&mut input)?);
+    match kind {
+        ModelKind::Gat { heads: 0 } => return Err(SerializeError("GAT model with zero heads".into())),
+        ModelKind::Gat { .. } => {}
+        _ if heads != 0 => return Err(SerializeError(format!("{heads} heads on a non-GAT model"))),
+        _ => {}
     }
-    if !input.is_empty() {
-        return Err(SerializeError(format!("{} trailing bytes", input.len())));
+    let cfg = ModelConfig { kind, in_dim, hidden_dim, out_dim, n_layers, hidden_act, dropout, loss, seed };
+    let expected = expected_param_count(&cfg);
+    if n as u128 != expected {
+        return Err(SerializeError(format!("param count {n} != expected {expected}")));
     }
+    if input.len() != 4 * n {
+        return Err(SerializeError(format!("{} parameter bytes for {n} parameters", input.len())));
+    }
+    let flat: Vec<f32> = input.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect();
+    let mut model = GnnModel::new(cfg);
     model.load_param_vector(&flat);
     Ok(model)
 }
@@ -192,6 +234,50 @@ mod tests {
     fn truncated_rejected() {
         let bytes = model_to_bytes(&trained_like_model(ModelKind::Gcn));
         assert!(model_from_bytes(&bytes[..bytes.len() - 3]).is_err());
+    }
+
+    #[test]
+    fn expected_param_count_matches_built_models() {
+        for kind in [ModelKind::Gcn, ModelKind::Sage, ModelKind::Gat { heads: 3 }, ModelKind::Gin, ModelKind::GeniePath]
+        {
+            // (in, hidden, out, layers); in = 2 * hidden skips GeniePath's input projection.
+            for (i, h, o, l) in [(5, 4, 3, 1), (5, 4, 3, 3), (8, 4, 2, 2), (1, 1, 1, 1)] {
+                let cfg = ModelConfig::new(kind, i, h, o, l, Loss::BceWithLogits);
+                let built = GnnModel::new(cfg.clone()).param_count() as u128;
+                assert_eq!(expected_param_count(&cfg), built, "{kind:?} {i} {h} {o} {l}");
+            }
+        }
+    }
+
+    /// Overwrite the little-endian u32 header field at `at`.
+    fn with_u32(mut bytes: Vec<u8>, at: usize, v: u32) -> Vec<u8> {
+        bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn hostile_bytes_are_errors_not_panics() {
+        // Header offsets: kind 4, heads 5, in 9, hidden 13, out 17,
+        // layers 21, act 25, dropout 26, loss 30, seed 31, count 39.
+        const HEADER: usize = 43;
+        let gat = model_to_bytes(&trained_like_model(ModelKind::Gat { heads: 3 }));
+        assert!(model_from_bytes(&with_u32(gat.clone(), 21, 0)).is_err(), "zero layers");
+        assert!(model_from_bytes(&with_u32(gat, 5, 0)).is_err(), "zero GAT heads");
+        for kind in [ModelKind::Gcn, ModelKind::Sage, ModelKind::Gat { heads: 3 }, ModelKind::Gin, ModelKind::GeniePath]
+        {
+            let bytes = model_to_bytes(&trained_like_model(kind));
+            for cut in 0..bytes.len() {
+                assert!(model_from_bytes(&bytes[..cut]).is_err(), "{kind:?} cut at {cut}");
+            }
+            for at in 0..HEADER {
+                let mut bent = bytes.clone();
+                bent[at] ^= 0xFF;
+                let res = model_from_bytes(&bent);
+                // Dropout and seed are free values: any bits still load.
+                let free = (26..30).contains(&at) || (31..39).contains(&at);
+                assert!(free || res.is_err(), "{kind:?} byte {at} flipped still loads");
+            }
+        }
     }
 
     #[test]
