@@ -189,7 +189,7 @@ pub fn model_from_bytes(mut input: &[u8]) -> Result<GnnModel, SerializeError> {
     if n as u128 != expected {
         return Err(SerializeError(format!("param count {n} != expected {expected}")));
     }
-    if input.len() != 4 * n {
+    if input.len() as u64 != 4 * n as u64 {
         return Err(SerializeError(format!("{} parameter bytes for {n} parameters", input.len())));
     }
     let flat: Vec<f32> = input.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect();
