@@ -1,17 +1,17 @@
-//! Lexical happens-before analysis over atomics and spawn-shared state.
+//! Happens-before judgement over atomics and spawn-shared state.
 //!
 //! The lock-order pass ([`crate::lockgraph`]) proves the *mutex* half of the
-//! workspace's concurrency discipline. This module is the *atomics* half: a
-//! per-file walk over the scanner's code channel that records every atomic
-//! declaration (struct fields, statics, `let`-bound locals) and every
-//! atomic access site — `.load(…)`, `.store(…)`, and the RMW family — with
-//! its `Ordering`, the lock guards lexically held at the site, and whether
-//! the site sits inside a `spawn(…)` closure. A crate-scope pass
-//! ([`interproc`]) then reuses the workspace call graph to classify each
-//! atomic as **thread-local** or **escaping** (captured by a spawn closure,
-//! declared `static`, reachable through an `Arc<Owner>`, or accessed through
-//! a receiver the lexical pass cannot resolve — conservatively treated as
-//! shared), and reports:
+//! workspace's concurrency discipline. This module is the *atomics* half. The
+//! shared [`walk`](mod@crate::walk) records every atomic declaration (struct
+//! fields, statics, `let`-bound locals) and every atomic access site —
+//! `.load(…)`, `.store(…)`, and the RMW family — with its `Ordering`, whether
+//! a lock guard is lexically held at the site, and whether the site sits
+//! inside a `spawn(…)` closure. The crate-scope pass ([`interproc`]) builds
+//! the workspace call graph (`WalkGraph`), propagates spawn-reachability
+//! over it, and classifies each atomic as **thread-local** or **escaping**
+//! (captured by a spawn closure, declared `static`, reachable through an
+//! `Arc<Owner>`, or accessed through a receiver the lexical pass cannot
+//! resolve — conservatively treated as shared). It reports:
 //!
 //! * **cross-thread `Relaxed`** — a `Relaxed` load/store/RMW on an escaping
 //!   atomic that is not protected by a lexically held lock guard and whose
@@ -44,581 +44,9 @@
 //! silently passing.
 
 use crate::lockgraph::{render_chain, ChainFrame};
-use crate::scanner::{impl_owner, parse_call, CallGraph, CallGraphNode, CallTarget, ScannedFile};
+use crate::walk::{Access, FieldDecl, FileWalk, MemOrder, Recv, StaticDecl, Walk, WalkGraph};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
-
-/// What an atomic access site does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessOp {
-    /// `.load(…)`.
-    Load,
-    /// `.store(…)`.
-    Store,
-    /// `.swap(…)`, `.fetch_*(…)`, `.compare_exchange*(…)`, `.fetch_update(…)`.
-    Rmw,
-}
-
-impl fmt::Display for AccessOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AccessOp::Load => write!(f, "load"),
-            AccessOp::Store => write!(f, "store"),
-            AccessOp::Rmw => write!(f, "RMW"),
-        }
-    }
-}
-
-/// The `Ordering` named at an access site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum MemOrder {
-    /// `Ordering::Relaxed`.
-    Relaxed,
-    /// `Ordering::Acquire`.
-    Acquire,
-    /// `Ordering::Release`.
-    Release,
-    /// `Ordering::AcqRel`.
-    AcqRel,
-    /// `Ordering::SeqCst`.
-    SeqCst,
-}
-
-impl MemOrder {
-    /// Does this ordering create a release/acquire (or stronger) edge?
-    pub fn is_sync(self) -> bool {
-        !matches!(self, MemOrder::Relaxed)
-    }
-}
-
-impl fmt::Display for MemOrder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            MemOrder::Relaxed => "Relaxed",
-            MemOrder::Acquire => "Acquire",
-            MemOrder::Release => "Release",
-            MemOrder::AcqRel => "AcqRel",
-            MemOrder::SeqCst => "SeqCst",
-        };
-        write!(f, "{s}")
-    }
-}
-
-/// How an access site names its atomic, as recovered from the statement
-/// text before the op token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Recv {
-    /// `self.x.…` or `a.b.x.…` — the last path segment names a field.
-    Field(String),
-    /// A bare identifier — a local or a static.
-    Ident(String),
-    /// Anything else (indexing, call results, …) — never resolved, and
-    /// therefore conservatively treated as escaping.
-    Unknown,
-}
-
-/// One atomic access site.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AccessRec {
-    /// Index into [`Analysis::fns`] of the enclosing function.
-    pub fn_idx: Option<usize>,
-    /// 0-based line of the op token.
-    pub line: usize,
-    /// Load, store, or RMW.
-    pub op: AccessOp,
-    /// The `Ordering` named on the same line.
-    pub order: MemOrder,
-    /// The receiver as parsed from the statement tail.
-    pub recv: Recv,
-    /// A lock guard was lexically held at the site.
-    pub guard_held: bool,
-    /// The site is lexically inside a `spawn(…)` closure.
-    pub in_spawn: bool,
-}
-
-/// An atomic struct field declaration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FieldDecl {
-    /// The declaring struct, when the walk saw its header.
-    pub owner: Option<String>,
-    /// Field name.
-    pub name: String,
-    /// 0-based line of the declaration.
-    pub line: usize,
-    /// Declared as `TrackedAtomic<…>` — checked dynamically, exempt here.
-    pub tracked: bool,
-    /// The declared type itself contains `Arc<` (shared by construction).
-    pub arc_in_decl: bool,
-}
-
-/// An atomic `static` declaration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StaticDecl {
-    /// Static name.
-    pub name: String,
-    /// 0-based line of the declaration.
-    pub line: usize,
-    /// Declared as `TrackedAtomic<…>`.
-    pub tracked: bool,
-}
-
-/// A `let`-bound atomic local.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LocalDecl {
-    /// Index into [`Analysis::fns`] of the declaring function.
-    pub fn_idx: Option<usize>,
-    /// Binding name.
-    pub name: String,
-    /// 0-based line of the binding.
-    pub line: usize,
-    /// Declared as `TrackedAtomic<…>`.
-    pub tracked: bool,
-    /// The binding itself sits inside a spawn closure (per-thread, so its
-    /// spawn-region accesses do not make it escape).
-    pub in_spawn: bool,
-}
-
-/// A function definition recorded by the walk.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FnRec {
-    /// Function name.
-    pub name: String,
-    /// The enclosing `impl` block's `Self` type.
-    pub owner: Option<String>,
-    /// 0-based line of the body's opening brace.
-    pub line: usize,
-    /// 0-based line of the body's closing brace.
-    pub end: usize,
-    /// The body contains a `fence(Ordering::SeqCst)` — sanctions `Relaxed`
-    /// accesses in this function.
-    pub has_fence: bool,
-}
-
-/// A call site recorded for the spawn-reachability pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CallSite {
-    /// Index into [`Analysis::fns`] of the calling function.
-    pub fn_idx: Option<usize>,
-    /// How the call names its callee.
-    pub target: CallTarget,
-    /// 0-based line of the call.
-    pub line: usize,
-    /// The call is lexically inside a `spawn(…)` closure — everything it
-    /// reaches runs on the spawned thread.
-    pub in_spawn: bool,
-}
-
-/// A non-atomic variable written inside a spawn closure and read after it
-/// with no join on the path (finding kind (c)); resolved per file because
-/// both sites are in the same function by construction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpawnWriteFinding {
-    /// The written variable.
-    pub name: String,
-    /// Index into [`Analysis::fns`] of the enclosing function.
-    pub fn_idx: Option<usize>,
-    /// 0-based line of the write inside the closure.
-    pub write_line: usize,
-    /// 0-based line of the unordered read after the closure.
-    pub read_line: usize,
-}
-
-/// Everything one walk produces.
-#[derive(Debug, Default)]
-pub struct Analysis {
-    /// Atomic struct fields.
-    pub fields: Vec<FieldDecl>,
-    /// Atomic statics.
-    pub statics: Vec<StaticDecl>,
-    /// Atomic locals.
-    pub locals: Vec<LocalDecl>,
-    /// Atomic access sites.
-    pub accesses: Vec<AccessRec>,
-    /// Function definitions (call-graph nodes).
-    pub fns: Vec<FnRec>,
-    /// Call sites (call-graph edges, once resolved).
-    pub calls: Vec<CallSite>,
-    /// Type names seen as `Arc<Ty…` anywhere in the file — escape evidence.
-    pub arc_types: BTreeSet<String>,
-    /// Spawn-write/outside-read findings, resolved within the file.
-    pub spawn_findings: Vec<SpawnWriteFinding>,
-}
-
-const RMW_TOKENS: &[&str] = &[
-    ".swap(",
-    ".fetch_add(",
-    ".fetch_sub(",
-    ".fetch_and(",
-    ".fetch_or(",
-    ".fetch_xor(",
-    ".fetch_max(",
-    ".fetch_min(",
-    ".fetch_update(",
-    ".compare_exchange_weak(",
-    ".compare_exchange(",
-];
-
-/// Guard-producing tokens with a leading dot (any receiver).
-const GUARD_DOT: &[&str] = &[".lock()", ".read()", ".write()", ".acquire()"];
-/// Guard-producing call tokens (need an identifier boundary before them).
-const GUARD_FREE: &[&str] = &["lock_barrier(", "lock_versions(", "lock_shard(", "lock_ignoring_poison("];
-
-#[derive(Clone, Copy, PartialEq)]
-enum BlockKind {
-    Fn,
-    Impl,
-    Struct,
-    Spawn,
-    Scope,
-    Other,
-}
-
-struct Guard {
-    /// `Some(ident)` for `let`-bound guards, `None` for temporaries.
-    name: Option<String>,
-    /// Block-stack depth at acquisition.
-    depth: usize,
-}
-
-struct SpawnBlock {
-    /// Block-stack depth of the closure body.
-    depth: usize,
-    fn_idx: Option<usize>,
-    /// Index into `scopes` of the innermost enclosing `thread::scope` block.
-    scope_idx: Option<usize>,
-    /// `let`-bound names inside the closure — per-thread, never "shared".
-    locals: BTreeSet<String>,
-    /// `(name, line)` of assignments to captured variables.
-    writes: Vec<(String, usize)>,
-    /// 0-based line of the closing brace, once seen.
-    end: Option<usize>,
-}
-
-struct ScopeBlock {
-    depth: usize,
-    end: Option<usize>,
-}
-
-/// Walk `scanned`'s code channel and collect the atomics facts.
-pub fn analyze(scanned: &ScannedFile) -> Analysis {
-    let mut out = Analysis::default();
-    let mut blocks: Vec<BlockKind> = Vec::new();
-    let mut fn_stack: Vec<(String, usize, usize)> = Vec::new();
-    let mut impl_stack: Vec<(String, usize)> = Vec::new();
-    let mut struct_stack: Vec<(String, usize)> = Vec::new();
-    let mut guards: Vec<Guard> = Vec::new();
-    let mut spawns: Vec<SpawnBlock> = Vec::new();
-    let mut spawn_stack: Vec<usize> = Vec::new();
-    let mut scopes: Vec<ScopeBlock> = Vec::new();
-    let mut scope_stack: Vec<usize> = Vec::new();
-    let mut stmt = String::new();
-    let mut stmt_line = 0usize;
-
-    for (lineno, line) in scanned.code.iter().enumerate() {
-        // The struct context a field declaration on this line belongs to:
-        // captured at line start, because the header's `{` opens mid-line.
-        let struct_ctx = struct_stack.last().map(|(n, _)| n.clone());
-        collect_arc_types(line, &mut out.arc_types);
-
-        let mut p = 0usize;
-        while p < line.len() {
-            let rest = &line[p..];
-            let c = match rest.chars().next() {
-                Some(c) => c,
-                None => break,
-            };
-            match c {
-                '{' => {
-                    let kind = classify_block(&stmt);
-                    match kind {
-                        BlockKind::Fn => {
-                            if let Some(name) = fn_name(&stmt) {
-                                let owner = impl_stack.last().map(|(o, _)| o.clone());
-                                out.fns.push(FnRec {
-                                    name: name.clone(),
-                                    owner,
-                                    line: lineno,
-                                    end: lineno,
-                                    has_fence: false,
-                                });
-                                fn_stack.push((name, blocks.len() + 1, out.fns.len() - 1));
-                            }
-                        }
-                        BlockKind::Impl => {
-                            if let Some(owner) = impl_owner(&stmt) {
-                                impl_stack.push((owner, blocks.len() + 1));
-                            }
-                        }
-                        BlockKind::Struct => {
-                            if let Some(name) = struct_name(&stmt) {
-                                struct_stack.push((name, blocks.len() + 1));
-                            }
-                        }
-                        BlockKind::Spawn => {
-                            spawns.push(SpawnBlock {
-                                depth: blocks.len() + 1,
-                                fn_idx: fn_stack.last().map(|(_, _, i)| *i),
-                                scope_idx: scope_stack.last().copied(),
-                                locals: BTreeSet::new(),
-                                writes: Vec::new(),
-                                end: None,
-                            });
-                            spawn_stack.push(spawns.len() - 1);
-                        }
-                        BlockKind::Scope => {
-                            scopes.push(ScopeBlock { depth: blocks.len() + 1, end: None });
-                            scope_stack.push(scopes.len() - 1);
-                        }
-                        BlockKind::Other => {}
-                    }
-                    blocks.push(kind);
-                    guards.retain(|g| g.name.is_some());
-                    stmt.clear();
-                }
-                '}' => {
-                    let depth = blocks.len();
-                    guards.retain(|g| g.depth < depth);
-                    if fn_stack.last().is_some_and(|(_, d, _)| *d == depth) {
-                        let (_, _, idx) = fn_stack.pop().expect("checked non-empty");
-                        out.fns[idx].end = lineno;
-                    }
-                    if impl_stack.last().is_some_and(|(_, d)| *d == depth) {
-                        impl_stack.pop();
-                    }
-                    if struct_stack.last().is_some_and(|(_, d)| *d == depth) {
-                        struct_stack.pop();
-                    }
-                    if spawn_stack.last().is_some_and(|&i| spawns[i].depth == depth) {
-                        let i = spawn_stack.pop().expect("checked non-empty");
-                        spawns[i].end = Some(lineno);
-                    }
-                    if scope_stack.last().is_some_and(|&i| scopes[i].depth == depth) {
-                        let i = scope_stack.pop().expect("checked non-empty");
-                        scopes[i].end = Some(lineno);
-                    }
-                    blocks.pop();
-                    stmt.clear();
-                }
-                ';' => {
-                    end_statement(&stmt, stmt_line, &fn_stack, &spawn_stack, &mut spawns, &mut out);
-                    guards.retain(|g| g.name.is_some());
-                    stmt.clear();
-                }
-                _ => {
-                    scan_tokens(rest, &stmt, lineno, &blocks, &fn_stack, &spawn_stack, &mut guards, &mut out);
-                    if stmt.is_empty() && !c.is_whitespace() {
-                        stmt_line = lineno;
-                    }
-                    stmt.push(c);
-                }
-            }
-            p += c.len_utf8();
-        }
-        if let Some(ctx) = struct_ctx {
-            if let Some(field) = parse_field(line, &ctx, lineno) {
-                out.fields.push(field);
-            }
-        }
-        if !stmt.is_empty() && !stmt.ends_with(' ') {
-            stmt.push(' ');
-        }
-    }
-
-    resolve_spawn_findings(scanned, &spawns, &scopes, &mut out);
-    out
-}
-
-/// Check the tokens that can start at this position.
-#[allow(clippy::too_many_arguments)]
-fn scan_tokens(
-    rest: &str,
-    stmt: &str,
-    lineno: usize,
-    blocks: &[BlockKind],
-    fn_stack: &[(String, usize, usize)],
-    spawn_stack: &[usize],
-    guards: &mut Vec<Guard>,
-    out: &mut Analysis,
-) {
-    let fn_idx = fn_stack.last().map(|(_, _, i)| *i);
-    let boundary_before = !stmt.chars().next_back().is_some_and(|c| c.is_alphanumeric() || c == '_');
-    let is_definition = stmt.trim_end().ends_with("fn") || stmt.ends_with("fn ");
-
-    // ---- Atomic accesses -------------------------------------------------
-    // An op token only counts as an atomic access when the rest of the line
-    // names an `Ordering::` — that is what separates `AtomicU64::load` from
-    // the dozens of non-atomic `.load(…)` APIs. Multi-line calls are a
-    // documented conservative miss.
-    let op = if rest.starts_with(".load(") {
-        Some(AccessOp::Load)
-    } else if rest.starts_with(".store(") {
-        Some(AccessOp::Store)
-    } else if RMW_TOKENS.iter().any(|t| rest.starts_with(t)) {
-        Some(AccessOp::Rmw)
-    } else {
-        None
-    };
-    if let Some(op) = op {
-        if let Some(order) = parse_order(rest) {
-            out.accesses.push(AccessRec {
-                fn_idx,
-                line: lineno,
-                op,
-                order,
-                recv: recv_of(stmt),
-                guard_held: !guards.is_empty(),
-                in_spawn: !spawn_stack.is_empty(),
-            });
-            return;
-        }
-    }
-
-    // ---- Lock guards -----------------------------------------------------
-    let takes_guard = GUARD_DOT.iter().any(|t| rest.starts_with(t))
-        || (boundary_before && !is_definition && GUARD_FREE.iter().any(|t| rest.starts_with(t)));
-    if takes_guard {
-        guards.push(Guard { name: let_binding_name(stmt), depth: blocks.len() });
-        return;
-    }
-    if boundary_before {
-        if let Some(tail) = rest.strip_prefix("drop(") {
-            let ident: String = tail.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
-            if !ident.is_empty() {
-                if let Some(pos) = guards.iter().rposition(|g| g.name.as_deref() == Some(&ident)) {
-                    guards.remove(pos);
-                }
-            }
-            return;
-        }
-    }
-
-    // ---- SeqCst fences ---------------------------------------------------
-    if boundary_before && rest.starts_with("fence(") && rest.contains("Ordering::SeqCst") {
-        if let Some(idx) = fn_idx {
-            out.fns[idx].has_fence = true;
-        }
-        return;
-    }
-
-    // ---- Call sites ------------------------------------------------------
-    if boundary_before && !is_definition {
-        if let Some(target) = parse_call(rest, stmt) {
-            if !matches!(target, CallTarget::Method(_)) {
-                out.calls.push(CallSite { fn_idx, target, line: lineno, in_spawn: !spawn_stack.is_empty() });
-            }
-        }
-    }
-}
-
-/// Statement boundary: record atomic locals, and inside a spawn closure
-/// classify the statement as a `let` binding or an assignment to a capture.
-fn end_statement(
-    stmt: &str,
-    stmt_line: usize,
-    fn_stack: &[(String, usize, usize)],
-    spawn_stack: &[usize],
-    spawns: &mut [SpawnBlock],
-    out: &mut Analysis,
-) {
-    let s = stmt.trim_start();
-    if let Some(st) = parse_static(s, stmt_line) {
-        out.statics.push(st);
-        return;
-    }
-    if let Some(name) = let_binding_name(s) {
-        if s.contains("Atomic") {
-            out.locals.push(LocalDecl {
-                fn_idx: fn_stack.last().map(|(_, _, i)| *i),
-                name: name.clone(),
-                line: stmt_line,
-                tracked: s.contains("TrackedAtomic"),
-                in_spawn: !spawn_stack.is_empty(),
-            });
-        }
-        if let Some(&i) = spawn_stack.last() {
-            spawns[i].locals.insert(name);
-        }
-        return;
-    }
-    let Some(&i) = spawn_stack.last() else { return };
-    // `*deref = …` writes go through a pointer the pass cannot name.
-    if s.starts_with('*') {
-        return;
-    }
-    let ident: String = s.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
-    if ident.is_empty() || ident.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        return;
-    }
-    let rest = s[ident.len()..].trim_start();
-    let bytes = rest.as_bytes();
-    let plain_assign = rest.starts_with('=') && !rest.starts_with("==") && !rest.starts_with("=>");
-    let compound_assign = bytes.len() >= 2
-        && matches!(bytes[0], b'+' | b'-' | b'*' | b'/' | b'%' | b'|' | b'&' | b'^')
-        && bytes[1] == b'=';
-    if (plain_assign || compound_assign) && !spawns[i].locals.contains(&ident) {
-        spawns[i].writes.push((ident, stmt_line));
-    }
-}
-
-/// After the walk: for every completed spawn block, look for reads of its
-/// captured-write names between the closure's end and the join horizon (the
-/// enclosing `thread::scope`'s closing brace, or the function end), clearing
-/// on the first `.join(…)` on the path.
-fn resolve_spawn_findings(scanned: &ScannedFile, spawns: &[SpawnBlock], scopes: &[ScopeBlock], out: &mut Analysis) {
-    let last_line = scanned.n_lines();
-    for sp in spawns {
-        let Some(end) = sp.end else { continue };
-        if sp.writes.is_empty() {
-            continue;
-        }
-        // Reads after the enclosing scope's exit are ordered by the scope's
-        // implicit join; reads after the fn end belong to someone else.
-        let limit = match sp.scope_idx {
-            Some(si) => scopes[si].end.unwrap_or(last_line),
-            None => sp.fn_idx.map_or(last_line, |k| out.fns[k].end),
-        };
-        let mut seen: BTreeSet<&str> = BTreeSet::new();
-        'names: for (name, write_line) in &sp.writes {
-            if !seen.insert(name.as_str()) {
-                continue;
-            }
-            for lineno in end + 1..limit.min(last_line) {
-                let code = &scanned.code[lineno];
-                if code.contains(".join(") {
-                    continue 'names; // the handle is joined before any read we'd flag
-                }
-                if let Some(col) = find_token(code, name) {
-                    let after = code[col + name.len()..].trim_start();
-                    let is_write = after.starts_with('=') && !after.starts_with("==") && !after.starts_with("=>");
-                    if !is_write {
-                        out.spawn_findings.push(SpawnWriteFinding {
-                            name: name.clone(),
-                            fn_idx: sp.fn_idx,
-                            write_line: *write_line,
-                            read_line: lineno,
-                        });
-                        continue 'names;
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Crate-scope pass
-// ---------------------------------------------------------------------------
-
-/// One file's walk output, as input to [`interproc`].
-#[derive(Debug, Clone, Copy)]
-pub struct FileAtomics<'a> {
-    /// Display path of the file (used in witness chains and anchors).
-    pub path: &'a str,
-    /// The walk output for the file.
-    pub analysis: &'a Analysis,
-    /// Per-line `#[cfg(test)]` mask; sites inside test regions are ignored.
-    pub in_test: &'a [bool],
-}
 
 /// One atomics finding (0-based line).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -658,75 +86,34 @@ enum Escape {
 /// witness chain), resolves every access's receiver against the declared
 /// atomics, classifies each atomic as thread-local or escaping, and judges
 /// the access sites as documented on the module.
-pub fn interproc(files: &[FileAtomics<'_>]) -> Vec<AtomicFinding> {
-    let in_test = |fi: usize, line: usize| files[fi].in_test.get(line).copied().unwrap_or(false);
+pub fn interproc(files: &[FileWalk<'_>]) -> Vec<AtomicFinding> {
+    let g = WalkGraph::build(files, |_| true);
+    let cg = &g.cg;
+    let frame = |v: usize, line: usize, what: String| ChainFrame {
+        func: cg.nodes[v].name.clone(),
+        file: files[cg.nodes[v].file].path.to_string(),
+        line,
+        what,
+    };
 
-    // Call-graph nodes from every non-test function definition.
-    let mut nodes: Vec<CallGraphNode> = Vec::new();
-    let mut node_of: Vec<Vec<Option<usize>>> = Vec::new();
-    for (fi, f) in files.iter().enumerate() {
-        let mut map = vec![None; f.analysis.fns.len()];
-        for (k, d) in f.analysis.fns.iter().enumerate() {
-            if in_test(fi, d.line) {
-                continue;
-            }
-            map[k] = Some(nodes.len());
-            nodes.push(CallGraphNode { file: fi, name: d.name.clone(), owner: d.owner.clone(), line: d.line });
-        }
-        node_of.push(map);
-    }
-    let mut cg = CallGraph::new(nodes);
-
-    // Resolved call edges; seeds are calls made from inside spawn closures.
-    let mut seeds: Vec<(usize, ChainFrame)> = Vec::new();
-    for (fi, f) in files.iter().enumerate() {
-        for c in &f.analysis.calls {
-            let Some(k) = c.fn_idx else { continue };
-            let Some(caller) = node_of[fi][k] else { continue };
-            if in_test(fi, c.line) {
-                continue;
-            }
-            if let Some(callee) = cg.resolve(caller, &c.target) {
-                cg.add_call(caller, callee, c.line);
-                if c.in_spawn {
-                    seeds.push((
-                        callee,
-                        ChainFrame {
-                            func: cg.nodes[caller].name.clone(),
-                            file: files[fi].path.to_string(),
-                            line: c.line,
-                            what: format!("calls {} from inside a spawn closure", cg.nodes[callee].name),
-                        },
-                    ));
-                }
-            }
-        }
-    }
-
-    // Spawn-reachability: BFS from the seeds; first chain wins.
+    // Spawn-reachability: BFS from the calls made inside spawn closures;
+    // first chain wins.
     let mut on_thread: BTreeMap<usize, Vec<ChainFrame>> = BTreeMap::new();
     let mut work: Vec<usize> = Vec::new();
-    for (nid, frame) in seeds {
-        if !on_thread.contains_key(&nid) {
-            on_thread.insert(nid, vec![frame]);
-            work.push(nid);
+    for site in g.sites.iter().filter(|s| s.call.in_spawn) {
+        if let Entry::Vacant(slot) = on_thread.entry(site.callee) {
+            let what = format!("calls {} from inside a spawn closure", cg.nodes[site.callee].name);
+            slot.insert(vec![frame(site.caller, site.call.line, what)]);
+            work.push(site.callee);
         }
     }
     while let Some(v) = work.pop() {
-        let base = on_thread[&v].clone();
-        for &(w, line) in &cg.out[v] {
-            if on_thread.contains_key(&w) {
-                continue;
+        for &(w, site_id) in &cg.out[v] {
+            if !on_thread.contains_key(&w) {
+                let hop = frame(v, g.sites[site_id].call.line, format!("calls {}", cg.nodes[w].name));
+                on_thread.insert(w, [on_thread[&v].clone(), vec![hop]].concat());
+                work.push(w);
             }
-            let mut chain = base.clone();
-            chain.push(ChainFrame {
-                func: cg.nodes[v].name.clone(),
-                file: files[cg.nodes[v].file].path.to_string(),
-                line,
-                what: format!("calls {}", cg.nodes[w].name),
-            });
-            on_thread.insert(w, chain);
-            work.push(w);
         }
     }
 
@@ -734,17 +121,16 @@ pub fn interproc(files: &[FileAtomics<'_>]) -> Vec<AtomicFinding> {
     let fields: Vec<(usize, &FieldDecl)> = files
         .iter()
         .enumerate()
-        .flat_map(|(fi, f)| f.analysis.fields.iter().map(move |d| (fi, d)))
-        .filter(|&(fi, d)| !in_test(fi, d.line))
+        .flat_map(|(fi, f)| f.walk.fields.iter().map(move |d| (fi, d)))
+        .filter(|&(fi, d)| !files[fi].is_test_line(d.line))
         .collect();
     let statics: Vec<(usize, &StaticDecl)> = files
         .iter()
         .enumerate()
-        .flat_map(|(fi, f)| f.analysis.statics.iter().map(move |d| (fi, d)))
-        .filter(|&(fi, d)| !in_test(fi, d.line))
+        .flat_map(|(fi, f)| f.walk.statics.iter().map(move |d| (fi, d)))
+        .filter(|&(fi, d)| !files[fi].is_test_line(d.line))
         .collect();
-    let arc_types: BTreeSet<&str> =
-        files.iter().flat_map(|f| f.analysis.arc_types.iter().map(String::as_str)).collect();
+    let arc_types: BTreeSet<&str> = files.iter().flat_map(|f| f.walk.arc_types.iter().map(String::as_str)).collect();
 
     // Group accesses by atomic identity.
     struct Site {
@@ -753,22 +139,21 @@ pub fn interproc(files: &[FileAtomics<'_>]) -> Vec<AtomicFinding> {
     }
     let mut groups: BTreeMap<Key, Vec<Site>> = BTreeMap::new();
     for (fi, f) in files.iter().enumerate() {
-        for (ai, a) in f.analysis.accesses.iter().enumerate() {
-            if in_test(fi, a.line) {
+        for (ai, a) in f.walk.accesses.iter().enumerate() {
+            if f.is_test_line(a.line) {
                 continue;
             }
-            let key = resolve_key(fi, a, f.analysis, &fields, &statics);
+            let key = resolve_key(fi, a, f.walk, &fields, &statics);
             groups.entry(key).or_default().push(Site { fi, ai });
         }
     }
 
     let mut out: Vec<AtomicFinding> = Vec::new();
     for (key, sites) in &groups {
-        let access = |s: &Site| &files[s.fi].analysis.accesses[s.ai];
+        let access = |s: &Site| &files[s.fi].walk.accesses[s.ai];
         let any_in_spawn = sites.iter().any(|s| access(s).in_spawn);
-        let any_on_thread = sites
-            .iter()
-            .any(|s| access(s).fn_idx.and_then(|k| node_of[s.fi][k]).is_some_and(|n| on_thread.contains_key(&n)));
+        let any_on_thread =
+            sites.iter().any(|s| g.node(s.fi, access(s).fn_idx).is_some_and(|n| on_thread.contains_key(&n)));
 
         // Escape classification + display name + tracked exemption.
         let (name, tracked, escape) = classify(key, files, &fields, &statics, &arc_types, any_in_spawn, any_on_thread);
@@ -781,17 +166,17 @@ pub fn interproc(files: &[FileAtomics<'_>]) -> Vec<AtomicFinding> {
         for s in sites {
             let a = access(s);
             let sanctioned =
-                a.guard_held || a.order.is_sync() || a.fn_idx.is_some_and(|k| files[s.fi].analysis.fns[k].has_fence);
+                a.guard_held || a.order.is_sync() || a.fn_idx.is_some_and(|k| files[s.fi].walk.fns[k].has_fence);
             if sanctioned {
                 continue;
             }
-            let func = fn_name_of(files[s.fi].analysis, a.fn_idx);
+            let func = files[s.fi].walk.fn_name(a.fn_idx);
             let mut message = format!(
                 "Relaxed {} on cross-thread atomic `{name}` ({why}) with no acquire/release edge, \
                  lock, or SeqCst fence ordering it",
                 a.op
             );
-            if let Some(nid) = a.fn_idx.and_then(|k| node_of[s.fi][k]) {
+            if let Some(nid) = g.node(s.fi, a.fn_idx) {
                 if let Some(chain) = on_thread.get(&nid) {
                     let mut full = chain.clone();
                     full.push(ChainFrame {
@@ -819,7 +204,7 @@ pub fn interproc(files: &[FileAtomics<'_>]) -> Vec<AtomicFinding> {
             out.push(AtomicFinding {
                 file: files[r.fi].path.to_string(),
                 line: ra.line,
-                func: fn_name_of(files[r.fi].analysis, ra.fn_idx),
+                func: files[r.fi].walk.fn_name(ra.fn_idx),
                 message: format!(
                     "mixed memory orderings on atomic `{name}`: Relaxed {} here, but {} {} at {}:{} \
                      expects a release/acquire pairing this side does not provide",
@@ -834,15 +219,12 @@ pub fn interproc(files: &[FileAtomics<'_>]) -> Vec<AtomicFinding> {
     }
 
     // (c) non-atomic spawn write / outside read, resolved per file.
-    for (fi, f) in files.iter().enumerate() {
-        for sf in &f.analysis.spawn_findings {
-            if in_test(fi, sf.write_line) {
-                continue;
-            }
+    for f in files {
+        for sf in f.walk.spawn_writes.iter().filter(|sf| !f.is_test_line(sf.write_line)) {
             out.push(AtomicFinding {
                 file: f.path.to_string(),
                 line: sf.write_line,
-                func: fn_name_of(f.analysis, sf.fn_idx),
+                func: f.walk.fn_name(sf.fn_idx),
                 message: format!(
                     "non-atomic `{}` is written here inside a spawn closure and read at line {} \
                      with no join or lock ordering the two; make it atomic, join the handle \
@@ -858,15 +240,11 @@ pub fn interproc(files: &[FileAtomics<'_>]) -> Vec<AtomicFinding> {
     out
 }
 
-fn fn_name_of(analysis: &Analysis, fn_idx: Option<usize>) -> String {
-    fn_idx.map_or_else(|| "<top>".to_string(), |k| analysis.fns[k].name.clone())
-}
-
 /// Resolve an access's receiver to an atomic identity.
 fn resolve_key(
     fi: usize,
-    a: &AccessRec,
-    analysis: &Analysis,
+    a: &Access,
+    walk: &Walk,
     fields: &[(usize, &FieldDecl)],
     statics: &[(usize, &StaticDecl)],
 ) -> Key {
@@ -874,7 +252,7 @@ fn resolve_key(
     match &a.recv {
         Recv::Unknown => singleton(),
         Recv::Field(name) => {
-            let owner = a.fn_idx.and_then(|k| analysis.fns[k].owner.clone());
+            let owner = a.fn_idx.and_then(|k| walk.fns[k].owner.clone());
             let matches: Vec<&FieldDecl> = fields.iter().map(|&(_, d)| d).filter(|d| d.name == *name).collect();
             // Prefer the access's own impl owner, then a unique by-name match
             // (covers paths like `self.tracker.next_token`).
@@ -887,7 +265,7 @@ fn resolve_key(
             }
         }
         Recv::Ident(name) => {
-            if analysis.locals.iter().any(|l| l.name == *name && l.fn_idx == a.fn_idx) {
+            if walk.locals.iter().any(|l| l.name == *name && l.fn_idx == a.fn_idx) {
                 Key::Local(fi, a.fn_idx.unwrap_or(usize::MAX), name.clone())
             } else {
                 let matches: Vec<&StaticDecl> = statics.iter().map(|&(_, d)| d).filter(|d| d.name == *name).collect();
@@ -904,7 +282,7 @@ fn resolve_key(
 /// Display name, tracked exemption, and escape verdict for one identity.
 fn classify(
     key: &Key,
-    files: &[FileAtomics<'_>],
+    files: &[FileWalk<'_>],
     fields: &[(usize, &FieldDecl)],
     statics: &[(usize, &StaticDecl)],
     arc_types: &BTreeSet<&str>,
@@ -942,8 +320,7 @@ fn classify(
             (display, tracked, escape)
         }
         Key::Local(fi, fk, name) => {
-            let decl =
-                files[*fi].analysis.locals.iter().find(|l| l.name == *name && l.fn_idx.unwrap_or(usize::MAX) == *fk);
+            let decl = files[*fi].walk.locals.iter().find(|l| l.name == *name && l.fn_idx.unwrap_or(usize::MAX) == *fk);
             let tracked = decl.is_some_and(|l| l.tracked);
             let escape = if decl.is_some_and(|l| !l.in_spawn) && any_in_spawn {
                 Escape::Yes("captured by a spawn closure".to_string())
@@ -955,215 +332,11 @@ fn classify(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Lexical helpers
-// ---------------------------------------------------------------------------
-
-/// Parse the first `Ordering::<X>` on the rest of the line.
-fn parse_order(rest: &str) -> Option<MemOrder> {
-    let pos = rest.find("Ordering::")?;
-    let tail = &rest[pos + "Ordering::".len()..];
-    for (name, ord) in [
-        ("Relaxed", MemOrder::Relaxed),
-        ("Acquire", MemOrder::Acquire),
-        ("Release", MemOrder::Release),
-        ("AcqRel", MemOrder::AcqRel),
-        ("SeqCst", MemOrder::SeqCst),
-    ] {
-        if tail.starts_with(name) {
-            return Some(ord);
-        }
-    }
-    None
-}
-
-/// The receiver of the access about to be scanned, from the statement tail.
-fn recv_of(stmt: &str) -> Recv {
-    let tail: String = stmt.chars().rev().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
-    if tail.is_empty() || tail.chars().last().is_some_and(|c| c.is_ascii_digit()) {
-        return Recv::Unknown;
-    }
-    let ident: String = tail.chars().rev().collect();
-    let before = stmt[..stmt.len() - ident.len()].trim_end();
-    if before.ends_with('.') {
-        Recv::Field(ident)
-    } else if ident == "self" {
-        Recv::Unknown
-    } else {
-        Recv::Ident(ident)
-    }
-}
-
-/// `let [mut] ident = …` / `let ident: …` at the head of the statement.
-fn let_binding_name(stmt: &str) -> Option<String> {
-    let s = stmt.trim_start();
-    let s = s.strip_prefix("let ")?;
-    let s = s.trim_start();
-    let s = s.strip_prefix("mut ").unwrap_or(s).trim_start();
-    let ident: String = s.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
-    if ident.is_empty() {
-        return None;
-    }
-    let after = s[ident.len()..].trim_start();
-    (after.starts_with('=') || after.starts_with(':')).then_some(ident)
-}
-
-/// `static NAME: …Atomic… = …` at the head of the statement.
-fn parse_static(s: &str, line: usize) -> Option<StaticDecl> {
-    let s = strip_vis(s.trim_start());
-    let s = s.strip_prefix("static ")?.trim_start();
-    let name: String = s.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
-    if name.is_empty() {
-        return None;
-    }
-    let rest = &s[name.len()..];
-    (rest.trim_start().starts_with(':') && rest.contains("Atomic")).then(|| StaticDecl {
-        name,
-        line,
-        tracked: rest.contains("TrackedAtomic"),
-    })
-}
-
-/// A struct field `name: …Atomic…` on one source line.
-fn parse_field(code: &str, owner: &str, line: usize) -> Option<FieldDecl> {
-    let t = strip_vis(code.trim());
-    let first = t.chars().next()?;
-    if !(first.is_ascii_alphabetic() || first == '_') {
-        return None;
-    }
-    let name: String = t.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
-    let rest = t[name.len()..].trim_start();
-    if !rest.starts_with(':') || !rest.contains("Atomic") {
-        return None;
-    }
-    Some(FieldDecl {
-        owner: Some(owner.to_string()),
-        name,
-        line,
-        tracked: rest.contains("TrackedAtomic"),
-        arc_in_decl: rest.contains("Arc<"),
-    })
-}
-
-/// Strip a leading `pub` / `pub(crate)` / `pub(in …)` visibility.
-fn strip_vis(s: &str) -> &str {
-    let Some(rest) = s.strip_prefix("pub") else { return s };
-    let rest = rest.trim_start();
-    if let Some(tail) = rest.strip_prefix('(') {
-        if let Some(close) = tail.find(')') {
-            return tail[close + 1..].trim_start();
-        }
-    }
-    rest
-}
-
-/// Record each `Arc<Ty` occurrence's type name.
-fn collect_arc_types(code: &str, out: &mut BTreeSet<String>) {
-    let mut from = 0usize;
-    while let Some(pos) = code[from..].find("Arc<") {
-        let start = from + pos + "Arc<".len();
-        let ty: String = code[start..].chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
-        if !ty.is_empty() {
-            out.insert(ty);
-        }
-        from = start;
-    }
-}
-
-fn classify_block(stmt: &str) -> BlockKind {
-    if has_kw(stmt, "fn") {
-        return BlockKind::Fn;
-    }
-    if has_kw(stmt, "impl") {
-        return BlockKind::Impl;
-    }
-    if has_kw(stmt, "struct") {
-        return BlockKind::Struct;
-    }
-    // Spawn before Scope before loops: `scope.spawn(|| loop {` opens the
-    // closure body, which is what runs on the new thread.
-    if has_call_token(stmt, "spawn(") {
-        return BlockKind::Spawn;
-    }
-    if has_call_token(stmt, "scope(") {
-        return BlockKind::Scope;
-    }
-    BlockKind::Other
-}
-
-/// The identifier following `struct` in the header.
-fn struct_name(stmt: &str) -> Option<String> {
-    let pos = find_token(stmt, "struct")?;
-    let after = stmt[pos + "struct".len()..].trim_start();
-    let name: String = after.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
-    (!name.is_empty()).then_some(name)
-}
-
-/// The identifier following the last `fn ` keyword in the header.
-fn fn_name(stmt: &str) -> Option<String> {
-    let mut best = None;
-    let bytes = stmt.as_bytes();
-    let mut from = 0usize;
-    while let Some(pos) = stmt[from..].find("fn") {
-        let start = from + pos;
-        let end = start + 2;
-        let pre_ok = start == 0 || !(bytes[start - 1].is_ascii_alphanumeric() || bytes[start - 1] == b'_');
-        let post_ok = bytes.get(end).is_some_and(|b| b.is_ascii_whitespace());
-        if pre_ok && post_ok {
-            let name: String =
-                stmt[end..].trim_start().chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
-            if !name.is_empty() {
-                best = Some(name);
-            }
-        }
-        from = end;
-    }
-    best
-}
-
-/// Keyword occurrence with identifier boundaries on both sides.
-fn has_kw(hay: &str, kw: &str) -> bool {
-    find_token(hay, kw).is_some()
-}
-
-/// `token(`-style occurrence with an identifier boundary before it (so
-/// `respawn(` does not count as `spawn(`). The token itself ends with `(`,
-/// which provides the right boundary.
-fn has_call_token(hay: &str, token: &str) -> bool {
-    let bytes = hay.as_bytes();
-    let mut from = 0usize;
-    while let Some(pos) = hay[from..].find(token) {
-        let start = from + pos;
-        let pre_ok = start == 0 || !(bytes[start - 1].is_ascii_alphanumeric() || bytes[start - 1] == b'_');
-        if pre_ok {
-            return true;
-        }
-        from = start + token.len();
-    }
-    false
-}
-
-/// First occurrence of `needle` in `hay` with identifier boundaries.
-fn find_token(hay: &str, needle: &str) -> Option<usize> {
-    let bytes = hay.as_bytes();
-    let mut from = 0usize;
-    while let Some(pos) = hay[from..].find(needle) {
-        let start = from + pos;
-        let end = start + needle.len();
-        let pre_ok = start == 0 || !(bytes[start - 1].is_ascii_alphanumeric() || bytes[start - 1] == b'_');
-        let post_ok = end >= bytes.len() || !(bytes[end].is_ascii_alphanumeric() || bytes[end] == b'_');
-        if pre_ok && post_ok {
-            return Some(start);
-        }
-        from = end;
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scanner::{scan, test_regions};
+    use crate::scanner::{scan, test_regions, ScannedFile};
+    use crate::walk::walk;
 
     fn findings(src: &str) -> Vec<AtomicFinding> {
         findings_multi(&[("crates/x/src/a.rs", src)])
@@ -1171,13 +344,13 @@ mod tests {
 
     fn findings_multi(files: &[(&str, &str)]) -> Vec<AtomicFinding> {
         let scanned: Vec<ScannedFile> = files.iter().map(|(_, s)| scan(s)).collect();
-        let analyses: Vec<Analysis> = scanned.iter().map(analyze).collect();
+        let walks: Vec<Walk> = scanned.iter().map(|s| walk(s, &[])).collect();
         let masks: Vec<Vec<bool>> = scanned.iter().map(test_regions).collect();
-        let fa: Vec<FileAtomics> = files
+        let fa: Vec<FileWalk> = files
             .iter()
-            .zip(&analyses)
+            .zip(&walks)
             .zip(&masks)
-            .map(|(((p, _), a), m)| FileAtomics { path: p, analysis: a, in_test: m })
+            .map(|(((p, _), w), m)| FileWalk { path: p, walk: w, in_test: m })
             .collect();
         interproc(&fa)
     }
@@ -1284,6 +457,6 @@ mod tests {
     fn non_atomic_load_api_not_an_access() {
         let src = "fn f(m: &Model) {\n    let w = m.load(path);\n    let _ = w;\n}\n";
         let scanned = scan(src);
-        assert!(analyze(&scanned).accesses.is_empty());
+        assert!(walk(&scanned, &[]).accesses.is_empty());
     }
 }

@@ -8,39 +8,41 @@
 //!   `agl-lint` binary): a dependency-free token scanner walks every
 //!   workspace `.rs` file and enforces repo invariants — no
 //!   `.unwrap()`/`.expect(…)`/`panic!` in pipeline-crate library code, a
-//!   `// SAFETY:` comment before every `unsafe`, no wall-clock reads in
-//!   determinism-critical modules (derived from `JobPlan` attachment, not
-//!   a hard-coded list), no raw `std::thread::spawn` outside sanctioned
-//!   executors. `// agl-lint: allow(<rule>)` is the audited escape hatch;
+//!   `// SAFETY:` comment before every `unsafe`, no wall-clock reads outside
+//!   the `agl-obs` clock, no raw `std::thread::spawn` in library code.
+//!   `// agl-lint: allow(<rule>)` is the audited escape hatch;
 //!   [`rules::registry`] is where future rules are added.
-//! * **Concurrency-safety pass** ([`lockgraph`]): a per-function walk over
-//!   `agl-ps` sources that builds the lock graph of the tracked acquisition
-//!   wrappers (`lock_barrier`/`lock_versions`/`lock_shard(i)`), flagging
-//!   order inversions against the canonical `barrier → versions → shard(i)
-//!   ascending` discipline, double acquisitions, unprovably-ordered shard
-//!   pairs, locks held across `.send(…)`/`spawn(…)`, and raw locks that
-//!   bypass the wrappers. The same walk records the workspace **call
-//!   graph** (function definitions, call sites with held-guard sets), over
-//!   which [`lockgraph::interproc`] propagates lock summaries bottom-up by
-//!   SCC and proves the same discipline *across* function boundaries — the
-//!   `lock-order/interproc` rule, whose findings name the full call chain
-//!   site by site. The same walk also flags allocations inside the loop
-//!   bodies of the aggregation/reducer hot functions. Its dynamic
-//!   complement is [`LockOrderTracker`] (re-exported from
-//!   `agl_ps::locks`): debug builds record every real acquisition edge and
-//!   abort on the first cycle. The whole model is written up in the
-//!   repository's `CONCURRENCY.md`.
-//! * **Happens-before pass** ([`atomics`]): a walk over the same scanner
-//!   output that records every atomic declaration and access site with its
-//!   `Ordering`, classifies each atomic as thread-local or cross-thread
-//!   (spawn captures, statics, `Arc`-reachable owners, spawn-reachability
-//!   over the call graph), and flags unordered `Relaxed` traffic, mixed
-//!   orderings, and non-atomic spawn-write/outside-read pairs — the
-//!   `atomics` rule. Its dynamic complement is `agl_ps::hb`: per-thread
-//!   vector clocks advanced at `TrackedMutex` acquire/release and
-//!   spawn/join, with a `TrackedAtomic<…>` wrapper (exempt from the static
-//!   rule) that aborts debug builds on concurrent unordered conflicting
-//!   accesses, naming both sites.
+//! * **One source walk** ([`walk`](mod@walk)): a single pass over each
+//!   in-scope file's code channel records what the concurrency passes judge —
+//!   function definitions and call sites (the workspace **call graph**, with
+//!   the guards held at each call), tracked lock acquisitions, raw locks,
+//!   blocking operations, hot-loop allocations, atomic declarations and
+//!   accesses, fences, and spawn/scope blocks. A lint run walks each file at
+//!   most once, whichever rules read it.
+//! * **Concurrency-safety pass** ([`lockgraph`]): judges the walk's lock
+//!   sites in `agl-ps` against the canonical `barrier → versions → shard(i)
+//!   ascending` discipline, flagging order inversions, double acquisitions,
+//!   unprovably-ordered shard pairs, locks held across
+//!   `.send(…)`/`.recv(…)`/`spawn(…)` or a condvar wait, and raw locks that
+//!   bypass the wrappers. [`lockgraph::interproc`] propagates lock summaries
+//!   bottom-up by SCC over the call graph and proves the same discipline
+//!   *across* function boundaries — the `lock-order/interproc` rule, whose
+//!   findings name the full call chain site by site. The `no-hot-alloc`
+//!   rule reads the walk's allocations inside the loop bodies of the
+//!   aggregation/reducer hot functions. The dynamic complement is
+//!   [`LockOrderTracker`] (re-exported from `agl_ps::locks`): debug builds
+//!   record every real acquisition edge and abort on the first cycle. The
+//!   whole model is written up in the repository's `CONCURRENCY.md`.
+//! * **Happens-before pass** ([`atomics`]): classifies every atomic the walk
+//!   saw as thread-local or cross-thread (spawn captures, statics,
+//!   `Arc`-reachable owners, spawn-reachability over the call graph), and
+//!   flags unordered `Relaxed` traffic, mixed orderings, and non-atomic
+//!   spawn-write/outside-read pairs — the `atomics` rule. Its dynamic
+//!   complement is `agl_ps::hb`: per-thread vector clocks advanced at
+//!   `TrackedMutex` acquire/release and spawn/join, with a
+//!   `TrackedAtomic<…>` wrapper (exempt from the static rule) that aborts
+//!   debug builds on concurrent unordered conflicting accesses, naming both
+//!   sites.
 //! * **Plan-level verifiers**: [`ConflictFreedomVerifier`] proves an
 //!   [`agl_tensor::EdgePartition`] is pairwise disjoint, covering, and
 //!   nnz-balanced before threads spawn (the dynamic complement is
@@ -59,15 +61,16 @@ pub mod lint;
 pub mod lockgraph;
 pub mod rules;
 pub mod scanner;
+pub mod walk;
 
-pub use atomics::{AtomicFinding, FileAtomics};
+pub use atomics::AtomicFinding;
 pub use conflict::ConflictFreedomVerifier;
 pub use lint::{collect_rs_files, find_workspace_root, lint_source, lint_sources, lint_workspace};
 pub use lockgraph::{
-    interproc, render_chain, AllocSite, Analysis, ChainFrame, FileLocks, InterprocFinding, LockEdge, LockFinding,
-    LockFindingKind, LockSym,
+    interproc, render_chain, Analysis, ChainFrame, InterprocFinding, LockEdge, LockFinding, LockFindingKind, LockSym,
 };
 pub use rules::{crate_registry, crate_rule_by_name, registry, rule_by_name, CrateRule, Diagnostic, FileView, Rule};
+pub use walk::{walk, AllocSite, FileWalk, Walk};
 
 // The runtime halves of the concurrency-safety story, re-exported so
 // callers find the whole analysis surface in one crate.

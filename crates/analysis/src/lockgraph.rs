@@ -1,4 +1,4 @@
-//! Lexical lock-acquisition-order and hot-loop-allocation analysis.
+//! Lock-acquisition-order judgement over the shared source walk.
 //!
 //! The parameter server (`agl-ps`) guards its state with three families of
 //! locks behind named acquisition wrappers — `lock_barrier()`,
@@ -8,9 +8,11 @@
 //!
 //! The dynamic half of the proof is `agl_ps::locks::LockOrderTracker`
 //! (cycle detection over *observed* edges, debug builds). This module is
-//! the static half: a per-function walk over the scanner's code channel
-//! that tracks which guards are lexically held at each acquisition site,
-//! records the resulting lock-graph edges, and reports:
+//! the static half. The shared [`walk`](mod@crate::walk) records every
+//! tracked acquisition with the guards lexically held at it, every
+//! potentially blocking operation with the guards held across it, and
+//! every raw lock; [`analyze`] judges those sites function by function and
+//! reports:
 //!
 //! * **inversions** — acquiring a lock whose rank is ≤ a held lock's rank;
 //! * **double acquisitions** — re-acquiring a held class (self-deadlock);
@@ -29,40 +31,22 @@
 //! * **untracked locks** — raw `.lock()` / `lock_ignoring_poison(…)` that
 //!   bypass the tracked wrappers (and hence the dynamic tracker).
 //!
-//! The same walk powers the allocation lint: inside a *hot* function
-//! (aggregation kernels, reducer bodies — the caller supplies the list),
-//! any allocation token (`Vec::new(`, `vec![`, `.to_vec(`, `.clone(`,
-//! `format!(`, `.collect(`) appearing lexically inside a loop body is
-//! reported as an [`AllocSite`].
-//!
-//! Like the rest of the lint, this is lexical, not semantic: it resolves
-//! `let`-bound guards to their enclosing block (or an explicit
-//! `drop(ident)`) and treats non-`let` acquisitions as temporaries that die
-//! at the end of the statement. That is exactly enough for the acquisition
-//! discipline the wrappers make syntactically visible.
-//!
 //! # Interprocedural analysis
 //!
-//! The per-function walk only sees chains that are lexically inside one
-//! function. `push` holding the barrier while `apply` (a different function)
-//! takes `shard(i)` is invisible to it — until this module's second pass.
-//! While walking, [`analyze`] also records every function definition (with
-//! its `impl` owner), every call site together with the guards lexically
-//! held at it, every acquisition with its held set, and every potentially
-//! blocking operation (condvar wait, channel send/recv, thread spawn) with
-//! its held set. [`interproc`] then assembles those records from all files
-//! of a crate into a [`CallGraph`], resolves call
-//! targets conservatively (`self.f(…)`, `Type::f(…)`, bare `f(…)`; never
-//! method calls on unknown receivers), and propagates **lock summaries**
-//! bottom-up over the SCCs of the graph: the set of lock classes a function
-//! may acquire transitively, and whether it may block, each tagged with a
-//! site-by-site witness chain. Judging a caller's held set against its
-//! callee's summary at every call site yields the same finding kinds as the
-//! per-function pass — inversions, double-locks, unordered shard pairs,
-//! guard-held-across-block — but spanning function boundaries, with the full
-//! call chain named in the message. Condvar semantics carry over: a wait
-//! releases and reacquires its receiver, so only *other* held guards
-//! propagate into a blocking summary.
+//! The per-function judgement only sees chains that are lexically inside
+//! one function. `push` holding the barrier while `apply` (a different
+//! function) takes `shard(i)` is invisible to it — until [`interproc`].
+//! It builds the call graph over the walked files of a crate
+//! (`WalkGraph`), resolving call targets conservatively (`self.f(…)`,
+//! `Type::f(…)`, bare `f(…)`; never method calls on unknown receivers), and
+//! propagates **lock summaries** bottom-up over the SCCs of the graph: the
+//! set of lock classes a function may acquire transitively, and whether it
+//! may block, each tagged with a site-by-site witness chain. Judging a
+//! caller's held set against its callee's summary at every call site
+//! yields the same finding kinds as the per-function pass, but spanning
+//! function boundaries, with the full call chain named in the message.
+//! Condvar semantics carry over: a wait releases and reacquires its
+//! receiver, so only *other* held guards propagate into a blocking summary.
 //!
 //! Known, deliberate under-approximations (resolution never guesses, so the
 //! pass cannot produce a false chain): method calls on non-`self` receivers
@@ -73,7 +57,8 @@
 //! guards only from the `lock_*` acquisition wrappers themselves, which the
 //! walk models directly as acquisitions.
 
-use crate::scanner::{impl_owner, parse_call, CallGraph, CallGraphNode, CallTarget, ScannedFile};
+use crate::walk::{FileWalk, HeldLock, LockOp, Walk, WalkGraph};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -161,369 +146,54 @@ pub struct LockEdge {
     pub line: usize,
 }
 
-/// An allocation token inside a loop body of a hot function (0-based line).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AllocSite {
-    /// 0-based line of the allocation token.
-    pub line: usize,
-    /// Enclosing hot function.
-    pub func: String,
-    /// The token that matched (e.g. `".to_vec("`).
-    pub pattern: &'static str,
-}
-
-/// A function definition recorded by the walk (input to the call graph).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FnDefRec {
-    /// The function name.
-    pub name: String,
-    /// The enclosing `impl` block's `Self` type, `None` for free functions.
-    pub owner: Option<String>,
-    /// 0-based line of the body's opening brace.
-    pub line: usize,
-}
-
-/// A guard lexically held at some site (for call/acquisition/block records).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeldLock {
-    /// The held lock class.
-    pub sym: LockSym,
-    /// 0-based line where it was acquired.
-    pub line: usize,
-}
-
-/// A call site recorded by the walk, with the guards held at it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CallRec {
-    /// Index into [`Analysis::fns`] of the enclosing function, `None` when
-    /// the call appears outside any named function.
-    pub fn_idx: Option<usize>,
-    /// How the call names its callee.
-    pub target: CallTarget,
-    /// 0-based line of the call.
-    pub line: usize,
-    /// Guards lexically held when the call executes.
-    pub held: Vec<HeldLock>,
-}
-
-/// A tracked-lock acquisition site, with the guards already held at it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AcqRec {
-    /// Index into [`Analysis::fns`] of the enclosing function.
-    pub fn_idx: Option<usize>,
-    /// The lock class acquired.
-    pub sym: LockSym,
-    /// 0-based line of the acquisition.
-    pub line: usize,
-    /// Guards already held (the per-function pass judges each pair).
-    pub held: Vec<HeldLock>,
-}
-
-/// A potentially blocking operation (condvar wait, channel send/recv, thread
-/// spawn) with the guards held across it. For a condvar wait the receiver is
-/// excluded — the wait releases and reacquires it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockRec {
-    /// Index into [`Analysis::fns`] of the enclosing function.
-    pub fn_idx: Option<usize>,
-    /// Display token, e.g. `".wait_while(…)"` or `".send(…)"`.
-    pub what: &'static str,
-    /// `true` for condvar waits (finding kind `HeldAcrossWait`), `false`
-    /// for send/recv/spawn (`HeldAcrossSend`).
-    pub is_wait: bool,
-    /// 0-based line of the operation.
-    pub line: usize,
-    /// Guards held across the block (receiver excluded for waits).
-    pub held: Vec<HeldLock>,
-}
-
-/// Everything one walk produces.
+/// The per-function judgement of one file's lock sites.
 #[derive(Debug, Default)]
 pub struct Analysis {
-    /// Per-function lock-discipline findings.
+    /// Per-function lock-discipline findings, in source order.
     pub lock_findings: Vec<LockFinding>,
-    /// Hot-loop allocation sites.
-    pub alloc_sites: Vec<AllocSite>,
     /// The per-function lock graph: every held→acquired pair observed.
     pub edges: Vec<LockEdge>,
-    /// Function definitions, in source order (call-graph nodes).
-    pub fns: Vec<FnDefRec>,
-    /// Call sites with held-lock sets (call-graph edges, once resolved).
-    pub calls: Vec<CallRec>,
-    /// Tracked-lock acquisition sites with held-lock sets.
-    pub acqs: Vec<AcqRec>,
-    /// Potentially blocking operations with held-lock sets.
-    pub block_ops: Vec<BlockRec>,
 }
 
-const ALLOC_TOKENS: &[&str] = &["Vec::new(", "vec![", ".to_vec(", ".clone(", "format!(", ".collect("];
-
-#[derive(Clone, Copy, PartialEq)]
-enum BlockKind {
-    Fn,
-    Loop,
-    Impl,
-    Other,
-}
-
-struct Guard {
-    /// `Some(ident)` for `let`-bound guards, `None` for temporaries.
-    name: Option<String>,
-    sym: LockSym,
-    line: usize,
-    /// Block-stack depth at acquisition; released when the stack shrinks
-    /// below it.
-    depth: usize,
-}
-
-/// Walk `scanned`'s code channel. `hot_fns` are the function names whose
-/// loop bodies are subject to the allocation lint (empty slice disables it).
-pub fn analyze(scanned: &ScannedFile, hot_fns: &[&str]) -> Analysis {
+/// Judge every lock site of one walked file.
+pub fn analyze(walk: &Walk) -> Analysis {
     let mut out = Analysis::default();
-    let mut blocks: Vec<BlockKind> = Vec::new();
-    // (name, block depth of the fn body, index into out.fns) — a stack so
-    // closures/nested fns don't lose the enclosing name.
-    let mut fn_stack: Vec<(String, usize, usize)> = Vec::new();
-    // (owner type, block depth of the impl body).
-    let mut impl_stack: Vec<(String, usize)> = Vec::new();
-    let mut guards: Vec<Guard> = Vec::new();
-    // Statement/header text accumulated since the last `;`, `{` or `}` —
-    // what classifies the next `{` and reveals `let` bindings.
-    let mut stmt = String::new();
-
-    for (lineno, line) in scanned.code.iter().enumerate() {
-        let mut p = 0usize;
-        while p < line.len() {
-            let rest = &line[p..];
-            // `rest` starts at a char boundary by construction.
-            let c = match rest.chars().next() {
-                Some(c) => c,
-                None => break,
-            };
-            match c {
-                '{' => {
-                    let kind = classify_block(&stmt);
-                    if kind == BlockKind::Fn {
-                        if let Some(name) = fn_name(&stmt) {
-                            let owner = impl_stack.last().map(|(o, _)| o.clone());
-                            out.fns.push(FnDefRec { name: name.clone(), owner, line: lineno });
-                            fn_stack.push((name, blocks.len() + 1, out.fns.len() - 1));
-                        }
-                    } else if kind == BlockKind::Impl {
-                        if let Some(owner) = impl_owner(&stmt) {
-                            impl_stack.push((owner, blocks.len() + 1));
-                        }
+    for site in &walk.locks {
+        let func = walk.fn_name(site.fn_idx);
+        let held = || site.held.iter().map(|h| format!("{} (line {})", h.sym, h.line + 1)).collect::<Vec<_>>();
+        let (kind, message) = match site.op {
+            LockOp::Acquire(sym) => {
+                for h in &site.held {
+                    out.edges.push(LockEdge { func: func.clone(), from: h.sym, to: sym, line: site.line });
+                    if let Some((kind, message)) = judge_pair(h.sym, h.line, sym) {
+                        out.lock_findings.push(LockFinding { kind, line: site.line, func: func.clone(), message });
                     }
-                    blocks.push(kind);
-                    // Condition temporaries do not outlive the header.
-                    guards.retain(|g| g.name.is_some());
-                    stmt.clear();
                 }
-                '}' => {
-                    let depth = blocks.len();
-                    guards.retain(|g| g.depth < depth);
-                    if fn_stack.last().is_some_and(|(_, d, _)| *d == depth) {
-                        fn_stack.pop();
-                    }
-                    if impl_stack.last().is_some_and(|(_, d)| *d == depth) {
-                        impl_stack.pop();
-                    }
-                    blocks.pop();
-                    stmt.clear();
-                }
-                ';' => {
-                    guards.retain(|g| g.name.is_some());
-                    stmt.clear();
-                }
-                _ => {
-                    scan_tokens(rest, &stmt, lineno, &blocks, &fn_stack, &mut guards, hot_fns, &mut out);
-                    stmt.push(c);
-                }
+                continue;
             }
-            p += c.len_utf8();
-        }
-        // Line boundary: keep multi-line statements readable as one header
-        // without gluing the last token of this line to the first of the next.
-        if !stmt.is_empty() && !stmt.ends_with(' ') {
-            stmt.push(' ');
-        }
+            LockOp::Block { .. } if site.held.is_empty() => continue,
+            LockOp::Block { what, is_wait: true } => (
+                LockFindingKind::HeldAcrossWait,
+                format!(
+                    "{what} releases only its receiver; still holding {} while parked on the condvar",
+                    held().join(", ")
+                ),
+            ),
+            LockOp::Block { what, is_wait: false } => (
+                LockFindingKind::HeldAcrossSend,
+                format!("{what} while holding {} — a blocked receiver or child stalls the lock", held().join(", ")),
+            ),
+            LockOp::Untracked(what) => (
+                LockFindingKind::UntrackedLock,
+                format!(
+                    "raw {what} bypasses the tracked acquisition wrappers (and the debug-mode \
+                     LockOrderTracker); use lock_barrier/lock_versions/lock_shard"
+                ),
+            ),
+        };
+        out.lock_findings.push(LockFinding { kind, line: site.line, func, message });
     }
     out
-}
-
-/// Check the tokens that can start at this position.
-#[allow(clippy::too_many_arguments)]
-fn scan_tokens(
-    rest: &str,
-    stmt: &str,
-    lineno: usize,
-    blocks: &[BlockKind],
-    fn_stack: &[(String, usize, usize)],
-    guards: &mut Vec<Guard>,
-    hot_fns: &[&str],
-    out: &mut Analysis,
-) {
-    let func = || fn_stack.last().map_or_else(|| "<top>".to_string(), |(n, _, _)| n.clone());
-    let fn_idx = fn_stack.last().map(|(_, _, i)| *i);
-    let held_set = |gs: &[Guard]| gs.iter().map(|g| HeldLock { sym: g.sym, line: g.line }).collect::<Vec<_>>();
-    let boundary_before = !stmt.chars().next_back().is_some_and(|c| c.is_alphanumeric() || c == '_');
-    // An acquisition token directly after `fn ` is the wrapper's own
-    // definition, not a call site.
-    let is_definition = stmt.trim_end().ends_with("fn") || stmt.ends_with("fn ");
-
-    // ---- Acquisitions ----------------------------------------------------
-    let acquired = if !boundary_before || is_definition {
-        None
-    } else if rest.starts_with("lock_barrier(") {
-        Some(LockSym::Barrier)
-    } else if rest.starts_with("lock_versions(") {
-        Some(LockSym::Versions)
-    } else if let Some(tail) = rest.strip_prefix("lock_shard(") {
-        Some(LockSym::Shard(parse_literal_index(tail)))
-    } else {
-        None
-    };
-    if let Some(sym) = acquired {
-        out.acqs.push(AcqRec { fn_idx, sym, line: lineno, held: held_set(guards) });
-        for held in guards.iter() {
-            out.edges.push(LockEdge { func: func(), from: held.sym, to: sym, line: lineno });
-            if let Some(finding) = judge(held, sym, lineno, &func()) {
-                out.lock_findings.push(finding);
-            }
-        }
-        guards.push(Guard { name: let_binding_name(stmt), sym, line: lineno, depth: blocks.len() });
-        return;
-    }
-
-    // ---- Releases --------------------------------------------------------
-    if boundary_before {
-        if let Some(tail) = rest.strip_prefix("drop(") {
-            let ident: String = tail.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
-            if !ident.is_empty() {
-                if let Some(pos) = guards.iter().rposition(|g| g.name.as_deref() == Some(&ident)) {
-                    guards.remove(pos);
-                }
-            }
-            return;
-        }
-    }
-
-    // ---- Condvar waits ---------------------------------------------------
-    // `guard.wait(cv)` / `guard.wait_while(cv, …)` atomically release the
-    // receiver's lock and reacquire it before returning, so the receiver is
-    // a release+reacquire site, not a held-across-block violation. Any
-    // *other* guard, though, stays locked while the thread is parked.
-    if rest.starts_with(".wait(") || rest.starts_with(".wait_while(") {
-        let what = if rest.starts_with(".wait_while(") { ".wait_while(…)" } else { ".wait(…)" };
-        let recv_pos = match trailing_ident(stmt) {
-            Some(ident) => guards.iter().rposition(|g| g.name.as_deref() == Some(&ident)),
-            // `self.lock_x().wait_while(…)`: the receiver is the temporary.
-            None => guards.iter().rposition(|g| g.name.is_none()),
-        };
-        let others: Vec<HeldLock> = guards
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| Some(i) != recv_pos)
-            .map(|(_, g)| HeldLock { sym: g.sym, line: g.line })
-            .collect();
-        if !others.is_empty() {
-            let names: Vec<String> = others.iter().map(|h| format!("{} (line {})", h.sym, h.line + 1)).collect();
-            out.lock_findings.push(LockFinding {
-                kind: LockFindingKind::HeldAcrossWait,
-                line: lineno,
-                func: func(),
-                message: format!(
-                    "{what} releases only its receiver; still holding {} while parked on the condvar",
-                    names.join(", ")
-                ),
-            });
-        }
-        // Recorded even with an empty held set: a caller holding a lock
-        // across a call into this function still parks across the wait.
-        out.block_ops.push(BlockRec { fn_idx, what, is_wait: true, line: lineno, held: others });
-        return;
-    }
-
-    // ---- Held-across-send / recv / spawn ---------------------------------
-    if rest.starts_with(".send(") || rest.starts_with(".recv(") || (boundary_before && rest.starts_with("spawn(")) {
-        let what = if rest.starts_with(".send(") {
-            ".send(…)"
-        } else if rest.starts_with(".recv(") {
-            ".recv(…)"
-        } else {
-            "spawn(…)"
-        };
-        if !guards.is_empty() {
-            let held: Vec<String> = guards.iter().map(|g| format!("{} (line {})", g.sym, g.line + 1)).collect();
-            out.lock_findings.push(LockFinding {
-                kind: LockFindingKind::HeldAcrossSend,
-                line: lineno,
-                func: func(),
-                message: format!(
-                    "{what} while holding {} — a blocked receiver or child stalls the lock",
-                    held.join(", ")
-                ),
-            });
-        }
-        out.block_ops.push(BlockRec { fn_idx, what, is_wait: false, line: lineno, held: held_set(guards) });
-        return;
-    }
-
-    // ---- Untracked locks -------------------------------------------------
-    if rest.starts_with(".lock()") || (boundary_before && rest.starts_with("lock_ignoring_poison(")) {
-        let what = if rest.starts_with(".lock()") { ".lock()" } else { "lock_ignoring_poison(…)" };
-        out.lock_findings.push(LockFinding {
-            kind: LockFindingKind::UntrackedLock,
-            line: lineno,
-            func: func(),
-            message: format!(
-                "raw {what} bypasses the tracked acquisition wrappers (and the debug-mode \
-                 LockOrderTracker); use lock_barrier/lock_versions/lock_shard"
-            ),
-        });
-        return;
-    }
-
-    // ---- Call sites ------------------------------------------------------
-    // Recorded (not judged) — the interprocedural pass resolves targets and
-    // judges the held set against the callee's lock summary. Method calls on
-    // non-`self` receivers are never resolvable, so they are not recorded.
-    if boundary_before && !is_definition {
-        if let Some(target) = parse_call(rest, stmt) {
-            if !matches!(target, CallTarget::Method(_)) {
-                out.calls.push(CallRec { fn_idx, target, line: lineno, held: held_set(guards) });
-            }
-        }
-    }
-
-    // ---- Hot-loop allocations -------------------------------------------
-    if hot_fns.is_empty() || fn_stack.is_empty() {
-        return;
-    }
-    let in_hot_fn = fn_stack.last().is_some_and(|(n, _, _)| hot_fns.contains(&n.as_str()));
-    // A loop block between the innermost fn body and here.
-    let fn_depth = fn_stack.last().map_or(0, |(_, d, _)| *d);
-    let in_loop = blocks.len() > fn_depth && blocks[fn_depth..].contains(&BlockKind::Loop);
-    if in_hot_fn && in_loop {
-        for pat in ALLOC_TOKENS {
-            let matches =
-                if pat.starts_with('.') { rest.starts_with(pat) } else { boundary_before && rest.starts_with(pat) };
-            if matches {
-                out.alloc_sites.push(AllocSite { line: lineno, func: func(), pattern: pat });
-                return;
-            }
-        }
-    }
-}
-
-/// Order verdict for acquiring `new` while `held` is held.
-fn judge(held: &Guard, new: LockSym, lineno: usize, func: &str) -> Option<LockFinding> {
-    judge_pair(held.sym, held.line, new).map(|(kind, message)| LockFinding {
-        kind,
-        line: lineno,
-        func: func.to_string(),
-        message,
-    })
 }
 
 /// Order verdict for acquiring `new` while `held_sym` (acquired at 0-based
@@ -583,18 +253,6 @@ fn judge_pair(held_sym: LockSym, held_line: usize, new: LockSym) -> Option<(Lock
 // ---------------------------------------------------------------------------
 // Interprocedural pass
 // ---------------------------------------------------------------------------
-
-/// One file's walk output, as input to [`interproc`].
-#[derive(Debug, Clone, Copy)]
-pub struct FileLocks<'a> {
-    /// Display path of the file (used in witness chains and anchors).
-    pub path: &'a str,
-    /// The walk output for the file.
-    pub analysis: &'a Analysis,
-    /// Per-line `#[cfg(test)]` mask (see [`crate::scanner::test_regions`]);
-    /// definitions, calls and sites inside test regions are ignored.
-    pub in_test: &'a [bool],
-}
 
 /// One frame of an interprocedural witness chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -663,84 +321,39 @@ struct Summary {
 /// (acquisition and blocking sites judged directly) — used by regression
 /// tests to prove the two passes agree on intra-function chains; the lint
 /// rule itself passes `false` and reports only multi-function chains.
-pub fn interproc(files: &[FileLocks<'_>], include_intra: bool) -> Vec<InterprocFinding> {
-    let in_test = |fi: usize, line: usize| files[fi].in_test.get(line).copied().unwrap_or(false);
-
-    // Nodes: every non-test function definition across the files.
-    let mut nodes: Vec<CallGraphNode> = Vec::new();
-    // node_of[file][fn_idx] → node id.
-    let mut node_of: Vec<Vec<Option<usize>>> = Vec::new();
-    for (fi, f) in files.iter().enumerate() {
-        let mut map = vec![None; f.analysis.fns.len()];
-        for (k, d) in f.analysis.fns.iter().enumerate() {
-            if in_test(fi, d.line) {
-                continue;
-            }
-            map[k] = Some(nodes.len());
-            nodes.push(CallGraphNode { file: fi, name: d.name.clone(), owner: d.owner.clone(), line: d.line });
-        }
-        node_of.push(map);
-    }
-    let mut cg = CallGraph::new(nodes);
-
-    // Edges: resolved call sites, keeping the held set of each.
-    struct Site {
-        caller: usize,
-        callee: usize,
-        line: usize,
-        held: Vec<HeldLock>,
-    }
-    let mut sites: Vec<Site> = Vec::new();
-    for (fi, f) in files.iter().enumerate() {
-        for c in &f.analysis.calls {
-            let Some(k) = c.fn_idx else { continue };
-            let Some(caller) = node_of[fi][k] else { continue };
-            if in_test(fi, c.line) {
-                continue;
-            }
-            if let Some(callee) = cg.resolve(caller, &c.target) {
-                let id = sites.len();
-                sites.push(Site { caller, callee, line: c.line, held: c.held.clone() });
-                cg.add_call(caller, callee, id);
-            }
-        }
-    }
+pub fn interproc(files: &[FileWalk<'_>], include_intra: bool) -> Vec<InterprocFinding> {
+    // A `spawn(…)` is a blocking site here, never a call into the workspace.
+    let g = WalkGraph::build(files, |c| c.target.name() != "spawn");
+    let cg = &g.cg;
+    let frame = |v: usize, line: usize, what: String| ChainFrame {
+        func: cg.nodes[v].name.clone(),
+        file: files[cg.nodes[v].file].path.to_string(),
+        line,
+        what,
+    };
+    let call_frame = |v: usize, w: usize, line: usize| {
+        let callee = &cg.nodes[w];
+        frame(
+            v,
+            line,
+            format!("calls {}{}", callee.owner.as_ref().map_or(String::new(), |o| format!("{o}::")), callee.name),
+        )
+    };
 
     // Seed each node's summary with its own acquisition / blocking sites.
     let mut summaries: Vec<Summary> = vec![Summary::default(); cg.nodes.len()];
     for (fi, f) in files.iter().enumerate() {
-        for a in &f.analysis.acqs {
-            let Some(k) = a.fn_idx else { continue };
-            let Some(nid) = node_of[fi][k] else { continue };
-            if in_test(fi, a.line) {
-                continue;
-            }
-            summaries[nid].acquires.entry(a.sym).or_insert_with(|| {
-                vec![ChainFrame {
-                    func: cg.nodes[nid].name.clone(),
-                    file: f.path.to_string(),
-                    line: a.line,
-                    what: format!("acquires {}", a.sym),
-                }]
-            });
-        }
-        for b in &f.analysis.block_ops {
-            let Some(k) = b.fn_idx else { continue };
-            let Some(nid) = node_of[fi][k] else { continue };
-            if in_test(fi, b.line) {
-                continue;
-            }
-            if summaries[nid].blocks.is_none() {
-                summaries[nid].blocks = Some((
-                    b.what,
-                    b.is_wait,
-                    vec![ChainFrame {
-                        func: cg.nodes[nid].name.clone(),
-                        file: f.path.to_string(),
-                        line: b.line,
-                        what: format!("may block at {}", b.what),
-                    }],
-                ));
+        for site in f.walk.locks.iter().filter(|s| !f.is_test_line(s.line)) {
+            let Some(nid) = g.node(fi, site.fn_idx) else { continue };
+            let sum = &mut summaries[nid];
+            match site.op {
+                LockOp::Acquire(sym) => {
+                    sum.acquires.entry(sym).or_insert_with(|| vec![frame(nid, site.line, format!("acquires {sym}"))]);
+                }
+                LockOp::Block { what, is_wait } if sum.blocks.is_none() => {
+                    sum.blocks = Some((what, is_wait, vec![frame(nid, site.line, format!("may block at {what}"))]));
+                }
+                _ => {}
             }
         }
     }
@@ -748,39 +361,22 @@ pub fn interproc(files: &[FileLocks<'_>], include_intra: bool) -> Vec<InterprocF
     // Propagate bottom-up: `sccs()` yields components callees-first, so by
     // the time a component is processed every out-of-component callee is
     // final; within a component, iterate to the (small, monotone) fixpoint.
-    let call_frame = |cg: &CallGraph, v: usize, w: usize, line: usize| ChainFrame {
-        func: cg.nodes[v].name.clone(),
-        file: files[cg.nodes[v].file].path.to_string(),
-        line,
-        what: match &cg.nodes[w].owner {
-            Some(o) => format!("calls {}::{}", o, cg.nodes[w].name),
-            None => format!("calls {}", cg.nodes[w].name),
-        },
-    };
     for comp in cg.sccs() {
         loop {
             let mut changed = false;
             for &v in &comp {
-                for ei in 0..cg.out[v].len() {
-                    let (w, site_id) = cg.out[v][ei];
-                    let frame = call_frame(&cg, v, w, sites[site_id].line);
-                    let callee_acquires = summaries[w].acquires.clone();
-                    let callee_blocks = summaries[w].blocks.clone();
-                    for (sym, chain) in callee_acquires {
-                        if !summaries[v].acquires.contains_key(&sym) {
-                            let mut c = vec![frame.clone()];
-                            c.extend(chain);
-                            summaries[v].acquires.insert(sym, c);
+                for &(w, site_id) in &cg.out[v] {
+                    let head = call_frame(v, w, g.sites[site_id].call.line);
+                    let callee = summaries[w].clone();
+                    for (sym, chain) in callee.acquires {
+                        if let Entry::Vacant(slot) = summaries[v].acquires.entry(sym) {
+                            slot.insert([vec![head.clone()], chain].concat());
                             changed = true;
                         }
                     }
-                    if summaries[v].blocks.is_none() {
-                        if let Some((what, is_wait, chain)) = callee_blocks {
-                            let mut c = vec![frame.clone()];
-                            c.extend(chain);
-                            summaries[v].blocks = Some((what, is_wait, c));
-                            changed = true;
-                        }
+                    if let Some((what, is_wait, chain)) = callee.blocks.filter(|_| summaries[v].blocks.is_none()) {
+                        summaries[v].blocks = Some((what, is_wait, [vec![head], chain].concat()));
+                        changed = true;
                     }
                 }
             }
@@ -792,49 +388,43 @@ pub fn interproc(files: &[FileLocks<'_>], include_intra: bool) -> Vec<InterprocF
 
     // Judge every resolved call site against its callee's summary.
     let mut out: Vec<InterprocFinding> = Vec::new();
-    for site in &sites {
+    let held_names = |held: &[HeldLock]| {
+        held.iter().map(|h| format!("{} (line {})", h.sym, h.line + 1)).collect::<Vec<_>>().join(", ")
+    };
+    for site in &g.sites {
         let caller = &cg.nodes[site.caller];
-        let file = files[caller.file].path.to_string();
-        let frame = call_frame(&cg, site.caller, site.callee, site.line);
-        let callee_sum = &summaries[site.callee];
-        for h in &site.held {
-            for (sym, chain) in &callee_sum.acquires {
+        let (file, line) = (files[caller.file].path, site.call.line);
+        let head = call_frame(site.caller, site.callee, line);
+        let callee = &summaries[site.callee];
+        let mut push = |kind, message: String, chain: &[ChainFrame]| {
+            let chain = [std::slice::from_ref(&head), chain].concat();
+            out.push(InterprocFinding {
+                kind,
+                file: file.to_string(),
+                line,
+                func: caller.name.clone(),
+                message: format!("{message}; call chain: {}", render_chain(&chain)),
+                chain,
+            });
+        };
+        for h in &site.call.held {
+            for (sym, chain) in &callee.acquires {
                 if let Some((kind, core)) = judge_pair(h.sym, h.line, *sym) {
-                    let mut full = vec![frame.clone()];
-                    full.extend(chain.iter().cloned());
-                    out.push(InterprocFinding {
-                        kind,
-                        file: file.clone(),
-                        line: site.line,
-                        func: caller.name.clone(),
-                        message: format!("interprocedural {core}; call chain: {}", render_chain(&full)),
-                        chain: full,
-                    });
+                    push(kind, format!("interprocedural {core}"), chain);
                 }
             }
         }
-        if let Some((what, is_wait, chain)) = &callee_sum.blocks {
-            if !site.held.is_empty() {
-                let held: Vec<String> = site.held.iter().map(|h| format!("{} (line {})", h.sym, h.line + 1)).collect();
-                let mut full = vec![frame.clone()];
-                full.extend(chain.iter().cloned());
-                let verb = if *is_wait {
-                    format!("{what} releases only its receiver; the caller's guard stays held while parked")
+        if let Some((what, is_wait, chain)) = &callee.blocks {
+            if !site.call.held.is_empty() {
+                let (kind, verb) = if *is_wait {
+                    (
+                        LockFindingKind::HeldAcrossWait,
+                        format!("{what} releases only its receiver; the caller's guard stays held while parked"),
+                    )
                 } else {
-                    format!("{what} can block while the caller's guard is held")
+                    (LockFindingKind::HeldAcrossSend, format!("{what} can block while the caller's guard is held"))
                 };
-                out.push(InterprocFinding {
-                    kind: if *is_wait { LockFindingKind::HeldAcrossWait } else { LockFindingKind::HeldAcrossSend },
-                    file: file.clone(),
-                    line: site.line,
-                    func: caller.name.clone(),
-                    message: format!(
-                        "interprocedural {verb}: holding {}; call chain: {}",
-                        held.join(", "),
-                        render_chain(&full)
-                    ),
-                    chain: full,
-                });
+                push(kind, format!("interprocedural {verb}: holding {}", held_names(&site.call.held)), chain);
             }
         }
     }
@@ -842,54 +432,40 @@ pub fn interproc(files: &[FileLocks<'_>], include_intra: bool) -> Vec<InterprocF
     // Intra mode: replicate the per-function pass through the same engine,
     // as single-frame chains, so tests can assert the two passes agree.
     if include_intra {
-        for (fi, f) in files.iter().enumerate() {
-            let fn_name_of = |idx: Option<usize>| match idx {
-                Some(k) => f.analysis.fns[k].name.clone(),
-                None => "<top>".to_string(),
-            };
-            for a in &f.analysis.acqs {
-                if in_test(fi, a.line) {
-                    continue;
-                }
-                for h in &a.held {
-                    if let Some((kind, core)) = judge_pair(h.sym, h.line, a.sym) {
-                        let func = fn_name_of(a.fn_idx);
-                        let chain = vec![ChainFrame {
-                            func: func.clone(),
-                            file: f.path.to_string(),
-                            line: a.line,
-                            what: format!("acquires {}", a.sym),
-                        }];
-                        out.push(InterprocFinding {
-                            kind,
-                            file: f.path.to_string(),
-                            line: a.line,
-                            func,
-                            message: core,
-                            chain,
-                        });
-                    }
-                }
-            }
-            for b in &f.analysis.block_ops {
-                if in_test(fi, b.line) || b.held.is_empty() {
-                    continue;
-                }
-                let func = fn_name_of(b.fn_idx);
-                let held: Vec<String> = b.held.iter().map(|h| format!("{} (line {})", h.sym, h.line + 1)).collect();
-                out.push(InterprocFinding {
-                    kind: if b.is_wait { LockFindingKind::HeldAcrossWait } else { LockFindingKind::HeldAcrossSend },
-                    file: f.path.to_string(),
-                    line: b.line,
-                    func: func.clone(),
-                    message: format!("{} while holding {}", b.what, held.join(", ")),
-                    chain: vec![ChainFrame {
-                        func,
+        for f in files {
+            for site in f.walk.locks.iter().filter(|s| !f.is_test_line(s.line)) {
+                let func = f.walk.fn_name(site.fn_idx);
+                let mut push = |kind, message, what| {
+                    let chain =
+                        vec![ChainFrame { func: func.clone(), file: f.path.to_string(), line: site.line, what }];
+                    out.push(InterprocFinding {
+                        kind,
                         file: f.path.to_string(),
-                        line: b.line,
-                        what: format!("may block at {}", b.what),
-                    }],
-                });
+                        line: site.line,
+                        func: func.clone(),
+                        message,
+                        chain,
+                    });
+                };
+                match site.op {
+                    LockOp::Acquire(sym) => {
+                        for h in &site.held {
+                            if let Some((kind, core)) = judge_pair(h.sym, h.line, sym) {
+                                push(kind, core, format!("acquires {sym}"));
+                            }
+                        }
+                    }
+                    LockOp::Block { what, is_wait } if !site.held.is_empty() => {
+                        let kind =
+                            if is_wait { LockFindingKind::HeldAcrossWait } else { LockFindingKind::HeldAcrossSend };
+                        push(
+                            kind,
+                            format!("{what} while holding {}", held_names(&site.held)),
+                            format!("may block at {what}"),
+                        );
+                    }
+                    _ => {}
+                }
             }
         }
     }
@@ -898,100 +474,14 @@ pub fn interproc(files: &[FileLocks<'_>], include_intra: bool) -> Vec<InterprocF
     out
 }
 
-/// The identifier the statement currently ends with (the receiver of a
-/// method call about to be scanned), if any.
-fn trailing_ident(stmt: &str) -> Option<String> {
-    let rev: String = stmt.chars().rev().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
-    if rev.is_empty() || rev.chars().last().is_some_and(|c| c.is_ascii_digit()) {
-        return None;
-    }
-    Some(rev.chars().rev().collect())
-}
-
-/// A literal integer followed by `)` → `Some(i)`; anything else → `None`.
-fn parse_literal_index(tail: &str) -> Option<u64> {
-    let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
-    if digits.is_empty() || !tail[digits.len()..].starts_with(')') {
-        return None;
-    }
-    digits.parse().ok()
-}
-
-/// `let [mut] ident = …` at the head of the statement → the bound name.
-fn let_binding_name(stmt: &str) -> Option<String> {
-    let s = stmt.trim_start();
-    let s = s.strip_prefix("let ")?;
-    let s = s.trim_start();
-    let s = s.strip_prefix("mut ").unwrap_or(s).trim_start();
-    let ident: String = s.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
-    if ident.is_empty() {
-        return None;
-    }
-    let after = s[ident.len()..].trim_start();
-    (after.starts_with('=') || after.starts_with(':')).then_some(ident)
-}
-
-fn classify_block(stmt: &str) -> BlockKind {
-    if has_kw(stmt, "fn") {
-        return BlockKind::Fn;
-    }
-    // Checked before the loop keywords: `impl<F: for<'a> Fn(…)>` contains a
-    // `for` with identifier boundaries, but the block is still an impl.
-    if has_kw(stmt, "impl") {
-        return BlockKind::Impl;
-    }
-    if has_kw(stmt, "for") || has_kw(stmt, "while") || has_kw(stmt, "loop") {
-        return BlockKind::Loop;
-    }
-    BlockKind::Other
-}
-
-/// The identifier following the last `fn ` keyword in the header.
-fn fn_name(stmt: &str) -> Option<String> {
-    let mut best = None;
-    let bytes = stmt.as_bytes();
-    let mut from = 0usize;
-    while let Some(pos) = stmt[from..].find("fn") {
-        let start = from + pos;
-        let end = start + 2;
-        let pre_ok = start == 0 || !(bytes[start - 1].is_ascii_alphanumeric() || bytes[start - 1] == b'_');
-        let post_ok = bytes.get(end).is_some_and(|b| b.is_ascii_whitespace());
-        if pre_ok && post_ok {
-            let name: String =
-                stmt[end..].trim_start().chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
-            if !name.is_empty() {
-                best = Some(name);
-            }
-        }
-        from = end;
-    }
-    best
-}
-
-/// Keyword occurrence with identifier boundaries on both sides.
-fn has_kw(hay: &str, kw: &str) -> bool {
-    let bytes = hay.as_bytes();
-    let mut from = 0usize;
-    while let Some(pos) = hay[from..].find(kw) {
-        let start = from + pos;
-        let end = start + kw.len();
-        let pre_ok = start == 0 || !(bytes[start - 1].is_ascii_alphanumeric() || bytes[start - 1] == b'_');
-        let post_ok = end >= bytes.len() || !(bytes[end].is_ascii_alphanumeric() || bytes[end] == b'_');
-        if pre_ok && post_ok {
-            return true;
-        }
-        from = end;
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scanner::scan;
+    use crate::walk::walk;
 
     fn locks(src: &str) -> Analysis {
-        analyze(&scan(src), &[])
+        analyze(&walk(&scan(src), &[]))
     }
 
     #[test]
@@ -1139,7 +629,7 @@ mod tests {
     #[test]
     fn alloc_in_hot_loop_is_flagged_only_there() {
         let src = "fn spmm(&self) {\n    let out = Vec::new();\n    for r in rows {\n        let v = x.to_vec();\n        let c = y.clone();\n    }\n}\nfn cold(&self) {\n    for r in rows {\n        let v = x.to_vec();\n    }\n}\n";
-        let a = analyze(&scan(src), &["spmm"]);
+        let a = walk(&scan(src), &["spmm"]);
         assert_eq!(a.alloc_sites.len(), 2, "{:?}", a.alloc_sites);
         assert!(a.alloc_sites.iter().all(|s| s.func == "spmm"));
         assert_eq!(a.alloc_sites[0].pattern, ".to_vec(");
@@ -1149,7 +639,7 @@ mod tests {
     #[test]
     fn alloc_in_while_and_nested_blocks_is_flagged() {
         let src = "fn reduce(&self) {\n    while go {\n        if cond {\n            let s = format!(\"x\");\n        }\n    }\n}\n";
-        let a = analyze(&scan(src), &["reduce"]);
+        let a = walk(&scan(src), &["reduce"]);
         assert_eq!(a.alloc_sites.len(), 1);
         assert_eq!(a.alloc_sites[0].pattern, "format!(");
     }
@@ -1157,7 +647,7 @@ mod tests {
     #[test]
     fn alloc_outside_loops_is_not_flagged() {
         let src = "fn reduce(&self) {\n    let buf = Vec::new();\n    let all: Vec<u32> = it.collect();\n}\n";
-        let a = analyze(&scan(src), &["reduce"]);
+        let a = walk(&scan(src), &["reduce"]);
         assert!(a.alloc_sites.is_empty(), "{:?}", a.alloc_sites);
     }
 
@@ -1166,7 +656,7 @@ mod tests {
         // `for_each_row(` contains `for` only as an identifier prefix.
         let src =
             "fn reduce(&self) {\n    self.ctx.for_each_row(&csr, |r| {\n        let v = x.to_vec();\n    });\n}\n";
-        let a = analyze(&scan(src), &["reduce"]);
+        let a = walk(&scan(src), &["reduce"]);
         assert!(a.alloc_sites.is_empty(), "{:?}", a.alloc_sites);
     }
 
@@ -1174,7 +664,7 @@ mod tests {
     fn multiline_signatures_still_name_the_fn() {
         let src =
             "fn spmm(\n    &self,\n    csr: &Csr,\n) {\n    for r in rows {\n        let v = x.to_vec();\n    }\n}\n";
-        let a = analyze(&scan(src), &["spmm"]);
+        let a = walk(&scan(src), &["spmm"]);
         assert_eq!(a.alloc_sites.len(), 1);
         assert_eq!(a.alloc_sites[0].func, "spmm");
     }

@@ -32,8 +32,8 @@
 //! let t0 = std::time::Instant::now();           // <-- no-wallclock
 //! ```
 //!
-//! **`no-raw-spawn`** — no raw `std::thread::spawn` outside sanctioned
-//! executor modules (scoped threads are fine):
+//! **`no-raw-spawn`** — no raw `std::thread::spawn` in library code (scoped
+//! threads are fine):
 //! ```text
 //! std::thread::spawn(move || pump(rx));         // <-- no-raw-spawn
 //! ```
@@ -95,7 +95,9 @@
 
 use crate::atomics;
 use crate::lockgraph;
-use crate::scanner::{test_regions, ScannedFile};
+use crate::scanner::{find_token, test_regions, ScannedFile};
+use crate::walk::{walk, FileWalk, Walk};
+use std::cell::OnceCell;
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,13 +126,24 @@ pub struct FileView<'a> {
     pub scanned: &'a ScannedFile,
     /// Per-line: inside a `#[cfg(test)] mod … { }` region.
     pub in_test_region: Vec<bool>,
+    walk: OnceCell<Walk>,
 }
 
 impl<'a> FileView<'a> {
     /// Build a view over a scanned file, computing its test-region mask.
     pub fn new(path: &'a str, scanned: &'a ScannedFile) -> Self {
         let in_test_region = test_regions(scanned);
-        Self { path, scanned, in_test_region }
+        Self { path, scanned, in_test_region, walk: OnceCell::new() }
+    }
+
+    /// The file's [`walk`](mod@crate::walk), computed on first use: every
+    /// rule that reads it in one lint run shares one walk of the file.
+    pub(crate) fn walk(&self) -> &Walk {
+        self.walk.get_or_init(|| walk(self.scanned, hot_functions(self.path)))
+    }
+
+    fn file_walk(&self) -> FileWalk<'_> {
+        FileWalk { path: self.path, walk: self.walk(), in_test: &self.in_test_region }
     }
 
     /// Integration tests, benches, examples, and build scripts are exempt
@@ -215,8 +228,8 @@ pub fn registry() -> &'static [Rule] {
         },
         Rule {
             name: "no-raw-spawn",
-            description: "no raw std::thread::spawn outside sanctioned executor modules; use \
-                          std::thread::scope so panics propagate and joins are guaranteed",
+            description: "no raw std::thread::spawn in library code; use std::thread::scope so \
+                          panics propagate and joins are guaranteed",
             example: "std::thread::spawn(move || pump(rx));         // <-- no-raw-spawn",
             check: check_no_raw_spawn,
         },
@@ -308,7 +321,7 @@ fn check_no_panic(view: &FileView) -> Vec<Diagnostic> {
 fn check_safety_comment(view: &FileView) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (i, code) in view.scanned.code.iter().enumerate() {
-        if !has_token(code, "unsafe") {
+        if find_token(code, "unsafe").is_none() {
             continue;
         }
         // Accept SAFETY: on the same line or on the nearest non-blank line
@@ -360,12 +373,8 @@ fn check_no_wallclock(view: &FileView) -> Vec<Diagnostic> {
     out
 }
 
-/// Modules allowed to call `std::thread::spawn` directly (long-lived
-/// executor/prefetcher threads whose lifecycle is managed explicitly).
-const SANCTIONED_SPAWNERS: &[&str] = &["crates/trainer/src/pipeline.rs"];
-
 fn check_no_raw_spawn(view: &FileView) -> Vec<Diagnostic> {
-    if view.is_exempt_target() || SANCTIONED_SPAWNERS.contains(&view.path) {
+    if view.is_exempt_target() {
         return Vec::new();
     }
     let mut out = Vec::new();
@@ -400,7 +409,7 @@ fn check_lock_order(view: &FileView) -> Vec<Diagnostic> {
     if !in_lock_scope(view) {
         return Vec::new();
     }
-    lockgraph::analyze(view.scanned, &[])
+    lockgraph::analyze(view.walk())
         .lock_findings
         .into_iter()
         .filter(|f| !view.in_test_region[f.line])
@@ -408,21 +417,12 @@ fn check_lock_order(view: &FileView) -> Vec<Diagnostic> {
         .collect()
 }
 
-/// The interprocedural lock-order pass: analyze every in-scope `agl-ps`
-/// file, assemble the records into a call graph, and report only chains
-/// spanning ≥ 2 functions — intra-function chains are the per-function
-/// [`check_lock_order`]'s job, so nothing double-reports.
+/// The interprocedural lock-order pass over every in-scope `agl-ps` file,
+/// reporting only chains spanning ≥ 2 functions — intra-function chains
+/// are the per-function [`check_lock_order`]'s job, so nothing
+/// double-reports.
 fn check_lock_order_interproc(views: &[FileView]) -> Vec<Diagnostic> {
-    let in_scope: Vec<&FileView> = views.iter().filter(|v| in_lock_scope(v)).collect();
-    if in_scope.is_empty() {
-        return Vec::new();
-    }
-    let analyses: Vec<lockgraph::Analysis> = in_scope.iter().map(|v| lockgraph::analyze(v.scanned, &[])).collect();
-    let files: Vec<lockgraph::FileLocks> = in_scope
-        .iter()
-        .zip(&analyses)
-        .map(|(v, a)| lockgraph::FileLocks { path: v.path, analysis: a, in_test: &v.in_test_region })
-        .collect();
+    let files: Vec<FileWalk> = views.iter().filter(|v| in_lock_scope(v)).map(FileView::file_walk).collect();
     lockgraph::interproc(&files, false)
         .into_iter()
         .filter(|f| f.chain.len() >= 2)
@@ -443,20 +443,11 @@ fn in_atomics_scope(view: &FileView) -> bool {
     view.path != "crates/ps/src/hb.rs" && !view.is_exempt_target()
 }
 
-/// The happens-before atomics pass: walk every in-scope file, then run the
-/// crate-scope classification (receiver resolution, Arc/static/spawn escape
-/// analysis, spawn-reachability over the call graph) and judge the sites.
+/// The happens-before atomics pass over every in-scope file: receiver
+/// resolution, Arc/static/spawn escape analysis and spawn-reachability over
+/// the call graph, then judgement of the sites.
 fn check_atomics(views: &[FileView]) -> Vec<Diagnostic> {
-    let in_scope: Vec<&FileView> = views.iter().filter(|v| in_atomics_scope(v)).collect();
-    if in_scope.is_empty() {
-        return Vec::new();
-    }
-    let analyses: Vec<atomics::Analysis> = in_scope.iter().map(|v| atomics::analyze(v.scanned)).collect();
-    let files: Vec<atomics::FileAtomics> = in_scope
-        .iter()
-        .zip(&analyses)
-        .map(|(v, a)| atomics::FileAtomics { path: v.path, analysis: a, in_test: &v.in_test_region })
-        .collect();
+    let files: Vec<FileWalk> = views.iter().filter(|v| in_atomics_scope(v)).map(FileView::file_walk).collect();
     atomics::interproc(&files)
         .into_iter()
         .map(|f| Diagnostic {
@@ -478,13 +469,18 @@ const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
     ("crates/ps/src/server.rs", &["apply", "apply_locked"]),
 ];
 
+/// The registered hot functions of the file at `path` (usually none).
+fn hot_functions(path: &str) -> &'static [&'static str] {
+    HOT_FUNCTIONS.iter().find(|(p, _)| *p == path).map_or(&[], |(_, fns)| fns)
+}
+
 fn check_no_hot_alloc(view: &FileView) -> Vec<Diagnostic> {
-    let Some((_, fns)) = HOT_FUNCTIONS.iter().find(|(p, _)| *p == view.path) else {
+    if hot_functions(view.path).is_empty() {
         return Vec::new();
-    };
-    lockgraph::analyze(view.scanned, fns)
+    }
+    view.walk()
         .alloc_sites
-        .into_iter()
+        .iter()
         .filter(|s| !view.in_test_region[s.line])
         .map(|s| {
             diag(
@@ -495,23 +491,6 @@ fn check_no_hot_alloc(view: &FileView) -> Vec<Diagnostic> {
             )
         })
         .collect()
-}
-
-/// `needle` occurs in `hay` as a whole word (not an identifier substring).
-fn has_token(hay: &str, needle: &str) -> bool {
-    let bytes = hay.as_bytes();
-    let mut from = 0usize;
-    while let Some(pos) = hay[from..].find(needle) {
-        let start = from + pos;
-        let end = start + needle.len();
-        let pre_ok = start == 0 || !(bytes[start - 1].is_ascii_alphanumeric() || bytes[start - 1] == b'_');
-        let post_ok = end >= bytes.len() || !(bytes[end].is_ascii_alphanumeric() || bytes[end] == b'_');
-        if pre_ok && post_ok {
-            return true;
-        }
-        from = end;
-    }
-    false
 }
 
 #[cfg(test)]
@@ -624,7 +603,7 @@ mod tests {
     fn raw_spawn_flagged_outside_sanctioned() {
         let src = "fn f() { std::thread::spawn(|| {}); }\n";
         assert_eq!(lint_one("crates/ps/src/foo.rs", src).len(), 1);
-        assert!(lint_one("crates/trainer/src/pipeline.rs", src).is_empty());
+        assert_eq!(lint_one("crates/trainer/src/pipeline.rs", src).len(), 1);
         // Scoped spawns are fine.
         let scoped = "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n";
         assert!(lint_one("crates/ps/src/foo.rs", scoped).is_empty());

@@ -15,17 +15,17 @@
 //! doc-comment semantics beyond their text.
 //!
 //! The second half of this module is the **call graph** the interprocedural
-//! lock-order pass runs over: [`CallTarget`] classifies how a call site
-//! names its callee (`self.f(…)`, `Type::f(…)`, bare `f(…)`, or a method on
-//! some other receiver), [`impl_owner`] recovers the `Self` type of an
-//! `impl` block header, and [`CallGraph`] resolves call targets against the
-//! function definitions collected from a set of scanned files and computes
-//! the strongly connected components of the resulting graph in bottom-up
-//! (callees-first) order — the order in which
-//! [`lockgraph::interproc`](crate::lockgraph::interproc) propagates lock
-//! summaries. Resolution is deliberately conservative: a target that cannot
-//! be matched to exactly one in-scope definition stays unresolved, so the
-//! interprocedural pass can under-approximate but never invent a chain.
+//! lock-order and atomics passes run over: [`CallTarget`] classifies how a
+//! call site names its callee (`self.f(…)`, `Type::f(…)`, bare `f(…)`, or a
+//! method on some other receiver), [`impl_owner`] recovers the `Self` type of
+//! an `impl` block header, and [`CallGraph`] resolves call targets against
+//! the function definitions of a set of files (collected by the
+//! [`walk`](mod@crate::walk)) and computes the strongly connected components
+//! of the resulting graph in bottom-up (callees-first) order — the order in
+//! which [`lockgraph::interproc`](crate::lockgraph::interproc) propagates
+//! lock summaries. Resolution is deliberately conservative: a target that
+//! cannot be matched to exactly one in-scope definition stays unresolved, so
+//! the interprocedural passes can under-approximate but never invent a chain.
 
 /// One source file, split into a code channel and a comment channel.
 #[derive(Debug)]
@@ -208,6 +208,20 @@ pub fn scan(src: &str) -> ScannedFile {
     ScannedFile { code, comments }
 }
 
+/// Byte offset of the first occurrence of `needle` in `hay` that is not
+/// part of a longer identifier. The boundary after the needle is checked
+/// only when the needle ends in an identifier character, so `spawn(` finds
+/// `spawn(move …` but not `respawn(`.
+pub fn find_token(hay: &str, needle: &str) -> Option<usize> {
+    let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    let bytes = hay.as_bytes();
+    let check_after = needle.bytes().last().is_some_and(is_ident);
+    hay.match_indices(needle).map(|(start, _)| start).find(|&start| {
+        let end = start + needle.len();
+        (start == 0 || !is_ident(bytes[start - 1])) && !(check_after && end < bytes.len() && is_ident(bytes[end]))
+    })
+}
+
 /// Was the previous code char part of an identifier? (So `for r in…` is not
 /// mistaken for a raw-string prefix when followed by `"`.)
 fn prev_is_ident(code_line: &str) -> bool {
@@ -351,22 +365,7 @@ fn trailing_path_segment(s: &str) -> String {
 /// are stripped to the last plain segment. Returns `None` when the header is
 /// not an impl (e.g. an `impl Trait` return type inside an `fn` header).
 pub fn impl_owner(header: &str) -> Option<String> {
-    // Find the `impl` keyword with identifier boundaries on both sides.
-    let bytes = header.as_bytes();
-    let mut at = None;
-    let mut from = 0usize;
-    while let Some(pos) = header[from..].find("impl") {
-        let i = from + pos;
-        let before_ok = i == 0 || !(bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_');
-        let after = i + 4;
-        let after_ok = after >= header.len() || !(bytes[after].is_ascii_alphanumeric() || bytes[after] == b'_');
-        if before_ok && after_ok {
-            at = Some(after);
-            break;
-        }
-        from = i + 4;
-    }
-    let mut rest = header[at?..].trim_start();
+    let mut rest = header[find_token(header, "impl")? + 4..].trim_start();
     // Skip the generic parameter list, if any.
     if rest.starts_with('<') {
         let mut depth = 0i64;

@@ -14,7 +14,7 @@
 //! per-function pass only and has no interprocedural counterpart.
 
 use agl_analysis::scanner::{scan, test_regions};
-use agl_analysis::{interproc, FileLocks, LockFindingKind};
+use agl_analysis::{interproc, walk, FileWalk, LockFindingKind};
 
 /// Single-function fixtures covering every chain-related finding kind plus
 /// the clean shapes that must stay clean.
@@ -65,7 +65,7 @@ const SINGLE_FN_FIXTURES: &[(&str, &str)] = &[
 /// minus `UntrackedLock`.
 fn per_function(src: &str) -> Vec<(LockFindingKind, usize)> {
     let scanned = scan(src);
-    let mut out: Vec<_> = agl_analysis::lockgraph::analyze(&scanned, &[])
+    let mut out: Vec<_> = agl_analysis::lockgraph::analyze(&walk(&scanned, &[]))
         .lock_findings
         .into_iter()
         .filter(|f| f.kind != LockFindingKind::UntrackedLock)
@@ -79,9 +79,9 @@ fn per_function(src: &str) -> Vec<(LockFindingKind, usize)> {
 /// sorted `(kind, line)` multiset.
 fn intra_mode(src: &str) -> Vec<(LockFindingKind, usize)> {
     let scanned = scan(src);
-    let analysis = agl_analysis::lockgraph::analyze(&scanned, &[]);
+    let analysis = walk(&scanned, &[]);
     let in_test = test_regions(&scanned);
-    let files = [FileLocks { path: "fixture.rs", analysis: &analysis, in_test: &in_test }];
+    let files = [FileWalk { path: "fixture.rs", walk: &analysis, in_test: &in_test }];
     let mut out: Vec<_> = interproc(&files, true).into_iter().map(|f| (f.kind, f.line)).collect();
     out.sort_by_key(|(k, l)| (format!("{k:?}"), *l));
     out
@@ -108,9 +108,9 @@ fn intra_chains_never_leak_into_the_lint_rule() {
     // rules partition the findings with no overlap.
     for (name, src) in SINGLE_FN_FIXTURES {
         let scanned = scan(src);
-        let analysis = agl_analysis::lockgraph::analyze(&scanned, &[]);
+        let analysis = walk(&scanned, &[]);
         let in_test = test_regions(&scanned);
-        let files = [FileLocks { path: "fixture.rs", analysis: &analysis, in_test: &in_test }];
+        let files = [FileWalk { path: "fixture.rs", walk: &analysis, in_test: &in_test }];
         let multi: Vec<_> = interproc(&files, false).into_iter().filter(|f| f.chain.len() >= 2).collect();
         assert!(multi.is_empty(), "fixture {name:?} produced multi-frame chains: {multi:?}");
     }
@@ -122,9 +122,9 @@ fn chains_render_site_by_site() {
     // inversion must render every hop as `fn (file:line: what)`.
     let src = "impl Ps {\n    fn push(&self) {\n        let v = self.lock_versions();\n        self.rebalance();\n        drop(v);\n    }\n    fn rebalance(&self) {\n        let b = self.lock_barrier();\n    }\n}\n";
     let scanned = scan(src);
-    let analysis = agl_analysis::lockgraph::analyze(&scanned, &[]);
+    let analysis = walk(&scanned, &[]);
     let in_test = test_regions(&scanned);
-    let files = [FileLocks { path: "ps.rs", analysis: &analysis, in_test: &in_test }];
+    let files = [FileWalk { path: "ps.rs", walk: &analysis, in_test: &in_test }];
     let findings = interproc(&files, false);
     assert_eq!(findings.len(), 1, "{findings:?}");
     let rendered = agl_analysis::render_chain(&findings[0].chain);
