@@ -160,7 +160,6 @@ pub fn analyze(walk: &Walk) -> Analysis {
     let mut out = Analysis::default();
     for site in &walk.locks {
         let func = walk.fn_name(site.fn_idx);
-        let held = || site.held.iter().map(|h| format!("{} (line {})", h.sym, h.line + 1)).collect::<Vec<_>>();
         let (kind, message) = match site.op {
             LockOp::Acquire(sym) => {
                 for h in &site.held {
@@ -176,12 +175,12 @@ pub fn analyze(walk: &Walk) -> Analysis {
                 LockFindingKind::HeldAcrossWait,
                 format!(
                     "{what} releases only its receiver; still holding {} while parked on the condvar",
-                    held().join(", ")
+                    held_list(&site.held)
                 ),
             ),
             LockOp::Block { what, is_wait: false } => (
                 LockFindingKind::HeldAcrossSend,
-                format!("{what} while holding {} — a blocked receiver or child stalls the lock", held().join(", ")),
+                format!("{what} while holding {} — a blocked receiver or child stalls the lock", held_list(&site.held)),
             ),
             LockOp::Untracked(what) => (
                 LockFindingKind::UntrackedLock,
@@ -194,6 +193,11 @@ pub fn analyze(walk: &Walk) -> Analysis {
         out.lock_findings.push(LockFinding { kind, line: site.line, func, message });
     }
     out
+}
+
+/// `barrier (line 3), shard(0) (line 7)` — held guards as messages name them.
+fn held_list(held: &[HeldLock]) -> String {
+    held.iter().map(|h| format!("{} (line {})", h.sym, h.line + 1)).collect::<Vec<_>>().join(", ")
 }
 
 /// Order verdict for acquiring `new` while `held_sym` (acquired at 0-based
@@ -388,9 +392,6 @@ pub fn interproc(files: &[FileWalk<'_>], include_intra: bool) -> Vec<InterprocFi
 
     // Judge every resolved call site against its callee's summary.
     let mut out: Vec<InterprocFinding> = Vec::new();
-    let held_names = |held: &[HeldLock]| {
-        held.iter().map(|h| format!("{} (line {})", h.sym, h.line + 1)).collect::<Vec<_>>().join(", ")
-    };
     for site in &g.sites {
         let caller = &cg.nodes[site.caller];
         let (file, line) = (files[caller.file].path, site.call.line);
@@ -424,7 +425,7 @@ pub fn interproc(files: &[FileWalk<'_>], include_intra: bool) -> Vec<InterprocFi
                 } else {
                     (LockFindingKind::HeldAcrossSend, format!("{what} can block while the caller's guard is held"))
                 };
-                push(kind, format!("interprocedural {verb}: holding {}", held_names(&site.call.held)), chain);
+                push(kind, format!("interprocedural {verb}: holding {}", held_list(&site.call.held)), chain);
             }
         }
     }
@@ -460,7 +461,7 @@ pub fn interproc(files: &[FileWalk<'_>], include_intra: bool) -> Vec<InterprocFi
                             if is_wait { LockFindingKind::HeldAcrossWait } else { LockFindingKind::HeldAcrossSend };
                         push(
                             kind,
-                            format!("{what} while holding {}", held_names(&site.held)),
+                            format!("{what} while holding {}", held_list(&site.held)),
                             format!("may block at {what}"),
                         );
                     }
