@@ -26,6 +26,7 @@ use crate::param::Param;
 use agl_tensor::ops::{leaky_relu, leaky_relu_grad, softmax_slice_inplace, Activation};
 use agl_tensor::rng::Rng;
 use agl_tensor::{init, Csr, ExecCtx, Matrix};
+use std::num::Saturating;
 
 /// How multiple heads are combined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,6 +103,16 @@ impl GatLayer {
             })
             .collect();
         Self { heads, combine, act, in_dim, head_dim }
+    }
+
+    /// Scalars [`GatLayer::new`] allocates, from the widths alone (saturating,
+    /// so unchecked widths cannot overflow it).
+    pub fn param_count(
+        in_dim: Saturating<u64>,
+        head_dim: Saturating<u64>,
+        n_heads: Saturating<u64>,
+    ) -> Saturating<u64> {
+        n_heads * (in_dim * head_dim + Saturating(3) * head_dim)
     }
 
     pub fn in_dim(&self) -> usize {

@@ -15,6 +15,7 @@ use crate::param::Param;
 use agl_tensor::ops::Activation;
 use agl_tensor::rng::Rng;
 use agl_tensor::{init, Csr, ExecCtx, Matrix};
+use std::num::Saturating;
 
 /// One graph-convolution layer.
 #[derive(Debug, Clone)]
@@ -40,6 +41,12 @@ impl GcnLayer {
             b: Param::new(format!("{name}.b"), Matrix::zeros(1, out_dim)),
             act,
         }
+    }
+
+    /// Scalars [`GcnLayer::new`] allocates, from the widths alone (saturating,
+    /// so unchecked widths cannot overflow it).
+    pub fn param_count(in_dim: Saturating<u64>, out_dim: Saturating<u64>) -> Saturating<u64> {
+        in_dim * out_dim + out_dim
     }
 
     pub fn in_dim(&self) -> usize {

@@ -27,6 +27,7 @@ use crate::param::Param;
 use agl_tensor::ops::{sigmoid, sigmoid_grad_from_output, softmax_slice_inplace};
 use agl_tensor::rng::Rng;
 use agl_tensor::{init, Csr, ExecCtx, Matrix};
+use std::num::Saturating;
 
 /// One GeniePath layer with hidden width `d` (state width `2d`).
 #[derive(Debug, Clone)]
@@ -108,6 +109,13 @@ impl GeniePathLayer {
             w_c,
             b_c,
         }
+    }
+
+    /// Scalars [`GeniePathLayer::new`] allocates, from the widths alone (saturating,
+    /// so unchecked widths cannot overflow it).
+    pub fn param_count(in_dim: Saturating<u64>, dim: Saturating<u64>) -> Saturating<u64> {
+        let w_x = if in_dim == Saturating(2) * dim { Saturating(0) } else { in_dim * dim };
+        Saturating(7) * dim * dim + Saturating(5) * dim + w_x
     }
 
     pub fn in_dim(&self) -> usize {

@@ -17,6 +17,7 @@ use crate::param::Param;
 use agl_tensor::ops::Activation;
 use agl_tensor::rng::Rng;
 use agl_tensor::{Csr, ExecCtx, Matrix};
+use std::num::Saturating;
 
 /// One GIN layer: ε plus a 2-layer MLP.
 #[derive(Debug, Clone)]
@@ -42,6 +43,12 @@ impl GinLayer {
             mlp1: DenseLayer::new(in_dim, out_dim, act, &format!("{name}.mlp1"), rng),
             mlp2: DenseLayer::new(out_dim, out_dim, act, &format!("{name}.mlp2"), rng),
         }
+    }
+
+    /// Scalars [`GinLayer::new`] allocates, from the widths alone (saturating,
+    /// so unchecked widths cannot overflow it).
+    pub fn param_count(in_dim: Saturating<u64>, out_dim: Saturating<u64>) -> Saturating<u64> {
+        Saturating(1) + DenseLayer::param_count(in_dim, out_dim) + DenseLayer::param_count(out_dim, out_dim)
     }
 
     pub fn in_dim(&self) -> usize {

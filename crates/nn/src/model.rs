@@ -14,6 +14,7 @@ use crate::sage::SageLayer;
 use agl_tensor::ops::{dropout_mask, Activation};
 use agl_tensor::rng::Rng;
 use agl_tensor::{seeded_rng, Csr, ExecCtx, Matrix};
+use std::num::Saturating;
 
 /// Which GNN architecture the model stacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,6 +83,31 @@ impl ModelConfig {
         self.seed = seed;
         self
     }
+
+    /// The parameter count [`GnnModel::new`] allocates for this config, from
+    /// each layer's `param_count` without building it. Saturating, so
+    /// unchecked header widths cannot overflow it; needs `n_layers >= 1`.
+    pub fn param_count(&self) -> u64 {
+        let h = Saturating(self.hidden_dim as u64);
+        let layer = |in_dim: Saturating<u64>| match self.kind {
+            ModelKind::Gcn => GcnLayer::param_count(in_dim, h),
+            ModelKind::Sage => SageLayer::param_count(in_dim, h),
+            ModelKind::Gin => GinLayer::param_count(in_dim, h),
+            ModelKind::GeniePath => GeniePathLayer::param_count(in_dim, h),
+            ModelKind::Gat { heads } => GatLayer::param_count(in_dim, h, Saturating(heads as u64)),
+        };
+        // Every layer after the first reads a hidden layer's output: GAT
+        // concats its heads there, and GeniePath packs `(h, C)`. The head
+        // reads the last layer's, where GAT averages its heads.
+        let (mid, last) = match self.kind {
+            ModelKind::Gat { heads } => (h * Saturating(heads as u64), h),
+            ModelKind::GeniePath => (Saturating(2) * h, Saturating(2) * h),
+            _ => (h, h),
+        };
+        let stacked = Saturating(self.n_layers as u64 - 1) * layer(mid);
+        let head = DenseLayer::param_count(last, Saturating(self.out_dim as u64));
+        (layer(Saturating(self.in_dim as u64)) + stacked + head).0
+    }
 }
 
 /// Result of one forward pass — holds everything `backward` needs.
@@ -148,7 +174,9 @@ impl GnnModel {
             layers.push(layer);
         }
         let head = DenseLayer::new(dim, cfg.out_dim, Activation::Linear, "head", &mut rng);
-        Self { cfg, layers, head }
+        let model = Self { cfg, layers, head };
+        debug_assert_eq!(model.param_count() as u64, model.cfg.param_count(), "ModelConfig::param_count");
+        model
     }
 
     pub fn config(&self) -> &ModelConfig {
@@ -381,6 +409,19 @@ mod tests {
                 last = loss;
             }
             assert!(last < first.unwrap() * 0.8, "{kind:?}: {first:?} -> {last}");
+        }
+    }
+
+    #[test]
+    fn config_param_count_matches_built_models() {
+        for kind in [ModelKind::Gcn, ModelKind::Sage, ModelKind::Gat { heads: 3 }, ModelKind::Gin, ModelKind::GeniePath]
+        {
+            // (in, hidden, out, layers); in = 2 * hidden skips GeniePath's input projection.
+            for (i, h, o, l) in [(5, 4, 3, 1), (5, 4, 3, 3), (8, 4, 2, 2), (1, 1, 1, 1)] {
+                let cfg = ModelConfig::new(kind, i, h, o, l, Loss::BceWithLogits);
+                let built = GnnModel::new(cfg.clone()).param_count() as u64;
+                assert_eq!(cfg.param_count(), built, "{kind:?} {i} {h} {o} {l}");
+            }
         }
     }
 

@@ -21,6 +21,7 @@ use crate::param::Param;
 use agl_tensor::ops::Activation;
 use agl_tensor::rng::Rng;
 use agl_tensor::{init, Csr, ExecCtx, Matrix};
+use std::num::Saturating;
 
 /// One GraphSAGE (mean, add-combine) layer.
 #[derive(Debug, Clone)]
@@ -49,6 +50,12 @@ impl SageLayer {
             b: Param::new(format!("{name}.b"), Matrix::zeros(1, out_dim)),
             act,
         }
+    }
+
+    /// Scalars [`SageLayer::new`] allocates, from the widths alone (saturating,
+    /// so unchecked widths cannot overflow it).
+    pub fn param_count(in_dim: Saturating<u64>, out_dim: Saturating<u64>) -> Saturating<u64> {
+        Saturating(2) * in_dim * out_dim + out_dim
     }
 
     pub fn in_dim(&self) -> usize {

@@ -111,35 +111,6 @@ pub fn model_to_bytes(model: &GnnModel) -> Vec<u8> {
     buf
 }
 
-/// The parameter count `GnnModel::new(cfg)` allocates, computed from the
-/// config alone (saturating, so a hostile header cannot overflow it). Valid
-/// only for `n_layers >= 1`.
-fn expected_param_count(cfg: &ModelConfig) -> u128 {
-    let (mul, add) = (u128::saturating_mul, u128::saturating_add);
-    let h = cfg.hidden_dim as u128;
-    let heads = match cfg.kind {
-        ModelKind::Gat { heads } => heads as u128,
-        _ => 1,
-    };
-    // One GNN layer reading `d` features (see each layer's `params()`).
-    let layer = |d: u128| match cfg.kind {
-        ModelKind::Gcn => add(mul(d, h), h),
-        ModelKind::Sage => add(mul(2 * d, h), h),
-        ModelKind::Gin => add(add(mul(d, h), mul(h, h)), 2 * h + 1),
-        ModelKind::GeniePath => add(add(mul(7 * h, h), 5 * h), if d == 2 * h { 0 } else { mul(d, h) }),
-        ModelKind::Gat { .. } => mul(heads, add(mul(d, h), 3 * h)),
-    };
-    // Widths a hidden layer hands the next layer, and the last one the head.
-    let (mid, last) = match cfg.kind {
-        ModelKind::Gat { .. } => (mul(h, heads), h),
-        ModelKind::GeniePath => (2 * h, 2 * h),
-        _ => (h, h),
-    };
-    let out = cfg.out_dim as u128;
-    let layers = add(layer(cfg.in_dim as u128), mul(cfg.n_layers as u128 - 1, layer(mid)));
-    add(layers, add(mul(last, out), out))
-}
-
 /// Rebuild a model from [`model_to_bytes`] output. Every header field is
 /// checked against the input's length before the model is allocated, so
 /// hostile or truncated bytes are an error, never a panic or a huge
@@ -185,8 +156,8 @@ pub fn model_from_bytes(mut input: &[u8]) -> Result<GnnModel, SerializeError> {
         _ => {}
     }
     let cfg = ModelConfig { kind, in_dim, hidden_dim, out_dim, n_layers, hidden_act, dropout, loss, seed };
-    let expected = expected_param_count(&cfg);
-    if n as u128 != expected {
+    let expected = cfg.param_count();
+    if n as u64 != expected {
         return Err(SerializeError(format!("param count {n} != expected {expected}")));
     }
     if input.len() as u64 != 4 * n as u64 {
@@ -234,19 +205,6 @@ mod tests {
     fn truncated_rejected() {
         let bytes = model_to_bytes(&trained_like_model(ModelKind::Gcn));
         assert!(model_from_bytes(&bytes[..bytes.len() - 3]).is_err());
-    }
-
-    #[test]
-    fn expected_param_count_matches_built_models() {
-        for kind in [ModelKind::Gcn, ModelKind::Sage, ModelKind::Gat { heads: 3 }, ModelKind::Gin, ModelKind::GeniePath]
-        {
-            // (in, hidden, out, layers); in = 2 * hidden skips GeniePath's input projection.
-            for (i, h, o, l) in [(5, 4, 3, 1), (5, 4, 3, 3), (8, 4, 2, 2), (1, 1, 1, 1)] {
-                let cfg = ModelConfig::new(kind, i, h, o, l, Loss::BceWithLogits);
-                let built = GnnModel::new(cfg.clone()).param_count() as u128;
-                assert_eq!(expected_param_count(&cfg), built, "{kind:?} {i} {h} {o} {l}");
-            }
-        }
     }
 
     /// Overwrite the little-endian u32 header field at `at`.
