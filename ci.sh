@@ -10,12 +10,13 @@
 #                      concurrency tests under ThreadSanitizer. Needs a
 #                      nightly toolchain with the rust-src component;
 #                      skips with a message when one is not installed.
-#                      Division of labor: the agl-lint atomics rule and the
-#                      debug-mode vector-clock tracker cover the orderings
-#                      the workspace's own abstractions mediate, every run;
-#                      TSan additionally checks raw std::sync usage and the
-#                      code paths the lexical analysis cannot see, at ~10x
-#                      runtime cost — hence opt-in rather than tier-1.
+#                      Division of labor: agl-lint's lock-order and atomics
+#                      rules prove the lock order and the atomics ordering
+#                      policy over every path, on every tier-1 run; TSan is
+#                      the only dynamic race check, covering the std::sync
+#                      and atomic traffic the executed tests reach, including
+#                      what a lexical pass cannot see, at ~10x runtime cost —
+#                      hence opt-in rather than tier-1.
 set -euo pipefail
 cd "$(dirname "$0")"
 

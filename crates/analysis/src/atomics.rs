@@ -28,10 +28,8 @@
 //! Findings in functions that run *on* a spawned thread only transitively
 //! (the closure calls them) carry a site-by-site call chain, rendered like
 //! the interprocedural lock findings. `// agl-lint: allow(atomics) — <why>`
-//! is the audited escape hatch; fields declared as `TrackedAtomic<…>` are
-//! exempt because the dynamic vector-clock tracker (`agl_ps::hb`) checks
-//! those at runtime — the static/dynamic split is documented in
-//! CONCURRENCY.md.
+//! is the audited escape hatch, and CONCURRENCY.md's ordering policy lists
+//! the arguments it may cite.
 //!
 //! Like the rest of the lint this is lexical, not semantic. Deliberate
 //! under-approximations: an access only counts as atomic when `Ordering::`
@@ -155,11 +153,7 @@ pub fn interproc(files: &[FileWalk<'_>]) -> Vec<AtomicFinding> {
         let any_on_thread =
             sites.iter().any(|s| g.node(s.fi, access(s).fn_idx).is_some_and(|n| on_thread.contains_key(&n)));
 
-        // Escape classification + display name + tracked exemption.
-        let (name, tracked, escape) = classify(key, files, &fields, &statics, &arc_types, any_in_spawn, any_on_thread);
-        if tracked {
-            continue; // TrackedAtomic — the dynamic vector-clock tracker owns it
-        }
+        let (name, escape) = classify(key, files, &fields, &arc_types, any_in_spawn, any_on_thread);
         let Escape::Yes(why) = escape else { continue };
 
         // (a) cross-thread Relaxed without a lock, fence, or sync ordering.
@@ -279,29 +273,23 @@ fn resolve_key(
     }
 }
 
-/// Display name, tracked exemption, and escape verdict for one identity.
+/// Display name and escape verdict for one identity.
 fn classify(
     key: &Key,
     files: &[FileWalk<'_>],
     fields: &[(usize, &FieldDecl)],
-    statics: &[(usize, &StaticDecl)],
     arc_types: &BTreeSet<&str>,
     any_in_spawn: bool,
     any_on_thread: bool,
-) -> (String, bool, Escape) {
+) -> (String, Escape) {
     match key {
         Key::Unres(..) => (
             "<unresolved receiver>".to_string(),
-            false,
             Escape::Yes("receiver not resolvable to a declaration; conservatively treated as shared".to_string()),
         ),
-        Key::Static(name) => {
-            let tracked = statics.iter().any(|(_, d)| d.name == *name && d.tracked);
-            (name.clone(), tracked, Escape::Yes("a static is reachable from every thread".to_string()))
-        }
+        Key::Static(name) => (name.clone(), Escape::Yes("a static is reachable from every thread".to_string())),
         Key::Field(owner, name) => {
             let decl = fields.iter().map(|&(_, d)| d).find(|d| d.owner == *owner && d.name == *name);
-            let tracked = decl.is_some_and(|d| d.tracked);
             let display = match owner {
                 Some(o) => format!("{o}::{name}"),
                 None => name.clone(),
@@ -317,17 +305,16 @@ fn classify(
             } else {
                 Escape::No
             };
-            (display, tracked, escape)
+            (display, escape)
         }
         Key::Local(fi, fk, name) => {
             let decl = files[*fi].walk.locals.iter().find(|l| l.name == *name && l.fn_idx.unwrap_or(usize::MAX) == *fk);
-            let tracked = decl.is_some_and(|l| l.tracked);
             let escape = if decl.is_some_and(|l| !l.in_spawn) && any_in_spawn {
                 Escape::Yes("captured by a spawn closure".to_string())
             } else {
                 Escape::No
             };
-            (name.clone(), tracked, escape)
+            (name.clone(), escape)
         }
     }
 }
@@ -395,12 +382,6 @@ mod tests {
     #[test]
     fn seqcst_fence_sanctions_relaxed() {
         let src = "impl S {\n    fn f(&self) {\n        self.hits.fetch_add(1, Ordering::Relaxed);\n        std::sync::atomic::fence(Ordering::SeqCst);\n    }\n}\nstruct S {\n    hits: Arc<AtomicU64>,\n}\n";
-        assert!(findings(src).is_empty(), "{:?}", findings(src));
-    }
-
-    #[test]
-    fn tracked_atomic_field_exempt() {
-        let src = "impl S {\n    fn f(&self) {\n        self.hits.fetch_add(1, Ordering::Relaxed);\n    }\n}\nstruct S {\n    hits: TrackedAtomic<Arc<AtomicU64>>,\n}\n";
         assert!(findings(src).is_empty(), "{:?}", findings(src));
     }
 

@@ -15,7 +15,7 @@
 //! * **One source walk** ([`walk`](mod@walk)): a single pass over each
 //!   in-scope file's code channel records what the concurrency passes judge —
 //!   function definitions and call sites (the workspace **call graph**, with
-//!   the guards held at each call), tracked lock acquisitions, raw locks,
+//!   the guards held at each call), wrapper lock acquisitions, raw locks,
 //!   blocking operations, hot-loop allocations, atomic declarations and
 //!   accesses, fences, and spawn/scope blocks. A lint run walks each file at
 //!   most once, whichever rules read it.
@@ -29,26 +29,19 @@
 //!   *across* function boundaries — the `lock-order/interproc` rule, whose
 //!   findings name the full call chain site by site. The `no-hot-alloc`
 //!   rule reads the walk's allocations inside the loop bodies of the
-//!   aggregation/reducer hot functions. The dynamic complement is
-//!   [`LockOrderTracker`] (re-exported from `agl_ps::locks`): debug builds
-//!   record every real acquisition edge and abort on the first cycle. The
-//!   whole model is written up in the repository's `CONCURRENCY.md`.
+//!   aggregation/reducer hot functions. This is the one proof of the lock
+//!   order: `agl-ps` holds plain `std::sync::Mutex`es behind the wrappers.
+//!   The whole model is written up in the repository's `CONCURRENCY.md`.
 //! * **Happens-before pass** ([`atomics`]): classifies every atomic the walk
 //!   saw as thread-local or cross-thread (spawn captures, statics,
 //!   `Arc`-reachable owners, spawn-reachability over the call graph), and
 //!   flags unordered `Relaxed` traffic, mixed orderings, and non-atomic
-//!   spawn-write/outside-read pairs — the `atomics` rule. Its dynamic
-//!   complement is `agl_ps::hb`: per-thread vector clocks advanced at
-//!   `TrackedMutex` acquire/release and spawn/join, with a
-//!   `TrackedAtomic<…>` wrapper (exempt from the static rule) that aborts
-//!   debug builds on concurrent unordered conflicting accesses, naming both
-//!   sites.
-//! * **Plan-level verifiers**: [`ConflictFreedomVerifier`] proves an
+//!   spawn-write/outside-read pairs — the `atomics` rule. ThreadSanitizer
+//!   (`./ci.sh --sanitize`, opt-in) is the only dynamic race check.
+//! * **Plan-level verifier**: [`ConflictFreedomVerifier`] proves an
 //!   [`agl_tensor::EdgePartition`] is pairwise disjoint, covering, and
 //!   nnz-balanced before threads spawn (the dynamic complement is
-//!   `agl_tensor::partition::WriteSetTracker`), and
-//!   [`JobPlanValidator`] (re-exported from `agl_mapreduce::plan`)
-//!   validates K-round MapReduce pipelines at construction.
+//!   `agl_tensor::partition::WriteSetTracker`).
 //!
 //! A workspace integration test runs the linter over the entire repo, so a
 //! violation anywhere fails tier-1.
@@ -71,12 +64,3 @@ pub use lockgraph::{
 };
 pub use rules::{crate_registry, crate_rule_by_name, registry, rule_by_name, CrateRule, Diagnostic, FileView, Rule};
 pub use walk::{walk, AllocSite, FileWalk, Walk};
-
-// The runtime halves of the concurrency-safety story, re-exported so
-// callers find the whole analysis surface in one crate.
-pub use agl_ps::hb::{Handoff, HbTracker, JoinPool, TrackedAtomic};
-pub use agl_ps::locks::{LockClass, LockOrderTracker, TrackedGuard, TrackedMutex};
-
-// The mapreduce-side plan verifier, re-exported so callers find the whole
-// analysis surface in one crate.
-pub use agl_mapreduce::plan::{JobPlan, JobPlanValidator, PlanError, RoundPlan, WireSig};

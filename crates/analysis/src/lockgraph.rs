@@ -6,11 +6,9 @@
 //!
 //! > barrier (rank 0) → versions (rank 1) → shard *i* (rank 2+i, ascending)
 //!
-//! The dynamic half of the proof is `agl_ps::locks::LockOrderTracker`
-//! (cycle detection over *observed* edges, debug builds). This module is
-//! the static half. The shared [`walk`](mod@crate::walk) records every
-//! tracked acquisition with the guards lexically held at it, every
-//! potentially blocking operation with the guards held across it, and
+//! This module proves that order. The shared [`walk`](mod@crate::walk)
+//! records every tracked acquisition with the guards lexically held at it,
+//! every potentially blocking operation with the guards held across it, and
 //! every raw lock; [`analyze`] judges those sites function by function and
 //! reports:
 //!
@@ -24,12 +22,13 @@
 //! * **lock-held-across-wait** — a condvar `guard.wait(…)` /
 //!   `guard.wait_while(…)` while holding any *other* guard. The receiver
 //!   itself is exempt: a condvar wait atomically releases the receiver's
-//!   lock and reacquires it before returning (`TrackedGuard::wait_while`
-//!   keeps the dynamic tracker's held-set entry alive for exactly this
-//!   reason), so the receiver is *not* held across the block — but every
-//!   other guard stays locked while the thread sleeps;
+//!   lock and reacquires it before returning, so the receiver is *not* held
+//!   across the block — but every other guard stays locked while the thread
+//!   sleeps. std's `cv.wait_while(guard, …)` releases its first argument
+//!   the same way;
 //! * **untracked locks** — raw `.lock()` / `lock_ignoring_poison(…)` that
-//!   bypass the tracked wrappers (and hence the dynamic tracker).
+//!   bypass the tracked wrappers, anywhere but inside the wrappers' own
+//!   bodies.
 //!
 //! # Interprocedural analysis
 //!
@@ -185,8 +184,8 @@ pub fn analyze(walk: &Walk) -> Analysis {
             LockOp::Untracked(what) => (
                 LockFindingKind::UntrackedLock,
                 format!(
-                    "raw {what} bypasses the tracked acquisition wrappers (and the debug-mode \
-                     LockOrderTracker); use lock_barrier/lock_versions/lock_shard"
+                    "raw {what} bypasses the tracked acquisition wrappers; use \
+                     lock_barrier/lock_versions/lock_shard"
                 ),
             ),
         };
@@ -598,6 +597,35 @@ mod tests {
     }
 
     #[test]
+    fn std_condvar_wait_on_its_guard_argument_is_clean() {
+        // std's form: the condvar is the receiver and the guard the first
+        // argument — on one line, and as rustfmt splits it.
+        for wait in [
+            "    v = self.ssp_cv.wait_while(v, |vt| vt.blocked()).unwrap_or_else(PoisonError::into_inner);\n",
+            "    v = self\n        .ssp_cv\n        .wait_while(v, |vt| vt.blocked())\n        .unwrap_or_else(PoisonError::into_inner);\n",
+        ] {
+            let src = format!("fn push(&self) {{\n    let mut v = self.lock_versions();\n{wait}    let sh = self.lock_shard(0);\n}}\n");
+            let a = locks(&src);
+            assert!(a.lock_findings.is_empty(), "{:?}", a.lock_findings);
+            // The guard survives the wait.
+            assert_eq!(a.edges.len(), 1);
+            assert_eq!(a.edges[0].from, LockSym::Versions);
+        }
+    }
+
+    #[test]
+    fn std_condvar_wait_holding_another_guard_reports_only_it() {
+        let src = "fn bad(&self) {\n    let b = self.lock_barrier();\n    let v = self.lock_versions();\n    let v = self.cv.wait_while(v, |s| s.busy).unwrap_or_else(PoisonError::into_inner);\n}\n";
+        let a = locks(src);
+        assert_eq!(a.lock_findings.len(), 1, "{:?}", a.lock_findings);
+        let f = &a.lock_findings[0];
+        assert_eq!(f.kind, LockFindingKind::HeldAcrossWait);
+        assert_eq!(f.line, 3);
+        assert!(f.message.contains("still holding barrier (line 2) while parked"), "{}", f.message);
+        assert!(!f.message.contains("versions"), "{}", f.message);
+    }
+
+    #[test]
     fn recv_while_holding_is_caught_but_join_is_not() {
         let bad = "fn bad(&self, rx: &Receiver<u8>) {\n    let g = self.lock_versions();\n    let x = rx.recv();\n}\n";
         let a = locks(bad);
@@ -616,6 +644,24 @@ mod tests {
         let a = locks(src);
         assert_eq!(a.lock_findings.len(), 2);
         assert!(a.lock_findings.iter().all(|f| f.kind == LockFindingKind::UntrackedLock));
+    }
+
+    #[test]
+    fn raw_lock_inside_a_wrapper_body_is_clean() {
+        let src = "impl Ps {\n    fn lock_shard(&self, i: usize) -> MutexGuard<'_, Shard> {\n        self.shards[i].lock().unwrap_or_else(PoisonError::into_inner)\n    }\n}\n";
+        let a = locks(src);
+        assert!(a.lock_findings.is_empty(), "{:?}", a.lock_findings);
+        assert!(a.edges.is_empty());
+    }
+
+    #[test]
+    fn raw_lock_outside_the_wrapper_bodies_is_still_untracked() {
+        let src = "impl Ps {\n    fn lock_versions(&self) -> MutexGuard<'_, VersionTable> {\n        self.versions.lock().unwrap_or_else(PoisonError::into_inner)\n    }\n    fn peek(&self) -> u64 {\n        self.versions.lock().unwrap_or_else(PoisonError::into_inner).global_step\n    }\n}\n";
+        let a = locks(src);
+        assert_eq!(a.lock_findings.len(), 1, "{:?}", a.lock_findings);
+        let f = &a.lock_findings[0];
+        assert_eq!(f.kind, LockFindingKind::UntrackedLock);
+        assert_eq!((f.line, f.func.as_str()), (5, "peek"));
     }
 
     #[test]

@@ -72,8 +72,7 @@
 //! declared `static`, or reachable through an `Arc`) must not be accessed
 //! `Relaxed` without a lock, `SeqCst` fence, or acquire/release pairing;
 //! mixed orderings on one atomic and non-atomic spawn-write/outside-read
-//! pairs are flagged too. `TrackedAtomic<…>` declarations are exempt — the
-//! dynamic vector-clock tracker (`agl_ps::hb`) owns those at runtime:
+//! pairs are flagged too:
 //! ```text
 //! std::thread::scope(|s| {
 //!     s.spawn(|| {
@@ -275,9 +274,7 @@ pub fn crate_registry() -> &'static [CrateRule] {
                           over the workspace call graph); a cross-thread Relaxed access with \
                           no lock, SeqCst fence, or acquire/release pairing is flagged, as \
                           are mixed orderings on one atomic and non-atomic variables written \
-                          in a spawn closure but read outside it with no join on the path; \
-                          TrackedAtomic<…> declarations are exempt (the agl_ps::hb \
-                          vector-clock tracker checks those at runtime)",
+                          in a spawn closure but read outside it with no join on the path",
             example: "std::thread::scope(|s| {\n    s.spawn(|| {\n        self.ready.store(1, Ordering::Relaxed);   // <-- atomics\n    });\n});",
             check: check_atomics,
         },
@@ -383,26 +380,16 @@ fn check_no_raw_spawn(view: &FileView) -> Vec<Diagnostic> {
             continue;
         }
         if code.contains("thread::spawn") {
-            out.push(diag(
-                view,
-                "no-raw-spawn",
-                i,
-                "raw thread::spawn outside a sanctioned executor module".to_string(),
-            ));
+            out.push(diag(view, "no-raw-spawn", i, "raw thread::spawn in library code".to_string()));
         }
     }
     out
 }
 
-/// The dynamic trackers themselves are the modules allowed to touch raw
-/// locks (they *implement* the tracked wrappers): the lock-order tracker
-/// and the vector-clock happens-before tracker.
-const LOCK_IMPL: &[&str] = &["crates/ps/src/locks.rs", "crates/ps/src/hb.rs"];
-
 /// Is this file in scope for the lock-order rules? (`agl-ps` library
-/// sources, minus the tracker implementations, which *are* the wrappers.)
+/// sources.)
 fn in_lock_scope(view: &FileView) -> bool {
-    view.path.starts_with("crates/ps/src/") && !LOCK_IMPL.contains(&view.path) && !view.is_exempt_target()
+    view.path.starts_with("crates/ps/src/") && !view.is_exempt_target()
 }
 
 fn check_lock_order(view: &FileView) -> Vec<Diagnostic> {
@@ -435,19 +422,12 @@ fn check_lock_order_interproc(views: &[FileView]) -> Vec<Diagnostic> {
         .collect()
 }
 
-/// Is this file in scope for the atomics pass? All library sources — the
-/// audited atomic sites span ps, obs, tensor, and mapreduce — except the
-/// vector-clock tracker itself, which implements `TrackedAtomic` and
-/// manipulates raw atomics and orderings by design.
-fn in_atomics_scope(view: &FileView) -> bool {
-    view.path != "crates/ps/src/hb.rs" && !view.is_exempt_target()
-}
-
-/// The happens-before atomics pass over every in-scope file: receiver
-/// resolution, Arc/static/spawn escape analysis and spawn-reachability over
-/// the call graph, then judgement of the sites.
+/// The happens-before atomics pass over every library source — the audited
+/// atomic sites span ps, obs, tensor, and mapreduce: receiver resolution,
+/// Arc/static/spawn escape analysis and spawn-reachability over the call
+/// graph, then judgement of the sites.
 fn check_atomics(views: &[FileView]) -> Vec<Diagnostic> {
-    let files: Vec<FileWalk> = views.iter().filter(|v| in_atomics_scope(v)).map(FileView::file_walk).collect();
+    let files: Vec<FileWalk> = views.iter().filter(|v| !v.is_exempt_target()).map(FileView::file_walk).collect();
     atomics::interproc(&files)
         .into_iter()
         .map(|f| Diagnostic {
@@ -572,10 +552,9 @@ mod tests {
         assert_eq!(d[0].rule, "lock-order");
         assert_eq!(d[0].line, 3);
         assert!(d[0].message.contains("fn bad"), "{}", d[0].message);
-        // Out of scope: other crates, the tracker implementation, tests.
+        // Out of scope: other crates, tests.
         assert!(lint_one("crates/trainer/src/dist.rs", src).is_empty());
-        assert!(lint_one("crates/ps/src/locks.rs", src).is_empty());
-        assert!(lint_one("crates/ps/tests/lock_order.rs", src).is_empty());
+        assert!(lint_one("crates/ps/tests/ssp.rs", src).is_empty());
     }
 
     #[test]
@@ -602,7 +581,9 @@ mod tests {
     #[test]
     fn raw_spawn_flagged_outside_sanctioned() {
         let src = "fn f() { std::thread::spawn(|| {}); }\n";
-        assert_eq!(lint_one("crates/ps/src/foo.rs", src).len(), 1);
+        let d = lint_one("crates/ps/src/foo.rs", src);
+        assert_eq!(d.len(), 1);
+        assert_eq!(d[0].message, "raw thread::spawn in library code");
         assert_eq!(lint_one("crates/trainer/src/pipeline.rs", src).len(), 1);
         // Scoped spawns are fine.
         let scoped = "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n";

@@ -30,11 +30,15 @@
 //! Guards come in two kinds. The tracked wrappers carry a [`LockSym`]; they
 //! are all the lock-order rules see. Raw `.lock()`, `.read()`, `.write()`,
 //! `.acquire()` and `lock_ignoring_poison(…)` guards are anonymous: they only
-//! sanction `Relaxed` atomics. A `let`-bound guard lives to the end of its
-//! block or to an explicit `drop(ident)`; any other guard is a temporary
-//! that dies at the end of its statement. A condvar `guard.wait(…)` /
-//! `guard.wait_while(…)` releases and reacquires its receiver, so the
-//! receiver is not held across it; every other tracked guard is.
+//! sanction `Relaxed` atomics. A raw `.lock()` is recorded as an untracked
+//! lock site except inside the bodies of the wrappers themselves, which are
+//! where the raw locks are meant to be. A `let`-bound guard lives to the end
+//! of its block or to an explicit `drop(ident)`; any other guard is a
+//! temporary that dies at the end of its statement. A condvar wait releases
+//! and reacquires one guard, so that guard is not held across it; every
+//! other tracked guard is. The released guard is the receiver of
+//! `guard.wait_while(&cv, …)`, or the first argument of std's
+//! `cv.wait_while(guard, …)`.
 //!
 //! Like the rest of the lint this is lexical, not semantic: an access only
 //! counts as atomic when `Ordering::` appears later on the same line, and
@@ -80,7 +84,7 @@ pub struct Call {
     pub target: CallTarget,
     /// 0-based line of the call.
     pub line: usize,
-    /// Tracked guards held when the call executes.
+    /// Wrapper guards held when the call executes.
     pub held: Vec<HeldLock>,
     /// The call is lexically inside a `spawn(…)` closure.
     pub in_spawn: bool,
@@ -99,7 +103,8 @@ pub enum LockOp {
         /// A condvar wait, as opposed to send/recv/spawn.
         is_wait: bool,
     },
-    /// A raw `.lock()` / `lock_ignoring_poison(…)` (display token).
+    /// A raw `.lock()` / `lock_ignoring_poison(…)` outside the wrapper
+    /// bodies (display token).
     Untracked(&'static str),
 }
 
@@ -112,7 +117,7 @@ pub struct LockSite {
     pub line: usize,
     /// What the site does.
     pub op: LockOp,
-    /// Tracked guards held (see [`LockOp`]); empty for `Untracked`.
+    /// Wrapper guards held (see [`LockOp`]); empty for `Untracked`.
     pub held: Vec<HeldLock>,
 }
 
@@ -226,8 +231,6 @@ pub struct FieldDecl {
     pub name: String,
     /// 0-based line of the declaration.
     pub line: usize,
-    /// Declared as `TrackedAtomic<…>` — checked dynamically, exempt here.
-    pub tracked: bool,
     /// The declared type itself contains `Arc<` (shared by construction).
     pub arc_in_decl: bool,
 }
@@ -239,8 +242,6 @@ pub struct StaticDecl {
     pub name: String,
     /// 0-based line of the declaration.
     pub line: usize,
-    /// Declared as `TrackedAtomic<…>`.
-    pub tracked: bool,
 }
 
 /// A `let`-bound atomic local.
@@ -252,8 +253,6 @@ pub struct LocalDecl {
     pub name: String,
     /// 0-based line of the binding.
     pub line: usize,
-    /// Declared as `TrackedAtomic<…>`.
-    pub tracked: bool,
     /// The binding itself sits inside a spawn closure (per-thread, so its
     /// spawn-region accesses do not make it escape).
     pub in_spawn: bool,
@@ -280,7 +279,7 @@ pub struct Walk {
     pub fns: Vec<FnDef>,
     /// Call sites.
     pub calls: Vec<Call>,
-    /// Tracked acquisitions, blocking operations and raw locks, in order.
+    /// Wrapper acquisitions, blocking operations and raw locks, in order.
     pub locks: Vec<LockSite>,
     /// Allocation tokens in loops of the hot functions passed to [`walk`].
     pub alloc_sites: Vec<AllocSite>,
@@ -320,6 +319,10 @@ const RMW_TOKENS: &[&str] = &[
     ".compare_exchange_weak(",
     ".compare_exchange(",
 ];
+
+/// The tracked acquisition wrappers: calling one acquires its lock, and its
+/// body is where the raw lock it wraps is taken.
+const LOCK_WRAPPERS: [&str; 3] = ["lock_barrier", "lock_versions", "lock_shard"];
 
 /// Raw guard-producing method tokens (any receiver).
 const RAW_GUARDS: &[&str] = &[".lock()", ".read()", ".write()", ".acquire()"];
@@ -399,9 +402,12 @@ pub fn walk(scanned: &ScannedFile, hot_fns: &[&str]) -> Walk {
                     w.guards.retain(|g| g.name.is_some());
                     w.stmt.clear();
                 }
+                // Leading whitespace is not part of a statement, so the
+                // statement's line is the line of its first token.
+                _ if w.stmt.is_empty() && c.is_whitespace() => {}
                 _ => {
                     w.token(&line[p..], lineno);
-                    if w.stmt.is_empty() && !c.is_whitespace() {
+                    if w.stmt.is_empty() {
                         w.stmt_line = lineno;
                     }
                     w.stmt.push(c);
@@ -435,7 +441,7 @@ impl Walker<'_> {
         self.fn_stack.last().map(|&(_, i)| i)
     }
 
-    /// The tracked guards currently held.
+    /// The wrapper guards currently held.
     fn held(&self) -> Vec<HeldLock> {
         self.guards.iter().filter_map(|g| Some(HeldLock { sym: g.sym?, line: g.line })).collect()
     }
@@ -528,7 +534,7 @@ impl Walker<'_> {
             }
         }
 
-        // ---- Tracked acquisitions ------------------------------------------
+        // ---- Wrapper acquisitions ------------------------------------------
         let acquired = if !boundary || is_definition {
             None
         } else if rest.starts_with("lock_barrier(") {
@@ -555,17 +561,21 @@ impl Walker<'_> {
             return;
         }
 
-        // ---- Condvar waits: the receiver is released and reacquired; every
+        // ---- Condvar waits: one guard is released and reacquired; every
         // other tracked guard stays locked while the thread is parked.
-        if rest.starts_with(".wait(") || rest.starts_with(".wait_while(") {
+        if let Some(args) = rest.strip_prefix(".wait(").or_else(|| rest.strip_prefix(".wait_while(")) {
             let what = if rest.starts_with(".wait_while(") { ".wait_while(…)" } else { ".wait(…)" };
             let tracked: Vec<&Guard> = self.guards.iter().filter(|g| g.sym.is_some()).collect();
-            let recv = match trailing_ident(stmt) {
-                Some(ident) => tracked.iter().rposition(|g| g.name.as_deref() == Some(&ident)),
-                // `self.lock_x().wait_while(…)`: the receiver is the temporary.
+            let named = |ident: &str| tracked.iter().rposition(|g| g.name.as_deref() == Some(ident));
+            // The receiver — `guard.wait_while(&cv, …)`, or the temporary of
+            // `self.lock_x().wait_while(…)` — else std's first argument,
+            // `cv.wait_while(guard, …)`.
+            let receiver = match trailing_ident(stmt) {
+                Some(ident) => named(&ident),
                 None => tracked.iter().rposition(|g| g.name.is_none()),
             };
-            let others = self.held().into_iter().enumerate().filter(|&(i, _)| Some(i) != recv).map(|(_, h)| h);
+            let released = receiver.or_else(|| named(&leading_ident(args)));
+            let others = self.held().into_iter().enumerate().filter(|&(i, _)| Some(i) != released).map(|(_, h)| h);
             self.out.locks.push(site(LockOp::Block { what, is_wait: true }, others.collect()));
             return;
         }
@@ -583,7 +593,10 @@ impl Walker<'_> {
         }
 
         // ---- Raw locks: untracked sites, and anonymous guards ---------------
-        let untracked = if rest.starts_with(".lock()") {
+        let in_wrapper = fn_idx.is_some_and(|k| LOCK_WRAPPERS.contains(&self.out.fns[k].name.as_str()));
+        let untracked = if in_wrapper {
+            None
+        } else if rest.starts_with(".lock()") {
             Some(".lock()")
         } else {
             (boundary && rest.starts_with("lock_ignoring_poison(")).then_some("lock_ignoring_poison(…)")
@@ -644,7 +657,6 @@ impl Walker<'_> {
                     fn_idx: self.fn_idx(),
                     name: name.clone(),
                     line: self.stmt_line,
-                    tracked: s.contains("TrackedAtomic"),
                     in_spawn: spawn.is_some(),
                 });
             }
@@ -863,6 +875,11 @@ fn let_binding_name(stmt: &str) -> Option<String> {
     (after.starts_with('=') || after.starts_with(':')).then_some(ident)
 }
 
+/// The identifier `s` starts with (empty when it starts with anything else).
+fn leading_ident(s: &str) -> String {
+    s.trim_start().chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect()
+}
+
 /// The identifier the statement currently ends with (the receiver of a
 /// method call about to be scanned), if any.
 fn trailing_ident(stmt: &str) -> Option<String> {
@@ -909,11 +926,7 @@ fn parse_static(s: &str, line: usize) -> Option<StaticDecl> {
         return None;
     }
     let rest = &s[name.len()..];
-    (rest.trim_start().starts_with(':') && rest.contains("Atomic")).then(|| StaticDecl {
-        name,
-        line,
-        tracked: rest.contains("TrackedAtomic"),
-    })
+    (rest.trim_start().starts_with(':') && rest.contains("Atomic")).then_some(StaticDecl { name, line })
 }
 
 /// A struct field `name: …Atomic…` on one source line.
@@ -928,13 +941,7 @@ fn parse_field(code: &str, owner: &str, line: usize) -> Option<FieldDecl> {
     if !rest.starts_with(':') || !rest.contains("Atomic") {
         return None;
     }
-    Some(FieldDecl {
-        owner: Some(owner.to_string()),
-        name,
-        line,
-        tracked: rest.contains("TrackedAtomic"),
-        arc_in_decl: rest.contains("Arc<"),
-    })
+    Some(FieldDecl { owner: Some(owner.to_string()), name, line, arc_in_decl: rest.contains("Arc<") })
 }
 
 /// Strip a leading `pub` / `pub(crate)` / `pub(in …)` visibility.

@@ -205,7 +205,7 @@ fn seeded_hot_loop_allocation_fails_with_file_line() {
 // ---------------------------------------------------------------------------
 // Interprocedural lock-order fixtures. Each of the "bad" shapes below passes
 // the per-function pass (no single function misorders anything lexically)
-// and would only be caught at runtime by `LockOrderTracker` — the static
+// and deadlocks only under an unlucky interleaving — the static
 // `lock-order/interproc` rule must prove them from the call graph alone.
 // ---------------------------------------------------------------------------
 

@@ -24,8 +24,8 @@ use agl_graph::{EdgeTable, NodeId, NodeTable, Subgraph};
 use agl_mapreduce::codec::{get_f32, get_f32s, get_u64, get_u8, put_f32, put_f32s, put_u64, put_u8, Codec};
 use agl_mapreduce::hash::fnv1a;
 use agl_mapreduce::{
-    Counters, DistOptions, Endpoint, EngineConfig, FaultPlan, JobConfig, JobError, JobPlan, KeyValue, MapReduceJob,
-    Mapper, Placement, Reducer, RemoteWorkers, SpillMode, WireSig,
+    Counters, DistOptions, Endpoint, EngineConfig, FaultPlan, JobConfig, JobError, KeyValue, MapReduceJob, Mapper,
+    Placement, Reducer, RemoteWorkers, SpillMode,
 };
 use agl_tensor::rng::derive_seed;
 use std::collections::{HashMap, HashSet};
@@ -491,9 +491,6 @@ impl GraphFlat {
             parallelism: self.cfg.engine.parallelism,
             fault_plan: self.cfg.fault_plan.clone(),
             spill: self.cfg.spill.clone(),
-            // Every boundary of the K+1 rounds carries FlatKey/FlatMsg
-            // records; debug builds verify the chain at construction.
-            plan: Some(JobPlan::homogeneous(WireSig("flat-key/flat-msg"), self.cfg.k_hops + 1)),
             obs: self.cfg.engine.obs.clone(),
             ..JobConfig::default()
         }

@@ -16,8 +16,8 @@ use agl_graph::{EdgeTable, NodeId, NodeTable};
 use agl_mapreduce::codec::{get_f32, get_f32s, get_u64, get_u8, put_f32, put_f32s, put_u64, put_u8, Codec};
 use agl_mapreduce::hash::fnv1a;
 use agl_mapreduce::{
-    Counters, EngineConfig, FaultPlan, JobConfig, JobError, JobPlan, KeyValue, MapReduceJob, Mapper, Placement,
-    Reducer, ShuffleCombiner, SpillMode, WireSig,
+    Counters, EngineConfig, FaultPlan, JobConfig, JobError, KeyValue, MapReduceJob, Mapper, Placement, Reducer,
+    ShuffleCombiner, SpillMode,
 };
 use agl_nn::{DenseLayer, GnnLayer, GnnModel, Loss, ModelSlice, NeighborView};
 use agl_tensor::rng::derive_seed;
@@ -380,8 +380,6 @@ impl InferJob<'_> {
             parallelism: engine.parallelism,
             fault_plan: self.cfg.fault_plan.clone(),
             spill: self.cfg.spill.clone(),
-            // join + K slice rounds + prediction all speak InferMsg.
-            plan: Some(JobPlan::homogeneous(WireSig("infer-key/infer-msg"), self.rounds)),
             obs: engine.obs.clone(),
             ..JobConfig::default()
         };

@@ -14,7 +14,7 @@ use agl_baseline::FullGraphEngine;
 use agl_flat::FlatConfig;
 use agl_graph::{EdgeTable, Graph, NodeId, NodeTable};
 use agl_infer::{GraphInfer, InferConfig, OriginalInference};
-use agl_mapreduce::{FaultPlan, TaskId};
+use agl_mapreduce::{FaultPlan, JobError, SpillMode, TaskId};
 use agl_nn::{GnnModel, Loss, ModelConfig, ModelKind};
 use agl_tensor::rng::Rng;
 use agl_tensor::{seeded_rng, Matrix};
@@ -144,6 +144,33 @@ fn inference_is_fault_tolerant() {
     };
     let faulty = GraphInfer::new(cfg).run(&model, &nodes, &edges).unwrap();
     assert_eq!(clean.scores, faulty.scores);
+}
+
+/// A spill directory no partition file can be written under is a typed
+/// error before any task runs, in every build. An empty path would
+/// otherwise put the files in the working directory.
+#[test]
+fn unusable_spill_directory_is_an_error_not_a_panic() {
+    let (nodes, edges) = random_tables(20, 2, 3, 13);
+    let model = trained_like(ModelKind::Sage, 3, 2);
+    let file = std::env::temp_dir().join(format!("agl-spill-file-{}", std::process::id()));
+    std::fs::write(&file, b"not a directory").unwrap();
+    let spill_files_here = || {
+        std::fs::read_dir(".")
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().starts_with("part-r"))
+            .count()
+    };
+    for dir in [std::path::PathBuf::new(), file.clone()] {
+        let cfg = InferConfig { spill: SpillMode::Disk(dir.clone()), ..InferConfig::default() };
+        let err = GraphInfer::new(cfg).run(&model, &nodes, &edges).err();
+        assert!(
+            matches!(&err, Some(JobError::Io(e)) if e.kind() == std::io::ErrorKind::InvalidInput),
+            "{dir:?}: {err:?}"
+        );
+        assert_eq!(spill_files_here(), 0, "{dir:?}: spill files written to the working directory");
+    }
+    std::fs::remove_file(&file).unwrap();
 }
 
 #[test]

@@ -181,11 +181,10 @@ pub struct JobConfig {
     pub max_attempts: usize,
     /// Injected failures of local tasks (tests/chaos runs).
     pub fault_plan: FaultPlan,
-    /// Where pending shuffle partitions wait.
+    /// Where pending shuffle partitions wait. A `Disk` directory must be
+    /// non-empty and must not be an existing file; a run with one that
+    /// is fails with [`JobError::Io`] before any task runs.
     pub spill: SpillMode,
-    /// Declared pipeline shape, validated at construction in debug builds
-    /// (see [`crate::plan::JobPlanValidator`]).
-    pub plan: Option<crate::plan::JobPlan>,
     /// Double-run a sampled subset of each local reduce task's **real**
     /// groups with reordered values and require an identical emission
     /// multiset (see [`crate::plan::check_group_reorder_determinism`]).
@@ -213,7 +212,6 @@ impl Default for JobConfig {
             max_attempts: 4,
             fault_plan: FaultPlan::none(),
             spill: SpillMode::InMemory,
-            plan: None,
             verify_determinism: cfg!(debug_assertions),
             obs: agl_obs::Obs::default(),
             metrics_flush_every: 4,
@@ -528,11 +526,6 @@ pub struct MapReduceJob {
 impl MapReduceJob {
     pub fn new(cfg: JobConfig) -> Self {
         assert!(cfg.map_tasks > 0 && cfg.reduce_tasks > 0 && cfg.parallelism > 0 && cfg.max_attempts > 0);
-        #[cfg(debug_assertions)]
-        if let Some(plan) = &cfg.plan {
-            let checked = crate::plan::JobPlanValidator::new(plan).validate(&cfg);
-            assert!(checked.is_ok(), "invalid job plan: {}", checked.err().map(|e| e.to_string()).unwrap_or_default());
-        }
         Self { cfg, counters: None }
     }
 
@@ -572,6 +565,7 @@ impl MapReduceJob {
         worker_spec: &dyn Fn() -> Vec<u8>,
     ) -> Result<JobResult, JobError> {
         let cfg = &self.cfg;
+        cfg.spill.check().map_err(JobError::Io)?;
         let obs = &cfg.obs;
         let counters = self.counters.clone().unwrap_or_else(|| Counters::for_obs(obs));
         let (r_parts, rounds) = (cfg.reduce_tasks, cfg.reduce_rounds);
@@ -595,10 +589,9 @@ impl MapReduceJob {
             combiner,
             rounds,
             r_parts,
-            // The sampled double-run only ever fires in debug builds (the
-            // same builds that run plan validation); `cfg!` keeps release
-            // binaries free of the clone-the-group cost even with the flag
-            // left on.
+            // The sampled double-run only ever fires in debug builds; `cfg!`
+            // keeps release binaries free of the clone-the-group cost even
+            // with the flag left on.
             verify_determinism: cfg!(debug_assertions) && cfg.verify_determinism,
             counters: &counters,
         };

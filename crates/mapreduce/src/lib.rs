@@ -61,7 +61,7 @@ pub use engine::{
 };
 pub use fault::{FaultPlan, TaskId, TaskKind};
 pub use obsreport::ObsReport;
-pub use plan::{JobPlan, JobPlanValidator, PlanError, RoundPlan, WireSig};
+pub use plan::PlanError;
 pub use report::{JobReport, RoundReport};
 pub use spill::SpillMode;
 pub use transport::{Conn, Endpoint, FrameStats, Framed, Listener, TransportError};

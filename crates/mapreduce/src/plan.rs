@@ -1,79 +1,20 @@
-//! Plan-level validation of K-round MapReduce pipelines.
+//! Reducer determinism under record reordering.
 //!
-//! GraphFlat chains K+1 reduce rounds and GraphInfer K+2; each round's
-//! emissions are the next round's inputs, and the retry story (re-execute
-//! a failed task, get the same bytes) silently assumes two things the
-//! compiler cannot check: **codec compatibility** between chained rounds —
-//! round r must emit records round r+1 can decode — and **reducer
-//! determinism** under record reordering. Both have bitten real systems;
-//! this module makes them checkable at job construction.
-//!
-//! A [`JobPlan`] declares the wire signature each round consumes and
-//! emits. [`JobPlanValidator::validate`] checks the chain (plus spill
-//! sanity) and is run automatically under `debug_assertions` by
-//! [`MapReduceJob::new`](crate::engine::MapReduceJob::new) whenever a plan
-//! is attached to the [`JobConfig`].
-//! [`JobPlanValidator::check_reducer_determinism`] is the sampled
-//! double-run check: feed a reducer the same group with values in
-//! different orders and require byte-identical emissions.
+//! GraphFlat chains K+1 reduce rounds and GraphInfer K+2, and the retry
+//! story (re-execute a failed task, get the same bytes) silently assumes
+//! every reducer is **deterministic under record reordering**: a retried
+//! task re-shuffles, so its groups may arrive in another value order.
+//! [`check_group_reorder_determinism`] is the sampled double-run check the
+//! engine runs on real groups when
+//! [`JobConfig::verify_determinism`](crate::engine::JobConfig::verify_determinism)
+//! is on.
 
-use crate::engine::{JobConfig, Reducer};
-use crate::spill::SpillMode;
+use crate::engine::Reducer;
 use std::fmt;
 
-/// A wire-format signature for records crossing a shuffle boundary.
-///
-/// Signatures are compared by name: two rounds are codec-compatible iff
-/// the upstream's `emits` names the same format as the downstream's
-/// `consumes`. Use one stable name per (key, value) encoding pair, e.g.
-/// `"flat-key/flat-msg"`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireSig(pub &'static str);
-
-impl fmt::Display for WireSig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.0)
-    }
-}
-
-/// What one reduce round consumes and emits.
-#[derive(Debug, Clone)]
-pub struct RoundPlan {
-    /// Human-readable round name for diagnostics.
-    pub name: String,
-    pub consumes: WireSig,
-    pub emits: WireSig,
-}
-
-/// The declared shape of a K-round pipeline.
-#[derive(Debug, Clone)]
-pub struct JobPlan {
-    /// Signature of the map phase's emissions (consumed by round 0).
-    pub map_emits: WireSig,
-    /// One entry per reduce round, in execution order.
-    pub rounds: Vec<RoundPlan>,
-}
-
-impl JobPlan {
-    /// A pipeline whose every boundary uses one signature — the common
-    /// case when a single tagged message enum crosses all K rounds
-    /// (GraphFlat's `FlatMsg`, GraphInfer's `InferMsg`).
-    pub fn homogeneous(sig: WireSig, n_rounds: usize) -> Self {
-        let rounds =
-            (0..n_rounds).map(|r| RoundPlan { name: format!("round-{r}"), consumes: sig, emits: sig }).collect();
-        Self { map_emits: sig, rounds }
-    }
-}
-
-/// Why a plan was rejected.
+/// Why a determinism check failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
-    /// Plan has a different number of rounds than the config will run.
-    RoundCountMismatch { plan_rounds: usize, config_rounds: usize },
-    /// An upstream phase emits a format the downstream round cannot decode.
-    CodecMismatch { boundary: String, emits: &'static str, consumes: &'static str },
-    /// The spill configuration cannot work.
-    SpillInvalid { reason: String },
     /// The sampled double-run check saw order-dependent emissions.
     NondeterministicReducer { round: usize, detail: String },
 }
@@ -81,13 +22,6 @@ pub enum PlanError {
 impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PlanError::RoundCountMismatch { plan_rounds, config_rounds } => {
-                write!(f, "plan declares {plan_rounds} reduce round(s) but the config runs {config_rounds}")
-            }
-            PlanError::CodecMismatch { boundary, emits, consumes } => {
-                write!(f, "codec mismatch at {boundary}: upstream emits `{emits}`, downstream consumes `{consumes}`")
-            }
-            PlanError::SpillInvalid { reason } => write!(f, "spill configuration invalid: {reason}"),
             PlanError::NondeterministicReducer { round, detail } => {
                 write!(f, "reducer is order-sensitive in round {round}: {detail}")
             }
@@ -97,105 +31,12 @@ impl fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// Validates a [`JobPlan`] against the [`JobConfig`] that will run it.
-#[derive(Debug, Clone)]
-pub struct JobPlanValidator<'a> {
-    plan: &'a JobPlan,
-}
-
-impl<'a> JobPlanValidator<'a> {
-    pub fn new(plan: &'a JobPlan) -> Self {
-        Self { plan }
-    }
-
-    /// Structural validation: round counts, codec chaining, spill sanity.
-    ///
-    /// Run automatically under `debug_assertions` when the plan is attached
-    /// to a config handed to `MapReduceJob::new`.
-    pub fn validate(&self, cfg: &JobConfig) -> Result<(), PlanError> {
-        if self.plan.rounds.len() != cfg.reduce_rounds {
-            return Err(PlanError::RoundCountMismatch {
-                plan_rounds: self.plan.rounds.len(),
-                config_rounds: cfg.reduce_rounds,
-            });
-        }
-        if let Some(first) = self.plan.rounds.first() {
-            if first.consumes != self.plan.map_emits {
-                return Err(PlanError::CodecMismatch {
-                    boundary: format!("map → {}", first.name),
-                    emits: self.plan.map_emits.0,
-                    consumes: first.consumes.0,
-                });
-            }
-        }
-        for pair in self.plan.rounds.windows(2) {
-            if pair[0].emits != pair[1].consumes {
-                return Err(PlanError::CodecMismatch {
-                    boundary: format!("{} → {}", pair[0].name, pair[1].name),
-                    emits: pair[0].emits.0,
-                    consumes: pair[1].consumes.0,
-                });
-            }
-        }
-        if let SpillMode::Disk(dir) = &cfg.spill {
-            if dir.as_os_str().is_empty() {
-                return Err(PlanError::SpillInvalid { reason: "empty spill directory".to_string() });
-            }
-            if dir.is_file() {
-                return Err(PlanError::SpillInvalid {
-                    reason: format!("spill path {} is an existing file", dir.display()),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Sampled double-run determinism check: run `reducer` on each sample
-    /// group with its values in the given order, reversed, and rotated;
-    /// every run must produce byte-identical emissions. Catches reducers
-    /// whose output depends on shuffle arrival order — the class of bug
-    /// that surfaces only when a retried task re-shuffles.
-    pub fn check_reducer_determinism<R: Reducer>(
-        &self,
-        reducer: &R,
-        round: usize,
-        samples: &[(Vec<u8>, Vec<Vec<u8>>)],
-    ) -> Result<(), PlanError> {
-        for (key, values) in samples {
-            let baseline = run_once(reducer, round, key, values);
-            let mut reversed: Vec<Vec<u8>> = values.clone();
-            reversed.reverse();
-            let mut rotated: Vec<Vec<u8>> = values.clone();
-            if !rotated.is_empty() {
-                let mid = rotated.len() / 2;
-                rotated.rotate_left(mid);
-            }
-            for (label, reordered) in [("reversed", &reversed), ("rotated", &rotated)] {
-                let out = crate::counters::Counters::silenced(|| run_once(reducer, round, key, reordered));
-                if out != baseline {
-                    return Err(PlanError::NondeterministicReducer {
-                        round,
-                        detail: format!(
-                            "key {:?}: {label} value order changed emissions ({} vs {} record(s))",
-                            preview(key),
-                            out.len(),
-                            baseline.len()
-                        ),
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Reorder-determinism check for one **real** group sampled by the engine
 /// (see `JobConfig::verify_determinism`): re-run `reducer` with the group's
 /// values reversed and rotated and require the same **multiset** of
 /// emissions as `baseline`.
 ///
-/// Unlike [`JobPlanValidator::check_reducer_determinism`] (hand-fed samples,
-/// byte-identical *sequences*), this compares sorted multisets: a reducer
+/// This compares sorted multisets, not emission *sequences*: a reducer
 /// that fans one message out per input value legitimately emits in value
 /// order, and the engine re-sorts by key at the next shuffle anyway — only
 /// the *content* must be order-free. Counter writes during the re-runs are
@@ -252,54 +93,6 @@ mod tests {
     use super::*;
     use crate::codec::Codec;
 
-    fn sig(s: &'static str) -> WireSig {
-        WireSig(s)
-    }
-
-    #[test]
-    fn homogeneous_plan_validates() {
-        let plan = JobPlan::homogeneous(sig("msg"), 3);
-        let cfg = JobConfig { reduce_rounds: 3, ..JobConfig::default() };
-        assert!(JobPlanValidator::new(&plan).validate(&cfg).is_ok());
-    }
-
-    #[test]
-    fn round_count_mismatch_rejected() {
-        let plan = JobPlan::homogeneous(sig("msg"), 2);
-        let cfg = JobConfig { reduce_rounds: 3, ..JobConfig::default() };
-        assert_eq!(
-            JobPlanValidator::new(&plan).validate(&cfg),
-            Err(PlanError::RoundCountMismatch { plan_rounds: 2, config_rounds: 3 })
-        );
-    }
-
-    #[test]
-    fn inter_round_codec_mismatch_rejected() {
-        let mut plan = JobPlan::homogeneous(sig("a"), 2);
-        plan.rounds[1].consumes = sig("b");
-        let cfg = JobConfig { reduce_rounds: 2, ..JobConfig::default() };
-        let err = JobPlanValidator::new(&plan).validate(&cfg);
-        assert!(matches!(err, Err(PlanError::CodecMismatch { emits: "a", consumes: "b", .. })), "{err:?}");
-    }
-
-    #[test]
-    fn map_boundary_mismatch_rejected() {
-        let mut plan = JobPlan::homogeneous(sig("a"), 1);
-        plan.map_emits = sig("other");
-        let cfg = JobConfig { reduce_rounds: 1, ..JobConfig::default() };
-        assert!(matches!(
-            JobPlanValidator::new(&plan).validate(&cfg),
-            Err(PlanError::CodecMismatch { emits: "other", consumes: "a", .. })
-        ));
-    }
-
-    #[test]
-    fn empty_spill_dir_rejected() {
-        let plan = JobPlan::homogeneous(sig("msg"), 1);
-        let cfg = JobConfig { spill: SpillMode::Disk(std::path::PathBuf::new()), ..JobConfig::default() };
-        assert!(matches!(JobPlanValidator::new(&plan).validate(&cfg), Err(PlanError::SpillInvalid { .. })));
-    }
-
     struct SumReduce;
     impl Reducer for SumReduce {
         fn reduce(
@@ -328,26 +121,6 @@ mod tests {
                 emit(key.to_vec(), v.to_vec());
             }
         }
-    }
-
-    fn sample_groups() -> Vec<(Vec<u8>, Vec<Vec<u8>>)> {
-        vec![
-            (vec![1], vec![3u64.to_bytes(), 5u64.to_bytes(), 7u64.to_bytes()]),
-            (vec![2], vec![10u64.to_bytes(), 20u64.to_bytes()]),
-        ]
-    }
-
-    #[test]
-    fn commutative_reducer_passes_double_run() {
-        let plan = JobPlan::homogeneous(sig("u64"), 1);
-        assert!(JobPlanValidator::new(&plan).check_reducer_determinism(&SumReduce, 0, &sample_groups()).is_ok());
-    }
-
-    #[test]
-    fn order_sensitive_reducer_caught() {
-        let plan = JobPlan::homogeneous(sig("u64"), 1);
-        let err = JobPlanValidator::new(&plan).check_reducer_determinism(&FirstReduce, 0, &sample_groups());
-        assert!(matches!(err, Err(PlanError::NondeterministicReducer { round: 0, .. })), "{err:?}");
     }
 
     /// Emits each value back out, one record per value — the emission

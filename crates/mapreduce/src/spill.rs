@@ -25,6 +25,23 @@ pub enum SpillMode {
     Disk(PathBuf),
 }
 
+impl SpillMode {
+    /// Reject a `Disk` directory no partition file could be written under:
+    /// an empty path (which would resolve against the process's working
+    /// directory) or an existing file.
+    pub(crate) fn check(&self) -> io::Result<()> {
+        let SpillMode::Disk(dir) = self else { return Ok(()) };
+        let reason = if dir.as_os_str().is_empty() {
+            "empty spill directory".to_string()
+        } else if dir.is_file() {
+            format!("spill path {} is an existing file", dir.display())
+        } else {
+            return Ok(());
+        };
+        Err(io::Error::new(io::ErrorKind::InvalidInput, reason))
+    }
+}
+
 /// One round's pending partitions, appended to in producer order and
 /// consumed once each.
 ///

@@ -24,24 +24,16 @@
 //!     applying them would drive another in-flight worker's staleness past
 //!     `slack`; every applied gradient provably satisfies
 //!     `staleness ≤ slack`. `Ssp { slack: 0 }` normalizes to `Sync`.
-//! * **Lock-order tracking** — the server's barrier/version/shard mutexes
-//!   follow a canonical acquisition order, enforced dynamically in debug
-//!   builds by [`locks::LockOrderTracker`] and statically by the
-//!   `agl-analysis` `lock-order` rule.
-//! * **Happens-before tracking** — debug builds carry per-thread vector
-//!   clocks ([`hb`]) advanced at lock acquire/release, worker spawn/join,
-//!   and release/acquire atomics; [`hb::TrackedAtomic`] aborts on plain
-//!   conflicting accesses with unordered clocks, naming both sites — the
-//!   dynamic half of the `agl-analysis` `atomics` rule.
+//! * **Lock order** — the server's barrier/version/shard mutexes follow a
+//!   canonical acquisition order, proven over every path by the
+//!   `agl-analysis` `lock-order` and `lock-order/interproc` rules; its
+//!   atomics follow the ordering policy the `atomics` rule checks
+//!   (CONCURRENCY.md).
 
-pub mod hb;
-pub mod locks;
 pub mod net;
 pub mod server;
 pub mod worker;
 
-pub use hb::{Handoff, HbTracker, JoinPool, TrackedAtomic};
-pub use locks::{LockClass, LockOrderTracker, TrackedGuard, TrackedMutex};
 pub use net::{run_client_workers, serve_ps_shard, OptSpec, PsClient, RemotePs};
 pub use server::{Consistency, ParameterServer, PsStats, WorkerPsStats};
 pub use worker::run_workers;

@@ -35,7 +35,6 @@
 //! worker's next pull/push surfaces a typed [`TransportError`] within the
 //! timeout instead of blocking forever.
 
-use crate::hb::{Handoff, JoinPool};
 use crate::server::{shard_layout, Consistency, ParameterServer, PsStats, WorkerPsStats};
 use agl_mapreduce::codec::{self, Codec, CodecError};
 use agl_mapreduce::rpc::{self, unexpected, Client, PeerKind, Reply, Service, Step, TraceIdentity};
@@ -835,21 +834,11 @@ where
 {
     assert!(n_workers > 0);
     let first_err: Mutex<Option<TransportError>> = Mutex::new(None);
-    // Vector-clock plumbing (debug builds): each worker adopts the
-    // spawner's clock and publishes its own back through the pool, so
-    // everything before the spawn happens-before the workers, and
-    // everything the workers did happens-before the caller's code after
-    // this function returns.
-    let pool = JoinPool::new();
     std::thread::scope(|scope| {
         for w in 0..n_workers {
             let work = &work;
-            let pool = &pool;
             let first_err = &first_err;
-            let handoff = Handoff::fork();
             scope.spawn(move || {
-                handoff.adopt();
-                let _depart = pool.depart_guard();
                 let _retire = RetireClient { client, worker: w };
                 if let Err(e) = work(w, client) {
                     lock_plain(first_err).get_or_insert(e);
@@ -857,7 +846,6 @@ where
             });
         }
     });
-    pool.absorb();
     let err = lock_plain(&first_err).take();
     err.map_or(Ok(()), Err)
 }

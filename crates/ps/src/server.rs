@@ -3,12 +3,10 @@
 //! **Lock-order discipline.** The server owns three lock families, and
 //! every path acquires them in the canonical order `Barrier → Versions →
 //! Shard(0..S)` (shards ascending). All acquisitions go through the
-//! `lock_barrier` / `lock_versions` / `lock_shard` wrappers, which are
-//! statically linted by `agl-analysis` (`lock-order` rule) and dynamically
-//! checked in debug builds by [`LockOrderTracker`] (any two code paths that
-//! disagree about the order abort the run at the second acquisition site).
-//! Condvar waits (`TrackedGuard::wait_while`) release and reacquire the
-//! *same* guard, so they introduce no new edges.
+//! `lock_barrier` / `lock_versions` / `lock_shard` wrappers, and
+//! `agl-analysis` proves the order over every path (`lock-order` and
+//! `lock-order/interproc` rules). Condvar waits (`Condvar::wait_while`)
+//! release and reacquire the *same* guard, so they introduce no new edges.
 //!
 //! **Consistency spectrum.** Mode selection is one enum, [`Consistency`]:
 //!
@@ -27,12 +25,10 @@
 //!   staleness-0 schedule that never deadlocks is the barrier), so it is
 //!   bit-identical to explicit `Sync`.
 
-use crate::hb::TrackedAtomic;
-use crate::locks::{LockClass, LockOrderTracker, TrackedGuard, TrackedMutex};
 use agl_nn::Optimizer;
 use agl_obs::{Clock, Histogram, HistogramKind, Obs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// How model updates are coordinated across workers — the GraphLab-style
 /// consistency spectrum instead of a sync/async binary.
@@ -228,18 +224,17 @@ pub struct PsStats {
 
 /// In-process parameter server holding the flat model vector in `S` shards.
 pub struct ParameterServer {
-    shards: Vec<TrackedMutex<Shard>>,
+    shards: Vec<Mutex<Shard>>,
     /// Shard boundaries: shard `i` owns `bounds[i]..bounds[i+1]`.
     bounds: Vec<usize>,
     /// Normalized mode (`Ssp { slack: 0 }` ⇒ `Sync`).
     mode: Consistency,
     n_workers: usize,
-    sync: TrackedMutex<SyncState>,
+    sync: Mutex<SyncState>,
     sync_cv: Condvar,
-    versions: TrackedMutex<VersionTable>,
+    versions: Mutex<VersionTable>,
     /// Woken when the SSP gate may open: a straggler pulled or retired.
     ssp_cv: Condvar,
-    tracker: Arc<LockOrderTracker>,
     /// Observability handle: pull/push/apply spans land on per-worker
     /// tracks `ps.w<i>`. Disabled by default (inert, allocation-free).
     obs: Obs,
@@ -252,14 +247,25 @@ pub struct ParameterServer {
     obs_gate_wait: Option<Arc<Histogram>>,
     /// Traffic counters. Plain cells by default; [`with_obs`](Self::with_obs)
     /// swaps in the run registry's cells (`ps.pulls`, …) so the metrics
-    /// export sees live values with no double bookkeeping. Wrapped in
-    /// [`TrackedAtomic`] — the Relaxed RMW/load traffic below is the
-    /// sanctioned monotone-counter idiom, and the wrapper both exempts it
-    /// from the static `atomics` rule and race-checks it in debug runs.
-    pulls: TrackedAtomic<Arc<AtomicU64>>,
-    pushes: TrackedAtomic<Arc<AtomicU64>>,
-    steps: TrackedAtomic<Arc<AtomicU64>>,
-    bytes: TrackedAtomic<Arc<AtomicU64>>,
+    /// export sees live values with no double bookkeeping. Monotone
+    /// statistics (CONCURRENCY.md ordering policy, row 1): bumped by `bump`,
+    /// read by `total`.
+    pulls: Arc<AtomicU64>,
+    pushes: Arc<AtomicU64>,
+    steps: Arc<AtomicU64>,
+    bytes: Arc<AtomicU64>,
+}
+
+/// Add `n` to a traffic counter.
+fn bump(cell: &AtomicU64, n: u64) {
+    // agl-lint: allow(atomics) — monotone statistics counter; concurrent RMWs commute.
+    cell.fetch_add(n, Ordering::Relaxed);
+}
+
+/// Read a traffic counter.
+fn total(cell: &AtomicU64) -> u64 {
+    // agl-lint: allow(atomics) — statistical read of a monotone counter; staleness is fine.
+    cell.load(Ordering::Relaxed)
 }
 
 /// Histogram size per mode: staleness is provably ≤ 0 (sync) / ≤ slack
@@ -306,53 +312,39 @@ impl ParameterServer {
         assert!(n_workers > 0, "the server needs at least one worker");
         let (bounds, mode) = shard_layout(initial.len(), n_shards, consistency);
         let (n, n_shards) = (initial.len(), bounds.len() - 1);
-        let tracker = LockOrderTracker::new();
         let shards = bounds
             .windows(2)
-            .enumerate()
-            .map(|(i, b)| {
-                let shard = Shard { params: initial[b[0]..b[1]].to_vec(), opt: make_opt() };
-                TrackedMutex::new(&tracker, LockClass::Shard(i as u32), shard)
-            })
+            .map(|b| Mutex::new(Shard { params: initial[b[0]..b[1]].to_vec(), opt: make_opt() }))
             .collect();
         Self {
-            sync: TrackedMutex::new(
-                &tracker,
-                LockClass::Barrier,
-                SyncState {
-                    slots: vec![vec![0.0; n]; if mode == Consistency::Sync { n_workers } else { 0 }],
-                    accum: vec![0.0; if mode == Consistency::Sync { n } else { 0 }],
-                    arrived: 0,
-                    round: 0,
-                },
-            ),
-            versions: TrackedMutex::new(
-                &tracker,
-                LockClass::Versions,
-                VersionTable {
-                    shard_versions: vec![0; n_shards],
-                    global_step: 0,
-                    last_pull: vec![0; n_workers],
-                    active: vec![false; n_workers],
-                    pulled_since_push: vec![false; n_workers],
-                    workers: (0..n_workers).map(|_| WorkerRecord::new(hist_len(mode))).collect(),
-                },
-            ),
+            sync: Mutex::new(SyncState {
+                slots: vec![vec![0.0; n]; if mode == Consistency::Sync { n_workers } else { 0 }],
+                accum: vec![0.0; if mode == Consistency::Sync { n } else { 0 }],
+                arrived: 0,
+                round: 0,
+            }),
+            versions: Mutex::new(VersionTable {
+                shard_versions: vec![0; n_shards],
+                global_step: 0,
+                last_pull: vec![0; n_workers],
+                active: vec![false; n_workers],
+                pulled_since_push: vec![false; n_workers],
+                workers: (0..n_workers).map(|_| WorkerRecord::new(hist_len(mode))).collect(),
+            }),
             shards,
             bounds,
             mode,
             n_workers,
             sync_cv: Condvar::new(),
             ssp_cv: Condvar::new(),
-            tracker,
             obs: Obs::default(),
             clock: Clock::monotonic(),
             obs_staleness: None,
             obs_gate_wait: None,
-            pulls: TrackedAtomic::new(Arc::new(AtomicU64::new(0))),
-            pushes: TrackedAtomic::new(Arc::new(AtomicU64::new(0))),
-            steps: TrackedAtomic::new(Arc::new(AtomicU64::new(0))),
-            bytes: TrackedAtomic::new(Arc::new(AtomicU64::new(0))),
+            pulls: Arc::new(AtomicU64::new(0)),
+            pushes: Arc::new(AtomicU64::new(0)),
+            steps: Arc::new(AtomicU64::new(0)),
+            bytes: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -367,10 +359,10 @@ impl ParameterServer {
     /// the wall clock.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         if let Some(m) = obs.metrics() {
-            self.pulls = TrackedAtomic::new(m.counter("ps.pulls"));
-            self.pushes = TrackedAtomic::new(m.counter("ps.pushes"));
-            self.steps = TrackedAtomic::new(m.counter("ps.steps"));
-            self.bytes = TrackedAtomic::new(m.counter("ps.bytes_transferred"));
+            self.pulls = m.counter("ps.pulls");
+            self.pushes = m.counter("ps.pushes");
+            self.steps = m.counter("ps.steps");
+            self.bytes = m.counter("ps.bytes_transferred");
             self.obs_staleness =
                 Some(m.histogram("ps.staleness", HistogramKind::Linear { buckets: hist_len(self.mode) }));
             self.obs_gate_wait = Some(m.histogram("ps.gate_wait_nanos", HistogramKind::Log2 { buckets: 40 }));
@@ -418,34 +410,24 @@ impl ParameterServer {
     }
 
     // ---- Lock wrappers (the only sanctioned acquisition sites) ----------
-    // `#[track_caller]` makes the tracker (and its panic reports) name the
-    // real call site, not these one-liners.
+    // Poisoning is ignored: shard state is elementwise and never left torn.
 
     /// Acquire the sync-barrier state. Canonical rank 0: nothing else may
     /// be held.
-    #[track_caller]
-    fn lock_barrier(&self) -> TrackedGuard<'_, SyncState> {
-        self.sync.acquire()
+    fn lock_barrier(&self) -> MutexGuard<'_, SyncState> {
+        self.sync.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Acquire the version table. Canonical rank 1: only the barrier may
     /// already be held.
-    #[track_caller]
-    fn lock_versions(&self) -> TrackedGuard<'_, VersionTable> {
-        self.versions.acquire()
+    fn lock_versions(&self) -> MutexGuard<'_, VersionTable> {
+        self.versions.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Acquire parameter shard `i`. Shards must be taken in ascending
     /// index order, after barrier/versions if those are held at all.
-    #[track_caller]
-    fn lock_shard(&self, i: usize) -> TrackedGuard<'_, Shard> {
-        self.shards[i].acquire()
-    }
-
-    /// Observed lock-acquisition edges (debug builds record them; release
-    /// builds return an empty list). Test hook for the lock-order suite.
-    pub fn observed_lock_edges(&self) -> Vec<(String, String)> {
-        self.tracker.observed_edges()
+    fn lock_shard(&self, i: usize) -> MutexGuard<'_, Shard> {
+        self.shards[i].lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Pull the current full parameter vector as `worker` (a worker's step
@@ -471,7 +453,10 @@ impl ParameterServer {
             let t0 = self.clock.now();
             if v.ssp_pull_blocked(worker, slack) {
                 let _gate = self.worker_span(worker, "ps.gate.pull");
-                v = v.wait_while(&self.ssp_cv, |vt| vt.ssp_pull_blocked(worker, slack));
+                v = self
+                    .ssp_cv
+                    .wait_while(v, |vt| vt.ssp_pull_blocked(worker, slack))
+                    .unwrap_or_else(PoisonError::into_inner);
                 let waited = self.clock.since(t0);
                 v.workers[worker].gate_wait.record(waited);
                 if let Some(h) = &self.obs_gate_wait {
@@ -493,8 +478,8 @@ impl ParameterServer {
         if matches!(self.mode, Consistency::Ssp { .. }) {
             self.ssp_cv.notify_all();
         }
-        self.pulls.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(4 * self.len() as u64, Ordering::Relaxed);
+        bump(&self.pulls, 1);
+        bump(&self.bytes, 4 * self.len() as u64);
         span.counter("bytes", 4 * self.len() as u64);
         (out, version)
     }
@@ -509,8 +494,8 @@ impl ParameterServer {
             out[self.bounds[i]..self.bounds[i + 1]].copy_from_slice(&s.params);
         }
         drop(v);
-        self.pulls.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(4 * self.len() as u64, Ordering::Relaxed);
+        bump(&self.pulls, 1);
+        bump(&self.bytes, 4 * self.len() as u64);
         out
     }
 
@@ -549,8 +534,8 @@ impl ParameterServer {
         assert!(worker < self.n_workers, "worker id {worker} out of range (n_workers = {})", self.n_workers);
         let mut span = self.worker_span(worker, "ps.push");
         span.counter("bytes", 4 * grads.len() as u64);
-        self.pushes.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(4 * grads.len() as u64, Ordering::Relaxed);
+        bump(&self.pushes, 1);
+        bump(&self.bytes, 4 * grads.len() as u64);
         match self.mode {
             Consistency::Async => {
                 let mut v = self.lock_versions();
@@ -561,7 +546,7 @@ impl ParameterServer {
                     let _apply = self.worker_span(worker, "ps.apply");
                     self.apply_locked(&mut v, grads);
                 }
-                self.steps.fetch_add(1, Ordering::Relaxed);
+                bump(&self.steps, 1);
             }
             Consistency::Ssp { slack } => {
                 let mut v = self.lock_versions();
@@ -578,7 +563,10 @@ impl ParameterServer {
                     // notify `ssp_cv`, and the oldest-pull worker is never
                     // blocked, so someone can always make progress.
                     let _gate = self.worker_span(worker, "ps.gate.push");
-                    v = v.wait_while(&self.ssp_cv, |vt| vt.ssp_apply_blocked(worker, slack));
+                    v = self
+                        .ssp_cv
+                        .wait_while(v, |vt| vt.ssp_apply_blocked(worker, slack))
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
                 let wait_nanos = if waited { self.clock.since(t0) } else { 0 };
                 if waited {
@@ -596,7 +584,7 @@ impl ParameterServer {
                     let _apply = self.worker_span(worker, "ps.apply");
                     self.apply_locked(&mut v, grads);
                 }
-                self.steps.fetch_add(1, Ordering::Relaxed);
+                bump(&self.steps, 1);
                 drop(v);
                 // Our apply shrank the in-flight window: blocked pullers
                 // (window full) and blocked appliers (waiting on us) may
@@ -638,11 +626,11 @@ impl ParameterServer {
                         let _apply = self.worker_span(worker, "ps.apply");
                         self.apply(&st.accum);
                     }
-                    self.steps.fetch_add(1, Ordering::Relaxed);
+                    bump(&self.steps, 1);
                     self.sync_cv.notify_all();
                 } else {
                     let target = st.round + 1;
-                    let _st = st.wait_while(&self.sync_cv, |s| s.round < target);
+                    let _st = self.sync_cv.wait_while(st, |s| s.round < target).unwrap_or_else(PoisonError::into_inner);
                 }
             }
         }
@@ -667,7 +655,7 @@ impl ParameterServer {
     /// Apply one optimizer step while the version table is already held, so
     /// versioned pulls see either none or all of the step; shards are taken
     /// in ascending order (canonical: versions → shard(i)).
-    fn apply_locked(&self, v: &mut TrackedGuard<'_, VersionTable>, grads: &[f32]) {
+    fn apply_locked(&self, v: &mut VersionTable, grads: &[f32]) {
         v.global_step += 1;
         for i in 0..self.shards.len() {
             let (lo, hi) = (self.bounds[i], self.bounds[i + 1]);
@@ -687,10 +675,10 @@ impl ParameterServer {
         let model_version = v.global_step;
         drop(v);
         PsStats {
-            pulls: self.pulls.load(Ordering::Relaxed),
-            pushes: self.pushes.load(Ordering::Relaxed),
-            steps: self.steps.load(Ordering::Relaxed),
-            bytes_transferred: self.bytes.load(Ordering::Relaxed),
+            pulls: total(&self.pulls),
+            pushes: total(&self.pushes),
+            steps: total(&self.steps),
+            bytes_transferred: total(&self.bytes),
             model_version,
             max_staleness: workers.iter().map(|w| w.max_staleness).max().unwrap_or(0),
             ssp_waits: workers.iter().map(|w| w.waits).sum(),
