@@ -205,8 +205,9 @@ step "cargo fmt --check" cargo fmt --check
 step "cargo build --release" cargo build --release --workspace
 # --workspace: a bare `cargo test` at the root runs only the root package,
 # not the per-crate suites (placement byte-identity, fault determinism,
-# codec and spill round-trips, golden traces). The benchmark package sits
-# outside the workspace and has tests of its own.
+# codec and spill round-trips, golden traces, and the GraphFeature
+# hostile-byte sweeps, sized to stay under ~1 s in this debug build). The
+# benchmark package sits outside the workspace and has tests of its own.
 step "cargo test -q --workspace" cargo test -q --workspace
 step "cargo test -q (pipeline_bench)" cargo test -q --manifest-path pipeline_bench/Cargo.toml
 step "dist smoke (2 shuffle + 2 ps processes, byte-identical)" dist_smoke

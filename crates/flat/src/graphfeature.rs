@@ -5,14 +5,20 @@
 //! substitution). Node ids inside the encoding are *global*; decoding
 //! assigns local indices in encoding order, with targets first.
 
-use agl_graph::{NodeId, SubEdge, Subgraph};
-use agl_mapreduce::codec::{get_f32, get_f32s, get_u32, get_u64, put_f32, put_f32s, put_u32, put_u64, CodecError};
+use agl_graph::{IdMap, NodeId, SubEdge, Subgraph};
+use agl_mapreduce::codec::{
+    get_f32, get_f32_row, get_u32, get_u64, put_f32, put_f32_row, put_f32s, put_u32, put_u64, CodecError,
+};
 use agl_tensor::Matrix;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 /// Encode a [`Subgraph`] into a flat GraphFeature byte string.
 pub fn encode_graph_feature(sub: &Subgraph) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64 + sub.n_nodes() * (8 + 4 * sub.features.cols()) + sub.n_edges() * 20);
+    let ef_dim = sub.edge_features.as_ref().map_or(0, Matrix::cols);
+    let edge_bytes = 20 + if sub.edge_features.is_some() { 4 + 4 * ef_dim } else { 0 };
+    let mut buf = Vec::with_capacity(
+        20 + 8 * sub.target_locals.len() + sub.n_nodes() * (8 + 4 * sub.features.cols()) + sub.n_edges() * edge_bytes,
+    );
     // Targets (global ids).
     put_u32(&mut buf, sub.target_locals.len() as u32);
     for &t in &sub.target_locals {
@@ -23,13 +29,10 @@ pub fn encode_graph_feature(sub: &Subgraph) -> Vec<u8> {
     put_u32(&mut buf, sub.features.cols() as u32);
     for (l, id) in sub.node_ids.iter().enumerate() {
         put_u64(&mut buf, id.0);
-        for &x in sub.features.row(l) {
-            put_f32(&mut buf, x);
-        }
+        put_f32_row(&mut buf, sub.features.row(l));
     }
     // Edges (global endpoint ids).
     put_u32(&mut buf, sub.n_edges() as u32);
-    let ef_dim = sub.edge_features.as_ref().map_or(0, Matrix::cols);
     put_u32(&mut buf, ef_dim as u32);
     for (i, e) in sub.edges.iter().enumerate() {
         put_u64(&mut buf, sub.node_ids[e.src as usize].0);
@@ -65,38 +68,36 @@ pub fn decode_graph_feature(mut input: &[u8]) -> Result<Subgraph, CodecError> {
     }
     let mut node_ids = Vec::with_capacity(n_nodes);
     let mut features = Matrix::zeros(n_nodes, f_dim);
-    let mut local_of: HashMap<u64, u32> = HashMap::with_capacity(n_nodes);
+    let mut local_of: IdMap<u32> = IdMap::with_capacity_and_hasher(n_nodes, Default::default());
     for l in 0..n_nodes {
-        let id = get_u64(r)?;
-        if local_of.insert(id, l as u32).is_some() {
-            return Err(CodecError(format!("duplicate node id {id}")));
-        }
-        node_ids.push(NodeId(id));
-        for c in 0..f_dim {
-            features[(l, c)] = get_f32(r)?;
-        }
+        let id = NodeId(get_u64(r)?);
+        match local_of.entry(id) {
+            Entry::Occupied(_) => return Err(CodecError(format!("duplicate node id {id}"))),
+            Entry::Vacant(v) => v.insert(l as u32),
+        };
+        node_ids.push(id);
+        get_f32_row(r, features.row_mut(l))?;
     }
     let n_edges = get_u32(r)? as usize;
     let ef_dim = get_u32(r)? as usize;
     if n_edges.saturating_mul(20 + if ef_dim > 0 { 4 + 4 * ef_dim } else { 0 }) > r.len() {
         return Err(CodecError(format!("edge section ({n_edges}×{ef_dim}) exceeds input of {} bytes", r.len())));
     }
+    let lookup = |id: u64| {
+        local_of.get(&NodeId(id)).copied().ok_or_else(|| CodecError(format!("edge references unknown node {id}")))
+    };
     let mut edges = Vec::with_capacity(n_edges);
     let mut edge_features = if ef_dim > 0 { Some(Matrix::zeros(n_edges, ef_dim)) } else { None };
     for i in 0..n_edges {
-        let src = get_u64(r)?;
-        let dst = get_u64(r)?;
-        let w = get_f32(r)?;
-        let lookup = |id: u64| {
-            local_of.get(&id).copied().ok_or_else(|| CodecError(format!("edge references unknown node {id}")))
-        };
-        edges.push(SubEdge { src: lookup(src)?, dst: lookup(dst)?, weight: w });
+        let src = lookup(get_u64(r)?)?;
+        let dst = lookup(get_u64(r)?)?;
+        edges.push(SubEdge { src, dst, weight: get_f32(r)? });
         if let Some(efm) = &mut edge_features {
-            let row = get_f32s(r)?;
-            if row.len() != ef_dim {
-                return Err(CodecError(format!("edge feature width {} != {ef_dim}", row.len())));
+            let width = get_u32(r)? as usize;
+            if width != ef_dim {
+                return Err(CodecError(format!("edge feature width {width} != {ef_dim}")));
             }
-            efm.row_mut(i).copy_from_slice(&row);
+            get_f32_row(r, efm.row_mut(i))?;
         }
     }
     if !r.is_empty() {
@@ -104,7 +105,7 @@ pub fn decode_graph_feature(mut input: &[u8]) -> Result<Subgraph, CodecError> {
     }
     let target_locals = target_ids
         .iter()
-        .map(|t| local_of.get(&t.0).copied().ok_or_else(|| CodecError(format!("target {t} not among nodes"))))
+        .map(|t| local_of.get(t).copied().ok_or_else(|| CodecError(format!("target {t} not among nodes"))))
         .collect::<Result<Vec<_>, _>>()?;
     let sub = Subgraph { target_locals, node_ids, features, edges, edge_features };
     sub.validate().map_err(CodecError)?;

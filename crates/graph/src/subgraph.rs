@@ -6,6 +6,7 @@
 //! never touch the original graph. This is the data-independency property
 //! Theorem 1 buys.
 
+use crate::idhash::IdSet;
 use crate::tables::NodeId;
 use agl_tensor::{Coo, Csr, Matrix};
 
@@ -81,8 +82,8 @@ impl Subgraph {
                 return Err(format!("edge feature rows {} != edges {}", ef.rows(), self.edges.len()));
             }
         }
-        let mut seen = std::collections::HashSet::with_capacity(self.node_ids.len());
-        for id in &self.node_ids {
+        let mut seen = IdSet::with_capacity_and_hasher(self.node_ids.len(), Default::default());
+        for &id in &self.node_ids {
             if !seen.insert(id) {
                 return Err(format!("duplicate node id {id}"));
             }

@@ -102,9 +102,27 @@ pub fn get_bytes<'a>(input: &mut &'a [u8]) -> Result<&'a [u8], CodecError> {
 /// `u32`-count-prefixed vector of `f32`.
 pub fn put_f32s(buf: &mut Vec<u8>, v: &[f32]) {
     put_u32(buf, v.len() as u32);
-    for &x in v {
-        put_f32(buf, x);
+    put_f32_row(buf, v);
+}
+
+/// `v` as `v.len()` little-endian `f32`s with no count prefix: one resize,
+/// then one 4-byte copy per element. Bit-exact, NaN payloads included.
+pub fn put_f32_row(buf: &mut Vec<u8>, v: &[f32]) {
+    let start = buf.len();
+    buf.resize(start + 4 * v.len(), 0);
+    for (dst, x) in buf[start..].chunks_exact_mut(4).zip(v) {
+        dst.copy_from_slice(&x.to_le_bytes());
     }
+}
+
+/// Fill `out` from `out.len()` little-endian `f32`s written by
+/// [`put_f32_row`]: one bounds check for the whole row.
+pub fn get_f32_row(input: &mut &[u8], out: &mut [f32]) -> Result<(), CodecError> {
+    let bytes = take(input, 4 * out.len())?;
+    for (x, b) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+        *x = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    }
+    Ok(())
 }
 
 /// A `u32` element count, refused unless the remaining input could hold
@@ -133,10 +151,8 @@ fn bound_count(n: u64, input: &[u8], min_item_bytes: usize) -> Result<usize, Cod
 
 pub fn get_f32s(input: &mut &[u8]) -> Result<Vec<f32>, CodecError> {
     let n = get_count(input, 4)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_f32(input)?);
-    }
+    let mut out = vec![0.0; n];
+    get_f32_row(input, &mut out)?;
     Ok(out)
 }
 

@@ -136,7 +136,7 @@ impl LinkPredictor {
         let merged = builder.build(&dedup_keep_order(&targets_global));
         let local_of: HashMap<NodeId, usize> =
             merged.target_ids().into_iter().enumerate().map(|(i, id)| (id, i)).collect();
-        let batch_vec = crate::vectorize::from_subgraph(&merged, Matrix::zeros(local_of.len(), 0));
+        let batch_vec = crate::vectorize::from_subgraph(merged, Matrix::zeros(local_of.len(), 0));
         let adjs = layer_adjs(&batch_vec, &self.spec());
         let ctx = ExecCtx::sequential();
         let pass = self.model.forward(&adjs, &batch_vec.features, &batch_vec.targets, train, &ctx, rng);

@@ -10,7 +10,7 @@
 use agl_flat::builder::SubgraphBuilder;
 use agl_flat::{decode_graph_feature, TrainingExample};
 use agl_graph::{NodeId, Subgraph};
-use agl_tensor::{Coo, Csr, Matrix};
+use agl_tensor::{Csr, Matrix};
 
 /// A vectorized batch: the three matrices of §3.3.1 plus targets/labels.
 #[derive(Debug, Clone)]
@@ -68,26 +68,23 @@ pub fn vectorize(batch: &[TrainingExample], label_dim: usize) -> VectorizedBatch
             labels.row_mut(i).copy_from_slice(&ex.label);
         }
     }
-    let merged = builder.build(&target_ids);
-    from_subgraph(&merged, labels)
+    from_subgraph(builder.build(&target_ids), labels)
 }
 
 /// Vectorize an already-merged subgraph (targets first, per
-/// `SubgraphBuilder::build`). Exposed for the baseline engine and tests.
-pub fn from_subgraph(merged: &Subgraph, labels: Matrix) -> VectorizedBatch {
-    let n = merged.n_nodes();
-    let mut coo = Coo::new(n, n);
-    for e in &merged.edges {
-        coo.push(e.dst, e.src, e.weight);
-    }
+/// `SubgraphBuilder::build`), moving its feature matrices and ids into the
+/// batch. Exposed for the baseline engine and tests.
+pub fn from_subgraph(merged: Subgraph, labels: Matrix) -> VectorizedBatch {
+    let adj = merged.in_csr();
+    let target_ids = merged.target_ids();
     VectorizedBatch {
-        adj: coo.into_csr(),
-        features: merged.features.clone(),
-        edge_features: merged.edge_features.clone(),
+        adj,
+        features: merged.features,
+        edge_features: merged.edge_features,
         targets: merged.target_locals.iter().map(|&t| t as usize).collect(),
         labels,
-        target_ids: merged.target_ids(),
-        node_ids: merged.node_ids.clone(),
+        target_ids,
+        node_ids: merged.node_ids,
     }
 }
 
