@@ -10,9 +10,10 @@
 #                      concurrency tests under ThreadSanitizer. Needs a
 #                      nightly toolchain with the rust-src component;
 #                      skips with a message when one is not installed.
-#                      Division of labor: agl-lint's lock-order and atomics
-#                      rules prove the lock order and the atomics ordering
-#                      policy over every path, on every tier-1 run; TSan is
+#                      Division of labor: agl-lint's atomics rule proves
+#                      the atomics ordering policy over every path, on
+#                      every tier-1 run (the parameter server's state sits
+#                      behind one mutex, so no lock order needs a proof); TSan is
 #                      the only dynamic race check, covering the std::sync
 #                      and atomic traffic the executed tests reach, including
 #                      what a lexical pass cannot see, at ~10x runtime cost —

@@ -1,17 +1,16 @@
 //! Happens-before judgement over atomics and spawn-shared state.
 //!
-//! The lock-order pass ([`crate::lockgraph`]) proves the *mutex* half of the
-//! workspace's concurrency discipline. This module is the *atomics* half. The
-//! shared [`walk`](mod@crate::walk) records every atomic declaration (struct
-//! fields, statics, `let`-bound locals) and every atomic access site —
-//! `.load(…)`, `.store(…)`, and the RMW family — with its `Ordering`, whether
-//! a lock guard is lexically held at the site, and whether the site sits
-//! inside a `spawn(…)` closure. The crate-scope pass ([`interproc`]) builds
-//! the workspace call graph (`WalkGraph`), propagates spawn-reachability
-//! over it, and classifies each atomic as **thread-local** or **escaping**
-//! (captured by a spawn closure, declared `static`, reachable through an
-//! `Arc<Owner>`, or accessed through a receiver the lexical pass cannot
-//! resolve — conservatively treated as shared). It reports:
+//! The shared [`walk`](mod@crate::walk) records every atomic declaration
+//! (struct fields, statics, `let`-bound locals) and every atomic access
+//! site — `.load(…)`, `.store(…)`, and the RMW family — with its
+//! `Ordering`, whether a lock guard is lexically held at the site, and
+//! whether the site sits inside a `spawn(…)` closure. The crate-scope pass
+//! ([`interproc`]) builds the workspace call graph (`WalkGraph`),
+//! propagates spawn-reachability over it, and classifies each atomic as
+//! **thread-local** or **escaping** (captured by a spawn closure, declared
+//! `static`, reachable through an `Arc<Owner>`, or accessed through a
+//! receiver the lexical pass cannot resolve — conservatively treated as
+//! shared). It reports:
 //!
 //! * **cross-thread `Relaxed`** — a `Relaxed` load/store/RMW on an escaping
 //!   atomic that is not protected by a lexically held lock guard and whose
@@ -26,10 +25,9 @@
 //!   enclosing `thread::scope` exit) ordering the two.
 //!
 //! Findings in functions that run *on* a spawned thread only transitively
-//! (the closure calls them) carry a site-by-site call chain, rendered like
-//! the interprocedural lock findings. `// agl-lint: allow(atomics) — <why>`
-//! is the audited escape hatch, and CONCURRENCY.md's ordering policy lists
-//! the arguments it may cite.
+//! (the closure calls them) carry a site-by-site call chain.
+//! `// agl-lint: allow(atomics) — <why>` is the audited escape hatch, and
+//! CONCURRENCY.md's ordering policy lists the arguments it may cite.
 //!
 //! Like the rest of the lint this is lexical, not semantic. Deliberate
 //! under-approximations: an access only counts as atomic when `Ordering::`
@@ -41,10 +39,28 @@
 //! thread-local access through one needs an allow comment rather than
 //! silently passing.
 
-use crate::lockgraph::{render_chain, ChainFrame};
 use crate::walk::{Access, FieldDecl, FileWalk, MemOrder, Recv, StaticDecl, Walk, WalkGraph};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// One frame of a witness call chain.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct ChainFrame {
+    /// The function this frame executes in.
+    func: String,
+    /// Display path of the file defining it.
+    file: String,
+    /// 0-based line of the site.
+    line: usize,
+    /// What happens at the site, e.g. `calls tick`.
+    what: String,
+}
+
+/// Render a witness chain site-by-site: `run (a.rs:5: calls tick from
+/// inside a spawn closure) → tick (a.rs:10: Relaxed RMW on `hits`)`.
+fn render_chain(chain: &[ChainFrame]) -> String {
+    chain.iter().map(|f| format!("{} ({}:{}: {})", f.func, f.file, f.line + 1, f.what)).collect::<Vec<_>>().join(" → ")
+}
 
 /// One atomics finding (0-based line).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,7 +101,7 @@ enum Escape {
 /// atomics, classifies each atomic as thread-local or escaping, and judges
 /// the access sites as documented on the module.
 pub fn interproc(files: &[FileWalk<'_>]) -> Vec<AtomicFinding> {
-    let g = WalkGraph::build(files, |_| true);
+    let g = WalkGraph::build(files);
     let cg = &g.cg;
     let frame = |v: usize, line: usize, what: String| ChainFrame {
         func: cg.nodes[v].name.clone(),

@@ -19,10 +19,9 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
 
 /// Lint a set of files together: every `(workspace-relative path, source
 /// text)` pair gets the per-file rules, then the crate-scope rules (the
-/// interprocedural lock-order pass) run once over the whole set. The
-/// `agl-lint: allow(…)` escape hatch is applied against each diagnostic's
-/// *owning* file — for an interprocedural finding that is the file of the
-/// anchoring call site. Diagnostics come back sorted by (path, line, rule).
+/// atomics pass) run once over the whole set. The `agl-lint: allow(…)`
+/// escape hatch is applied against each diagnostic's *owning* file.
+/// Diagnostics come back sorted by (path, line, rule).
 pub fn lint_sources(files: &[(String, String)]) -> Vec<Diagnostic> {
     let scanned: Vec<ScannedFile> = files.iter().map(|(_, src)| scan(src)).collect();
     let views: Vec<FileView> = files.iter().zip(&scanned).map(|((path, _), s)| FileView::new(path, s)).collect();

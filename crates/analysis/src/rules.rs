@@ -4,8 +4,8 @@
 //! [`registry`]) is a pure function from one scanned file (plus its
 //! workspace-relative path) to diagnostics. A **crate rule**
 //! ([`CrateRule`], registered in [`crate_registry`]) sees every scanned
-//! file of the lint run at once — that is what lets the interprocedural
-//! lock-order pass resolve a call in one file to a definition in another.
+//! file of the lint run at once — that is what lets the atomics pass
+//! resolve a call in one file to a definition in another.
 //! Adding a rule is adding an entry to the right registry — the driver,
 //! escape hatch, and binary need no changes.
 //!
@@ -36,25 +36,6 @@
 //! threads are fine):
 //! ```text
 //! std::thread::spawn(move || pump(rx));         // <-- no-raw-spawn
-//! ```
-//!
-//! **`lock-order`** — per-function lock discipline in `agl-ps`: canonical
-//! acquisition order, no double-locks, no guard held across a blocking op:
-//! ```text
-//! let s = self.lock_shard(0);
-//! let v = self.lock_versions();                 // <-- lock-order (inversion)
-//! ```
-//!
-//! **`lock-order/interproc`** — the same discipline proven across function
-//! boundaries via the workspace call graph (crate scope):
-//! ```text
-//! fn push(&self) {
-//!     let v = self.lock_versions();
-//!     self.rebalance();                         // <-- lock-order/interproc
-//! }
-//! fn rebalance(&self) {
-//!     let b = self.lock_barrier();              // versions → barrier inverts
-//! }
 //! ```
 //!
 //! **`no-hot-alloc`** — no allocation tokens inside loop bodies of the
@@ -93,7 +74,6 @@
 //! The justification is not parsed, but reviewers expect one.
 
 use crate::atomics;
-use crate::lockgraph;
 use crate::scanner::{find_token, test_regions, ScannedFile};
 use crate::walk::{walk, FileWalk, Walk};
 use std::cell::OnceCell;
@@ -233,16 +213,6 @@ pub fn registry() -> &'static [Rule] {
             check: check_no_raw_spawn,
         },
         Rule {
-            name: "lock-order",
-            description: "agl-ps lock acquisitions must follow the canonical order barrier → \
-                          versions → shard(i) ascending, through the tracked wrappers, and \
-                          never hold a guard across .send(…)/.recv(…)/spawn(…) or across a \
-                          condvar wait on a different guard (the wait's own receiver is \
-                          release+reacquire, not a violation)",
-            example: "let s = self.lock_shard(0);\nlet v = self.lock_versions();                 // <-- lock-order (inversion)",
-            check: check_lock_order,
-        },
-        Rule {
             name: "no-hot-alloc",
             description: "no allocation (Vec::new/vec!/.to_vec/.clone/format!/.collect) inside \
                           loop bodies of the aggregation kernels and reducer hot functions",
@@ -255,17 +225,6 @@ pub fn registry() -> &'static [Rule] {
 /// All crate-scope rules, in the order they run (after the file rules).
 pub fn crate_registry() -> &'static [CrateRule] {
     &[
-        CrateRule {
-            name: "lock-order/interproc",
-            description: "the lock-order discipline proven across function boundaries: a \
-                          workspace call graph over agl-ps resolves `self.f(…)`, `Type::f(…)` \
-                          and bare calls, lock summaries propagate bottom-up over its SCCs, \
-                          and every call site's held guards are judged against what the callee \
-                          acquires or blocks on transitively; findings name the full call \
-                          chain site by site",
-            example: "fn push(&self) {\n    let v = self.lock_versions();\n    self.rebalance();                         // <-- lock-order/interproc\n}\nfn rebalance(&self) {\n    let b = self.lock_barrier();              // versions → barrier inverts\n}",
-            check: check_lock_order_interproc,
-        },
         CrateRule {
             name: "atomics",
             description: "happens-before discipline for atomics: each atomic is classified as \
@@ -386,42 +345,6 @@ fn check_no_raw_spawn(view: &FileView) -> Vec<Diagnostic> {
     out
 }
 
-/// Is this file in scope for the lock-order rules? (`agl-ps` library
-/// sources.)
-fn in_lock_scope(view: &FileView) -> bool {
-    view.path.starts_with("crates/ps/src/") && !view.is_exempt_target()
-}
-
-fn check_lock_order(view: &FileView) -> Vec<Diagnostic> {
-    if !in_lock_scope(view) {
-        return Vec::new();
-    }
-    lockgraph::analyze(view.walk())
-        .lock_findings
-        .into_iter()
-        .filter(|f| !view.in_test_region[f.line])
-        .map(|f| diag(view, "lock-order", f.line, format!("in fn {}: {}", f.func, f.message)))
-        .collect()
-}
-
-/// The interprocedural lock-order pass over every in-scope `agl-ps` file,
-/// reporting only chains spanning ≥ 2 functions — intra-function chains
-/// are the per-function [`check_lock_order`]'s job, so nothing
-/// double-reports.
-fn check_lock_order_interproc(views: &[FileView]) -> Vec<Diagnostic> {
-    let files: Vec<FileWalk> = views.iter().filter(|v| in_lock_scope(v)).map(FileView::file_walk).collect();
-    lockgraph::interproc(&files, false)
-        .into_iter()
-        .filter(|f| f.chain.len() >= 2)
-        .map(|f| Diagnostic {
-            rule: "lock-order/interproc",
-            path: f.file.clone(),
-            line: f.line + 1,
-            message: format!("in fn {}: {}", f.func, f.message),
-        })
-        .collect()
-}
-
 /// The happens-before atomics pass over every library source — the audited
 /// atomic sites span ps, obs, tensor, and mapreduce: receiver resolution,
 /// Arc/static/spawn escape analysis and spawn-reachability over the call
@@ -446,7 +369,7 @@ const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
     ("crates/tensor/src/partition.rs", &["spmm", "for_each_row"]),
     ("crates/tensor/src/csr.rs", &["spmm", "spmm_rows_into", "t_spmm"]),
     ("crates/flat/src/pipeline.rs", &["reduce"]),
-    ("crates/ps/src/server.rs", &["apply", "apply_locked"]),
+    ("crates/ps/src/server.rs", &["apply"]),
 ];
 
 /// The registered hot functions of the file at `path` (usually none).
@@ -502,8 +425,6 @@ mod tests {
     #[test]
     fn unwrap_or_else_not_flagged() {
         let src = "fn f(m: &std::sync::Mutex<u32>) -> u32 {\n    *m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)\n}\n";
-        // (On a non-ps path: inside crates/ps/src a raw .lock() would be a
-        // lock-order finding in its own right.)
         assert!(lint_one("crates/mapreduce/src/foo.rs", src).is_empty());
     }
 
@@ -542,28 +463,6 @@ mod tests {
         // A mention in a comment or string is not a call.
         let comment_only = "// upstream uses Instant::now for this\nfn f() {}\n";
         assert!(lint_one("crates/foo/src/engine.rs", comment_only).is_empty());
-    }
-
-    #[test]
-    fn lock_order_rule_scoped_to_ps_sources() {
-        let src = "fn bad(&self) {\n    let a = self.lock_shard(1);\n    let b = self.lock_shard(0);\n}\n";
-        let d = lint_one("crates/ps/src/server.rs", src);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "lock-order");
-        assert_eq!(d[0].line, 3);
-        assert!(d[0].message.contains("fn bad"), "{}", d[0].message);
-        // Out of scope: other crates, tests.
-        assert!(lint_one("crates/trainer/src/dist.rs", src).is_empty());
-        assert!(lint_one("crates/ps/tests/ssp.rs", src).is_empty());
-    }
-
-    #[test]
-    fn untracked_raw_lock_flagged_in_ps_only() {
-        let src = "fn f(&self) {\n    let g = lock_ignoring_poison(&self.state);\n    let _ = g;\n}\n";
-        let d = lint_one("crates/ps/src/server.rs", src);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "lock-order");
-        assert!(lint_one("crates/mapreduce/src/engine.rs", src).is_empty());
     }
 
     #[test]

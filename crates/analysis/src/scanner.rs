@@ -14,18 +14,15 @@
 //! strings. Not handled (not needed for lexical rules): macro token trees,
 //! doc-comment semantics beyond their text.
 //!
-//! The second half of this module is the **call graph** the interprocedural
-//! lock-order and atomics passes run over: [`CallTarget`] classifies how a
-//! call site names its callee (`self.f(…)`, `Type::f(…)`, bare `f(…)`, or a
-//! method on some other receiver), [`impl_owner`] recovers the `Self` type of
-//! an `impl` block header, and [`CallGraph`] resolves call targets against
-//! the function definitions of a set of files (collected by the
-//! [`walk`](mod@crate::walk)) and computes the strongly connected components
-//! of the resulting graph in bottom-up (callees-first) order — the order in
-//! which [`lockgraph::interproc`](crate::lockgraph::interproc) propagates
-//! lock summaries. Resolution is deliberately conservative: a target that
-//! cannot be matched to exactly one in-scope definition stays unresolved, so
-//! the interprocedural passes can under-approximate but never invent a chain.
+//! The second half of this module is the **call graph** the atomics pass
+//! runs over: [`CallTarget`] classifies how a call site names its callee
+//! (`self.f(…)`, `Type::f(…)`, bare `f(…)`, or a method on some other
+//! receiver), [`impl_owner`] recovers the `Self` type of an `impl` block
+//! header, and [`CallGraph`] resolves call targets against the function
+//! definitions of a set of files (collected by the
+//! [`walk`](mod@crate::walk)). Resolution is deliberately conservative: a
+//! target that cannot be matched to exactly one in-scope definition stays
+//! unresolved, so the pass can under-approximate but never invent a chain.
 
 /// One source file, split into a code channel and a comment channel.
 #[derive(Debug)]
@@ -296,18 +293,6 @@ pub enum CallTarget {
     Method(String),
 }
 
-impl CallTarget {
-    /// The callee name, regardless of qualification.
-    pub fn name(&self) -> &str {
-        match self {
-            CallTarget::SelfMethod(n)
-            | CallTarget::Qualified { name: n, .. }
-            | CallTarget::Bare(n)
-            | CallTarget::Method(n) => n,
-        }
-    }
-}
-
 /// Parse a call token at the head of `rest` (the code channel from the
 /// current position onward). `stmt` is the statement text accumulated
 /// *before* this position; its tail decides the qualifier (`self.`, `Ty::`,
@@ -497,68 +482,9 @@ impl CallGraph {
     }
 
     /// Record a resolved call edge `caller → callee` tagged with an opaque
-    /// call-site id (used by the lock pass to recover held-lock sets).
+    /// call-site id (used to recover the call site of a chain frame).
     pub fn add_call(&mut self, caller: usize, callee: usize, call_id: usize) {
         self.out[caller].push((callee, call_id));
-    }
-
-    /// Strongly connected components of the graph, in bottom-up order:
-    /// every SCC appears after all SCCs it has edges into (callees first).
-    /// This is Tarjan's algorithm, iterative so deep chains can't overflow
-    /// the stack; Tarjan emits an SCC only once all its successors' SCCs
-    /// have been emitted, which is exactly the summary-propagation order.
-    pub fn sccs(&self) -> Vec<Vec<usize>> {
-        let n = self.nodes.len();
-        let mut index = vec![usize::MAX; n];
-        let mut low = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut next_index = 0usize;
-        let mut out: Vec<Vec<usize>> = Vec::new();
-        // Work items: (node, next out-edge position to explore).
-        let mut work: Vec<(usize, usize)> = Vec::new();
-        for start in 0..n {
-            if index[start] != usize::MAX {
-                continue;
-            }
-            work.push((start, 0));
-            while let Some(&(v, ei)) = work.last() {
-                if ei == 0 {
-                    index[v] = next_index;
-                    low[v] = next_index;
-                    next_index += 1;
-                    stack.push(v);
-                    on_stack[v] = true;
-                }
-                if ei < self.out[v].len() {
-                    work.last_mut().expect("work non-empty").1 += 1;
-                    let (w, _) = self.out[v][ei];
-                    if index[w] == usize::MAX {
-                        work.push((w, 0));
-                    } else if on_stack[w] {
-                        low[v] = low[v].min(index[w]);
-                    }
-                } else {
-                    work.pop();
-                    if let Some(&(parent, _)) = work.last() {
-                        low[parent] = low[parent].min(low[v]);
-                    }
-                    if low[v] == index[v] {
-                        let mut comp = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            on_stack[w] = false;
-                            comp.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        out.push(comp);
-                    }
-                }
-            }
-        }
-        out
     }
 }
 

@@ -1,5 +1,4 @@
-//! The one source walk the lock-order, hot-allocation and atomics passes
-//! share.
+//! The one source walk the hot-allocation and atomics passes share.
 //!
 //! [`walk`] visits a scanned file's code channel once, character by
 //! character. It tracks the block stack (`fn` bodies with their `impl`
@@ -7,14 +6,8 @@
 //! bodies) and the lock guards lexically held, and records the facts the
 //! passes judge:
 //!
-//! * function definitions, and call sites with the tracked guards held at
-//!   them and whether they sit inside a spawn closure — both passes build
-//!   their call graph from these;
-//! * lock sites ([`crate::lockgraph`] judges them): tracked acquisitions
-//!   (`lock_barrier()`, `lock_versions()`, `lock_shard(i)`) with the guards
-//!   already held, potentially blocking operations (condvar waits,
-//!   `.send(…)`, `.recv(…)`, `spawn(…)`) with the guards held across them,
-//!   and raw locks that bypass the tracked wrappers;
+//! * function definitions, and call sites with whether they sit inside a
+//!   spawn closure — the atomics pass builds its call graph from these;
 //! * allocation tokens (`Vec::new(`, `vec![`, `.to_vec(`, `.clone(`,
 //!   `format!(`, `.collect(`) inside loop bodies of the caller's hot
 //!   functions;
@@ -27,24 +20,16 @@
 //! is a loop to the allocation rule and a spawn closure to the atomics
 //! rule, so every block records both facts.
 //!
-//! Guards come in two kinds. The tracked wrappers carry a [`LockSym`]; they
-//! are all the lock-order rules see. Raw `.lock()`, `.read()`, `.write()`,
-//! `.acquire()` and `lock_ignoring_poison(…)` guards are anonymous: they only
-//! sanction `Relaxed` atomics. A raw `.lock()` is recorded as an untracked
-//! lock site except inside the bodies of the wrappers themselves, which are
-//! where the raw locks are meant to be. A `let`-bound guard lives to the end
-//! of its block or to an explicit `drop(ident)`; any other guard is a
-//! temporary that dies at the end of its statement. A condvar wait releases
-//! and reacquires one guard, so that guard is not held across it; every
-//! other tracked guard is. The released guard is the receiver of
-//! `guard.wait_while(&cv, …)`, or the first argument of std's
-//! `cv.wait_while(guard, …)`.
+//! Guards are the results of `.lock()`, `.read()`, `.write()`, `.acquire()`
+//! and `lock_ignoring_poison(…)`; a held guard sanctions `Relaxed` atomics
+//! ([`Access::guard_held`]). A `let`-bound guard lives to the end of its
+//! block or to an explicit `drop(ident)`; any other guard is a temporary
+//! that dies at the end of its statement.
 //!
 //! Like the rest of the lint this is lexical, not semantic: an access only
 //! counts as atomic when `Ordering::` appears later on the same line, and
 //! a guard is held when it is lexically held.
 
-use crate::lockgraph::LockSym;
 use crate::scanner::{find_token, impl_owner, parse_call, CallGraph, CallGraphNode, CallTarget, ScannedFile};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -64,15 +49,6 @@ pub struct FnDef {
     pub has_fence: bool,
 }
 
-/// A tracked guard lexically held at some site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeldLock {
-    /// The held lock class.
-    pub sym: LockSym,
-    /// 0-based line where it was acquired.
-    pub line: usize,
-}
-
 /// A call site. Method calls on receivers other than `self` carry no type
 /// information and are not recorded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,41 +60,8 @@ pub struct Call {
     pub target: CallTarget,
     /// 0-based line of the call.
     pub line: usize,
-    /// Wrapper guards held when the call executes.
-    pub held: Vec<HeldLock>,
     /// The call is lexically inside a `spawn(…)` closure.
     pub in_spawn: bool,
-}
-
-/// What happens at a [`LockSite`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockOp {
-    /// A tracked acquisition; the site's `held` are the guards already held.
-    Acquire(LockSym),
-    /// A potentially blocking operation; the site's `held` are the guards
-    /// held across it (for a condvar wait, every guard but the receiver).
-    Block {
-        /// Display token, e.g. `".wait_while(…)"` or `".send(…)"`.
-        what: &'static str,
-        /// A condvar wait, as opposed to send/recv/spawn.
-        is_wait: bool,
-    },
-    /// A raw `.lock()` / `lock_ignoring_poison(…)` outside the wrapper
-    /// bodies (display token).
-    Untracked(&'static str),
-}
-
-/// A lock-relevant site, in source order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LockSite {
-    /// Index into [`Walk::fns`] of the enclosing function.
-    pub fn_idx: Option<usize>,
-    /// 0-based line of the site.
-    pub line: usize,
-    /// What the site does.
-    pub op: LockOp,
-    /// Wrapper guards held (see [`LockOp`]); empty for `Untracked`.
-    pub held: Vec<HeldLock>,
 }
 
 /// An allocation token inside a loop body of a hot function (0-based line).
@@ -216,7 +159,7 @@ pub struct Access {
     pub order: MemOrder,
     /// The receiver as parsed from the statement tail.
     pub recv: Recv,
-    /// A lock guard, tracked or raw, was lexically held at the site.
+    /// A lock guard was lexically held at the site.
     pub guard_held: bool,
     /// The site is lexically inside a `spawn(…)` closure.
     pub in_spawn: bool,
@@ -279,8 +222,6 @@ pub struct Walk {
     pub fns: Vec<FnDef>,
     /// Call sites.
     pub calls: Vec<Call>,
-    /// Wrapper acquisitions, blocking operations and raw locks, in order.
-    pub locks: Vec<LockSite>,
     /// Allocation tokens in loops of the hot functions passed to [`walk`].
     pub alloc_sites: Vec<AllocSite>,
     /// Atomic struct fields.
@@ -320,19 +261,12 @@ const RMW_TOKENS: &[&str] = &[
     ".compare_exchange(",
 ];
 
-/// The tracked acquisition wrappers: calling one acquires its lock, and its
-/// body is where the raw lock it wraps is taken.
-const LOCK_WRAPPERS: [&str; 3] = ["lock_barrier", "lock_versions", "lock_shard"];
-
-/// Raw guard-producing method tokens (any receiver).
-const RAW_GUARDS: &[&str] = &[".lock()", ".read()", ".write()", ".acquire()"];
+/// Guard-producing method tokens (any receiver).
+const GUARD_TOKENS: &[&str] = &[".lock()", ".read()", ".write()", ".acquire()"];
 
 struct Guard {
     /// `Some(ident)` for `let`-bound guards, `None` for temporaries.
     name: Option<String>,
-    /// `Some` for the tracked wrappers, `None` for raw guards.
-    sym: Option<LockSym>,
-    line: usize,
     /// Block depth at acquisition; released when the stack shrinks below it.
     depth: usize,
 }
@@ -441,11 +375,6 @@ impl Walker<'_> {
         self.fn_stack.last().map(|&(_, i)| i)
     }
 
-    /// The wrapper guards currently held.
-    fn held(&self) -> Vec<HeldLock> {
-        self.guards.iter().filter_map(|g| Some(HeldLock { sym: g.sym?, line: g.line })).collect()
-    }
-
     fn open(&mut self, lineno: usize) {
         let depth = self.loops.len() + 1;
         let (kind, is_loop) = classify_block(&self.stmt);
@@ -513,9 +442,8 @@ impl Walker<'_> {
         let fn_idx = self.fn_idx();
         let in_spawn = !self.spawn_stack.is_empty();
         let boundary = !stmt.chars().next_back().is_some_and(|c| c.is_alphanumeric() || c == '_');
-        // An acquisition or call token directly after `fn ` is a definition.
+        // A call token directly after `fn ` is a definition.
         let is_definition = stmt.trim_end().ends_with("fn") || stmt.ends_with("fn ");
-        let site = |op, held| LockSite { fn_idx, line: lineno, op, held };
 
         // ---- Atomic accesses: an op token with an `Ordering::` later on the
         // line (which separates `AtomicU64::load` from every other `.load`).
@@ -534,23 +462,6 @@ impl Walker<'_> {
             }
         }
 
-        // ---- Wrapper acquisitions ------------------------------------------
-        let acquired = if !boundary || is_definition {
-            None
-        } else if rest.starts_with("lock_barrier(") {
-            Some(LockSym::Barrier)
-        } else if rest.starts_with("lock_versions(") {
-            Some(LockSym::Versions)
-        } else {
-            rest.strip_prefix("lock_shard(").map(|tail| LockSym::Shard(parse_literal_index(tail)))
-        };
-        if let Some(sym) = acquired {
-            self.out.locks.push(site(LockOp::Acquire(sym), self.held()));
-            let name = let_binding_name(stmt);
-            self.guards.push(Guard { name, sym: Some(sym), line: lineno, depth: self.loops.len() });
-            return;
-        }
-
         // ---- Releases --------------------------------------------------------
         if let Some(tail) = rest.strip_prefix("drop(").filter(|_| boundary) {
             let ident: String = tail.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
@@ -561,56 +472,12 @@ impl Walker<'_> {
             return;
         }
 
-        // ---- Condvar waits: one guard is released and reacquired; every
-        // other tracked guard stays locked while the thread is parked.
-        if let Some(args) = rest.strip_prefix(".wait(").or_else(|| rest.strip_prefix(".wait_while(")) {
-            let what = if rest.starts_with(".wait_while(") { ".wait_while(…)" } else { ".wait(…)" };
-            let tracked: Vec<&Guard> = self.guards.iter().filter(|g| g.sym.is_some()).collect();
-            let named = |ident: &str| tracked.iter().rposition(|g| g.name.as_deref() == Some(ident));
-            // The receiver — `guard.wait_while(&cv, …)`, or the temporary of
-            // `self.lock_x().wait_while(…)` — else std's first argument,
-            // `cv.wait_while(guard, …)`.
-            let receiver = match trailing_ident(stmt) {
-                Some(ident) => named(&ident),
-                None => tracked.iter().rposition(|g| g.name.is_none()),
-            };
-            let released = receiver.or_else(|| named(&leading_ident(args)));
-            let others = self.held().into_iter().enumerate().filter(|&(i, _)| Some(i) != released).map(|(_, h)| h);
-            self.out.locks.push(site(LockOp::Block { what, is_wait: true }, others.collect()));
-            return;
-        }
-
-        // ---- Send / recv / spawn: a `spawn(…)` is a call site as well.
-        let blocking = if rest.starts_with(".send(") {
-            Some(".send(…)")
-        } else if rest.starts_with(".recv(") {
-            Some(".recv(…)")
-        } else {
-            (boundary && rest.starts_with("spawn(")).then_some("spawn(…)")
-        };
-        if let Some(what) = blocking {
-            self.out.locks.push(site(LockOp::Block { what, is_wait: false }, self.held()));
-        }
-
-        // ---- Raw locks: untracked sites, and anonymous guards ---------------
-        let in_wrapper = fn_idx.is_some_and(|k| LOCK_WRAPPERS.contains(&self.out.fns[k].name.as_str()));
-        let untracked = if in_wrapper {
-            None
-        } else if rest.starts_with(".lock()") {
-            Some(".lock()")
-        } else {
-            (boundary && rest.starts_with("lock_ignoring_poison(")).then_some("lock_ignoring_poison(…)")
-        };
-        if let Some(what) = untracked {
-            self.out.locks.push(site(LockOp::Untracked(what), Vec::new()));
-        }
-        let raw_guard = RAW_GUARDS.iter().any(|t| rest.starts_with(t))
+        // ---- Lock guards --------------------------------------------------------
+        let guard = GUARD_TOKENS.iter().any(|t| rest.starts_with(t))
             || (boundary && !is_definition && rest.starts_with("lock_ignoring_poison("));
-        if raw_guard {
+        if guard {
             let name = let_binding_name(stmt);
-            self.guards.push(Guard { name, sym: None, line: lineno, depth: self.loops.len() });
-        }
-        if raw_guard || untracked.is_some() {
+            self.guards.push(Guard { name, depth: self.loops.len() });
             return;
         }
 
@@ -625,7 +492,7 @@ impl Walker<'_> {
         // ---- Call sites --------------------------------------------------------
         if boundary && !is_definition {
             if let Some(target) = parse_call(rest, stmt).filter(|t| !matches!(t, CallTarget::Method(_))) {
-                self.out.calls.push(Call { fn_idx, target, line: lineno, held: self.held(), in_spawn });
+                self.out.calls.push(Call { fn_idx, target, line: lineno, in_spawn });
             }
         }
 
@@ -754,8 +621,7 @@ pub(crate) struct GraphSite<'a> {
     pub(crate) call: &'a Call,
 }
 
-/// The call graph over a set of walked files, as both crate-scope passes
-/// build it.
+/// The call graph over a set of walked files, as the atomics pass builds it.
 pub(crate) struct WalkGraph<'a> {
     /// Nodes are the non-test function definitions; an edge's call-site id
     /// indexes `sites`.
@@ -768,9 +634,8 @@ pub(crate) struct WalkGraph<'a> {
 
 impl<'a> WalkGraph<'a> {
     /// Build the graph from every non-test definition and every non-test
-    /// call site that `keep` accepts and that resolves (see
-    /// [`CallGraph::resolve`]).
-    pub(crate) fn build(files: &[FileWalk<'a>], keep: impl Fn(&Call) -> bool) -> Self {
+    /// call site that resolves (see [`CallGraph::resolve`]).
+    pub(crate) fn build(files: &[FileWalk<'a>]) -> Self {
         let mut nodes: Vec<CallGraphNode> = Vec::new();
         let mut node_of = Vec::new();
         for (fi, f) in files.iter().enumerate() {
@@ -783,7 +648,7 @@ impl<'a> WalkGraph<'a> {
         }
         let mut g = WalkGraph { cg: CallGraph::new(nodes), sites: Vec::new(), node_of };
         for (fi, f) in files.iter().enumerate() {
-            for call in f.walk.calls.iter().filter(|c| keep(c) && !f.is_test_line(c.line)) {
+            for call in f.walk.calls.iter().filter(|c| !f.is_test_line(c.line)) {
                 let Some(caller) = g.node(fi, call.fn_idx) else { continue };
                 if let Some(callee) = g.cg.resolve(caller, &call.target) {
                     g.cg.add_call(caller, callee, g.sites.len());
@@ -875,11 +740,6 @@ fn let_binding_name(stmt: &str) -> Option<String> {
     (after.starts_with('=') || after.starts_with(':')).then_some(ident)
 }
 
-/// The identifier `s` starts with (empty when it starts with anything else).
-fn leading_ident(s: &str) -> String {
-    s.trim_start().chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect()
-}
-
 /// The identifier the statement currently ends with (the receiver of a
 /// method call about to be scanned), if any.
 fn trailing_ident(stmt: &str) -> Option<String> {
@@ -900,15 +760,6 @@ fn recv_of(stmt: &str) -> Recv {
     } else {
         Recv::Ident(ident)
     }
-}
-
-/// A literal integer followed by `)` → `Some(i)`; anything else → `None`.
-fn parse_literal_index(tail: &str) -> Option<u64> {
-    let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
-    if digits.is_empty() || !tail[digits.len()..].starts_with(')') {
-        return None;
-    }
-    digits.parse().ok()
 }
 
 /// Parse the first `Ordering::<X>` on the rest of the line.
@@ -963,5 +814,77 @@ fn collect_arc_types(code: &str, out: &mut BTreeSet<String>) {
         if !ty.is_empty() {
             out.insert(ty);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scanner::scan;
+
+    /// `guard_held` of every atomic access, in source order.
+    fn guarded(src: &str) -> Vec<bool> {
+        walk(&scan(src), &[]).accesses.iter().map(|a| a.guard_held).collect()
+    }
+
+    #[test]
+    fn drop_releases_the_guard() {
+        let src = "fn f(&self) {\n    let g = self.state.lock();\n    self.n.store(1, Ordering::Relaxed);\n    drop(g);\n    self.n.store(2, Ordering::Relaxed);\n}\n";
+        assert_eq!(guarded(src), vec![true, false]);
+    }
+
+    #[test]
+    fn block_scope_releases_the_guard() {
+        let src = "fn f(&self) {\n    {\n        let g = self.state.lock();\n        self.n.store(1, Ordering::Relaxed);\n    }\n    self.n.store(2, Ordering::Relaxed);\n}\n";
+        assert_eq!(guarded(src), vec![true, false]);
+    }
+
+    #[test]
+    fn temporary_guard_dies_at_statement_end() {
+        let src = "fn f(&self) {\n    self.state.lock().bump(self.n.load(Ordering::Relaxed));\n    self.n.store(2, Ordering::Relaxed);\n}\n";
+        assert_eq!(guarded(src), vec![true, false]);
+    }
+
+    #[test]
+    fn alloc_in_hot_loop_is_flagged_only_there() {
+        let src = "fn spmm(&self) {\n    let out = Vec::new();\n    for r in rows {\n        let v = x.to_vec();\n        let c = y.clone();\n    }\n}\nfn cold(&self) {\n    for r in rows {\n        let v = x.to_vec();\n    }\n}\n";
+        let a = walk(&scan(src), &["spmm"]);
+        assert_eq!(a.alloc_sites.len(), 2, "{:?}", a.alloc_sites);
+        assert!(a.alloc_sites.iter().all(|s| s.func == "spmm"));
+        assert_eq!(a.alloc_sites[0].pattern, ".to_vec(");
+        assert_eq!(a.alloc_sites[1].pattern, ".clone(");
+    }
+
+    #[test]
+    fn alloc_in_while_and_nested_blocks_is_flagged() {
+        let src = "fn reduce(&self) {\n    while go {\n        if cond {\n            let s = format!(\"x\");\n        }\n    }\n}\n";
+        let a = walk(&scan(src), &["reduce"]);
+        assert_eq!(a.alloc_sites.len(), 1);
+        assert_eq!(a.alloc_sites[0].pattern, "format!(");
+    }
+
+    #[test]
+    fn alloc_outside_loops_is_not_flagged() {
+        let src = "fn reduce(&self) {\n    let buf = Vec::new();\n    let all: Vec<u32> = it.collect();\n}\n";
+        let a = walk(&scan(src), &["reduce"]);
+        assert!(a.alloc_sites.is_empty(), "{:?}", a.alloc_sites);
+    }
+
+    #[test]
+    fn loop_keyword_in_identifiers_does_not_open_a_loop() {
+        // `for_each_row(` contains `for` only as an identifier prefix.
+        let src =
+            "fn reduce(&self) {\n    self.ctx.for_each_row(&csr, |r| {\n        let v = x.to_vec();\n    });\n}\n";
+        let a = walk(&scan(src), &["reduce"]);
+        assert!(a.alloc_sites.is_empty(), "{:?}", a.alloc_sites);
+    }
+
+    #[test]
+    fn multiline_signatures_still_name_the_fn() {
+        let src =
+            "fn spmm(\n    &self,\n    csr: &Csr,\n) {\n    for r in rows {\n        let v = x.to_vec();\n    }\n}\n";
+        let a = walk(&scan(src), &["spmm"]);
+        assert_eq!(a.alloc_sites.len(), 1);
+        assert_eq!(a.alloc_sites[0].func, "spmm");
     }
 }

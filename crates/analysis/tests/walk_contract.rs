@@ -1,6 +1,6 @@
-//! Contract for the source walk the lock-order, hot-allocation and atomics
-//! passes read: one lint run over fixtures that hit several passes at once
-//! must produce exactly this diagnostic list — rule, path, line and message.
+//! Contract for the source walk the hot-allocation and atomics passes read:
+//! one lint run over fixtures that hit both passes at once must produce
+//! exactly this diagnostic list — rule, path, line and message.
 //!
 //! The fixtures carry no allow comments, so every finding shows. Each one
 //! sits on a shape where the passes could disagree about what a block or a
@@ -8,11 +8,9 @@
 //! - `s.spawn(|| loop { … })` inside hot fn `spmm` is a loop body to the
 //!   allocation rule and a spawn body to the atomics rule;
 //! - `impl<F: for<'a> Fn(&'a u8)>` is an impl block, not a `for` loop;
-//! - a condvar wait on one tracked guard while a second tracked guard and a
-//!   raw `.lock()` guard are held;
+//! - a condvar wait that rebinds one guard while two others are held;
 //! - `drop(guard)` followed by a `Relaxed` store;
-//! - a multi-line `fn` signature;
-//! - a lock inversion that spans two functions.
+//! - a multi-line `fn` signature.
 
 use agl_analysis::{lint_sources, Diagnostic};
 
@@ -60,14 +58,14 @@ pub struct Gate<F> {
 
 impl<F: for<'a> Fn(&'a u8)> Gate<F> {
     pub fn close(&self) {
-        let v = self.lock_versions();
+        let v = self.state.lock();
         self.reset();
         drop(v);
         self.open.store(false, Ordering::Relaxed);
     }
 
     fn reset(&self) {
-        let b = self.lock_barrier();
+        let b = self.barrier.lock();
         let _ = b;
     }
 }
@@ -76,10 +74,10 @@ impl<F: for<'a> Fn(&'a u8)> Gate<F> {
 const WAIT: &str = "\
 impl Server {
     pub fn park(&self) {
-        let b = self.lock_barrier();
+        let b = self.barrier.lock();
         let raw = self.state.lock();
-        let v = self.lock_versions();
-        let v = v.wait_while(&self.cv, |s| s.busy);
+        let v = self.versions.lock();
+        let v = self.cv.wait_while(v, |s| s.busy);
         drop(v);
         drop(b);
         self.hits.fetch_add(1, Ordering::Relaxed);
@@ -89,27 +87,11 @@ impl Server {
 }
 ";
 
-const SERVER: &str = "\
-impl ParameterServer {
-    pub fn push(&self) {
-        let s = self.lock_shard(1);
-        self.apply();
-        drop(s);
-    }
-
-    fn apply(&self) {
-        let v = self.lock_versions();
-        let _ = v;
-    }
-}
-";
-
 fn lint() -> Vec<Diagnostic> {
     let files: Vec<(String, String)> = [
         ("crates/tensor/src/partition.rs", PARTITION),
         ("crates/ps/src/gate.rs", GATE),
         ("crates/ps/src/wait.rs", WAIT),
-        ("crates/ps/src/server.rs", SERVER),
     ]
     .iter()
     .map(|(p, s)| (p.to_string(), s.to_string()))
@@ -120,42 +102,11 @@ fn lint() -> Vec<Diagnostic> {
 /// The complete expected list, in `lint_sources` order (path, line, rule).
 const EXPECTED: &[(&str, &str, usize, &str)] = &[
     (
-        "lock-order/interproc",
-        "crates/ps/src/gate.rs",
-        9,
-        "in fn close: interprocedural lock-order inversion: acquiring barrier while holding versions (acquired \
-         line 8); canonical order is barrier → versions → shard(i) ascending; call chain: close \
-         (crates/ps/src/gate.rs:9: calls Gate::reset) → reset (crates/ps/src/gate.rs:15: acquires barrier)",
-    ),
-    (
         "atomics",
         "crates/ps/src/gate.rs",
         11,
         "in fn close: Relaxed store on cross-thread atomic `Gate::open` (declared behind an Arc) with no \
          acquire/release edge, lock, or SeqCst fence ordering it",
-    ),
-    (
-        "lock-order/interproc",
-        "crates/ps/src/server.rs",
-        4,
-        "in fn push: interprocedural lock-order inversion: acquiring versions while holding shard(1) (acquired \
-         line 3); canonical order is barrier → versions → shard(i) ascending; call chain: push \
-         (crates/ps/src/server.rs:4: calls ParameterServer::apply) → apply (crates/ps/src/server.rs:9: acquires \
-         versions)",
-    ),
-    (
-        "lock-order",
-        "crates/ps/src/wait.rs",
-        4,
-        "in fn park: raw .lock() bypasses the tracked acquisition wrappers; use \
-         lock_barrier/lock_versions/lock_shard",
-    ),
-    (
-        "lock-order",
-        "crates/ps/src/wait.rs",
-        6,
-        "in fn park: .wait_while(…) releases only its receiver; still holding barrier (line 3) while parked on \
-         the condvar",
     ),
     (
         "atomics",

@@ -4,7 +4,8 @@
 //! entire workspace from the test suite, so any violation anywhere in the
 //! repo fails `cargo test` without a separate CI step.
 
-use agl_analysis::{find_workspace_root, lint_workspace};
+use agl_analysis::scanner::scan;
+use agl_analysis::{crate_rule_by_name, find_workspace_root, lint_workspace, rule_by_name};
 use std::path::Path;
 
 #[test]
@@ -38,4 +39,28 @@ fn workspace_walk_covers_every_crate() {
     for dir in &crates {
         assert!(files.iter().any(|f| f.starts_with(dir)), "no .rs files collected under {}", dir.display());
     }
+}
+
+#[test]
+fn every_allow_comment_names_a_registered_rule() {
+    // An allow naming a rule that no longer exists suppresses nothing and
+    // only misleads the reader. Placeholders in docs (`allow(<rule>)`) are
+    // not rule names and are skipped.
+    let here = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let root = find_workspace_root(here).expect("enclosing cargo workspace");
+    let needle = "agl-lint: allow(";
+    let mut stale = Vec::new();
+    for path in agl_analysis::collect_rs_files(&root).expect("workspace walk") {
+        let src = std::fs::read_to_string(&path).expect("read source");
+        for (i, comment) in scan(&src).comments.iter().enumerate() {
+            for (pos, _) in comment.match_indices(needle) {
+                let name = comment[pos + needle.len()..].split(')').next().unwrap_or("");
+                let is_name = !name.is_empty() && name.chars().all(|c| c.is_ascii_lowercase() || c == '-' || c == '/');
+                if is_name && rule_by_name(name).is_none() && crate_rule_by_name(name).is_none() {
+                    stale.push(format!("{}:{}: allow({name})", path.display(), i + 1));
+                }
+            }
+        }
+    }
+    assert!(stale.is_empty(), "allow comments naming no registered rule:\n{}", stale.join("\n"));
 }

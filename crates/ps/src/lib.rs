@@ -24,11 +24,10 @@
 //!     applying them would drive another in-flight worker's staleness past
 //!     `slack`; every applied gradient provably satisfies
 //!     `staleness ≤ slack`. `Ssp { slack: 0 }` normalizes to `Sync`.
-//! * **Lock order** — the server's barrier/version/shard mutexes follow a
-//!   canonical acquisition order, proven over every path by the
-//!   `agl-analysis` `lock-order` and `lock-order/interproc` rules; its
-//!   atomics follow the ordering policy the `atomics` rule checks
-//!   (CONCURRENCY.md).
+//! * **One lock** — the barrier, the version table and the shards sit
+//!   behind one mutex, so there is no lock order to keep; the server's
+//!   atomics follow the ordering policy the `agl-analysis` `atomics` rule
+//!   checks (CONCURRENCY.md).
 
 pub mod net;
 pub mod server;

@@ -45,12 +45,10 @@ use agl_obs::{Clock, Obs, SpanContext};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// Mutex acquisition for connection and error-slot mutexes. These are not
-/// parameter-server state locks: they have no rank in the barrier →
-/// versions → shard hierarchy and are never held together with it (all
+/// Mutex acquisition for connection and error-slot mutexes, ignoring
+/// poison. They are never held together with the server's state lock (all
 /// server state is reached through `ParameterServer`'s public methods).
 fn lock_plain<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // agl-lint: allow(lock-order) — connection/error mutex outside the PS lock hierarchy; see above.
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 

@@ -1,12 +1,11 @@
 //! The sharded parameter server.
 //!
-//! **Lock-order discipline.** The server owns three lock families, and
-//! every path acquires them in the canonical order `Barrier → Versions →
-//! Shard(0..S)` (shards ascending). All acquisitions go through the
-//! `lock_barrier` / `lock_versions` / `lock_shard` wrappers, and
-//! `agl-analysis` proves the order over every path (`lock-order` and
-//! `lock-order/interproc` rules). Condvar waits (`Condvar::wait_while`)
-//! release and reacquire the *same* guard, so they introduce no new edges.
+//! **One lock.** All server state — the sync barrier, the version table
+//! and the parameter shards — sits behind one mutex (`PsState`). Every
+//! versioned pull and every apply sweeps all shards with the version table
+//! held, so separate shard locks could never admit two threads at once;
+//! with one lock there is no acquisition order to keep. The two condvars
+//! (`sync_cv` for the barrier, `ssp_cv` for the SSP gate) both wait on it.
 //!
 //! **Consistency spectrum.** Mode selection is one enum, [`Consistency`]:
 //!
@@ -14,7 +13,7 @@
 //!   (bit-deterministic regardless of arrival order), one optimizer step
 //!   per round.
 //! * `Async` — Hogwild: every push applies immediately; staleness is
-//!   measured exactly (under the version lock at apply time) but unbounded.
+//!   measured exactly (under the server lock at apply time) but unbounded.
 //! * `Ssp { slack }` — stale-synchronous parallel: at most `slack + 1`
 //!   workers may be in flight (pulled, not yet applied) at once, and an
 //!   apply is admitted only while every other in-flight worker can still
@@ -83,10 +82,9 @@ struct SyncState {
 
 /// Model-version bookkeeping: how many optimizer steps have landed, per
 /// shard and globally, plus the per-worker progress the SSP gate reads.
-/// Guarded by its own lock so versioned pulls get a consistent
-/// `(params, version)` cut — [`ParameterServer::apply`] holds it across the
-/// shard sweep, and staleness is recorded here at apply time (exact, no
-/// racy atomics).
+/// It shares the server's one lock with the shards, so a versioned pull is
+/// a consistent `(params, version)` cut, and staleness is recorded here at
+/// apply time (exact, no racy atomics).
 struct VersionTable {
     shard_versions: Vec<u64>,
     global_step: u64,
@@ -129,6 +127,13 @@ impl WorkerRecord {
             wait_nanos: self.gate_wait.sum(),
         }
     }
+}
+
+/// Everything the server's one mutex guards.
+struct PsState {
+    sync: SyncState,
+    versions: VersionTable,
+    shards: Vec<Shard>,
 }
 
 impl VersionTable {
@@ -188,13 +193,13 @@ pub struct WorkerPsStats {
     pub pulls: u64,
     pub pushes: u64,
     /// Largest staleness (steps between pull and apply) over this worker's
-    /// applied pushes. Exact: recorded under the version lock at apply.
+    /// applied pushes. Exact: recorded under the server lock at apply.
     pub max_staleness: u64,
     /// `staleness_hist[i]` counts pushes applied at staleness `i`; the last
     /// bucket collects overflow (reachable only in `Async` mode — SSP never
     /// exceeds its slack, sync never exceeds 0).
     pub staleness_hist: Vec<u64>,
-    /// Pushes that blocked on the SSP gate.
+    /// Pulls and pushes that blocked on the SSP gate.
     pub waits: u64,
     /// Total clock nanoseconds this worker spent blocked on the gate
     /// (logical ticks when the attached obs handle runs a logical clock).
@@ -214,7 +219,7 @@ pub struct PsStats {
     pub model_version: u64,
     /// Largest staleness any applied push observed (max over workers).
     pub max_staleness: u64,
-    /// Pushes that blocked on the SSP gate (sum over workers).
+    /// Pulls and pushes that blocked on the SSP gate (sum over workers).
     pub ssp_waits: u64,
     /// Total nanoseconds spent blocked on the SSP gate (sum over workers).
     pub ssp_wait_nanos: u64,
@@ -224,15 +229,14 @@ pub struct PsStats {
 
 /// In-process parameter server holding the flat model vector in `S` shards.
 pub struct ParameterServer {
-    shards: Vec<Mutex<Shard>>,
+    state: Mutex<PsState>,
     /// Shard boundaries: shard `i` owns `bounds[i]..bounds[i+1]`.
     bounds: Vec<usize>,
     /// Normalized mode (`Ssp { slack: 0 }` ⇒ `Sync`).
     mode: Consistency,
     n_workers: usize,
-    sync: Mutex<SyncState>,
+    /// Woken when a sync round's step has landed.
     sync_cv: Condvar,
-    versions: Mutex<VersionTable>,
     /// Woken when the SSP gate may open: a straggler pulled or retired.
     ssp_cv: Condvar,
     /// Observability handle: pull/push/apply spans land on per-worker
@@ -312,26 +316,26 @@ impl ParameterServer {
         assert!(n_workers > 0, "the server needs at least one worker");
         let (bounds, mode) = shard_layout(initial.len(), n_shards, consistency);
         let (n, n_shards) = (initial.len(), bounds.len() - 1);
-        let shards = bounds
-            .windows(2)
-            .map(|b| Mutex::new(Shard { params: initial[b[0]..b[1]].to_vec(), opt: make_opt() }))
-            .collect();
+        let shards =
+            bounds.windows(2).map(|b| Shard { params: initial[b[0]..b[1]].to_vec(), opt: make_opt() }).collect();
         Self {
-            sync: Mutex::new(SyncState {
-                slots: vec![vec![0.0; n]; if mode == Consistency::Sync { n_workers } else { 0 }],
-                accum: vec![0.0; if mode == Consistency::Sync { n } else { 0 }],
-                arrived: 0,
-                round: 0,
+            state: Mutex::new(PsState {
+                sync: SyncState {
+                    slots: vec![vec![0.0; n]; if mode == Consistency::Sync { n_workers } else { 0 }],
+                    accum: vec![0.0; if mode == Consistency::Sync { n } else { 0 }],
+                    arrived: 0,
+                    round: 0,
+                },
+                versions: VersionTable {
+                    shard_versions: vec![0; n_shards],
+                    global_step: 0,
+                    last_pull: vec![0; n_workers],
+                    active: vec![false; n_workers],
+                    pulled_since_push: vec![false; n_workers],
+                    workers: (0..n_workers).map(|_| WorkerRecord::new(hist_len(mode))).collect(),
+                },
+                shards,
             }),
-            versions: Mutex::new(VersionTable {
-                shard_versions: vec![0; n_shards],
-                global_step: 0,
-                last_pull: vec![0; n_workers],
-                active: vec![false; n_workers],
-                pulled_since_push: vec![false; n_workers],
-                workers: (0..n_workers).map(|_| WorkerRecord::new(hist_len(mode))).collect(),
-            }),
-            shards,
             bounds,
             mode,
             n_workers,
@@ -395,7 +399,7 @@ impl ParameterServer {
 
     /// Number of server shards.
     pub fn n_shards(&self) -> usize {
-        self.shards.len()
+        self.bounds.len() - 1
     }
 
     /// Number of registered workers.
@@ -409,25 +413,17 @@ impl ParameterServer {
         self.mode
     }
 
-    // ---- Lock wrappers (the only sanctioned acquisition sites) ----------
-    // Poisoning is ignored: shard state is elementwise and never left torn.
-
-    /// Acquire the sync-barrier state. Canonical rank 0: nothing else may
-    /// be held.
-    fn lock_barrier(&self) -> MutexGuard<'_, SyncState> {
-        self.sync.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Acquire the server state. Poisoning is ignored: shard state is
+    /// elementwise and never left torn.
+    fn lock(&self) -> MutexGuard<'_, PsState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Acquire the version table. Canonical rank 1: only the barrier may
-    /// already be held.
-    fn lock_versions(&self) -> MutexGuard<'_, VersionTable> {
-        self.versions.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Acquire parameter shard `i`. Shards must be taken in ascending
-    /// index order, after barrier/versions if those are held at all.
-    fn lock_shard(&self, i: usize) -> MutexGuard<'_, Shard> {
-        self.shards[i].lock().unwrap_or_else(PoisonError::into_inner)
+    /// Copy every shard's parameters into their slices of `out`.
+    fn gather(&self, shards: &[Shard], out: &mut [f32]) {
+        for (s, b) in shards.iter().zip(self.bounds.windows(2)) {
+            out[b[0]..b[1]].copy_from_slice(&s.params);
+        }
     }
 
     /// Pull the current full parameter vector as `worker` (a worker's step
@@ -438,42 +434,39 @@ impl ParameterServer {
     }
 
     /// Pull the parameter vector together with its model version (number of
-    /// optimizer steps it reflects). The version table is held across the
-    /// shard sweep, and `apply` holds it across its writes,
-    /// so the returned pair is a consistent cut — the staleness recorded
-    /// when this worker later pushes is exact.
+    /// optimizer steps it reflects). The read and every apply happen under
+    /// the one server lock, so the returned pair is a consistent cut — the
+    /// staleness recorded when this worker later pushes is exact.
     pub fn pull_with_version(&self, worker: usize) -> (Vec<f32>, u64) {
         assert!(worker < self.n_workers, "worker id {worker} out of range (n_workers = {})", self.n_workers);
         let mut span = self.worker_span(worker, "ps.pull");
         let mut out = vec![0.0f32; self.len()];
-        let mut v = self.lock_versions();
+        let mut st = self.lock();
         if let Consistency::Ssp { slack } = self.mode {
             // Pull gate: cap the in-flight window at `slack + 1` workers —
             // any more and no apply order could keep everyone ≤ slack.
             let t0 = self.clock.now();
-            if v.ssp_pull_blocked(worker, slack) {
+            if st.versions.ssp_pull_blocked(worker, slack) {
                 let _gate = self.worker_span(worker, "ps.gate.pull");
-                v = self
+                st = self
                     .ssp_cv
-                    .wait_while(v, |vt| vt.ssp_pull_blocked(worker, slack))
+                    .wait_while(st, |s| s.versions.ssp_pull_blocked(worker, slack))
                     .unwrap_or_else(PoisonError::into_inner);
                 let waited = self.clock.since(t0);
-                v.workers[worker].gate_wait.record(waited);
+                st.versions.workers[worker].gate_wait.record(waited);
                 if let Some(h) = &self.obs_gate_wait {
                     h.record(waited);
                 }
             }
         }
-        for i in 0..self.shards.len() {
-            let s = self.lock_shard(i);
-            out[self.bounds[i]..self.bounds[i + 1]].copy_from_slice(&s.params);
-        }
+        self.gather(&st.shards, &mut out);
+        let v = &mut st.versions;
         let version = v.global_step;
         v.last_pull[worker] = version;
         v.active[worker] = true;
         v.pulled_since_push[worker] = true;
         v.workers[worker].pulls += 1;
-        drop(v);
+        drop(st);
         // A fresher pull can only open the gate for blocked pushers.
         if matches!(self.mode, Consistency::Ssp { .. }) {
             self.ssp_cv.notify_all();
@@ -488,12 +481,7 @@ impl ParameterServer {
     /// driver's view (e.g. loading the final model after training).
     pub fn snapshot(&self) -> Vec<f32> {
         let mut out = vec![0.0f32; self.len()];
-        let v = self.lock_versions();
-        for i in 0..self.shards.len() {
-            let s = self.lock_shard(i);
-            out[self.bounds[i]..self.bounds[i + 1]].copy_from_slice(&s.params);
-        }
-        drop(v);
+        self.gather(&self.lock().shards, &mut out);
         bump(&self.pulls, 1);
         bump(&self.bytes, 4 * self.len() as u64);
         out
@@ -501,7 +489,7 @@ impl ParameterServer {
 
     /// The model version right now: optimizer steps applied so far.
     pub fn current_version(&self) -> u64 {
-        self.lock_versions().global_step
+        self.lock().versions.global_step
     }
 
     /// Deregister `worker` from the SSP gate: it will push no more this
@@ -511,9 +499,7 @@ impl ParameterServer {
     /// unwinds). A retired worker re-registers simply by pulling again.
     pub fn retire_worker(&self, worker: usize) {
         assert!(worker < self.n_workers, "worker id {worker} out of range (n_workers = {})", self.n_workers);
-        let mut v = self.lock_versions();
-        v.active[worker] = false;
-        drop(v);
+        self.lock().versions.active[worker] = false;
         if matches!(self.mode, Consistency::Ssp { .. }) {
             self.ssp_cv.notify_all();
         }
@@ -538,34 +524,35 @@ impl ParameterServer {
         bump(&self.bytes, 4 * grads.len() as u64);
         match self.mode {
             Consistency::Async => {
-                let mut v = self.lock_versions();
+                let mut st = self.lock();
+                let PsState { versions: v, shards, .. } = &mut *st;
                 let staleness = v.global_step.saturating_sub(v.last_pull[worker]);
                 v.record_push(worker, staleness, false, 0);
                 self.observe_staleness(&mut span, staleness);
                 {
                     let _apply = self.worker_span(worker, "ps.apply");
-                    self.apply_locked(&mut v, grads);
+                    self.apply(v, shards, grads);
                 }
                 bump(&self.steps, 1);
             }
             Consistency::Ssp { slack } => {
-                let mut v = self.lock_versions();
+                let mut st = self.lock();
                 assert!(
-                    v.pulled_since_push[worker],
+                    st.versions.pulled_since_push[worker],
                     "SSP requires the pull-compute-push discipline: worker {worker} pushed twice \
                      without pulling, which would void the staleness bound"
                 );
                 let t0 = self.clock.now();
-                let waited = v.ssp_apply_blocked(worker, slack);
+                let waited = st.versions.ssp_apply_blocked(worker, slack);
                 if waited {
                     // We wait on other in-flight workers applying (their
                     // window position ahead of ours) or retiring; both
                     // notify `ssp_cv`, and the oldest-pull worker is never
                     // blocked, so someone can always make progress.
                     let _gate = self.worker_span(worker, "ps.gate.push");
-                    v = self
+                    st = self
                         .ssp_cv
-                        .wait_while(v, |vt| vt.ssp_apply_blocked(worker, slack))
+                        .wait_while(st, |s| s.versions.ssp_apply_blocked(worker, slack))
                         .unwrap_or_else(PoisonError::into_inner);
                 }
                 let wait_nanos = if waited { self.clock.since(t0) } else { 0 };
@@ -577,15 +564,16 @@ impl ParameterServer {
                 // The window invariant (every in-flight pull fits a
                 // staleness-≤-slack apply order) bounds our own staleness
                 // here without a separate check.
+                let PsState { versions: v, shards, .. } = &mut *st;
                 let staleness = v.global_step.saturating_sub(v.last_pull[worker]);
                 v.record_push(worker, staleness, waited, wait_nanos);
                 self.observe_staleness(&mut span, staleness);
                 {
                     let _apply = self.worker_span(worker, "ps.apply");
-                    self.apply_locked(&mut v, grads);
+                    self.apply(v, shards, grads);
                 }
                 bump(&self.steps, 1);
-                drop(v);
+                drop(st);
                 // Our apply shrank the in-flight window: blocked pullers
                 // (window full) and blocked appliers (waiting on us) may
                 // proceed now.
@@ -593,24 +581,21 @@ impl ParameterServer {
             }
             Consistency::Sync => {
                 let n_workers = self.n_workers;
-                let mut st = self.lock_barrier();
-                st.slots[worker].copy_from_slice(grads);
-                st.arrived += 1;
-                // Sync staleness is 0 by construction; record it under the
-                // version lock (barrier → versions is the canonical order).
-                {
-                    let mut v = self.lock_versions();
-                    v.record_push(worker, 0, false, 0);
-                    self.observe_staleness(&mut span, 0);
-                }
-                if st.arrived == n_workers {
+                let mut st = self.lock();
+                let PsState { sync, versions, shards } = &mut *st;
+                sync.slots[worker].copy_from_slice(grads);
+                sync.arrived += 1;
+                // Sync staleness is 0 by construction.
+                versions.record_push(worker, 0, false, 0);
+                self.observe_staleness(&mut span, 0);
+                if sync.arrived == n_workers {
                     // Last worker of the round applies the averaged step.
                     // Summing the slots in worker-id order makes the result
                     // independent of arrival order (bit-deterministic).
-                    st.arrived = 0;
-                    st.round += 1;
+                    sync.arrived = 0;
+                    sync.round += 1;
                     let scale = 1.0 / n_workers as f32;
-                    let SyncState { slots, accum, .. } = &mut *st;
+                    let SyncState { slots, accum, .. } = sync;
                     accum.fill(0.0);
                     for slot in slots.iter() {
                         for (a, g) in accum.iter_mut().zip(slot) {
@@ -620,17 +605,16 @@ impl ParameterServer {
                     for a in accum.iter_mut() {
                         *a *= scale;
                     }
-                    // Applying while holding the barrier follows the
-                    // canonical order Barrier → Versions → Shard(asc).
                     {
                         let _apply = self.worker_span(worker, "ps.apply");
-                        self.apply(&st.accum);
+                        self.apply(versions, shards, accum);
                     }
                     bump(&self.steps, 1);
                     self.sync_cv.notify_all();
                 } else {
-                    let target = st.round + 1;
-                    let _st = self.sync_cv.wait_while(st, |s| s.round < target).unwrap_or_else(PoisonError::into_inner);
+                    let target = sync.round + 1;
+                    let _st =
+                        self.sync_cv.wait_while(st, |s| s.sync.round < target).unwrap_or_else(PoisonError::into_inner);
                 }
             }
         }
@@ -645,21 +629,13 @@ impl ParameterServer {
         }
     }
 
-    /// Apply one optimizer step from `grads`: acquire the version table and
-    /// delegate to [`apply_locked`](Self::apply_locked).
-    fn apply(&self, grads: &[f32]) {
-        let mut v = self.lock_versions();
-        self.apply_locked(&mut v, grads);
-    }
-
-    /// Apply one optimizer step while the version table is already held, so
-    /// versioned pulls see either none or all of the step; shards are taken
-    /// in ascending order (canonical: versions → shard(i)).
-    fn apply_locked(&self, v: &mut VersionTable, grads: &[f32]) {
+    /// Apply one optimizer step from `grads` to every shard. The caller
+    /// holds the server lock, so versioned pulls see either none or all of
+    /// the step.
+    fn apply(&self, v: &mut VersionTable, shards: &mut [Shard], grads: &[f32]) {
         v.global_step += 1;
-        for i in 0..self.shards.len() {
+        for (i, s) in shards.iter_mut().enumerate() {
             let (lo, hi) = (self.bounds[i], self.bounds[i + 1]);
-            let mut s = self.lock_shard(i);
             s.params_opt_step(&grads[lo..hi]);
             v.shard_versions[i] += 1;
         }
@@ -667,13 +643,13 @@ impl ParameterServer {
 
     /// Traffic/progress snapshot, including the per-worker staleness
     /// histograms and SSP wait counters. The per-worker records are kept
-    /// under the version lock and written at apply time, so a snapshot
+    /// under the server lock and written at apply time, so a snapshot
     /// taken after all workers joined is exact.
     pub fn stats(&self) -> PsStats {
-        let v = self.lock_versions();
-        let workers: Vec<WorkerPsStats> = v.workers.iter().map(WorkerRecord::snapshot).collect();
-        let model_version = v.global_step;
-        drop(v);
+        let st = self.lock();
+        let workers: Vec<WorkerPsStats> = st.versions.workers.iter().map(WorkerRecord::snapshot).collect();
+        let model_version = st.versions.global_step;
+        drop(st);
         PsStats {
             pulls: total(&self.pulls),
             pushes: total(&self.pushes),

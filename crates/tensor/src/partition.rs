@@ -16,9 +16,7 @@
 //! threads are spawned the kernels assert [`EdgePartition::check_conflict_free`]
 //! (disjoint row ranges covering `0..n_rows`), and in debug builds a
 //! [write-set tracker](WriteSetTracker) records which worker touched every
-//! output row and fails loudly on any cross-thread overlap. The richer
-//! configurable verifier lives in `agl-analysis` (`ConflictFreedomVerifier`),
-//! which builds on the same primitives.
+//! output row and fails loudly on any cross-thread overlap.
 
 use crate::csr::Csr;
 use crate::matrix::Matrix;
@@ -44,8 +42,6 @@ pub enum PartitionViolation {
     Overlap { index: usize, start: usize, end: usize },
     /// An empty partition in a non-empty matrix (a wasted thread).
     EmptyPart { index: usize },
-    /// A partition's edge count exceeds the balance bound.
-    Imbalanced { index: usize, part_nnz: usize, bound: usize },
 }
 
 impl fmt::Display for PartitionViolation {
@@ -63,9 +59,6 @@ impl fmt::Display for PartitionViolation {
             }
             PartitionViolation::EmptyPart { index } => {
                 write!(f, "partition {index} is empty in a non-empty matrix")
-            }
-            PartitionViolation::Imbalanced { index, part_nnz, bound } => {
-                write!(f, "partition {index} holds {part_nnz} edges, balance bound is {bound}")
             }
         }
     }
@@ -140,8 +133,7 @@ impl EdgePartition {
     /// The structural half of the §3.3.2 conflict-freedom argument: row
     /// ranges are contiguous, pairwise disjoint, cover exactly `0..n_rows`,
     /// and (for non-empty matrices) no chunk is empty. Kernels assert this
-    /// *before* spawning threads; `agl-analysis` re-checks it with a
-    /// configurable nnz-imbalance bound on top.
+    /// *before* spawning threads.
     pub fn check_conflict_free(&self, n_rows: usize) -> Result<(), PartitionViolation> {
         if self.bounds.len() < 2 {
             return Err(PartitionViolation::NoPartitions);

@@ -418,16 +418,68 @@ mod tests {
         assert_eq!(r.ps_stats.pushes, 4 * batches as u64, "every worker pushed every batch");
     }
 
+    /// Holds every other worker's first pull until worker 0 has pulled, so
+    /// the straggler is in flight before anyone reaches the SSP gate.
+    struct StragglerPullsFirst {
+        inner: ParameterServer,
+        straggler_pulled: std::sync::Mutex<bool>,
+        cv: std::sync::Condvar,
+    }
+
+    impl PsClient for StragglerPullsFirst {
+        fn pull_with_version(&self, worker: usize) -> Result<(Vec<f32>, u64), TransportError> {
+            if worker == 0 {
+                let r = PsClient::pull_with_version(&self.inner, worker);
+                *self.straggler_pulled.lock().unwrap() = true;
+                self.cv.notify_all();
+                return r;
+            }
+            drop(self.cv.wait_while(self.straggler_pulled.lock().unwrap(), |pulled| !*pulled).unwrap());
+            PsClient::pull_with_version(&self.inner, worker)
+        }
+        fn push(&self, worker: usize, grads: &[f32]) -> Result<(), TransportError> {
+            PsClient::push(&self.inner, worker, grads)
+        }
+        fn retire(&self, worker: usize) -> Result<(), TransportError> {
+            self.inner.retire(worker)
+        }
+        fn snapshot(&self) -> Result<Vec<f32>, TransportError> {
+            PsClient::snapshot(&self.inner)
+        }
+        fn stats(&self) -> Result<PsStats, TransportError> {
+            PsClient::stats(&self.inner)
+        }
+        fn consistency(&self) -> Consistency {
+            PsClient::consistency(&self.inner)
+        }
+        fn len(&self) -> usize {
+            PsClient::len(&self.inner)
+        }
+    }
+
     #[test]
     fn ssp_gate_waits_surface_in_ps_stats() {
         // With a hard straggler and slack 1, the fast workers must block at
-        // the gates and the wait accounting must show it.
+        // the gates and the wait accounting must show it. The fast workers
+        // start only once the straggler has pulled: the window (slack + 1 =
+        // 2) then holds the straggler and the first fast puller, so a second
+        // fast puller blocks at the pull gate — or, if the first has already
+        // applied, at the push gate, which stays shut until the straggler,
+        // 4 ms behind, applies.
         let data = dataset(32);
         let mut m = model();
         let mut trainer = DistTrainer::new(4, opts(Consistency::Ssp { slack: 1 }));
         trainer.opts.epochs = 2;
         trainer.straggler = Some((0, Duration::from_millis(4)));
-        let r = trainer.train(&mut m, &data, None);
+        let lr = trainer.opts.lr;
+        let client = StragglerPullsFirst {
+            inner: ParameterServer::new(m.param_vector(), trainer.n_shards, 4, trainer.opts.consistency, || {
+                Box::new(Adam::new(lr))
+            }),
+            straggler_pulled: std::sync::Mutex::new(false),
+            cv: std::sync::Condvar::new(),
+        };
+        let r = trainer.train_with_client(&mut m, &data, None, &client).unwrap();
         assert!(r.ps_stats.ssp_waits > 0, "expected gate waits: {:?}", r.ps_stats);
         assert!(r.ps_stats.ssp_wait_nanos > 0);
         assert!(r.max_staleness <= 1);
