@@ -417,8 +417,6 @@ pub struct CallGraphNode {
     pub name: String,
     /// The `impl` owner type, or `None` for a free function.
     pub owner: Option<String>,
-    /// 0-based line of the definition.
-    pub line: usize,
 }
 
 /// The resolved workspace call graph: nodes are function definitions, edges

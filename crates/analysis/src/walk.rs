@@ -642,7 +642,7 @@ impl<'a> WalkGraph<'a> {
             let mut map = vec![None; f.walk.fns.len()];
             for (k, d) in f.walk.fns.iter().enumerate().filter(|(_, d)| !f.is_test_line(d.line)) {
                 map[k] = Some(nodes.len());
-                nodes.push(CallGraphNode { file: fi, name: d.name.clone(), owner: d.owner.clone(), line: d.line });
+                nodes.push(CallGraphNode { file: fi, name: d.name.clone(), owner: d.owner.clone() });
             }
             node_of.push(map);
         }

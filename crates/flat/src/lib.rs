@@ -12,10 +12,13 @@
 //!    with its out-edge rows, then emit (a) `u`'s 0-hop self info, (b) an
 //!    in-edge info record to every destination `v` carrying `u`'s features
 //!    — this materialises the paper's *"in-edge information (feature of the
-//!    in-edge and the neighbor node)"* — and (c) `u`'s out-edge info.
+//!    in-edge and the neighbor node)"* — and (c) `u`'s out-edge info. With
+//!    a sampling cap and K ≥ 2 it also draws `u`'s in-edge sample from
+//!    payload-free stubs and tells each kept source (see
+//!    [`pipeline`]), which then replaces (c).
 //! 3. **Reduce rounds 1..=K (merge & propagate)**: each node merges its
 //!    self info with the in-edge payloads (growing its neighborhood by one
-//!    hop), then propagates the merged result along its out-edges. After
+//!    hop), then propagates the merged result along its kept out-edges. After
 //!    round `k` the self info of `v` is exactly the k-hop neighborhood
 //!    `G^k_v` of Definition 1 (with the message-passing edge rule — see
 //!    `agl_graph::khop::EdgeRule::Sufficient`).
@@ -28,8 +31,9 @@
 //!   a deterministic suffix, splitting the hot group across reducers. Self
 //!   info is replicated to every suffix group; each in-/out-edge record
 //!   goes to one group.
-//! * **Sampling framework**: each reduce group caps its in-edge records per
-//!   round using a pluggable strategy (uniform / weighted / top-k).
+//! * **Sampling framework**: each reduce group caps its in-edge records
+//!   using a pluggable strategy (uniform / weighted / top-k); the sample is
+//!   the same in every round, so payloads ship only along kept in-edges.
 //! * **Inverted indexing**: suffixes are stripped when records are emitted,
 //!   so downstream grouping sees original node ids; the final partial
 //!   GraphFeatures of a hub target are unioned by the driver during the

@@ -4,7 +4,9 @@
 //! paper's re-indexing strategy (§3.2.2): hub keys are split into `fanout`
 //! sub-keys so their records spread across reducers. The value is one of the
 //! three kinds of information of §3.2.1 (self / in-edge / out-edge), plus
-//! the raw table rows feeding the join round and the final output record.
+//! the raw table rows feeding the join round, the payload-free in-edge stubs
+//! and keep decisions that settle the sample before any payload ships, and
+//! the final output record.
 
 use agl_mapreduce::codec::{
     get_f32, get_f32s, get_u32, get_u64, get_u8, put_f32, put_f32s, put_u32, put_u64, put_u8, Codec, CodecError,
@@ -63,6 +65,13 @@ pub enum FlatMsg {
     OutEdge { dst: u64, weight: f32, efeat: Vec<f32> },
     /// Final output: the targeted node's GraphFeature and label.
     Final { sub: Vec<u8>, label: Vec<f32> },
+    /// In-edge stub: the edge `(src → key)` without a payload (Map output,
+    /// join round). The join round samples over these.
+    Stub { src: u64, weight: f32, efeat: Vec<f32> },
+    /// Keep decision: the key node's out-edge to `dst` survived `dst`'s
+    /// sample, so the key ships its payload there. Carries the first kept
+    /// parallel edge, the one `dst`'s merge records.
+    Keep { dst: u64, weight: f32, efeat: Vec<f32> },
 }
 
 impl FlatMsg {
@@ -72,6 +81,8 @@ impl FlatMsg {
     const TAG_IN: u8 = 3;
     const TAG_OUT: u8 = 4;
     const TAG_FINAL: u8 = 5;
+    const TAG_STUB: u8 = 6;
+    const TAG_KEEP: u8 = 7;
 
     // ---- Borrowed encoders -------------------------------------------
     // The reducer's merge round encodes one `InEdge`/`OutEdge`/`SelfInfo`
@@ -103,11 +114,22 @@ impl FlatMsg {
 
     /// Encode [`FlatMsg::OutEdge`] without owning its fields.
     pub fn encode_out_edge(dst: u64, weight: f32, efeat: &[f32]) -> Vec<u8> {
+        Self::encode_edge(Self::TAG_OUT, dst, weight, efeat)
+    }
+
+    /// Encode [`FlatMsg::Stub`] without owning its fields.
+    pub fn encode_stub(src: u64, weight: f32, efeat: &[f32]) -> Vec<u8> {
+        Self::encode_edge(Self::TAG_STUB, src, weight, efeat)
+    }
+
+    /// Encode [`FlatMsg::Keep`] without owning its fields.
+    pub fn encode_keep(dst: u64, weight: f32, efeat: &[f32]) -> Vec<u8> {
+        Self::encode_edge(Self::TAG_KEEP, dst, weight, efeat)
+    }
+
+    fn encode_edge(tag: u8, other: u64, weight: f32, efeat: &[f32]) -> Vec<u8> {
         let mut buf = Vec::with_capacity(17 + 4 * efeat.len());
-        put_u8(&mut buf, Self::TAG_OUT);
-        put_u64(&mut buf, dst);
-        put_f32(&mut buf, weight);
-        put_f32s(&mut buf, efeat);
+        put_edge(&mut buf, tag, other, weight, efeat);
         buf
     }
 
@@ -119,6 +141,15 @@ impl FlatMsg {
         put_f32s(&mut buf, label);
         buf
     }
+}
+
+/// The payload-free edge variants (`EdgeBySrc`, `OutEdge`, `Stub`, `Keep`)
+/// share one layout: tag, the other endpoint, weight, edge features.
+fn put_edge(buf: &mut Vec<u8>, tag: u8, other: u64, weight: f32, efeat: &[f32]) {
+    put_u8(buf, tag);
+    put_u64(buf, other);
+    put_f32(buf, weight);
+    put_f32s(buf, efeat);
 }
 
 fn put_blob(buf: &mut Vec<u8>, b: &[u8]) {
@@ -141,12 +172,7 @@ impl Codec for FlatMsg {
                 put_u8(buf, u8::from(*is_target));
                 put_f32s(buf, label);
             }
-            FlatMsg::EdgeBySrc { dst, weight, efeat } => {
-                put_u8(buf, Self::TAG_EDGE);
-                put_u64(buf, *dst);
-                put_f32(buf, *weight);
-                put_f32s(buf, efeat);
-            }
+            FlatMsg::EdgeBySrc { dst, weight, efeat } => put_edge(buf, Self::TAG_EDGE, *dst, *weight, efeat),
             FlatMsg::SelfInfo { sub, is_target, label } => {
                 put_u8(buf, Self::TAG_SELF);
                 put_blob(buf, sub);
@@ -160,17 +186,14 @@ impl Codec for FlatMsg {
                 put_f32s(buf, efeat);
                 put_blob(buf, sub);
             }
-            FlatMsg::OutEdge { dst, weight, efeat } => {
-                put_u8(buf, Self::TAG_OUT);
-                put_u64(buf, *dst);
-                put_f32(buf, *weight);
-                put_f32s(buf, efeat);
-            }
+            FlatMsg::OutEdge { dst, weight, efeat } => put_edge(buf, Self::TAG_OUT, *dst, *weight, efeat),
             FlatMsg::Final { sub, label } => {
                 put_u8(buf, Self::TAG_FINAL);
                 put_blob(buf, sub);
                 put_f32s(buf, label);
             }
+            FlatMsg::Stub { src, weight, efeat } => put_edge(buf, Self::TAG_STUB, *src, *weight, efeat),
+            FlatMsg::Keep { dst, weight, efeat } => put_edge(buf, Self::TAG_KEEP, *dst, *weight, efeat),
         }
     }
 
@@ -195,6 +218,8 @@ impl Codec for FlatMsg {
                 FlatMsg::OutEdge { dst: get_u64(input)?, weight: get_f32(input)?, efeat: get_f32s(input)? }
             }
             Self::TAG_FINAL => FlatMsg::Final { sub: get_blob(input)?, label: get_f32s(input)? },
+            Self::TAG_STUB => FlatMsg::Stub { src: get_u64(input)?, weight: get_f32(input)?, efeat: get_f32s(input)? },
+            Self::TAG_KEEP => FlatMsg::Keep { dst: get_u64(input)?, weight: get_f32(input)?, efeat: get_f32s(input)? },
             t => return Err(CodecError(format!("unknown FlatMsg tag {t}"))),
         })
     }
@@ -222,19 +247,34 @@ mod tests {
         assert!(suffixes.len() > 1);
     }
 
-    #[test]
-    fn all_message_variants_roundtrip() {
-        let msgs = vec![
+    fn one_of_each_variant() -> Vec<FlatMsg> {
+        vec![
             FlatMsg::NodeRow { features: vec![1.0, 2.0], is_target: true, label: vec![0.0, 1.0] },
             FlatMsg::EdgeBySrc { dst: 9, weight: 0.5, efeat: vec![3.0] },
             FlatMsg::SelfInfo { sub: vec![1, 2, 3], is_target: false, label: vec![] },
             FlatMsg::InEdge { src: 4, weight: 1.0, efeat: vec![], sub: vec![9; 10] },
             FlatMsg::OutEdge { dst: 5, weight: 2.0, efeat: vec![1.0, 2.0] },
             FlatMsg::Final { sub: vec![0; 4], label: vec![1.0] },
-        ];
-        for m in msgs {
+            FlatMsg::Stub { src: 6, weight: 0.75, efeat: vec![4.0, -4.0] },
+            FlatMsg::Keep { dst: 7, weight: 3.5, efeat: vec![] },
+        ]
+    }
+
+    #[test]
+    fn all_message_variants_roundtrip() {
+        for m in one_of_each_variant() {
             let back = FlatMsg::from_bytes(&m.to_bytes()).unwrap();
             assert_eq!(back, m);
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_every_variant_is_rejected() {
+        for m in one_of_each_variant() {
+            let bytes = m.to_bytes();
+            for cut in 0..bytes.len() {
+                assert!(FlatMsg::from_bytes(&bytes[..cut]).is_err(), "{m:?} cut to {cut} bytes decoded");
+            }
         }
     }
 
@@ -254,6 +294,14 @@ mod tests {
         assert_eq!(
             FlatMsg::encode_out_edge(5, 2.0, &efeat),
             FlatMsg::OutEdge { dst: 5, weight: 2.0, efeat: efeat.clone() }.to_bytes(),
+        );
+        assert_eq!(
+            FlatMsg::encode_stub(6, 0.5, &efeat),
+            FlatMsg::Stub { src: 6, weight: 0.5, efeat: efeat.clone() }.to_bytes(),
+        );
+        assert_eq!(
+            FlatMsg::encode_keep(7, 1.0, &efeat),
+            FlatMsg::Keep { dst: 7, weight: 1.0, efeat: efeat.clone() }.to_bytes(),
         );
         assert_eq!(FlatMsg::encode_final(&sub, &label), FlatMsg::Final { sub, label }.to_bytes(),);
         // Empty payloads too.

@@ -4,22 +4,35 @@
 //! Round structure (engine round index in parentheses):
 //!
 //! * **Join (0)** — attach each node's features to its out-edge rows and
-//!   emit the initial self / in-edge / out-edge information. The paper
-//!   presents Map as already emitting in-edge info carrying *"the neighbor
-//!   node"*'s features; a single-record Map cannot know them, so the join
-//!   that industrial pipelines run beforehand is folded in here as the
-//!   first Reduce round.
+//!   emit the initial self / in-edge information. The paper presents Map
+//!   as already emitting in-edge info carrying *"the neighbor node"*'s
+//!   features; a single-record Map cannot know them, so the join that
+//!   industrial pipelines run beforehand is folded in here as the first
+//!   Reduce round. When the strategy caps in-degree and K ≥ 2, the join
+//!   round also settles the sample: Map sends every edge whose source is in
+//!   the node table to its destination's group as a payload-free
+//!   [`FlatMsg::Stub`], the destination runs §3.2.2's selection over them
+//!   exactly as round 1 will, and sends one [`FlatMsg::Keep`] per kept
+//!   source back to that source's group.
 //! * **Merge & propagate (1..=K)** — per §3.2.1: merge self + in-edge info
-//!   into the new self info (one more hop of neighborhood), propagate it
-//!   along out-edges, keep out-edge info for the next round.
+//!   into the new self info (one more hop of neighborhood) and propagate it
+//!   along out-edges. Round 1 propagates along the kept out-edges (or every
+//!   out-edge when nothing is capped), once per kept destination, so rounds
+//!   2..=K receive only payloads they merge. Out-edge info is re-emitted as
+//!   state only while a later round propagates again.
 //! * **Storing** — round K emits targeted nodes' GraphFeatures; the driver
 //!   unions the partial results of re-indexed hub targets (the tail end of
 //!   inverted indexing) and returns the triples.
+//!
+//! Drawing the sample once is exact because sampling is node-consistent:
+//! every round sees the same canonical candidate list and derives the same
+//! seed from the node id, so it would keep the same in-edges anyway.
 
 use crate::builder::SubgraphBuilder;
 use crate::graphfeature::{decode_graph_feature, encode_graph_feature};
 use crate::messages::{FlatKey, FlatMsg};
 use crate::sampling::SamplingStrategy;
+use agl_graph::idhash::IdSet;
 use agl_graph::{EdgeTable, NodeId, NodeTable, Subgraph};
 use agl_mapreduce::codec::{get_f32, get_f32s, get_u64, get_u8, put_f32, put_f32s, put_u64, put_u8, Codec};
 use agl_mapreduce::hash::fnv1a;
@@ -138,14 +151,36 @@ fn encode_node_record(id: NodeId, features: &[f32], is_target: bool, label: &[f3
     buf
 }
 
-fn encode_edge_record(src: NodeId, dst: NodeId, weight: f32, efeat: &[f32]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(21 + 4 * efeat.len());
+/// `stub` asks Map to also send the edge to its destination's group as a
+/// [`FlatMsg::Stub`] for the join round's sampling.
+fn encode_edge_record(src: NodeId, dst: NodeId, weight: f32, efeat: &[f32], stub: bool) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(22 + 4 * efeat.len());
     put_u8(&mut buf, REC_EDGE);
     put_u64(&mut buf, src.0);
     put_u64(&mut buf, dst.0);
     put_f32(&mut buf, weight);
     put_f32s(&mut buf, efeat);
+    put_u8(&mut buf, u8::from(stub));
     buf
+}
+
+/// Whether the join round settles the sample. Without a cap every in-edge
+/// is kept; with K < 2 no round after the first merge ships a payload.
+fn samples_in_join_round(sampling: &SamplingStrategy, k_hops: usize) -> bool {
+    sampling.max_degree().is_some() && k_hops >= 2
+}
+
+/// Sort in-edge records into the canonical candidate order the sampling
+/// framework selects from: by source id, with full tie-breaks so parallel
+/// edges from one source order the same way no matter how the shuffle
+/// delivered them. Records equal on all three fields are interchangeable.
+fn sort_candidates<T>(records: &mut [T], edge: impl Fn(&T) -> (u64, f32, &[f32])) {
+    records.sort_by(|a, b| {
+        let ((sa, wa, fa), (sb, wb, fb)) = (edge(a), edge(b));
+        sa.cmp(&sb)
+            .then_with(|| wa.total_cmp(&wb))
+            .then_with(|| fa.iter().map(|f| f.to_bits()).cmp(fb.iter().map(|f| f.to_bits())))
+    });
 }
 
 /// Decode a record this pipeline itself encoded. The [`Mapper`]/[`Reducer`]
@@ -212,6 +247,12 @@ impl Mapper for FlatMapper {
                 let dst = must(get_u64(&mut r), "edge dst");
                 let weight = must(get_f32(&mut r), "edge weight");
                 let efeat = must(get_f32s(&mut r), "edge features");
+                let stub = must(get_u8(&mut r), "stub flag") != 0;
+                if stub {
+                    // To the destination group that will sample over it.
+                    let key = self.routing.key_for(dst, src);
+                    emit(key.to_bytes(), FlatMsg::encode_stub(src, weight, &efeat));
+                }
                 // Keyed by source for the join round; spread over the
                 // source's groups by destination.
                 let key = self.routing.key_for(src, dst);
@@ -232,6 +273,11 @@ struct FlatReducer {
 }
 
 impl FlatReducer {
+    /// The seed of node `id`'s in-edge sample: the same in every round.
+    fn sample_seed(&self, id: u64) -> u64 {
+        derive_seed(self.seed, fnv1a(&id.to_le_bytes()))
+    }
+
     /// Leaf subgraph: just the node itself (the 0-hop neighborhood).
     fn leaf(id: u64, features: &[f32]) -> Vec<u8> {
         let sub = Subgraph {
@@ -259,6 +305,9 @@ impl Reducer for FlatReducer {
         let mut edges_by_src: Vec<(u64, f32, Vec<f32>)> = Vec::new();
         let mut selfs: Vec<(Vec<u8>, bool, Vec<f32>)> = Vec::new();
         let mut in_edges: Vec<(u64, f32, Vec<f32>, Vec<u8>)> = Vec::new();
+        let mut stubs: Vec<(u64, f32, Vec<f32>)> = Vec::new();
+        // Out-edges to propagate along: the kept ones when the join round
+        // sampled (its `Keep`s, then `OutEdge` state), else all of them.
         let mut out_edges: Vec<(u64, f32, Vec<f32>)> = Vec::new();
         for v in values {
             match must(FlatMsg::from_bytes(v), "flat message") {
@@ -268,7 +317,10 @@ impl Reducer for FlatReducer {
                 FlatMsg::EdgeBySrc { dst, weight, efeat } => edges_by_src.push((dst, weight, efeat)),
                 FlatMsg::SelfInfo { sub, is_target, label } => selfs.push((sub, is_target, label)),
                 FlatMsg::InEdge { src, weight, efeat, sub } => in_edges.push((src, weight, efeat, sub)),
-                FlatMsg::OutEdge { dst, weight, efeat } => out_edges.push((dst, weight, efeat)),
+                FlatMsg::OutEdge { dst, weight, efeat } | FlatMsg::Keep { dst, weight, efeat } => {
+                    out_edges.push((dst, weight, efeat));
+                }
+                FlatMsg::Stub { src, weight, efeat } => stubs.push((src, weight, efeat)),
                 // agl-lint: allow(no-panic) — Final is only emitted under a plain key in the last round.
                 FlatMsg::Final { .. } => panic!("Final record re-entered the pipeline"),
             }
@@ -277,7 +329,8 @@ impl Reducer for FlatReducer {
         if round == 0 {
             // ---- Join round ----
             let Some((features, is_target, label)) = node_row else {
-                // Edges whose source never appeared in the node table.
+                // Edges whose source never appeared in the node table. Stubs
+                // addressed here have no node to merge them: no keeps.
                 self.counters.add("flat.dangling_edge_sources", edges_by_src.len() as u64);
                 return;
             };
@@ -289,19 +342,40 @@ impl Reducer for FlatReducer {
                 return;
             }
             emit(key.to_vec(), FlatMsg::encode_self_info(&leaf, is_target, &label));
+            // Settle this group's sample now: the stubs are exactly round
+            // 1's candidates, so the same order and seed keep the same
+            // edges. One keep per kept source carries its first kept
+            // parallel edge, the only one the merge's edge union records.
+            sort_candidates(&mut stubs, |(src, w, ef)| (*src, *w, ef));
+            let weights: Vec<f32> = stubs.iter().map(|(_, w, _)| *w).collect();
+            let mut last_src = None;
+            for i in self.sampling.select(&weights, self.sample_seed(k.id)) {
+                let (src, weight, efeat) = &stubs[i];
+                if last_src != Some(*src) {
+                    last_src = Some(*src);
+                    emit(self.routing.key_for(*src, k.id).to_bytes(), FlatMsg::encode_keep(k.id, *weight, efeat));
+                }
+            }
+            // Out-edge state for round 1, unless its keeps replace it.
+            let keep_out_edges = self.k_hops >= 2 && !samples_in_join_round(&self.sampling, self.k_hops);
             for (dst, weight, efeat) in &edges_by_src {
                 let in_key = self.routing.key_for(*dst, k.id);
                 emit(in_key.to_bytes(), FlatMsg::encode_in_edge(k.id, *weight, efeat, &leaf));
-                // agl-lint: allow(no-hot-alloc) — the emit contract takes an owned key; this is the record key itself.
-                emit(key.to_vec(), FlatMsg::encode_out_edge(*dst, *weight, efeat));
+                if keep_out_edges {
+                    // agl-lint: allow(no-hot-alloc) — the emit contract takes an owned key; this is the record key itself.
+                    emit(key.to_vec(), FlatMsg::encode_out_edge(*dst, *weight, efeat));
+                }
             }
             return;
         }
 
         // ---- Merge & propagate round (1..=K) ----
         if selfs.is_empty() {
-            // In-edge info addressed to a node missing from the node table.
-            self.counters.add("flat.dangling_edge_destinations", in_edges.len() as u64);
+            // In-edge info addressed to a node missing from the node table,
+            // counted once: the first merge round sees every such edge.
+            if round == 1 {
+                self.counters.add("flat.dangling_edge_destinations", in_edges.len() as u64);
+            }
             return;
         }
         let is_target = selfs.iter().any(|(_, t, _)| *t);
@@ -311,21 +385,18 @@ impl Reducer for FlatReducer {
         self.counters.record_max("flat.max_group_in_edges", in_edges.len() as u64);
 
         // Sampling framework: cap this group's in-edge records. The
-        // candidate list is canonicalised (sorted by source id, with full
-        // tie-breaks so parallel edges from one source order the same way
-        // no matter how the shuffle delivered them) and the seed depends
-        // only on the node, so every round — and later GraphInfer —
-        // selects the *same* neighbor subset: the property behind §3.4's
-        // "unbiased inference with the model trained based on GraphFlat".
-        in_edges.sort_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then_with(|| a.1.total_cmp(&b.1))
-                .then_with(|| a.2.iter().map(|f| f.to_bits()).cmp(b.2.iter().map(|f| f.to_bits())))
-                .then_with(|| a.3.cmp(&b.3))
-        });
+        // candidate list is canonicalised and the seed depends only on the
+        // node, so every round — and later GraphInfer — selects the *same*
+        // neighbor subset: the property behind §3.4's "unbiased inference
+        // with the model trained based on GraphFlat". Round 1 sees every
+        // candidate and keeps what the join round kept; later rounds
+        // receive only kept sources, at most the cap, and keep them all, so
+        // `flat.sampled_out_in_edges` counts each dropped in-edge once. A
+        // source's parallel in-edges carry one payload, so equal records
+        // are interchangeable.
+        sort_candidates(&mut in_edges, |(src, w, ef, _)| (*src, *w, ef));
         let weights: Vec<f32> = in_edges.iter().map(|(_, w, _, _)| *w).collect();
-        let sample_seed = derive_seed(self.seed, fnv1a(&k.id.to_le_bytes()));
-        let kept = self.sampling.select(&weights, sample_seed);
+        let kept = self.sampling.select(&weights, self.sample_seed(k.id));
         if kept.len() < in_edges.len() {
             self.counters.add("flat.sampled_out_in_edges", (in_edges.len() - kept.len()) as u64);
         }
@@ -347,11 +418,14 @@ impl Reducer for FlatReducer {
 
         if round < self.k_hops {
             emit(key.to_vec(), FlatMsg::encode_self_info(&merged_bytes, is_target, &label));
+            let keep_out_edges = round + 1 < self.k_hops;
             for (dst, weight, efeat) in &out_edges {
                 let in_key = self.routing.key_for(*dst, k.id);
                 emit(in_key.to_bytes(), FlatMsg::encode_in_edge(k.id, *weight, efeat, &merged_bytes));
-                // agl-lint: allow(no-hot-alloc) — the emit contract takes an owned key; this is the record key itself.
-                emit(key.to_vec(), FlatMsg::encode_out_edge(*dst, *weight, efeat));
+                if keep_out_edges {
+                    // agl-lint: allow(no-hot-alloc) — the emit contract takes an owned key; this is the record key itself.
+                    emit(key.to_vec(), FlatMsg::encode_out_edge(*dst, *weight, efeat));
+                }
             }
         } else if is_target {
             // Storing step: inverted indexing — emit under the original key.
@@ -475,8 +549,15 @@ impl GraphFlat {
             let label = nodes.labels().map_or(empty.as_slice(), |l| l.row(i));
             inputs.push(encode_node_record(id, feat, is_target(id), label));
         }
+        // Stub only edges whose source is in the node table: those are the
+        // in-edges round 1 receives, so the join round samples the same list.
+        let stub_sources: IdSet = if samples_in_join_round(&self.cfg.sampling, self.cfg.k_hops) {
+            nodes.ids().iter().copied().collect()
+        } else {
+            IdSet::default()
+        };
         for (row, ef) in edges.iter() {
-            inputs.push(encode_edge_record(row.src, row.dst, row.weight, ef));
+            inputs.push(encode_edge_record(row.src, row.dst, row.weight, ef, stub_sources.contains(&row.src)));
         }
         drop(encode_span);
         (routing, inputs)
@@ -571,48 +652,48 @@ impl GraphFlat {
         let worker_spec = || self.worker_spec(&routing).to_bytes();
         let job = MapReduceJob::reporting_into(self.job_config(), counters.clone());
         let result = job.run_on(placement, &inputs, &mapper, &reducer, None, &worker_spec)?;
-        self.store(&result.output, counters, &mut flat_span)
+        self.store(result.output, counters, &mut flat_span)
     }
 
     /// Storing step: group Final records by target id; union the partial
-    /// GraphFeatures of re-indexed hub targets.
+    /// GraphFeatures of re-indexed hub targets. Every partial is decoded to
+    /// validate it; a target's only partial is kept as the bytes it came in.
     fn store(
         &self,
-        output: &[KeyValue],
+        output: Vec<KeyValue>,
         counters: Counters,
         flat_span: &mut agl_obs::Span,
     ) -> Result<FlatOutput, JobError> {
         let store_span = self.cfg.engine.obs.span("driver", "graphflat.store");
-        let mut by_target: HashMap<u64, (Vec<Subgraph>, Vec<f32>)> = HashMap::new();
+        let decode =
+            |sub: &[u8]| decode_graph_feature(sub).map_err(|e| JobError::Corrupt(format!("final subgraph: {e}")));
+        let mut by_target: HashMap<u64, (Vec<Vec<u8>>, Vec<f32>)> = HashMap::new();
         for kv in output {
             let key = FlatKey::from_bytes(&kv.key).map_err(|e| JobError::Corrupt(format!("final key: {e}")))?;
             let msg = FlatMsg::from_bytes(&kv.value).map_err(|e| JobError::Corrupt(format!("final msg: {e}")))?;
             match msg {
                 FlatMsg::Final { sub, label } => {
-                    let sub =
-                        decode_graph_feature(&sub).map_err(|e| JobError::Corrupt(format!("final subgraph: {e}")))?;
-                    let entry = by_target.entry(key.id).or_insert_with(|| (Vec::new(), label));
-                    entry.0.push(sub);
+                    decode(&sub)?;
+                    by_target.entry(key.id).or_insert_with(|| (Vec::new(), label)).0.push(sub);
                 }
                 other => return Err(JobError::Corrupt(format!("unexpected output record {other:?}"))),
             }
         }
-        let mut examples: Vec<TrainingExample> = by_target
-            .into_iter()
-            .map(|(id, (subs, label))| {
-                let graph_feature = if subs.len() == 1 {
-                    encode_graph_feature(&subs[0])
-                } else {
-                    counters.add("flat.hub_partials_merged", subs.len() as u64);
+        let mut examples = Vec::with_capacity(by_target.len());
+        for (id, (partials, label)) in by_target {
+            let graph_feature = match <[Vec<u8>; 1]>::try_from(partials) {
+                Ok([only]) => only,
+                Err(partials) => {
+                    counters.add("flat.hub_partials_merged", partials.len() as u64);
                     let mut b = SubgraphBuilder::new();
-                    for s in &subs {
-                        b.absorb(s);
+                    for p in &partials {
+                        b.absorb(&decode(p)?);
                     }
                     encode_graph_feature(&b.build(&[NodeId(id)]))
-                };
-                TrainingExample { target: NodeId(id), label, graph_feature }
-            })
-            .collect();
+                }
+            };
+            examples.push(TrainingExample { target: NodeId(id), label, graph_feature });
+        }
         examples.sort_by_key(|e| e.target);
         drop(store_span);
         counters.add("flat.examples", examples.len() as u64);

@@ -139,6 +139,22 @@ fn sampling_caps_neighborhood_size() {
 }
 
 #[test]
+fn sampled_out_payloads_never_ship() {
+    // The join round settles the sample, so round 2 reads the 201 self
+    // infos plus one payload per kept in-edge (each leaf's one, the hub's
+    // 10), and no out-edge state, which no round after it would read.
+    let (nodes, edges) = hub_graph(100);
+    let cfg = FlatConfig { k_hops: 2, sampling: SamplingStrategy::Uniform { max_degree: 10 }, ..FlatConfig::default() };
+    let out = run_flat(cfg, &nodes, &edges, TargetSpec::All);
+    assert_eq!(out.counters.get("reduce.r2.input_records"), 201 + 110);
+    // Dropped in round 1, once.
+    assert_eq!(out.counters.get("flat.sampled_out_in_edges"), 90);
+    let hub = decode_graph_feature(&out.examples[0].graph_feature).unwrap();
+    assert_eq!(hub.node_ids[0], NodeId(0));
+    assert_eq!(hub.n_edges(), 20, "10 sampled leaves and their grand-leaves");
+}
+
+#[test]
 fn sampling_is_deterministic_across_runs() {
     let (nodes, edges) = hub_graph(50);
     let cfg =

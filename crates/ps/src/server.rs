@@ -801,8 +801,9 @@ mod tests {
 
     #[test]
     fn versioned_pull_is_a_consistent_cut() {
-        // Concurrent pullers race with async pushers; because `apply` holds
-        // the version table across its shard sweep, a pulled vector tagged
+        // Concurrent pullers race with async pushers; because the one
+        // `PsState` mutex covers both the version table and every shard, an
+        // apply and a pull never interleave, so a pulled vector tagged
         // version v reflects exactly v steps: with +1.0 gradients and SGD
         // lr=0.1, every element must equal -0.1 * v.
         let ps = Arc::new(ParameterServer::new(vec![0.0; 8], 4, 4, Consistency::Async, sgd));
