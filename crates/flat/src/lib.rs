@@ -12,10 +12,9 @@
 //!    with its out-edge rows, then emit (a) `u`'s 0-hop self info, (b) an
 //!    in-edge info record to every destination `v` carrying `u`'s features
 //!    — this materialises the paper's *"in-edge information (feature of the
-//!    in-edge and the neighbor node)"* — and (c) `u`'s out-edge info. With
-//!    a sampling cap and K ≥ 2 it also draws `u`'s in-edge sample from
-//!    payload-free stubs and tells each kept source (see
-//!    [`pipeline`]), which then replaces (c).
+//!    in-edge and the neighbor node)"* — and (c) with K ≥ 2, out-edge info
+//!    to each source its in-edge sample keeps, drawn from payload-free
+//!    stubs (see [`pipeline`]).
 //! 3. **Reduce rounds 1..=K (merge & propagate)**: each node merges its
 //!    self info with the in-edge payloads (growing its neighborhood by one
 //!    hop), then propagates the merged result along its kept out-edges. After

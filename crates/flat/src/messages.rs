@@ -5,8 +5,8 @@
 //! sub-keys so their records spread across reducers. The value is one of the
 //! three kinds of information of §3.2.1 (self / in-edge / out-edge), plus
 //! the raw table rows feeding the join round, the payload-free in-edge stubs
-//! and keep decisions that settle the sample before any payload ships, and
-//! the final output record.
+//! the join round samples over before any payload ships, and the final
+//! output record.
 
 use agl_mapreduce::codec::{
     get_f32, get_f32s, get_u32, get_u64, get_u8, put_f32, put_f32s, put_u32, put_u64, put_u8, Codec, CodecError,
@@ -61,17 +61,15 @@ pub enum FlatMsg {
     /// current neighborhood payload.
     InEdge { src: u64, weight: f32, efeat: Vec<f32>, sub: Vec<u8> },
     /// Out-edge information: `(key → dst)` with its weight/features, kept
-    /// so the merge result can be propagated each round.
+    /// so the merge result can be propagated each round. The join round's
+    /// `dst` sends one per source its sample kept, carrying the first kept
+    /// parallel edge, the one `dst`'s merge records.
     OutEdge { dst: u64, weight: f32, efeat: Vec<f32> },
     /// Final output: the targeted node's GraphFeature and label.
     Final { sub: Vec<u8>, label: Vec<f32> },
     /// In-edge stub: the edge `(src → key)` without a payload (Map output,
     /// join round). The join round samples over these.
     Stub { src: u64, weight: f32, efeat: Vec<f32> },
-    /// Keep decision: the key node's out-edge to `dst` survived `dst`'s
-    /// sample, so the key ships its payload there. Carries the first kept
-    /// parallel edge, the one `dst`'s merge records.
-    Keep { dst: u64, weight: f32, efeat: Vec<f32> },
 }
 
 impl FlatMsg {
@@ -82,7 +80,6 @@ impl FlatMsg {
     const TAG_OUT: u8 = 4;
     const TAG_FINAL: u8 = 5;
     const TAG_STUB: u8 = 6;
-    const TAG_KEEP: u8 = 7;
 
     // ---- Borrowed encoders -------------------------------------------
     // The reducer's merge round encodes one `InEdge`/`OutEdge`/`SelfInfo`
@@ -122,11 +119,6 @@ impl FlatMsg {
         Self::encode_edge(Self::TAG_STUB, src, weight, efeat)
     }
 
-    /// Encode [`FlatMsg::Keep`] without owning its fields.
-    pub fn encode_keep(dst: u64, weight: f32, efeat: &[f32]) -> Vec<u8> {
-        Self::encode_edge(Self::TAG_KEEP, dst, weight, efeat)
-    }
-
     fn encode_edge(tag: u8, other: u64, weight: f32, efeat: &[f32]) -> Vec<u8> {
         let mut buf = Vec::with_capacity(17 + 4 * efeat.len());
         put_edge(&mut buf, tag, other, weight, efeat);
@@ -143,7 +135,7 @@ impl FlatMsg {
     }
 }
 
-/// The payload-free edge variants (`EdgeBySrc`, `OutEdge`, `Stub`, `Keep`)
+/// The payload-free edge variants (`EdgeBySrc`, `OutEdge`, `Stub`)
 /// share one layout: tag, the other endpoint, weight, edge features.
 fn put_edge(buf: &mut Vec<u8>, tag: u8, other: u64, weight: f32, efeat: &[f32]) {
     put_u8(buf, tag);
@@ -193,7 +185,6 @@ impl Codec for FlatMsg {
                 put_f32s(buf, label);
             }
             FlatMsg::Stub { src, weight, efeat } => put_edge(buf, Self::TAG_STUB, *src, *weight, efeat),
-            FlatMsg::Keep { dst, weight, efeat } => put_edge(buf, Self::TAG_KEEP, *dst, *weight, efeat),
         }
     }
 
@@ -219,7 +210,6 @@ impl Codec for FlatMsg {
             }
             Self::TAG_FINAL => FlatMsg::Final { sub: get_blob(input)?, label: get_f32s(input)? },
             Self::TAG_STUB => FlatMsg::Stub { src: get_u64(input)?, weight: get_f32(input)?, efeat: get_f32s(input)? },
-            Self::TAG_KEEP => FlatMsg::Keep { dst: get_u64(input)?, weight: get_f32(input)?, efeat: get_f32s(input)? },
             t => return Err(CodecError(format!("unknown FlatMsg tag {t}"))),
         })
     }
@@ -256,7 +246,6 @@ mod tests {
             FlatMsg::OutEdge { dst: 5, weight: 2.0, efeat: vec![1.0, 2.0] },
             FlatMsg::Final { sub: vec![0; 4], label: vec![1.0] },
             FlatMsg::Stub { src: 6, weight: 0.75, efeat: vec![4.0, -4.0] },
-            FlatMsg::Keep { dst: 7, weight: 3.5, efeat: vec![] },
         ]
     }
 
@@ -298,10 +287,6 @@ mod tests {
         assert_eq!(
             FlatMsg::encode_stub(6, 0.5, &efeat),
             FlatMsg::Stub { src: 6, weight: 0.5, efeat: efeat.clone() }.to_bytes(),
-        );
-        assert_eq!(
-            FlatMsg::encode_keep(7, 1.0, &efeat),
-            FlatMsg::Keep { dst: 7, weight: 1.0, efeat: efeat.clone() }.to_bytes(),
         );
         assert_eq!(FlatMsg::encode_final(&sub, &label), FlatMsg::Final { sub, label }.to_bytes(),);
         // Empty payloads too.

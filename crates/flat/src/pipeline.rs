@@ -8,18 +8,17 @@
 //!   as already emitting in-edge info carrying *"the neighbor node"*'s
 //!   features; a single-record Map cannot know them, so the join that
 //!   industrial pipelines run beforehand is folded in here as the first
-//!   Reduce round. When the strategy caps in-degree and K ≥ 2, the join
-//!   round also settles the sample: Map sends every edge whose source is in
-//!   the node table to its destination's group as a payload-free
-//!   [`FlatMsg::Stub`], the destination runs §3.2.2's selection over them
-//!   exactly as round 1 will, and sends one [`FlatMsg::Keep`] per kept
-//!   source back to that source's group.
+//!   Reduce round. When K ≥ 2 the join round also settles the sample: Map
+//!   sends every edge whose source is in the node table to its
+//!   destination's group as a payload-free [`FlatMsg::Stub`], the
+//!   destination runs §3.2.2's selection over them exactly as round 1 will,
+//!   and sends one [`FlatMsg::OutEdge`] per kept source back to that
+//!   source's group. Destinations missing from the node table keep nothing.
 //! * **Merge & propagate (1..=K)** — per §3.2.1: merge self + in-edge info
 //!   into the new self info (one more hop of neighborhood) and propagate it
-//!   along out-edges. Round 1 propagates along the kept out-edges (or every
-//!   out-edge when nothing is capped), once per kept destination, so rounds
-//!   2..=K receive only payloads they merge. Out-edge info is re-emitted as
-//!   state only while a later round propagates again.
+//!   along the kept out-edges, once per kept destination, so rounds 2..=K
+//!   receive only payloads they merge. Out-edge info is re-emitted as state
+//!   only while a later round propagates again.
 //! * **Storing** — round K emits targeted nodes' GraphFeatures; the driver
 //!   unions the partial results of re-indexed hub targets (the tail end of
 //!   inverted indexing) and returns the triples.
@@ -164,12 +163,6 @@ fn encode_edge_record(src: NodeId, dst: NodeId, weight: f32, efeat: &[f32], stub
     buf
 }
 
-/// Whether the join round settles the sample. Without a cap every in-edge
-/// is kept; with K < 2 no round after the first merge ships a payload.
-fn samples_in_join_round(sampling: &SamplingStrategy, k_hops: usize) -> bool {
-    sampling.max_degree().is_some() && k_hops >= 2
-}
-
 /// Sort in-edge records into the canonical candidate order the sampling
 /// framework selects from: by source id, with full tie-breaks so parallel
 /// edges from one source order the same way no matter how the shuffle
@@ -306,8 +299,8 @@ impl Reducer for FlatReducer {
         let mut selfs: Vec<(Vec<u8>, bool, Vec<f32>)> = Vec::new();
         let mut in_edges: Vec<(u64, f32, Vec<f32>, Vec<u8>)> = Vec::new();
         let mut stubs: Vec<(u64, f32, Vec<f32>)> = Vec::new();
-        // Out-edges to propagate along: the kept ones when the join round
-        // sampled (its `Keep`s, then `OutEdge` state), else all of them.
+        // The kept out-edges to propagate along, as the join round's
+        // destinations sent them.
         let mut out_edges: Vec<(u64, f32, Vec<f32>)> = Vec::new();
         for v in values {
             match must(FlatMsg::from_bytes(v), "flat message") {
@@ -317,9 +310,7 @@ impl Reducer for FlatReducer {
                 FlatMsg::EdgeBySrc { dst, weight, efeat } => edges_by_src.push((dst, weight, efeat)),
                 FlatMsg::SelfInfo { sub, is_target, label } => selfs.push((sub, is_target, label)),
                 FlatMsg::InEdge { src, weight, efeat, sub } => in_edges.push((src, weight, efeat, sub)),
-                FlatMsg::OutEdge { dst, weight, efeat } | FlatMsg::Keep { dst, weight, efeat } => {
-                    out_edges.push((dst, weight, efeat));
-                }
+                FlatMsg::OutEdge { dst, weight, efeat } => out_edges.push((dst, weight, efeat)),
                 FlatMsg::Stub { src, weight, efeat } => stubs.push((src, weight, efeat)),
                 // agl-lint: allow(no-panic) — Final is only emitted under a plain key in the last round.
                 FlatMsg::Final { .. } => panic!("Final record re-entered the pipeline"),
@@ -330,7 +321,7 @@ impl Reducer for FlatReducer {
             // ---- Join round ----
             let Some((features, is_target, label)) = node_row else {
                 // Edges whose source never appeared in the node table. Stubs
-                // addressed here have no node to merge them: no keeps.
+                // addressed here have no node to merge them: nothing is kept.
                 self.counters.add("flat.dangling_edge_sources", edges_by_src.len() as u64);
                 return;
             };
@@ -344,7 +335,7 @@ impl Reducer for FlatReducer {
             emit(key.to_vec(), FlatMsg::encode_self_info(&leaf, is_target, &label));
             // Settle this group's sample now: the stubs are exactly round
             // 1's candidates, so the same order and seed keep the same
-            // edges. One keep per kept source carries its first kept
+            // edges. Each kept source gets one out-edge, its first kept
             // parallel edge, the only one the merge's edge union records.
             sort_candidates(&mut stubs, |(src, w, ef)| (*src, *w, ef));
             let weights: Vec<f32> = stubs.iter().map(|(_, w, _)| *w).collect();
@@ -353,18 +344,12 @@ impl Reducer for FlatReducer {
                 let (src, weight, efeat) = &stubs[i];
                 if last_src != Some(*src) {
                     last_src = Some(*src);
-                    emit(self.routing.key_for(*src, k.id).to_bytes(), FlatMsg::encode_keep(k.id, *weight, efeat));
+                    emit(self.routing.key_for(*src, k.id).to_bytes(), FlatMsg::encode_out_edge(k.id, *weight, efeat));
                 }
             }
-            // Out-edge state for round 1, unless its keeps replace it.
-            let keep_out_edges = self.k_hops >= 2 && !samples_in_join_round(&self.sampling, self.k_hops);
             for (dst, weight, efeat) in &edges_by_src {
                 let in_key = self.routing.key_for(*dst, k.id);
                 emit(in_key.to_bytes(), FlatMsg::encode_in_edge(k.id, *weight, efeat, &leaf));
-                if keep_out_edges {
-                    // agl-lint: allow(no-hot-alloc) — the emit contract takes an owned key; this is the record key itself.
-                    emit(key.to_vec(), FlatMsg::encode_out_edge(*dst, *weight, efeat));
-                }
             }
             return;
         }
@@ -549,13 +534,11 @@ impl GraphFlat {
             let label = nodes.labels().map_or(empty.as_slice(), |l| l.row(i));
             inputs.push(encode_node_record(id, feat, is_target(id), label));
         }
-        // Stub only edges whose source is in the node table: those are the
-        // in-edges round 1 receives, so the join round samples the same list.
-        let stub_sources: IdSet = if samples_in_join_round(&self.cfg.sampling, self.cfg.k_hops) {
-            nodes.ids().iter().copied().collect()
-        } else {
-            IdSet::default()
-        };
+        // With K ≥ 2, stub only edges whose source is in the node table:
+        // those are the in-edges round 1 receives, so the join round samples
+        // the same list. With K < 2 no payload ships after round 1's merge.
+        let stub_sources: IdSet =
+            if self.cfg.k_hops >= 2 { nodes.ids().iter().copied().collect() } else { IdSet::default() };
         for (row, ef) in edges.iter() {
             inputs.push(encode_edge_record(row.src, row.dst, row.weight, ef, stub_sources.contains(&row.src)));
         }
@@ -656,8 +639,9 @@ impl GraphFlat {
     }
 
     /// Storing step: group Final records by target id; union the partial
-    /// GraphFeatures of re-indexed hub targets. Every partial is decoded to
-    /// validate it; a target's only partial is kept as the bytes it came in.
+    /// GraphFeatures of re-indexed hub targets. Every partial is decoded
+    /// once: a target's only partial to validate it, then kept as the bytes
+    /// it came in; several partials to union them.
     fn store(
         &self,
         output: Vec<KeyValue>,
@@ -673,7 +657,6 @@ impl GraphFlat {
             let msg = FlatMsg::from_bytes(&kv.value).map_err(|e| JobError::Corrupt(format!("final msg: {e}")))?;
             match msg {
                 FlatMsg::Final { sub, label } => {
-                    decode(&sub)?;
                     by_target.entry(key.id).or_insert_with(|| (Vec::new(), label)).0.push(sub);
                 }
                 other => return Err(JobError::Corrupt(format!("unexpected output record {other:?}"))),
@@ -682,7 +665,10 @@ impl GraphFlat {
         let mut examples = Vec::with_capacity(by_target.len());
         for (id, (partials, label)) in by_target {
             let graph_feature = match <[Vec<u8>; 1]>::try_from(partials) {
-                Ok([only]) => only,
+                Ok([only]) => {
+                    decode(&only)?;
+                    only
+                }
                 Err(partials) => {
                     counters.add("flat.hub_partials_merged", partials.len() as u64);
                     let mut b = SubgraphBuilder::new();

@@ -155,6 +155,23 @@ fn sampled_out_payloads_never_ship() {
 }
 
 #[test]
+fn uncapped_payloads_skip_dangling_destinations() {
+    // Without a cap the join round still decides where payloads go: five
+    // leaves also point at a node missing from the node table, which keeps
+    // nothing, so round 2 reads the 201 self infos and the 200 live
+    // in-edge payloads only.
+    let (nodes, edges) = hub_graph(100);
+    let mut pairs: Vec<(u64, u64)> = edges.iter().map(|(row, _)| (row.src.0, row.dst.0)).collect();
+    pairs.extend((1..=5).map(|l| (l, 9_999)));
+    let edges = EdgeTable::from_pairs(pairs);
+    let cfg = FlatConfig { k_hops: 2, sampling: SamplingStrategy::None, ..FlatConfig::default() };
+    let out = run_flat(cfg, &nodes, &edges, TargetSpec::All);
+    assert_eq!(out.counters.get("reduce.r2.input_records"), 201 + 200);
+    assert_eq!(out.counters.get("flat.dangling_edge_destinations"), 5);
+    assert_eq!(out.counters.get("flat.sampled_out_in_edges"), 0);
+}
+
+#[test]
 fn sampling_is_deterministic_across_runs() {
     let (nodes, edges) = hub_graph(50);
     let cfg =
