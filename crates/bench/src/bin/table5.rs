@@ -76,19 +76,24 @@ fn main() {
     let records = UUG_PAPER_NODES + UUG_PAPER_EDGES;
     // Calibrate per-record reducer costs from the measured run.
     let local_records = (ds.n_nodes() + ds.n_edges()) as f64;
-    let flat_spr = orig.graphflat_time.as_secs_f64() / (local_records * 3.0); // K+1 rounds
+    // GraphFlat's reduce rounds as the job counted them: join, K merges,
+    // then the request and fill rounds.
+    let flat_rounds = orig.counters.get("reduce.rounds");
+    let flat_spr = orig.graphflat_time.as_secs_f64() / (local_records * flat_rounds as f64);
     let fwd_spr = orig.forward_time.as_secs_f64() / ds.n_nodes() as f64;
-    let infer_spr = fast_time.as_secs_f64() / (local_records * 4.0); // K+2 rounds
-                                                                     // Shuffle volume per record per round, from the measured jobs' own
-                                                                     // counters: GraphFlat ships growing subgraph payloads, GraphInfer ships
-                                                                     // one embedding per edge — this asymmetry is the paper's Table 5 story.
-    let flat_bpr = (orig.counters.get("shuffle.bytes") as f64 / (local_records * 3.0)) as u64;
+    // GraphInfer runs K+2 rounds.
+    let infer_spr = fast_time.as_secs_f64() / (local_records * 4.0);
+    // Shuffle volume per record per round, from the measured jobs' own
+    // counters: GraphFlat ships structures and feature rows, GraphInfer
+    // ships one embedding per edge — this asymmetry is the paper's Table 5
+    // story.
+    let flat_bpr = (orig.counters.get("shuffle.bytes") as f64 / (local_records * flat_rounds as f64)) as u64;
     let infer_bpr = (fast.counters.get("shuffle.bytes") as f64 / (local_records * 4.0)) as u64;
 
     let flat_sim = simulate_mr_job(&MrJobModel {
         worker_mem_gb: 1.5,
         bytes_per_record: flat_bpr.max(1),
-        ..MrJobModel::new(records as u64, 3, flat_spr, 1000)
+        ..MrJobModel::new(records as u64, flat_rounds, flat_spr, 1000)
     });
     let fwd_sim = simulate_mr_job(&MrJobModel {
         worker_mem_gb: 3.0,

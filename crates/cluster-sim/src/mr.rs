@@ -11,7 +11,7 @@ use std::time::Duration;
 pub struct MrJobModel {
     /// Records entering each reduce round (≈ nodes + edges for GraphFlat).
     pub records: u64,
-    /// Reduce rounds (K+1 for GraphFlat, K+2 for GraphInfer in this repo's
+    /// Reduce rounds (K+3 for GraphFlat, K+2 for GraphInfer in this repo's
     /// round accounting).
     pub rounds: u64,
     /// Measured seconds of reducer compute per record — calibrate locally.

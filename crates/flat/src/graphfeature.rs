@@ -7,7 +7,8 @@
 
 use agl_graph::{IdMap, NodeId, SubEdge, Subgraph};
 use agl_mapreduce::codec::{
-    get_f32, get_f32_row, get_u32, get_u64, put_f32, put_f32_row, put_f32s, put_u32, put_u64, CodecError,
+    get_count, get_f32, get_f32_row, get_u32, get_u64, put_f32, put_f32_row, put_f32s, put_u32, put_u64, take,
+    CodecError,
 };
 use agl_tensor::Matrix;
 use std::collections::hash_map::Entry;
@@ -112,6 +113,52 @@ pub fn decode_graph_feature(mut input: &[u8]) -> Result<Subgraph, CodecError> {
     Ok(sub)
 }
 
+/// Fill a GraphFeature of feature width 0 (an id-only *structure*) with
+/// the nodes' feature rows. Only the node section is rewritten; the target
+/// list and the edge section are copied as they are, so the result is the
+/// bytes [`encode_graph_feature`] writes for the same subgraph with those
+/// rows. Every node needs a row from `row_of`, all of one width.
+pub fn fill_graph_feature<'a>(
+    structure: &[u8],
+    row_of: impl Fn(NodeId) -> Option<&'a [f32]>,
+) -> Result<Vec<u8>, CodecError> {
+    let r = &mut &structure[..];
+    let n_targets = get_count(r, 8)?;
+    take(r, 8 * n_targets)?;
+    let head = &structure[..structure.len() - r.len()];
+    let n_nodes = get_count(r, 8)?;
+    let f_dim = get_u32(r)?;
+    if f_dim != 0 {
+        return Err(CodecError(format!("structure carries feature rows of width {f_dim}")));
+    }
+    let ids = take(r, 8 * n_nodes)?;
+    let mut out = Vec::with_capacity(structure.len());
+    out.extend_from_slice(head);
+    put_u32(&mut out, n_nodes as u32);
+    let width_at = out.len();
+    put_u32(&mut out, 0);
+    let mut width = None;
+    for id in ids.chunks_exact(8) {
+        let node = NodeId(u64::from_le_bytes([id[0], id[1], id[2], id[3], id[4], id[5], id[6], id[7]]));
+        let row = row_of(node).ok_or_else(|| CodecError(format!("no feature row for node {node}")))?;
+        match width {
+            None => {
+                width = Some(row.len());
+                out.reserve(4 * row.len() * n_nodes + r.len());
+            }
+            Some(w) if w != row.len() => {
+                return Err(CodecError(format!("node {node} has a row of width {} != {w}", row.len())))
+            }
+            Some(_) => {}
+        }
+        out.extend_from_slice(id);
+        put_f32_row(&mut out, row);
+    }
+    out[width_at..width_at + 4].copy_from_slice(&(width.unwrap_or(0) as u32).to_le_bytes());
+    out.extend_from_slice(r);
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,6 +190,38 @@ mod tests {
         let s = sample(true);
         let back = decode_graph_feature(&encode_graph_feature(&s)).unwrap();
         assert_eq!(back, s);
+    }
+
+    /// `sample`'s ids and edges without its feature rows.
+    fn structure_of(s: &Subgraph) -> Vec<u8> {
+        encode_graph_feature(&Subgraph { features: Matrix::zeros(s.n_nodes(), 0), ..s.clone() })
+    }
+
+    #[test]
+    fn filling_a_structure_matches_encoding_the_full_subgraph() {
+        for with_ef in [false, true] {
+            let s = sample(with_ef);
+            let row_of = |id: NodeId| s.node_ids.iter().position(|n| *n == id).map(|l| s.features.row(l));
+            assert_eq!(fill_graph_feature(&structure_of(&s), row_of).unwrap(), encode_graph_feature(&s));
+        }
+    }
+
+    #[test]
+    fn filling_rejects_missing_ragged_and_present_rows() {
+        let s = sample(true);
+        let structure = structure_of(&s);
+        let missing = fill_graph_feature(&structure, |id| (id != NodeId(33)).then_some(&[1.0f32, 2.0][..]));
+        assert!(missing.unwrap_err().0.contains(&format!("node {}", NodeId(33))));
+        let ragged =
+            fill_graph_feature(&structure, |id| Some(if id == NodeId(7) { &[1.0f32][..] } else { &[1.0, 2.0] }));
+        assert!(ragged.is_err());
+        let full = encode_graph_feature(&s);
+        assert!(fill_graph_feature(&full, |_| Some(&[1.0f32, 2.0][..])).is_err(), "already carries rows");
+        for cut in 0..structure.len() {
+            let filled = fill_graph_feature(&structure[..cut], |_| Some(&[1.0f32, 2.0][..]));
+            // A cut inside the edge section is copied through; the decoder rejects it.
+            assert!(filled.map_or(true, |b| decode_graph_feature(&b).is_err()), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -5,24 +5,29 @@
 //! *information-complete* subgraph per targeted node — the **GraphFeature**
 //! — using nothing but MapReduce:
 //!
-//! 1. **Map** (runs once): node rows are keyed by node id; edge rows are
-//!    keyed by their *source* so the join round can attach the source's
-//!    features to each edge.
-//! 2. **Reduce round 0 (join)**: for every node `u`, combine its features
-//!    with its out-edge rows, then emit (a) `u`'s 0-hop self info, (b) an
-//!    in-edge info record to every destination `v` carrying `u`'s features
-//!    — this materialises the paper's *"in-edge information (feature of the
-//!    in-edge and the neighbor node)"* — and (c) with K ≥ 2, out-edge info
-//!    to each source its in-edge sample keeps, drawn from payload-free
-//!    stubs (see [`pipeline`]).
+//! 1. **Map** (runs once): node rows are keyed by node id; each edge whose
+//!    source is in the node table is keyed by its *destination*, as a
+//!    payload-free in-edge stub.
+//! 2. **Reduce round 0 (join)**: every node `v` draws its in-edge sample
+//!    from its stubs once, then emits its 0-hop self info (its id, plus its
+//!    own feature row), its kept in-edges for round 1, and with K ≥ 2
+//!    out-edge info to each kept source (see [`pipeline`]). With K = 0 it
+//!    emits the target's GraphFeature directly.
 //! 3. **Reduce rounds 1..=K (merge & propagate)**: each node merges its
-//!    self info with the in-edge payloads (growing its neighborhood by one
+//!    self info with its in-edge info (growing its neighborhood by one
 //!    hop), then propagates the merged result along its kept out-edges. After
-//!    round `k` the self info of `v` is exactly the k-hop neighborhood
-//!    `G^k_v` of Definition 1 (with the message-passing edge rule — see
-//!    `agl_graph::khop::EdgeRule::Sufficient`).
-//! 4. **Storing**: round K emits the flattened GraphFeature byte strings of
-//!    the targeted nodes.
+//!    round `k` the self info of `v` holds exactly the structure of the
+//!    k-hop neighborhood `G^k_v` of Definition 1 (with the message-passing
+//!    edge rule — see `agl_graph::khop::EdgeRule::Sufficient`): node ids
+//!    and edges, but no node features. The paper's *"in-edge information
+//!    (feature of the in-edge and the neighbor node)"* carries the edge's
+//!    features here; the node's features join later.
+//! 4. **Reduce round K+1 (requests)**: each target's structure goes to its
+//!    bucket, one of `reduce_tasks`, and every node in it is asked for its
+//!    feature row; a node answers each distinct bucket once.
+//! 5. **Reduce round K+2 (fill)**: each bucket fills its targets'
+//!    structures with the rows it received and emits the flattened
+//!    GraphFeature byte strings; the driver's Storing step collects them.
 //!
 //! Hub handling (§3.2.2) is implemented as in the paper's Figure 3:
 //!
@@ -32,11 +37,10 @@
 //!   goes to one group.
 //! * **Sampling framework**: each reduce group caps its in-edge records
 //!   using a pluggable strategy (uniform / weighted / top-k); the sample is
-//!   the same in every round, so payloads ship only along kept in-edges.
+//!   the same in every round, so structures ship only along kept in-edges.
 //! * **Inverted indexing**: suffixes are stripped when records are emitted,
-//!   so downstream grouping sees original node ids; the final partial
-//!   GraphFeatures of a hub target are unioned by the driver during the
-//!   Storing step.
+//!   so downstream grouping sees original node ids; the partial structures
+//!   of a hub target are unioned in its bucket during the fill round.
 
 pub mod builder;
 pub mod graphfeature;
@@ -45,7 +49,7 @@ pub mod pipeline;
 pub mod sampling;
 pub mod store;
 
-pub use graphfeature::{decode_graph_feature, encode_graph_feature};
+pub use graphfeature::{decode_graph_feature, encode_graph_feature, fill_graph_feature};
 pub use pipeline::{
     flat_reducer_from_spec, FlatConfig, FlatOutput, FlatWorkerSpec, GraphFlat, TargetSpec, TrainingExample,
 };

@@ -2,11 +2,13 @@
 //!
 //! The shuffle key is `(node id, re-index suffix)` — the suffix realises the
 //! paper's re-indexing strategy (§3.2.2): hub keys are split into `fanout`
-//! sub-keys so their records spread across reducers. The value is one of the
-//! three kinds of information of §3.2.1 (self / in-edge / out-edge), plus
-//! the raw table rows feeding the join round, the payload-free in-edge stubs
-//! the join round samples over before any payload ships, and the final
-//! output record.
+//! sub-keys so their records spread across reducers. A bucket of the
+//! request and fill rounds has a key of its own, marked by
+//! [`BUCKET_SUFFIX`]. The value is one of the three kinds of information of
+//! §3.2.1 (self / in-edge / out-edge), carrying id-only structures, plus
+//! the raw node rows and the payload-free in-edge stubs feeding the join
+//! round, the feature-row requests, rows and structures of the request and
+//! fill rounds, and the final output record.
 
 use agl_mapreduce::codec::{
     get_f32, get_f32s, get_u32, get_u64, get_u8, put_f32, put_f32s, put_u32, put_u64, put_u8, Codec, CodecError,
@@ -42,106 +44,153 @@ impl Codec for FlatKey {
         put_u32(buf, self.suffix);
     }
 
+    /// One exact allocation: every record the pipeline emits builds a key.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(12);
+        self.encode(&mut buf);
+        buf
+    }
+
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(Self { id: get_u64(input)?, suffix: get_u32(input)? })
     }
 }
 
+/// Suffix of the bucket keys of the request and fill rounds. Re-index
+/// suffixes stay below the fanout, a `u32`, so no node key carries it.
+pub const BUCKET_SUFFIX: u32 = u32::MAX;
+
 /// A value record of the GraphFlat pipeline.
+///
+/// Rounds 1..=K carry *structures*: id-only GraphFeatures (feature width 0)
+/// holding node ids and edges with their weights and edge features. A
+/// node's own feature row rides only in its `SelfInfo` and `Row` records.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FlatMsg {
     /// Raw node-table row (Map output, consumed by the join round).
     NodeRow { features: Vec<f32>, is_target: bool, label: Vec<f32> },
-    /// Raw edge-table row keyed by its source (Map output, join round).
-    EdgeBySrc { dst: u64, weight: f32, efeat: Vec<f32> },
-    /// Self information: the node's merged neighborhood so far, flattened
-    /// as GraphFeature bytes, plus target bookkeeping.
-    SelfInfo { sub: Vec<u8>, is_target: bool, label: Vec<f32> },
-    /// In-edge information: the edge `(src → key)` plus the source's
-    /// current neighborhood payload.
-    InEdge { src: u64, weight: f32, efeat: Vec<f32>, sub: Vec<u8> },
-    /// Out-edge information: `(key → dst)` with its weight/features, kept
-    /// so the merge result can be propagated each round. The join round's
-    /// `dst` sends one per source its sample kept, carrying the first kept
-    /// parallel edge, the one `dst`'s merge records.
-    OutEdge { dst: u64, weight: f32, efeat: Vec<f32> },
+    /// In-edge `(src → key)` without a payload. Map sends one per edge to
+    /// the destination's group, where the join round samples over them;
+    /// the join round sends each kept source's first kept edge back to its
+    /// own group as round 1's in-edge.
+    Stub { src: u64, weight: f32, efeat: Vec<f32> },
+    /// Self information: the node's structure so far, its own feature row,
+    /// and target bookkeeping.
+    SelfInfo { sub: Vec<u8>, row: Vec<f32>, is_target: bool, label: Vec<f32> },
+    /// In-edge information from round 2 on: the source's structure. The
+    /// edge itself already sits in the destination's structure since
+    /// round 1, which kept the same sources.
+    InEdge { sub: Vec<u8> },
+    /// Out-edge information: `(key → dst)`, one per destination whose
+    /// sample kept this node, so the merge result can be propagated.
+    OutEdge { dst: u64 },
+    /// Round K's request for the key node's feature row, on behalf of the
+    /// targets of `bucket` whose structure holds the node.
+    Request { bucket: u32 },
+    /// Node `id`'s feature row: round K hands it to the node's own group,
+    /// which answers each requesting bucket with one copy.
+    Row { id: u64, features: Vec<f32> },
+    /// A target's structure (one partial per group of a re-indexed hub)
+    /// on its way to the target's bucket.
+    Structure { target: u64, sub: Vec<u8>, label: Vec<f32> },
     /// Final output: the targeted node's GraphFeature and label.
     Final { sub: Vec<u8>, label: Vec<f32> },
-    /// In-edge stub: the edge `(src → key)` without a payload (Map output,
-    /// join round). The join round samples over these.
-    Stub { src: u64, weight: f32, efeat: Vec<f32> },
 }
 
 impl FlatMsg {
     const TAG_NODE: u8 = 0;
-    const TAG_EDGE: u8 = 1;
+    const TAG_STUB: u8 = 1;
     const TAG_SELF: u8 = 2;
     const TAG_IN: u8 = 3;
     const TAG_OUT: u8 = 4;
-    const TAG_FINAL: u8 = 5;
-    const TAG_STUB: u8 = 6;
+    const TAG_REQUEST: u8 = 5;
+    const TAG_ROW: u8 = 6;
+    const TAG_STRUCTURE: u8 = 7;
+    const TAG_FINAL: u8 = 8;
 
     // ---- Borrowed encoders -------------------------------------------
-    // The reducer's merge round encodes one `InEdge`/`OutEdge`/`SelfInfo`
-    // per (sampled) edge per round; building an owned `FlatMsg` first means
-    // cloning the neighborhood payload just to serialise it. These encode
-    // straight from borrows and are byte-identical to `to_bytes()` on the
-    // equivalent owned variant (tested below).
-
-    /// Encode [`FlatMsg::SelfInfo`] without owning its fields.
-    pub fn encode_self_info(sub: &[u8], is_target: bool, label: &[f32]) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(10 + sub.len() + 4 * label.len());
-        put_u8(&mut buf, Self::TAG_SELF);
-        put_blob(&mut buf, sub);
-        put_u8(&mut buf, u8::from(is_target));
-        put_f32s(&mut buf, label);
-        buf
-    }
-
-    /// Encode [`FlatMsg::InEdge`] without owning its fields.
-    pub fn encode_in_edge(src: u64, weight: f32, efeat: &[f32], sub: &[u8]) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(21 + 4 * efeat.len() + sub.len());
-        put_u8(&mut buf, Self::TAG_IN);
-        put_u64(&mut buf, src);
-        put_f32(&mut buf, weight);
-        put_f32s(&mut buf, efeat);
-        put_blob(&mut buf, sub);
-        buf
-    }
-
-    /// Encode [`FlatMsg::OutEdge`] without owning its fields.
-    pub fn encode_out_edge(dst: u64, weight: f32, efeat: &[f32]) -> Vec<u8> {
-        Self::encode_edge(Self::TAG_OUT, dst, weight, efeat)
-    }
+    // The reducer encodes one record per (kept) edge, node or target per
+    // round; building an owned `FlatMsg` first means cloning the structure
+    // or row just to serialise it. These encode straight from borrows and are
+    // byte-identical to `to_bytes()` on the equivalent owned variant
+    // (tested below).
 
     /// Encode [`FlatMsg::Stub`] without owning its fields.
     pub fn encode_stub(src: u64, weight: f32, efeat: &[f32]) -> Vec<u8> {
-        Self::encode_edge(Self::TAG_STUB, src, weight, efeat)
+        let mut buf = Vec::with_capacity(17 + 4 * efeat.len());
+        put_stub(&mut buf, src, weight, efeat);
+        buf
     }
 
-    fn encode_edge(tag: u8, other: u64, weight: f32, efeat: &[f32]) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(17 + 4 * efeat.len());
-        put_edge(&mut buf, tag, other, weight, efeat);
+    /// Encode [`FlatMsg::SelfInfo`] without owning its fields.
+    pub fn encode_self_info(sub: &[u8], row: &[f32], is_target: bool, label: &[f32]) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(14 + sub.len() + 4 * (row.len() + label.len()));
+        put_self_info(&mut buf, sub, row, is_target, label);
+        buf
+    }
+
+    /// Encode [`FlatMsg::InEdge`] without owning its structure.
+    pub fn encode_in_edge(sub: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(5 + sub.len());
+        put_u8(&mut buf, Self::TAG_IN);
+        put_blob(&mut buf, sub);
+        buf
+    }
+
+    /// Encode [`FlatMsg::Row`] without owning its features.
+    pub fn encode_row(id: u64, features: &[f32]) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(13 + 4 * features.len());
+        put_row(&mut buf, id, features);
+        buf
+    }
+
+    /// Encode [`FlatMsg::Structure`] without owning its fields.
+    pub fn encode_structure(target: u64, sub: &[u8], label: &[f32]) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(17 + sub.len() + 4 * label.len());
+        put_structure(&mut buf, target, sub, label);
         buf
     }
 
     /// Encode [`FlatMsg::Final`] without owning its fields.
     pub fn encode_final(sub: &[u8], label: &[f32]) -> Vec<u8> {
         let mut buf = Vec::with_capacity(9 + sub.len() + 4 * label.len());
-        put_u8(&mut buf, Self::TAG_FINAL);
-        put_blob(&mut buf, sub);
-        put_f32s(&mut buf, label);
+        put_final(&mut buf, sub, label);
         buf
     }
 }
 
-/// The payload-free edge variants (`EdgeBySrc`, `OutEdge`, `Stub`)
-/// share one layout: tag, the other endpoint, weight, edge features.
-fn put_edge(buf: &mut Vec<u8>, tag: u8, other: u64, weight: f32, efeat: &[f32]) {
-    put_u8(buf, tag);
-    put_u64(buf, other);
+fn put_stub(buf: &mut Vec<u8>, src: u64, weight: f32, efeat: &[f32]) {
+    put_u8(buf, FlatMsg::TAG_STUB);
+    put_u64(buf, src);
     put_f32(buf, weight);
     put_f32s(buf, efeat);
+}
+
+fn put_self_info(buf: &mut Vec<u8>, sub: &[u8], row: &[f32], is_target: bool, label: &[f32]) {
+    put_u8(buf, FlatMsg::TAG_SELF);
+    put_blob(buf, sub);
+    put_f32s(buf, row);
+    put_u8(buf, u8::from(is_target));
+    put_f32s(buf, label);
+}
+
+fn put_row(buf: &mut Vec<u8>, id: u64, features: &[f32]) {
+    put_u8(buf, FlatMsg::TAG_ROW);
+    put_u64(buf, id);
+    put_f32s(buf, features);
+}
+
+fn put_structure(buf: &mut Vec<u8>, target: u64, sub: &[u8], label: &[f32]) {
+    put_u8(buf, FlatMsg::TAG_STRUCTURE);
+    put_u64(buf, target);
+    put_blob(buf, sub);
+    put_f32s(buf, label);
+}
+
+fn put_final(buf: &mut Vec<u8>, sub: &[u8], label: &[f32]) {
+    put_u8(buf, FlatMsg::TAG_FINAL);
+    put_blob(buf, sub);
+    put_f32s(buf, label);
 }
 
 fn put_blob(buf: &mut Vec<u8>, b: &[u8]) {
@@ -164,27 +213,23 @@ impl Codec for FlatMsg {
                 put_u8(buf, u8::from(*is_target));
                 put_f32s(buf, label);
             }
-            FlatMsg::EdgeBySrc { dst, weight, efeat } => put_edge(buf, Self::TAG_EDGE, *dst, *weight, efeat),
-            FlatMsg::SelfInfo { sub, is_target, label } => {
-                put_u8(buf, Self::TAG_SELF);
-                put_blob(buf, sub);
-                put_u8(buf, u8::from(*is_target));
-                put_f32s(buf, label);
-            }
-            FlatMsg::InEdge { src, weight, efeat, sub } => {
+            FlatMsg::Stub { src, weight, efeat } => put_stub(buf, *src, *weight, efeat),
+            FlatMsg::SelfInfo { sub, row, is_target, label } => put_self_info(buf, sub, row, *is_target, label),
+            FlatMsg::InEdge { sub } => {
                 put_u8(buf, Self::TAG_IN);
-                put_u64(buf, *src);
-                put_f32(buf, *weight);
-                put_f32s(buf, efeat);
                 put_blob(buf, sub);
             }
-            FlatMsg::OutEdge { dst, weight, efeat } => put_edge(buf, Self::TAG_OUT, *dst, *weight, efeat),
-            FlatMsg::Final { sub, label } => {
-                put_u8(buf, Self::TAG_FINAL);
-                put_blob(buf, sub);
-                put_f32s(buf, label);
+            FlatMsg::OutEdge { dst } => {
+                put_u8(buf, Self::TAG_OUT);
+                put_u64(buf, *dst);
             }
-            FlatMsg::Stub { src, weight, efeat } => put_edge(buf, Self::TAG_STUB, *src, *weight, efeat),
+            FlatMsg::Request { bucket } => {
+                put_u8(buf, Self::TAG_REQUEST);
+                put_u32(buf, *bucket);
+            }
+            FlatMsg::Row { id, features } => put_row(buf, *id, features),
+            FlatMsg::Structure { target, sub, label } => put_structure(buf, *target, sub, label),
+            FlatMsg::Final { sub, label } => put_final(buf, sub, label),
         }
     }
 
@@ -193,23 +238,21 @@ impl Codec for FlatMsg {
             Self::TAG_NODE => {
                 FlatMsg::NodeRow { features: get_f32s(input)?, is_target: get_u8(input)? != 0, label: get_f32s(input)? }
             }
-            Self::TAG_EDGE => {
-                FlatMsg::EdgeBySrc { dst: get_u64(input)?, weight: get_f32(input)?, efeat: get_f32s(input)? }
-            }
-            Self::TAG_SELF => {
-                FlatMsg::SelfInfo { sub: get_blob(input)?, is_target: get_u8(input)? != 0, label: get_f32s(input)? }
-            }
-            Self::TAG_IN => FlatMsg::InEdge {
-                src: get_u64(input)?,
-                weight: get_f32(input)?,
-                efeat: get_f32s(input)?,
+            Self::TAG_STUB => FlatMsg::Stub { src: get_u64(input)?, weight: get_f32(input)?, efeat: get_f32s(input)? },
+            Self::TAG_SELF => FlatMsg::SelfInfo {
                 sub: get_blob(input)?,
+                row: get_f32s(input)?,
+                is_target: get_u8(input)? != 0,
+                label: get_f32s(input)?,
             },
-            Self::TAG_OUT => {
-                FlatMsg::OutEdge { dst: get_u64(input)?, weight: get_f32(input)?, efeat: get_f32s(input)? }
+            Self::TAG_IN => FlatMsg::InEdge { sub: get_blob(input)? },
+            Self::TAG_OUT => FlatMsg::OutEdge { dst: get_u64(input)? },
+            Self::TAG_REQUEST => FlatMsg::Request { bucket: get_u32(input)? },
+            Self::TAG_ROW => FlatMsg::Row { id: get_u64(input)?, features: get_f32s(input)? },
+            Self::TAG_STRUCTURE => {
+                FlatMsg::Structure { target: get_u64(input)?, sub: get_blob(input)?, label: get_f32s(input)? }
             }
             Self::TAG_FINAL => FlatMsg::Final { sub: get_blob(input)?, label: get_f32s(input)? },
-            Self::TAG_STUB => FlatMsg::Stub { src: get_u64(input)?, weight: get_f32(input)?, efeat: get_f32s(input)? },
             t => return Err(CodecError(format!("unknown FlatMsg tag {t}"))),
         })
     }
@@ -240,12 +283,14 @@ mod tests {
     fn one_of_each_variant() -> Vec<FlatMsg> {
         vec![
             FlatMsg::NodeRow { features: vec![1.0, 2.0], is_target: true, label: vec![0.0, 1.0] },
-            FlatMsg::EdgeBySrc { dst: 9, weight: 0.5, efeat: vec![3.0] },
-            FlatMsg::SelfInfo { sub: vec![1, 2, 3], is_target: false, label: vec![] },
-            FlatMsg::InEdge { src: 4, weight: 1.0, efeat: vec![], sub: vec![9; 10] },
-            FlatMsg::OutEdge { dst: 5, weight: 2.0, efeat: vec![1.0, 2.0] },
-            FlatMsg::Final { sub: vec![0; 4], label: vec![1.0] },
             FlatMsg::Stub { src: 6, weight: 0.75, efeat: vec![4.0, -4.0] },
+            FlatMsg::SelfInfo { sub: vec![1, 2, 3], row: vec![0.5, 1.5], is_target: false, label: vec![] },
+            FlatMsg::InEdge { sub: vec![9; 10] },
+            FlatMsg::OutEdge { dst: 5 },
+            FlatMsg::Request { bucket: 3 },
+            FlatMsg::Row { id: 11, features: vec![2.5, -1.0, 0.0] },
+            FlatMsg::Structure { target: 12, sub: vec![4; 6], label: vec![1.0] },
+            FlatMsg::Final { sub: vec![0; 4], label: vec![1.0] },
         ]
     }
 
@@ -270,29 +315,28 @@ mod tests {
     #[test]
     fn borrowed_encoders_match_owned_encoding() {
         let sub = vec![7u8, 8, 9];
+        let row = vec![0.25f32, 4.0];
         let label = vec![0.5f32, -1.0];
         let efeat = vec![1.5f32];
-        assert_eq!(
-            FlatMsg::encode_self_info(&sub, true, &label),
-            FlatMsg::SelfInfo { sub: sub.clone(), is_target: true, label: label.clone() }.to_bytes(),
-        );
-        assert_eq!(
-            FlatMsg::encode_in_edge(4, 0.25, &efeat, &sub),
-            FlatMsg::InEdge { src: 4, weight: 0.25, efeat: efeat.clone(), sub: sub.clone() }.to_bytes(),
-        );
-        assert_eq!(
-            FlatMsg::encode_out_edge(5, 2.0, &efeat),
-            FlatMsg::OutEdge { dst: 5, weight: 2.0, efeat: efeat.clone() }.to_bytes(),
-        );
         assert_eq!(
             FlatMsg::encode_stub(6, 0.5, &efeat),
             FlatMsg::Stub { src: 6, weight: 0.5, efeat: efeat.clone() }.to_bytes(),
         );
-        assert_eq!(FlatMsg::encode_final(&sub, &label), FlatMsg::Final { sub, label }.to_bytes(),);
+        assert_eq!(
+            FlatMsg::encode_self_info(&sub, &row, true, &label),
+            FlatMsg::SelfInfo { sub: sub.clone(), row: row.clone(), is_target: true, label: label.clone() }.to_bytes(),
+        );
+        assert_eq!(FlatMsg::encode_in_edge(&sub), FlatMsg::InEdge { sub: sub.clone() }.to_bytes());
+        assert_eq!(FlatMsg::encode_row(4, &row), FlatMsg::Row { id: 4, features: row.clone() }.to_bytes());
+        assert_eq!(
+            FlatMsg::encode_structure(4, &sub, &label),
+            FlatMsg::Structure { target: 4, sub: sub.clone(), label: label.clone() }.to_bytes(),
+        );
+        assert_eq!(FlatMsg::encode_final(&sub, &label), FlatMsg::Final { sub, label }.to_bytes());
         // Empty payloads too.
         assert_eq!(
-            FlatMsg::encode_self_info(&[], false, &[]),
-            FlatMsg::SelfInfo { sub: vec![], is_target: false, label: vec![] }.to_bytes(),
+            FlatMsg::encode_self_info(&[], &[], false, &[]),
+            FlatMsg::SelfInfo { sub: vec![], row: vec![], is_target: false, label: vec![] }.to_bytes(),
         );
     }
 

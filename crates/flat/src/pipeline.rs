@@ -1,46 +1,59 @@
-//! The GraphFlat driver: Map + (K+1)-round Reduce over the MapReduce
-//! substrate, producing `<TargetedNodeId, Label, GraphFeature>` triples.
+//! The GraphFlat driver: Map + Reduce rounds over the MapReduce substrate,
+//! producing `<TargetedNodeId, Label, GraphFeature>` triples.
 //!
 //! Round structure (engine round index in parentheses):
 //!
-//! * **Join (0)** — attach each node's features to its out-edge rows and
-//!   emit the initial self / in-edge information. The paper presents Map
-//!   as already emitting in-edge info carrying *"the neighbor node"*'s
-//!   features; a single-record Map cannot know them, so the join that
-//!   industrial pipelines run beforehand is folded in here as the first
-//!   Reduce round. When K ≥ 2 the join round also settles the sample: Map
-//!   sends every edge whose source is in the node table to its
-//!   destination's group as a payload-free [`FlatMsg::Stub`], the
-//!   destination runs §3.2.2's selection over them exactly as round 1 will,
-//!   and sends one [`FlatMsg::OutEdge`] per kept source back to that
+//! * **Join (0)** — Map sends every node row to its node's group and every
+//!   edge whose source is in the node table to its destination's group as
+//!   a payload-free [`FlatMsg::Stub`]. The paper presents Map as already
+//!   emitting in-edge info carrying *"the neighbor node"*'s features; a
+//!   single-record Map cannot know them, so the join that industrial
+//!   pipelines run beforehand is folded in here as the first Reduce round.
+//!   Each destination settles its sample once, running §3.2.2's selection
+//!   over its stubs, and sends each kept source's first kept edge to itself
+//!   as round 1's in-edge and, when K ≥ 2, one [`FlatMsg::OutEdge`] to that
 //!   source's group. Destinations missing from the node table keep nothing.
+//!   With K = 0 the join round emits each target's leaf GraphFeature and
+//!   the job ends.
 //! * **Merge & propagate (1..=K)** — per §3.2.1: merge self + in-edge info
 //!   into the new self info (one more hop of neighborhood) and propagate it
-//!   along the kept out-edges, once per kept destination, so rounds 2..=K
-//!   receive only payloads they merge. Out-edge info is re-emitted as state
-//!   only while a later round propagates again.
-//! * **Storing** — round K emits targeted nodes' GraphFeatures; the driver
-//!   unions the partial results of re-indexed hub targets (the tail end of
-//!   inverted indexing) and returns the triples.
+//!   along the kept out-edges, so rounds 2..=K receive only payloads they
+//!   merge. Out-edge info is re-emitted as state only while a later round
+//!   propagates again. Unlike §3.2.1, the information is id-only: node ids
+//!   and edges with their weights and edge features. A node's own feature
+//!   row rides only in its self info.
+//! * **Requests (K+1)** — round K hands each node's row to its own group,
+//!   sends each target's structure to the target's bucket, and asks every
+//!   node of the structure for its row on the bucket's behalf. A node's
+//!   group answers each distinct bucket with one row; bucket groups pass
+//!   the structures on.
+//! * **Fill (K+2)** — each bucket unions the partial structures of
+//!   re-indexed hub targets (the tail end of inverted indexing), fills
+//!   every structure's feature rows from the bucket's rows and emits the
+//!   targets' GraphFeatures. The driver's Storing step collects them.
+//!
+//! There are B buckets, one per reduce partition, so each node's row ships
+//! at most B times however many targets' neighborhoods hold it.
 //!
 //! Drawing the sample once is exact because sampling is node-consistent:
 //! every round sees the same canonical candidate list and derives the same
 //! seed from the node id, so it would keep the same in-edges anyway.
 
 use crate::builder::SubgraphBuilder;
-use crate::graphfeature::{decode_graph_feature, encode_graph_feature};
-use crate::messages::{FlatKey, FlatMsg};
+use crate::graphfeature::{decode_graph_feature, encode_graph_feature, fill_graph_feature};
+use crate::messages::{FlatKey, FlatMsg, BUCKET_SUFFIX, NO_SUFFIX};
 use crate::sampling::SamplingStrategy;
-use agl_graph::idhash::IdSet;
+use agl_graph::idhash::{IdBuildHasher, IdMap, IdSet};
 use agl_graph::{EdgeTable, NodeId, NodeTable, Subgraph};
-use agl_mapreduce::codec::{get_f32, get_f32s, get_u64, get_u8, put_f32, put_f32s, put_u64, put_u8, Codec};
-use agl_mapreduce::hash::fnv1a;
+use agl_mapreduce::codec::{get_f32, get_f32s, get_u64, get_u8, put_f32, put_f32s, put_u64, put_u8, Codec, CodecError};
+use agl_mapreduce::hash::{fnv1a, partition};
 use agl_mapreduce::{
     Counters, DistOptions, Endpoint, EngineConfig, FaultPlan, JobConfig, JobError, KeyValue, MapReduceJob, Mapper,
     Placement, Reducer, RemoteWorkers, SpillMode,
 };
 use agl_tensor::rng::derive_seed;
-use std::collections::{HashMap, HashSet};
+use agl_tensor::Matrix;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// GraphFlat configuration — the `-h hops -s sampling_strategy` knobs of the
@@ -150,37 +163,21 @@ fn encode_node_record(id: NodeId, features: &[f32], is_target: bool, label: &[f3
     buf
 }
 
-/// `stub` asks Map to also send the edge to its destination's group as a
-/// [`FlatMsg::Stub`] for the join round's sampling.
-fn encode_edge_record(src: NodeId, dst: NodeId, weight: f32, efeat: &[f32], stub: bool) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(22 + 4 * efeat.len());
+fn encode_edge_record(src: NodeId, dst: NodeId, weight: f32, efeat: &[f32]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(21 + 4 * efeat.len());
     put_u8(&mut buf, REC_EDGE);
     put_u64(&mut buf, src.0);
     put_u64(&mut buf, dst.0);
     put_f32(&mut buf, weight);
     put_f32s(&mut buf, efeat);
-    put_u8(&mut buf, u8::from(stub));
     buf
-}
-
-/// Sort in-edge records into the canonical candidate order the sampling
-/// framework selects from: by source id, with full tie-breaks so parallel
-/// edges from one source order the same way no matter how the shuffle
-/// delivered them. Records equal on all three fields are interchangeable.
-fn sort_candidates<T>(records: &mut [T], edge: impl Fn(&T) -> (u64, f32, &[f32])) {
-    records.sort_by(|a, b| {
-        let ((sa, wa, fa), (sb, wb, fb)) = (edge(a), edge(b));
-        sa.cmp(&sb)
-            .then_with(|| wa.total_cmp(&wb))
-            .then_with(|| fa.iter().map(|f| f.to_bits()).cmp(fb.iter().map(|f| f.to_bits())))
-    });
 }
 
 /// Decode a record this pipeline itself encoded. The [`Mapper`]/[`Reducer`]
 /// contract has no error channel, and a decode failure of self-encoded
 /// bytes means an engine invariant broke — aborting the task is the only
 /// correct response, and the retry machinery reports it as a task failure.
-fn must<T>(r: Result<T, agl_mapreduce::codec::CodecError>, what: &str) -> T {
+fn must<T>(r: Result<T, CodecError>, what: &str) -> T {
     match r {
         Ok(v) => v,
         // agl-lint: allow(no-panic) — self-encoded record failed to decode: engine bug, and no error channel exists here.
@@ -188,14 +185,40 @@ fn must<T>(r: Result<T, agl_mapreduce::codec::CodecError>, what: &str) -> T {
     }
 }
 
-/// Shared routing state: which keys are hubs, and the re-index fanout.
+/// A record reached a round that never receives its kind: the routing
+/// that produced it is broken, and the task must fail (see [`must`]).
+fn misrouted(round: usize, msg: &FlatMsg) -> ! {
+    // agl-lint: allow(no-panic) — every kind is routed to one round by this module; no error channel exists here.
+    panic!("round {round} received a misrouted record {msg:?}")
+}
+
+/// Shared routing state: which keys are hubs, the re-index fanout, and the
+/// fill rounds' bucket keys.
 #[derive(Debug)]
 struct Routing {
-    hubs: HashSet<u64>,
+    /// Probed for every record routed, so hashed like the node-id maps.
+    hubs: HashSet<u64, IdBuildHasher>,
     fanout: u32,
+    /// Bucket `b`'s shuffle key, picked so that it lands on reduce
+    /// partition `b` of `buckets.len()`: every bucket fills on its own task.
+    buckets: Vec<FlatKey>,
 }
 
 impl Routing {
+    fn new(hubs: HashSet<u64, IdBuildHasher>, fanout: u32, n_buckets: u32) -> Self {
+        let n = n_buckets as usize;
+        let buckets = (0..n)
+            .map(|b| {
+                let mut key = FlatKey { id: 0, suffix: BUCKET_SUFFIX };
+                while partition(&key.to_bytes(), n) != b {
+                    key.id += 1;
+                }
+                key
+            })
+            .collect();
+        Self { hubs, fanout, buckets }
+    }
+
     /// Key for a message *about* `member` heading to node `id`.
     fn key_for(&self, id: u64, member: u64) -> FlatKey {
         if self.hubs.contains(&id) {
@@ -212,6 +235,11 @@ impl Routing {
         } else {
             vec![FlatKey::plain(id)]
         }
+    }
+
+    /// The bucket that fills target `id`'s GraphFeature.
+    fn bucket_of(&self, id: u64) -> u32 {
+        (fnv1a(&id.to_le_bytes()) % self.buckets.len() as u64) as u32
     }
 }
 
@@ -240,16 +268,9 @@ impl Mapper for FlatMapper {
                 let dst = must(get_u64(&mut r), "edge dst");
                 let weight = must(get_f32(&mut r), "edge weight");
                 let efeat = must(get_f32s(&mut r), "edge features");
-                let stub = must(get_u8(&mut r), "stub flag") != 0;
-                if stub {
-                    // To the destination group that will sample over it.
-                    let key = self.routing.key_for(dst, src);
-                    emit(key.to_bytes(), FlatMsg::encode_stub(src, weight, &efeat));
-                }
-                // Keyed by source for the join round; spread over the
-                // source's groups by destination.
-                let key = self.routing.key_for(src, dst);
-                emit(key.to_bytes(), FlatMsg::EdgeBySrc { dst, weight, efeat }.to_bytes());
+                // To the destination group that samples over it; spread
+                // over a hub's groups by source.
+                emit(self.routing.key_for(dst, src).to_bytes(), FlatMsg::encode_stub(src, weight, &efeat));
             }
             // agl-lint: allow(no-panic) — inputs are produced by encode_node_record/encode_edge_record above.
             t => panic!("unknown input record tag {t}"),
@@ -265,22 +286,233 @@ struct FlatReducer {
     counters: Counters,
 }
 
+/// A node alone, with the given feature row: the 0-hop neighborhood (an
+/// empty row makes it a structure).
+fn leaf(id: u64, features: &[f32]) -> Vec<u8> {
+    encode_graph_feature(&Subgraph {
+        target_locals: vec![0],
+        node_ids: vec![NodeId(id)],
+        features: Matrix::from_vec(1, features.len(), features.to_vec()),
+        edges: vec![],
+        edge_features: None,
+    })
+}
+
 impl FlatReducer {
     /// The seed of node `id`'s in-edge sample: the same in every round.
     fn sample_seed(&self, id: u64) -> u64 {
         derive_seed(self.seed, fnv1a(&id.to_le_bytes()))
     }
 
-    /// Leaf subgraph: just the node itself (the 0-hop neighborhood).
-    fn leaf(id: u64, features: &[f32]) -> Vec<u8> {
-        let sub = Subgraph {
-            target_locals: vec![0],
-            node_ids: vec![NodeId(id)],
-            features: agl_tensor::Matrix::from_vec(1, features.len(), features.to_vec()),
-            edges: vec![],
-            edge_features: None,
+    /// Join round: settle the group's in-edge sample and start the self
+    /// information.
+    fn join(
+        &self,
+        k: FlatKey,
+        key: &[u8],
+        values: &mut dyn Iterator<Item = &[u8]>,
+        emit: &mut dyn FnMut(Vec<u8>, Vec<u8>),
+    ) {
+        let mut node_row: Option<(Vec<f32>, bool, Vec<f32>)> = None;
+        let mut stubs: Vec<(u64, f32, Vec<f32>)> = Vec::new();
+        for v in values {
+            match must(FlatMsg::from_bytes(v), "flat message") {
+                FlatMsg::NodeRow { features, is_target, label } => {
+                    node_row.get_or_insert((features, is_target, label));
+                }
+                FlatMsg::Stub { src, weight, efeat } => stubs.push((src, weight, efeat)),
+                other => misrouted(0, &other),
+            }
+        }
+        let Some((features, is_target, label)) = node_row else {
+            // In-edges addressed to a node missing from the node table:
+            // there is no node to merge them into.
+            self.counters.add("flat.dangling_edge_destinations", stubs.len() as u64);
+            return;
         };
-        encode_graph_feature(&sub)
+        if self.k_hops == 0 {
+            // Every group of a re-indexed hub holds the same leaf: one emits it.
+            if is_target && k.suffix == NO_SUFFIX {
+                emit(FlatKey::plain(k.id).to_bytes(), FlatMsg::encode_final(&leaf(k.id, &features), &label));
+            }
+            return;
+        }
+        emit(key.to_vec(), FlatMsg::encode_self_info(&leaf(k.id, &[]), &features, is_target, &label));
+        // Load-balance observability: the largest in-edge group any reducer
+        // had to sample this job — re-indexing exists to shrink this.
+        self.counters.record_max("flat.max_group_in_edges", stubs.len() as u64);
+
+        // Sampling framework: cap this group's in-edges. The candidate list
+        // is canonicalised and the seed depends only on the node, so the
+        // sample — and later GraphInfer's — is the *same* neighbor subset:
+        // the property behind §3.4's "unbiased inference with the model
+        // trained based on GraphFlat". The order is by source id with full
+        // tie-breaks, so parallel edges from one source order the same way
+        // however the shuffle delivered them (records equal on all three
+        // fields are interchangeable). Each kept source gets one in-edge
+        // and one out-edge, its first kept parallel edge, the only one the
+        // merge's edge union records.
+        stubs.sort_by(|(sa, wa, fa), (sb, wb, fb)| {
+            sa.cmp(sb)
+                .then_with(|| wa.total_cmp(wb))
+                .then_with(|| fa.iter().map(|f| f.to_bits()).cmp(fb.iter().map(|f| f.to_bits())))
+        });
+        let weights: Vec<f32> = stubs.iter().map(|(_, w, _)| *w).collect();
+        let kept = self.sampling.select(&weights, self.sample_seed(k.id));
+        if kept.len() < stubs.len() {
+            self.counters.add("flat.sampled_out_in_edges", (stubs.len() - kept.len()) as u64);
+        }
+        let mut last_src = None;
+        for i in kept {
+            let (src, weight, efeat) = &stubs[i];
+            if last_src != Some(*src) {
+                last_src = Some(*src);
+                emit(key.to_vec(), FlatMsg::encode_stub(*src, *weight, efeat));
+                if self.k_hops >= 2 {
+                    emit(self.routing.key_for(*src, k.id).to_bytes(), FlatMsg::OutEdge { dst: k.id }.to_bytes());
+                }
+            }
+        }
+    }
+
+    /// Merge & propagate round `round` in 1..=K.
+    fn merge(
+        &self,
+        round: usize,
+        k: FlatKey,
+        key: &[u8],
+        values: &mut dyn Iterator<Item = &[u8]>,
+        emit: &mut dyn FnMut(Vec<u8>, Vec<u8>),
+    ) {
+        let mut self_info: Option<(Vec<u8>, Vec<f32>, bool, Vec<f32>)> = None;
+        let mut builder = SubgraphBuilder::new();
+        let mut in_edges: Vec<(u64, f32, Vec<f32>)> = Vec::new();
+        let mut out_edges: Vec<u64> = Vec::new();
+        for v in values {
+            match must(FlatMsg::from_bytes(v), "flat message") {
+                FlatMsg::SelfInfo { sub, row, is_target, label } => {
+                    self_info.get_or_insert((sub, row, is_target, label));
+                }
+                // Round 1's in-edges: the kept edges themselves.
+                FlatMsg::Stub { src, weight, efeat } => in_edges.push((src, weight, efeat)),
+                // Later rounds' in-edges: the kept sources' structures.
+                FlatMsg::InEdge { sub } => builder.absorb(&must(decode_graph_feature(&sub), "in-edge structure")),
+                FlatMsg::OutEdge { dst } => out_edges.push(dst),
+                other => misrouted(round, &other),
+            }
+        }
+        // Every record of these rounds is addressed to a node the join
+        // round found in the node table, so a self info is always present.
+        let Some((sub, row, is_target, label)) = self_info else { return };
+        builder.absorb(&must(decode_graph_feature(&sub), "self structure"));
+        for (src, weight, efeat) in &in_edges {
+            builder.add_node(NodeId(*src), &[]);
+            builder.add_edge(NodeId(*src), NodeId(k.id), *weight, (!efeat.is_empty()).then_some(efeat.as_slice()));
+        }
+        let merged = builder.build(&[NodeId(k.id)]);
+        self.counters.add("flat.merged_nodes", merged.n_nodes() as u64);
+        let merged_bytes = encode_graph_feature(&merged);
+
+        if round < self.k_hops {
+            emit(key.to_vec(), FlatMsg::encode_self_info(&merged_bytes, &row, is_target, &label));
+            let keep_out_edges = round + 1 < self.k_hops;
+            for &dst in &out_edges {
+                emit(self.routing.key_for(dst, k.id).to_bytes(), FlatMsg::encode_in_edge(&merged_bytes));
+                if keep_out_edges {
+                    // agl-lint: allow(no-hot-alloc) — the emit contract takes an owned key; this is the record key itself.
+                    emit(key.to_vec(), FlatMsg::OutEdge { dst }.to_bytes());
+                }
+            }
+            return;
+        }
+        // Round K: the row stays with the node for the request round; a
+        // target's structure goes to its bucket, which asks each of the
+        // structure's nodes for its row.
+        emit(key.to_vec(), FlatMsg::encode_row(k.id, &row));
+        if is_target {
+            let bucket = self.routing.bucket_of(k.id);
+            let request = FlatMsg::Request { bucket }.to_bytes();
+            for id in &merged.node_ids {
+                emit(self.routing.key_for(id.0, u64::from(bucket)).to_bytes(), request.clone());
+            }
+            emit(
+                self.routing.buckets[bucket as usize].to_bytes(),
+                FlatMsg::encode_structure(k.id, &merged_bytes, &label),
+            );
+        }
+    }
+
+    /// Request round (K+1): a node's group answers each distinct bucket
+    /// that asked for its row once; a bucket's group passes its structures
+    /// on to the fill round.
+    fn answer(
+        &self,
+        k: FlatKey,
+        key: &[u8],
+        values: &mut dyn Iterator<Item = &[u8]>,
+        emit: &mut dyn FnMut(Vec<u8>, Vec<u8>),
+    ) {
+        if k.suffix == BUCKET_SUFFIX {
+            for v in values {
+                emit(key.to_vec(), v.to_vec());
+            }
+            return;
+        }
+        let mut row: Option<Vec<f32>> = None;
+        let mut buckets: Vec<u32> = Vec::new();
+        for v in values {
+            match must(FlatMsg::from_bytes(v), "flat message") {
+                FlatMsg::Row { features, .. } => {
+                    row.get_or_insert(features);
+                }
+                FlatMsg::Request { bucket } => buckets.push(bucket),
+                other => misrouted(self.k_hops + 1, &other),
+            }
+        }
+        buckets.sort_unstable();
+        buckets.dedup();
+        // Requests name only nodes of structures, and those all hold a row.
+        let Some(row) = row else { return };
+        let msg = FlatMsg::encode_row(k.id, &row);
+        for b in buckets {
+            emit(self.routing.buckets[b as usize].to_bytes(), msg.clone());
+        }
+    }
+
+    /// Fill round (K+2): union each target's partial structures, fill in
+    /// the feature rows and emit the target's GraphFeature.
+    fn fill(&self, values: &mut dyn Iterator<Item = &[u8]>, emit: &mut dyn FnMut(Vec<u8>, Vec<u8>)) {
+        let mut rows: IdMap<Vec<f32>> = IdMap::default();
+        let mut targets: BTreeMap<u64, (Vec<Vec<u8>>, Vec<f32>)> = BTreeMap::new();
+        for v in values {
+            match must(FlatMsg::from_bytes(v), "flat message") {
+                FlatMsg::Row { id, features } => {
+                    rows.insert(NodeId(id), features);
+                }
+                FlatMsg::Structure { target, sub, label } => {
+                    targets.entry(target).or_insert_with(|| (Vec::new(), label)).0.push(sub);
+                }
+                other => misrouted(self.k_hops + 2, &other),
+            }
+        }
+        for (id, (partials, label)) in targets {
+            let structure = match <[Vec<u8>; 1]>::try_from(partials) {
+                Ok([only]) => only,
+                Err(mut several) => {
+                    self.counters.add("flat.hub_partials_merged", several.len() as u64);
+                    // Arrival order is the shuffle's; union in a fixed one.
+                    several.sort_unstable();
+                    let mut b = SubgraphBuilder::new();
+                    for p in &several {
+                        b.absorb(&must(decode_graph_feature(p), "partial structure"));
+                    }
+                    encode_graph_feature(&b.build(&[NodeId(id)]))
+                }
+            };
+            // The request round answers every node of every structure.
+            let filled = must(fill_graph_feature(&structure, |n| rows.get(&n).map(Vec::as_slice)), "structure");
+            emit(FlatKey::plain(id).to_bytes(), FlatMsg::encode_final(&filled, &label));
+        }
     }
 }
 
@@ -293,149 +525,46 @@ impl Reducer for FlatReducer {
         emit: &mut dyn FnMut(Vec<u8>, Vec<u8>),
     ) {
         let k = must(FlatKey::from_bytes(key), "flat key");
-        // Bucket the group's messages by kind.
-        let mut node_row: Option<(Vec<f32>, bool, Vec<f32>)> = None;
-        let mut edges_by_src: Vec<(u64, f32, Vec<f32>)> = Vec::new();
-        let mut selfs: Vec<(Vec<u8>, bool, Vec<f32>)> = Vec::new();
-        let mut in_edges: Vec<(u64, f32, Vec<f32>, Vec<u8>)> = Vec::new();
-        let mut stubs: Vec<(u64, f32, Vec<f32>)> = Vec::new();
-        // The kept out-edges to propagate along, as the join round's
-        // destinations sent them.
-        let mut out_edges: Vec<(u64, f32, Vec<f32>)> = Vec::new();
-        for v in values {
-            match must(FlatMsg::from_bytes(v), "flat message") {
-                FlatMsg::NodeRow { features, is_target, label } => {
-                    node_row.get_or_insert((features, is_target, label));
-                }
-                FlatMsg::EdgeBySrc { dst, weight, efeat } => edges_by_src.push((dst, weight, efeat)),
-                FlatMsg::SelfInfo { sub, is_target, label } => selfs.push((sub, is_target, label)),
-                FlatMsg::InEdge { src, weight, efeat, sub } => in_edges.push((src, weight, efeat, sub)),
-                FlatMsg::OutEdge { dst, weight, efeat } => out_edges.push((dst, weight, efeat)),
-                FlatMsg::Stub { src, weight, efeat } => stubs.push((src, weight, efeat)),
-                // agl-lint: allow(no-panic) — Final is only emitted under a plain key in the last round.
-                FlatMsg::Final { .. } => panic!("Final record re-entered the pipeline"),
-            }
-        }
-
         if round == 0 {
-            // ---- Join round ----
-            let Some((features, is_target, label)) = node_row else {
-                // Edges whose source never appeared in the node table. Stubs
-                // addressed here have no node to merge them: nothing is kept.
-                self.counters.add("flat.dangling_edge_sources", edges_by_src.len() as u64);
-                return;
-            };
-            let leaf = Self::leaf(k.id, &features);
-            if self.k_hops == 0 {
-                if is_target {
-                    emit(FlatKey::plain(k.id).to_bytes(), FlatMsg::Final { sub: leaf, label }.to_bytes());
-                }
-                return;
-            }
-            emit(key.to_vec(), FlatMsg::encode_self_info(&leaf, is_target, &label));
-            // Settle this group's sample now: the stubs are exactly round
-            // 1's candidates, so the same order and seed keep the same
-            // edges. Each kept source gets one out-edge, its first kept
-            // parallel edge, the only one the merge's edge union records.
-            sort_candidates(&mut stubs, |(src, w, ef)| (*src, *w, ef));
-            let weights: Vec<f32> = stubs.iter().map(|(_, w, _)| *w).collect();
-            let mut last_src = None;
-            for i in self.sampling.select(&weights, self.sample_seed(k.id)) {
-                let (src, weight, efeat) = &stubs[i];
-                if last_src != Some(*src) {
-                    last_src = Some(*src);
-                    emit(self.routing.key_for(*src, k.id).to_bytes(), FlatMsg::encode_out_edge(k.id, *weight, efeat));
-                }
-            }
-            for (dst, weight, efeat) in &edges_by_src {
-                let in_key = self.routing.key_for(*dst, k.id);
-                emit(in_key.to_bytes(), FlatMsg::encode_in_edge(k.id, *weight, efeat, &leaf));
-            }
-            return;
-        }
-
-        // ---- Merge & propagate round (1..=K) ----
-        if selfs.is_empty() {
-            // In-edge info addressed to a node missing from the node table,
-            // counted once: the first merge round sees every such edge.
-            if round == 1 {
-                self.counters.add("flat.dangling_edge_destinations", in_edges.len() as u64);
-            }
-            return;
-        }
-        let is_target = selfs.iter().any(|(_, t, _)| *t);
-        let label = selfs.iter().map(|(_, _, l)| l).find(|l| !l.is_empty()).cloned().unwrap_or_default();
-        // Load-balance observability: the largest in-edge group any reducer
-        // had to merge this job — re-indexing exists to shrink this.
-        self.counters.record_max("flat.max_group_in_edges", in_edges.len() as u64);
-
-        // Sampling framework: cap this group's in-edge records. The
-        // candidate list is canonicalised and the seed depends only on the
-        // node, so every round — and later GraphInfer — selects the *same*
-        // neighbor subset: the property behind §3.4's "unbiased inference
-        // with the model trained based on GraphFlat". Round 1 sees every
-        // candidate and keeps what the join round kept; later rounds
-        // receive only kept sources, at most the cap, and keep them all, so
-        // `flat.sampled_out_in_edges` counts each dropped in-edge once. A
-        // source's parallel in-edges carry one payload, so equal records
-        // are interchangeable.
-        sort_candidates(&mut in_edges, |(src, w, ef, _)| (*src, *w, ef));
-        let weights: Vec<f32> = in_edges.iter().map(|(_, w, _, _)| *w).collect();
-        let kept = self.sampling.select(&weights, self.sample_seed(k.id));
-        if kept.len() < in_edges.len() {
-            self.counters.add("flat.sampled_out_in_edges", (in_edges.len() - kept.len()) as u64);
-        }
-
-        // Merge: self infos ∪ sampled in-edge payloads + their edges.
-        let mut builder = SubgraphBuilder::new();
-        for (sub, _, _) in &selfs {
-            builder.absorb(&must(decode_graph_feature(sub), "self subgraph"));
-        }
-        for &i in &kept {
-            let (src, weight, efeat, sub) = &in_edges[i];
-            builder.absorb(&must(decode_graph_feature(sub), "in-edge payload"));
-            let ef = (!efeat.is_empty()).then_some(efeat.as_slice());
-            builder.add_edge(NodeId(*src), NodeId(k.id), *weight, ef);
-        }
-        let merged = builder.build(&[NodeId(k.id)]);
-        self.counters.add("flat.merged_nodes", merged.n_nodes() as u64);
-        let merged_bytes = encode_graph_feature(&merged);
-
-        if round < self.k_hops {
-            emit(key.to_vec(), FlatMsg::encode_self_info(&merged_bytes, is_target, &label));
-            let keep_out_edges = round + 1 < self.k_hops;
-            for (dst, weight, efeat) in &out_edges {
-                let in_key = self.routing.key_for(*dst, k.id);
-                emit(in_key.to_bytes(), FlatMsg::encode_in_edge(k.id, *weight, efeat, &merged_bytes));
-                if keep_out_edges {
-                    // agl-lint: allow(no-hot-alloc) — the emit contract takes an owned key; this is the record key itself.
-                    emit(key.to_vec(), FlatMsg::encode_out_edge(*dst, *weight, efeat));
-                }
-            }
-        } else if is_target {
-            // Storing step: inverted indexing — emit under the original key.
-            emit(FlatKey::plain(k.id).to_bytes(), FlatMsg::Final { sub: merged_bytes, label }.to_bytes());
+            self.join(k, key, values, emit);
+        } else if round <= self.k_hops {
+            self.merge(round, k, key, values, emit);
+        } else if round == self.k_hops + 1 {
+            self.answer(k, key, values, emit);
+        } else {
+            self.fill(values, emit);
         }
     }
 }
 
 /// Everything a shuffle-worker process needs to rebuild this job's
-/// [`Reducer`]: the `-h/-s` knobs plus the routing table (hub set and
-/// re-index fanout), serialised as the remote placement's worker spec. The
-/// hub list is sorted so the spec bytes — and therefore the whole
+/// [`Reducer`]: the `-h/-s` knobs plus the routing table (hub set, re-index
+/// fanout and bucket count), serialised as the remote placement's worker
+/// spec. The hub list is sorted so the spec bytes — and therefore the whole
 /// distributed job — are deterministic for a given graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlatWorkerSpec {
     /// K — neighborhood depth.
     pub k_hops: usize,
-    /// In-edge sampling per reduce group per round.
+    /// In-edge sampling per reduce group.
     pub sampling: SamplingStrategy,
     /// Seed for the sampling framework.
     pub seed: u64,
     /// Re-index fanout for hub keys.
     pub fanout: u32,
+    /// Fill-round buckets: the job's reduce-task count.
+    pub buckets: u32,
     /// Hub node ids, ascending.
     pub hubs: Vec<u64>,
+}
+
+/// A `u64` field that must hold a positive `u32`.
+fn get_positive_u32(input: &mut &[u8], what: &str) -> Result<u32, CodecError> {
+    let v = get_u64(input)?;
+    match u32::try_from(v) {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(CodecError(format!("{what} {v} is not in 1..={}", u32::MAX))),
+    }
 }
 
 impl Codec for FlatWorkerSpec {
@@ -444,31 +573,30 @@ impl Codec for FlatWorkerSpec {
         self.sampling.encode(buf);
         put_u64(buf, self.seed);
         put_u64(buf, u64::from(self.fanout));
+        put_u64(buf, u64::from(self.buckets));
         put_u64(buf, self.hubs.len() as u64);
         for h in &self.hubs {
             put_u64(buf, *h);
         }
     }
 
-    fn decode(input: &mut &[u8]) -> Result<Self, agl_mapreduce::codec::CodecError> {
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
         let k_hops = get_u64(input)? as usize;
         let sampling = SamplingStrategy::decode(input)?;
         let seed = get_u64(input)?;
-        let fanout = get_u64(input)? as u32;
+        let fanout = get_positive_u32(input, "re-index fanout")?;
+        let buckets = get_positive_u32(input, "bucket count")?;
         // Each hub is a u64: a count the remaining input cannot back is
         // refused before it sizes an allocation.
         let n_hubs = get_u64(input)?;
         if n_hubs > (input.len() / 8) as u64 {
-            return Err(agl_mapreduce::codec::CodecError(format!(
-                "hub count {n_hubs} exceeds the {} bytes left",
-                input.len()
-            )));
+            return Err(CodecError(format!("hub count {n_hubs} exceeds the {} bytes left", input.len())));
         }
         let mut hubs = Vec::with_capacity(n_hubs as usize);
         for _ in 0..n_hubs {
             hubs.push(get_u64(input)?);
         }
-        Ok(Self { k_hops, sampling, seed, fanout, hubs })
+        Ok(Self { k_hops, sampling, seed, fanout, buckets, hubs })
     }
 }
 
@@ -479,7 +607,7 @@ impl Codec for FlatWorkerSpec {
 /// driver at shutdown). Pass this to `serve_shuffle`.
 pub fn flat_reducer_from_spec(spec: &[u8], counters: &Counters) -> Result<Box<dyn Reducer>, String> {
     let spec = FlatWorkerSpec::from_bytes(spec).map_err(|e| format!("bad GraphFlat worker spec: {e}"))?;
-    let routing = Arc::new(Routing { hubs: spec.hubs.iter().copied().collect(), fanout: spec.fanout.max(1) });
+    let routing = Arc::new(Routing::new(spec.hubs.iter().copied().collect(), spec.fanout, spec.buckets));
     Ok(Box::new(FlatReducer {
         routing,
         k_hops: spec.k_hops,
@@ -501,16 +629,23 @@ impl GraphFlat {
 
     /// Hub detection + input encoding: returns the routing table and the
     /// serialised warehouse records.
-    fn prepare(&self, nodes: &NodeTable, edges: &EdgeTable, targets: &TargetSpec) -> (Arc<Routing>, Vec<Vec<u8>>) {
+    fn prepare(
+        &self,
+        nodes: &NodeTable,
+        edges: &EdgeTable,
+        targets: &TargetSpec,
+        counters: &Counters,
+    ) -> (Arc<Routing>, Vec<Vec<u8>>) {
         let target_set: Option<HashSet<u64>> = match targets {
             TargetSpec::All => None,
             TargetSpec::Ids(ids) => Some(ids.iter().map(|n| n.0).collect()),
         };
         let is_target = |id: NodeId| target_set.as_ref().is_none_or(|s| s.contains(&id.0));
 
-        // Hub detection for re-indexing: in-degree drives merge-round group
-        // sizes; out-degree drives the join round. Either qualifies.
-        let mut hubs = HashSet::new();
+        // Hub detection for re-indexing: in-degree drives the join and
+        // merge rounds' group sizes; out-degree the out-edge state. Either
+        // qualifies.
+        let mut hubs = HashSet::default();
         if self.cfg.hub_threshold != usize::MAX {
             let mut in_deg: HashMap<u64, usize> = HashMap::new();
             let mut out_deg: HashMap<u64, usize> = HashMap::new();
@@ -524,7 +659,7 @@ impl GraphFlat {
                 }
             }
         }
-        let routing = Arc::new(Routing { hubs, fanout: self.cfg.reindex_fanout });
+        let routing = Arc::new(Routing::new(hubs, self.cfg.reindex_fanout, self.buckets()));
 
         // Serialise the warehouse tables into opaque input records.
         let encode_span = self.cfg.engine.obs.span("driver", "graphflat.encode_inputs");
@@ -534,24 +669,37 @@ impl GraphFlat {
             let label = nodes.labels().map_or(empty.as_slice(), |l| l.row(i));
             inputs.push(encode_node_record(id, feat, is_target(id), label));
         }
-        // With K ≥ 2, stub only edges whose source is in the node table:
-        // those are the in-edges round 1 receives, so the join round samples
-        // the same list. With K < 2 no payload ships after round 1's merge.
-        let stub_sources: IdSet =
-            if self.cfg.k_hops >= 2 { nodes.ids().iter().copied().collect() } else { IdSet::default() };
+        // An edge whose source is missing from the node table carries no
+        // neighbor into any neighborhood: it is counted, not shipped. With
+        // K = 0 no edge is read at all.
+        let sources: IdSet = nodes.ids().iter().copied().collect();
+        let mut dangling_sources = 0u64;
         for (row, ef) in edges.iter() {
-            inputs.push(encode_edge_record(row.src, row.dst, row.weight, ef, stub_sources.contains(&row.src)));
+            if !sources.contains(&row.src) {
+                dangling_sources += 1;
+            } else if self.cfg.k_hops > 0 {
+                inputs.push(encode_edge_record(row.src, row.dst, row.weight, ef));
+            }
+        }
+        if dangling_sources > 0 {
+            counters.add("flat.dangling_edge_sources", dangling_sources);
         }
         drop(encode_span);
         (routing, inputs)
     }
 
-    /// The engine configuration of the K+1-round job.
+    /// B, the fill rounds' bucket count: one per reduce task.
+    fn buckets(&self) -> u32 {
+        u32::try_from(self.cfg.engine.reduce_tasks.max(1)).unwrap_or(u32::MAX)
+    }
+
+    /// The engine configuration of the job: the join round alone at
+    /// K = 0, else join, K merges, requests and fill.
     fn job_config(&self) -> JobConfig {
         JobConfig {
             map_tasks: self.cfg.engine.map_tasks,
             reduce_tasks: self.cfg.engine.reduce_tasks,
-            reduce_rounds: self.cfg.k_hops + 1,
+            reduce_rounds: if self.cfg.k_hops == 0 { 1 } else { self.cfg.k_hops + 3 },
             parallelism: self.cfg.engine.parallelism,
             fault_plan: self.cfg.fault_plan.clone(),
             spill: self.cfg.spill.clone(),
@@ -569,7 +717,8 @@ impl GraphFlat {
             k_hops: self.cfg.k_hops,
             sampling: self.cfg.sampling,
             seed: self.cfg.engine.seed,
-            fanout: self.cfg.reindex_fanout,
+            fanout: routing.fanout,
+            buckets: routing.buckets.len() as u32,
             hubs,
         }
     }
@@ -620,10 +769,10 @@ impl GraphFlat {
         placement: Placement<'_>,
     ) -> Result<FlatOutput, JobError> {
         let mut flat_span = self.cfg.engine.obs.span("driver", "graphflat");
-        let (routing, inputs) = self.prepare(nodes, edges, targets);
         // Pipeline and job driver report into one handle: the run's shared
         // registry when observability is on.
         let counters = Counters::for_obs(&self.cfg.engine.obs);
+        let (routing, inputs) = self.prepare(nodes, edges, targets, &counters);
         let mapper = FlatMapper { routing: routing.clone() };
         let reducer = FlatReducer {
             routing: routing.clone(),
@@ -638,10 +787,8 @@ impl GraphFlat {
         self.store(result.output, counters, &mut flat_span)
     }
 
-    /// Storing step: group Final records by target id; union the partial
-    /// GraphFeatures of re-indexed hub targets. Every partial is decoded
-    /// once: a target's only partial to validate it, then kept as the bytes
-    /// it came in; several partials to union them.
+    /// Storing step: collect the Final records, one per target, and check
+    /// each decodes as a GraphFeature.
     fn store(
         &self,
         output: Vec<KeyValue>,
@@ -649,41 +796,65 @@ impl GraphFlat {
         flat_span: &mut agl_obs::Span,
     ) -> Result<FlatOutput, JobError> {
         let store_span = self.cfg.engine.obs.span("driver", "graphflat.store");
-        let decode =
-            |sub: &[u8]| decode_graph_feature(sub).map_err(|e| JobError::Corrupt(format!("final subgraph: {e}")));
-        let mut by_target: HashMap<u64, (Vec<Vec<u8>>, Vec<f32>)> = HashMap::new();
+        let mut examples = Vec::with_capacity(output.len());
         for kv in output {
             let key = FlatKey::from_bytes(&kv.key).map_err(|e| JobError::Corrupt(format!("final key: {e}")))?;
             let msg = FlatMsg::from_bytes(&kv.value).map_err(|e| JobError::Corrupt(format!("final msg: {e}")))?;
-            match msg {
-                FlatMsg::Final { sub, label } => {
-                    by_target.entry(key.id).or_insert_with(|| (Vec::new(), label)).0.push(sub);
-                }
-                other => return Err(JobError::Corrupt(format!("unexpected output record {other:?}"))),
-            }
-        }
-        let mut examples = Vec::with_capacity(by_target.len());
-        for (id, (partials, label)) in by_target {
-            let graph_feature = match <[Vec<u8>; 1]>::try_from(partials) {
-                Ok([only]) => {
-                    decode(&only)?;
-                    only
-                }
-                Err(partials) => {
-                    counters.add("flat.hub_partials_merged", partials.len() as u64);
-                    let mut b = SubgraphBuilder::new();
-                    for p in &partials {
-                        b.absorb(&decode(p)?);
-                    }
-                    encode_graph_feature(&b.build(&[NodeId(id)]))
-                }
+            let FlatMsg::Final { sub, label } = msg else {
+                return Err(JobError::Corrupt(format!("unexpected output record {msg:?}")));
             };
-            examples.push(TrainingExample { target: NodeId(id), label, graph_feature });
+            decode_graph_feature(&sub).map_err(|e| JobError::Corrupt(format!("final subgraph: {e}")))?;
+            examples.push(TrainingExample { target: NodeId(key.id), label, graph_feature: sub });
         }
         examples.sort_by_key(|e| e.target);
+        if let Some(pair) = examples.windows(2).find(|p| p[0].target == p[1].target) {
+            return Err(JobError::Corrupt(format!("target {} has more than one GraphFeature", pair[0].target)));
+        }
         drop(store_span);
         counters.add("flat.examples", examples.len() as u64);
         flat_span.counter("examples", examples.len() as u64);
         Ok(FlatOutput { examples, counters })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bucket_keys_land_on_their_own_partitions() {
+        for n in (1..=64).chain([100, 257, 1000]) {
+            let routing = Routing::new(HashSet::default(), 4, n);
+            assert_eq!(routing.buckets.len(), n as usize);
+            for (b, key) in routing.buckets.iter().enumerate() {
+                assert_eq!(key.suffix, BUCKET_SUFFIX);
+                assert_eq!(partition(&key.to_bytes(), n as usize), b, "bucket {b} of {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_worker_spec_counts_are_refused() {
+        let spec = FlatWorkerSpec {
+            k_hops: 2,
+            sampling: SamplingStrategy::None,
+            seed: 1,
+            fanout: 4,
+            buckets: 4,
+            hubs: vec![7],
+        };
+        let bytes = spec.to_bytes();
+        // k_hops (8 bytes), sampling (tag + cap, 9), seed (8), then the
+        // fanout and the bucket count, a u64 each.
+        for (at, what) in [(25, "re-index fanout"), (33, "bucket count")] {
+            for bad in [0, u64::from(u32::MAX) + 1, u64::MAX] {
+                let mut hostile = bytes.clone();
+                hostile[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+                let err = FlatWorkerSpec::from_bytes(&hostile).unwrap_err();
+                assert!(err.0.contains(what), "{what} = {bad}: {err}");
+                assert!(flat_reducer_from_spec(&hostile, &Counters::new()).is_err(), "{what} = {bad}");
+            }
+        }
+        assert_eq!(FlatWorkerSpec::from_bytes(&bytes).unwrap(), spec);
     }
 }

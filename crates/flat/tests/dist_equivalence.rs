@@ -41,9 +41,8 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// Run the distributed driver against `n_workers` serve_shuffle loops on
 /// UDS listeners and assert the output equals the in-process run's, byte
 /// for byte.
-fn assert_dist_matches_local(tag: &str, cfg: FlatConfig, n_workers: usize) {
+fn assert_dist_matches_local(tag: &str, cfg: FlatConfig, n_workers: usize, targets: TargetSpec) {
     let (nodes, edges) = random_graph(36, 3, 17);
-    let targets = TargetSpec::All;
     let local = GraphFlat::new(cfg.clone()).run(&nodes, &edges, &targets).expect("local run");
 
     let dir = temp_dir(tag);
@@ -69,7 +68,7 @@ fn assert_dist_matches_local(tag: &str, cfg: FlatConfig, n_workers: usize) {
 
 #[test]
 fn distributed_matches_local_plain() {
-    assert_dist_matches_local("plain", FlatConfig::default(), 2);
+    assert_dist_matches_local("plain", FlatConfig::default(), 2, TargetSpec::All);
 }
 
 #[test]
@@ -81,13 +80,26 @@ fn distributed_matches_local_with_hubs_and_sampling() {
         sampling: SamplingStrategy::Weighted { max_degree: 3 },
         ..FlatConfig::default()
     };
-    assert_dist_matches_local("hubs", cfg, 3);
+    assert_dist_matches_local("hubs", cfg, 3, TargetSpec::All);
+}
+
+#[test]
+fn distributed_matches_local_one_hop_with_hubs_and_target_ids() {
+    let cfg = FlatConfig {
+        k_hops: 1,
+        hub_threshold: 4,
+        reindex_fanout: 3,
+        sampling: SamplingStrategy::Uniform { max_degree: 3 },
+        ..FlatConfig::default()
+    };
+    let targets = TargetSpec::Ids((0..36).step_by(3).map(NodeId).collect());
+    assert_dist_matches_local("one-hop", cfg, 2, targets);
 }
 
 #[test]
 fn distributed_matches_local_single_worker_three_hops() {
     let cfg = FlatConfig { k_hops: 3, ..FlatConfig::default() };
-    assert_dist_matches_local("deep", cfg, 1);
+    assert_dist_matches_local("deep", cfg, 1, TargetSpec::All);
 }
 
 #[test]
@@ -97,6 +109,7 @@ fn worker_spec_round_trips_and_is_deterministic() {
         sampling: SamplingStrategy::TopK { max_degree: 7 },
         seed: 99,
         fanout: 4,
+        buckets: 4,
         hubs: vec![3, 17, 40],
     };
     let bytes = spec.to_bytes();

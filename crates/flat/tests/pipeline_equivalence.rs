@@ -3,13 +3,17 @@
 //! computed by the single-machine reference extractor — plus the §3.2.2
 //! behaviours (sampling caps, re-indexing load spreading, fault tolerance).
 
-use agl_flat::{decode_graph_feature, FlatConfig, GraphFlat, SamplingStrategy, TargetSpec};
+use agl_flat::messages::{FlatKey, FlatMsg, BUCKET_SUFFIX};
+use agl_flat::{decode_graph_feature, flat_reducer_from_spec, FlatConfig, GraphFlat, SamplingStrategy, TargetSpec};
 use agl_graph::graph::Graph;
 use agl_graph::khop::{khop_subgraph, EdgeRule};
 use agl_graph::{EdgeTable, NodeId, NodeTable};
-use agl_mapreduce::{FaultPlan, SpillMode, TaskId};
+use agl_mapreduce::transport::{Endpoint, Listener};
+use agl_mapreduce::{serve_shuffle, Codec, Counters, DistOptions, FaultPlan, Reducer, SpillMode, TaskId};
 use agl_tensor::rng::Rng;
 use agl_tensor::{seeded_rng, Matrix};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 /// Random sparse directed graph with per-node labels.
 fn random_graph(n: u64, avg_deg: usize, seed: u64) -> (NodeTable, EdgeTable) {
@@ -170,6 +174,128 @@ fn uncapped_payloads_skip_dangling_destinations() {
     assert_eq!(out.counters.get("flat.dangling_edge_destinations"), 5);
     assert_eq!(out.counters.get("flat.sampled_out_in_edges"), 0);
 }
+
+/// What one reduce group emitted: structures seen, their widest feature
+/// row, and feature rows sent to a bucket.
+#[derive(Debug, Default, Clone, Copy)]
+struct GroupTally {
+    structures: u64,
+    widest_row: usize,
+    bucket_rows: u64,
+}
+
+/// Wraps GraphFlat's reducer and tallies what each group emits, keyed by
+/// (round, group key): a group run again — the debug reorder check, a
+/// retried task — overwrites its own entry instead of counting twice.
+struct Inspect {
+    inner: Box<dyn Reducer>,
+    tallies: Arc<Mutex<HashMap<(usize, Vec<u8>), GroupTally>>>,
+}
+
+impl Reducer for Inspect {
+    fn reduce(
+        &self,
+        round: usize,
+        key: &[u8],
+        values: &mut dyn Iterator<Item = &[u8]>,
+        emit: &mut dyn FnMut(Vec<u8>, Vec<u8>),
+    ) {
+        let mut t = GroupTally::default();
+        self.inner.reduce(round, key, values, &mut |k, v| {
+            match FlatMsg::from_bytes(&v).unwrap() {
+                FlatMsg::SelfInfo { sub, .. } | FlatMsg::InEdge { sub } | FlatMsg::Structure { sub, .. } => {
+                    t.structures += 1;
+                    t.widest_row = t.widest_row.max(decode_graph_feature(&sub).unwrap().features.cols());
+                }
+                FlatMsg::Row { .. } if FlatKey::from_bytes(&k).unwrap().suffix == BUCKET_SUFFIX => t.bucket_rows += 1,
+                _ => {}
+            }
+            emit(k, v);
+        });
+        self.tallies.lock().unwrap().insert((round, key.to_vec()), t);
+    }
+}
+
+#[test]
+fn feature_rows_ship_once_per_bucket() {
+    // Rounds 1..=K carry id-only structures; after round K each node's
+    // feature row travels at most once to each of the B = reduce_tasks
+    // buckets. Observed through the remote placement, whose workers build
+    // their reducer from a factory this test can wrap.
+    let (nodes, edges) = hub_graph(100);
+    let cfg = FlatConfig {
+        k_hops: 2,
+        sampling: SamplingStrategy::Uniform { max_degree: 10 },
+        hub_threshold: 10,
+        reindex_fanout: 4,
+        ..FlatConfig::default()
+    };
+    let buckets = cfg.engine.reduce_tasks as u64;
+    let local = run_flat(cfg.clone(), &nodes, &edges, TargetSpec::All);
+
+    let dir = std::env::temp_dir().join(format!("agl-flat-rows-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let eps: Vec<Endpoint> = (0..2).map(|i| Endpoint::Unix(dir.join(format!("w{i}.sock")))).collect();
+    let listeners: Vec<Listener> = eps.iter().map(|e| Listener::bind(e).unwrap()).collect();
+    let tallies = Arc::new(Mutex::new(HashMap::new()));
+    let remote = std::thread::scope(|s| {
+        for l in &listeners {
+            let tallies = tallies.clone();
+            s.spawn(move || {
+                let factory = move |spec: &[u8], counters: &Counters| -> Result<Box<dyn Reducer>, String> {
+                    Ok(Box::new(Inspect { inner: flat_reducer_from_spec(spec, counters)?, tallies: tallies.clone() }))
+                };
+                serve_shuffle(l, 10_000_000_000, &factory).unwrap()
+            });
+        }
+        GraphFlat::new(cfg).run_distributed(&nodes, &edges, &TargetSpec::All, &eps, &DistOptions::default())
+    })
+    .expect("distributed run");
+    drop(listeners);
+    std::fs::remove_dir_all(&dir).ok();
+
+    let tallies = tallies.lock().unwrap();
+    let sum = |rounds: std::ops::RangeInclusive<usize>| {
+        tallies.iter().filter(|((r, _), _)| rounds.contains(r)).fold(GroupTally::default(), |a, (_, t)| GroupTally {
+            structures: a.structures + t.structures,
+            widest_row: a.widest_row.max(t.widest_row),
+            bucket_rows: a.bucket_rows + t.bucket_rows,
+        })
+    };
+    // Everything rounds 1..=K read, and the structures bound for the
+    // buckets, is id-only.
+    let carried = sum(0..=2);
+    assert!(carried.structures > 0);
+    assert_eq!(carried.widest_row, 0, "a structure carried feature rows");
+    // Rows go to buckets only from the request round, once per (node,
+    // bucket) pair that some structure asked for.
+    let rows = sum(3..=3).bucket_rows;
+    assert_eq!(sum(0..=2).bucket_rows + sum(4..=4).bucket_rows, 0);
+    assert!(rows <= nodes.len() as u64 * buckets, "{rows} rows for {} nodes × {buckets} buckets", nodes.len());
+    assert_eq!(rows, ROWS_SHIPPED);
+    // Shipping a row per (target, node) pair would take more.
+    let pairs: usize = local.examples.iter().map(|e| decode_graph_feature(&e.graph_feature).unwrap().n_nodes()).sum();
+    assert!(rows < pairs as u64, "{rows} rows for {pairs} (target, node) pairs");
+    // Worker counters come back to the driver under a `w{i}.` prefix.
+    let merged: u64 = remote
+        .counters
+        .snapshot()
+        .iter()
+        .filter(|(name, _)| name.ends_with(".flat.hub_partials_merged"))
+        .map(|(_, n)| n)
+        .sum();
+    assert!(merged > 0, "the hub's partial structures were not unioned");
+
+    assert_eq!(local.examples.len(), remote.examples.len());
+    for (a, b) in local.examples.iter().zip(&remote.examples) {
+        assert_eq!((a.target, &a.graph_feature), (b.target, &b.graph_feature));
+    }
+}
+
+/// Row records `feature_rows_ship_once_per_bucket` sees: each of the 201
+/// nodes' rows goes to its own bucket and to those of the targets whose
+/// 2-hop structure holds it, well under the 201 × 4 bound.
+const ROWS_SHIPPED: u64 = 261;
 
 #[test]
 fn sampling_is_deterministic_across_runs() {

@@ -3,8 +3,9 @@
 //! The paper's central systems argument is that graph learning can run on
 //! *mature, fault-tolerant* infrastructure — MapReduce and parameter servers
 //! — instead of bespoke graph stores. GraphFlat (§3.2) and GraphInfer (§3.4)
-//! are both expressed as a single Map phase followed by K (or K+1) Reduce
-//! rounds, where each round re-shuffles its output by key.
+//! are both expressed as a single Map phase followed by a chain of Reduce
+//! rounds (K+3 for GraphFlat, K+2 for GraphInfer), where each round
+//! re-shuffles its output by key.
 //!
 //! This crate reproduces that execution model, in one process or across
 //! several:
