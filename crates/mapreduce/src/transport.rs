@@ -289,6 +289,19 @@ impl Listener {
     /// non-blocking accept. Returns [`TransportError::Timeout`] past the
     /// deadline — a worker whose driver never arrives must exit, not hang.
     pub fn accept_deadline(&self, clock: &Clock, timeout_ns: u64) -> Result<Conn, TransportError> {
+        self.accept_unless(clock, timeout_ns, || false)
+    }
+
+    /// [`Listener::accept_deadline`] that also gives up, with the same
+    /// [`TransportError::Timeout`], as soon as `stop` returns true (checked
+    /// once per poll). A server whose accept loop ends on a flag leaves
+    /// within one poll of the flag, not at the end of its accept window.
+    pub fn accept_unless(
+        &self,
+        clock: &Clock,
+        timeout_ns: u64,
+        stop: impl Fn() -> bool,
+    ) -> Result<Conn, TransportError> {
         self.set_nonblocking(true)?;
         let start = clock.now();
         let mut pause = POLL_START;
@@ -296,7 +309,7 @@ impl Listener {
             match self.try_accept() {
                 Ok(Some(conn)) => break Ok(conn),
                 Ok(None) => {
-                    if clock.since(start) >= timeout_ns {
+                    if stop() || clock.since(start) >= timeout_ns {
                         break Err(TransportError::Timeout { what: "accept".to_string() });
                     }
                     std::thread::sleep(pause);
@@ -602,6 +615,27 @@ mod tests {
         assert!(matches!(err, TransportError::Timeout { .. }));
         drop(listener);
         assert!(!dir.join("t.sock").exists(), "listener drop unlinks the socket file");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn accept_unless_leaves_once_stop_is_raised() {
+        let dir = std::env::temp_dir().join(format!("agl-transport-stop-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let listener = Listener::bind(&Endpoint::Unix(dir.join("s.sock"))).unwrap();
+        let clock = Clock::monotonic();
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let start = clock.now();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                stop.store(true, std::sync::atomic::Ordering::SeqCst);
+            });
+            // The window is ten seconds; the flag, not the deadline, ends it.
+            let err = listener.accept_unless(&clock, 10_000_000_000, || stop.load(std::sync::atomic::Ordering::SeqCst));
+            assert!(matches!(err, Err(TransportError::Timeout { .. })));
+        });
+        assert!(clock.since(start) < 5_000_000_000, "accept outlived its stop flag");
         std::fs::remove_dir_all(&dir).ok();
     }
 

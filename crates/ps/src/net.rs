@@ -39,7 +39,7 @@ use crate::server::{shard_layout, Consistency, ParameterServer, PsStats, WorkerP
 use agl_mapreduce::codec::{self, Codec, CodecError};
 use agl_mapreduce::rpc::{self, unexpected, Client, PeerKind, Reply, Service, Step, TraceIdentity};
 use agl_mapreduce::transport::{Endpoint, FrameStats, Listener, TagNames, TransportError};
-use agl_mapreduce::{Counters, DistOptions};
+use agl_mapreduce::{Counters, DistOptions, Framed};
 use agl_nn::{Adam, Optimizer, Sgd};
 use agl_obs::{Clock, Obs, SpanContext};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -691,8 +691,12 @@ pub fn serve_ps_shard(listener: &Listener, accept_timeout_ns: u64) -> Result<(),
             let _ = rpc::serve(&mut control, &mut { conn });
             conn.shutdown.store(true, Ordering::SeqCst);
         });
-        while !conn.shutdown.load(Ordering::SeqCst) {
-            match rpc::accept(listener, 50_000_000) {
+        // The accept poll watches the flag too, so the shard leaves within
+        // one poll of the shutdown rather than at the end of a 50 ms window.
+        let clock = Clock::monotonic();
+        let stopped = || shutdown.load(Ordering::SeqCst);
+        while !stopped() {
+            match listener.accept_unless(&clock, 50_000_000, stopped).map(Framed::new) {
                 Ok(mut framed) => {
                     scope.spawn(move || rpc::serve(&mut framed, &mut { conn }));
                 }
@@ -852,7 +856,6 @@ where
 mod tests {
     use super::*;
     use agl_mapreduce::rpc::Bye;
-    use agl_mapreduce::Framed;
     use agl_obs::TraceEvent;
     use std::path::PathBuf;
     use std::sync::Arc;
