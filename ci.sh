@@ -76,9 +76,14 @@ dist_smoke() {
     --nodes 300 --hops 2 --epochs 2 \
     --shuffle-workers 2 --ps-shards 2 --train-workers 2 \
     --verify true || return 1
-  # GraphFlat's merge, request and fill rounds at a depth other than 2.
+  # GraphFlat's merge and fill rounds at a depth other than 2.
   ./target/release/agl-cli dist-run --dir "$dir" \
     --nodes 300 --hops 3 --epochs 1 \
+    --shuffle-workers 2 --ps-shards 2 --train-workers 2 \
+    --verify true || return 1
+  # At one hop the join round asks for the feature rows.
+  ./target/release/agl-cli dist-run --dir "$dir" \
+    --nodes 300 --hops 1 --epochs 1 \
     --shuffle-workers 2 --ps-shards 2 --train-workers 2 \
     --verify true || return 1
   if pgrep -f "dist-worker -[-]role" >/dev/null; then

@@ -77,7 +77,7 @@ fn main() {
     // Calibrate per-record reducer costs from the measured run.
     let local_records = (ds.n_nodes() + ds.n_edges()) as f64;
     // GraphFlat's reduce rounds as the job counted them: join, K merges,
-    // then the request and fill rounds.
+    // then the fill round.
     let flat_rounds = orig.counters.get("reduce.rounds");
     let flat_spr = orig.graphflat_time.as_secs_f64() / (local_records * flat_rounds as f64);
     let fwd_spr = orig.forward_time.as_secs_f64() / ds.n_nodes() as f64;

@@ -11,8 +11,8 @@ use std::time::Duration;
 pub struct MrJobModel {
     /// Records entering each reduce round (≈ nodes + edges for GraphFlat).
     pub records: u64,
-    /// Reduce rounds (K+3 for GraphFlat, K+2 for GraphInfer in this repo's
-    /// round accounting).
+    /// Reduce rounds (K+2 for GraphFlat at K ≥ 1 and for GraphInfer in this
+    /// repo's round accounting).
     pub rounds: u64,
     /// Measured seconds of reducer compute per record — calibrate locally.
     pub secs_per_record: f64,

@@ -21,11 +21,13 @@
 //!    edge rule — see `agl_graph::khop::EdgeRule::Sufficient`): node ids
 //!    and edges, but no node features. The paper's *"in-edge information
 //!    (feature of the in-edge and the neighbor node)"* carries the edge's
-//!    features here; the node's features join later.
-//! 4. **Reduce round K+1 (requests)**: each target's structure goes to its
-//!    bucket, one of `reduce_tasks`, and every node in it is asked for its
-//!    feature row; a node answers each distinct bucket once.
-//! 5. **Reduce round K+2 (fill)**: each bucket fills its targets'
+//!    features here; the node's features join later. Round K − 1 (the
+//!    join round when K = 1) already knows every node of each target's
+//!    final structure, so it asks those nodes for their feature rows on
+//!    behalf of the target's bucket, one of `reduce_tasks`. In round K a
+//!    node answers each distinct bucket once, and each target sends its
+//!    structure to its bucket.
+//! 4. **Reduce round K+1 (fill)**: each bucket fills its targets'
 //!    structures with the rows it received and emits the flattened
 //!    GraphFeature byte strings; the driver's Storing step collects them.
 //!

@@ -2,13 +2,13 @@
 //!
 //! The shuffle key is `(node id, re-index suffix)` — the suffix realises the
 //! paper's re-indexing strategy (§3.2.2): hub keys are split into `fanout`
-//! sub-keys so their records spread across reducers. A bucket of the
-//! request and fill rounds has a key of its own, marked by
-//! [`BUCKET_SUFFIX`]. The value is one of the three kinds of information of
-//! §3.2.1 (self / in-edge / out-edge), carrying id-only structures, plus
-//! the raw node rows and the payload-free in-edge stubs feeding the join
-//! round, the feature-row requests, rows and structures of the request and
-//! fill rounds, and the final output record.
+//! sub-keys so their records spread across reducers. A bucket of the fill
+//! round has a key of its own, marked by [`BUCKET_SUFFIX`]. The value is
+//! one of the three kinds of information of §3.2.1 (self / in-edge /
+//! out-edge), carrying id-only structures, plus the raw node rows and the
+//! payload-free in-edge stubs feeding the join round, the feature-row
+//! requests of round K − 1, the rows and structures round K sends to the
+//! buckets, and the final output record.
 
 use agl_mapreduce::codec::{
     get_f32, get_f32s, get_u32, get_u64, get_u8, put_f32, put_f32s, put_u32, put_u64, put_u8, Codec, CodecError,
@@ -56,7 +56,7 @@ impl Codec for FlatKey {
     }
 }
 
-/// Suffix of the bucket keys of the request and fill rounds. Re-index
+/// Suffix of the bucket keys of the fill round. Re-index
 /// suffixes stay below the fanout, a `u32`, so no node key carries it.
 pub const BUCKET_SUFFIX: u32 = u32::MAX;
 
@@ -82,13 +82,15 @@ pub enum FlatMsg {
     /// round 1, which kept the same sources.
     InEdge { sub: Vec<u8> },
     /// Out-edge information: `(key → dst)`, one per destination whose
-    /// sample kept this node, so the merge result can be propagated.
-    OutEdge { dst: u64 },
-    /// Round K's request for the key node's feature row, on behalf of the
-    /// targets of `bucket` whose structure holds the node.
+    /// sample kept this node, so the merge result can be propagated. The
+    /// destination's target flag tells round K − 1 which bucket will hold
+    /// the structure it propagates.
+    OutEdge { dst: u64, dst_is_target: bool },
+    /// Round K − 1's request for the key node's feature row, on behalf of
+    /// the targets of `bucket` whose structure will hold the node.
     Request { bucket: u32 },
-    /// Node `id`'s feature row: round K hands it to the node's own group,
-    /// which answers each requesting bucket with one copy.
+    /// Node `id`'s feature row: round K answers each requesting bucket with
+    /// one copy.
     Row { id: u64, features: Vec<f32> },
     /// A target's structure (one partial per group of a re-indexed hub)
     /// on its way to the target's bucket.
@@ -219,9 +221,10 @@ impl Codec for FlatMsg {
                 put_u8(buf, Self::TAG_IN);
                 put_blob(buf, sub);
             }
-            FlatMsg::OutEdge { dst } => {
+            FlatMsg::OutEdge { dst, dst_is_target } => {
                 put_u8(buf, Self::TAG_OUT);
                 put_u64(buf, *dst);
+                put_u8(buf, u8::from(*dst_is_target));
             }
             FlatMsg::Request { bucket } => {
                 put_u8(buf, Self::TAG_REQUEST);
@@ -246,7 +249,7 @@ impl Codec for FlatMsg {
                 label: get_f32s(input)?,
             },
             Self::TAG_IN => FlatMsg::InEdge { sub: get_blob(input)? },
-            Self::TAG_OUT => FlatMsg::OutEdge { dst: get_u64(input)? },
+            Self::TAG_OUT => FlatMsg::OutEdge { dst: get_u64(input)?, dst_is_target: get_u8(input)? != 0 },
             Self::TAG_REQUEST => FlatMsg::Request { bucket: get_u32(input)? },
             Self::TAG_ROW => FlatMsg::Row { id: get_u64(input)?, features: get_f32s(input)? },
             Self::TAG_STRUCTURE => {
@@ -286,7 +289,8 @@ mod tests {
             FlatMsg::Stub { src: 6, weight: 0.75, efeat: vec![4.0, -4.0] },
             FlatMsg::SelfInfo { sub: vec![1, 2, 3], row: vec![0.5, 1.5], is_target: false, label: vec![] },
             FlatMsg::InEdge { sub: vec![9; 10] },
-            FlatMsg::OutEdge { dst: 5 },
+            FlatMsg::OutEdge { dst: 5, dst_is_target: true },
+            FlatMsg::OutEdge { dst: 8, dst_is_target: false },
             FlatMsg::Request { bucket: 3 },
             FlatMsg::Row { id: 11, features: vec![2.5, -1.0, 0.0] },
             FlatMsg::Structure { target: 12, sub: vec![4; 6], label: vec![1.0] },
@@ -333,6 +337,13 @@ mod tests {
             FlatMsg::Structure { target: 4, sub: sub.clone(), label: label.clone() }.to_bytes(),
         );
         assert_eq!(FlatMsg::encode_final(&sub, &label), FlatMsg::Final { sub, label }.to_bytes());
+        // `OutEdge` owns nothing, so it has no borrowed encoder; its layout
+        // is tag, destination id, then the destination's target flag.
+        for (flag, byte) in [(false, 0), (true, 1)] {
+            let mut want = vec![4, 9, 0, 0, 0, 0, 0, 0, 0];
+            want.push(byte);
+            assert_eq!(FlatMsg::OutEdge { dst: 9, dst_is_target: flag }.to_bytes(), want);
+        }
         // Empty payloads too.
         assert_eq!(
             FlatMsg::encode_self_info(&[], &[], false, &[]),

@@ -1,7 +1,8 @@
 //! The GraphFlat driver: Map + Reduce rounds over the MapReduce substrate,
 //! producing `<TargetedNodeId, Label, GraphFeature>` triples.
 //!
-//! Round structure (engine round index in parentheses):
+//! Round structure (engine round index in parentheses): join, K merges and
+//! fill, so K + 2 rounds at K ≥ 1 and one at K = 0.
 //!
 //! * **Join (0)** — Map sends every node row to its node's group and every
 //!   edge whose source is in the node table to its destination's group as
@@ -22,15 +23,19 @@
 //!   propagates again. Unlike §3.2.1, the information is id-only: node ids
 //!   and edges with their weights and edge features. A node's own feature
 //!   row rides only in its self info.
-//! * **Requests (K+1)** — round K hands each node's row to its own group,
-//!   sends each target's structure to the target's bucket, and asks every
-//!   node of the structure for its row on the bucket's behalf. A node's
-//!   group answers each distinct bucket with one row; bucket groups pass
-//!   the structures on.
-//! * **Fill (K+2)** — each bucket unions the partial structures of
+//! * **Row requests (K−1 → K)** — round K − 1 knows every node a target's
+//!   final structure will hold, so it asks for the rows. A group sends one
+//!   [`FlatMsg::Request`] per node of the structure it propagates (or, at
+//!   K = 1, per node of its own structure to come) and per distinct bucket
+//!   that will hold it: its targeted out-edge destinations' buckets and its
+//!   own if it is a target. Round K merges as above, answers each distinct
+//!   bucket that asked for its node's row with one row, and sends each
+//!   target's structure to the target's bucket.
+//! * **Fill (K+1)** — each bucket unions the partial structures of
 //!   re-indexed hub targets (the tail end of inverted indexing), fills
-//!   every structure's feature rows from the bucket's rows and emits the
-//!   targets' GraphFeatures. The driver's Storing step collects them.
+//!   every structure's feature rows from the bucket's rows, checks that the
+//!   result decodes and emits the targets' GraphFeatures. The driver's
+//!   Storing step collects them.
 //!
 //! There are B buckets, one per reduce partition, so each node's row ships
 //! at most B times however many targets' neighborhoods hold it.
@@ -193,7 +198,7 @@ fn misrouted(round: usize, msg: &FlatMsg) -> ! {
 }
 
 /// Shared routing state: which keys are hubs, the re-index fanout, and the
-/// fill rounds' bucket keys.
+/// fill round's bucket keys.
 #[derive(Debug)]
 struct Routing {
     /// Probed for every record routed, so hashed like the node-id maps.
@@ -298,6 +303,13 @@ fn leaf(id: u64, features: &[f32]) -> Vec<u8> {
     })
 }
 
+/// Emit target `id`'s GraphFeature, once its bytes decode: the job's output
+/// is checked where it is written, on the reduce pool.
+fn emit_final(id: u64, sub: &[u8], label: &[f32], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>)) {
+    must(decode_graph_feature(sub), "final GraphFeature");
+    emit(FlatKey::plain(id).to_bytes(), FlatMsg::encode_final(sub, label));
+}
+
 impl FlatReducer {
     /// The seed of node `id`'s in-edge sample: the same in every round.
     fn sample_seed(&self, id: u64) -> u64 {
@@ -333,7 +345,7 @@ impl FlatReducer {
         if self.k_hops == 0 {
             // Every group of a re-indexed hub holds the same leaf: one emits it.
             if is_target && k.suffix == NO_SUFFIX {
-                emit(FlatKey::plain(k.id).to_bytes(), FlatMsg::encode_final(&leaf(k.id, &features), &label));
+                emit_final(k.id, &leaf(k.id, &features), &label, emit);
             }
             return;
         }
@@ -363,16 +375,38 @@ impl FlatReducer {
             self.counters.add("flat.sampled_out_in_edges", (stubs.len() - kept.len()) as u64);
         }
         let mut last_src = None;
+        let mut sources = Vec::new();
         for i in kept {
             let (src, weight, efeat) = &stubs[i];
             if last_src != Some(*src) {
                 last_src = Some(*src);
                 emit(key.to_vec(), FlatMsg::encode_stub(*src, *weight, efeat));
                 if self.k_hops >= 2 {
-                    emit(self.routing.key_for(*src, k.id).to_bytes(), FlatMsg::OutEdge { dst: k.id }.to_bytes());
+                    let out_edge = FlatMsg::OutEdge { dst: k.id, dst_is_target: is_target };
+                    emit(self.routing.key_for(*src, k.id).to_bytes(), out_edge.to_bytes());
+                } else if *src != k.id {
+                    sources.push(*src);
                 }
             }
         }
+        // At K = 1 this is round K − 1: round 1's structure will hold this
+        // node and its kept sources, so a target asks for their rows now.
+        if self.k_hops == 1 && is_target {
+            sources.push(k.id);
+            self.request_rows(&sources, &[self.routing.bucket_of(k.id)], emit);
+        }
+    }
+
+    /// Round K − 1: ask each of `nodes` (distinct) for its feature row once
+    /// on behalf of each of `buckets` (distinct). Round K answers.
+    fn request_rows(&self, nodes: &[u64], buckets: &[u32], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>)) {
+        for &bucket in buckets {
+            let request = FlatMsg::Request { bucket }.to_bytes();
+            for &id in nodes {
+                emit(self.routing.key_for(id, u64::from(bucket)).to_bytes(), request.clone());
+            }
+        }
+        self.counters.add("flat.row_requests", (nodes.len() * buckets.len()) as u64);
     }
 
     /// Merge & propagate round `round` in 1..=K.
@@ -387,7 +421,8 @@ impl FlatReducer {
         let mut self_info: Option<(Vec<u8>, Vec<f32>, bool, Vec<f32>)> = None;
         let mut builder = SubgraphBuilder::new();
         let mut in_edges: Vec<(u64, f32, Vec<f32>)> = Vec::new();
-        let mut out_edges: Vec<u64> = Vec::new();
+        let mut out_edges: Vec<(u64, bool)> = Vec::new();
+        let mut buckets: Vec<u32> = Vec::new();
         for v in values {
             match must(FlatMsg::from_bytes(v), "flat message") {
                 FlatMsg::SelfInfo { sub, row, is_target, label } => {
@@ -397,7 +432,9 @@ impl FlatReducer {
                 FlatMsg::Stub { src, weight, efeat } => in_edges.push((src, weight, efeat)),
                 // Later rounds' in-edges: the kept sources' structures.
                 FlatMsg::InEdge { sub } => builder.absorb(&must(decode_graph_feature(&sub), "in-edge structure")),
-                FlatMsg::OutEdge { dst } => out_edges.push(dst),
+                FlatMsg::OutEdge { dst, dst_is_target } => out_edges.push((dst, dst_is_target)),
+                // Round K: buckets asking for this node's row.
+                FlatMsg::Request { bucket } => buckets.push(bucket),
                 other => misrouted(round, &other),
             }
         }
@@ -416,70 +453,48 @@ impl FlatReducer {
         if round < self.k_hops {
             emit(key.to_vec(), FlatMsg::encode_self_info(&merged_bytes, &row, is_target, &label));
             let keep_out_edges = round + 1 < self.k_hops;
-            for &dst in &out_edges {
+            for &(dst, dst_is_target) in &out_edges {
                 emit(self.routing.key_for(dst, k.id).to_bytes(), FlatMsg::encode_in_edge(&merged_bytes));
                 if keep_out_edges {
                     // agl-lint: allow(no-hot-alloc) — the emit contract takes an owned key; this is the record key itself.
-                    emit(key.to_vec(), FlatMsg::OutEdge { dst }.to_bytes());
+                    emit(key.to_vec(), FlatMsg::OutEdge { dst, dst_is_target }.to_bytes());
                 }
+            }
+            if !keep_out_edges {
+                // Round K − 1: every structure that holds this one after
+                // round K is a targeted destination's or this node's own.
+                let mut buckets: Vec<u32> = out_edges
+                    .iter()
+                    .filter(|(_, dst_is_target)| *dst_is_target)
+                    .map(|(dst, _)| self.routing.bucket_of(*dst))
+                    .chain(is_target.then(|| self.routing.bucket_of(k.id)))
+                    .collect();
+                buckets.sort_unstable();
+                buckets.dedup();
+                let nodes: Vec<u64> = merged.node_ids.iter().map(|n| n.0).collect();
+                self.request_rows(&nodes, &buckets, emit);
             }
             return;
         }
-        // Round K: the row stays with the node for the request round; a
-        // target's structure goes to its bucket, which asks each of the
-        // structure's nodes for its row.
-        emit(key.to_vec(), FlatMsg::encode_row(k.id, &row));
-        if is_target {
-            let bucket = self.routing.bucket_of(k.id);
-            let request = FlatMsg::Request { bucket }.to_bytes();
-            for id in &merged.node_ids {
-                emit(self.routing.key_for(id.0, u64::from(bucket)).to_bytes(), request.clone());
+        // Round K: answer each distinct bucket that asked for this node's
+        // row; a target's structure goes to its bucket.
+        buckets.sort_unstable();
+        buckets.dedup();
+        if !buckets.is_empty() {
+            let msg = FlatMsg::encode_row(k.id, &row);
+            for b in buckets {
+                emit(self.routing.buckets[b as usize].to_bytes(), msg.clone());
             }
+        }
+        if is_target {
             emit(
-                self.routing.buckets[bucket as usize].to_bytes(),
+                self.routing.buckets[self.routing.bucket_of(k.id) as usize].to_bytes(),
                 FlatMsg::encode_structure(k.id, &merged_bytes, &label),
             );
         }
     }
 
-    /// Request round (K+1): a node's group answers each distinct bucket
-    /// that asked for its row once; a bucket's group passes its structures
-    /// on to the fill round.
-    fn answer(
-        &self,
-        k: FlatKey,
-        key: &[u8],
-        values: &mut dyn Iterator<Item = &[u8]>,
-        emit: &mut dyn FnMut(Vec<u8>, Vec<u8>),
-    ) {
-        if k.suffix == BUCKET_SUFFIX {
-            for v in values {
-                emit(key.to_vec(), v.to_vec());
-            }
-            return;
-        }
-        let mut row: Option<Vec<f32>> = None;
-        let mut buckets: Vec<u32> = Vec::new();
-        for v in values {
-            match must(FlatMsg::from_bytes(v), "flat message") {
-                FlatMsg::Row { features, .. } => {
-                    row.get_or_insert(features);
-                }
-                FlatMsg::Request { bucket } => buckets.push(bucket),
-                other => misrouted(self.k_hops + 1, &other),
-            }
-        }
-        buckets.sort_unstable();
-        buckets.dedup();
-        // Requests name only nodes of structures, and those all hold a row.
-        let Some(row) = row else { return };
-        let msg = FlatMsg::encode_row(k.id, &row);
-        for b in buckets {
-            emit(self.routing.buckets[b as usize].to_bytes(), msg.clone());
-        }
-    }
-
-    /// Fill round (K+2): union each target's partial structures, fill in
+    /// Fill round (K+1): union each target's partial structures, fill in
     /// the feature rows and emit the target's GraphFeature.
     fn fill(&self, values: &mut dyn Iterator<Item = &[u8]>, emit: &mut dyn FnMut(Vec<u8>, Vec<u8>)) {
         let mut rows: IdMap<Vec<f32>> = IdMap::default();
@@ -492,7 +507,7 @@ impl FlatReducer {
                 FlatMsg::Structure { target, sub, label } => {
                     targets.entry(target).or_insert_with(|| (Vec::new(), label)).0.push(sub);
                 }
-                other => misrouted(self.k_hops + 2, &other),
+                other => misrouted(self.k_hops + 1, &other),
             }
         }
         for (id, (partials, label)) in targets {
@@ -509,9 +524,9 @@ impl FlatReducer {
                     encode_graph_feature(&b.build(&[NodeId(id)]))
                 }
             };
-            // The request round answers every node of every structure.
+            // Round K answers every node of every structure.
             let filled = must(fill_graph_feature(&structure, |n| rows.get(&n).map(Vec::as_slice)), "structure");
-            emit(FlatKey::plain(id).to_bytes(), FlatMsg::encode_final(&filled, &label));
+            emit_final(id, &filled, &label, emit);
         }
     }
 }
@@ -529,8 +544,6 @@ impl Reducer for FlatReducer {
             self.join(k, key, values, emit);
         } else if round <= self.k_hops {
             self.merge(round, k, key, values, emit);
-        } else if round == self.k_hops + 1 {
-            self.answer(k, key, values, emit);
         } else {
             self.fill(values, emit);
         }
@@ -688,18 +701,18 @@ impl GraphFlat {
         (routing, inputs)
     }
 
-    /// B, the fill rounds' bucket count: one per reduce task.
+    /// B, the fill round's bucket count: one per reduce task.
     fn buckets(&self) -> u32 {
         u32::try_from(self.cfg.engine.reduce_tasks.max(1)).unwrap_or(u32::MAX)
     }
 
     /// The engine configuration of the job: the join round alone at
-    /// K = 0, else join, K merges, requests and fill.
+    /// K = 0, else join, K merges and fill.
     fn job_config(&self) -> JobConfig {
         JobConfig {
             map_tasks: self.cfg.engine.map_tasks,
             reduce_tasks: self.cfg.engine.reduce_tasks,
-            reduce_rounds: if self.cfg.k_hops == 0 { 1 } else { self.cfg.k_hops + 3 },
+            reduce_rounds: if self.cfg.k_hops == 0 { 1 } else { self.cfg.k_hops + 2 },
             parallelism: self.cfg.engine.parallelism,
             fault_plan: self.cfg.fault_plan.clone(),
             spill: self.cfg.spill.clone(),
@@ -782,13 +795,17 @@ impl GraphFlat {
             counters: counters.clone(),
         };
         let worker_spec = || self.worker_spec(&routing).to_bytes();
+        let remote = matches!(placement, Placement::Remote(_));
         let job = MapReduceJob::reporting_into(self.job_config(), counters.clone());
         let result = job.run_on(placement, &inputs, &mapper, &reducer, None, &worker_spec)?;
+        if remote {
+            counters.fold_worker_counters(&["flat."]);
+        }
         self.store(result.output, counters, &mut flat_span)
     }
 
-    /// Storing step: collect the Final records, one per target, and check
-    /// each decodes as a GraphFeature.
+    /// Storing step: collect the Final records, one per target. Their
+    /// GraphFeatures were decoded where the reducer wrote them.
     fn store(
         &self,
         output: Vec<KeyValue>,
@@ -803,7 +820,6 @@ impl GraphFlat {
             let FlatMsg::Final { sub, label } = msg else {
                 return Err(JobError::Corrupt(format!("unexpected output record {msg:?}")));
             };
-            decode_graph_feature(&sub).map_err(|e| JobError::Corrupt(format!("final subgraph: {e}")))?;
             examples.push(TrainingExample { target: NodeId(key.id), label, graph_feature: sub });
         }
         examples.sort_by_key(|e| e.target);

@@ -64,6 +64,13 @@ fn assert_dist_matches_local(tag: &str, cfg: FlatConfig, n_workers: usize, targe
         assert_eq!(a.label, b.label, "{tag}: labels for {}", a.target);
         assert_eq!(a.graph_feature, b.graph_feature, "{tag}: GraphFeature bytes for {}", a.target);
     }
+    // Worker-side pipeline counters reach the driver under their own names.
+    let flat_counters = |out: &agl_flat::FlatOutput| -> Vec<(String, u64)> {
+        out.counters.snapshot().into_iter().filter(|(name, _)| name.starts_with("flat.")).collect()
+    };
+    let want = flat_counters(&local);
+    assert!(want.iter().any(|(name, _)| name == "flat.merged_nodes"), "{tag}: {want:?}");
+    assert_eq!(flat_counters(&dist), want, "{tag}: flat.* counters");
 }
 
 #[test]

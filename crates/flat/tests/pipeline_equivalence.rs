@@ -56,15 +56,21 @@ fn run_flat(cfg: FlatConfig, nodes: &NodeTable, edges: &EdgeTable, targets: Targ
 
 #[test]
 fn matches_reference_khop_for_all_nodes() {
+    // Also for every third node alone: rows are asked for on behalf of
+    // targets only.
+    let some: Vec<NodeId> = (0..40).step_by(3).map(NodeId).collect();
     for k in [0usize, 1, 2, 3] {
-        let (nodes, edges) = random_graph(40, 3, 7);
-        let graph = Graph::from_tables(&nodes, &edges);
-        let out = run_flat(FlatConfig { k_hops: k, ..FlatConfig::default() }, &nodes, &edges, TargetSpec::All);
-        assert_eq!(out.examples.len(), 40, "k={k}: one GraphFeature per node");
-        for ex in &out.examples {
-            let got = decode_graph_feature(&ex.graph_feature).unwrap().canonicalize();
-            let want = khop_subgraph(&graph, &[ex.target], k as u32, EdgeRule::Sufficient).canonicalize();
-            assert_eq!(got, want, "k={k} target {}", ex.target);
+        for targets in [TargetSpec::All, TargetSpec::Ids(some.clone())] {
+            let (nodes, edges) = random_graph(40, 3, 7);
+            let graph = Graph::from_tables(&nodes, &edges);
+            let n_targets = if matches!(targets, TargetSpec::All) { 40 } else { some.len() };
+            let out = run_flat(FlatConfig { k_hops: k, ..FlatConfig::default() }, &nodes, &edges, targets);
+            assert_eq!(out.examples.len(), n_targets, "k={k}: one GraphFeature per target");
+            for ex in &out.examples {
+                let got = decode_graph_feature(&ex.graph_feature).unwrap().canonicalize();
+                let want = khop_subgraph(&graph, &[ex.target], k as u32, EdgeRule::Sufficient).canonicalize();
+                assert_eq!(got, want, "k={k} target {}", ex.target);
+            }
         }
     }
 }
@@ -146,11 +152,23 @@ fn sampling_caps_neighborhood_size() {
 fn sampled_out_payloads_never_ship() {
     // The join round settles the sample, so round 2 reads the 201 self
     // infos plus one payload per kept in-edge (each leaf's one, the hub's
-    // 10), and no out-edge state, which no round after it would read.
+    // 10), no out-edge state, which no round after it would read, and the
+    // row requests of round 1.
     let (nodes, edges) = hub_graph(100);
     let cfg = FlatConfig { k_hops: 2, sampling: SamplingStrategy::Uniform { max_degree: 10 }, ..FlatConfig::default() };
     let out = run_flat(cfg, &nodes, &edges, TargetSpec::All);
-    assert_eq!(out.counters.get("reduce.r2.input_records"), 201 + 110);
+    let requests = out.counters.get("flat.row_requests");
+    assert_eq!(out.counters.get("reduce.r2.input_records"), 201 + 110 + requests);
+    // Round 1 asks for each node of a structure once per bucket that will
+    // hold it: its own and its targeted destinations'. FNV-1a modulo the
+    // four buckets reads only the low two bits of each id byte, so
+    // grand-leaf 100 + l shares leaf l's bucket, and leaf l shares the
+    // hub's when 4 divides l. The hub's 11 nodes ask once: 11. The 90
+    // unsampled leaves' {l, 100 + l} ask once: 180. The sample keeps leaves
+    // 26, 31, 34, 52, 60, 69, 73, 86, 94 and 99, of which only 52 and 60
+    // share the hub's bucket: 2·2 + 8·4 = 36. Each grand-leaf asks for
+    // itself once: 100.
+    assert_eq!(requests, 11 + 180 + 36 + 100);
     // Dropped in round 1, once.
     assert_eq!(out.counters.get("flat.sampled_out_in_edges"), 90);
     let hub = decode_graph_feature(&out.examples[0].graph_feature).unwrap();
@@ -162,26 +180,44 @@ fn sampled_out_payloads_never_ship() {
 fn uncapped_payloads_skip_dangling_destinations() {
     // Without a cap the join round still decides where payloads go: five
     // leaves also point at a node missing from the node table, which keeps
-    // nothing, so round 2 reads the 201 self infos and the 200 live
-    // in-edge payloads only.
+    // nothing, so round 2 reads the 201 self infos, the 200 live in-edge
+    // payloads and round 1's row requests only.
     let (nodes, edges) = hub_graph(100);
     let mut pairs: Vec<(u64, u64)> = edges.iter().map(|(row, _)| (row.src.0, row.dst.0)).collect();
     pairs.extend((1..=5).map(|l| (l, 9_999)));
     let edges = EdgeTable::from_pairs(pairs);
     let cfg = FlatConfig { k_hops: 2, sampling: SamplingStrategy::None, ..FlatConfig::default() };
     let out = run_flat(cfg, &nodes, &edges, TargetSpec::All);
-    assert_eq!(out.counters.get("reduce.r2.input_records"), 201 + 200);
+    let requests = out.counters.get("flat.row_requests");
+    assert_eq!(out.counters.get("reduce.r2.input_records"), 201 + 200 + requests);
+    // As in `sampled_out_payloads_never_ship`, with every leaf kept: the
+    // hub's 101 nodes ask once; each leaf's two ask for its own bucket and
+    // the hub's, one bucket for the 25 leaves 4 divides and two for the 75
+    // others: 25·2 + 75·4 = 350; each grand-leaf asks once: 100.
+    assert_eq!(requests, 101 + 350 + 100);
     assert_eq!(out.counters.get("flat.dangling_edge_destinations"), 5);
     assert_eq!(out.counters.get("flat.sampled_out_in_edges"), 0);
 }
 
 /// What one reduce group emitted: structures seen, their widest feature
-/// row, and feature rows sent to a bucket.
+/// row, the structures and the feature rows sent to a bucket.
 #[derive(Debug, Default, Clone, Copy)]
 struct GroupTally {
     structures: u64,
     widest_row: usize,
+    bucket_structures: u64,
     bucket_rows: u64,
+}
+
+impl GroupTally {
+    fn add(self, t: &GroupTally) -> GroupTally {
+        GroupTally {
+            structures: self.structures + t.structures,
+            widest_row: self.widest_row.max(t.widest_row),
+            bucket_structures: self.bucket_structures + t.bucket_structures,
+            bucket_rows: self.bucket_rows + t.bucket_rows,
+        }
+    }
 }
 
 /// Wraps GraphFlat's reducer and tallies what each group emits, keyed by
@@ -202,7 +238,11 @@ impl Reducer for Inspect {
     ) {
         let mut t = GroupTally::default();
         self.inner.reduce(round, key, values, &mut |k, v| {
-            match FlatMsg::from_bytes(&v).unwrap() {
+            let msg = FlatMsg::from_bytes(&v).unwrap();
+            if matches!(msg, FlatMsg::Structure { .. }) {
+                t.bucket_structures += 1;
+            }
+            match msg {
                 FlatMsg::SelfInfo { sub, .. } | FlatMsg::InEdge { sub } | FlatMsg::Structure { sub, .. } => {
                     t.structures += 1;
                     t.widest_row = t.widest_row.max(decode_graph_feature(&sub).unwrap().features.cols());
@@ -216,24 +256,16 @@ impl Reducer for Inspect {
     }
 }
 
-#[test]
-fn feature_rows_ship_once_per_bucket() {
-    // Rounds 1..=K carry id-only structures; after round K each node's
-    // feature row travels at most once to each of the B = reduce_tasks
-    // buckets. Observed through the remote placement, whose workers build
-    // their reducer from a factory this test can wrap.
-    let (nodes, edges) = hub_graph(100);
-    let cfg = FlatConfig {
-        k_hops: 2,
-        sampling: SamplingStrategy::Uniform { max_degree: 10 },
-        hub_threshold: 10,
-        reindex_fanout: 4,
-        ..FlatConfig::default()
-    };
-    let buckets = cfg.engine.reduce_tasks as u64;
-    let local = run_flat(cfg.clone(), &nodes, &edges, TargetSpec::All);
+/// Per-round tallies of a distributed run: what the groups of each round
+/// emitted, summed.
+type RoundTallies = HashMap<usize, GroupTally>;
 
-    let dir = std::env::temp_dir().join(format!("agl-flat-rows-{}", std::process::id()));
+/// Run GraphFlat on the remote placement, whose workers build their reducer
+/// from a factory this helper wraps with [`Inspect`], and check its output
+/// against the in-process run's, byte for byte.
+fn run_inspected(cfg: FlatConfig, nodes: &NodeTable, edges: &EdgeTable) -> (agl_flat::FlatOutput, RoundTallies) {
+    let local = run_flat(cfg.clone(), nodes, edges, TargetSpec::All);
+    let dir = std::env::temp_dir().join(format!("agl-flat-rows-{}-{}", cfg.k_hops, std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let eps: Vec<Endpoint> = (0..2).map(|i| Endpoint::Unix(dir.join(format!("w{i}.sock")))).collect();
     let listeners: Vec<Listener> = eps.iter().map(|e| Listener::bind(e).unwrap()).collect();
@@ -248,47 +280,83 @@ fn feature_rows_ship_once_per_bucket() {
                 serve_shuffle(l, 10_000_000_000, &factory).unwrap()
             });
         }
-        GraphFlat::new(cfg).run_distributed(&nodes, &edges, &TargetSpec::All, &eps, &DistOptions::default())
+        GraphFlat::new(cfg).run_distributed(nodes, edges, &TargetSpec::All, &eps, &DistOptions::default())
     })
     .expect("distributed run");
     drop(listeners);
     std::fs::remove_dir_all(&dir).ok();
 
-    let tallies = tallies.lock().unwrap();
-    let sum = |rounds: std::ops::RangeInclusive<usize>| {
-        tallies.iter().filter(|((r, _), _)| rounds.contains(r)).fold(GroupTally::default(), |a, (_, t)| GroupTally {
-            structures: a.structures + t.structures,
-            widest_row: a.widest_row.max(t.widest_row),
-            bucket_rows: a.bucket_rows + t.bucket_rows,
-        })
-    };
-    // Everything rounds 1..=K read, and the structures bound for the
-    // buckets, is id-only.
-    let carried = sum(0..=2);
-    assert!(carried.structures > 0);
-    assert_eq!(carried.widest_row, 0, "a structure carried feature rows");
-    // Rows go to buckets only from the request round, once per (node,
-    // bucket) pair that some structure asked for.
-    let rows = sum(3..=3).bucket_rows;
-    assert_eq!(sum(0..=2).bucket_rows + sum(4..=4).bucket_rows, 0);
-    assert!(rows <= nodes.len() as u64 * buckets, "{rows} rows for {} nodes × {buckets} buckets", nodes.len());
-    assert_eq!(rows, ROWS_SHIPPED);
-    // Shipping a row per (target, node) pair would take more.
-    let pairs: usize = local.examples.iter().map(|e| decode_graph_feature(&e.graph_feature).unwrap().n_nodes()).sum();
-    assert!(rows < pairs as u64, "{rows} rows for {pairs} (target, node) pairs");
-    // Worker counters come back to the driver under a `w{i}.` prefix.
-    let merged: u64 = remote
-        .counters
-        .snapshot()
-        .iter()
-        .filter(|(name, _)| name.ends_with(".flat.hub_partials_merged"))
-        .map(|(_, n)| n)
-        .sum();
-    assert!(merged > 0, "the hub's partial structures were not unioned");
-
     assert_eq!(local.examples.len(), remote.examples.len());
     for (a, b) in local.examples.iter().zip(&remote.examples) {
         assert_eq!((a.target, &a.graph_feature), (b.target, &b.graph_feature));
+    }
+    let mut rounds = RoundTallies::new();
+    for ((round, _), t) in tallies.lock().unwrap().iter() {
+        let sum = rounds.entry(*round).or_default();
+        *sum = sum.add(t);
+    }
+    (remote, rounds)
+}
+
+/// The tallies of `rounds`, summed.
+fn sum(tallies: &RoundTallies, rounds: std::ops::RangeInclusive<usize>) -> GroupTally {
+    tallies.iter().filter(|(r, _)| rounds.contains(r)).fold(GroupTally::default(), |a, (_, t)| a.add(t))
+}
+
+/// `hub_graph(100)` at depth `k`, sampled to ten in-edges, with the hub
+/// re-indexed into four groups.
+fn hub_config(k_hops: usize) -> FlatConfig {
+    FlatConfig {
+        k_hops,
+        sampling: SamplingStrategy::Uniform { max_degree: 10 },
+        hub_threshold: 10,
+        reindex_fanout: 4,
+        ..FlatConfig::default()
+    }
+}
+
+#[test]
+fn feature_rows_ship_once_per_bucket() {
+    // Rounds 1..=K carry id-only structures; round K sends each node's
+    // feature row at most once to each of the B = reduce_tasks buckets.
+    let (nodes, edges) = hub_graph(100);
+    let cfg = hub_config(2);
+    let buckets = cfg.engine.reduce_tasks as u64;
+    let (remote, tallies) = run_inspected(cfg, &nodes, &edges);
+
+    // Everything rounds 0..=K emit, the structures bound for the buckets
+    // included, is id-only.
+    let carried = sum(&tallies, 0..=2);
+    assert!(carried.structures > 0);
+    assert_eq!(carried.widest_row, 0, "a structure carried feature rows");
+    // Rows go to buckets only from round K, once per (node, bucket) pair
+    // that round K − 1 asked for.
+    let rows = sum(&tallies, 2..=2).bucket_rows;
+    assert_eq!(sum(&tallies, 0..=1).bucket_rows + sum(&tallies, 3..=3).bucket_rows, 0);
+    assert!(rows <= nodes.len() as u64 * buckets, "{rows} rows for {} nodes × {buckets} buckets", nodes.len());
+    assert_eq!(rows, ROWS_SHIPPED);
+    // Shipping a row per (target, node) pair would take more.
+    let pairs: usize = remote.examples.iter().map(|e| decode_graph_feature(&e.graph_feature).unwrap().n_nodes()).sum();
+    assert!(rows < pairs as u64, "{rows} rows for {pairs} (target, node) pairs");
+    // Worker counters reach the driver under their own names.
+    assert!(remote.counters.get("flat.hub_partials_merged") > 0, "the hub's partial structures were not unioned");
+}
+
+#[test]
+fn structures_ship_once() {
+    // Round K sends each target's structure to its bucket, and nothing
+    // forwards it again: the job is join, K merges and fill. The hub's four
+    // groups each send a partial, which the fill round unions.
+    let (nodes, edges) = hub_graph(100);
+    for k in 1..=3 {
+        let (remote, tallies) = run_inspected(hub_config(k), &nodes, &edges);
+        assert_eq!(remote.counters.get("reduce.rounds"), k as u64 + 2, "k={k}");
+        let partials = remote.counters.get("flat.hub_partials_merged");
+        assert_eq!(partials, 4, "k={k}");
+        // 201 targets, one of them split into its partials.
+        let shipped = sum(&tallies, 0..=k + 1).bucket_structures;
+        assert_eq!(shipped, 201 - 1 + partials, "k={k}");
+        assert_eq!(sum(&tallies, k..=k).bucket_structures, shipped, "k={k}: structures left before round K");
     }
 }
 

@@ -126,16 +126,8 @@ impl StreamInfer {
         };
         let (output, counters) = job.run(placement)?;
         if matches!(placement, Placement::Remote(_)) {
-            // Worker-side pipeline counters ride back namespaced per worker
-            // (`w3.infer.embeddings_computed`); fold them into the job-wide
-            // names the invariant check and the CLI read.
-            for (name, v) in counters.snapshot() {
-                let Some(rest) = name.strip_prefix('w') else { continue };
-                let Some((_, base)) = rest.split_once('.') else { continue };
-                if base.starts_with("infer.") || base.starts_with("combine.") {
-                    counters.add(base, v);
-                }
-            }
+            // The invariant check and the CLI read the job-wide names.
+            counters.fold_worker_counters(&["infer.", "combine."]);
         }
         let scores = decode_scores(&output)?;
         // Re-executed attempts — injected faults, or a worker that died and

@@ -90,6 +90,27 @@ impl Counters {
         self.registry.get(name)
     }
 
+    /// Fold the pipeline counters remote shuffle workers reported under a
+    /// `w{i}.` prefix (`w3.flat.merged_nodes`) into their job-wide names,
+    /// for every base name that starts with one of `families` (`"flat."`).
+    /// A base name whose last segment starts with `max_` was written with
+    /// [`Counters::record_max`] and folds by max; the others sum.
+    pub fn fold_worker_counters(&self, families: &[&str]) {
+        for (name, v) in self.snapshot() {
+            let Some((worker, base)) = name.split_once('.') else { continue };
+            let is_worker =
+                worker.strip_prefix('w').is_some_and(|i| !i.is_empty() && i.bytes().all(|b| b.is_ascii_digit()));
+            if !is_worker || !families.iter().any(|f| base.starts_with(f)) {
+                continue;
+            }
+            if base.rsplit('.').next().is_some_and(|last| last.starts_with("max_")) {
+                self.record_max(base, v);
+            } else {
+                self.add(base, v);
+            }
+        }
+    }
+
     /// Snapshot of all counters, sorted by name. When the backing registry
     /// is shared with other components, only counter-typed metrics appear
     /// here (gauges and histograms belong to the metrics export).
@@ -195,6 +216,29 @@ mod tests {
         assert_eq!(reg.get("records"), 3, "write lands in the shared registry");
         let snap = c.snapshot();
         assert_eq!(snap, vec![("records".to_string(), 3)], "gauges filtered out of the counter view");
+    }
+
+    #[test]
+    fn worker_counters_fold_into_job_wide_names() {
+        let c = Counters::new();
+        for (name, v) in [
+            ("w0.flat.merged_nodes", 3),
+            ("w12.flat.merged_nodes", 4),
+            ("w0.flat.max_group_in_edges", 7),
+            ("w1.flat.max_group_in_edges", 5),
+            ("w0.infer.embeddings_computed", 9),
+            ("w0.reduce.r1.input_records", 2),
+            ("wx.flat.merged_nodes", 100),
+            ("flat.examples", 6),
+        ] {
+            c.add(name, v);
+        }
+        c.fold_worker_counters(&["flat."]);
+        assert_eq!(c.get("flat.merged_nodes"), 7, "sums fold by sum");
+        assert_eq!(c.get("flat.max_group_in_edges"), 7, "maxima fold by max");
+        assert_eq!(c.get("infer.embeddings_computed"), 0, "other families stay prefixed");
+        assert_eq!(c.get("reduce.r1.input_records"), 0);
+        assert_eq!(c.get("flat.examples"), 6, "driver-side names are untouched");
     }
 
     #[test]

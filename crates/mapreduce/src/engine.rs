@@ -173,7 +173,7 @@ pub struct JobConfig {
     pub map_tasks: usize,
     /// Number of shuffle partitions / reduce tasks per round.
     pub reduce_tasks: usize,
-    /// Number of reduce rounds (K+3 for GraphFlat at K ≥ 1, K+2 for GraphInfer).
+    /// Number of reduce rounds (K+2 for GraphFlat at K ≥ 1 and for GraphInfer).
     pub reduce_rounds: usize,
     /// Worker threads executing tasks on [`Placement::Threads`].
     pub parallelism: usize,

@@ -4,8 +4,8 @@
 //! *mature, fault-tolerant* infrastructure — MapReduce and parameter servers
 //! — instead of bespoke graph stores. GraphFlat (§3.2) and GraphInfer (§3.4)
 //! are both expressed as a single Map phase followed by a chain of Reduce
-//! rounds (K+3 for GraphFlat, K+2 for GraphInfer), where each round
-//! re-shuffles its output by key.
+//! rounds (K+2 for both at K ≥ 1), where each round re-shuffles its output
+//! by key.
 //!
 //! This crate reproduces that execution model, in one process or across
 //! several:

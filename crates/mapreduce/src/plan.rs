@@ -1,6 +1,6 @@
 //! Reducer determinism under record reordering.
 //!
-//! GraphFlat chains K+3 reduce rounds and GraphInfer K+2, and the retry
+//! GraphFlat and GraphInfer each chain K+2 reduce rounds, and the retry
 //! story (re-execute a failed task, get the same bytes) silently assumes
 //! every reducer is **deterministic under record reordering**: a retried
 //! task re-shuffles, so its groups may arrive in another value order.
