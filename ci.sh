@@ -1,22 +1,18 @@
 #!/usr/bin/env bash
 # Tier-1 verification entry point. Everything here must pass before a PR
-# lands. agl-lint has no step of its own: crates/analysis's workspace lint
-# test runs it over the whole repo under `cargo test --workspace`.
+# lands.
 #
 # Modes:
-#   ./ci.sh            tier-1: fmt, build, test (workspace lint included),
-#                      process smokes, benchmark smoke, doc gate
+#   ./ci.sh            tier-1: fmt, clippy, build, test, process smokes,
+#                      benchmark smoke, doc gate
 #   ./ci.sh --sanitize opt-in (not tier-1): run the ps + trainer
 #                      concurrency tests under ThreadSanitizer. Needs a
 #                      nightly toolchain with the rust-src component;
 #                      skips with a message when one is not installed.
-#                      Division of labor: agl-lint's atomics rule proves
-#                      the atomics ordering policy over every path, on
-#                      every tier-1 run (the parameter server's state sits
-#                      behind one mutex, so no lock order needs a proof); TSan is
-#                      the only dynamic race check, covering the std::sync
-#                      and atomic traffic the executed tests reach, including
-#                      what a lexical pass cannot see, at ~10x runtime cost —
+#                      TSan is the only race check: it covers the std::sync
+#                      and atomic traffic the executed tests reach (the
+#                      parameter server's state sits behind one mutex, so
+#                      no lock order needs a proof), at ~10x runtime cost,
 #                      hence opt-in rather than tier-1.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -210,6 +206,16 @@ dist_kill() {
 }
 
 step "cargo fmt --check" cargo fmt --check
+# The workspace lints: clippy's defaults, the panic lints each pipeline crate
+# declares in its src/lib.rs, `undocumented_unsafe_blocks` from the root
+# Cargo.toml and the `disallowed-methods` list in clippy.toml. Every
+# deliberate exception is a scoped `#[expect(…, reason = …)]`, which fails
+# here once the code under it stops needing it.
+step "cargo clippy (workspace)" cargo clippy -q --workspace --all-targets -- -D warnings
+# The benchmark package is outside the workspace; it keeps the clock, spawn
+# and unsafe rules (clippy finds the root clippy.toml from its manifest).
+step "cargo clippy (pipeline_bench)" cargo clippy -q --manifest-path pipeline_bench/Cargo.toml --all-targets \
+  -- -D clippy::disallowed_methods -D clippy::undocumented_unsafe_blocks
 # --workspace: the root package does not depend on the agl-cli binary the
 # smoke steps below drive, so a bare `cargo build` in a fresh checkout would
 # leave ./target/release/agl-cli unbuilt.

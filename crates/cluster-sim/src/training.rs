@@ -194,7 +194,7 @@ fn simulate_elastic_training(cfg: &ClusterConfig, wl: &TrainingWorkload, w: usiz
                 }
                 _ => t[i],
             };
-            if pick.map_or(true, |(_, best)| start < best) {
+            if pick.is_none_or(|(_, best)| start < best) {
                 pick = Some((i, start));
             }
         }
@@ -208,7 +208,7 @@ fn simulate_elastic_training(cfg: &ClusterConfig, wl: &TrainingWorkload, w: usiz
         clock[i] += 1;
         if clock[i] >= total {
             remaining -= 1;
-        } else if persistence < 1.0 && clock[i] % steps_per_epoch == 0 {
+        } else if persistence < 1.0 && clock[i].is_multiple_of(steps_per_epoch) {
             // Epoch boundary: re-draw this worker's machine speed. Drawing
             // from the worker's own rng keeps the simulation deterministic
             // regardless of event interleaving.

@@ -431,7 +431,7 @@ fn cmd_dist_run(flags: &Flags) -> CliResult {
 /// CI can diff it across same-seed runs.
 fn cmd_obs_report(flags: &Flags) -> CliResult {
     let trace = fs::read_to_string(flag(flags, "trace")?)?;
-    let metrics = flags.get("metrics").map(|p| fs::read_to_string(p)).transpose()?;
+    let metrics = flags.get("metrics").map(fs::read_to_string).transpose()?;
     let report = agl::mapreduce::ObsReport::from_artifacts(&trace, metrics.as_deref())?;
     print!("{}", report.render());
     Ok(())

@@ -44,6 +44,10 @@
 //!   so downstream grouping sees original node ids; the partial structures
 //!   of a hub target are unioned in its bucket during the fill round.
 
+// A panic in a task is an unreportable failure: return an error the retry
+// machinery can see. Each deliberate panic carries a scoped `#[expect]`.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod builder;
 pub mod graphfeature;
 pub mod messages;

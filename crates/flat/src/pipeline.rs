@@ -185,15 +185,18 @@ fn encode_edge_record(src: NodeId, dst: NodeId, weight: f32, efeat: &[f32]) -> V
 fn must<T>(r: Result<T, CodecError>, what: &str) -> T {
     match r {
         Ok(v) => v,
-        // agl-lint: allow(no-panic) — self-encoded record failed to decode: engine bug, and no error channel exists here.
+        #[expect(
+            clippy::panic,
+            reason = "self-encoded record failed to decode: engine bug, and no error channel exists here"
+        )]
         Err(e) => panic!("corrupt {what}: {e}"),
     }
 }
 
 /// A record reached a round that never receives its kind: the routing
 /// that produced it is broken, and the task must fail (see [`must`]).
+#[expect(clippy::panic, reason = "every kind is routed to one round by this module; no error channel exists here")]
 fn misrouted(round: usize, msg: &FlatMsg) -> ! {
-    // agl-lint: allow(no-panic) — every kind is routed to one round by this module; no error channel exists here.
     panic!("round {round} received a misrouted record {msg:?}")
 }
 
@@ -277,7 +280,7 @@ impl Mapper for FlatMapper {
                 // over a hub's groups by source.
                 emit(self.routing.key_for(dst, src).to_bytes(), FlatMsg::encode_stub(src, weight, &efeat));
             }
-            // agl-lint: allow(no-panic) — inputs are produced by encode_node_record/encode_edge_record above.
+            #[expect(clippy::panic, reason = "inputs are produced by encode_node_record/encode_edge_record above")]
             t => panic!("unknown input record tag {t}"),
         }
     }
@@ -418,7 +421,7 @@ impl FlatReducer {
         values: &mut dyn Iterator<Item = &[u8]>,
         emit: &mut dyn FnMut(Vec<u8>, Vec<u8>),
     ) {
-        let mut self_info: Option<(Vec<u8>, Vec<f32>, bool, Vec<f32>)> = None;
+        let mut self_info = None;
         let mut builder = SubgraphBuilder::new();
         let mut in_edges: Vec<(u64, f32, Vec<f32>)> = Vec::new();
         let mut out_edges: Vec<(u64, bool)> = Vec::new();
@@ -456,7 +459,7 @@ impl FlatReducer {
             for &(dst, dst_is_target) in &out_edges {
                 emit(self.routing.key_for(dst, k.id).to_bytes(), FlatMsg::encode_in_edge(&merged_bytes));
                 if keep_out_edges {
-                    // agl-lint: allow(no-hot-alloc) — the emit contract takes an owned key; this is the record key itself.
+                    // The emit contract takes an owned key; this is the record key itself.
                     emit(key.to_vec(), FlatMsg::OutEdge { dst, dst_is_target }.to_bytes());
                 }
             }

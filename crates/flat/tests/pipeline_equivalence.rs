@@ -225,8 +225,10 @@ impl GroupTally {
 /// retried task — overwrites its own entry instead of counting twice.
 struct Inspect {
     inner: Box<dyn Reducer>,
-    tallies: Arc<Mutex<HashMap<(usize, Vec<u8>), GroupTally>>>,
+    tallies: Arc<Mutex<Tallies>>,
 }
+
+type Tallies = HashMap<(usize, Vec<u8>), GroupTally>;
 
 impl Reducer for Inspect {
     fn reduce(

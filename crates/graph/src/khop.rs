@@ -69,7 +69,7 @@ pub fn khop_subgraph(graph: &Graph, targets: &[NodeId], k: u32, rule: EdgeRule) 
     let mut edge_feature_slots = Vec::new();
     for (l_dst, &g_dst) in members.iter().enumerate() {
         let keep_dst = match rule {
-            EdgeRule::Sufficient => k > 0 && dist[g_dst as usize] <= k - 1,
+            EdgeRule::Sufficient => dist[g_dst as usize] < k,
             EdgeRule::Induced => true,
         };
         if !keep_dst {

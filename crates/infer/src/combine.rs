@@ -295,7 +295,8 @@ mod tests {
             let direct = finish(kind, fold_in_embs(kind, 4, all.clone()), 4);
             // Split by segment parity: segments {0,2} folded eagerly,
             // {1,3} left raw — then merged.
-            let (eager, raw): (Vec<_>, Vec<_>) = all.into_iter().partition(|(s, _, _)| segment_of(*s, 4) % 2 == 0);
+            let (eager, raw): (Vec<_>, Vec<_>) =
+                all.into_iter().partition(|(s, _, _)| segment_of(*s, 4).is_multiple_of(2));
             let mut partials = fold_in_embs(kind, 4, eager);
             partials.extend(fold_in_embs(kind, 4, raw));
             let merged = finish(kind, partials, 4);

@@ -30,6 +30,10 @@
 //! of high-degree nodes into per-segment partials before they cross the
 //! wire — bit-identical to the materialized run by construction.
 
+// A panic in a task is an unreportable failure: return an error the retry
+// machinery can see. Each deliberate panic carries a scoped `#[expect]`.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod combine;
 pub mod dist;
 pub mod messages;

@@ -122,7 +122,10 @@ fn encode_edge_record(src: NodeId, dst: NodeId, weight: f32) -> Vec<u8> {
 fn must<T>(r: Result<T, agl_mapreduce::codec::CodecError>, what: &str) -> T {
     match r {
         Ok(v) => v,
-        // agl-lint: allow(no-panic) — self-encoded record failed to decode: engine bug, and no error channel exists here.
+        #[expect(
+            clippy::panic,
+            reason = "self-encoded record failed to decode: engine bug, and no error channel exists here"
+        )]
         Err(e) => panic!("corrupt {what}: {e}"),
     }
 }
@@ -155,7 +158,7 @@ impl Mapper for InferMapper {
                 let weight = must(get_f32(&mut r), "weight");
                 emit(src.to_le_bytes().to_vec(), InferMsg::EdgeBySrc { dst, weight }.to_bytes());
             }
-            // agl-lint: allow(no-panic) — inputs are produced by encode_node_record/encode_edge_record above.
+            #[expect(clippy::panic, reason = "inputs are produced by encode_node_record/encode_edge_record above")]
             t => panic!("unknown input record tag {t}"),
         }
     }
@@ -201,12 +204,12 @@ impl Reducer for InferReducer {
                 InferMsg::InEmb { src, weight, h } => in_embs.push((src, weight, h)),
                 InferMsg::OutEdge { dst, weight } => out_edges.push((dst, weight)),
                 InferMsg::Emb { h } => final_emb = Some(h),
-                // agl-lint: allow(no-panic) — Score is only emitted by the terminal prediction round.
+                #[expect(clippy::panic, reason = "Score is only emitted by the terminal prediction round")]
                 InferMsg::Score { .. } => panic!("Score re-entered the pipeline"),
                 InferMsg::Partial { segment, n, total_w, acc } if self.gas => {
                     partials.push(PartialAgg { segment, n, total_w, acc });
                 }
-                // agl-lint: allow(no-panic) — only GAS jobs install the combiner that emits partials.
+                #[expect(clippy::panic, reason = "only GAS jobs install the combiner that emits partials")]
                 InferMsg::Partial { .. } => panic!("Partial received by a non-GAS reducer"),
             }
         }
@@ -232,8 +235,8 @@ impl Reducer for InferReducer {
                 self.counters.add("infer.dangling_edge_destinations", dangling);
                 return;
             };
+            #[expect(clippy::panic, reason = "GnnModel::segment() puts exactly one Gnn slice per layer round")]
             let ModelSlice::Gnn(layer) = &self.slices[round - 1] else {
-                // agl-lint: allow(no-panic) — GnnModel::segment() puts exactly one Gnn slice per layer round.
                 panic!("slice {round} is not a GNN layer");
             };
             let h_next = if self.gas {
@@ -244,8 +247,8 @@ impl Reducer for InferReducer {
                 // partials merge in ascending segment order — so the result
                 // bits never depend on whether, or where, combining
                 // happened.
+                #[expect(clippy::panic, reason = "GAS drivers validate combine_kinds() before launching the job")]
                 let Some(kind) = layer.combine_kind() else {
-                    // agl-lint: allow(no-panic) — GAS drivers validate combine_kinds() before launching the job.
                     panic!("GAS round {round} reached a non-decomposable layer");
                 };
                 let mut all = fold_in_embs(kind, self.r_parts, std::mem::take(&mut in_embs));
@@ -275,8 +278,8 @@ impl Reducer for InferReducer {
 
         // ---- Prediction round ----
         let Some(h) = final_emb else { return };
+        #[expect(clippy::panic, reason = "GnnModel::segment() always ends with the Prediction slice")]
         let ModelSlice::Prediction(head, loss) = &self.slices[self.k] else {
-            // agl-lint: allow(no-panic) — GnnModel::segment() always ends with the Prediction slice.
             panic!("last slice is not the prediction model");
         };
         let probs = predict_row(head, *loss, &h);

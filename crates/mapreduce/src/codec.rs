@@ -318,7 +318,7 @@ mod tests {
 
     #[test]
     fn prop_f32s_roundtrip() {
-        let mut rng = seeded_rng(0xC0DEC_01);
+        let mut rng = seeded_rng(0x0C0D_EC01);
         for _ in 0..64 {
             let len = rng.gen_range(0..64usize);
             let v: Vec<f32> = (0..len).map(|_| rng.gen_range(-1e6f32..1e6)).collect();
@@ -333,7 +333,7 @@ mod tests {
 
     #[test]
     fn prop_string_roundtrip() {
-        let mut rng = seeded_rng(0xC0DEC_02);
+        let mut rng = seeded_rng(0x0C0D_EC02);
         for _ in 0..64 {
             let len = rng.gen_range(0..64usize);
             let s: String = (0..len)
@@ -413,7 +413,7 @@ mod tests {
     #[test]
     fn prop_decode_never_panics() {
         // Malformed input must produce Err, not panic.
-        let mut rng = seeded_rng(0xC0DEC_03);
+        let mut rng = seeded_rng(0x0C0D_EC03);
         for _ in 0..128 {
             let len = rng.gen_range(0..128usize);
             let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u32) as u8).collect();

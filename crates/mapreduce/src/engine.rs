@@ -682,8 +682,10 @@ impl MapReduceJob {
                 // Debug-only determinism gate: an order-sensitive reducer
                 // invalidates the engine's retry story, so fail the test
                 // run loudly, from the driver thread.
-                // agl-lint: allow(no-panic) — see above.
-                panic!("{report}");
+                #[expect(clippy::panic, reason = "debug-only determinism gate; see above")]
+                {
+                    panic!("{report}");
+                }
             }
         }
         if let Site::Remote(remote) = site {
@@ -750,7 +752,6 @@ impl MapReduceJob {
                 scope.spawn(|| loop {
                     // Work-stealing ticket: fetch_add hands each worker a unique task index;
                     // task *data* is published by the scope join, not by this counter.
-                    // agl-lint: allow(atomics) — unique-ticket counter; no ordering needed.
                     let task = next.fetch_add(1, Ordering::Relaxed);
                     if task >= n {
                         break;

@@ -38,6 +38,10 @@
 //! * **Counters** ([`counters`]): named atomic counters à la Hadoop, used by
 //!   the benches to report records/bytes shuffled per round.
 
+// A panic in a task is an unreportable failure: return an error the retry
+// machinery can see. Each deliberate panic carries a scoped `#[expect]`.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod codec;
 pub mod config;
 pub mod counters;

@@ -303,7 +303,7 @@ mod tests {
     #[test]
     fn sort_matches_a_byte_order_stable_sort_at_every_key_length() {
         use agl_tensor::{seeded_rng, Rng};
-        let mut rng = seeded_rng(0x5EC0_4D5);
+        let mut rng = seeded_rng(0x05EC_04D5);
         // Short alphabets with zero bytes, so keys tie on their padded
         // 8-byte prefix at every length on either side of 8.
         let kvs: Vec<KeyValue> = (0..2000u32)

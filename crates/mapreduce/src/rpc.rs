@@ -256,7 +256,7 @@ pub fn serve<S: Service>(framed: &mut Framed, service: &mut S) -> Result<(), Tra
             Step::Paced(reply) => {
                 paced += 1;
                 let every = service.flush_every();
-                if let Some(tag) = S::Reply::METRICS.filter(|_| every > 0 && paced % every == 0) {
+                if let Some(tag) = S::Reply::METRICS.filter(|_| every > 0 && paced.is_multiple_of(every)) {
                     let mut snapshot = vec![tag];
                     codec::put_counters(&mut snapshot, &service.counters());
                     framed.send(&snapshot)?;

@@ -147,6 +147,10 @@ impl LiveRows {
 /// A GNN layer. Closed enum rather than a trait object so caches stay
 /// concrete, `Send`, and serialisable.
 #[derive(Debug, Clone)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "layers are built once per model and stay in place; the size costs nothing per call"
+)]
 pub enum GnnLayer {
     Gcn(GcnLayer),
     Sage(SageLayer),
@@ -291,7 +295,7 @@ impl GnnLayer {
             GnnLayer::Gcn(l) => l.forward_node_combined(self_h, agg),
             GnnLayer::Sage(l) => l.forward_node_combined(self_h, agg),
             GnnLayer::Gin(l) => l.forward_node_combined(self_h, agg),
-            // agl-lint: allow(no-panic) — combine_kind() is None for attention layers; callers gate on it.
+            // `combine_kind()` is None for attention layers; callers gate on it.
             GnnLayer::Gat(_) | GnnLayer::GeniePath(_) => panic!("{} has no combinable aggregation", self.kind_name()),
         }
     }

@@ -134,6 +134,10 @@ impl ForwardPass {
 /// One slice of a hierarchically-segmented model (§3.4): the k-th GNN layer
 /// or the final prediction model.
 #[derive(Debug, Clone)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "slices are built once per model and stay in place; the size costs nothing per call"
+)]
 pub enum ModelSlice {
     Gnn(GnnLayer),
     Prediction(DenseLayer, Loss),

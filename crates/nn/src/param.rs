@@ -79,7 +79,7 @@ mod tests {
 
     #[test]
     fn flatten_and_load_roundtrip() {
-        let mut ps = vec![
+        let mut ps = [
             Param::new("w1", Matrix::from_rows(&[&[1.0, 2.0]])),
             Param::new("w2", Matrix::from_rows(&[&[3.0], &[4.0]])),
         ];
@@ -93,7 +93,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn load_wrong_length_panics() {
-        let mut ps = vec![Param::new("w", Matrix::zeros(2, 2))];
+        let mut ps = [Param::new("w", Matrix::zeros(2, 2))];
         load_values(ps.iter_mut(), &[1.0; 5]);
     }
 

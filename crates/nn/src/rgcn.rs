@@ -112,8 +112,7 @@ impl RelationalGcnLayer {
         let p_rel: Vec<Matrix> = self.w_rel.iter().map(|w| h.matmul(&w.value)).collect();
         let mut pre = Matrix::zeros(n_nodes, self.out_dim());
         // Self-loops through the base weight only (no edge features).
-        for v in 0..n_nodes {
-            let c = self_coef[v];
+        for (v, &c) in self_coef.iter().enumerate() {
             let dst = pre.row_mut(v);
             for (o, &x) in dst.iter_mut().zip(p_base.row(v)) {
                 *o += c * x;

@@ -1,6 +1,6 @@
 //! The workspace's single sanctioned source of time.
 //!
-//! Every other crate is forbidden (by the `no-wallclock` lint) from calling
+//! Every other crate is forbidden (by `disallowed-methods` in `clippy.toml`) from calling
 //! `Instant::now` / `SystemTime::now` directly: determinism-critical modules
 //! must be replayable bit-for-bit, and a raw wall-clock read anywhere in a
 //! job's dataflow breaks that. Instead they take a [`Clock`]:
@@ -37,6 +37,7 @@ impl Default for Clock {
 
 impl Clock {
     /// Real time: nanoseconds since this clock was created.
+    #[expect(clippy::disallowed_methods, reason = "the one sanctioned read of the OS clock")]
     pub fn monotonic() -> Self {
         Self { source: Arc::new(Source::Monotonic(Instant::now())) }
     }
@@ -59,7 +60,7 @@ impl Clock {
     pub fn now(&self) -> u64 {
         match &*self.source {
             Source::Monotonic(base) => base.elapsed().as_nanos() as u64,
-            // agl-lint: allow(atomics) — monotone tick allocator; only uniqueness matters, not order.
+            // Monotone tick allocator; only uniqueness matters, not order.
             Source::Logical(tick) => tick.fetch_add(1, Ordering::Relaxed),
         }
     }

@@ -126,37 +126,35 @@ impl Histogram {
 
     /// Record one observation.
     pub fn record(&self, v: u64) {
-        // agl-lint: allow(atomics) — monotone statistics; concurrent RMWs commute.
+        // Monotone statistics: concurrent RMWs commute and fetch_max is
+        // idempotent-monotone, so no ordering is needed.
         self.counts[self.kind.index(v)].fetch_add(1, Ordering::Relaxed);
-        // agl-lint: allow(atomics) — monotone statistics; concurrent RMWs commute.
         self.count.fetch_add(1, Ordering::Relaxed);
-        // agl-lint: allow(atomics) — monotone statistics; concurrent RMWs commute.
         self.sum.fetch_add(v, Ordering::Relaxed);
-        // agl-lint: allow(atomics) — fetch_max is idempotent-monotone; order is irrelevant.
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Total number of observations so far.
     pub fn count(&self) -> u64 {
-        // agl-lint: allow(atomics) — statistical read of a monotone counter; staleness is fine.
+        // Statistical read of a monotone counter; staleness is fine.
         self.count.load(Ordering::Relaxed)
     }
 
     /// Sum of all observed values so far.
     pub fn sum(&self) -> u64 {
-        // agl-lint: allow(atomics) — statistical read of a monotone counter; staleness is fine.
+        // Statistical read of a monotone counter; staleness is fine.
         self.sum.load(Ordering::Relaxed)
     }
 
     /// Largest value observed so far.
     pub fn max(&self) -> u64 {
-        // agl-lint: allow(atomics) — statistical read of a monotone maximum; staleness is fine.
+        // Statistical read of a monotone maximum; staleness is fine.
         self.max.load(Ordering::Relaxed)
     }
 
     /// Per-bucket observation counts, in bucket order.
     pub fn bucket_counts(&self) -> Vec<u64> {
-        // agl-lint: allow(atomics) — statistical read of monotone buckets; staleness is fine.
+        // Statistical read of monotone buckets; staleness is fine.
         self.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect()
     }
 
@@ -255,7 +253,7 @@ impl MetricsRegistry {
 
     /// Bump counter `name` by `delta`.
     pub fn add(&self, name: &str, delta: u64) {
-        // agl-lint: allow(atomics) — monotone counter bump; concurrent RMWs commute.
+        // Monotone counter bump; concurrent RMWs commute.
         self.counter(name).fetch_add(delta, Ordering::Relaxed);
     }
 
@@ -266,7 +264,7 @@ impl MetricsRegistry {
 
     /// Raise counter `name` to at least `value`.
     pub fn counter_max(&self, name: &str, value: u64) {
-        // agl-lint: allow(atomics) — fetch_max is idempotent-monotone; order is irrelevant.
+        // `fetch_max` is idempotent-monotone; order is irrelevant.
         self.counter(name).fetch_max(value, Ordering::Relaxed);
     }
 
@@ -311,7 +309,7 @@ impl MetricsRegistry {
     /// Current value of counter/gauge `name` (0 if absent).
     pub fn get(&self, name: &str) -> u64 {
         match self.read().get(name) {
-            // agl-lint: allow(atomics) — statistical read of a monotone counter; staleness is fine.
+            // Statistical read of a monotone counter; staleness is fine.
             Some(Metric::Counter(c)) => c.load(Ordering::Relaxed),
             Some(Metric::Gauge(g)) => g.load(Ordering::Acquire),
             _ => 0,
@@ -324,7 +322,7 @@ impl MetricsRegistry {
             .iter()
             .map(|(k, m)| {
                 let v = match m {
-                    // agl-lint: allow(atomics) — statistical read of a monotone counter; staleness is fine.
+                    // Statistical read of a monotone counter; staleness is fine.
                     Metric::Counter(c) => MetricValue::Counter(c.load(Ordering::Relaxed)),
                     Metric::Gauge(g) => MetricValue::Gauge(g.load(Ordering::Acquire)),
                     Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),

@@ -26,8 +26,11 @@
 //!     `staleness ≤ slack`. `Ssp { slack: 0 }` normalizes to `Sync`.
 //! * **One lock** — the barrier, the version table and the shards sit
 //!   behind one mutex, so there is no lock order to keep; the server's
-//!   atomics follow the ordering policy the `agl-analysis` `atomics` rule
-//!   checks (CONCURRENCY.md).
+//!   atomics follow the ordering policy in CONCURRENCY.md.
+
+// A panic in a task is an unreportable failure: return an error the retry
+// machinery can see. Each deliberate panic carries a scoped `#[expect]`.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod net;
 pub mod server;

@@ -937,7 +937,7 @@ mod tests {
         let got = with_remote("stats", 2, vec![0.0; 8], 2, Consistency::Async, OptSpec::Sgd { lr: 0.01 }, |remote| {
             run_client_workers(remote, 2, |w, c| {
                 let (_x, _v) = c.pull_with_version(w)?;
-                c.push(w, &vec![0.1; 8])?;
+                c.push(w, &[0.1; 8])?;
                 Ok(())
             })
             .unwrap();

@@ -262,13 +262,13 @@ pub struct ParameterServer {
 
 /// Add `n` to a traffic counter.
 fn bump(cell: &AtomicU64, n: u64) {
-    // agl-lint: allow(atomics) — monotone statistics counter; concurrent RMWs commute.
+    // Monotone statistics counter; concurrent RMWs commute.
     cell.fetch_add(n, Ordering::Relaxed);
 }
 
 /// Read a traffic counter.
 fn total(cell: &AtomicU64) -> u64 {
-    // agl-lint: allow(atomics) — statistical read of a monotone counter; staleness is fine.
+    // Statistical read of a monotone counter; staleness is fine.
     cell.load(Ordering::Relaxed)
 }
 

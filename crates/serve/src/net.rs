@@ -549,6 +549,7 @@ mod tests {
             let deadline_ns = 300_000_000;
             let mut remote =
                 RemoteStore::connect(std::slice::from_ref(&ep), [(NodeId(1), vec![1.0])], &clock, deadline_ns).unwrap();
+            #[expect(clippy::disallowed_methods, reason = "bounds the real wait, apart from the clock under test")]
             let start = std::time::Instant::now();
             let err = remote.lookup(&[NodeId(1)]).unwrap_err();
             assert!(matches!(err, TransportError::Timeout { .. }), "{err}");

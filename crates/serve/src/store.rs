@@ -70,7 +70,7 @@ impl ShardSlab {
         let mut data = Vec::with_capacity(self.data.len() + patches.len() * self.dim);
         let mut push = |index: &mut Vec<(u64, u32)>, id: u64, v: &[f32]| {
             assert_eq!(v.len(), self.dim, "node {id}: vector dim {} != store dim {}", v.len(), self.dim);
-            // agl-lint: allow(no-panic) — >4G floats in one shard is out of scope for the in-memory store.
+            // >4G floats in one shard is out of scope for the in-memory store.
             let off = u32::try_from(data.len()).expect("shard slab exceeds u32 float offsets");
             index.push((id, off));
             data.extend_from_slice(v);
@@ -191,7 +191,7 @@ impl EmbeddingStore {
     }
 
     fn snapshot_of(&self, shard: &RwLock<Arc<ShardSlab>>) -> Arc<ShardSlab> {
-        // agl-lint: allow(no-panic) — a poisoned lock means a writer panicked mid-swap; nothing to serve.
+        // A poisoned lock means a writer panicked mid-swap; nothing to serve.
         shard.read().expect("shard lock poisoned").clone()
     }
 
@@ -259,7 +259,7 @@ impl EmbeddingStore {
             // lock. `patch` callers are serialised by the updater, so the
             // read-then-swap window cannot lose concurrent patches.
             let fresh = Arc::new(self.shard(i).overlay(bucket));
-            // agl-lint: allow(no-panic) — poisoned only if a prior writer panicked; store is dead then.
+            // Poisoned only if a prior writer panicked; store is dead then.
             *self.shards[i].write().expect("shard lock poisoned") = fresh;
         }
     }
@@ -332,8 +332,8 @@ mod tests {
         store.patch([(target, vec![9.0, 9.0, 9.0, 9.0])]);
         assert_eq!(&*store.get(target).unwrap(), &[9.0, 9.0, 9.0, 9.0]);
         let dirty = shard_of(target, 4);
-        for i in 0..4 {
-            let same = Arc::ptr_eq(&before[i], &store.shard(i));
+        for (i, slab) in before.iter().enumerate() {
+            let same = Arc::ptr_eq(slab, &store.shard(i));
             assert_eq!(same, i != dirty, "shard {i}");
         }
         // Old snapshots stay readable (consistent view across the swap).

@@ -21,6 +21,10 @@
 //!
 //! Everything is deterministic given a seed; no global RNG state is used.
 
+// A panic in a task is an unreportable failure: return an error the retry
+// machinery can see. Each deliberate panic carries a scoped `#[expect]`.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod csr;
 pub mod init;
 pub mod matrix;

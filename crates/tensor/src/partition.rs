@@ -82,6 +82,7 @@ impl EdgePartition {
         bounds.push(0);
         let indptr = csr.indptr();
         let mut next_quota = per_part;
+        #[expect(clippy::needless_range_loop, reason = "`r` is the row bound pushed, not only an index into `indptr`")]
         for r in 1..n_rows {
             if indptr[r] >= next_quota && bounds.len() < t {
                 bounds.push(r);
@@ -183,7 +184,6 @@ impl WriteSetTracker {
         // Conflict detector: a disjoint partition means each cell is touched by one worker,
         // so no ordering is needed; an overlapping claim races by definition, and any
         // interleaving of the swap still exposes it to the assert below.
-        // agl-lint: allow(atomics) — detector for races, not a participant; see above.
         let prev = self.claims[row].swap(worker, Ordering::Relaxed);
         assert!(
             prev == Self::UNCLAIMED || prev == worker,
@@ -194,8 +194,8 @@ impl WriteSetTracker {
     /// Rows claimed so far (test observability).
     pub fn claimed_rows(&self) -> usize {
         use std::sync::atomic::Ordering;
-        // Test observability read after the worker scope has joined.
-        // agl-lint: allow(atomics) — the scope exit is the happens-before edge.
+        // Test observability read after the worker scope has joined: the
+        // scope exit is the happens-before edge.
         self.claims.iter().filter(|c| c.load(Ordering::Relaxed) != Self::UNCLAIMED).count()
     }
 }

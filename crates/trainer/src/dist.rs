@@ -96,7 +96,7 @@ impl DistTrainer {
             .with_obs(self.opts.engine.obs.clone());
         match self.run(model, train, val, &server, after_epoch) {
             Ok(r) => r,
-            // agl-lint: allow(no-panic) — the in-process PsClient impl is infallible; Err is unreachable.
+            #[expect(clippy::panic, reason = "the in-process PsClient impl is infallible; Err is unreachable")]
             Err(e) => panic!("in-process parameter server failed: {e}"),
         }
     }
@@ -406,6 +406,7 @@ mod tests {
         // goes on a helper thread so a hang fails the test instead of
         // stalling the suite.
         let (tx, rx) = std::sync::mpsc::channel();
+        #[expect(clippy::disallowed_methods, reason = "a scoped thread would join, and so hang, on a deadlock")]
         std::thread::spawn(move || {
             let mut m = model();
             let mut trainer = DistTrainer::new(4, opts(Consistency::Sync));
@@ -584,6 +585,7 @@ mod tests {
         // the sync barrier would wait for the failed worker's push. The
         // run goes on a helper thread so a hang fails the test.
         let (tx, rx) = std::sync::mpsc::channel();
+        #[expect(clippy::disallowed_methods, reason = "a scoped thread would join, and so hang, on a deadlock")]
         std::thread::spawn(move || {
             let mut m = model();
             let trainer = DistTrainer::new(2, TrainOptions { batch_size: 2, ..opts(Consistency::Async) });

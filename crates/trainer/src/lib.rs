@@ -28,6 +28,10 @@
 //!   provided by `agl_tensor::ExecCtx` and enabled via
 //!   [`trainer::TrainOptions::partitions`].
 
+// A panic in a task is an unreportable failure: return an error the retry
+// machinery can see. Each deliberate panic carries a scoped `#[expect]`.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod dist;
 pub mod linkpred;
 pub mod metrics;

@@ -47,9 +47,9 @@ pub fn build_link_examples(
     let mut rng = seeded_rng(derive_seed(seed, 0x11AB));
     let mut out = Vec::with_capacity(n_pos + n_neg);
     let pair = |src: NodeId, dst: NodeId, label: f32, by_id: &HashMap<NodeId, &TrainingExample>| {
-        // agl-lint: allow(no-panic) — GraphFeatures come straight from GraphFlat's encoder; see module docs.
+        #[expect(clippy::expect_used, reason = "GraphFeatures come straight from GraphFlat's encoder; see module docs")]
         let a = decode_graph_feature(&by_id[&src].graph_feature).expect("src GraphFeature");
-        // agl-lint: allow(no-panic) — same provenance as above.
+        #[expect(clippy::expect_used, reason = "same provenance as above")]
         let b = decode_graph_feature(&by_id[&dst].graph_feature).expect("dst GraphFeature");
         let mut builder = SubgraphBuilder::new();
         builder.absorb(&a);
@@ -125,7 +125,7 @@ impl LinkPredictor {
         let mut builder = SubgraphBuilder::new();
         let mut targets_global = Vec::with_capacity(2 * batch.len());
         for l in batch {
-            // agl-lint: allow(no-panic) — pair features are encoded by `link_examples` above.
+            #[expect(clippy::expect_used, reason = "pair features are encoded by `link_examples` above")]
             let sub = decode_graph_feature(&l.graph_feature).expect("pair GraphFeature");
             builder.absorb(&sub);
             targets_global.push(l.src);

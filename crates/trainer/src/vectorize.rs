@@ -58,7 +58,10 @@ pub fn vectorize(batch: &[TrainingExample], label_dim: usize) -> VectorizedBatch
     let mut target_ids = Vec::with_capacity(batch.len());
     let mut labels = Matrix::zeros(batch.len(), label_dim);
     for (i, ex) in batch.iter().enumerate() {
-        // agl-lint: allow(no-panic) — TrainingExamples carry GraphFlat-encoded features; a decode failure is a pipeline bug.
+        #[expect(
+            clippy::expect_used,
+            reason = "TrainingExamples carry GraphFlat-encoded features; a decode failure is a pipeline bug"
+        )]
         let sub = decode_graph_feature(&ex.graph_feature).expect("corrupt GraphFeature");
         debug_assert_eq!(sub.target_ids(), vec![ex.target], "GraphFeature target mismatch");
         builder.absorb(&sub);
