@@ -149,9 +149,9 @@ serve_smoke() {
 }
 
 # Streaming-inference smoke: (1) single-process streamed run verified
-# bit-identical to the materialized baseline, with a nonzero peak-memory
-# gauge and combiner savings; (2) the same job across 2 infer-shuffle
-# worker processes, verified and leak-checked; (3) two same-seed runs
+# bit-identical to the materialized baseline and to GraphInfer, with a
+# nonzero peak-memory gauge and combiner savings; (2) the same job across
+# 2 infer-shuffle worker processes, verified and leak-checked; (3) two same-seed runs
 # under the logical clock must write byte-identical traces (the obs smoke
 # harness applied to the inference path).
 infer_stream_smoke() {
@@ -160,7 +160,7 @@ infer_stream_smoke() {
   trap 'pkill -f "dist-worker -[-]role" 2>/dev/null || true; rm -rf "'"$dir"'"' RETURN
   out=$(./target/release/agl-cli infer-stream --synthetic-nodes 300 --verify true) || return 1
   echo "$out" | grep -q "verified=true" \
-    || { echo "infer-stream smoke: streamed output diverged from materialized" >&2; return 1; }
+    || { echo "infer-stream smoke: streamed output diverged from materialized or GraphInfer" >&2; return 1; }
   echo "$out" | grep -qE "^peak_resident_bytes=[1-9]" \
     || { echo "infer-stream smoke: peak-memory gauge is zero" >&2; return 1; }
   echo "$out" | grep -qE "combine_bytes_saved=[1-9]" \
@@ -168,7 +168,7 @@ infer_stream_smoke() {
   out=$(./target/release/agl-cli infer-stream --synthetic-nodes 300 --verify true \
     --workers 2 --dir "$dir/sock") || return 1
   echo "$out" | grep -q "verified=true" \
-    || { echo "infer-stream smoke: dist output diverged from materialized" >&2; return 1; }
+    || { echo "infer-stream smoke: dist output diverged from materialized or GraphInfer" >&2; return 1; }
   if pgrep -f "dist-worker -[-]role" >/dev/null; then
     echo "infer-stream smoke: leaked worker processes" >&2
     return 1
@@ -231,7 +231,7 @@ step "dist smoke (2 shuffle + 2 ps processes, byte-identical)" dist_smoke
 step "dist kill-a-worker (SIGKILL mid-job, deterministic re-run)" dist_kill
 step "obs smoke (traced dist-run, deterministic merged trace + obs-report)" obs_smoke
 step "serve smoke (load generator + 2 serve-worker processes, verified)" serve_smoke
-step "infer-stream smoke (streamed == materialized, 2-worker dist, deterministic)" infer_stream_smoke
+step "infer-stream smoke (streamed == materialized == GraphInfer, 2-worker dist, deterministic)" infer_stream_smoke
 # The benchmark package path-depends on crates/* but sits outside the
 # workspace, so nothing above compiles it: build it and run every workload
 # once at ~1/20 size, so a public-API break there fails here and not when
@@ -245,7 +245,7 @@ bench_smoke() {
   want="flat.uug-2hop 0x1838ec17e2517f96
 train.ppi-2layer 0x72918210077ff891
 infer.uug-hub 0x53f50a6336a4817f
-serve.mixed-rw 0x445a3a1016846ce1
+serve.mixed-rw 0xce4084d68633c4b4
 dist.uug-uds 0x3b9bba1118137b1f"
   if [ "$got" != "$want" ]; then
     echo "pipeline-bench smoke: output digests drifted (want, then got):" >&2

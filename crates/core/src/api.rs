@@ -27,10 +27,6 @@ pub struct AglJob {
     /// `train.consistency` so it survives a later
     /// [`train_options`](Self::train_options) (merge, not clobber).
     consistency: Option<Consistency>,
-    /// Set by [`combine_threshold`](Self::combine_threshold); `None` keeps
-    /// [`StreamInfer`]'s default, `Some(t)` overrides it (with
-    /// `Some(None)` disabling the combiner).
-    combine_threshold: Option<Option<usize>>,
     serve: agl_serve::ServeConfig,
 }
 
@@ -162,25 +158,12 @@ impl AglJob {
     /// entry point behind [`graph_infer_stream`](Self::graph_infer_stream)
     /// and the `agl-cli infer-stream` subcommand.
     pub fn stream_infer(&self) -> StreamInfer {
-        let si = StreamInfer::new(self.infer_config());
-        match self.combine_threshold {
-            None => si,
-            Some(t) => si.with_degree_threshold(t),
-        }
+        StreamInfer::new(self.infer_config())
     }
 
-    /// Combiner degree threshold for streaming inference: `Some(t)` folds
-    /// shuffle groups of at least `t` messages, `None` disables the
-    /// combiner. Either way the output stays bit-identical — see the
-    /// `agl_infer::combine` docs.
-    pub fn combine_threshold(mut self, t: Option<usize>) -> Self {
-        self.combine_threshold = Some(t);
-        self
-    }
-
-    /// **Streaming GraphInfer**: the same scores as
-    /// [`graph_infer`](Self::graph_infer) computed by the bounded-memory
-    /// GAS pipeline with shuffle combining (the InferTurbo-style path).
+    /// **Streaming GraphInfer**: the scores of
+    /// [`graph_infer`](Self::graph_infer), bit for bit, from the same job
+    /// run in bounded memory (one shuffle partition resident at a time).
     pub fn graph_infer_stream(
         &self,
         model: &GnnModel,

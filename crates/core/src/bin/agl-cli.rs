@@ -603,8 +603,8 @@ fn cmd_serve_worker(flags: &Flags) -> CliResult {
     Ok(())
 }
 
-/// `agl-cli infer-stream` — streaming full-graph inference (the
-/// InferTurbo-style GAS pipeline with shuffle combining):
+/// `agl-cli infer-stream` — streaming full-graph inference: the GraphInfer
+/// job in bounded memory, with its shuffle combiner:
 ///
 /// ```text
 /// agl-cli infer-stream --model data/model.agl --nodes data/nodes.tsv \
@@ -614,13 +614,12 @@ fn cmd_serve_worker(flags: &Flags) -> CliResult {
 ///                      --dir /tmp/agl-infer --verify true        # multi-process
 /// ```
 ///
-/// `--degree-threshold N|none` tunes (or disables) the combiner;
 /// `--mode materialized` runs the fully-materialized engine instead of the
 /// bounded-memory streamed one (the EXPERIMENTS.md cost-ratio baseline);
 /// `--workers N` farms the reduce rounds out to `dist-worker
 /// --role infer-shuffle` child processes; `--verify true` re-runs the
-/// materialized in-process baseline and asserts the scores are
-/// bit-identical. Prints machine-readable `key=value` lines (the CI smoke
+/// materialized in-process baseline and `GraphInfer::run`, and asserts the
+/// scores are bit-identical to both. Prints machine-readable `key=value` lines (the CI smoke
 /// suite and EXPERIMENTS.md parse these).
 fn cmd_infer_stream(flags: &Flags) -> CliResult {
     let obs = parse_obs(flags)?;
@@ -638,15 +637,10 @@ fn cmd_infer_stream(flags: &Flags) -> CliResult {
             GnnModel::new(ModelConfig::new(ModelKind::Gcn, 8, 16, 8, 2, Loss::SoftmaxCrossEntropy).with_seed(seed));
         (model, nodes, edges)
     };
-    let mut job = AglJob::new()
+    let job = AglJob::new()
         .sampling(parse_sampling(flag_or(flags, "sampling", "none"))?)
         .seed(flag_or(flags, "seed", "42").parse()?)
         .obs(obs.clone());
-    match flags.get("degree-threshold").map(String::as_str) {
-        None => {}
-        Some("none") => job = job.combine_threshold(None),
-        Some(t) => job = job.combine_threshold(Some(t.parse()?)),
-    }
     let si = job.stream_infer();
     let workers: usize = flag_or(flags, "workers", "0").parse()?;
     let mode = flag_or(flags, "mode", "streamed");
@@ -699,8 +693,9 @@ fn cmd_infer_stream(flags: &Flags) -> CliResult {
     let mut verified = true;
     if flag_or(flags, "verify", "false").parse::<bool>()? {
         let baseline = si.run_materialized(&model, &nodes, &edges)?;
+        let graph_infer = job.graph_infer(&model, &nodes, &edges)?;
         // NodeScore is PartialEq over f32 — equality is bit-identity.
-        verified = result.scores == baseline.scores;
+        verified = result.scores == baseline.scores && result.scores == graph_infer.scores;
     }
 
     // Machine-readable lines (the CI smoke suite and EXPERIMENTS.md parse
@@ -708,7 +703,6 @@ fn cmd_infer_stream(flags: &Flags) -> CliResult {
     println!("scores={}", result.scores.len());
     println!("mode={mode}");
     println!("elapsed_ms={elapsed_ms:.1}");
-    println!("gas={}", si.gas_eligible(&model));
     println!("embeddings_computed={}", result.counters.get("infer.embeddings_computed"));
     println!("peak_resident_bytes={}", result.counters.get("stream.peak_resident_bytes"));
     println!(
@@ -724,7 +718,7 @@ fn cmd_infer_stream(flags: &Flags) -> CliResult {
     print!("{}", JobReport::from_counters(&result.counters).render());
     write_obs_outputs(flags, &obs)?;
     if !verified {
-        return Err("streamed scores diverged from the materialized baseline".into());
+        return Err("streamed scores diverged from the materialized baseline or GraphInfer".into());
     }
     Ok(())
 }

@@ -1,4 +1,5 @@
-//! Shuffle-combiner support for streaming GAS inference.
+//! The neighbour fold of GraphInfer's per-node step, and the shuffle
+//! combiner it makes exact.
 //!
 //! High-degree nodes are the scalability hazard of full-graph inference: a
 //! hub with a million in-edges receives a million [`InferMsg::InEmb`]
@@ -19,14 +20,15 @@
 //! 2. Within a segment, messages are sorted canonically (by `src`, then
 //!    weight bits, then embedding bits) before folding — see
 //!    [`fold_in_embs`].
-//! 3. The consuming reducer *always* computes this same two-level fold
+//! 3. [`crate::merge_step`] *always* computes this same two-level fold
 //!    (segments folded canonically, partials merged in ascending segment
 //!    order via [`finish`]), whether a segment arrives as raw messages or
 //!    as a pre-folded [`InferMsg::Partial`].
 //!
 //! The degree threshold therefore only changes *where* a segment is folded,
 //! never the folded bits: combiner-on, combiner-off, streamed, materialized
-//! and distributed GAS runs are all bit-identical.
+//! and distributed runs, and serve's incremental update, are all
+//! bit-identical.
 
 use crate::messages::InferMsg;
 use agl_mapreduce::hash::partition;
@@ -34,8 +36,7 @@ use agl_mapreduce::{Codec, ShuffleCombiner};
 use agl_nn::{CombineKind, ModelSlice, NeighborAggregate};
 
 /// One segment's partial aggregate of in-edge messages: `n` edges folded,
-/// their total weight, and the elementwise accumulator (`Σ w·h` for
-/// sum/mean, elementwise `max(w·h)` for max).
+/// their total weight, and the elementwise accumulator `Σ w·h`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartialAgg {
     /// Producer reduce partition that owns the folded messages.
@@ -53,6 +54,16 @@ impl PartialAgg {
     pub fn into_msg(self) -> InferMsg {
         InferMsg::Partial { segment: self.segment, n: self.n, total_w: self.total_w, acc: self.acc }
     }
+
+    /// Add `n` more edges of total weight `total_w` whose `w·h` terms sum
+    /// to `acc`.
+    fn absorb(&mut self, n: u32, total_w: f32, acc: impl IntoIterator<Item = f32>) {
+        self.n += n;
+        self.total_w += total_w;
+        for (a, x) in self.acc.iter_mut().zip(acc) {
+            *a += x;
+        }
+    }
 }
 
 /// The segment an in-edge message from `src` belongs to: the reduce
@@ -61,32 +72,15 @@ pub fn segment_of(src: u64, r_parts: usize) -> u32 {
     partition(&src.to_le_bytes(), r_parts) as u32
 }
 
-fn fold_step(kind: CombineKind, p: &mut PartialAgg, w: f32, h: &[f32]) {
-    p.n += 1;
-    p.total_w += w;
-    match kind {
-        CombineKind::Sum | CombineKind::Mean => {
-            for (a, &x) in p.acc.iter_mut().zip(h) {
-                *a += w * x;
-            }
-        }
-        CombineKind::Max => {
-            for (a, &x) in p.acc.iter_mut().zip(h) {
-                *a = a.max(w * x);
-            }
-        }
-    }
-}
-
-/// Fold raw in-edge messages `(src, weight, h)` into one [`PartialAgg`] per
+/// Fold in-edge messages `(src, weight, h)` into one [`PartialAgg`] per
 /// segment, returned in ascending segment order.
 ///
 /// The fold order is canonical — `(segment, src, weight bits, h bits)` — so
 /// the result is invariant under any permutation of `items`. This is the
-/// single fold every GAS path uses, which is what makes partial aggregation
-/// exact.
-pub fn fold_in_embs(kind: CombineKind, r_parts: usize, items: Vec<(u64, f32, Vec<f32>)>) -> Vec<PartialAgg> {
-    let mut tagged: Vec<(u32, u64, f32, Vec<f32>)> =
+/// single fold every inference path uses, which is what makes partial
+/// aggregation exact. The embeddings are borrowed: folding copies none.
+pub fn fold_in_embs<'a>(r_parts: usize, items: impl IntoIterator<Item = (u64, f32, &'a [f32])>) -> Vec<PartialAgg> {
+    let mut tagged: Vec<(u32, u64, f32, &[f32])> =
         items.into_iter().map(|(src, w, h)| (segment_of(src, r_parts), src, w, h)).collect();
     tagged.sort_by(|a, b| {
         a.0.cmp(&b.0)
@@ -95,19 +89,13 @@ pub fn fold_in_embs(kind: CombineKind, r_parts: usize, items: Vec<(u64, f32, Vec
             .then_with(|| a.3.iter().map(|f| f.to_bits()).cmp(b.3.iter().map(|f| f.to_bits())))
     });
     let mut out: Vec<PartialAgg> = Vec::new();
-    for (seg, _src, w, h) in tagged {
+    for (segment, _src, w, h) in tagged {
+        let terms = h.iter().map(|&x| w * x);
         match out.last_mut() {
-            Some(p) if p.segment == seg => fold_step(kind, p, w, &h),
+            Some(p) if p.segment == segment => p.absorb(1, w, terms),
             _ => {
-                let mut p = PartialAgg { segment: seg, n: 0, total_w: 0.0, acc: vec![0.0; h.len()] };
-                if kind == CombineKind::Max {
-                    // max has no additive identity: seed with the first term.
-                    p.n = 1;
-                    p.total_w = w;
-                    p.acc = h.iter().map(|&x| w * x).collect();
-                } else {
-                    fold_step(kind, &mut p, w, &h);
-                }
+                let mut p = PartialAgg { segment, n: 0, total_w: 0.0, acc: vec![0.0; h.len()] };
+                p.absorb(1, w, terms);
                 out.push(p);
             }
         }
@@ -115,64 +103,42 @@ pub fn fold_in_embs(kind: CombineKind, r_parts: usize, items: Vec<(u64, f32, Vec
     out
 }
 
-fn merge_pair(kind: CombineKind, dst: &mut PartialAgg, src: &PartialAgg) {
-    dst.n += src.n;
-    dst.total_w += src.total_w;
-    match kind {
-        CombineKind::Sum | CombineKind::Mean => {
-            for (a, &x) in dst.acc.iter_mut().zip(&src.acc) {
-                *a += x;
-            }
-        }
-        CombineKind::Max => {
-            for (a, &x) in dst.acc.iter_mut().zip(&src.acc) {
-                *a = a.max(x);
-            }
-        }
-    }
-}
-
-/// Sort partials by ascending segment and merge duplicates (stable, so
-/// callers that list locally-folded partials before received ones get a
-/// deterministic merge even in the never-expected duplicate case).
-pub fn merge_partials(kind: CombineKind, mut partials: Vec<PartialAgg>) -> Vec<PartialAgg> {
+/// Sort partials by ascending segment and merge duplicates, in place
+/// (stable, so callers that list locally-folded partials before received
+/// ones get a deterministic merge even in the never-expected duplicate
+/// case).
+pub fn merge_partials(partials: &mut Vec<PartialAgg>) {
     partials.sort_by_key(|p| p.segment);
-    let mut out: Vec<PartialAgg> = Vec::new();
-    for p in partials {
-        match out.last_mut() {
-            Some(d) if d.segment == p.segment => merge_pair(kind, d, &p),
-            _ => out.push(p),
+    partials.dedup_by(|p, kept| {
+        let dup = p.segment == kept.segment;
+        if dup {
+            kept.absorb(p.n, p.total_w, p.acc.iter().copied());
         }
-    }
-    out
+        dup
+    });
 }
 
 /// Merge partials in ascending segment order into the final
 /// [`NeighborAggregate`] a layer's `forward_node_combined` consumes.
-pub fn finish(kind: CombineKind, partials: Vec<PartialAgg>, dim: usize) -> NeighborAggregate {
+pub fn finish(mut partials: Vec<PartialAgg>, dim: usize) -> NeighborAggregate {
+    merge_partials(&mut partials);
     let mut agg = NeighborAggregate::empty(dim);
-    let mut started = false;
-    for p in merge_partials(kind, partials) {
+    for p in &partials {
         debug_assert_eq!(p.acc.len(), dim);
         agg.n += u64::from(p.n);
         agg.total_w += p.total_w;
-        match kind {
-            CombineKind::Sum | CombineKind::Mean => {
-                for (a, &x) in agg.acc.iter_mut().zip(&p.acc) {
-                    *a += x;
-                }
-            }
-            CombineKind::Max if !started => agg.acc.copy_from_slice(&p.acc),
-            CombineKind::Max => {
-                for (a, &x) in agg.acc.iter_mut().zip(&p.acc) {
-                    *a = a.max(x);
-                }
-            }
+        for (a, &x) in agg.acc.iter_mut().zip(&p.acc) {
+            *a += x;
         }
-        started = true;
     }
     agg
 }
+
+/// Bucket-local degree threshold of every installed [`InferCombiner`]:
+/// groups with at least this many messages in one producer bucket are
+/// pre-folded. Low enough to fire on real hubs, high enough that tiny
+/// groups skip the encode/decode round-trip.
+pub const DEFAULT_DEGREE_THRESHOLD: usize = 8;
 
 /// The per-layer combine kinds of a segmented model, or `None` if any layer
 /// is attention-based (GAT / GeniePath keep raw neighbor embeddings, so
@@ -191,39 +157,39 @@ pub fn combine_kinds(slices: &[ModelSlice]) -> Option<Vec<CombineKind>> {
     Some(kinds)
 }
 
-/// The shuffle combiner of the GAS inference pipeline: for reduce rounds
+/// The shuffle combiner of the inference job: for reduce rounds
 /// `1..=K` it folds each key's in-edge messages into one
 /// [`InferMsg::Partial`] per segment, gated by a bucket-local degree
 /// threshold. Other message kinds pass through untouched, in order.
 pub struct InferCombiner {
     kinds: Vec<CombineKind>,
-    degree_threshold: usize,
+    threshold: usize,
     r_parts: usize,
 }
 
 impl InferCombiner {
     /// Build from explicit per-layer kinds. `kinds.len()` is the number of
     /// GNN layers K; rounds outside `1..=K` are never combined.
-    pub fn new(kinds: Vec<CombineKind>, degree_threshold: usize, r_parts: usize) -> Self {
+    pub fn new(kinds: Vec<CombineKind>, threshold: usize, r_parts: usize) -> Self {
         assert!(!kinds.is_empty(), "combiner needs at least one layer kind");
         assert!(r_parts > 0, "r_parts must be positive");
-        Self { kinds, degree_threshold, r_parts }
+        Self { kinds, threshold, r_parts }
     }
 
-    /// Build from a segmented model, or `None` when the model's aggregation
-    /// does not decompose (attention layers).
-    pub fn for_slices(slices: &[ModelSlice], degree_threshold: usize, r_parts: usize) -> Option<Self> {
-        combine_kinds(slices).map(|kinds| Self::new(kinds, degree_threshold, r_parts))
+    /// Build from a segmented model at [`DEFAULT_DEGREE_THRESHOLD`], or
+    /// `None` when the model's aggregation does not decompose (attention
+    /// layers).
+    pub fn for_slices(slices: &[ModelSlice], r_parts: usize) -> Option<Self> {
+        combine_kinds(slices).map(|kinds| Self::new(kinds, DEFAULT_DEGREE_THRESHOLD, r_parts))
     }
 }
 
 impl ShuffleCombiner for InferCombiner {
     fn combines(&self, round: usize, _key: &[u8], n_values: usize) -> bool {
-        round >= 1 && round <= self.kinds.len() && n_values >= self.degree_threshold
+        round >= 1 && round <= self.kinds.len() && n_values >= self.threshold
     }
 
-    fn combine(&self, round: usize, _key: &[u8], values: &mut Vec<Vec<u8>>) {
-        let kind = self.kinds[round - 1];
+    fn combine(&self, _round: usize, _key: &[u8], values: &mut Vec<Vec<u8>>) {
         let mut keep: Vec<Vec<u8>> = Vec::new();
         let mut raw: Vec<(u64, f32, Vec<f32>)> = Vec::new();
         let mut received: Vec<PartialAgg> = Vec::new();
@@ -238,10 +204,11 @@ impl ShuffleCombiner for InferCombiner {
                 _ => keep.push(v),
             }
         }
-        let mut partials = fold_in_embs(kind, self.r_parts, raw);
+        let mut partials = fold_in_embs(self.r_parts, raw.iter().map(|(src, w, h)| (*src, *w, h.as_slice())));
         partials.extend(received);
+        merge_partials(&mut partials);
         *values = keep;
-        for p in merge_partials(kind, partials) {
+        for p in partials {
             values.push(p.into_msg().to_bytes());
         }
     }
@@ -272,15 +239,17 @@ mod tests {
         v
     }
 
+    fn fold(r_parts: usize, items: &[(u64, f32, Vec<f32>)]) -> Vec<PartialAgg> {
+        fold_in_embs(r_parts, items.iter().map(|(s, w, h)| (*s, *w, h.as_slice())))
+    }
+
     #[test]
     fn fold_is_invariant_under_seeded_permutations() {
-        for kind in [CombineKind::Sum, CombineKind::Mean, CombineKind::Max] {
-            let base = fold_in_embs(kind, 4, items(40, 3, 7));
-            assert!(base.len() > 1, "multiple segments exercised");
-            for seed in [1u64, 2, 3, 4, 5] {
-                let permuted = fold_in_embs(kind, 4, shuffled(items(40, 3, 7), seed));
-                assert_eq!(base, permuted, "{kind:?} fold must not depend on arrival order (seed {seed})");
-            }
+        let base = fold(4, &items(40, 3, 7));
+        assert!(base.len() > 1, "multiple segments exercised");
+        for seed in [1u64, 2, 3, 4, 5] {
+            let permuted = fold(4, &shuffled(items(40, 3, 7), seed));
+            assert_eq!(base, permuted, "fold must not depend on arrival order (seed {seed})");
         }
     }
 
@@ -290,26 +259,23 @@ mod tests {
         // (it owns its producer partition). Any split of the input that
         // respects segment ownership must merge back to the direct fold
         // exactly — this is the associativity the wire format relies on.
-        for kind in [CombineKind::Sum, CombineKind::Mean, CombineKind::Max] {
-            let all = items(60, 4, 21);
-            let direct = finish(kind, fold_in_embs(kind, 4, all.clone()), 4);
-            // Split by segment parity: segments {0,2} folded eagerly,
-            // {1,3} left raw — then merged.
-            let (eager, raw): (Vec<_>, Vec<_>) =
-                all.into_iter().partition(|(s, _, _)| segment_of(*s, 4).is_multiple_of(2));
-            let mut partials = fold_in_embs(kind, 4, eager);
-            partials.extend(fold_in_embs(kind, 4, raw));
-            let merged = finish(kind, partials, 4);
-            assert_eq!(direct.n, merged.n);
-            assert_eq!(direct.total_w.to_bits(), merged.total_w.to_bits(), "{kind:?}");
-            for (a, b) in direct.acc.iter().zip(&merged.acc) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{kind:?} accumulator must be bit-identical");
-            }
+        let all = items(60, 4, 21);
+        let direct = finish(fold(4, &all), 4);
+        // Split by segment parity: segments {0,2} folded eagerly,
+        // {1,3} left raw — then merged.
+        let (eager, raw): (Vec<_>, Vec<_>) = all.into_iter().partition(|(s, _, _)| segment_of(*s, 4).is_multiple_of(2));
+        let mut partials = fold(4, &eager);
+        partials.extend(fold(4, &raw));
+        let merged = finish(partials, 4);
+        assert_eq!(direct.n, merged.n);
+        assert_eq!(direct.total_w.to_bits(), merged.total_w.to_bits());
+        for (a, b) in direct.acc.iter().zip(&merged.acc) {
+            assert_eq!(a.to_bits(), b.to_bits(), "accumulator must be bit-identical");
         }
     }
 
     #[test]
-    fn degree_threshold_boundaries() {
+    fn threshold_boundaries() {
         let c = InferCombiner::new(vec![CombineKind::Mean, CombineKind::Mean], 5, 4);
         assert!(!c.combines(1, b"k", 4), "below threshold");
         assert!(c.combines(1, b"k", 5), "at threshold");
@@ -346,26 +312,24 @@ mod tests {
     fn combined_values_finish_to_the_raw_fold() {
         // Round-trip through the wire: raw values → combine() → decode →
         // finish must equal finish over the raw fold.
-        for kind in [CombineKind::Sum, CombineKind::Mean] {
-            let raw = items(32, 3, 33);
-            let direct = finish(kind, fold_in_embs(kind, 4, raw.clone()), 3);
-            let c = InferCombiner::new(vec![kind], 1, 4);
-            let mut values: Vec<Vec<u8>> =
-                raw.iter().map(|(s, w, h)| InferMsg::InEmb { src: *s, weight: *w, h: h.clone() }.to_bytes()).collect();
-            c.combine(1, b"k", &mut values);
-            assert!(values.len() < raw.len(), "combining must shrink the group");
-            let partials: Vec<PartialAgg> = values
-                .iter()
-                .map(|v| match InferMsg::from_bytes(v).unwrap() {
-                    InferMsg::Partial { segment, n, total_w, acc } => PartialAgg { segment, n, total_w, acc },
-                    other => panic!("unexpected {other:?}"),
-                })
-                .collect();
-            let via_wire = finish(kind, partials, 3);
-            assert_eq!(direct.n, via_wire.n);
-            for (a, b) in direct.acc.iter().zip(&via_wire.acc) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{kind:?}");
-            }
+        let raw = items(32, 3, 33);
+        let direct = finish(fold(4, &raw), 3);
+        let c = InferCombiner::new(vec![CombineKind::Mean], 1, 4);
+        let mut values: Vec<Vec<u8>> =
+            raw.iter().map(|(s, w, h)| InferMsg::InEmb { src: *s, weight: *w, h: h.clone() }.to_bytes()).collect();
+        c.combine(1, b"k", &mut values);
+        assert!(values.len() < raw.len(), "combining must shrink the group");
+        let partials: Vec<PartialAgg> = values
+            .iter()
+            .map(|v| match InferMsg::from_bytes(v).unwrap() {
+                InferMsg::Partial { segment, n, total_w, acc } => PartialAgg { segment, n, total_w, acc },
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        let via_wire = finish(partials, 3);
+        assert_eq!(direct.n, via_wire.n);
+        for (a, b) in direct.acc.iter().zip(&via_wire.acc) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
@@ -377,6 +341,6 @@ mod tests {
         let attention =
             GnnModel::new(ModelConfig::new(ModelKind::Gat { heads: 2 }, 3, 4, 2, 2, Loss::SoftmaxCrossEntropy));
         assert_eq!(combine_kinds(&attention.segment()), None);
-        assert!(InferCombiner::for_slices(&attention.segment(), 8, 4).is_none());
+        assert!(InferCombiner::for_slices(&attention.segment(), 4).is_none());
     }
 }

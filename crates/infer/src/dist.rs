@@ -1,20 +1,19 @@
-//! Multi-process streaming inference: the worker-side factories and the
-//! driver entry point that farm the GAS reduce rounds out to shuffle-worker
-//! processes (`agl-cli dist-worker --infer`).
+//! Multi-process inference: the worker-side factories that farm the
+//! reduce rounds of [`crate::stream::StreamInfer::run_distributed`] out to
+//! shuffle-worker processes (`agl-cli dist-worker --role infer-shuffle`).
 //!
 //! The driver ships one [`InferWorkerSpec`] as the job's worker spec —
-//! the serialised model plus the handful of knobs the reducer derives its
-//! behaviour from — and, for combining jobs, the *same* bytes again as the
+//! the serialised model plus the knobs the reducer derives its behaviour
+//! from — and, for combining jobs, the *same* bytes again as the
 //! `CombineSpec` payload. Workers rebuild the exact `InferReducer` /
 //! [`InferCombiner`] pair the in-process engine would run, so the
 //! distributed output is byte-identical to [`crate::stream::StreamInfer::run_materialized`]
-//! (and therefore bit-identical to the streamed run — see the `combine`
-//! module docs for why combining never moves a bit).
+//! (see the `combine` module docs for why combining never moves a bit).
 
 use crate::combine::InferCombiner;
 use crate::pipeline::{InferConfig, InferReducer};
 use agl_flat::SamplingStrategy;
-use agl_mapreduce::codec::{get_u64, get_u8, put_u64, put_u8, Codec, CodecError};
+use agl_mapreduce::codec::{get_u64, put_u64, Codec, CodecError};
 use agl_mapreduce::{Counters, Reducer, ShuffleCombiner};
 use agl_nn::{model_from_bytes, model_to_bytes, GnnModel};
 use std::sync::Arc;
@@ -28,16 +27,12 @@ use std::sync::Arc;
 pub struct InferWorkerSpec {
     /// [`model_to_bytes`] image of the trained model.
     pub model: Vec<u8>,
-    /// In-edge sampling (GAS requires `None`; the classic fold honours it).
+    /// In-edge sampling; `None` lets the job install a combiner.
     pub sampling: SamplingStrategy,
     /// Seed for the sampling framework.
     pub seed: u64,
-    /// Whether reducers run the GAS two-level segment fold.
-    pub gas: bool,
-    /// Reduce partition count — the segment function of the GAS fold.
+    /// Reduce partition count — the segment function of the fold.
     pub r_parts: u32,
-    /// Bucket-local combiner degree threshold.
-    pub degree_threshold: u32,
 }
 
 impl Codec for InferWorkerSpec {
@@ -46,48 +41,35 @@ impl Codec for InferWorkerSpec {
         buf.extend_from_slice(&self.model);
         self.sampling.encode(buf);
         put_u64(buf, self.seed);
-        put_u8(buf, u8::from(self.gas));
         put_u64(buf, u64::from(self.r_parts));
-        put_u64(buf, u64::from(self.degree_threshold));
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        let n_model = get_u64(input)? as usize;
-        if input.len() < n_model {
+        let n_model = get_u64(input)?;
+        if (input.len() as u64) < n_model {
             return Err(CodecError(format!("model image truncated: {} of {n_model} bytes", input.len())));
         }
-        let model = input[..n_model].to_vec();
-        *input = &input[n_model..];
+        let (model, rest) = input.split_at(n_model as usize);
+        *input = rest;
         let sampling = SamplingStrategy::decode(input)?;
         let seed = get_u64(input)?;
-        let gas = get_u8(input)? != 0;
-        let r_parts = get_u32_field(input, "r_parts")?;
-        if r_parts == 0 {
-            return Err(CodecError("worker spec has r_parts = 0".into()));
-        }
-        let degree_threshold = get_u32_field(input, "degree_threshold")?;
-        Ok(Self { model, sampling, seed, gas, r_parts, degree_threshold })
+        let r_parts = get_u64(input)?;
+        let r_parts = u32::try_from(r_parts)
+            .ok()
+            .filter(|&r| r > 0)
+            .ok_or_else(|| CodecError(format!("worker spec r_parts = {r_parts} is not in 1..=u32::MAX")))?;
+        Ok(Self { model: model.to_vec(), sampling, seed, r_parts })
     }
 }
 
-/// A `u32` knob carried in a `u64` wire field, refused (not truncated) when
-/// it does not fit.
-fn get_u32_field(input: &mut &[u8], what: &str) -> Result<u32, CodecError> {
-    let v = get_u64(input)?;
-    u32::try_from(v).map_err(|_| CodecError(format!("worker spec {what} = {v} exceeds u32")))
-}
-
 impl InferWorkerSpec {
-    /// The spec for a [`crate::stream::StreamInfer`]-shaped job (`crate::stream` decides
-    /// `gas` from the model and config; threshold `0` means no combining).
-    pub fn new(model: &GnnModel, cfg: &InferConfig, gas: bool, degree_threshold: u32) -> Self {
+    /// The spec for an inference job over `model` under `cfg`.
+    pub fn new(model: &GnnModel, cfg: &InferConfig) -> Self {
         Self {
             model: model_to_bytes(model),
             sampling: cfg.sampling,
             seed: cfg.engine.seed,
-            gas,
             r_parts: cfg.engine.reduce_tasks as u32,
-            degree_threshold,
         }
     }
 }
@@ -106,7 +88,6 @@ pub fn infer_reducer_from_spec(spec: &[u8], counters: &Counters) -> Result<Box<d
         k,
         sampling: spec.sampling,
         seed: spec.seed,
-        gas: spec.gas,
         r_parts: spec.r_parts as usize,
         counters: counters.clone(),
     }))
@@ -114,16 +95,17 @@ pub fn infer_reducer_from_spec(spec: &[u8], counters: &Counters) -> Result<Box<d
 
 /// Combiner factory for shuffle-worker processes: decodes the same
 /// [`InferWorkerSpec`] bytes (the driver sends them again as the combine
-/// spec) and builds the identical [`InferCombiner`]. Errors if the spec's
-/// model does not decompose or combining is disabled — a driver never sends
-/// a combine spec for such jobs, so receiving one is a protocol breach.
+/// spec) and builds the identical [`InferCombiner`], at
+/// [`crate::DEFAULT_DEGREE_THRESHOLD`]. Errors if the spec samples or its model
+/// does not decompose — a driver installs no combiner for such jobs, so
+/// receiving one is a protocol breach.
 pub fn infer_combiner_from_spec(spec: &[u8], _counters: &Counters) -> Result<Box<dyn ShuffleCombiner>, String> {
     let spec = InferWorkerSpec::from_bytes(spec).map_err(|e| format!("bad GraphInfer combine spec: {e}"))?;
-    let model = model_from_bytes(&spec.model).map_err(|e| format!("bad model in combine spec: {e}"))?;
-    if !spec.gas || spec.degree_threshold == 0 {
-        return Err("combine spec for a non-combining job".into());
+    if !matches!(spec.sampling, SamplingStrategy::None) {
+        return Err("combine spec for a sampled job".into());
     }
-    InferCombiner::for_slices(&model.segment(), spec.degree_threshold as usize, spec.r_parts as usize)
+    let model = model_from_bytes(&spec.model).map_err(|e| format!("bad model in combine spec: {e}"))?;
+    InferCombiner::for_slices(&model.segment(), spec.r_parts as usize)
         .map(|c| Box::new(c) as Box<dyn ShuffleCombiner>)
         .ok_or_else(|| "combine spec model does not decompose".into())
 }
@@ -143,30 +125,26 @@ mod tests {
             model: model_to_bytes(&model(ModelKind::Gcn)),
             sampling: SamplingStrategy::Uniform { max_degree: 5 },
             seed: 42,
-            gas: true,
             r_parts: 8,
-            degree_threshold: 3,
         };
         assert_eq!(InferWorkerSpec::from_bytes(&spec.to_bytes()).unwrap(), spec);
     }
 
     #[test]
     fn factories_reject_corrupt_specs() {
-        let good = InferWorkerSpec::new(&model(ModelKind::Gcn), &InferConfig::default(), true, 4).to_bytes();
+        let good = InferWorkerSpec::new(&model(ModelKind::Gcn), &InferConfig::default()).to_bytes();
         let c = Counters::new();
         assert!(infer_reducer_from_spec(&good, &c).is_ok());
         assert!(infer_combiner_from_spec(&good, &c).is_ok());
-        assert!(infer_reducer_from_spec(&good[..good.len() / 2], &c).is_err());
         assert!(infer_combiner_from_spec(b"junk", &c).is_err());
-        // `r_parts` and `degree_threshold` are the spec's last two u64 fields.
-        let with_tail = |r_parts: u64, degree_threshold: u64| {
-            let mut b = good[..good.len() - 16].to_vec();
+        // `r_parts` is the spec's last u64 field.
+        let with_r_parts = |r_parts: u64| {
+            let mut b = good[..good.len() - 8].to_vec();
             put_u64(&mut b, r_parts);
-            put_u64(&mut b, degree_threshold);
             b
         };
-        assert_eq!(with_tail(4, 4), good);
-        for bad in [with_tail(0, 4), with_tail((1 << 32) + 8, 4), with_tail(8, (1 << 32) + 4)] {
+        assert_eq!(with_r_parts(4), good);
+        for bad in [with_r_parts(0), with_r_parts((1 << 32) + 8)] {
             assert!(infer_reducer_from_spec(&bad, &c).is_err());
             assert!(infer_combiner_from_spec(&bad, &c).is_err());
         }
@@ -175,10 +153,11 @@ mod tests {
     #[test]
     fn combiner_factory_rejects_non_combining_jobs() {
         let c = Counters::new();
-        let no_combine = InferWorkerSpec::new(&model(ModelKind::Gcn), &InferConfig::default(), true, 0).to_bytes();
-        assert!(infer_combiner_from_spec(&no_combine, &c).is_err());
-        let attention =
-            InferWorkerSpec::new(&model(ModelKind::Gat { heads: 2 }), &InferConfig::default(), true, 4).to_bytes();
+        let sampled = InferConfig { sampling: SamplingStrategy::Uniform { max_degree: 3 }, ..InferConfig::default() };
+        let sampled = InferWorkerSpec::new(&model(ModelKind::Gcn), &sampled).to_bytes();
+        assert!(infer_reducer_from_spec(&sampled, &c).is_ok());
+        assert!(infer_combiner_from_spec(&sampled, &c).is_err());
+        let attention = InferWorkerSpec::new(&model(ModelKind::Gat { heads: 2 }), &InferConfig::default()).to_bytes();
         assert!(infer_combiner_from_spec(&attention, &c).is_err());
     }
 }

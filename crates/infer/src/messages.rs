@@ -29,8 +29,8 @@ pub enum InferMsg {
     /// A shuffle-combined partial aggregate of the [`InferMsg::InEmb`]
     /// messages one producer partition (`segment`) sent to this key: `n`
     /// in-edges folded, their `Σ w`, and the elementwise accumulator (see
-    /// [`agl_nn::CombineKind`]). Only the streaming GAS pipeline emits and
-    /// consumes these.
+    /// [`agl_nn::CombineKind`]). Only jobs that install the shuffle
+    /// combiner (no sampling, every layer decomposable) carry these.
     Partial { segment: u32, n: u32, total_w: f32, acc: Vec<f32> },
 }
 
@@ -129,11 +129,5 @@ mod tests {
         for m in msgs {
             assert_eq!(InferMsg::from_bytes(&m.to_bytes()).unwrap(), m);
         }
-    }
-
-    #[test]
-    fn garbage_rejected() {
-        assert!(InferMsg::from_bytes(&[77]).is_err());
-        assert!(InferMsg::from_bytes(&[]).is_err());
     }
 }

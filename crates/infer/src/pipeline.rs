@@ -170,13 +170,8 @@ pub(crate) struct InferReducer {
     pub(crate) k: usize,
     pub(crate) sampling: SamplingStrategy,
     pub(crate) seed: u64,
-    /// GAS mode: fold in-embeddings with the two-level segment fold of
-    /// [`crate::combine`] and run the layer's `forward_node_combined`, so
-    /// shuffle combiners are exact. Requires `sampling == None` and a model
-    /// whose every layer decomposes ([`crate::combine::combine_kinds`]).
-    pub(crate) gas: bool,
-    /// Reduce-partition count of the running job — the segment space of the
-    /// two-level fold. Only read in GAS mode.
+    /// Reduce-partition count of the running job — the segment space of
+    /// [`merge_step`]'s fold.
     pub(crate) r_parts: usize,
     pub(crate) counters: Counters,
 }
@@ -206,11 +201,9 @@ impl Reducer for InferReducer {
                 InferMsg::Emb { h } => final_emb = Some(h),
                 #[expect(clippy::panic, reason = "Score is only emitted by the terminal prediction round")]
                 InferMsg::Score { .. } => panic!("Score re-entered the pipeline"),
-                InferMsg::Partial { segment, n, total_w, acc } if self.gas => {
-                    partials.push(PartialAgg { segment, n, total_w, acc });
+                InferMsg::Partial { segment, n, total_w, acc } => {
+                    partials.push(PartialAgg { segment, n, total_w, acc })
                 }
-                #[expect(clippy::panic, reason = "only GAS jobs install the combiner that emits partials")]
-                InferMsg::Partial { .. } => panic!("Partial received by a non-GAS reducer"),
             }
         }
 
@@ -239,25 +232,8 @@ impl Reducer for InferReducer {
             let ModelSlice::Gnn(layer) = &self.slices[round - 1] else {
                 panic!("slice {round} is not a GNN layer");
             };
-            let h_next = if self.gas {
-                // ---- GAS merge: the two-level segment fold (see the
-                // crate::combine module docs). Raw in-embeddings fold to one
-                // partial per producer segment with the exact code the
-                // shuffle combiner runs, then locally-folded and received
-                // partials merge in ascending segment order — so the result
-                // bits never depend on whether, or where, combining
-                // happened.
-                #[expect(clippy::panic, reason = "GAS drivers validate combine_kinds() before launching the job")]
-                let Some(kind) = layer.combine_kind() else {
-                    panic!("GAS round {round} reached a non-decomposable layer");
-                };
-                let mut all = fold_in_embs(kind, self.r_parts, std::mem::take(&mut in_embs));
-                all.append(&mut partials);
-                let agg = finish(kind, all, h_self.len());
-                layer.forward_node_combined(&h_self, &agg)
-            } else {
-                merge_step(layer, self.sampling, self.seed, key_id(key), &h_self, &mut in_embs)
-            };
+            let h_next =
+                merge_step(layer, self.sampling, self.seed, self.r_parts, key_id(key), &h_self, &mut in_embs, partials);
             self.counters.inc("infer.embeddings_computed");
             if round < self.k {
                 emit(key.to_vec(), InferMsg::SelfEmb { h: h_next.clone() }.to_bytes());
@@ -288,37 +264,73 @@ impl Reducer for InferReducer {
     }
 }
 
-/// One node's layer step of the (non-GAS) GraphInfer merge: sample the
-/// in-edge candidates `(src, weight, h)` and run the layer's per-node
-/// forward over the kept ones and `self_h`. Sorts `in_embs` in place.
+/// One node's layer step — the only per-node step of inference. Every
+/// driver's reducer and serve's incremental update call it, so all of them
+/// produce the same bits.
 ///
-/// Consistent sampling with GraphFlat: canonical candidate order (sorted by
-/// source id, with weight/payload tie-breaks so parallel edges order
-/// identically regardless of delivery order) + a seed derived from the node
-/// id only, so with the same seed/strategy this step keeps exactly the
-/// neighbor subset GraphFlat kept when building the training data (§3.4's
-/// unbiasedness requirement). Any caller that hands it a node's complete
-/// in-edge candidate set gets the bits the GraphInfer reducer produces.
+/// **Sampling.** When `sampling` is not `None`, or the layer is an
+/// attention layer, the in-edge candidates `(src, weight, h)` are sorted
+/// canonically in place (by source id, with weight/payload tie-breaks so
+/// parallel edges order identically regardless of delivery order) and
+/// sampled with a seed derived from the node id only. With the same
+/// seed/strategy this keeps exactly the neighbor subset GraphFlat kept when
+/// building the training data (§3.4's unbiasedness requirement).
+///
+/// **Fold.** A layer whose [`GnnLayer::combine_kind`] is `Some` folds the
+/// kept in-edges per producer segment of `r_parts` with
+/// [`fold_in_embs`], adds the `partials` a shuffle combiner sent, merges
+/// them with [`finish`] and runs `forward_node_combined`. Attention layers
+/// run `forward_node` over the kept neighbors and receive no partials.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the reducer and serve hold these inputs in different shapes; a bundle would be built per call"
+)]
 pub fn merge_step<H: AsRef<[f32]>>(
     layer: &GnnLayer,
     sampling: SamplingStrategy,
     seed: u64,
+    r_parts: usize,
     node: u64,
     self_h: &[f32],
     in_embs: &mut [(u64, f32, H)],
+    partials: Vec<PartialAgg>,
 ) -> Vec<f32> {
+    if layer.combine_kind().is_none() {
+        assert!(partials.is_empty(), "{} has no combinable aggregation to add partials to", layer.kind_name());
+        let kept = sample(sampling, seed, node, in_embs);
+        let neighbor_h: Vec<Vec<f32>> = kept.iter().map(|&i| in_embs[i].2.as_ref().to_vec()).collect();
+        let kept_w: Vec<f32> = kept.iter().map(|&i| in_embs[i].1).collect();
+        return layer.forward_node(&NeighborView { self_h, neighbor_h: &neighbor_h, weights: &kept_w });
+    }
+    let mut all = if matches!(sampling, SamplingStrategy::None) {
+        fold_in_embs(r_parts, in_embs.iter().map(borrowed))
+    } else {
+        let kept = sample(sampling, seed, node, in_embs);
+        fold_in_embs(r_parts, kept.into_iter().map(|i| borrowed(&in_embs[i])))
+    };
+    all.extend(partials);
+    layer.forward_node_combined(self_h, &finish(all, self_h.len()))
+}
+
+fn borrowed<H: AsRef<[f32]>>((src, w, h): &(u64, f32, H)) -> (u64, f32, &[f32]) {
+    (*src, *w, h.as_ref())
+}
+
+/// Sort a node's in-edge candidates canonically and return the indices
+/// `sampling` keeps (see [`merge_step`]).
+fn sample<H: AsRef<[f32]>>(
+    sampling: SamplingStrategy,
+    seed: u64,
+    node: u64,
+    in_embs: &mut [(u64, f32, H)],
+) -> Vec<usize> {
     in_embs.sort_by(|a, b| {
         a.0.cmp(&b.0)
             .then_with(|| a.1.total_cmp(&b.1))
             .then_with(|| a.2.as_ref().iter().map(|f| f.to_bits()).cmp(b.2.as_ref().iter().map(|f| f.to_bits())))
     });
     let weights: Vec<f32> = in_embs.iter().map(|(_, w, _)| *w).collect();
-    let sample_seed = derive_seed(seed, fnv1a(&node.to_le_bytes()));
-    let kept = sampling.select(&weights, sample_seed);
-    let neighbor_h: Vec<Vec<f32>> = kept.iter().map(|&i| in_embs[i].2.as_ref().to_vec()).collect();
-    let kept_w: Vec<f32> = kept.iter().map(|&i| in_embs[i].1).collect();
-    let view = NeighborView { self_h, neighbor_h: &neighbor_h, weights: &kept_w };
-    layer.forward_node(&view)
+    sampling.select(&weights, derive_seed(seed, fnv1a(&node.to_le_bytes())))
 }
 
 /// The prediction slice on one node: the head's logits turned into
@@ -329,9 +341,9 @@ pub fn predict_row(head: &DenseLayer, loss: Loss, h: &[f32]) -> Vec<f32> {
 }
 
 /// One GraphInfer-shaped MapReduce job: the input encoding, the reducer, the
-/// engine configuration and the counters every inference entry point shares.
-/// [`GraphInfer`] and [`crate::stream::StreamInfer`] differ only in the
-/// values they fill in here and in the placement they run it on.
+/// combiner, the engine configuration and the counters every inference
+/// entry point shares. [`GraphInfer`] and [`crate::stream::StreamInfer`]
+/// differ only in the span name and the placement they run it on.
 pub(crate) struct InferJob<'a> {
     pub(crate) cfg: &'a InferConfig,
     pub(crate) model: &'a GnnModel,
@@ -339,25 +351,50 @@ pub(crate) struct InferJob<'a> {
     pub(crate) edges: &'a EdgeTable,
     /// Name of the driver-track span around the whole run.
     pub(crate) span: &'a str,
-    /// Reduce rounds: join + K slices, plus the prediction slice for scores.
-    pub(crate) rounds: usize,
-    /// Run the GAS merge (see [`InferReducer::gas`]).
-    pub(crate) gas: bool,
-    /// GAS only: install the shuffle combiner at this degree threshold.
-    pub(crate) degree_threshold: Option<usize>,
 }
 
 impl InferJob<'_> {
-    /// Run the job on `placement`; returns the last round's records and the
-    /// counters both the pipeline and the job driver reported into.
-    pub(crate) fn run(&self, placement: Placement<'_>) -> Result<(Vec<KeyValue>, Counters), JobError> {
+    /// Run join + K slices + the prediction slice on `placement`, and check
+    /// the exactly-once invariant on the way out.
+    pub(crate) fn scores(&self, placement: Placement<'_>) -> Result<InferOutput, JobError> {
+        let remote = matches!(placement, Placement::Remote(_));
+        let (output, counters) = self.run(placement, self.model.n_layers() + 2)?;
+        if remote {
+            // The invariant check and the CLI read the job-wide names.
+            counters.fold_worker_counters(&["infer.", "combine."]);
+        }
+        let scores = decode_scores(&output)?;
+        // Re-executed attempts — injected faults, or a worker that died and
+        // had its partitions re-run on a survivor — legally re-count side
+        // effects.
+        let recounted = self.cfg.fault_plan.is_active() || counters.get("task_retries") > 0;
+        check_exactly_once(&scores, self.nodes.len(), self.model.n_layers(), &counters, recounted)?;
+        Ok(InferOutput { scores, counters })
+    }
+
+    /// Run the job's first `rounds` reduce rounds on `placement`; returns
+    /// the last round's records and the counters both the pipeline and the
+    /// job driver reported into. The combiner is installed at
+    /// [`crate::DEFAULT_DEGREE_THRESHOLD`] exactly when sampling is off and
+    /// every layer decomposes: partial aggregation folds *every* in-edge.
+    pub(crate) fn run(&self, placement: Placement<'_>, rounds: usize) -> Result<(Vec<KeyValue>, Counters), JobError> {
+        let slices = Arc::new(self.model.segment());
+        let combiner = matches!(self.cfg.sampling, SamplingStrategy::None)
+            .then(|| InferCombiner::for_slices(&slices, self.cfg.engine.reduce_tasks))
+            .flatten();
+        self.run_with(placement, rounds, slices, combiner.as_ref())
+    }
+
+    fn run_with(
+        &self,
+        placement: Placement<'_>,
+        rounds: usize,
+        slices: Arc<Vec<ModelSlice>>,
+        combiner: Option<&InferCombiner>,
+    ) -> Result<(Vec<KeyValue>, Counters), JobError> {
         let engine = &self.cfg.engine;
         let _span = engine.obs.span("driver", self.span);
         let counters = Counters::for_obs(&engine.obs);
-        let slices = Arc::new(self.model.segment());
-        let r_parts = engine.reduce_tasks;
-        let threshold = self.degree_threshold.filter(|_| self.gas);
-        let combiner = threshold.and_then(|t| InferCombiner::for_slices(&slices, t, r_parts));
 
         let mut inputs = Vec::with_capacity(self.nodes.len() + self.edges.len());
         for (id, feat) in self.nodes.iter() {
@@ -372,29 +409,26 @@ impl InferJob<'_> {
             k: self.model.n_layers(),
             sampling: self.cfg.sampling,
             seed: engine.seed,
-            gas: self.gas,
-            r_parts,
+            r_parts: engine.reduce_tasks,
             counters: counters.clone(),
         };
         let job_cfg = JobConfig {
             map_tasks: engine.map_tasks,
-            reduce_tasks: r_parts,
-            reduce_rounds: self.rounds,
+            reduce_tasks: engine.reduce_tasks,
+            reduce_rounds: rounds,
             parallelism: engine.parallelism,
             fault_plan: self.cfg.fault_plan.clone(),
             spill: self.cfg.spill.clone(),
             obs: engine.obs.clone(),
             ..JobConfig::default()
         };
-        // Threshold `0` tells the workers' combiner factory "no combining".
-        let worker_threshold = if combiner.is_some() { threshold.unwrap_or(0) as u32 } else { 0 };
-        let worker_spec = || InferWorkerSpec::new(self.model, self.cfg, self.gas, worker_threshold).to_bytes();
+        let worker_spec = || InferWorkerSpec::new(self.model, self.cfg).to_bytes();
         let result = MapReduceJob::reporting_into(job_cfg, counters.clone()).run_on(
             placement,
             &inputs,
             &InferMapper,
             &reducer,
-            combiner.as_ref().map(|c| c as &dyn ShuffleCombiner),
+            combiner.map(|c| c as &dyn ShuffleCombiner),
             &worker_spec,
         )?;
         Ok((result.output, counters))
@@ -402,7 +436,7 @@ impl InferJob<'_> {
 }
 
 /// Decode a job's final records as one score per node, sorted by node id.
-pub(crate) fn decode_scores(output: &[KeyValue]) -> Result<Vec<NodeScore>, JobError> {
+fn decode_scores(output: &[KeyValue]) -> Result<Vec<NodeScore>, JobError> {
     let mut scores = Vec::with_capacity(output.len());
     for kv in output {
         let msg = InferMsg::from_bytes(&kv.value).map_err(|e| JobError::Corrupt(format!("score record: {e}")))?;
@@ -415,7 +449,37 @@ pub(crate) fn decode_scores(output: &[KeyValue]) -> Result<Vec<NodeScore>, JobEr
     Ok(scores)
 }
 
-/// The GraphInfer driver.
+/// The exactly-once invariant: every input node scored once (no misses, no
+/// duplicates), and `infer.embeddings_computed == |V| · K`. The counter leg
+/// is skipped when attempts were re-executed, which legally re-count side
+/// effects (the scored-once legs still hold — re-executed output is
+/// deduplicated by the deterministic shuffle, not by counting).
+fn check_exactly_once(
+    scores: &[NodeScore],
+    n_nodes: usize,
+    k: usize,
+    counters: &Counters,
+    recounted: bool,
+) -> Result<(), JobError> {
+    for pair in scores.windows(2) {
+        if pair[0].node == pair[1].node {
+            return Err(JobError::Corrupt(format!("node {} served more than once", pair[0].node.0)));
+        }
+    }
+    if scores.len() != n_nodes {
+        return Err(JobError::Corrupt(format!("served {} nodes, expected exactly {n_nodes}", scores.len())));
+    }
+    let computed = counters.get("infer.embeddings_computed");
+    let expected = (n_nodes * k) as u64;
+    if !recounted && computed != expected {
+        return Err(JobError::Corrupt(format!(
+            "embeddings computed {computed} ≠ |V|·K = {expected}: exactly-once violated"
+        )));
+    }
+    Ok(())
+}
+
+/// The GraphInfer driver: the inference job on the thread pool.
 pub struct GraphInfer {
     cfg: InferConfig,
 }
@@ -429,25 +493,8 @@ impl GraphInfer {
         &self.cfg
     }
 
-    /// The classic per-neighbor fold on the thread pool, for `rounds` rounds.
-    fn run_rounds(
-        &self,
-        model: &GnnModel,
-        nodes: &NodeTable,
-        edges: &EdgeTable,
-        rounds: usize,
-    ) -> Result<(Vec<KeyValue>, Counters), JobError> {
-        let job = InferJob {
-            cfg: &self.cfg,
-            model,
-            nodes,
-            edges,
-            span: "graphinfer",
-            rounds,
-            gas: false,
-            degree_threshold: None,
-        };
-        job.run(Placement::Threads)
+    fn job<'a>(&'a self, model: &'a GnnModel, nodes: &'a NodeTable, edges: &'a EdgeTable) -> InferJob<'a> {
+        InferJob { cfg: &self.cfg, model, nodes, edges, span: "graphinfer" }
     }
 
     /// Run the pipeline but stop after the K-th slice, returning every
@@ -459,7 +506,7 @@ impl GraphInfer {
         nodes: &NodeTable,
         edges: &EdgeTable,
     ) -> Result<(Vec<NodeEmbedding>, Counters), JobError> {
-        let (output, counters) = self.run_rounds(model, nodes, edges, model.n_layers() + 1)?;
+        let (output, counters) = self.job(model, nodes, edges).run(Placement::Threads, model.n_layers() + 1)?;
         let mut embeddings = Vec::with_capacity(output.len());
         for kv in &output {
             let msg =
@@ -477,8 +524,56 @@ impl GraphInfer {
 
     /// Run inference for every node of the tables with a trained model.
     pub fn run(&self, model: &GnnModel, nodes: &NodeTable, edges: &EdgeTable) -> Result<InferOutput, JobError> {
-        // join + K slices + prediction.
-        let (output, counters) = self.run_rounds(model, nodes, edges, model.n_layers() + 2)?;
-        Ok(InferOutput { scores: decode_scores(&output)?, counters })
+        self.job(model, nodes, edges).scores(Placement::Threads)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::combine::combine_kinds;
+    use agl_nn::{ModelConfig, ModelKind};
+    use agl_tensor::{seeded_rng, Matrix, Rng};
+
+    /// `n` nodes with random out-edges, plus an edge from every node into
+    /// the hub node 0.
+    fn hub_tables(n: u64, seed: u64) -> (NodeTable, EdgeTable) {
+        let mut rng = seeded_rng(seed);
+        let feats = Matrix::from_vec(n as usize, 4, (0..4 * n).map(|_| rng.gen_range(-1.0..1.0f32)).collect());
+        let mut pairs: Vec<(u64, u64)> = (1..n).map(|src| (src, 0)).collect();
+        pairs.extend((0..3 * n).map(|_| (rng.gen_range(0..n), rng.gen_range(1..n))).filter(|(s, d)| s != d));
+        pairs.sort_unstable();
+        pairs.dedup();
+        (NodeTable::new((0..n).map(NodeId).collect(), feats, None), EdgeTable::from_pairs(pairs))
+    }
+
+    /// Combining only moves *where* a segment is folded: one job run with
+    /// no combiner, with a combiner that folds every group, and with the
+    /// default one returns the same bits.
+    #[test]
+    fn combiner_never_moves_a_bit() {
+        let (nodes, edges) = hub_tables(60, 3);
+        let cfg = InferConfig::default();
+        for kind in [ModelKind::Gcn, ModelKind::Sage, ModelKind::Gin] {
+            for k in [1usize, 2] {
+                let model = GnnModel::new(ModelConfig::new(kind, 4, 6, 2, k, Loss::SoftmaxCrossEntropy).with_seed(9));
+                let job = InferJob { cfg: &cfg, model: &model, nodes: &nodes, edges: &edges, span: "test" };
+                let slices = Arc::new(model.segment());
+                let kinds = combine_kinds(&slices).unwrap();
+                let eager = InferCombiner::new(kinds, 1, cfg.engine.reduce_tasks);
+                let run = |combiner: Option<&InferCombiner>| {
+                    job.run_with(Placement::Threads, k + 2, slices.clone(), combiner).unwrap()
+                };
+                let (plain, plain_counters) = run(None);
+                let (folded, folded_counters) = run(Some(&eager));
+                let (default, default_counters) = job.run(Placement::Threads, k + 2).unwrap();
+                let case = format!("{kind:?} K={k}");
+                assert_eq!(plain_counters.get("combine.records_in"), 0, "{case}");
+                assert!(folded_counters.get("combine.bytes_saved") > 0, "{case}: the eager combiner folded");
+                assert!(default_counters.get("combine.bytes_saved") > 0, "{case}: the default combiner folded the hub");
+                assert_eq!(plain, folded, "{case}: eager combiner moved bits");
+                assert_eq!(plain, default, "{case}: default combiner moved bits");
+            }
+        }
     }
 }

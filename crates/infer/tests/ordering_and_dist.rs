@@ -1,11 +1,13 @@
 //! Canonical in-edge ordering regression (the original-inference baseline
-//! and the streaming GAS path must fold neighbors in the same order — the
+//! and the inference job must fold neighbors in the same order — the
 //! sorting bug surfaced as batch-size-dependent sums), plus the 2-worker
 //! distributed byte-identity suite for streaming inference.
 
-use agl_flat::FlatConfig;
+use agl_flat::{FlatConfig, SamplingStrategy};
 use agl_graph::{EdgeTable, NodeId, NodeTable};
-use agl_infer::{infer_combiner_from_spec, infer_reducer_from_spec, InferConfig, OriginalInference, StreamInfer};
+use agl_infer::{
+    infer_combiner_from_spec, infer_reducer_from_spec, GraphInfer, InferConfig, OriginalInference, StreamInfer,
+};
 use agl_mapreduce::{serve_shuffle_combining, DistOptions, Endpoint, Listener};
 use agl_nn::{GnnModel, Loss, ModelConfig, ModelKind};
 use agl_tensor::rng::Rng;
@@ -74,37 +76,58 @@ fn original_inference_is_batch_invariant_and_pins_to_the_streaming_golden() {
 
 /// Streaming inference across two real shuffle-worker servers (the same
 /// `serve_shuffle_combining` loop `agl-cli dist-worker --role
-/// infer-shuffle` runs) is **byte-identical** to the single-process runs,
-/// combiner included, and the worker-side combiner counters ride back.
+/// infer-shuffle` runs) is **byte-identical** to the single-process runs
+/// and to GraphInfer, for every layer kind and sampling strategy, combiner
+/// included, and the worker-side combiner counters ride back.
 #[test]
 fn two_worker_dist_run_is_byte_identical_to_the_engine() {
     let dir = std::env::temp_dir().join(format!("agl-infer-dist-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
+    // All 40 nodes feed hub 0, whose in-edge messages clear the default
+    // degree threshold in the producer buckets that hold them.
     let (nodes, edges) = random_tables(40, 4, 4, 13);
-    let model = trained_like(ModelKind::Gcn, 4, 2);
-    let si = StreamInfer::new(InferConfig::default()).with_degree_threshold(Some(2));
-    let materialized = si.run_materialized(&model, &nodes, &edges).unwrap();
-    let streamed = si.run(&model, &nodes, &edges).unwrap();
-
     let eps: Vec<Endpoint> = (0..2).map(|i| Endpoint::Unix(dir.join(format!("w{i}.sock")))).collect();
     let listeners: Vec<Listener> = eps.iter().map(|e| Listener::bind(e).unwrap()).collect();
     let opts = DistOptions::default();
-    let dist = std::thread::scope(|s| {
-        for l in &listeners {
-            s.spawn(move || {
-                serve_shuffle_combining(l, 5_000_000_000, &infer_reducer_from_spec, &infer_combiner_from_spec).unwrap()
+    let samplings = [
+        SamplingStrategy::None,
+        SamplingStrategy::Uniform { max_degree: 3 },
+        SamplingStrategy::Weighted { max_degree: 3 },
+    ];
+    for kind in [ModelKind::Gcn, ModelKind::Sage, ModelKind::Gat { heads: 2 }, ModelKind::Gin, ModelKind::GeniePath] {
+        let model = trained_like(kind, 4, 2);
+        for sampling in samplings {
+            let case = format!("{kind:?} / {sampling:?}");
+            let cfg = InferConfig { sampling, ..InferConfig::default() };
+            let si = StreamInfer::new(cfg.clone());
+            let materialized = si.run_materialized(&model, &nodes, &edges).unwrap();
+            let streamed = si.run(&model, &nodes, &edges).unwrap();
+            let graph_infer = GraphInfer::new(cfg).run(&model, &nodes, &edges).unwrap();
+            let dist = std::thread::scope(|s| {
+                for l in &listeners {
+                    s.spawn(move || {
+                        serve_shuffle_combining(l, 5_000_000_000, &infer_reducer_from_spec, &infer_combiner_from_spec)
+                            .unwrap()
+                    });
+                }
+                si.run_distributed(&model, &nodes, &edges, &eps, &opts).unwrap()
             });
+            assert_eq!(dist.scores, materialized.scores, "{case}: dist vs materialized");
+            assert_eq!(dist.scores, streamed.scores, "{case}: dist vs streamed");
+            assert_eq!(dist.scores, graph_infer.scores, "{case}: dist vs GraphInfer");
+            let attention = matches!(kind, ModelKind::Gat { .. } | ModelKind::GeniePath);
+            if !attention && sampling == SamplingStrategy::None {
+                assert!(
+                    dist.counters.get("combine.bytes_saved") > 0,
+                    "{case}: worker-side combining happened and its counters rode back: {:?}",
+                    dist.counters.snapshot()
+                );
+            } else {
+                assert_eq!(dist.counters.get("combine.records_in"), 0, "{case}: no combiner installed");
+            }
+            assert_eq!(dist.counters.get("infer.embeddings_computed"), 40 * 2, "{case}: exactly-once across workers");
         }
-        si.run_distributed(&model, &nodes, &edges, &eps, &opts).unwrap()
-    });
-    assert_eq!(dist.scores, materialized.scores, "dist vs materialized: bit-identical");
-    assert_eq!(dist.scores, streamed.scores, "dist vs streamed: bit-identical");
-    assert!(
-        dist.counters.get("combine.records_in") > dist.counters.get("combine.records_out"),
-        "worker-side combining happened and its counters rode back: {:?}",
-        dist.counters.snapshot()
-    );
-    assert_eq!(dist.counters.get("infer.embeddings_computed"), (40 * 2) as u64, "exactly-once across worker processes");
+    }
     drop(listeners);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -10,7 +10,7 @@
 //! dP   = Âᵀ dPre                dW = Hᵀ dP        dH = dP Wᵀ
 //! ```
 
-use crate::layer::{LiveRows, NeighborAggregate, NeighborView};
+use crate::layer::{LiveRows, NeighborAggregate};
 use crate::param::Param;
 use agl_tensor::ops::Activation;
 use agl_tensor::rng::Rng;
@@ -106,50 +106,19 @@ impl GcnLayer {
         input_grad.then(|| d_p.matmul_t_rows(&live.input, &self.w.value))
     }
 
-    /// Per-node forward from a *raw* neighborhood (GraphInfer merge step):
-    /// mean over `{self} ∪ N+` with the raw edge weights and a unit
-    /// self-loop, then the dense projection — identical maths to the batch
-    /// path.
-    pub fn forward_node(&self, view: &NeighborView<'_>) -> Vec<f32> {
-        let in_dim = self.in_dim();
-        debug_assert_eq!(view.self_h.len(), in_dim);
-        let mut agg: Vec<f32> = view.self_h.to_vec(); // self-loop weight 1.0
-        let mut total = 1.0f32;
-        for (h, &w) in view.neighbor_h.iter().zip(view.weights) {
-            debug_assert_eq!(h.len(), in_dim);
-            for (a, &x) in agg.iter_mut().zip(h) {
-                *a += w * x;
-            }
-            total += w;
-        }
-        let inv = 1.0 / total;
-        for a in &mut agg {
-            *a *= inv;
-        }
-        self.project_agg(agg)
-    }
-
-    /// Per-node forward from a pre-folded [`NeighborAggregate`]
-    /// (`acc = Σ w·h`, `total_w = Σ w`): mean with the unit self-loop, then
-    /// the same dense projection as [`GcnLayer::forward_node`]. The fold
-    /// order lives in the aggregate, so every path that builds aggregates
-    /// identically produces bit-identical embeddings.
+    /// Per-node forward (the GraphInfer merge step) from a pre-folded
+    /// [`NeighborAggregate`] (`acc = Σ w·h`, `total_w = Σ w`): mean over
+    /// `{self} ∪ N+` with a unit self-loop, then the dense projection — the
+    /// maths of the batch path. The fold order lives in the aggregate, so
+    /// every path that builds aggregates identically produces bit-identical
+    /// embeddings.
     pub fn forward_node_combined(&self, self_h: &[f32], agg: &NeighborAggregate) -> Vec<f32> {
         debug_assert_eq!(self_h.len(), self.in_dim());
         debug_assert_eq!(agg.acc.len(), self.in_dim());
-        let mut a: Vec<f32> = self_h.iter().zip(&agg.acc).map(|(&s, &x)| s + x).collect();
-        let total = 1.0 + agg.total_w;
-        let inv = 1.0 / total;
-        for v in &mut a {
-            *v *= inv;
-        }
-        self.project_agg(a)
-    }
-
-    /// `act(agg @ W + b)` — the shared tail of both per-node forwards.
-    fn project_agg(&self, agg: Vec<f32>) -> Vec<f32> {
+        let inv = 1.0 / (1.0 + agg.total_w);
         let mut out = self.b.value.row(0).to_vec();
-        for (k, &a) in agg.iter().enumerate() {
+        for (k, (&s, &x)) in self_h.iter().zip(&agg.acc).enumerate() {
+            let a = (s + x) * inv;
             if a == 0.0 {
                 continue;
             }
@@ -208,39 +177,12 @@ mod tests {
     }
 
     #[test]
-    fn node_forward_matches_batch_row() {
+    fn combined_forward_matches_batch_row() {
         let (raw, adj, h, layer) = fixture();
-        let ctx = ExecCtx::sequential();
-        let (batch_out, _) = layer.forward(&adj, &h, &ctx);
+        let (batch_out, _) = layer.forward(&adj, &h, &ExecCtx::sequential());
         for v in 0..4usize {
-            let (srcs, ws) = raw.row(v);
-            let nbr_h: Vec<Vec<f32>> = srcs.iter().map(|&s| h.row(s as usize).to_vec()).collect();
-            let view = NeighborView { self_h: h.row(v), neighbor_h: &nbr_h, weights: ws };
-            let node_out = layer.forward_node(&view);
-            for (a, b) in node_out.iter().zip(batch_out.row(v)) {
-                assert!((a - b).abs() < 1e-5, "node {v}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn combined_forward_matches_node_forward() {
-        let (raw, _, h, layer) = fixture();
-        for v in 0..4usize {
-            let (srcs, ws) = raw.row(v);
-            let nbr_h: Vec<Vec<f32>> = srcs.iter().map(|&s| h.row(s as usize).to_vec()).collect();
-            let view = NeighborView { self_h: h.row(v), neighbor_h: &nbr_h, weights: ws };
-            let mut agg = NeighborAggregate::empty(3);
-            for (nh, &w) in nbr_h.iter().zip(ws) {
-                agg.n += 1;
-                agg.total_w += w;
-                for (a, &x) in agg.acc.iter_mut().zip(nh) {
-                    *a += w * x;
-                }
-            }
-            let node = layer.forward_node(&view);
-            let combined = layer.forward_node_combined(h.row(v), &agg);
-            for (a, b) in node.iter().zip(&combined) {
+            let combined = layer.forward_node_combined(h.row(v), &NeighborAggregate::of_row(&raw, &h, v));
+            for (a, b) in combined.iter().zip(batch_out.row(v)) {
                 assert!((a - b).abs() < 1e-5, "node {v}: {a} vs {b}");
             }
         }

@@ -12,7 +12,7 @@
 //! message-passing contract covers models the paper never shipped.
 
 use crate::dense::{DenseCache, DenseLayer};
-use crate::layer::{LiveRows, NeighborAggregate, NeighborView};
+use crate::layer::{LiveRows, NeighborAggregate};
 use crate::param::Param;
 use agl_tensor::ops::Activation;
 use agl_tensor::rng::Rng;
@@ -119,21 +119,8 @@ impl GinLayer {
         Some(dh)
     }
 
-    /// Per-node forward (GraphInfer merge step) over the raw neighborhood.
-    pub fn forward_node(&self, view: &NeighborView<'_>) -> Vec<f32> {
-        let scale = 1.0 + self.eps_value();
-        let mut agg: Vec<f32> = view.self_h.iter().map(|&x| scale * x).collect();
-        for (h, &w) in view.neighbor_h.iter().zip(view.weights) {
-            for (a, &x) in agg.iter_mut().zip(h) {
-                *a += w * x;
-            }
-        }
-        let a1 = self.mlp1.forward_row(&agg);
-        self.mlp2.forward_row(&a1)
-    }
-
-    /// Per-node forward from a pre-folded [`NeighborAggregate`]
-    /// (`acc = Σ w·h`): add the `(1+ε)`-scaled self embedding and run the
+    /// Per-node forward (the GraphInfer merge step) from a pre-folded
+    /// [`NeighborAggregate`] (`acc = Σ w·h`): add the `(1+ε)`-scaled self embedding and run the
     /// MLP — the weighted-sum aggregation decomposes exactly.
     pub fn forward_node_combined(&self, self_h: &[f32], agg: &NeighborAggregate) -> Vec<f32> {
         debug_assert_eq!(agg.acc.len(), self.in_dim());
@@ -183,38 +170,12 @@ mod tests {
     }
 
     #[test]
-    fn node_forward_matches_batch_row() {
+    fn combined_forward_matches_batch_row() {
         let (raw, adj, h, layer) = fixture();
         let (batch_out, _) = layer.forward(&adj, &h, &ExecCtx::sequential());
         for v in 0..4usize {
-            let (srcs, ws) = raw.row(v);
-            let nbr_h: Vec<Vec<f32>> = srcs.iter().map(|&s| h.row(s as usize).to_vec()).collect();
-            let view = NeighborView { self_h: h.row(v), neighbor_h: &nbr_h, weights: ws };
-            let node_out = layer.forward_node(&view);
-            for (a, b) in node_out.iter().zip(batch_out.row(v)) {
-                assert!((a - b).abs() < 1e-5, "node {v}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn combined_forward_matches_node_forward() {
-        let (raw, _, h, layer) = fixture();
-        for v in 0..4usize {
-            let (srcs, ws) = raw.row(v);
-            let nbr_h: Vec<Vec<f32>> = srcs.iter().map(|&s| h.row(s as usize).to_vec()).collect();
-            let view = NeighborView { self_h: h.row(v), neighbor_h: &nbr_h, weights: ws };
-            let mut agg = NeighborAggregate::empty(3);
-            for (nh, &w) in nbr_h.iter().zip(ws) {
-                agg.n += 1;
-                agg.total_w += w;
-                for (a, &x) in agg.acc.iter_mut().zip(nh) {
-                    *a += w * x;
-                }
-            }
-            let node = layer.forward_node(&view);
-            let combined = layer.forward_node_combined(h.row(v), &agg);
-            for (a, b) in node.iter().zip(&combined) {
+            let combined = layer.forward_node_combined(h.row(v), &NeighborAggregate::of_row(&raw, &h, v));
+            for (a, b) in combined.iter().zip(batch_out.row(v)) {
                 assert!((a - b).abs() < 1e-5, "node {v}: {a} vs {b}");
             }
         }

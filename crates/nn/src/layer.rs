@@ -39,8 +39,8 @@ pub fn prepare_adj(raw: &Csr, prep: AdjPrep) -> Csr {
     }
 }
 
-/// One node's view of its in-edge neighborhood — what a GraphInfer reducer
-/// holds after the merge step: the node's own embedding plus each in-edge
+/// One node's view of its in-edge neighborhood — what an attention layer's
+/// per-node forward reads: the node's own embedding plus each kept in-edge
 /// neighbor's embedding and edge weight.
 #[derive(Debug)]
 pub struct NeighborView<'a> {
@@ -68,9 +68,6 @@ pub enum CombineKind {
     /// `acc = Σ w·h` with `total_w = Σ w` kept for the normalisation at
     /// apply time (GCN's mean-with-self-loop, GraphSAGE's neighbor mean).
     Mean,
-    /// `acc = elementwise max of w·h`. No shipped layer consumes it yet;
-    /// it completes the aggregator set the combiner suite exercises.
-    Max,
 }
 
 /// A partially-aggregated neighborhood: what a shuffle combiner ships in
@@ -82,7 +79,7 @@ pub struct NeighborAggregate {
     pub n: u64,
     /// `Σ w` over the folded neighbors.
     pub total_w: f32,
-    /// The elementwise accumulator (see [`CombineKind`]).
+    /// The elementwise accumulator `Σ w·h`.
     pub acc: Vec<f32>,
 }
 
@@ -257,24 +254,27 @@ impl GnnLayer {
         }
     }
 
-    /// Per-node forward — the GraphInfer reducer merge step. Produces the
-    /// same embedding the batch forward produces for that node, given the
-    /// node's *raw* (unprepared) in-edge neighborhood.
+    /// Per-node forward of an attention layer over its *raw* (unprepared)
+    /// in-edge neighborhood — the GraphInfer merge step for GAT and
+    /// GeniePath. Produces the embedding the batch forward produces for that
+    /// node. Decomposable layers run [`GnnLayer::forward_node_combined`]
+    /// instead; callers gate on [`GnnLayer::combine_kind`].
     pub fn forward_node(&self, view: &NeighborView<'_>) -> Vec<f32> {
         match self {
-            GnnLayer::Gcn(l) => l.forward_node(view),
-            GnnLayer::Sage(l) => l.forward_node(view),
             GnnLayer::Gat(l) => l.forward_node(view),
-            GnnLayer::Gin(l) => l.forward_node(view),
             GnnLayer::GeniePath(l) => l.forward_node(view),
+            // `combine_kind()` is Some for these; callers gate on it.
+            GnnLayer::Gcn(_) | GnnLayer::Sage(_) | GnnLayer::Gin(_) => {
+                panic!("{} folds its neighbors through forward_node_combined", self.kind_name())
+            }
         }
     }
 
     /// How this layer's aggregation decomposes into combinable partials.
     /// `None` for attention layers (GAT, GeniePath): their coefficients
     /// depend on every raw neighbor embedding jointly, so partial
-    /// aggregation before the attention softmax is unsound — the streaming
-    /// pipeline falls back to shipping raw embeddings for them.
+    /// aggregation before the attention softmax is unsound — inference
+    /// ships their raw embeddings and runs [`GnnLayer::forward_node`].
     pub fn combine_kind(&self) -> Option<CombineKind> {
         match self {
             GnnLayer::Gcn(_) => Some(CombineKind::Mean),
@@ -284,12 +284,13 @@ impl GnnLayer {
         }
     }
 
-    /// Per-node forward from a merged [`NeighborAggregate`] instead of raw
-    /// neighbor embeddings — the apply step of the gather-apply-scatter
-    /// pipeline. Same maths as [`GnnLayer::forward_node`]; the fold order
-    /// over neighbors is fixed by whoever built the aggregate, which is
-    /// exactly what makes combiner-on and combiner-off runs bit-identical.
-    /// Callers must gate on [`GnnLayer::combine_kind`].
+    /// Per-node forward of a decomposable layer from a merged
+    /// [`NeighborAggregate`] — the GraphInfer merge step for GCN, SAGE and
+    /// GIN. Produces the embedding the batch forward produces for that node,
+    /// to floating-point roundoff; the fold order over neighbors is fixed by
+    /// whoever built the aggregate, which is what makes combiner-on and
+    /// combiner-off runs bit-identical. Callers must gate on
+    /// [`GnnLayer::combine_kind`].
     pub fn forward_node_combined(&self, self_h: &[f32], agg: &NeighborAggregate) -> Vec<f32> {
         match self {
             GnnLayer::Gcn(l) => l.forward_node_combined(self_h, agg),
@@ -329,6 +330,24 @@ impl GnnLayer {
             GnnLayer::Gin(_) => "gin",
             GnnLayer::GeniePath(_) => "geniepath",
         }
+    }
+}
+
+#[cfg(test)]
+impl NeighborAggregate {
+    /// The aggregate of row `v`'s raw in-edges over the embeddings `h`,
+    /// folded in CSR order.
+    pub(crate) fn of_row(raw: &Csr, h: &Matrix, v: usize) -> Self {
+        let mut agg = Self::empty(h.cols());
+        let (srcs, ws) = raw.row(v);
+        for (&s, &w) in srcs.iter().zip(ws) {
+            agg.n += 1;
+            agg.total_w += w;
+            for (a, &x) in agg.acc.iter_mut().zip(h.row(s as usize)) {
+                *a += w * x;
+            }
+        }
+        agg
     }
 }
 

@@ -14,9 +14,12 @@
 //! * **Two execution forms per layer.** The *batch* form works on a
 //!   destination-sorted sparse adjacency (what GraphTrainer vectorizes,
 //!   §3.3.1); the *per-node* form computes one node's output from its own
-//!   embedding plus its in-edge neighbor embeddings — exactly the merge
-//!   step a GraphInfer reducer performs (§3.4). The two forms are tested to
-//!   agree to floating-point roundoff, which is what makes MapReduce
+//!   embedding plus its in-edge neighborhood — the merge step of
+//!   `agl_infer::merge_step` (§3.4). GCN, SAGE and GIN take the
+//!   neighborhood pre-folded into a [`NeighborAggregate`]
+//!   (`forward_node_combined`); the attention layers GAT and GeniePath take
+//!   the raw neighbor embeddings (`forward_node`). The two forms are tested
+//!   to agree to floating-point roundoff, which is what makes MapReduce
 //!   inference equivalent to training-time forward passes.
 //! * **Aggregation normalisation is row-stochastic** (`D_in^{-1} A`, with
 //!   self-loops for GCN): unlike the symmetric `D^{-1/2} A D^{-1/2}`, it is

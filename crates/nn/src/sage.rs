@@ -16,7 +16,7 @@
 //! dH       = dPre W_selfᵀ + Āᵀ (dPre W_neighᵀ)
 //! ```
 
-use crate::layer::{LiveRows, NeighborAggregate, NeighborView};
+use crate::layer::{LiveRows, NeighborAggregate};
 use crate::param::Param;
 use agl_tensor::ops::Activation;
 use agl_tensor::rng::Rng;
@@ -121,31 +121,11 @@ impl SageLayer {
         Some(dh)
     }
 
-    /// Per-node forward (GraphInfer merge step): weighted mean over raw
-    /// in-edge neighbors (zero vector when there are none, matching the
-    /// empty CSR row in the batch path).
-    pub fn forward_node(&self, view: &NeighborView<'_>) -> Vec<f32> {
-        let in_dim = self.in_dim();
-        let mut m = vec![0.0f32; in_dim];
-        let total: f32 = view.weights.iter().sum();
-        if total != 0.0 {
-            for (h, &w) in view.neighbor_h.iter().zip(view.weights) {
-                for (a, &x) in m.iter_mut().zip(h) {
-                    *a += w * x;
-                }
-            }
-            let inv = 1.0 / total;
-            for a in &mut m {
-                *a *= inv;
-            }
-        }
-        self.project_self_and_mean(view.self_h, m)
-    }
-
-    /// Per-node forward from a pre-folded [`NeighborAggregate`]
-    /// (`acc = Σ w·h`, `total_w = Σ w`): normalise the folded sum into the
-    /// neighbor mean (zero when there are no weighted neighbors, matching
-    /// the empty CSR row), then the shared projection.
+    /// Per-node forward (the GraphInfer merge step) from a pre-folded
+    /// [`NeighborAggregate`] (`acc = Σ w·h`, `total_w = Σ w`): normalise
+    /// the folded sum into the neighbor mean `m` (zero when there are no
+    /// weighted neighbors, matching the empty CSR row), then
+    /// `act(self_h @ W_self + m @ W_neigh + b)`.
     pub fn forward_node_combined(&self, self_h: &[f32], agg: &NeighborAggregate) -> Vec<f32> {
         debug_assert_eq!(agg.acc.len(), self.in_dim());
         let mut m = vec![0.0f32; self.in_dim()];
@@ -155,11 +135,6 @@ impl SageLayer {
                 *a = x * inv;
             }
         }
-        self.project_self_and_mean(self_h, m)
-    }
-
-    /// `act(self_h @ W_self + m @ W_neigh + b)` — shared projection tail.
-    fn project_self_and_mean(&self, self_h: &[f32], m: Vec<f32>) -> Vec<f32> {
         let mut out = self.b.value.row(0).to_vec();
         for (k, &a) in self_h.iter().enumerate() {
             if a != 0.0 {
@@ -217,38 +192,12 @@ mod tests {
     }
 
     #[test]
-    fn node_forward_matches_batch_row() {
+    fn combined_forward_matches_batch_row() {
         let (raw, adj, h, layer) = fixture();
         let (batch_out, _) = layer.forward(&adj, &h, &ExecCtx::sequential());
         for v in 0..4usize {
-            let (srcs, ws) = raw.row(v);
-            let nbr_h: Vec<Vec<f32>> = srcs.iter().map(|&s| h.row(s as usize).to_vec()).collect();
-            let view = NeighborView { self_h: h.row(v), neighbor_h: &nbr_h, weights: ws };
-            let node_out = layer.forward_node(&view);
-            for (a, b) in node_out.iter().zip(batch_out.row(v)) {
-                assert!((a - b).abs() < 1e-5, "node {v}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn combined_forward_matches_node_forward_including_isolated() {
-        let (raw, _, h, layer) = fixture();
-        for v in 0..4usize {
-            let (srcs, ws) = raw.row(v);
-            let nbr_h: Vec<Vec<f32>> = srcs.iter().map(|&s| h.row(s as usize).to_vec()).collect();
-            let view = NeighborView { self_h: h.row(v), neighbor_h: &nbr_h, weights: ws };
-            let mut agg = NeighborAggregate::empty(3);
-            for (nh, &w) in nbr_h.iter().zip(ws) {
-                agg.n += 1;
-                agg.total_w += w;
-                for (a, &x) in agg.acc.iter_mut().zip(nh) {
-                    *a += w * x;
-                }
-            }
-            let node = layer.forward_node(&view);
-            let combined = layer.forward_node_combined(h.row(v), &agg);
-            for (a, b) in node.iter().zip(&combined) {
+            let combined = layer.forward_node_combined(h.row(v), &NeighborAggregate::of_row(&raw, &h, v));
+            for (a, b) in combined.iter().zip(batch_out.row(v)) {
                 assert!((a - b).abs() < 1e-5, "node {v}: {a} vs {b}");
             }
         }

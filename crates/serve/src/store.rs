@@ -16,7 +16,7 @@ use crate::ServeConfig;
 use agl_graph::NodeId;
 use agl_infer::{InferOutput, NodeEmbedding};
 use agl_mapreduce::hash::fnv1a;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Route a node id to its shard — FNV-1a over the little-endian id bytes,
 /// exactly like the MapReduce shuffle routes reduce keys.
@@ -191,8 +191,9 @@ impl EmbeddingStore {
     }
 
     fn snapshot_of(&self, shard: &RwLock<Arc<ShardSlab>>) -> Arc<ShardSlab> {
-        // A poisoned lock means a writer panicked mid-swap; nothing to serve.
-        shard.read().expect("shard lock poisoned").clone()
+        // A guard is only ever held across an `Arc` clone or swap, so a
+        // poisoned lock still holds a whole slab: serve it.
+        shard.read().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// Snapshot one shard (readers keep it consistent across a swap).
@@ -259,8 +260,8 @@ impl EmbeddingStore {
             // lock. `patch` callers are serialised by the updater, so the
             // read-then-swap window cannot lose concurrent patches.
             let fresh = Arc::new(self.shard(i).overlay(bucket));
-            // Poisoned only if a prior writer panicked; store is dead then.
-            *self.shards[i].write().expect("shard lock poisoned") = fresh;
+            // A poisoned lock still holds a whole slab (see `snapshot_of`).
+            *self.shards[i].write().unwrap_or_else(PoisonError::into_inner) = fresh;
         }
     }
 
@@ -322,6 +323,27 @@ mod tests {
         let nb = store.topk_neighbors(NodeId(3), 5).unwrap();
         assert_eq!(nb.len(), 5);
         assert!(nb.iter().all(|n| n.node != NodeId(3)));
+    }
+
+    /// A writer that panics while holding a shard's write guard poisons the
+    /// lock but leaves its slab whole: reads and patches go on.
+    #[test]
+    fn poisoned_shard_lock_still_serves_and_patches() {
+        let store = EmbeddingStore::from_vectors(vectors(40, 4), &cfg(2));
+        for shard in &store.shards {
+            let died = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _guard = shard.write().unwrap();
+                    panic!("writer dies holding the guard");
+                })
+                .join()
+            });
+            assert!(died.is_err() && shard.is_poisoned());
+        }
+        assert_eq!(store.len(), 40);
+        store.patch([(NodeId(3), vec![9.0; 4])]);
+        assert_eq!(&*store.get(NodeId(3)).unwrap(), &[9.0; 4]);
+        assert_eq!(&*store.get(NodeId(4)).unwrap(), vectors(40, 4)[4].1.as_slice());
     }
 
     #[test]

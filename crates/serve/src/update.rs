@@ -12,18 +12,22 @@
 //! against small id sets; the backward one also collects the in-edges of
 //! every closure node at backward distance `< k`. Layer `l` is then
 //! computed only for the closure nodes at distance `≤ k − l`, with
-//! [`agl_infer::merge_step`] — the per-node function GraphInfer's reducer
-//! calls — and the dirty nodes are scored with [`agl_infer::predict_row`].
+//! [`agl_infer::merge_step`] — the per-node step every inference driver's
+//! reducer calls — and the dirty nodes are scored with
+//! [`agl_infer::predict_row`].
 //!
-//! Byte-identity with a full re-infer holds because that function samples
-//! with a seed derived from the *node id* alone over a canonically sorted
-//! candidate set: a node at distance `< k` gets its complete in-edge set
-//! (parallel edges kept apart, edges from sources missing from the node
-//! table skipped — as GraphInfer's join round skips them), whose inputs are
-//! the same vectors the full run merges. Nodes at distance exactly `k`
-//! contribute only their raw features. The dirty nodes' vectors are
-//! therefore bit-for-bit those of a full recompute, and they are the only
-//! entries [`EmbeddingStore::patch`] swaps in.
+//! Byte-identity with a full re-infer holds because that step depends only
+//! on the node's complete in-edge candidate set, the sampling strategy and
+//! seed, and the segment count `cfg.engine.reduce_tasks` of its fold: it
+//! samples with a seed derived from the *node id* alone over a canonically
+//! sorted candidate set, and folds the kept neighbors in a canonical order.
+//! A node at distance `< k` gets its complete in-edge set (parallel edges
+//! kept apart, edges from sources missing from the node table skipped — as
+//! GraphInfer's join round skips them), whose inputs are the same vectors
+//! the full run merges. Nodes at distance exactly `k` contribute only their
+//! raw features. The dirty nodes' vectors are therefore bit-for-bit those
+//! of a full recompute, and they are the only entries
+//! [`EmbeddingStore::patch`] swaps in.
 
 use crate::store::EmbeddingStore;
 use agl_graph::tables::EdgeRow;
@@ -73,8 +77,8 @@ pub struct UpdateReport {
 /// Runs on the caller's thread.
 ///
 /// `cfg` must be the configuration the store's vectors were produced with
-/// (same sampling strategy and `engine.seed`), or byte-identity with a
-/// full recompute is forfeit. `k` is the model's layer count. Edges with an
+/// (same sampling strategy, `engine.seed` and `engine.reduce_tasks`), or
+/// byte-identity with a full recompute is forfeit. `k` is the model's layer count. Edges with an
 /// endpoint missing from `nodes` are skipped, as GraphInfer skips them.
 pub fn update_incremental(
     store: &EmbeddingStore,
@@ -207,7 +211,8 @@ impl Closure {
                         .iter()
                         .map(|&(s, w)| (self.ids[s as usize].0, w, h[s as usize].as_slice()))
                         .collect();
-                    merge_step(layer, cfg.sampling, cfg.engine.seed, self.ids[v].0, &h[v], &mut in_embs)
+                    let (sampling, seed, r_parts) = (cfg.sampling, cfg.engine.seed, cfg.engine.reduce_tasks);
+                    merge_step(layer, sampling, seed, r_parts, self.ids[v].0, &h[v], &mut in_embs, Vec::new())
                 })
                 .collect();
         }
@@ -343,9 +348,10 @@ mod tests {
     }
 
     /// The pinned contract: dirty re-infer ≡ full recompute, byte-identical,
-    /// for every layer kind and sampling strategy, over a graph with
-    /// parallel edges and a delta that changes features, adds an edge and
-    /// removes one copy of a parallel edge.
+    /// for every layer kind, sampling strategy and two reduce-task counts
+    /// (the segment count of the per-node fold), over a graph with parallel
+    /// edges and a delta that changes features, adds an edge and removes
+    /// one copy of a parallel edge.
     #[test]
     fn incremental_update_matches_full_recompute_byte_identically() {
         let (nodes, edges) = sparse(400, 9);
@@ -377,9 +383,10 @@ mod tests {
         ];
         for kind in kinds {
             let m = GnnModel::new(ModelConfig::new(kind, 4, 8, 3, 2, Loss::SoftmaxCrossEntropy));
-            for sampling in samplings {
-                let case = format!("{} / {sampling:?}", kind.name());
-                let cfg = InferConfig { sampling, ..InferConfig::default() }.with_seed(5);
+            for (sampling, reduce_tasks) in samplings.into_iter().flat_map(|s| [(s, 4), (s, 3)]) {
+                let case = format!("{} / {sampling:?} / reduce_tasks {reduce_tasks}", kind.name());
+                let mut cfg = InferConfig { sampling, ..InferConfig::default() }.with_seed(5);
+                cfg.engine.reduce_tasks = reduce_tasks;
                 let store =
                     EmbeddingStore::build(&GraphInfer::new(cfg.clone()).run(&m, &nodes, &edges).unwrap(), &scfg);
                 let report = update_incremental(&store, &m, &new_nodes, &new_edges, &delta, &cfg).unwrap();
