@@ -72,12 +72,6 @@ impl AglJob {
         self
     }
 
-    /// Replace the whole shared [`EngineConfig`] at once.
-    pub fn engine_config(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Worker-coordination mode for distributed training: `Sync`, `Async`,
     /// or `Ssp { slack }` — the one place a job picks it. Survives a later
     /// [`train_options`](Self::train_options) call (order-independent).

@@ -24,11 +24,13 @@
 //! Node table: `id \t f1,f2,... \t l1,l2,...` (labels optional).
 //! Edge table: `src \t dst \t weight`.
 //!
-//! Every subcommand additionally accepts the observability flags
-//! `--trace-out trace.json` (Chrome trace-event file), `--metrics-out
+//! Every subcommand that runs a job (all but `demo`, `dist-worker`,
+//! `serve-worker` and `obs-report`) additionally accepts the observability
+//! flags `--trace-out trace.json` (Chrome trace-event file), `--metrics-out
 //! metrics.json` (counter/gauge/histogram dump) and `--clock
 //! logical|monotonic`; either `*-out` flag switches instrumentation on and
-//! prints the per-run span/metric summaries.
+//! prints the per-run span/metric summaries. A flag a subcommand does not
+//! read, a flag with no value, or a stray word exits non-zero.
 
 use agl::prelude::*;
 use std::collections::HashMap;
@@ -39,18 +41,44 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("demo") => cmd_demo(&parse_flags(&args[1..])),
-        Some("flat") => cmd_flat(&parse_flags(&args[1..])),
-        Some("train") => cmd_train(&parse_flags(&args[1..])),
-        Some("infer") => cmd_infer(&parse_flags(&args[1..])),
-        Some("infer-stream") => cmd_infer_stream(&parse_flags(&args[1..])),
-        Some("dist-run") => cmd_dist_run(&parse_flags(&args[1..])),
-        Some("dist-worker") => cmd_dist_worker(&parse_flags(&args[1..])),
-        Some("serve") => cmd_serve(&parse_flags(&args[1..])),
-        Some("serve-bench") => cmd_serve_bench(&parse_flags(&args[1..])),
-        Some("serve-worker") => cmd_serve_worker(&parse_flags(&args[1..])),
-        Some("obs-report") => cmd_obs_report(&parse_flags(&args[1..])),
+    // Each subcommand and the flags it reads, as space-separated lists.
+    let (run, accepted): (fn(&Flags) -> CliResult, &[&str]) = match args.first().map(String::as_str) {
+        Some("demo") => (cmd_demo, &["out-dir nodes"]),
+        Some("flat") => {
+            (cmd_flat, &["nodes edges hops sampling out shards targets seed hub-threshold fanout", OBS_FLAGS])
+        }
+        Some("train") => (
+            cmd_train,
+            &[
+                "store epochs batch-size workers layers hidden heads loss model dropout seed lr pruning partitions \
+                 consistency out",
+                OBS_FLAGS,
+            ],
+        ),
+        Some("infer") => (cmd_infer, &["model nodes edges sampling seed out", OBS_FLAGS]),
+        Some("infer-stream") => (
+            cmd_infer_stream,
+            &[
+                "model nodes edges synthetic-nodes seed sampling workers mode dir connect-timeout-secs \
+                 io-timeout-secs out verify",
+                OBS_FLAGS,
+            ],
+        ),
+        Some("dist-run") => (
+            cmd_dist_run,
+            &[
+                "dir nodes hops shuffle-workers ps-shards train-workers epochs seed verify kill-shuffle-after \
+                 kill-ps-after connect-timeout-secs io-timeout-secs",
+                OBS_FLAGS,
+            ],
+        ),
+        Some("dist-worker") => (cmd_dist_worker, &["role listen accept-timeout-secs"]),
+        Some("serve") => (cmd_serve, &["workers dir connect-timeout-secs metrics-flush-every", SERVE_FLAGS, OBS_FLAGS]),
+        Some("serve-bench") => {
+            (cmd_serve_bench, &["load-workers batches batch-size topk-every gamma", SERVE_FLAGS, OBS_FLAGS])
+        }
+        Some("serve-worker") => (cmd_serve_worker, &["listen"]),
+        Some("obs-report") => (cmd_obs_report, &["trace metrics"]),
         _ => {
             eprintln!(
                 "usage: agl-cli <demo|flat|train|infer|infer-stream|dist-run|dist-worker|serve|serve-bench|serve-worker|obs-report> [--flag value]..."
@@ -59,6 +87,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let result = parse_flags(&args[1..], accepted).map_err(Into::into).and_then(|flags| run(&flags));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -71,19 +100,29 @@ fn main() -> ExitCode {
 type Flags = HashMap<String, String>;
 type CliResult = Result<(), Box<dyn std::error::Error>>;
 
-fn parse_flags(args: &[String]) -> Flags {
+/// The flags `parse_obs` and `write_obs_outputs` read.
+const OBS_FLAGS: &str = "trace-out metrics-out clock";
+/// The flags `serve_job` and `serving_output` read.
+const SERVE_FLAGS: &str = "sampling seed shards topk model nodes edges synthetic-nodes";
+
+/// Parse `--name value` pairs (a repeated flag keeps its last value) against
+/// the space-separated flag lists in `accepted`. A flag the subcommand does
+/// not read, a flag with no value, or a stray word is an error naming the
+/// offending word: a misspelt flag must not silently drop what the caller
+/// asked for.
+fn parse_flags(args: &[String], accepted: &[&str]) -> Result<Flags, String> {
     let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            let value = args.get(i + 1).cloned().unwrap_or_default();
-            flags.insert(name.to_string(), value);
-            i += 2;
-        } else {
-            i += 1;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let name = arg.strip_prefix("--").ok_or_else(|| format!("unexpected argument {arg:?}"))?;
+        if !accepted.iter().flat_map(|list| list.split_whitespace()).any(|f| f == name) {
+            return Err(format!("unknown flag {arg:?}"));
         }
+        let value =
+            args.next().filter(|v| !v.starts_with("--")).ok_or_else(|| format!("flag {arg:?} needs a value"))?;
+        flags.insert(name.to_string(), value.clone());
     }
-    flags
+    Ok(flags)
 }
 
 fn flag<'a>(flags: &'a Flags, name: &str) -> Result<&'a str, String> {

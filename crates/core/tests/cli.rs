@@ -1,6 +1,7 @@
 //! The §3.5 command line end to end: `demo → flat → train → infer` through
 //! the real `agl-cli` binary, training at one and at two workers, plus the
-//! `train` flags that must be rejected with an error rather than a panic.
+//! `train` flags that must be rejected with an error rather than a panic, and
+//! the flags, missing values and stray words every subcommand rejects.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -114,4 +115,20 @@ fn train_rejects_zero_counts_with_an_error() {
     }
     assert!(!Path::new(&model).exists(), "a rejected run wrote a model");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unknown_flags_missing_values_and_stray_words_are_rejected() {
+    for (args, offender) in [
+        (&["infer-stream", "--synthetic-nodes", "50", "--verfy", "true"][..], "--verfy"),
+        (&["infer-stream", "--synthetic-nodes", "50", "--verify"][..], "--verify"),
+        (&["infer-stream", "--synthetic-nodes", "--verify", "true"][..], "--synthetic-nodes"),
+        (&["infer-stream", "--synthetic-nodes", "50", "verify"][..], "verify"),
+        (&["demo", "--out-dir", "unused", "--trace-out", "t.json"][..], "--trace-out"),
+    ] {
+        let out = cli(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} was accepted");
+        assert!(stderr.starts_with("error: ") && stderr.contains(&format!("{offender:?}")), "{args:?}: {stderr}");
+    }
 }

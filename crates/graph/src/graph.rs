@@ -1,4 +1,4 @@
-//! In-memory attributed graph with both adjacency directions.
+//! In-memory attributed graph over its in-edge adjacency.
 //!
 //! This is the structure the *single-machine* baseline engine (the DGL/PyG
 //! stand-in) trains on, and the source of truth the distributed pipelines
@@ -20,8 +20,6 @@ pub struct Graph {
     labels: Option<Matrix>,
     /// Row `v` lists in-edge sources `N+(v)` — the aggregation direction.
     in_adj: Csr,
-    /// Row `u` lists out-edge destinations `N-(u)` — the propagation direction.
-    out_adj: Csr,
     /// Edge features aligned with `in_adj` entry order (optional).
     edge_features: Option<Matrix>,
 }
@@ -37,15 +35,12 @@ impl Graph {
         }
         let n = index.len();
         let mut in_coo = Coo::new(n, n);
-        let mut out_coo = Coo::new(n, n);
         for (row, _) in edges.iter() {
             let s = index.get(row.src).unwrap_or_else(|| panic!("edge references unknown src {}", row.src));
             let d = index.get(row.dst).unwrap_or_else(|| panic!("edge references unknown dst {}", row.dst));
             in_coo.push(d, s, row.weight);
-            out_coo.push(s, d, row.weight);
         }
         let in_adj = in_coo.into_csr();
-        let out_adj = out_coo.into_csr();
         // Align edge features with in_adj entry order when present. Because
         // into_csr() merges duplicate (dst, src) pairs, edge features are only
         // kept when the edge list is duplicate-free.
@@ -71,14 +66,7 @@ impl Graph {
             }
             Some(out)
         });
-        Self {
-            index,
-            features: nodes.features().clone(),
-            labels: nodes.labels().cloned(),
-            in_adj,
-            out_adj,
-            edge_features,
-        }
+        Self { index, features: nodes.features().clone(), labels: nodes.labels().cloned(), in_adj, edge_features }
     }
 
     /// Number of nodes.
@@ -111,11 +99,6 @@ impl Graph {
         &self.in_adj
     }
 
-    /// Out-edge adjacency (row `u` = destinations pointed at by `u`).
-    pub fn out_adj(&self) -> &Csr {
-        &self.out_adj
-    }
-
     /// Original id of local node `v`.
     pub fn node_id(&self, local: u32) -> NodeId {
         self.index.global(local)
@@ -136,19 +119,9 @@ impl Graph {
         self.in_adj.row_nnz(v as usize)
     }
 
-    /// Out-degree of local node `v` = `|N-(v)|`.
-    pub fn out_degree(&self, v: u32) -> usize {
-        self.out_adj.row_nnz(v as usize)
-    }
-
     /// In-edge sources of `v` with weights.
     pub fn in_neighbors(&self, v: u32) -> (&[u32], &[f32]) {
         self.in_adj.row(v as usize)
-    }
-
-    /// Out-edge destinations of `v` with weights.
-    pub fn out_neighbors(&self, v: u32) -> (&[u32], &[f32]) {
-        self.out_adj.row(v as usize)
     }
 
     /// Rebuild the `(NodeTable, EdgeTable)` pair — used to feed generated
@@ -188,9 +161,6 @@ mod tests {
         let in_ids: Vec<_> = srcs.iter().map(|&s| g.node_id(s)).collect();
         assert!(in_ids.contains(&NodeId(1)) && in_ids.contains(&NodeId(4)));
         assert_eq!(g.in_degree(v2), 2);
-        assert_eq!(g.out_degree(v2), 1);
-        // out view is the transpose of the in view
-        assert!(g.in_adj().to_dense().transpose().max_abs_diff(&g.out_adj().to_dense()) < 1e-7);
     }
 
     #[test]

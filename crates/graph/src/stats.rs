@@ -45,11 +45,6 @@ pub fn in_degree_stats(g: &Graph) -> Option<DegreeStats> {
     DegreeStats::from_degrees((0..g.n_nodes() as u32).map(|v| g.in_degree(v)).collect())
 }
 
-/// Out-degree statistics of a graph.
-pub fn out_degree_stats(g: &Graph) -> Option<DegreeStats> {
-    DegreeStats::from_degrees((0..g.n_nodes() as u32).map(|v| g.out_degree(v)).collect())
-}
-
 /// Local indices of "hub" nodes whose in-degree exceeds `threshold` — the
 /// nodes the re-indexing strategy splits across reducers.
 pub fn hub_nodes(g: &Graph, threshold: usize) -> Vec<u32> {

@@ -14,7 +14,7 @@
 
 use crate::ServeConfig;
 use agl_graph::NodeId;
-use agl_infer::{InferOutput, NodeEmbedding};
+use agl_infer::InferOutput;
 use agl_mapreduce::hash::fnv1a;
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -149,11 +149,6 @@ impl EmbeddingStore {
     /// becomes its stored vector.
     pub fn build(output: &InferOutput, cfg: &ServeConfig) -> Self {
         Self::from_vectors(output.scores.iter().map(|s| (s.node, s.probs.clone())), cfg)
-    }
-
-    /// Build from final-layer embeddings (`GraphInfer::run_embeddings`).
-    pub fn from_embeddings(embeddings: &[NodeEmbedding], cfg: &ServeConfig) -> Self {
-        Self::from_vectors(embeddings.iter().map(|e| (e.node, e.embedding.clone())), cfg)
     }
 
     /// Build from raw `(node, vector)` pairs.

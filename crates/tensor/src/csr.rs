@@ -6,6 +6,7 @@
 //! *"Edges in the sparse matrix are sorted by their destination nodes"*.
 
 use crate::matrix::Matrix;
+use std::ops::Range;
 
 /// A coordinate-format edge list used to assemble a [`Csr`].
 ///
@@ -168,6 +169,18 @@ impl Csr {
     /// weighted sum of the dense rows of `r`'s in-edge sources — the
     /// message-passing *merge* step.
     pub fn spmm(&self, dense: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.n_rows, dense.cols());
+        self.spmm_rows_into(0..self.n_rows, dense, out.as_mut_slice());
+        out
+    }
+
+    /// Accumulate rows `rows` of `self @ dense` into `out`, the row-major
+    /// slice holding exactly those output rows. The one SpMM row loop:
+    /// [`Csr::spmm`] runs it over every row, and each tile of the
+    /// edge-partitioned multiply ([`ExecCtx::spmm`](crate::ExecCtx::spmm))
+    /// runs it over its own row range, so every thread count sums each row
+    /// in the same order.
+    pub fn spmm_rows_into(&self, rows: Range<usize>, dense: &Matrix, out: &mut [f32]) {
         assert_eq!(
             self.n_cols,
             dense.rows(),
@@ -176,20 +189,13 @@ impl Csr {
             self.n_cols,
             dense.shape()
         );
-        let mut out = Matrix::zeros(self.n_rows, dense.cols());
-        self.spmm_rows_into(0, self.n_rows, dense, &mut out);
-        out
-    }
-
-    /// Compute rows `[row_start, row_end)` of `self @ dense` into `out`.
-    /// This is the kernel the edge-partitioned parallel multiply dispatches
-    /// to — each partition owns a disjoint row range of `out`.
-    pub fn spmm_rows_into(&self, row_start: usize, row_end: usize, dense: &Matrix, out: &mut Matrix) {
         let n = dense.cols();
-        debug_assert_eq!(out.cols(), n);
-        for r in row_start..row_end {
+        assert_eq!(out.len(), rows.len() * n, "spmm output slice does not hold rows {rows:?}");
+        let start = rows.start;
+        for r in rows {
             let (cols, vals) = self.row(r);
-            let out_row = out.row_mut(r);
+            let base = (r - start) * n;
+            let out_row = &mut out[base..base + n];
             for (&c, &w) in cols.iter().zip(vals) {
                 let src = dense.row(c as usize);
                 for (o, &x) in out_row.iter_mut().zip(src) {

@@ -14,8 +14,8 @@
 //! * [`Csr`] — a compressed sparse row matrix whose rows are destination
 //!   nodes and whose columns are source nodes, i.e. row `v` lists the
 //!   in-edge neighborhood `N+(v)` of the paper (§2.1).
-//! * [`partition`] — the edge-partitioning strategy plus partitioned
-//!   sparse-dense multiply kernels.
+//! * [`partition`] — the edge-partitioning strategy plus the partitioned
+//!   sparse-dense multiply.
 //! * [`ops`] — activations and their derivatives, softmax, dropout masks.
 //! * [`init`] — Xavier/Glorot initialisation driven by a seeded RNG.
 //!
@@ -34,5 +34,5 @@ pub mod rng;
 
 pub use csr::{Coo, Csr};
 pub use matrix::Matrix;
-pub use partition::{EdgePartition, ExecCtx, PartitionViolation};
+pub use partition::{EdgePartition, ExecCtx};
 pub use rng::{derive_seed, seeded_rng, Rng, SliceRandom, SmallRng};
