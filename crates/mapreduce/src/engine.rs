@@ -743,6 +743,7 @@ impl MapReduceJob {
         inputs: Vec<I>,
         attempt: impl Fn(usize, &mut I) -> T + Sync,
     ) -> Result<Vec<T>, JobError> {
+        fix_malloc_thresholds();
         let n = inputs.len();
         let next = AtomicUsize::new(0);
         let inputs: Vec<Mutex<I>> = inputs.into_iter().map(Mutex::new).collect();
@@ -780,6 +781,49 @@ impl MapReduceJob {
                     .unwrap_or(Err(JobError::TaskFailed(id_of(task))))
             })
             .collect()
+    }
+}
+
+/// Fix glibc's malloc trim threshold at 1 MiB and its mmap threshold at
+/// 32 MiB, once per process, before the first worker pool starts.
+///
+/// Pool workers allocate task outputs in their own malloc arenas. glibc
+/// hands the free top of such an arena back to the kernel only above the
+/// trim threshold, and `malloc_trim` never trims it. Left dynamic, that
+/// threshold rises to twice the largest mmapped block freed so far, so how
+/// much freed task memory stayed resident depended on which worker had run
+/// which task: the `serve.mixed-rw` benchmark workload, whose set-up runs
+/// GraphInfer on the pool, peaked anywhere from 45 to 67 MB from one
+/// process to the next at one seed. Fixing the trim threshold alone would
+/// also freeze the mmap threshold wherever the process's history left it
+/// (there, `train.ppi-2layer` ran about 35 % slower), so both are set.
+/// Does nothing where there is no glibc.
+fn fix_malloc_thresholds() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        static FIXED: std::sync::Once = std::sync::Once::new();
+        FIXED.call_once(|| {
+            const M_TRIM_THRESHOLD: i32 = -1;
+            const M_MMAP_THRESHOLD: i32 = -3;
+            /// Free bytes at the top of an arena that stay resident rather
+            /// than going back to the kernel.
+            const TRIM_THRESHOLD: i32 = 1 << 20;
+            /// Smallest allocation served by its own `mmap`: the ceiling
+            /// glibc's dynamic rule climbs to on 64-bit targets, so large
+            /// buffers are reused from the heap as in a warmed-up process.
+            const MMAP_THRESHOLD: i32 = 32 << 20;
+            extern "C" {
+                fn mallopt(param: i32, value: i32) -> i32;
+            }
+            // SAFETY: `mallopt` takes no pointers and may be called from any
+            // thread at any time; it changes when free heap pages go back to
+            // the kernel and which allocations get their own mapping, never
+            // a live allocation.
+            unsafe {
+                mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD);
+                mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD);
+            }
+        });
     }
 }
 
